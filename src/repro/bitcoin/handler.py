@@ -43,15 +43,9 @@ class HandlerLoop:
         #: When the node's uplink finishes its last queued transmission.
         self.uplink_free_at = 0.0
         self._clock = node.sim.clock
-        # Handler passes are never cancelled, so they can ride the
-        # scheduler's no-cancel fast lane (no EventHandle per pass); with
-        # the fast path disabled they take the regular queue.  Dispatch
-        # order is identical either way — the lane shares the global
-        # sequence counter.
-        if node.sim.fast_path:
-            self._schedule_pass = node.sim.scheduler.lane_schedule
-        else:
-            self._schedule_pass = self._schedule_pass_fallback
+        # Handler passes are never cancelled, so they ride the
+        # scheduler's no-cancel lane (no EventHandle per pass).
+        self._schedule_pass = node.sim.scheduler.lane_schedule
         # Peers with queued work, in enqueue order (dicts keep insertion
         # order, so iteration is deterministic).  A pass visits only
         # these instead of scanning every connection: typical passes
@@ -61,10 +55,6 @@ class HandlerLoop:
         # drains their queue (or their socket is gone).
         self.dirty_process: "dict" = {}
         self.dirty_send: "dict" = {}
-
-    def _schedule_pass_fallback(self, delay: float, fire, _payload) -> None:
-        """Fast path disabled: the pass takes the regular event queue."""
-        self.node.sim.scheduler.schedule(delay, fire)
 
     def reset(self, now: float) -> None:
         """Re-arm the uplink horizon on node start."""

@@ -285,8 +285,7 @@ class Pong(Message):
 #: fields and PONG0 answers a zero-nonce ping, so every sender can reuse
 #: one immutable-in-practice object instead of allocating per call —
 #: ADDR gossip alone sends hundreds of thousands of VERACKs per scale
-#: run.  The sharing is unconditional (not tied to the fast-path
-#: toggle): the canonical pickler memoizes repeated objects, so snapshot
+#: run.  The canonical pickler memoizes repeated objects, so snapshot
 #: bytes stay independent of which code path enqueued the message.
 VERACK = Verack()
 GETADDR = GetAddr()

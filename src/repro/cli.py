@@ -111,8 +111,7 @@ def _report_supervision(label: str, sweep) -> None:
 def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
     base = LongitudinalConfig(
         scale=args.scale, snapshots=args.snapshots, seed=args.seed,
-        fidelity=args.fidelity, engine=args.engine,
-        faults=_load_fault_plan(args),
+        fidelity=args.fidelity, faults=_load_fault_plan(args),
     )
     seeds = core.seed_range(args.seed, args.seeds)
     print(
@@ -175,8 +174,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return _cmd_campaign_sweep(args)
     config = LongitudinalConfig(
         scale=args.scale, snapshots=args.snapshots, seed=args.seed,
-        fidelity=args.fidelity, engine=args.engine,
-        faults=_load_fault_plan(args),
+        fidelity=args.fidelity, faults=_load_fault_plan(args),
     )
     if args.store is not None or args.resume is not None:
         from .store import default_store_root, run_stored_campaign
@@ -191,7 +189,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
         print(
             f"campaign: run {stored.manifest.run_id} [{provenance}] "
-            f"engine={stored.manifest.engine} store={root}"
+            f"store={root}"
         )
         result = stored.result
         # The printed tables need the deterministic address universe the
@@ -729,12 +727,11 @@ def _cmd_store_ls(args: argparse.Namespace) -> int:
         return 0
     print(
         format_table(
-            ("run id", "kind", "status", "snapshots", "engine", "seed",
-             "truncated"),
+            ("run id", "kind", "status", "snapshots", "seed", "truncated"),
             [
                 (m.run_id, m.kind, m.status,
                  f"{m.completed_snapshots}/{m.snapshots_total}",
-                 m.engine, m.seed, "yes" if m.truncated else "no")
+                 m.seed, "yes" if m.truncated else "no")
                 for m in manifests
             ],
         )
@@ -745,8 +742,8 @@ def _cmd_store_ls(args: argparse.Namespace) -> int:
 def _cmd_store_show(args: argparse.Namespace) -> int:
     store = _open_store(args)
     manifest = store.load_manifest(args.run_id)
-    for name in ("run_id", "kind", "status", "seed", "engine",
-                 "snapshots_total", "code_version", "key"):
+    for name in ("run_id", "kind", "status", "seed", "snapshots_total",
+                 "code_version", "key"):
         print(f"{name:16} {getattr(manifest, name)}")
     print(f"{'result_digest':16} {manifest.result_digest or '-'}")
     if manifest.checkpoint is not None:
@@ -901,10 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --seeds > 1 (default: CPU count)",
     )
     campaign.add_argument("--export", type=str, default=None, metavar="DIR")
-    campaign.add_argument(
-        "--engine", choices=("wheel", "heap"), default=None,
-        help="event scheduler backend (default: REPRO_ENGINE or wheel)",
-    )
     campaign.add_argument(
         "--store", type=str, default=None, metavar="DIR",
         help="checkpoint into this run store (resume/cache on re-run)",

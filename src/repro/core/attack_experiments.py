@@ -13,8 +13,8 @@ seeds under the same scenario.
 Two persistence layers ride on top:
 
 * :func:`run_stored_attack_sweep` runs the sweep through the run store —
-  the key is a content hash of (plan, campaign config, counts, seeds,
-  engine), a completed key returns the stored result without simulating
+  the key is a content hash of (plan, campaign config, counts,
+  seeds), a completed key returns the stored result without simulating
   anything, and a partial run checkpoints after every count level so a
   killed sweep resumes from the last completed level.  Setting
   ``REPRO_CRASH_AFTER_LEVEL=k`` hard-exits after level ``k``'s
@@ -42,7 +42,6 @@ import numpy as np
 from ..adversary.plan import AttackPlan
 from ..bitcoin.config import PolicyConfig
 from ..errors import ConfigurationError, StoreError
-from ..simnet.simulator import resolve_engine
 from .parallel import (
     SyncSweepResult,
     _run_sync_config,
@@ -315,7 +314,6 @@ def attack_sweep_key(
             "seeds": [int(seed) for seed in seeds],
         },
         seed=base.seed,
-        engine=resolve_engine(None),
         snapshots_total=len(counts),
     )
 
@@ -433,7 +431,6 @@ def run_stored_attack_sweep(
             key=key,
             kind=KIND_ATTACK_SWEEP,
             seed=base.seed,
-            engine=resolve_engine(None),
             snapshots_total=len(counts),
             config={
                 "plan": plan.to_dict(),

@@ -15,7 +15,7 @@ churn the paper identifies as the root cause of deterioration.
 
 Persistence mirrors the attack sweeps: :func:`run_stored_variant_matrix`
 keys the whole matrix by content hash (campaign config, the *canonical*
-policy configs, the axes, the seeds, the engine), checkpoints the
+policy configs, the axes, the seeds), checkpoints the
 partial result after every cell, resumes a killed matrix from the last
 completed cell, and returns a cached result for a completed key without
 simulating.  Variant identity reaches the key through
@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; store imports are lazy
 from ..bitcoin.config import PolicyConfig
 from ..errors import ConfigurationError, StoreError
 from ..faults.plan import FaultPlan
-from ..simnet.simulator import resolve_engine
 from .parallel import (
     SyncSweepResult,
     _run_sync_config,
@@ -368,7 +367,6 @@ def variant_matrix_key(
             base, variants, churn_levels, fault_plans, fidelities, seeds
         ),
         seed=base.seed,
-        engine=resolve_engine(None),
         snapshots_total=len(variants)
         * len(churn_levels)
         * max(1, len(fault_plans))
@@ -514,7 +512,6 @@ def run_stored_variant_matrix(
             key=key,
             kind=KIND_VARIANT_MATRIX,
             seed=base.seed,
-            engine=resolve_engine(None),
             snapshots_total=len(conditions),
             config=_matrix_config_dict(
                 base, policies, churns, plans, tiers, seeds

@@ -52,7 +52,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .config import LintConfig, normalize_path
+from .config import LintConfig, LintConfigError, normalize_path
 from .findings import Finding
 from .visitor import Rule
 
@@ -1127,6 +1127,19 @@ def _propagate(graph: CallGraph, config: LintConfig) -> None:
 
     # --- hotness: flows down from seeds -------------------------------
     configured = set(config.hot_paths)
+    for key in sorted(configured.difference(graph.functions)):
+        # A seed whose module was linted but whose function is gone
+        # (renamed, merged into another class) would silently un-mark
+        # everything below it.  Seeds in modules outside the linted
+        # paths stay legal: per-package runs share one pyproject.
+        parts = key.split(".")
+        prefixes = (".".join(parts[:i]) for i in range(1, len(parts)))
+        if any(prefix in graph.modules for prefix in prefixes):
+            raise LintConfigError(
+                f"[tool.repro-lint] hot-paths entry {key!r} matches no "
+                f"function in its module; fix the key or HOT001 stops "
+                f"covering that path"
+            )
     for func in graph.functions.values():
         if func.key in configured:
             graph.hot[func.key] = "listed in [tool.repro-lint] hot-paths"

@@ -193,10 +193,6 @@ class LongitudinalConfig:
     flood_volume_model: FloodVolumeModel = field(default_factory=FloodVolumeModel)
     #: Fraction of silent-class addresses answering RST (vs. dropping).
     rst_fraction: float = 0.45
-    #: Scheduler backend ("wheel" or "heap"; None = REPRO_ENGINE/default).
-    #: Recorded in run-store manifests so a resumed run replays on the
-    #: same engine it started on.
-    engine: Optional[str] = None
     #: Optional fault plan compiled onto the run (see ``repro.faults``).
     #: Part of the config dataclass, hence of run-store keys: the same
     #: campaign under different faults is a different experiment.
@@ -246,7 +242,7 @@ class LongitudinalScenario:
     def __init__(self, config: Optional[LongitudinalConfig] = None) -> None:
         self.config = config if config is not None else LongitudinalConfig()
         self.config.validate()
-        self.sim = Simulator(seed=self.config.seed, engine=self.config.engine)
+        self.sim = Simulator(seed=self.config.seed)
         rng = self.sim.random.stream("scenario")
         self._rng = rng
         self.universe = ASUniverse(rng)

@@ -3,8 +3,8 @@
 Attach a :class:`PerfRecorder` to a simulation to measure where engine
 time goes: events per wall-clock second, heap depth, the cancel ratio,
 and per-callback-type wall time.  Instrumentation is strictly opt-in —
-when no recorder is attached the schedulers run their uninstrumented
-fused loop, so the cost of having this module is zero.
+when no recorder is attached the scheduler's dispatch loop pays one
+``is None`` test per event and calls the callback directly.
 
 Enable it per simulator::
 

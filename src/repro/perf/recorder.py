@@ -1,10 +1,10 @@
 """The engine perf recorder.
 
-The recorder sits on the slow (instrumented) twin of the scheduler
-dispatch loop: :meth:`PerfRecorder.dispatch` wraps every callback
-invocation with a ``perf_counter`` pair and aggregates the wall time by
-callback *type* (the function's qualified name), so a report can say
-"handler passes cost 40% of the run" without per-event storage.
+When a recorder is attached, the scheduler's dispatch loop hands every
+callback to :meth:`PerfRecorder.dispatch`, which wraps the invocation
+with a ``perf_counter`` pair and aggregates the wall time by callback
+*type* (the function's qualified name), so a report can say "handler
+passes cost 40% of the run" without per-event storage.
 
 Scheduling and cancellation volumes come from the scheduler's always-on
 counters (``scheduled_total``, ``cancelled_total``, ``compactions``);

@@ -527,7 +527,6 @@ class CampaignService:
             "run_id": manifest.run_id,
             "key": manifest.key,
             "seed": manifest.seed,
-            "engine": manifest.engine,
             "status": manifest.status,
             "snapshots": manifest.completed_snapshots,
             "truncated": manifest.truncated,

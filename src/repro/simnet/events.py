@@ -1,38 +1,31 @@
 """Event scheduling for the discrete-event simulator.
 
-Two scheduler backends share one contract — events fire in strict
-``(time, sequence)`` order, which makes whole simulations reproducible
-from a seed:
+One :class:`Scheduler` implements the contract every figure depends on:
+events fire in strict ``(time, sequence)`` order, which makes whole
+simulations reproducible from a seed.  It keeps two binary heaps and
+merges them by ``(when, seq)`` in one dispatch loop:
 
-* :class:`Scheduler` (the default) is a *near-wheel / far-heap hybrid*
-  tuned for the protocol workload: short-lived timers (handshake
-  timeouts, pings, trickle timers) land in a timer wheel of small
-  per-slot heaps, everything beyond the wheel horizon goes to a single
-  binary heap.  All heap entries are ``(when, seq, handle)`` tuples so
-  comparisons run in C instead of calling ``EventHandle.__lt__``.
-* :class:`HeapScheduler` is the original single-binary-heap engine,
-  kept as the reference implementation; the determinism test suite
-  cross-validates the two backends against each other.
+* the **cancellable queue** — ``(when, seq, handle)`` tuples, one per
+  :class:`EventHandle` returned by :meth:`Scheduler.schedule` /
+  :meth:`Scheduler.schedule_at`.  Tuples keep heap comparisons in C.
+* the **no-cancel lane** — bare ``(when, seq, fire, payload)`` tuples
+  from :meth:`Scheduler.lane_schedule` / :meth:`Scheduler.lane_schedule_at`
+  for traffic that is never cancelled (message arrivals, handler passes,
+  connect refusals and timeouts, probe answers — 85-99 % of all events on
+  the paper's workloads).  No :class:`EventHandle` is allocated.
 
-Cancellation is *lazy* in both backends: a cancelled event stays where
-it is and is skipped when it reaches the head of its heap.  This keeps
-``cancel`` O(1), which matters because protocol timers are cancelled far
-more often than they fire.  The hybrid scheduler additionally compacts
-its structures when dead entries outnumber live ones, so a cancel-heavy
-workload cannot grow the heaps without bound, and both backends maintain
-a live-event counter so :attr:`pending` reports live events only (the
-raw heap size stays available as :attr:`pending_raw`).
+Both draw sequence numbers from one counter, so the lane changes *where*
+an event is stored but never *when* it fires.  ``tests/`` keeps a naive
+single-heap oracle that the property suite compares this module against.
 
-Both backends additionally carry a **fast lane** for the homogeneous
-light-tier traffic the transport emits in bulk (connect refusals and
-timeouts, probe answers): :meth:`_SchedulerBase.lane_schedule` stores a
-bare ``(when, seq, fire, payload)`` tuple — no :class:`EventHandle`
-allocation, no cancellation support — and the dispatch loops merge the
-lane against the regular queue by ``(when, seq)``.  Lane entries draw
-from the same global sequence counter as regular events, so enabling the
-lane changes *where* an event is stored but never *when* it fires: the
-merged dispatch order is bit-identical to scheduling the same callbacks
-on the regular queue (pinned by the fast-path equivalence tests).
+Cancellation is *lazy*: a cancelled event stays in the heap and is
+skipped when it reaches the head.  This keeps ``cancel`` O(1), which
+matters because protocol timers are cancelled far more often than they
+fire.  The scheduler compacts the heap when dead entries outnumber live
+ones, so a cancel-heavy workload (the crawl) cannot grow it without
+bound, and a live-event counter makes :attr:`Scheduler.pending` report
+live events only (the raw size stays available as
+:attr:`Scheduler.pending_raw`).
 """
 
 from __future__ import annotations
@@ -44,13 +37,6 @@ from ..errors import SimulationError
 from .clock import SimClock
 
 _INF = float("inf")
-
-#: Wheel geometry defaults: 1024 slots of 50 ms cover a 51.2 s horizon,
-#: spanning the connect timeout (5 s), trickle timers (~5 s) and message
-#: deliveries (tens of ms); pings and connection lifetimes go to the far
-#: heap.
-DEFAULT_WHEEL_SLOTS = 1024
-DEFAULT_WHEEL_GRANULARITY = 0.05
 
 #: Compact once at least this many cancelled entries are stored *and*
 #: they outnumber the live ones.
@@ -79,7 +65,7 @@ class EventHandle:
         self.cancelled = False
         #: Owning scheduler while the event is stored there; cleared on
         #: dispatch so a late ``cancel`` cannot corrupt the live counter.
-        self._sched: Optional["_SchedulerBase"] = None
+        self._sched: Optional["Scheduler"] = None
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
@@ -100,12 +86,8 @@ class EventHandle:
             sched.cancelled_total += 1
             dead = sched._dead + 1
             sched._dead = dead
-            threshold = sched._compact_min
-            if threshold is not None and dead >= threshold and dead > sched._live:
+            if dead >= sched._compact_min and dead > sched._live:
                 sched._compact()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -116,60 +98,34 @@ def _noop(*_args: Any) -> None:
     """Placeholder callback installed on cancellation."""
 
 
-class _SchedulerBase:
-    """Counter bookkeeping shared by both scheduler backends."""
+class Scheduler:
+    """Deterministic ``(time, seq)``-ordered event queue for a SimClock."""
 
-    _clock: SimClock
-    _live: int
-    _dead: int
-    _fired: int
-    _seq: int
-    _compact_min: Optional[int]
-    scheduled_total: int
-    #: The no-cancel fast lane: ``(when, seq, fire, payload)`` tuples.
-    _lane_heap: List[tuple]
-
-    #: Optional :class:`repro.perf.PerfRecorder`; when ``None`` the
-    #: dispatch loops take the uninstrumented fast path.
+    #: Optional :class:`repro.perf.PerfRecorder`; when set, the dispatch
+    #: loop routes every callback through ``perf.dispatch``.
     perf = None
 
-    def lane_schedule(
-        self, delay: float, fire: Callable[[Any], Any], payload: Any
+    def __init__(
+        self, clock: SimClock, *, compact_min: int = DEFAULT_COMPACT_MIN
     ) -> None:
-        """Schedule ``fire(payload)`` on the no-cancel fast lane.
+        self._clock = clock
+        #: The cancellable queue: ``(when, seq, handle)`` tuples.
+        self._heap: List[tuple] = []
+        #: The no-cancel lane: ``(when, seq, fire, payload)`` tuples.
+        self._lane_heap: List[tuple] = []
+        self._seq = 0
+        self._fired = 0
+        self._live = 0
+        self._dead = 0
+        self._compact_min = compact_min
+        # Whole-run accounting (always on; one integer add per op).
+        self.scheduled_total = 0
+        self.cancelled_total = 0
+        self.compactions = 0
 
-        The lane carries the light-tier answer traffic (connect refusals
-        and timeouts, probe results), which is never cancelled, so the
-        entry is a bare tuple instead of an :class:`EventHandle`.  The
-        sequence number comes from the shared counter, which is what
-        guarantees the merged dispatch order matches the regular queue.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(
-            self._lane_heap, (self._clock._now + delay, seq, fire, payload)
-        )
-        self._live += 1
-        self.scheduled_total += 1
-
-    def lane_schedule_at(
-        self, when: float, fire: Callable[[Any], Any], payload: Any
-    ) -> None:
-        """:meth:`lane_schedule` with an absolute fire time.
-
-        The transport computes arrival times directly (latency plus the
-        per-direction FIFO clamp), so the lane must take the exact float
-        rather than a delay — ``now + (when - now)`` can differ in the
-        last ulp, which would make fast-path runs drift from the regular
-        queue.  Callers guarantee ``when >= now``, as the regular
-        ``schedule_at`` would otherwise have raised.
-        """
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._lane_heap, (when, seq, fire, payload))
-        self._live += 1
-        self.scheduled_total += 1
-
+    # ------------------------------------------------------------------
+    # Counters
+    # ------------------------------------------------------------------
     @property
     def fired(self) -> int:
         """Total number of events executed so far."""
@@ -181,87 +137,14 @@ class _SchedulerBase:
         return self._live
 
     @property
-    def cancelled_pending(self) -> int:
-        """Cancelled entries still occupying the heaps."""
-        return self._dead
-
-    def _compact(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Generic conveniences expressed via the backend's fused loop
-    # ------------------------------------------------------------------
-    def run_next(self) -> bool:
-        """Pop and execute the earliest event.
-
-        Returns ``True`` if an event was executed, ``False`` if no live
-        event remains.
-        """
-        return self.run_until(_INF, 1)[0] > 0
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest pending (non-cancelled) event, or ``None``."""
-        entry = self._next_entry()
-        return entry[0] if entry is not None else None
-
-    def _next_entry(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class Scheduler(_SchedulerBase):
-    """Deterministic near-wheel / far-heap hybrid driving a :class:`SimClock`.
-
-    Events within ``slots`` wheel slots of *now* are bucketed by
-    ``int(when / granularity)`` into per-slot mini-heaps; later events go
-    to the far heap.  The absolute slot numbers occupied by wheel entries
-    always span less than one wheel revolution (inserts beyond that go to
-    the far heap and ``when >= now`` is enforced), so a slot index never
-    mixes two revolutions and a forward scan from the slot containing
-    *now* visits pending events in slot order.  Within a slot — and
-    between the wheel and the far heap — ``(when, seq)`` tuples decide,
-    so the dispatch order is bit-for-bit the order the single-heap
-    backend produces.
-    """
-
-    def __init__(
-        self,
-        clock: SimClock,
-        *,
-        slots: int = DEFAULT_WHEEL_SLOTS,
-        granularity: float = DEFAULT_WHEEL_GRANULARITY,
-        compact_min: Optional[int] = DEFAULT_COMPACT_MIN,
-    ) -> None:
-        if slots < 2:
-            raise SimulationError(f"wheel needs at least 2 slots, got {slots}")
-        if granularity <= 0:
-            raise SimulationError(
-                f"granularity must be positive, got {granularity}"
-            )
-        self._clock = clock
-        self._slots = slots
-        self._granularity = granularity
-        self._inv_granularity = 1.0 / granularity
-        self._wheel: List[List[tuple]] = [[] for _ in range(slots)]
-        self._wheel_size = 0
-        self._far: List[tuple] = []
-        self._lane_heap = []
-        #: Absolute slot number the next wheel scan resumes from; pulled
-        #: back whenever an insert lands behind it.
-        self._cursor = 0
-        self._seq = 0
-        self._fired = 0
-        self._live = 0
-        self._dead = 0
-        self._compact_min = compact_min
-        # Whole-run accounting (always on; one integer add per op).
-        self.scheduled_total = 0
-        self.cancelled_total = 0
-        self.compactions = 0
-
-    @property
     def pending_raw(self) -> int:
         """Stored entries including lazily cancelled ones (heap size)."""
-        return self._wheel_size + len(self._far) + len(self._lane_heap)
+        return len(self._heap) + len(self._lane_heap)
+
+    @property
+    def cancelled_pending(self) -> int:
+        """Cancelled entries still occupying the heap."""
+        return self._dead
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -279,17 +162,7 @@ class Scheduler(_SchedulerBase):
         self._seq = seq + 1
         handle = EventHandle(when, seq, callback, args)
         handle._sched = self
-        inv_g = self._inv_granularity
-        slot_abs = int(when * inv_g)
-        if slot_abs - int(now * inv_g) < self._slots:
-            heapq.heappush(
-                self._wheel[slot_abs % self._slots], (when, seq, handle)
-            )
-            self._wheel_size += 1
-            if slot_abs < self._cursor:
-                self._cursor = slot_abs
-        else:
-            heapq.heappush(self._far, (when, seq, handle))
+        heapq.heappush(self._heap, (when, seq, handle))
         self._live += 1
         self.scheduled_total += 1
         return handle
@@ -300,31 +173,54 @@ class Scheduler(_SchedulerBase):
         """Schedule ``callback(*args)`` ``delay`` seconds from now.
 
         Body duplicates :meth:`schedule_at` rather than delegating: this
-        is the single busiest engine entry point, and ``delay >= 0``
+        is the busiest cancellable entry point, and ``delay >= 0``
         already guarantees the event is not in the past.
         """
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        now = self._clock._now
-        when = now + delay
+        when = self._clock._now + delay
         seq = self._seq
         self._seq = seq + 1
         handle = EventHandle(when, seq, callback, args)
         handle._sched = self
-        inv_g = self._inv_granularity
-        slot_abs = int(when * inv_g)
-        if slot_abs - int(now * inv_g) < self._slots:
-            heapq.heappush(
-                self._wheel[slot_abs % self._slots], (when, seq, handle)
-            )
-            self._wheel_size += 1
-            if slot_abs < self._cursor:
-                self._cursor = slot_abs
-        else:
-            heapq.heappush(self._far, (when, seq, handle))
+        heapq.heappush(self._heap, (when, seq, handle))
         self._live += 1
         self.scheduled_total += 1
         return handle
+
+    def lane_schedule(
+        self, delay: float, fire: Callable[[Any], Any], payload: Any
+    ) -> None:
+        """Schedule ``fire(payload)`` on the no-cancel lane.
+
+        The entry is a bare tuple instead of an :class:`EventHandle`, so
+        it cannot be cancelled.  The sequence number comes from the
+        shared counter, which is what guarantees the merged dispatch
+        order matches a single queue.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(
+            self._lane_heap, (self._clock._now + delay, seq, fire, payload)
+        )
+        self._live += 1
+        self.scheduled_total += 1
+
+    def lane_schedule_at(
+        self, when: float, fire: Callable[[Any], Any], payload: Any
+    ) -> None:
+        """:meth:`lane_schedule` with an absolute fire time.
+
+        The transport computes arrival times directly (latency plus the
+        per-direction FIFO clamp), so the lane must take the exact float
+        rather than a delay — ``now + (when - now)`` can differ in the
+        last ulp.  Callers guarantee ``when >= now``.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._lane_heap, (when, seq, fire, payload))
+        self._live += 1
+        self.scheduled_total += 1
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -332,7 +228,7 @@ class Scheduler(_SchedulerBase):
     def run_until(
         self, when: float, max_events: Optional[int] = None
     ) -> Tuple[int, bool]:
-        """Fused dispatch loop: fire every live event with time <= ``when``.
+        """The dispatch loop: fire every live event with time <= ``when``.
 
         Returns ``(dispatched, truncated)`` where ``truncated`` is True
         iff the loop stopped because ``max_events`` was reached.  The
@@ -340,339 +236,91 @@ class Scheduler(_SchedulerBase):
         ``when`` afterwards — that is the Simulator's job, because only
         the caller knows whether landing the clock there is meaningful.
         """
-        if self.perf is not None:
-            return self._run_until_instrumented(when, max_events)
         clock = self._clock
-        far = self._far  # stable: compaction rewrites it in place
+        heap = self._heap  # stable: compaction rewrites it in place
         lane = self._lane_heap
-        wheel = self._wheel
-        n = self._slots
-        inv_g = self._inv_granularity
         heappop = heapq.heappop
+        perf = self.perf
         cap = -1 if max_events is None else max_events
         dispatched = 0
         while dispatched != cap:
-            # --- locate the earliest live entry, cleaning dead heads ---
-            while far and far[0][2].cancelled:
-                heappop(far)
-                self._dead -= 1
-            entry = None
-            slot = None
-            if self._wheel_size:
-                cursor = self._cursor
-                base = int(clock._now * inv_g)
-                if cursor < base:
-                    cursor = base
-                limit = cursor + n
-                while cursor <= limit:
-                    s = wheel[cursor % n]
-                    while s and s[0][2].cancelled:
-                        heappop(s)
-                        self._dead -= 1
-                        self._wheel_size -= 1
-                    if s:
-                        entry = s[0]
-                        slot = s
-                        break
-                    if not self._wheel_size:
-                        break
-                    cursor += 1
-                else:  # pragma: no cover - counter corruption guard
-                    raise SimulationError(
-                        "timer wheel scan overran one revolution"
-                    )
-                self._cursor = cursor
-            if far and (entry is None or far[0] < entry):
-                entry = far[0]
-                slot = None
-            if lane and lane[0][0] <= when and (entry is None or lane[0] < entry):
-                # --- batch-drain the fast lane ---
-                # Every lane entry ahead of the located regular head can
-                # fire without re-scanning the wheel, UNLESS a lane
-                # callback schedules new work: a fresh event may land
-                # before the stale bound, so the drain re-locates as soon
-                # as ``scheduled_total`` moves (the dirty check).
-                sched_mark = self.scheduled_total
-                while lane:
-                    lentry = lane[0]
-                    if lentry[0] > when or (
-                        entry is not None and entry < lentry
-                    ):
+            # Both heads are O(1) to read, so the earlier of the two is
+            # re-decided after every callback; seq is unique, so the
+            # tuple comparison never reaches the third element.
+            if lane:
+                entry = lane[0]
+                # A lane head that sorts before the heap head is the
+                # earliest live event whether or not that heap head was
+                # cancelled, so the lane path never looks at handles.
+                if not heap or entry < heap[0]:
+                    if entry[0] > when:
                         break
                     heappop(lane)
-                    clock._now = lentry[0]
+                    # Heap order guarantees monotone event times, so
+                    # write the clock directly instead of re-validating.
+                    clock._now = entry[0]
                     self._fired += 1
                     self._live -= 1
-                    lentry[2](lentry[3])
+                    if perf is None:
+                        entry[2](entry[3])
+                    else:
+                        perf.dispatch(
+                            entry[2], (entry[3],), len(heap) + len(lane)
+                        )
                     dispatched += 1
-                    if dispatched == cap or self.scheduled_total != sched_mark:
-                        break
-                continue
-            if entry is None:
+                    continue
+            elif not heap:
                 break
-            event_time = entry[0]
-            if event_time > when:
-                break
-            # --- pop and dispatch ---
-            if slot is None:
-                heappop(far)
-            else:
-                heappop(slot)
-                self._wheel_size -= 1
+            entry = heap[0]
             handle = entry[2]
-            # Heap order guarantees monotone event times, so write the
-            # clock directly instead of re-validating per event.
-            clock._now = event_time
+            if handle.cancelled:
+                heappop(heap)
+                self._dead -= 1
+                continue
+            if entry[0] > when:
+                break
+            heappop(heap)
+            clock._now = entry[0]
             handle._sched = None
             self._fired += 1
             self._live -= 1
-            handle.callback(*handle.args)
-            dispatched += 1
-        else:
-            return dispatched, True
-        return dispatched, False
-
-    def _run_until_instrumented(
-        self, when: float, max_events: Optional[int]
-    ) -> Tuple[int, bool]:
-        """Slow-path twin of :meth:`run_until` feeding :attr:`perf`."""
-        perf = self.perf
-        clock = self._clock
-        cap = -1 if max_events is None else max_events
-        dispatched = 0
-        while dispatched != cap:
-            entry = self._next_entry()
-            if entry is None or entry[0] > when:
-                break
-            self._pop_entry(entry)
-            clock._now = entry[0]
-            self._fired += 1
-            self._live -= 1
-            if len(entry) == 4:  # lane entry: (when, seq, fire, payload)
-                perf.dispatch(entry[2], (entry[3],), self.pending_raw)
+            if perf is None:
+                handle.callback(*handle.args)
             else:
-                handle = entry[2]
-                handle._sched = None
-                perf.dispatch(handle.callback, handle.args, self.pending_raw)
-            dispatched += 1
-        else:
-            return dispatched, True
-        return dispatched, False
-
-    # ------------------------------------------------------------------
-    # Peek / pop helpers (introspection and the instrumented path)
-    # ------------------------------------------------------------------
-    def _next_entry(self) -> Optional[tuple]:
-        far = self._far
-        heappop = heapq.heappop
-        while far and far[0][2].cancelled:
-            heappop(far)
-            self._dead -= 1
-        entry = None
-        if self._wheel_size:
-            wheel = self._wheel
-            n = self._slots
-            cursor = self._cursor
-            base = int(self._clock._now * self._inv_granularity)
-            if cursor < base:
-                cursor = base
-            limit = cursor + n
-            while cursor <= limit:
-                s = wheel[cursor % n]
-                while s and s[0][2].cancelled:
-                    heappop(s)
-                    self._dead -= 1
-                    self._wheel_size -= 1
-                if s:
-                    entry = s[0]
-                    break
-                if not self._wheel_size:
-                    break
-                cursor += 1
-            else:  # pragma: no cover - counter corruption guard
-                raise SimulationError("timer wheel scan overran one revolution")
-            self._cursor = cursor
-        if far and (entry is None or far[0] < entry):
-            entry = far[0]
-        lane = self._lane_heap
-        if lane and (entry is None or lane[0] < entry):
-            return lane[0]
-        return entry
-
-    def _pop_entry(self, entry: tuple) -> None:
-        """Remove ``entry`` — must be the tuple `_next_entry` returned."""
-        lane = self._lane_heap
-        if lane and lane[0] is entry:
-            heapq.heappop(lane)
-            return
-        far = self._far
-        if far and far[0] is entry:
-            heapq.heappop(far)
-        else:
-            heapq.heappop(self._wheel[self._cursor % self._slots])
-            self._wheel_size -= 1
-
-    # ------------------------------------------------------------------
-    # Compaction
-    # ------------------------------------------------------------------
-    def _compact(self) -> None:
-        """Drop stored cancelled entries, rebuilding the heaps in place."""
-        far = self._far
-        live_far = [e for e in far if not e[2].cancelled]
-        if len(live_far) != len(far):
-            far[:] = live_far
-            heapq.heapify(far)
-        wheel_size = 0
-        for slot in self._wheel:
-            if not slot:
-                continue
-            live = [e for e in slot if not e[2].cancelled]
-            if len(live) != len(slot):
-                slot[:] = live
-                heapq.heapify(slot)
-            wheel_size += len(slot)
-        self._wheel_size = wheel_size
-        self._dead = 0
-        self.compactions += 1
-
-
-class HeapScheduler(_SchedulerBase):
-    """The original single-binary-heap engine (reference backend).
-
-    Kept verbatim in behaviour: one heap of :class:`EventHandle` objects
-    ordered by ``__lt__``, lazy cancellation, head-dropping on peek/pop.
-    The determinism suite asserts its dispatch order matches the hybrid
-    :class:`Scheduler` event for event.  Compaction is off by default to
-    stay faithful to the seed engine; pass ``compact_min`` to enable it.
-    """
-
-    def __init__(
-        self, clock: SimClock, *, compact_min: Optional[int] = None
-    ) -> None:
-        self._clock = clock
-        self._heap: List[EventHandle] = []
-        self._lane_heap = []
-        self._seq = 0
-        self._fired = 0
-        self._live = 0
-        self._dead = 0
-        self._compact_min = compact_min
-        self.scheduled_total = 0
-        self.cancelled_total = 0
-        self.compactions = 0
-
-    @property
-    def pending_raw(self) -> int:
-        """Stored entries including lazily cancelled ones (heap size)."""
-        return len(self._heap) + len(self._lane_heap)
-
-    def schedule_at(
-        self, when: float, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` to run at absolute time ``when``."""
-        if when < self._clock.now:
-            raise SimulationError(
-                f"cannot schedule event at {when:.3f}, now is "
-                f"{self._clock.now:.3f}"
-            )
-        handle = EventHandle(when, self._seq, callback, args)
-        handle._sched = self
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
-        self._live += 1
-        self.scheduled_total += 1
-        return handle
-
-    def schedule(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self._clock.now + delay, callback, *args)
-
-    def run_until(
-        self, when: float, max_events: Optional[int] = None
-    ) -> Tuple[int, bool]:
-        """Seed-style loop: peek the head, then pop-and-dispatch it."""
-        clock = self._clock
-        lane = self._lane_heap
-        cap = -1 if max_events is None else max_events
-        dispatched = 0
-        while dispatched != cap:
-            self._drop_cancelled_head()
-            heap = self._heap
-            if lane and (
-                not heap
-                or lane[0][0] < heap[0].when
-                or (lane[0][0] == heap[0].when and lane[0][1] < heap[0].seq)
-            ):
-                lentry = lane[0]
-                if lentry[0] > when:
-                    break
-                heapq.heappop(lane)
-                clock.advance_to(lentry[0])
-                self._fired += 1
-                self._live -= 1
-                if self.perf is not None:
-                    self.perf.dispatch(
-                        lentry[2], (lentry[3],), len(heap) + len(lane)
-                    )
-                else:
-                    lentry[2](lentry[3])
-                dispatched += 1
-                continue
-            if not heap or heap[0].when > when:
-                break
-            event = heapq.heappop(heap)
-            clock.advance_to(event.when)
-            event._sched = None
-            self._fired += 1
-            self._live -= 1
-            if self.perf is not None:
-                self.perf.dispatch(event.callback, event.args, len(heap))
-            else:
-                event.callback(*event.args)
+                perf.dispatch(
+                    handle.callback, handle.args, len(heap) + len(lane)
+                )
             dispatched += 1
         else:
             return dispatched, True
         return dispatched, False
 
     def run_next(self) -> bool:
-        """Pop and execute the earliest event (seed-faithful hot path)."""
-        if self._lane_heap:
-            return self.run_until(_INF, 1)[0] > 0
-        self._drop_cancelled_head()
-        heap = self._heap
-        if not heap:
-            return False
-        event = heapq.heappop(heap)
-        self._clock.advance_to(event.when)
-        event._sched = None
-        self._fired += 1
-        self._live -= 1
-        event.callback(*event.args)
-        return True
+        """Pop and execute the earliest event.
 
-    def _next_entry(self) -> Optional[tuple]:
-        self._drop_cancelled_head()
-        entry: Optional[tuple] = None
-        if self._heap:
-            head = self._heap[0]
-            entry = (head.when, head.seq, head)
-        lane = self._lane_heap
-        if lane and (entry is None or lane[0] < entry):
-            return lane[0]
-        return entry
+        Returns ``True`` if an event was executed, ``False`` if no live
+        event remains.
+        """
+        return self.run_until(_INF, 1)[0] > 0
 
-    def _drop_cancelled_head(self) -> None:
+    def next_event_time(self) -> Optional[float]:
+        """Time of the earliest pending (non-cancelled) event, or ``None``."""
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._dead -= 1
+        lane = self._lane_heap
+        if lane and (not heap or lane[0] < heap[0]):
+            return lane[0][0]
+        return heap[0][0] if heap else None
 
+    # ------------------------------------------------------------------
+    # Compaction
+    # ------------------------------------------------------------------
     def _compact(self) -> None:
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
+        """Drop stored cancelled entries, rebuilding the heap in place."""
+        heap = self._heap
+        heap[:] = [e for e in heap if not e[2].cancelled]
+        heapq.heapify(heap)
         self._dead = 0
         self.compactions += 1

@@ -6,22 +6,21 @@ the library (Bitcoin nodes, churn processes, crawlers) is built on this
 object and advances only when :meth:`run_until` / :meth:`run` dispatch
 events.
 
-Engine selection: the default scheduler is the near-wheel/far-heap
-hybrid (:class:`~repro.simnet.events.Scheduler`); pass ``engine="heap"``
-or set ``REPRO_ENGINE=heap`` to run on the reference single-heap backend
-(:class:`~repro.simnet.events.HeapScheduler`).  Both dispatch events in
-identical ``(time, seq)`` order, so results are bit-for-bit the same.
+There is one event engine (:class:`~repro.simnet.events.Scheduler`) and
+every way of driving it — :meth:`Simulator.step`, :meth:`run_until`,
+:meth:`run` — goes through one private bracket, so optional perf
+instrumentation (``perf=True`` / ``REPRO_PERF=1``) sees the same wall
+clock whichever call the experiment uses.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import SimulationError
 from ..perf import MemorySample, PerfRecorder, perf_enabled_by_env, read_memory
 from .clock import SimClock
-from .events import EventHandle, HeapScheduler, Scheduler
+from .events import EventHandle, Scheduler
 from .latency import LatencyConfig, LatencyModel
 from .rand import RandomStreams
 from .transport import Network
@@ -63,37 +62,6 @@ class RunResult(int):
         return f"RunResult(dispatched={int(self)}, truncated={self.truncated})"
 
 
-def resolve_engine(engine: Optional[str]) -> str:
-    """The effective engine name: explicit choice, else REPRO_ENGINE."""
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "wheel")
-    if engine not in ("wheel", "heap"):
-        raise SimulationError(
-            f"unknown engine {engine!r} (want 'wheel' or 'heap')"
-        )
-    return engine
-
-
-def resolve_fast_path(fast_path: Optional[bool]) -> bool:
-    """Effective fast-path setting: explicit choice, else REPRO_FAST_PATH.
-
-    The scheduler fast lane is on by default; set ``REPRO_FAST_PATH=0``
-    (or pass ``fast_path=False``) to force every light-endpoint answer
-    through the regular event queue.  Results are bit-identical either
-    way — the toggle exists for the equivalence tests and for bisecting
-    engine regressions.
-    """
-    if fast_path is not None:
-        return bool(fast_path)
-    return os.environ.get("REPRO_FAST_PATH", "1") != "0"
-
-
-def _make_scheduler(engine: str, clock: SimClock):
-    if engine == "wheel":
-        return Scheduler(clock)
-    return HeapScheduler(clock)
-
-
 class Simulator:
     """Clock + scheduler + RNG streams + network, under one seed."""
 
@@ -102,18 +70,11 @@ class Simulator:
         seed: int = 0,
         latency_config: Optional[LatencyConfig] = None,
         connect_timeout: float = 5.0,
-        engine: Optional[str] = None,
         perf: bool = False,
-        fast_path: Optional[bool] = None,
     ) -> None:
         self.seed = int(seed)
-        #: Resolved scheduler backend name ("wheel" or "heap"); recorded
-        #: in run manifests so a resumed run replays on the same engine.
-        self.engine = resolve_engine(engine)
-        #: Whether light-endpoint answers use the scheduler fast lane.
-        self.fast_path = resolve_fast_path(fast_path)
         self.clock = SimClock()
-        self.scheduler = _make_scheduler(self.engine, self.clock)
+        self.scheduler = Scheduler(self.clock)
         #: Optional engine instrumentation (``perf=True`` or REPRO_PERF=1).
         self.perf: Optional[PerfRecorder] = None
         if perf or perf_enabled_by_env():
@@ -130,7 +91,6 @@ class Simulator:
             self.clock,
             latency,
             connect_timeout=connect_timeout,
-            fast_path=self.fast_path,
         )
         #: Named components registered for introspection (nodes, services).
         self.components: Dict[str, Any] = {}
@@ -168,9 +128,27 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def _dispatch(
+        self, when: float, max_events: Optional[int]
+    ) -> Tuple[int, bool]:
+        """The one bracket around the scheduler's loop.
+
+        Every public way of advancing the simulation goes through here,
+        so the perf recorder's wall clock covers ``step()``-driven runs
+        (the crawler and prober) as well as ``run_until`` / ``run``.
+        """
+        perf = self.perf
+        if perf is None:
+            return self.scheduler.run_until(when, max_events)
+        perf.start()
+        try:
+            return self.scheduler.run_until(when, max_events)
+        finally:
+            perf.stop()
+
     def step(self) -> bool:
         """Dispatch the single earliest event.  False if none pending."""
-        return self.scheduler.run_next()
+        return self._dispatch(_INF, 1)[0] > 0
 
     def run_until(self, when: float, max_events: Optional[int] = None) -> RunResult:
         """Dispatch events until the clock reaches ``when``.
@@ -187,13 +165,8 @@ class Simulator:
             raise SimulationError(
                 f"run_until({when}) but clock is already at {self.clock.now}"
             )
-        memory: Optional[MemorySample] = None
-        if self.perf is not None:
-            self.perf.start()
-        dispatched, truncated = self.scheduler.run_until(when, max_events)
-        if self.perf is not None:
-            self.perf.stop()
-            memory = read_memory()
+        dispatched, truncated = self._dispatch(when, max_events)
+        memory = read_memory() if self.perf is not None else None
         if not truncated:
             self.clock.advance_to(when)
         return RunResult(dispatched, truncated, memory=memory)
@@ -204,11 +177,7 @@ class Simulator:
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Dispatch events until the heap is empty (bounded by max_events)."""
-        if self.perf is not None:
-            self.perf.start()
-        dispatched, truncated = self.scheduler.run_until(_INF, max_events)
-        if self.perf is not None:
-            self.perf.stop()
+        dispatched, truncated = self._dispatch(_INF, max_events)
         if truncated:
             raise SimulationError(
                 f"simulation did not quiesce within {max_events} events"
@@ -251,13 +220,12 @@ class Simulator:
         """Serialize the complete simulation state to bytes.
 
         The payload captures everything a deterministic replay needs —
-        the event queue (either scheduler backend), the clock, every
-        seeded RNG stream at its current position, the network (open
-        sockets, listeners, in-flight deliveries), and all registered
-        components plus whatever the pending callbacks reach (nodes,
-        addrman tables, churn processes).  :meth:`restore` rebuilds a
-        simulator that dispatches the exact same event sequence as the
-        original — pinned by test on both engine backends.
+        the event queue, the clock, every seeded RNG stream at its
+        current position, the network (open sockets, listeners,
+        in-flight deliveries), and all registered components plus
+        whatever the pending callbacks reach (nodes, addrman tables,
+        churn processes).  :meth:`restore` rebuilds a simulator that
+        dispatches the exact same event sequence as the original.
 
         The perf recorder is excluded: it holds wall-clock measurements,
         which are not simulation state and would differ per host.
@@ -273,7 +241,6 @@ class Simulator:
                 self,
                 kind="simulator",
                 meta={
-                    "engine": self.engine,
                     "seed": self.seed,
                     "now": self.clock.now,
                     "fired": self.scheduler.fired,

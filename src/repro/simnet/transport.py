@@ -145,17 +145,11 @@ class Network:
         clock: SimClock,
         latency: LatencyModel,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        fast_path: bool = True,
     ) -> None:
         self._scheduler = scheduler
         self._clock = clock
         self.latency = latency
         self.connect_timeout = connect_timeout
-        #: Whether light-endpoint answers ride the scheduler's no-cancel
-        #: fast lane.  Dispatch order is identical either way (the lane
-        #: shares the global sequence counter); the toggle exists so the
-        #: equivalence tests can pin that claim.
-        self.fast_path = fast_path
         self._listeners: Dict[NetAddr, Any] = {}
         self._probe_behavior: Dict[NetAddr, ProbeBehavior] = {}
         #: Tier-aware endpoint registry: non-listening behaviors (light
@@ -176,33 +170,19 @@ class Network:
         # Pre-bound hot-path callables: _deliver runs once per message, so
         # it must not re-create the bound method / re-walk the attribute
         # chain on every send.
-        self._schedule_at = scheduler.schedule_at
         self._arrive_cb = self._arrive
         # The light-endpoint answer path: one heap push per answer, no
-        # EventHandle / closure allocation.  With the fast path disabled
-        # the same (fire, payload) pairs go through the regular queue.
-        self._lane = (
-            scheduler.lane_schedule if fast_path else self._lane_fallback
-        )
+        # EventHandle / closure allocation.
+        self._lane = scheduler.lane_schedule
         # Message arrivals are never cancelled (a packet to a closed
         # socket is dropped at fire time), so they ride the lane too —
         # they are the majority of all events at paper scale, and the
-        # lane spares each one an EventHandle and batch-drains bursts.
-        self._lane_at = (
-            scheduler.lane_schedule_at if fast_path else self._lane_at_fallback
-        )
+        # lane spares each one an EventHandle.
+        self._lane_at = scheduler.lane_schedule_at
         self._arrive_pair_cb = self._arrive_pair
         #: Optional fault-injection hook (see ``repro.faults``).  ``None``
         #: keeps the hot path fault-free at the cost of one identity check.
         self._fault_hook: Any = None
-
-    def _lane_fallback(self, delay: float, fire: Any, payload: Any) -> None:
-        """Fast path disabled: the answer takes the regular event queue."""
-        self._scheduler.schedule(delay, fire, payload)
-
-    def _lane_at_fallback(self, when: float, fire: Any, payload: Any) -> None:
-        """Fast path disabled: the arrival takes the regular event queue."""
-        self._schedule_at(when, fire, payload)
 
     def install_fault_hook(self, hook: Any) -> None:
         """Attach a fault injector consulted on every message/connect/probe.

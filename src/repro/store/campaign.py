@@ -14,11 +14,11 @@ with three persistence behaviours the in-memory runner lacks:
   config against the same store) restores the latest checkpoint and
   executes only the remaining snapshots.  Because the checkpoint pins
   the event queue, clock, and every RNG stream position, the resumed
-  run's outputs are bit-identical to an uninterrupted run — on both
-  scheduler backends, pinned by test.
+  run's outputs are bit-identical to an uninterrupted run (pinned by
+  test).
 
 * **Caching** — the run key is a content hash of (scenario config,
-  campaign config, seed, engine, snapshot count).  Re-running a
+  campaign config, seed, snapshot count).  Re-running a
   completed key loads the stored result without simulating anything.
 
 Crash injection for tests/CI: setting ``REPRO_CRASH_AFTER_SNAPSHOT=k``
@@ -36,7 +36,6 @@ from typing import Optional, Union
 from ..core.pipeline import CampaignConfig, CampaignResult, CampaignRunner
 from ..errors import ConfigurationError, StoreError
 from ..netmodel.scenario import LongitudinalConfig, LongitudinalScenario
-from ..simnet.simulator import resolve_engine
 from .checkpoint import dump_checkpoint, load_checkpoint
 from .manifest import (
     STATUS_COMPLETE,
@@ -90,7 +89,6 @@ def campaign_key(
             "campaign": config_to_dict(campaign_config),
         },
         seed=config.seed,
-        engine=resolve_engine(config.engine),
         snapshots_total=total,
     )
 
@@ -212,7 +210,6 @@ def run_stored_campaign(
             key=key,
             kind=KIND_CAMPAIGN,
             seed=config.seed,
-            engine=runner.scenario.sim.engine,
             snapshots_total=total,
             config={
                 "scenario": config_to_dict(config),
@@ -268,7 +265,7 @@ def run_stored_campaign(
 
     result = runner.result
     # No run-specific metadata in the result blob: equal results must
-    # hash equally across runs (and engines), so `store diff` can report
+    # hash equally across runs, so `store diff` can report
     # result agreement by digest alone.
     manifest.result_digest = store.put_blob(
         dump_checkpoint(result, kind=_RESULT_KIND)

@@ -1,14 +1,14 @@
 """Run manifests: the JSON records that make runs addressable.
 
 A manifest describes one run — what was executed (scenario + campaign
-config, seed, engine backend, code version), what came out of it
+config, seed, code version), what came out of it
 (per-snapshot result blobs, the final result blob), and where it stands
 (``running`` / ``complete`` / ``interrupted``).  Blobs live in the
 content-addressed :class:`~repro.store.blobs.BlobStore`; the manifest
 holds only digests, so identical outputs across runs share storage.
 
 Every run has a deterministic **key**: the SHA-256 of the canonical JSON
-of ``(kind, config, seed, engine, snapshots_total, format)``.  Two
+of ``(kind, config, seed, snapshots_total, format)``.  Two
 invocations with the same key are the same experiment, which is what
 makes cache hits and ``--resume`` safe — the key cannot collide across
 differing configs and cannot differ across equal ones.
@@ -55,7 +55,6 @@ def run_key(
     kind: str,
     config: Any,
     seed: int,
-    engine: str,
     snapshots_total: int,
     extra: Optional[Dict[str, Any]] = None,
 ) -> str:
@@ -67,7 +66,6 @@ def run_key(
         "kind": kind,
         "config": config_to_dict(config),
         "seed": int(seed),
-        "engine": engine,
         "snapshots_total": int(snapshots_total),
     }
     if extra:
@@ -120,7 +118,6 @@ class RunManifest:
     key: str
     kind: str
     seed: int
-    engine: str
     snapshots_total: int
     config: Dict[str, Any]
     status: str = STATUS_RUNNING
@@ -172,6 +169,9 @@ class RunManifest:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
         data = dict(data)
+        # Manifests written while runs were keyed by scheduler backend
+        # carry an "engine" entry; it selects nothing now, so drop it.
+        data.pop("engine", None)
         if data.get("format") != MANIFEST_FORMAT:
             raise StoreError(
                 f"unsupported manifest format {data.get('format')!r} "

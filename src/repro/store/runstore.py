@@ -141,7 +141,6 @@ class RunStore:
                 "kind": manifest.kind,
                 "status": manifest.status,
                 "seed": manifest.seed,
-                "engine": manifest.engine,
                 "snapshots": (
                     f"{manifest.completed_snapshots}/{manifest.snapshots_total}"
                 ),
@@ -220,8 +219,8 @@ class RunStore:
             if va != vb:
                 config_diff[key] = {"a": va, "b": vb}
         fields = {}
-        for name in ("kind", "seed", "engine", "snapshots_total", "status",
-                     "code_version", "key"):
+        for name in ("kind", "seed", "snapshots_total", "status", "code_version",
+                     "key"):
             va, vb = getattr(a, name), getattr(b, name)
             if va != vb:
                 fields[name] = {"a": va, "b": vb}

@@ -1,39 +1,31 @@
-"""Digest equivalence of the light-cloud fast path.
+"""Scenario-level equivalence of the no-cancel lane.
 
-The fast path (``REPRO_FAST_PATH``, default on) changes *where* hot
-events live — handler passes and light-endpoint answers ride the
-scheduler's no-cancel lane, payloads are interned and shared — but
-never *when* anything fires or which RNG draw serves it.  These tests
-pin that: a batched run and an unbatched run of the same seed must
-produce bit-identical figures for
+The lane changes *where* hot events live — handler passes, message
+arrivals and light-endpoint answers are bare tuples on the scheduler's
+second heap — but never *when* anything fires or which RNG draw serves
+it.  These tests pin that through every layer the lane touches: a world
+built on the production scheduler and a world built on the naive
+single-queue oracle (``tests/reference_scheduler.py``, where
+``lane_schedule`` is plain ``schedule``) must produce bit-identical
+figures for
 
 * a live protocol scenario (chain heights, connection counts, sync),
 * a sync campaign (the Fig. 1 pipeline end to end),
-* a mixed-tier world snapshotted mid-batch (lane heap non-empty) and
-  restored.
 
-They complement ``tests/test_engine_fastpath.py`` (scheduler-level lane
-ordering) by running the equivalence at scenario level, through every
-layer the fast path touches.
+and a mixed-tier world snapshotted mid-batch (lane heap non-empty) must
+restore and replay exactly.
+
+They complement ``tests/test_engine_fastpath.py`` (scheduler-level
+ordering against the same oracle).
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.sync_experiments import SyncCampaignConfig, run_sync_campaign
 from repro.netmodel.scenario import ProtocolConfig, ProtocolScenario
-from repro.simnet.simulator import Simulator, resolve_fast_path
+from repro.simnet.simulator import Simulator
 
-
-@pytest.fixture(params=["1", "0"], ids=["fast-on", "fast-off"])
-def fast_path_env(request, monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_PATH", request.param)
-    return request.param == "1"
-
-
-def test_env_toggle_resolves(fast_path_env):
-    assert resolve_fast_path(None) is fast_path_env
+from .reference_scheduler import on_reference_scheduler
 
 
 def _protocol_figures():
@@ -61,14 +53,9 @@ def _protocol_figures():
     )
 
 
-def _with_fast_path(monkeypatch, value: str, fn):
-    monkeypatch.setenv("REPRO_FAST_PATH", value)
-    return fn()
-
-
 def test_protocol_scenario_batched_equals_unbatched(monkeypatch):
-    fast = _with_fast_path(monkeypatch, "1", _protocol_figures)
-    slow = _with_fast_path(monkeypatch, "0", _protocol_figures)
+    fast = _protocol_figures()
+    slow = on_reference_scheduler(monkeypatch, _protocol_figures)
     assert fast == slow
 
 
@@ -82,16 +69,17 @@ def test_sync_campaign_batched_equals_unbatched(monkeypatch):
         duration=1000.0,
         seed=33,
     )
-    fast = _with_fast_path(monkeypatch, "1", lambda: run_sync_campaign(config))
-    slow = _with_fast_path(monkeypatch, "0", lambda: run_sync_campaign(config))
+    fast = run_sync_campaign(config)
+    slow = on_reference_scheduler(
+        monkeypatch, lambda: run_sync_campaign(config)
+    )
     assert fast.sync_samples == slow.sync_samples
     assert fast.total_departures == slow.total_departures
     assert fast.sync_departures_per_10min == slow.sync_departures_per_10min
 
 
-def test_snapshot_restore_mid_batch(monkeypatch):
+def test_snapshot_restore_mid_batch():
     """Snapshot with lane entries pending; restore must replay exactly."""
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
     scenario = ProtocolScenario(
         ProtocolConfig(
             seed=17,
@@ -117,15 +105,3 @@ def test_snapshot_restore_mid_batch(monkeypatch):
     b = int(restored.run_for(300.0))
     assert a == b
     assert sim.now == restored.now
-
-
-def test_fast_path_flag_reaches_handler_loops(monkeypatch):
-    """The toggle must actually select the lane (guards silent decay)."""
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    fast = ProtocolScenario(ProtocolConfig(seed=3, n_reachable=4, mining=False))
-    loop = fast.nodes[0].handlers
-    assert loop._schedule_pass == fast.sim.scheduler.lane_schedule  # noqa: SLF001
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    slow = ProtocolScenario(ProtocolConfig(seed=3, n_reachable=4, mining=False))
-    loop = slow.nodes[0].handlers
-    assert loop._schedule_pass == loop._schedule_pass_fallback  # noqa: SLF001

@@ -16,8 +16,11 @@ import ast
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.lint import LintConfig, lint_paths
 from repro.lint.callgraph import build_call_graph, module_name_for
+from repro.lint.config import LintConfigError
 
 
 def lint_tree(tmp_path: Path, files: dict, **config):
@@ -509,6 +512,46 @@ class TestHotPaths:
         finding = result.findings[0]
         assert "helper" in finding.message
         assert "called from" in finding.message
+
+    def test_stale_hot_path_key_is_a_configuration_error(self, tmp_path):
+        """A seed whose module is linted but whose function is gone must
+        fail the run, not silently un-mark the path below it."""
+        files = {
+            "hot.py": """
+                class Queue:
+                    def push(self, x):
+                        return {"x": x}
+                """,
+        }
+        with pytest.raises(LintConfigError, match=r"hot\.Base\.push"):
+            lint_tree(tmp_path, files, hot_paths=("hot.Base.push",))
+        # The same key is legal when its module is outside the linted
+        # paths (per-package gates share one pyproject) ...
+        result = lint_tree(
+            tmp_path, files, hot_paths=("elsewhere.mod.Base.push",)
+        )
+        assert codes(result) == []
+        # ... and the corrected key restores the coverage.
+        result = lint_tree(tmp_path, files, hot_paths=("hot.Queue.push",))
+        assert codes(result) == ["HOT001"]
+
+    def test_stale_hot_path_key_exits_2_from_the_cli(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import argparse
+
+        from repro.lint.cli import add_lint_arguments, run_from_args
+
+        (tmp_path / "hot.py").write_text("def entry():\n    return 1\n")
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro-lint]\npaths = ["."]\nhot-paths = ["hot.gone"]\n'
+        )
+        monkeypatch.chdir(tmp_path)
+        parser = argparse.ArgumentParser()
+        add_lint_arguments(parser)
+        args = parser.parse_args(["--no-baseline"])
+        assert run_from_args(args) == 2
+        assert "hot.gone" in capsys.readouterr().out
 
     def test_tuples_and_raise_paths_exempt(self, tmp_path):
         result = lint_tree(

@@ -50,12 +50,17 @@ class TestParserWiring:
 
     def test_campaign_store_flags_parse(self):
         args = build_parser().parse_args(
-            ["campaign", "--store", "st", "--resume", "campaign-abc",
-             "--engine", "heap"]
+            ["campaign", "--store", "st", "--resume", "campaign-abc"]
         )
         assert args.store == "st"
         assert args.resume == "campaign-abc"
-        assert args.engine == "heap"
+
+    def test_campaign_engine_flag_is_gone(self, capsys):
+        """There is one scheduler; selecting one is an argparse error."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["campaign", "--engine", "heap"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 class TestCampaignSmoke:

@@ -1,66 +1,88 @@
-"""Engine fast-path tests: wheel-vs-heap determinism, live counters,
-truncated runs, compaction, periodic-task edges, and the perf recorder.
+"""Scheduler tests: oracle equivalence (regular queue + no-cancel lane),
+live counters, truncated runs, compaction, periodic-task edges, and the
+perf recorder.
 
-The hybrid wheel scheduler must be *observationally identical* to the
-reference single-heap backend — same events, same order, same clock
-positions — so most tests here run the same program against both and
-compare traces.
+The production :class:`~repro.simnet.events.Scheduler` must be
+*observationally identical* to the naive single-heap oracle in
+``tests/reference_scheduler.py`` — same events, same order, same clock
+positions — so the property tests run one generated program against
+both and compare traces.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
 from repro.simnet import Simulator
 from repro.simnet.clock import SimClock
-from repro.simnet.events import HeapScheduler, Scheduler
+from repro.simnet.events import Scheduler
 
-ENGINES = ("wheel", "heap")
+from .reference_scheduler import ReferenceScheduler
 
 
-def make_scheduler(kind: str, **kwargs):
-    clock = SimClock()
-    if kind == "wheel":
-        return Scheduler(clock, **kwargs)
-    return HeapScheduler(clock, **kwargs)
+def make_scheduler(**kwargs):
+    return Scheduler(SimClock(), **kwargs)
 
 
 # ---------------------------------------------------------------------------
-# Cross-backend determinism (property-based)
+# Oracle equivalence (property-based)
 # ---------------------------------------------------------------------------
 #: One program step: (op, value) interpreted by ``run_program``.
 _ops = st.one_of(
     st.tuples(st.just("schedule"), st.floats(0.0, 120.0, allow_nan=False)),
+    st.tuples(st.just("lane"), st.floats(0.0, 120.0, allow_nan=False)),
+    st.tuples(st.just("lane_at"), st.floats(0.0, 120.0, allow_nan=False)),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
     st.tuples(st.just("run_for"), st.floats(0.0, 30.0, allow_nan=False)),
     st.tuples(st.just("run_events"), st.integers(0, 8)),
 )
+
+#: Tags at or above this mark follow-up events, which schedule nothing
+#: further (keeps follow-ups from chaining forever).
+_FOLLOW_UP = 100_000
 
 
 def run_program(scheduler, program):
     """Interpret a (op, value) list; return the dispatch trace."""
     trace = []
     handles = []
+    clock = scheduler._clock
 
     def fire(tag):
-        trace.append((round(scheduler._clock.now, 9), tag))
-        # Half the firings schedule a follow-up so the program exercises
-        # scheduling from inside callbacks at both backends; the odd tag
-        # keeps follow-ups from chaining forever.
-        if tag % 2 == 0:
-            handles.append(scheduler.schedule(0.75, fire, tag + 100_001))
+        # The same callback serves both queues: a regular event passes
+        # the tag as its one argument, a lane entry as its payload.
+        trace.append((round(clock.now, 9), tag))
+        if tag >= _FOLLOW_UP:
+            return
+        # Every firing of a top-level event schedules from inside the
+        # callback, across both queues and in both directions.
+        kind = tag % 4
+        if kind == 0:
+            handles.append(scheduler.schedule(0.75, fire, tag + _FOLLOW_UP))
+        elif kind == 1:
+            scheduler.lane_schedule(0.25, fire, tag + _FOLLOW_UP)
+        elif kind == 2:
+            # An immediate regular event: it must fire before every lane
+            # entry already stored for a later time.
+            handles.append(scheduler.schedule(0.0, fire, tag + _FOLLOW_UP))
+            scheduler.lane_schedule_at(clock.now, fire, tag + 2 * _FOLLOW_UP)
+        elif handles:
+            handles[tag * 7 % len(handles)].cancel()
 
+    tags = iter(range(_FOLLOW_UP))
     for op, value in program:
         if op == "schedule":
-            handles.append(scheduler.schedule(value, fire, len(handles)))
+            handles.append(scheduler.schedule(value, fire, next(tags)))
+        elif op == "lane":
+            scheduler.lane_schedule(value, fire, next(tags))
+        elif op == "lane_at":
+            scheduler.lane_schedule_at(clock.now + value, fire, next(tags))
         elif op == "cancel":
             if handles:
                 handles[value % len(handles)].cancel()
         elif op == "run_for":
-            scheduler.run_until(scheduler._clock.now + value)
+            scheduler.run_until(clock.now + value)
         elif op == "run_events":
             scheduler.run_until(float("inf"), value)
     # Drain whatever remains so the full order is compared.
@@ -68,54 +90,59 @@ def run_program(scheduler, program):
     return trace
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.lists(_ops, min_size=1, max_size=40))
-def test_wheel_matches_heap_dispatch_order(program):
-    wheel = make_scheduler("wheel")
-    heap = make_scheduler("heap")
-    assert run_program(wheel, program) == run_program(heap, program)
-    assert wheel.fired == heap.fired
-    assert wheel.pending == heap.pending == 0
-    assert wheel._clock.now == heap._clock.now
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ops, min_size=1, max_size=40), st.sampled_from((64, 1)))
+def test_scheduler_matches_reference_dispatch_order(program, compact_min):
+    """Regular + lane traffic fires in the oracle's single-queue order.
+
+    ``compact_min=1`` compacts on nearly every cancel, including cancels
+    issued from inside a callback while the dispatch loop holds the heap.
+    """
+    scheduler = make_scheduler(compact_min=compact_min)
+    reference = ReferenceScheduler(SimClock())
+    assert run_program(scheduler, program) == run_program(reference, program)
+    assert scheduler.fired == reference.fired
+    assert scheduler.pending == reference.pending == 0
+    assert scheduler.pending_raw == 0
+    assert scheduler.scheduled_total == reference.scheduled_total
+    assert scheduler.cancelled_total == reference.cancelled_total
+    assert scheduler._clock.now == reference._clock.now
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(_ops, min_size=1, max_size=40),
-    st.integers(2, 16),
-    st.floats(0.01, 2.0, allow_nan=False),
-)
-def test_wheel_geometry_does_not_change_order(program, slots, granularity):
-    """Any wheel sizing must produce the reference order (entries merely
-    move between the wheel and the far heap)."""
-    tiny = make_scheduler("wheel", slots=slots, granularity=granularity)
-    heap = make_scheduler("heap")
-    assert run_program(tiny, program) == run_program(heap, program)
+def test_lane_merges_with_regular_queue_by_time_then_seq():
+    sched = make_scheduler()
+    trace = []
+    sched.lane_schedule(2.0, trace.append, "lane-2.0")
+    sched.schedule(1.0, trace.append, "regular-1.0")
+    sched.lane_schedule_at(1.0, trace.append, "lane-1.0")  # same time, later seq
+    sched.schedule(1.0, trace.append, "regular-1.0-late")
+    assert sched.pending == sched.pending_raw == 4
+    assert sched.next_event_time() == 1.0
+    assert sched.run_until(1.0) == (3, False)
+    assert trace == ["regular-1.0", "lane-1.0", "regular-1.0-late"]
+    assert sched.next_event_time() == 2.0
+    assert sched.run_next() is True
+    assert sched.run_next() is False
+    assert trace[-1] == "lane-2.0"
+    assert sched.fired == 4
 
 
-def test_far_horizon_events_cross_into_wheel():
-    """An event scheduled beyond the horizon fires at the right time
-    after the clock moves close enough for wheel-resident events to
-    interleave with it."""
-    fired = []
-    for kind in ENGINES:
-        sched = make_scheduler(kind)
-        trace = []
-        horizon = 1024 * 0.05  # default wheel span: 51.2 s
-        sched.schedule(horizon * 3, trace.append, "far")
-        sched.schedule(horizon * 3 - 0.01, trace.append, "near-far")
-        sched.schedule(1.0, trace.append, "near")
-        sched.run_until(float("inf"))
-        fired.append(trace)
-    assert fired[0] == fired[1] == ["near", "near-far", "far"]
+def test_next_event_time_skips_cancelled_heads():
+    sched = make_scheduler()
+    first = sched.schedule(1.0, lambda: None)
+    sched.schedule(3.0, lambda: None)
+    first.cancel()
+    assert sched.next_event_time() == 3.0
+    assert sched.cancelled_pending == 0  # the dead head was dropped
+    sched.lane_schedule(2.0, lambda _payload: None, None)
+    assert sched.next_event_time() == 2.0
 
 
 # ---------------------------------------------------------------------------
 # Live counters: pending vs pending_raw
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ENGINES)
-def test_pending_excludes_cancelled(kind):
-    sched = make_scheduler(kind)
+def test_pending_excludes_cancelled():
+    sched = make_scheduler()
     handles = [sched.schedule(float(i + 1), lambda: None) for i in range(10)]
     assert sched.pending == sched.pending_raw == 10
     for handle in handles[:4]:
@@ -130,9 +157,8 @@ def test_pending_excludes_cancelled(kind):
     assert sched.fired == 6
 
 
-@pytest.mark.parametrize("kind", ENGINES)
-def test_cancel_is_idempotent_for_counters(kind):
-    sched = make_scheduler(kind)
+def test_cancel_is_idempotent_for_counters():
+    sched = make_scheduler()
     handle = sched.schedule(1.0, lambda: None)
     handle.cancel()
     handle.cancel()
@@ -140,9 +166,8 @@ def test_cancel_is_idempotent_for_counters(kind):
     assert sched.cancelled_total == 1
 
 
-@pytest.mark.parametrize("kind", ENGINES)
-def test_cancel_after_fire_does_not_corrupt_counters(kind):
-    sched = make_scheduler(kind)
+def test_cancel_after_fire_does_not_corrupt_counters():
+    sched = make_scheduler()
     handle = sched.schedule(1.0, lambda: None)
     sched.run_until(float("inf"))
     assert sched.pending == 0
@@ -162,8 +187,8 @@ def test_simulator_repr_reports_live_pending():
 # ---------------------------------------------------------------------------
 # Compaction
 # ---------------------------------------------------------------------------
-def test_wheel_compacts_when_dead_entries_dominate():
-    sched = make_scheduler("wheel", compact_min=64)
+def test_compacts_when_dead_entries_dominate():
+    sched = make_scheduler(compact_min=64)
     handles = [sched.schedule(5.0, lambda: None) for _ in range(200)]
     for handle in handles[:150]:
         handle.cancel()
@@ -178,8 +203,8 @@ def test_wheel_compacts_when_dead_entries_dominate():
 
 
 def test_compaction_preserves_dispatch_order():
-    compacting = make_scheduler("wheel", compact_min=8)
-    reference = make_scheduler("heap")
+    compacting = make_scheduler(compact_min=8)
+    reference = ReferenceScheduler(SimClock())
     program = []
     for i in range(100):
         program.append(("schedule", (i * 37 % 50) / 3.0))
@@ -193,23 +218,26 @@ def test_compaction_preserves_dispatch_order():
     assert compacting.compactions >= 1
 
 
-def test_heap_compaction_is_opt_in():
-    plain = make_scheduler("heap")
-    handles = [plain.schedule(1.0, lambda: None) for _ in range(300)]
-    for handle in handles:
-        handle.cancel()
-    assert plain.compactions == 0
-    assert plain.pending_raw == 300  # corpses linger (seed-faithful laziness)
+def test_compaction_from_inside_a_callback_keeps_the_loop_consistent():
+    """A cancel issued by a running callback may compact the heap the
+    dispatch loop is iterating; the rebuild must happen in place."""
+    sched = make_scheduler(compact_min=1)
+    trace = []
 
-    compacting = make_scheduler("heap", compact_min=64)
-    handles = [compacting.schedule(1.0, lambda: None) for _ in range(300)]
-    for handle in handles:
-        handle.cancel()
-    assert compacting.compactions >= 1
-    # All live events are gone; at most a below-threshold tail of
-    # corpses (cancelled after the last compaction) may remain stored.
-    assert compacting.pending == 0
-    assert compacting.pending_raw < 64
+    def first():
+        trace.append("first")
+        doomed_a.cancel()
+        doomed_b.cancel()  # dead (2) now outnumbers live (1): compacts
+
+    sched.schedule(1.0, first)
+    doomed_a = sched.schedule(2.0, trace.append, "doomed")
+    doomed_b = sched.schedule(3.0, trace.append, "doomed")
+    sched.schedule(4.0, trace.append, "survivor")
+    sched.run_until(float("inf"))
+    assert sched.compactions >= 1
+    assert trace == ["first", "survivor"]
+    assert sched.fired == 2
+    assert sched.pending == sched.pending_raw == sched.cancelled_pending == 0
 
 
 # ---------------------------------------------------------------------------
@@ -296,25 +324,10 @@ def test_periodic_stop_inside_callback_leaves_clean_heap(sim):
 
 
 # ---------------------------------------------------------------------------
-# Engine selection + perf recorder
+# Perf recorder
 # ---------------------------------------------------------------------------
-def test_engine_selection_explicit():
-    assert isinstance(Simulator(engine="wheel").scheduler, Scheduler)
-    assert isinstance(Simulator(engine="heap").scheduler, HeapScheduler)
-    with pytest.raises(SimulationError):
-        Simulator(engine="btree")
-
-
-def test_engine_selection_env(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "heap")
-    assert isinstance(Simulator().scheduler, HeapScheduler)
-    monkeypatch.setenv("REPRO_ENGINE", "wheel")
-    assert isinstance(Simulator().scheduler, Scheduler)
-
-
-@pytest.mark.parametrize("kind", ENGINES)
-def test_perf_recorder_smoke(kind):
-    sim = Simulator(seed=3, engine=kind, perf=True)
+def test_perf_recorder_smoke():
+    sim = Simulator(seed=3, perf=True)
 
     def tag():
         pass

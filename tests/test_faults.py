@@ -355,10 +355,7 @@ class TestDeterminism:
         scenario = ProtocolScenario(ProtocolConfig(
             seed=29, n_reachable=10, pre_mined_blocks=5, faults=plan,
         ))
-        # Protocol scenarios take the default engine; run the same check
-        # through a heap-engine Simulator restored from a wheel snapshot
-        # is out of scope — both engines' snapshot equivalence is pinned
-        # in test_store.  Here: wheel snapshot mid-fault, restore, run.
+        # Snapshot mid-fault, restore, run both on.
         scenario.start(warmup=130.0)
         blob = scenario.sim.snapshot()
         restored = Simulator.restore(blob)
@@ -385,8 +382,8 @@ class TestFaultsThroughStore:
                 FaultSpec(kind="drop", probability=0.1),
             )),
         )
-        clean_key = run_key("campaign", base, 1, "wheel", 2)
-        fault_key = run_key("campaign", faulted, 1, "wheel", 2)
+        clean_key = run_key("campaign", base, 1, 2)
+        fault_key = run_key("campaign", faulted, 1, 2)
         assert clean_key != fault_key
 
     def test_faulted_campaign_digests_identical_across_stores(self, tmp_path):

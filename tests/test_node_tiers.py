@@ -243,7 +243,7 @@ def test_fidelity_is_part_of_run_keys():
     full = LongitudinalConfig(seed=5, fidelity="full")
     hybrid = LongitudinalConfig(seed=5, fidelity="hybrid")
     keys = {
-        run_key("campaign", cfg, seed=5, engine="wheel", snapshots_total=3)
+        run_key("campaign", cfg, seed=5, snapshots_total=3)
         for cfg in (full, hybrid)
     }
     assert len(keys) == 2

@@ -3,8 +3,7 @@
 The subprocess tests at the bottom are the tentpole acceptance pin:
 a campaign killed mid-run (hard ``os._exit`` right after a checkpoint
 commits) and then resumed produces byte-identical CSV exports and
-identical content-store digests to an uninterrupted run — on both
-scheduler backends.
+identical content-store digests to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.netmodel.scenario import (
     ProtocolConfig,
     ProtocolScenario,
 )
-from repro.simnet.simulator import Simulator, resolve_engine
+from repro.simnet.simulator import Simulator
 from repro.store import (
     BlobStore,
     RunManifest,
@@ -128,25 +127,77 @@ class TestCheckpointFraming:
 class TestRunKey:
     def test_deterministic_and_sensitive(self):
         base = dict(kind="campaign", config={"x": 1}, seed=3,
-                    engine="wheel", snapshots_total=5)
+                    snapshots_total=5)
         key = run_key(**base)
         assert key == run_key(**base)
         assert key != run_key(**{**base, "seed": 4})
-        assert key != run_key(**{**base, "engine": "heap"})
+        assert key != run_key(**{**base, "snapshots_total": 6})
         assert key != run_key(**{**base, "config": {"x": 2}})
 
-    def test_campaign_key_resolves_engine(self):
+    def test_equal_configs_key_equally_on_cli_and_serve_paths(self):
+        """Key identity: equal configs share one key, and an HTTP
+        submission lands on the key the CLI computes — one cache."""
+        from repro.serve.submission import parse_submission
+
         config = LongitudinalConfig(seed=1, scale=0.002, snapshots=2)
-        assert campaign_key(config, None) == campaign_key(config, None)
-        run_id = campaign_run_id(campaign_key(config, None))
-        assert run_id.startswith("campaign-")
+        twin = LongitudinalConfig(seed=1, scale=0.002, snapshots=2)
+        key = campaign_key(config, None)
+        assert key == campaign_key(twin, None)
+        assert key != campaign_key(
+            LongitudinalConfig(seed=2, scale=0.002, snapshots=2), None
+        )
+        assert campaign_run_id(key) == f"campaign-{key[:12]}"
+        spec = parse_submission(
+            {"scenario": {"seed": 1, "scale": 0.002, "snapshots": 2}}
+        )
+        assert [plan.key for plan in spec.plans] == [key]
+
+
+#: A manifest exactly as the pre-single-scheduler code wrote it (PR 12's
+#: ``RunManifest.to_json``): a top-level ``"engine"`` field, and the
+#: scenario config still carrying ``LongitudinalConfig.engine``.
+_LEGACY_MANIFEST_JSON = """{
+  "checkpoint": {
+    "digest": "eeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeeee",
+    "snapshot_index": 0
+  },
+  "code_version": "78617f2",
+  "config": {
+    "campaign": {},
+    "scenario": {
+      "engine": null,
+      "scale": 0.01,
+      "seed": 13
+    }
+  },
+  "created_at": 1.0,
+  "engine": "@ENGINE@",
+  "format": 1,
+  "key": "0123456789abcccccccccccccccccccccccccccccccccccccccccccccccccccc",
+  "kind": "campaign",
+  "result_digest": "@RESULT@",
+  "run_id": "campaign-0123456789ab",
+  "seed": 13,
+  "snapshots": [
+    {
+      "digest": "dddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddddd",
+      "index": 0,
+      "truncated": false,
+      "when": 10.0
+    }
+  ],
+  "snapshots_total": 3,
+  "status": "complete",
+  "updated_at": 2.0
+}
+"""
 
 
 class TestRunStore:
     def _manifest(self, run_id="campaign-abc", key="k1"):
         return RunManifest(
             run_id=run_id, key=key, kind="campaign", seed=1,
-            engine="wheel", snapshots_total=2, config={"scenario": {}},
+            snapshots_total=2, config={"scenario": {}},
         )
 
     def test_manifest_roundtrip(self, tmp_path):
@@ -196,6 +247,33 @@ class TestRunStore:
         assert "seed" in report["fields"]
         assert "scenario" in report["config"]
 
+    @pytest.mark.parametrize("engine", ["wheel", "heap"])
+    def test_manifest_written_before_engine_removal_stays_readable(
+        self, tmp_path, engine
+    ):
+        """Run keys once included the scheduler backend and manifests
+        recorded it; a store written then must still list, show and gc."""
+        store = RunStore(tmp_path)
+        kept = store.put_blob(b"old result")
+        dropped = store.put_blob(b"garbage")
+        text = _LEGACY_MANIFEST_JSON.replace("@ENGINE@", engine).replace(
+            "@RESULT@", kept
+        )
+        manifest = RunManifest.from_json(text)
+        assert not hasattr(manifest, "engine")
+        assert "engine" not in manifest.to_dict()
+        assert manifest.completed_snapshots == 1
+        assert manifest.checkpoint.snapshot_index == 0
+
+        (store.runs_dir / f"{manifest.run_id}.json").write_text(text)
+        assert [m.run_id for m in store.manifests()] == [manifest.run_id]
+        assert store.load_manifest(manifest.run_id) == manifest
+        assert store.find_by_key(manifest.key).run_id == manifest.run_id
+        assert "engine" not in store.index()[manifest.run_id]
+        assert store.diff(manifest.run_id, manifest.run_id)["fields"] == {}
+        assert store.gc(dry_run=True)["removed"] == [dropped]
+        assert store.get_blob(manifest.result_digest) == b"old result"
+
     def test_invalid_run_id_rejected(self, tmp_path):
         store = RunStore(tmp_path)
         with pytest.raises(StoreError):
@@ -203,15 +281,11 @@ class TestRunStore:
 
 
 class TestSimulatorSnapshot:
-    @pytest.mark.parametrize("engine", ["wheel", "heap"])
-    def test_restore_replays_identically(self, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        assert resolve_engine(None) == engine
+    def test_restore_replays_identically(self):
         original = ProtocolScenario(
             ProtocolConfig(seed=31, n_reachable=10, n_responsive=4,
                            n_silent=4, pre_mined_blocks=5),
         )
-        assert original.sim.engine == engine
         original.sim.run_for(120.0)
         blob = original.sim.snapshot()
         header = read_header(blob)
@@ -219,7 +293,6 @@ class TestSimulatorSnapshot:
         assert header["meta"]["now"] == original.sim.now
 
         restored = Simulator.restore(blob)
-        assert restored.engine == original.sim.engine
         a = original.sim.run_for(600.0)
         b = restored.run_for(600.0)
         assert int(a) == int(b)
@@ -241,19 +314,18 @@ class TestSimulatorSnapshot:
         assert sim.scheduler.perf is sim.perf
 
 
-def _tiny_config(engine):
+def _tiny_config():
     return LongitudinalConfig(
-        seed=13, scale=0.01, snapshots=3, campaign_days=1.0, engine=engine
+        seed=13, scale=0.01, snapshots=3, campaign_days=1.0
     )
 
 
 class TestStoredCampaign:
     def test_cache_hit_skips_simulation(self, tmp_path):
-        config = _tiny_config("wheel")
+        config = _tiny_config()
         first = run_stored_campaign(tmp_path, config)
         assert not first.cached
         assert first.manifest.status == "complete"
-        assert first.manifest.engine == "wheel"
         second = run_stored_campaign(tmp_path, config)
         assert second.cached
         assert second.manifest.run_id == first.manifest.run_id
@@ -263,17 +335,16 @@ class TestStoredCampaign:
         )
 
     def test_force_reexecutes(self, tmp_path):
-        config = _tiny_config("wheel")
+        config = _tiny_config()
         run_stored_campaign(tmp_path, config)
         again = run_stored_campaign(tmp_path, config, force=True)
         assert not again.cached
 
     def test_resume_wrong_config_rejected(self, tmp_path):
-        config = _tiny_config("wheel")
+        config = _tiny_config()
         first = run_stored_campaign(tmp_path, config)
         other = LongitudinalConfig(
-            seed=14, scale=0.01, snapshots=3, campaign_days=1.0,
-            engine="wheel",
+            seed=14, scale=0.01, snapshots=3, campaign_days=1.0
         )
         with pytest.raises(StoreError):
             run_stored_campaign(
@@ -281,7 +352,7 @@ class TestStoredCampaign:
             )
 
     def test_manifest_records_per_snapshot_outputs(self, tmp_path):
-        config = _tiny_config("wheel")
+        config = _tiny_config()
         stored = run_stored_campaign(tmp_path, config)
         manifest = stored.manifest
         assert manifest.completed_snapshots == 3
@@ -303,19 +374,19 @@ sys.path.insert(0, {src!r})
 from repro.netmodel.scenario import LongitudinalConfig
 from repro.store import run_stored_campaign
 config = LongitudinalConfig(
-    seed=13, scale=0.01, snapshots=3, campaign_days=1.0, engine={engine!r}
+    seed=13, scale=0.01, snapshots=3, campaign_days=1.0
 )
 run_stored_campaign({store!r}, config)
 """
 
 
-def _run_child(store: Path, engine: str, crash_after=None) -> int:
+def _run_child(store: Path, crash_after=None) -> int:
     env = dict(os.environ)
     env.pop(CRASH_ENV, None)
     if crash_after is not None:
         env[CRASH_ENV] = str(crash_after)
     src = str(Path(__file__).resolve().parent.parent / "src")
-    script = _CHILD_SCRIPT.format(src=src, engine=engine, store=str(store))
+    script = _CHILD_SCRIPT.format(src=src, store=str(store))
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True,
         text=True, timeout=600,
@@ -329,15 +400,14 @@ def _run_child(store: Path, engine: str, crash_after=None) -> int:
 class TestKillAndResume:
     """The acceptance pin: kill -9 mid-campaign, resume, compare."""
 
-    @pytest.mark.parametrize("engine", ["wheel", "heap"])
-    def test_resumed_run_is_bit_identical(self, tmp_path, engine):
+    def test_resumed_run_is_bit_identical(self, tmp_path):
         from repro.core.export import export_campaign_series
 
         interrupted = tmp_path / "interrupted"
         uninterrupted = tmp_path / "uninterrupted"
 
         # Child 1 hard-exits right after snapshot 0's checkpoint commits.
-        code = _run_child(interrupted, engine, crash_after=0)
+        code = _run_child(interrupted, crash_after=0)
         assert code == CRASH_EXIT_CODE
         store = RunStore(interrupted)
         manifest = store.manifests()[0]
@@ -346,13 +416,13 @@ class TestKillAndResume:
         assert manifest.checkpoint is not None
 
         # Child 2 (same invocation) auto-resumes from the checkpoint.
-        assert _run_child(interrupted, engine) == 0
+        assert _run_child(interrupted) == 0
         resumed = store.load_manifest(manifest.run_id)
         assert resumed.status == "complete"
         assert resumed.completed_snapshots == 3
 
         # Child 3 runs the same campaign uninterrupted in a second store.
-        assert _run_child(uninterrupted, engine) == 0
+        assert _run_child(uninterrupted) == 0
         fresh = RunStore(uninterrupted).load_manifest(manifest.run_id)
 
         # Content addressing makes the comparison exact: every snapshot
@@ -363,12 +433,8 @@ class TestKillAndResume:
         assert resumed.result_digest == fresh.result_digest
 
         # And the user-facing artifact: byte-identical CSV exports.
-        result_resumed = run_stored_campaign(
-            interrupted, _child_config(engine)
-        )
-        result_fresh = run_stored_campaign(
-            uninterrupted, _child_config(engine)
-        )
+        result_resumed = run_stored_campaign(interrupted, _tiny_config())
+        result_fresh = run_stored_campaign(uninterrupted, _tiny_config())
         assert result_resumed.cached and result_fresh.cached
         path_a = export_campaign_series(
             result_resumed.result, tmp_path / "a.csv"
@@ -377,12 +443,6 @@ class TestKillAndResume:
             result_fresh.result, tmp_path / "b.csv"
         )
         assert path_a.read_bytes() == path_b.read_bytes()
-
-
-def _child_config(engine: str) -> LongitudinalConfig:
-    return LongitudinalConfig(
-        seed=13, scale=0.01, snapshots=3, campaign_days=1.0, engine=engine
-    )
 
 
 class TestReadOnlyStore:
@@ -413,8 +473,7 @@ class TestReadOnlyStore:
         store = RunStore(tmp_path / "store")
         manifest = RunManifest(
             run_id="campaign-feedfeedfeed", kind="campaign",
-            key="feed" * 16, config={}, seed=1, engine="event",
-            snapshots_total=1,
+            key="feed" * 16, config={}, seed=1, snapshots_total=1,
         )
         self._deny_mkstemp(monkeypatch)
         with pytest.raises(ReadOnlyStoreError, match="not writable"):

@@ -39,6 +39,8 @@ from repro.simnet import Simulator
 from repro.store.campaign import campaign_key
 from repro.store.runstore import RunStore
 
+from .reference_scheduler import ReferenceScheduler, on_reference_scheduler
+
 
 def tiny_campaign(seed: int = 7) -> SyncCampaignConfig:
     return SyncCampaignConfig(
@@ -281,16 +283,14 @@ def test_assist_tier_rides_fast_lane(monkeypatch):
     """The no-cancel lane must carry assist traffic unchanged.
 
     The lane moves *where* light-tier events are stored, never *when*
-    they fire — so the assist variant must produce identical figures
-    with the fast path on and off, while actually relaying (non-empty
-    relay caches prove the hot branch ran).
+    they fire — so the assist variant must produce identical figures on
+    the production scheduler and on the single-queue reference oracle,
+    while actually relaying (non-empty relay caches prove the hot
+    branch ran).
     """
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    fast_scenario, fast = _assist_figures()
-    assert fast_scenario.sim.network.fast_path is True
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    slow_scenario, slow = _assist_figures()
-    assert slow_scenario.sim.network.fast_path is False
+    _, fast = _assist_figures()
+    slow_scenario, slow = on_reference_scheduler(monkeypatch, _assist_figures)
+    assert isinstance(slow_scenario.sim.scheduler, ReferenceScheduler)
     assert fast == slow
     assert fast[-1] > 0  # some assist endpoints cached and re-announced txs
 
