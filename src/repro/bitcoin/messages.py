@@ -285,7 +285,7 @@ class Pong(Message):
 #: fields and PONG0 answers a zero-nonce ping, so every sender can reuse
 #: one immutable-in-practice object instead of allocating per call —
 #: ADDR gossip alone sends hundreds of thousands of VERACKs per scale
-#: run.  The canonical pickler memoizes repeated objects, so snapshot
+#: run.  The checkpoint pickler memoizes repeated objects, so snapshot
 #: bytes stay independent of which code path enqueued the message.
 VERACK = Verack()
 GETADDR = GetAddr()

@@ -18,6 +18,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional, Set
 
 from ..simnet.addresses import NetAddr
+from ..simnet.simulator import canonical_sets
 from ..simnet.transport import Socket
 from .messages import Message
 
@@ -25,6 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .handler import HandlerLoop
 
 
+@canonical_sets(
+    "known_blocks",
+    "known_txs",
+    "known_addrs",
+    "pending_tx_invs",
+    "blocks_in_flight",
+)
 class Peer:
     """One established connection, from this node's point of view."""
 

@@ -376,6 +376,7 @@ def run_stored_attack_sweep(
         if manifest.kind != KIND_ATTACK_SWEEP:
             raise StoreError(f"run {resume!r} is a {manifest.kind!r} run")
         if manifest.key != key:
+            store.refuse_retired_format(manifest)
             raise StoreError(
                 f"cannot resume {resume!r}: the supplied config hashes to a "
                 f"different run key (config drift between start and resume)"

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from ..errors import ScenarioError
 from ..simnet.addresses import NetAddr
-from ..simnet.simulator import Simulator
+from ..simnet.simulator import Simulator, canonical_sets
 from ..simnet.transport import Socket
 from ..bitcoin.messages import Addr, GetAddr, Message, Version
 
@@ -60,6 +60,7 @@ class GetAddrConfig:
             raise ScenarioError("reconnect_rounds must be >= 0")
 
 
+@canonical_sets("addresses")
 @dataclass
 class PeerHarvest:
     """Everything collected from one target (input to §IV-B analyses)."""
@@ -107,13 +108,12 @@ class CrawlResult:
 class _PeerSession:
     """Per-connection crawl state machine."""
 
-    __slots__ = ("harvest", "socket", "handshaken", "last_response", "timeout_event")
+    __slots__ = ("harvest", "socket", "handshaken", "timeout_event")
 
     def __init__(self, harvest: PeerHarvest) -> None:
         self.harvest = harvest
         self.socket: Optional[Socket] = None
         self.handshaken = False
-        self.last_response: Set[NetAddr] = set()
         self.timeout_event = None
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..simnet.addresses import NetAddr
+from ..simnet.simulator import canonical_sets
 from ..netmodel.scenario import LongitudinalScenario
 from .addr_analysis import AddrComposition, composition
 from .churn_matrix import ChurnMatrix, ChurnStats, analyze, build_matrix
@@ -36,6 +37,7 @@ from .routing import HostingReport, hosting_report
 CRAWLER_ADDR = NetAddr.parse("203.0.113.7:8333")
 
 
+@canonical_sets("connected", "unreachable", "responsive")
 @dataclass
 class SnapshotResult:
     """Everything measured in one snapshot."""
@@ -59,6 +61,9 @@ class SnapshotResult:
     truncated: bool = False
 
 
+@canonical_sets(
+    "cumulative_reachable", "cumulative_unreachable", "cumulative_responsive"
+)
 @dataclass
 class CampaignResult:
     """Aggregate of a whole crawl campaign."""

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from ..errors import ScenarioError
 from ..simnet.addresses import NetAddr
-from ..simnet.simulator import Simulator
+from ..simnet.simulator import Simulator, canonical_sets
 from ..simnet.transport import ProbeResult
 
 
@@ -36,6 +36,7 @@ class ProbeConfig:
             raise ScenarioError("timeout must be positive")
 
 
+@canonical_sets("responsive", "silent", "rst", "bitcoin")
 @dataclass
 class ProbeCampaignResult:
     """Classification of every probed address."""
@@ -95,20 +96,38 @@ class VerProber:
         self.done = False
         self.aborted = False
         self._result = ProbeCampaignResult()
-        # Outcome -> result bucket, built once per campaign; _probed runs
-        # once per probe and must not rebuild this mapping every time.
-        self._buckets = {
-            ProbeResult.FIN: self._result.responsive,
-            ProbeResult.SILENT: self._result.silent,
-            ProbeResult.RST: self._result.rst,
-            ProbeResult.BITCOIN: self._result.bitcoin,
-        }
+        self._bind_buckets()
         self._on_done = on_done
         self._pending = list(targets)
         self._in_flight = 0
         self._fill()
         self._check_done()
         return self._result
+
+    def _bind_buckets(self) -> None:
+        """Outcome -> result bucket, built once per campaign; _probed runs
+        once per probe and must not rebuild this mapping every time."""
+        result = self._result
+        self._buckets = {
+            ProbeResult.FIN: result.responsive,
+            ProbeResult.SILENT: result.silent,
+            ProbeResult.RST: result.rst,
+            ProbeResult.BITCOIN: result.bitcoin,
+        }
+
+    def __getstate__(self) -> dict:
+        # _buckets aliases the result's sets, which pickle as tuples and
+        # come back as new sets: re-derive it rather than persist it.
+        state = dict(self.__dict__)
+        del state["_buckets"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)  # interns names: see canonical_sets
+        self._buckets = {}
+        if self._result is not None:
+            self._bind_buckets()
 
     def run_to_completion(
         self, targets: Iterable[NetAddr], max_seconds: float = 7200.0

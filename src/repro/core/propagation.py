@@ -11,7 +11,8 @@ node — yielding percentile curves and per-block coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from ..errors import AnalysisError
 from ..bitcoin.blockchain import Block
 from ..bitcoin.node import BitcoinNode
 from ..netmodel.scenario import ProtocolScenario
+from ..simnet.simulator import canonical_sets
 
 
 @dataclass
@@ -45,6 +47,7 @@ class BlockPropagation:
         return len(self.arrivals) / population if population else 0.0
 
 
+@canonical_sets("_attached")
 class PropagationTracker:
     """Records per-block arrival times across a protocol scenario.
 
@@ -71,14 +74,16 @@ class PropagationTracker:
         return count
 
     def _hook(self, node: BitcoinNode) -> None:
-        previous = node.on_tip_advanced
+        # partial, not a closure: a tracked world must survive
+        # checkpoint pickling (Simulator.snapshot()).
+        node.on_tip_advanced = partial(self._on_advance, node.on_tip_advanced)
 
-        def on_advance(advancing_node: BitcoinNode, block: Block) -> None:
-            self._record(advancing_node, block)
-            if previous is not None:
-                previous(advancing_node, block)
-
-        node.on_tip_advanced = on_advance
+    def _on_advance(
+        self, previous: Optional[Callable], node: BitcoinNode, block: Block
+    ) -> None:
+        self._record(node, block)
+        if previous is not None:
+            previous(node, block)
 
     def _record(self, node: BitcoinNode, block: Block) -> None:
         record = self.blocks.get(block.block_id)

@@ -16,10 +16,12 @@ from typing import Dict, List, Optional, Set
 from ..analysis.timeseries import Series
 from ..errors import AnalysisError
 from ..simnet.addresses import NetAddr
+from ..simnet.simulator import canonical_sets
 from ..netmodel.scenario import ProtocolScenario
 from .churn_matrix import SyncDepartureStats, synchronized_departures
 
 
+@canonical_sets("alive")
 @dataclass
 class SyncSnapshot:
     """One Bitnodes-style sample of the live network."""

@@ -452,6 +452,7 @@ def run_stored_variant_matrix(
         if manifest.kind != KIND_VARIANT_MATRIX:
             raise StoreError(f"run {resume!r} is a {manifest.kind!r} run")
         if manifest.key != key:
+            store.refuse_retired_format(manifest)
             raise StoreError(
                 f"cannot resume {resume!r}: the supplied config hashes to a "
                 f"different run key (config drift between start and resume)"

@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import FaultInjectionError
 from ..simnet.addresses import NetAddr
+from ..simnet.simulator import canonical_sets
 from .plan import (
     KIND_CRASH,
     KIND_DELAY,
@@ -73,6 +74,7 @@ class FaultStats:
         return dataclasses.asdict(self)
 
 
+@canonical_sets(frozen=("_addrs", "_prefixes", "_asns"))
 class _ActiveFault:
     """Runtime state of one fault while its window is open."""
 

@@ -181,9 +181,10 @@ class SetIterationRule(Rule):
         "A set's iteration order depends on its insertion history and, for "
         "str keys, on interpreter hash randomization — so the same logical "
         "state can replay events in a different order after a checkpoint "
-        "restore or across hosts.  This is exactly the hazard the store's "
-        "canonical pickler neutralizes at serialization time; in live "
-        "simulation and export paths it must be neutralized at the source: "
+        "restore or across hosts.  Checkpoints neutralize the hazard at "
+        "serialization time (set-holding classes pickle sorted tuples, see "
+        "simnet.simulator.canonical_sets); in live simulation and export "
+        "paths it must be neutralized at the source: "
         "iterate sorted(s), or consume the set with an order-insensitive "
         "reduction (len, sum, min, max, any, all, set arithmetic)."
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
 from ..simnet.addresses import NetAddr
+from ..simnet.simulator import canonical_sets
 from ..units import DAYS
 from .churn import PresenceTimeline
 from .population import NodeRecord
@@ -160,6 +161,7 @@ class AddressOracles:
         )
 
 
+@canonical_sets("_known_set")
 class DnsSeeder:
     """The bootstrap oracle a joining node queries (chainparams seeds).
 

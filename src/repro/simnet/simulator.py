@@ -28,6 +28,68 @@ from .transport import Network
 _INF = float("inf")
 
 
+# ----------------------------------------------------------------------
+# Checkpoint state of set-holding classes
+# ----------------------------------------------------------------------
+def canonical_sets(
+    *names: str, frozen: Tuple[str, ...] = ()
+) -> Callable[[type], type]:
+    """Class decorator: pickle the named set attributes as sorted tuples.
+
+    A ``set``'s iteration order depends on its insertion history, so two
+    *equal* sets — one grown live, one rebuilt by unpickling a
+    checkpoint — pickle to different bytes, and content addressing would
+    see two states where there is one.  A :meth:`Simulator.snapshot`
+    (like every :mod:`repro.store` checkpoint) therefore never contains
+    a raw set: every class that owns simulation or result state in one
+    carries this decorator, which makes it pickle those attributes as
+    sorted tuples and rebuild the sets on load.  Live objects are
+    untouched (the attributes stay ``set``s); only the pickled form is
+    canonical, which is what lets the checkpoint layer use the stock C
+    pickler.  A set-holding class that is *not* decorated is caught by
+    ``tests/test_checkpoint_inventory.py``, which walks every checkpoint
+    kind with a reference pickler that records raw sets.
+
+    ``names`` are ``set`` attributes, ``frozen`` are ``frozenset`` ones;
+    elements must be mutually orderable (``NetAddr``s, ints).  Works for
+    ``__dict__`` and ``__slots__`` classes alike.
+    """
+    rebuild: Dict[str, type] = {name: set for name in names}
+    rebuild.update((name, frozenset) for name in frozen)
+
+    def decorate(cls: type) -> type:
+        slots = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ())
+        )
+
+        def __getstate__(self: Any) -> Dict[str, Any]:
+            state = dict(getattr(self, "__dict__", ()))
+            for name in slots:
+                state[name] = getattr(self, name)
+            for name in rebuild:
+                state[name] = tuple(sorted(state[name]))
+            return state
+
+        def __setstate__(self: Any, state: Dict[str, Any]) -> None:
+            # setattr, never ``__dict__.update(state)``: setattr interns
+            # the attribute name the way pickle's own BUILD does.  An
+            # un-interned key on a restored object changes the memo
+            # back-references of the *next* dump — a resumed run's
+            # checkpoint would equal an uninterrupted run's in value and
+            # differ from it in bytes.
+            for name, value in state.items():
+                kind = rebuild.get(name)
+                setattr(self, name, value if kind is None else kind(value))
+
+        cls.__getstate__ = __getstate__
+        cls.__setstate__ = __setstate__
+        return cls
+
+    return decorate
+
+
 class RunResult(int):
     """Events-dispatched count that also says *why* the run stopped.
 

@@ -130,6 +130,27 @@ class Socket:
         self.open = False
         self._network._close_initiated(self)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # ``_peer`` is the one edge that crosses from node to node: left
+        # in, pickling recurses BitcoinNode -> Socket -> Socket ->
+        # BitcoinNode -> ... through the whole network and the depth
+        # grows with node count.  Network state carries the pairs as a
+        # flat list instead and re-links them on load.
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "_peer"
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        # Network.__setstate__ may already have linked this socket (when
+        # the load reaches the network first); only a pair with both
+        # ends closed is left unlinked, and nothing reads its ``_peer``.
+        if not hasattr(self, "_peer"):
+            self._peer = None
+
     def __repr__(self) -> str:
         direction = "in" if self.is_inbound else "out"
         state = "open" if self.open else "closed"
@@ -183,6 +204,31 @@ class Network:
         #: Optional fault-injection hook (see ``repro.faults``).  ``None``
         #: keeps the hot path fault-free at the cost of one identity check.
         self._fault_hook: Any = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        # The socket pairs Socket.__getstate__ leaves out, flat.  Every
+        # open socket is in ``_sockets_by_addr``, so walking it reaches
+        # each pair with an open end — the half-closed ones (closer
+        # gone from the table, its peer not yet told) through that peer.
+        # A both-open pair is listed once, from its outbound end.
+        state["_socket_pairs"] = [
+            (sock, sock._peer)
+            for socks in self._sockets_by_addr.values()
+            for sock in socks
+            if not sock.is_inbound or not sock._peer.open
+        ]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        pairs = state.pop("_socket_pairs")
+        for name, value in state.items():
+            # setattr interns names as pickle's BUILD does; __dict__.update
+            # would not (see simulator.canonical_sets).
+            setattr(self, name, value)
+        for sock, peer in pairs:
+            sock._peer = peer
+            peer._peer = sock
 
     def install_fault_hook(self, hook: Any) -> None:
         """Attach a fault injector consulted on every message/connect/probe.

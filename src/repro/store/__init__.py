@@ -9,9 +9,9 @@ manifest diffing (:mod:`~repro.store.runstore`), and the resumable
 campaign driver (:mod:`~repro.store.campaign`).
 
 ``repro.simnet.Simulator.snapshot()`` / ``restore()`` build on the same
-checkpoint framing, so a whole simulator — event queue (either scheduler
-backend), clock, RNG streams, nodes, addrman, churn — round-trips to
-bytes and replays bit-identically.
+checkpoint framing, so a whole simulator — event queue, clock, RNG
+streams, nodes, addrman, churn — round-trips to bytes and replays
+bit-identically.
 """
 
 from .blobs import BlobStore, sha256_hex

@@ -177,6 +177,7 @@ def run_stored_campaign(
         if manifest.kind != KIND_CAMPAIGN:
             raise StoreError(f"run {resume!r} is a {manifest.kind!r} run")
         if manifest.key != key:
+            store.refuse_retired_format(manifest)
             raise StoreError(
                 f"cannot resume {resume!r}: the supplied config hashes to a "
                 f"different run key (config drift between start and resume)"

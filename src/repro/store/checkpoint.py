@@ -18,6 +18,15 @@ checkpoint captures the event queue, RNG streams, clock, and all node /
 addrman / churn state in one pass, and a restored run is bit-identical
 to an uninterrupted one (pinned by the determinism tests).
 
+Equal states pickle to equal bytes because the *classes* say so, not the
+pickler: a ``set`` iterates in insertion-history order, so every class
+that keeps simulation or result state in one pickles it as a sorted
+tuple (:func:`repro.simnet.simulator.canonical_sets`) and no raw set
+reaches a payload.  The dump is then the stock C :class:`pickle.Pickler`.
+Pickling depth is bounded the same way: ``Socket`` state leaves out the
+one node-to-node edge (``_peer``) and ``Network`` state carries the
+pairs as a flat list, so depth does not grow with node count.
+
 This module is deliberately stdlib-only: the simulation core imports it
 lazily and must not pull the rest of :mod:`repro.store` (which imports
 the pipeline layer) into ``repro.simnet``'s import graph.
@@ -34,8 +43,14 @@ from typing import Any, Dict, Optional
 from ..errors import CheckpointError
 
 #: Bump on any incompatible change to the framing or to what the
-#: simulator payload is expected to contain.
-CHECKPOINT_FORMAT = 1
+#: simulator payload is expected to contain.  Part of every run key
+#: (:func:`repro.store.manifest.run_key`), so a store written under an
+#: older format is a clean miss, never a hit on an unreadable blob.
+#:
+#: 2 — sets pickle as sorted tuples from their owning classes and socket
+#:     pairs as one flat list in ``Network`` state.  Format 1 (raw sets,
+#:     sorted by a pickler subclass; ``Socket._peer`` inline) is refused.
+CHECKPOINT_FORMAT = 2
 
 MAGIC = b"RPRCKPT\x01"
 
@@ -45,43 +60,6 @@ PICKLE_PROTOCOL = 4
 
 _HEADER_LEN_BYTES = 4
 _MAX_HEADER = 1 << 20
-
-
-#: The pure-Python pickler: the C pickler's dedicated ``set`` fast path
-#: never consults ``reducer_override``, so canonicalization needs the
-#: Python implementation (present in every supported CPython).
-_PicklerBase = getattr(pickle, "_Pickler", pickle.Pickler)
-
-
-class _CanonicalPickler(_PicklerBase):
-    """A pickler that writes sets in sorted element order.
-
-    A set's iteration order depends on its insertion history, so two
-    *equal* sets — one grown live, one rebuilt by unpickling a
-    checkpoint — can pickle to different bytes.  Emitting elements in
-    sorted order makes equal simulation states produce equal checkpoint
-    bytes (and therefore equal content-store digests), which is what
-    lets ``store diff`` prove a resumed run matches an uninterrupted
-    one.  Sets with unorderable elements fall back to default pickling.
-    """
-
-    def reducer_override(self, obj: Any):
-        kind = type(obj)
-        if kind is set or kind is frozenset:
-            try:
-                return (kind, (sorted(obj),))
-            except TypeError:
-                return NotImplemented
-        return NotImplemented
-
-
-def _dumps_canonical(obj: Any, *, aliasing: bool = True) -> bytes:
-    buf = io.BytesIO()
-    pickler = _CanonicalPickler(buf, protocol=PICKLE_PROTOCOL)
-    if not aliasing:
-        pickler.fast = 1
-    pickler.dump(obj)
-    return buf.getvalue()
 
 
 def dump_checkpoint(
@@ -103,7 +81,12 @@ def dump_checkpoint(
     payloads; simulator state (cyclic by construction) must keep the
     memo.
     """
-    payload = _dumps_canonical(obj, aliasing=aliasing)
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf, protocol=PICKLE_PROTOCOL)
+    if not aliasing:
+        pickler.fast = True
+    pickler.dump(obj)
+    payload = buf.getvalue()
     header = {
         "format": CHECKPOINT_FORMAT,
         "kind": kind,
@@ -144,7 +127,8 @@ def read_header(data: bytes) -> Dict[str, Any]:
     if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"unsupported checkpoint format {header.get('format')!r} "
-            f"(this build reads format {CHECKPOINT_FORMAT})"
+            f"(this build reads format {CHECKPOINT_FORMAT}; formats are "
+            f"not migrated — re-run the experiment with this build)"
         )
     header["_payload_offset"] = offset + header_len
     return header

@@ -8,10 +8,13 @@ content-addressed :class:`~repro.store.blobs.BlobStore`; the manifest
 holds only digests, so identical outputs across runs share storage.
 
 Every run has a deterministic **key**: the SHA-256 of the canonical JSON
-of ``(kind, config, seed, snapshots_total, format)``.  Two
-invocations with the same key are the same experiment, which is what
-makes cache hits and ``--resume`` safe — the key cannot collide across
-differing configs and cannot differ across equal ones.
+of ``(kind, config, seed, snapshots_total, format, checkpoint
+format)``.  Two invocations with the same key are the same experiment,
+which is what makes cache hits and ``--resume`` safe — the key cannot
+collide across differing configs and cannot differ across equal ones.
+The checkpoint format is in the key so that a build which can no longer
+read a store's blobs misses them (and re-runs) instead of "hitting" a
+blob its loader refuses; the old manifests stay listable.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import StoreError
 from . import wallclock
+from .checkpoint import CHECKPOINT_FORMAT
 
 #: Bump on incompatible manifest schema changes.
 MANIFEST_FORMAT = 1
@@ -63,6 +67,7 @@ def run_key(
 
     payload = {
         "format": MANIFEST_FORMAT,
+        "checkpoint_format": CHECKPOINT_FORMAT,
         "kind": kind,
         "config": config_to_dict(config),
         "seed": int(seed),

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..errors import StoreError
 from .blobs import BlobStore, reject_read_only
+from .checkpoint import read_header
 from .manifest import RunManifest
 
 PathLike = Union[str, Path]
@@ -101,6 +102,23 @@ class RunStore:
         except FileNotFoundError:
             raise StoreError(f"run {run_id!r} not in store") from None
         return RunManifest.from_json(text)
+
+    def refuse_retired_format(self, manifest: RunManifest) -> None:
+        """Raise :class:`~repro.errors.CheckpointError` if ``manifest``'s
+        checkpoint or result blob is in a format this build cannot read.
+
+        The checkpoint format is part of the run key, so a run written by
+        an older build can only be reached by naming it (``--resume``),
+        where it also fails the key comparison; callers check here first
+        so the user is told *which* formats disagree rather than sent
+        looking for config drift.
+        """
+        digests = [manifest.result_digest]
+        if manifest.checkpoint is not None:
+            digests.append(manifest.checkpoint.digest)
+        for digest in digests:
+            if digest is not None and digest in self.blobs:
+                read_header(self.get_blob(digest))
 
     def has_run(self, run_id: str) -> bool:
         return self._manifest_path(run_id).exists()

@@ -1,0 +1,318 @@
+"""Checkpoints are canonical by construction: the inventory.
+
+``dump_checkpoint`` uses the stock C pickler, which writes a ``set`` in
+iteration (insertion-history) order.  Canonical bytes therefore rest on
+one rule — *no raw set reaches a payload*: every class that owns state
+in a set pickles it as a sorted tuple (``canonical_sets`` in
+``repro.simnet.simulator``).  Nothing in the type system enforces that
+rule, so this file does: it walks every
+checkpoint kind the repo writes with ``tests/reference_pickler.py`` (the
+retired sorted-set pickler, kept as an oracle) and asserts
+
+(a) the oracle met **zero** raw sets, and
+(b) the C payload equals the oracle's payload byte for byte.
+
+A new set-holding class that forgets the decorator turns (a) red here
+before it can un-pin a resumed-vs-fresh digest somewhere slower.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.adversary.plan import AttackerSpec, AttackPlan
+from repro.bitcoin import BitcoinNode, LightNode, LightNodeProfile, NodeConfig
+from repro.bitcoin.config import PolicyConfig
+from repro.core.attack_experiments import AttackSweepLevel, AttackSweepResult
+from repro.core.getaddr import GetAddrCrawler
+from repro.core.parallel import SyncSweepResult
+from repro.core.pipeline import (
+    CRAWLER_ADDR,
+    CampaignConfig,
+    CampaignRunner,
+    SnapshotResult,
+)
+from repro.core.prober import VerProber
+from repro.core.propagation import PropagationTracker
+from repro.core.sync_experiments import SyncCampaignConfig, run_sync_campaign
+from repro.core.sync_monitor import SyncMonitor
+from repro.core.variant_experiments import VariantCell, VariantMatrixResult
+from repro.faults.plan import FaultPlan, FaultScope, FaultSpec
+from repro.netmodel.scenario import (
+    LongitudinalConfig,
+    LongitudinalScenario,
+    ProtocolConfig,
+    ProtocolScenario,
+)
+from repro.simnet.addresses import NetAddr
+from repro.simnet.simulator import Simulator
+from repro.store import dump_checkpoint, load_checkpoint
+
+from .reference_pickler import checkpoint_payload, reference_dump
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Every ``kind`` tag a ``dump_checkpoint`` call under ``src/`` writes.
+KINDS = {
+    "simulator",
+    "campaign-runner",
+    "snapshot-result",
+    "campaign-result",
+    "attack-sweep-partial",
+    "attack-sweep-result",
+    "variant-matrix-partial",
+    "variant-matrix-result",
+}
+
+
+def assert_canonical(obj, *, kind, aliasing=True):
+    """(a) no raw set reached, (b) C payload == oracle payload."""
+    assert kind in KINDS
+    blob = dump_checkpoint(obj, kind=kind, aliasing=aliasing)
+    payload, raw_sets = reference_dump(obj, aliasing=aliasing)
+    assert raw_sets == [], (
+        f"{kind}: {len(raw_sets)} raw set(s) reached the checkpoint — some "
+        f"class holds a set without @canonical_sets: {raw_sets[:5]}"
+    )
+    assert checkpoint_payload(blob) == payload, (
+        f"{kind}: C pickler and reference pickler disagree"
+    )
+    return blob
+
+
+# ---------------------------------------------------------------------------
+# Worlds
+# ---------------------------------------------------------------------------
+
+_FAULTS = FaultPlan(faults=(
+    FaultSpec(kind="drop", probability=0.1, start=0.0),
+    FaultSpec(kind="partition", start=100.0, duration=150.0,
+              scope=FaultScope(prefixes=tuple(range(0, 0x10000, 7)))),
+    FaultSpec(kind="delay", delay=0.1, start=20.0, duration=300.0,
+              scope=FaultScope(addrs=("10.9.9.9:8333", "10.1.2.3:8333"),
+                               asns=(64500, 3, 64499))),
+))
+
+_ATTACK = AttackPlan(attackers=(
+    AttackerSpec(kind="addr_flooder", count=2, flood_volume=400),
+    AttackerSpec(kind="inv_spammer", count=1),
+    AttackerSpec(kind="sync_staller", count=1, tier="reachable"),
+))
+
+
+def _protocol_sim(fidelity):
+    """A warmed protocol world with everything that can ride in a
+    ``simulator`` checkpoint attached: churn, mining, a tx generator,
+    an open fault window, attackers, a sampling sync monitor and a
+    block-propagation tracker."""
+    scenario = ProtocolScenario(
+        ProtocolConfig(
+            seed=17,
+            n_reachable=10,
+            fidelity=fidelity,
+            churn_per_10min=3.0,
+            pre_mined_blocks=3,
+            tx_rate=0.05,
+            faults=_FAULTS,
+            attack=_ATTACK,
+        )
+    )
+    tracker = PropagationTracker(scenario)
+    scenario.sim.register("propagation", tracker)
+    scenario.start(warmup=60.0)
+    SyncMonitor(scenario, period=30.0, poll_spread=10.0)
+    scenario.sim.run_for(90.0)  # t=150: inside the partition window
+    return scenario.sim
+
+
+def _light_sim():
+    """Light tier only: a listening stub, cloud endpoints, one full peer."""
+    sim = Simulator(seed=5)
+    table = tuple(NetAddr.parse(f"172.16.0.{i}") for i in range(1, 21))
+    light = LightNode(
+        sim,
+        NetAddr.parse("10.1.0.1"),
+        profile=LightNodeProfile(listen=True),
+        addr_table=table,
+    )
+    light.start()
+    for addr in table[:5]:
+        LightNode(sim, addr).start()
+    full = BitcoinNode(sim, NetAddr.parse("10.2.0.1"), NodeConfig())
+    full.bootstrap([light.addr])
+    full.start()
+    sim.run_for(120.0)
+    return sim
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    """One snapshot into a hybrid crawl campaign (flooders planted)."""
+    config = LongitudinalConfig(
+        scale=0.004, snapshots=2, campaign_days=2.0, seed=9, fidelity="hybrid"
+    )
+    runner = CampaignRunner(LongitudinalScenario(config), CampaignConfig())
+    snap = runner.run_snapshot(0, runner.scenario.snapshot_times[0])
+    return runner, snap
+
+
+@pytest.fixture(scope="module")
+def sync_result():
+    """One tiny attacked, faulted sync campaign: the leaf of every
+    attack-level and variant-cell checkpoint."""
+    return run_sync_campaign(
+        SyncCampaignConfig(
+            n_reachable=12,
+            fidelity="hybrid",
+            duration=300.0,
+            warmup=120.0,
+            pre_mined_blocks=10,
+            sample_period=100.0,
+            poll_spread=50.0,
+            seed=7,
+            faults=_FAULTS,
+            attack=_ATTACK,
+            policies=PolicyConfig(variant="improved"),
+        )
+    )
+
+
+# ---------------------------------------------------------------------------
+# The inventory
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fidelity", ["full", "hybrid"])
+def test_simulator_protocol_world(fidelity):
+    sim = _protocol_sim(fidelity)
+    snapshot = sim.snapshot()
+    blob = assert_canonical(sim, kind="simulator")
+    # what snapshot() itself writes is that payload
+    assert checkpoint_payload(snapshot) == checkpoint_payload(blob)
+
+
+def test_simulator_light_world():
+    assert_canonical(_light_sim(), kind="simulator")
+
+
+def test_simulator_mid_crawl_and_mid_probe():
+    """A ``simulator`` checkpoint taken while the GETADDR crawler and the
+    VER prober have work in flight reaches their harvest / bucket sets."""
+    scenario = LongitudinalScenario(
+        LongitudinalConfig(scale=0.004, snapshots=2, campaign_days=2.0, seed=9)
+    )
+    sim = scenario.sim
+    scenario.materialize_snapshot(scenario.snapshot_times[0])
+    views = scenario.oracles.snapshot(sim.now)
+    crawler = GetAddrCrawler(sim, CRAWLER_ADDR)
+    crawler.crawl(sorted(views.union))
+    prober = VerProber(sim, NetAddr.parse("203.0.113.8:8333"))
+    # RST / FIN hosts answer within a round trip; the unassigned
+    # addresses time out, so the campaign is still open at +0.5 s.
+    dark = [NetAddr(ip=0x0B000000 + i) for i in range(50)]
+    probing = prober.probe_all(list(sim.network._probe_behavior)[:250] + dark)
+    sim.register("crawler", crawler)
+    sim.register("prober", prober)
+    sim.run_for(0.5)
+    assert not crawler.done and not prober.done
+    assert 0 < probing.probed < 300
+    assert any(h.addresses for h in crawler._result.harvests.values())
+    blob = assert_canonical(sim, kind="simulator")
+
+    # The restored prober keeps filling its *result's* sets (the bucket
+    # map is re-derived on load, not a stale copy), as the original does.
+    restored = Simulator.restore(blob)
+    restored_prober = restored.components["prober"]
+    sim.run_for(120.0)
+    restored.run_for(120.0)
+    assert prober.done and restored_prober.done
+    assert restored_prober._result.probed == probing.probed == 300
+    assert restored_prober._result.responsive == probing.responsive
+    assert restored_prober._result.silent == probing.silent
+    assert (
+        restored.components["crawler"]._result.all_addresses
+        == crawler._result.all_addresses
+    )
+
+
+def test_campaign_kinds(campaign):
+    runner, snap = campaign
+    assert_canonical(runner, kind="campaign-runner")
+    assert_canonical(snap, kind="snapshot-result")
+    assert_canonical(runner.result, kind="campaign-result")
+
+
+@pytest.mark.parametrize("aliasing", [True, False])
+def test_attack_and_variant_kinds(sync_result, aliasing):
+    sweep = SyncSweepResult(seeds=[7, 8], per_seed=[sync_result, sync_result])
+    attack = AttackSweepResult(
+        plan=_ATTACK,
+        levels=[
+            AttackSweepLevel(count=0, plan=None, sweep=sweep),
+            AttackSweepLevel(count=4, plan=_ATTACK.with_total(4), sweep=sweep),
+        ],
+    )
+    policies = PolicyConfig(variant="improved")
+    matrix = VariantMatrixResult(
+        variants=[policies],
+        churn_levels=[2.0],
+        fault_labels=["none"],
+        fidelities=["hybrid"],
+        cells=[
+            VariantCell(
+                policies=policies,
+                churn_per_10min=2.0,
+                fidelity="hybrid",
+                fault_label="none",
+                sweep=sweep,
+            )
+        ],
+    )
+    for kind, obj in (
+        ("attack-sweep-partial", attack),
+        ("attack-sweep-result", attack),
+        ("variant-matrix-partial", matrix),
+        ("variant-matrix-result", matrix),
+    ):
+        assert_canonical(obj, kind=kind, aliasing=aliasing)
+
+
+def test_every_dump_site_writes_an_inventoried_kind():
+    """A new checkpoint kind tag under ``src/`` must come here and add
+    its object graph to the walk above."""
+    text = "\n".join(
+        path.read_text() for path in sorted(SRC.rglob("*.py"))
+    )
+    tags = set(re.findall(r'_KIND = "([a-z-]+)"', text)) | {"simulator"}
+    assert tags == KINDS
+
+
+# ---------------------------------------------------------------------------
+# Mutation check: the inventory notices a class that loses its decorator
+# ---------------------------------------------------------------------------
+
+
+def test_inventory_catches_a_class_without_canonical_state(
+    campaign, monkeypatch
+):
+    _, snap = campaign
+    monkeypatch.delattr(SnapshotResult, "__getstate__")
+    monkeypatch.delattr(SnapshotResult, "__setstate__")
+    with pytest.raises(AssertionError, match="raw set"):
+        assert_canonical(snap, kind="snapshot-result")
+
+
+def test_restored_state_has_real_sets(campaign):
+    """The tuples are a pickled form only: loading rebuilds ``set``s."""
+    runner, snap = campaign
+    loaded = load_checkpoint(
+        dump_checkpoint(snap, kind="snapshot-result"),
+        expect_kind="snapshot-result",
+    )
+    assert type(loaded.unreachable) is set
+    assert loaded.unreachable == snap.unreachable
+    assert loaded.connected == snap.connected
+    assert loaded.responsive == snap.responsive

@@ -298,6 +298,50 @@ class TestValidation:
         with_service(tmp_path, body)
 
 
+class TestRetiredCheckpointFormat:
+    def test_format_1_result_is_a_4xx_with_the_reason(self, tmp_path):
+        """A run a format-1 build stored stays listed; reading its result
+        fails once, as a client error that names both formats — not a
+        500, and not a cache entry that hides the reason next time."""
+        from repro.store import RunManifest
+
+        from .reference_pickler import format_1_blob
+
+        store = RunStore(tmp_path / "store")
+        old = RunManifest(
+            run_id="campaign-0123456789ab", key="0123456789ab" + "c" * 52,
+            kind="campaign", seed=13, snapshots_total=2,
+            config={"scenario": {}, "campaign": {}}, status="complete",
+            result_digest=store.put_blob(
+                format_1_blob("a result", kind="campaign-result")
+            ),
+        )
+        store.save_manifest(old)
+
+        async def body(service, client):
+            r = await client.request("GET", "/v1/runs")
+            assert list(r.json()["runs"]) == [old.run_id]
+            r = await client.request("GET", f"/v1/runs/{old.run_id}")
+            assert r.status == 200
+            for _ in range(2):
+                for tail in ("result", "export/campaign_series.csv"):
+                    r = await client.request(
+                        "GET", f"/v1/runs/{old.run_id}/{tail}"
+                    )
+                    assert 400 <= r.status < 500, (tail, r.status)
+                    message = r.json()["error"]
+                    assert "format 1" in message and "format 2" in message
+            assert service.metrics.internal_errors == 0
+            # The same experiment submitted now is a fresh run, not a
+            # "cached" hit on the unreadable blob.
+            r = await client.request("POST", "/v1/campaigns", body=tiny())
+            assert r.json()["disposition"] == "queued"
+            await stream_to_end(client, r.json()["id"])
+            return None
+
+        with_service(tmp_path, body)
+
+
 class TestAdmin:
     def test_gc_dry_run_reports_without_deleting(self, tmp_path):
         async def body(service, client):

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.bitcoin.peer import Peer
+from repro.core.pipeline import CampaignResult, SnapshotResult
 from repro.errors import CheckpointError, SimulationError, StoreError
 from repro.netmodel.scenario import (
     LongitudinalConfig,
@@ -23,8 +25,11 @@ from repro.netmodel.scenario import (
     ProtocolScenario,
 )
 from repro.simnet.simulator import Simulator
+from repro.simnet.transport import Socket
 from repro.store import (
+    CHECKPOINT_FORMAT,
     BlobStore,
+    CheckpointRecord,
     RunManifest,
     RunStore,
     SnapshotRecord,
@@ -37,7 +42,14 @@ from repro.store import (
     run_stored_campaign,
     sha256_hex,
 )
-from repro.store.campaign import CRASH_ENV, CRASH_EXIT_CODE
+from repro.store.campaign import (
+    CRASH_ENV,
+    CRASH_EXIT_CODE,
+    load_campaign_result,
+)
+
+from .conftest import make_addr
+from .reference_pickler import format_1_blob
 
 
 class TestBlobStore:
@@ -108,20 +120,80 @@ class TestCheckpointFraming:
             load_checkpoint(bytes(blob))
 
     def test_sets_pickle_canonically(self):
-        # Same values, different insertion histories: the canonical
-        # pickler must emit identical bytes, else content addressing
-        # would see two different "states" for one logical state.
-        grown = set()
-        for value in (9, 4, 7, 1, 8, 3):
-            grown.add(value)
-        grown.discard(9)
-        rebuilt = {1, 3, 4, 7, 8}
-        assert grown == rebuilt
-        a = dump_checkpoint(grown, kind="t")
-        b = dump_checkpoint(rebuilt, kind="t")
-        assert a == b
-        # and the restored object really is a set
-        assert load_checkpoint(a, expect_kind="t") == rebuilt
+        # Equal state, different insertion histories.  The sets are
+        # chosen so the histories *provably* iterate differently (two
+        # elements colliding in an 8-slot table keep insertion order),
+        # else equal bytes would prove nothing about canonical order.
+        txs_a, txs_b = _same_set_two_orders(0, 8)
+        first, second = _colliding_addrs()
+        addrs_a, addrs_b = _same_set_two_orders(first, second)
+
+        def peer(txs, addrs):
+            sock = Socket(None, make_addr(1), make_addr(2), False, 0.0)
+            one = Peer(sock, 0.0)
+            one.known_txs = txs
+            one.known_addrs = addrs
+            return one
+
+        def snap(addrs):
+            return SnapshotResult(
+                index=0, when=1.0, source_stats=None, connected=addrs,
+                dns_only_connected=0, unreachable=set(addrs),
+                new_unreachable=0, responsive=set(), new_responsive=0,
+                addr_composition=None, detection=None,
+            )
+
+        for kind, a, b in (
+            ("simulator", peer(txs_a, addrs_a), peer(txs_b, addrs_b)),
+            ("snapshot-result", snap(addrs_a), snap(addrs_b)),
+            ("campaign-result",
+             CampaignResult(cumulative_unreachable=addrs_a),
+             CampaignResult(cumulative_unreachable=addrs_b)),
+        ):
+            blob = dump_checkpoint(a, kind=kind)
+            assert blob == dump_checkpoint(b, kind=kind)
+            # the tuples are the pickled form only: a set comes back
+            loaded = load_checkpoint(blob, expect_kind=kind)
+            assert dump_checkpoint(loaded, kind=kind) == blob
+        restored = load_checkpoint(
+            dump_checkpoint(peer(txs_a, addrs_a), kind="t"), expect_kind="t"
+        )
+        assert type(restored.known_txs) is set
+        assert restored.known_txs == {0, 8}
+        assert restored.known_addrs == {first, second}
+
+    def test_format_1_refused_by_name(self):
+        blob = format_1_blob({"a": 1}, kind="t")
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(blob, expect_kind="t")
+        assert "format 1" in str(excinfo.value)
+        assert f"format {CHECKPOINT_FORMAT}" in str(excinfo.value)
+        with pytest.raises(CheckpointError, match="format 1"):
+            read_header(blob)
+
+
+def _same_set_two_orders(first, second):
+    """``{first, second}`` built in both insertion orders; asserts the
+    two really do iterate differently."""
+    a = set()
+    a.add(first)
+    a.add(second)
+    b = set()
+    b.add(second)
+    b.add(first)
+    assert a == b
+    assert list(a) != list(b), "these elements do not collide"
+    return a, b
+
+
+def _colliding_addrs():
+    """Two NetAddrs landing on the same slot of an 8-slot set table."""
+    first = make_addr(0)
+    for index in range(1, 64):
+        other = make_addr(index)
+        if hash(other) & 7 == hash(first) & 7:
+            return first, other
+    raise AssertionError("no colliding address in 64 tries")
 
 
 class TestRunKey:
@@ -133,6 +205,14 @@ class TestRunKey:
         assert key != run_key(**{**base, "seed": 4})
         assert key != run_key(**{**base, "snapshots_total": 6})
         assert key != run_key(**{**base, "config": {"x": 2}})
+
+    def test_checkpoint_format_is_part_of_the_key(self, monkeypatch):
+        # A build that cannot read a store's blobs must miss them.
+        base = dict(kind="campaign", config={"x": 1}, seed=3,
+                    snapshots_total=5)
+        key = run_key(**base)
+        monkeypatch.setattr("repro.store.manifest.CHECKPOINT_FORMAT", 1)
+        assert run_key(**base) != key
 
     def test_equal_configs_key_equally_on_cli_and_serve_paths(self):
         """Key identity: equal configs share one key, and an HTTP
@@ -299,6 +379,39 @@ class TestSimulatorSnapshot:
         assert original.sim.now == restored.now
         assert original.sim.scheduler.fired == restored.scheduler.fired
 
+    def test_round_trip_at_200_full_nodes(self):
+        """Snapshot mid-run under churn at a size the paper cares about
+        (the Python pickler recursed out from 60 warmed nodes up), with a
+        connection caught half-closed; restore; continue both."""
+        scenario = ProtocolScenario(
+            ProtocolConfig(seed=17, n_reachable=200, churn_per_10min=20.0,
+                           pre_mined_blocks=3),
+        )
+        sim = scenario.sim
+        sim.register("scenario", scenario)
+        scenario.start(warmup=120.0)
+        # Open a half-closed window: one end closed, the FIN in flight.
+        closer = sim.network.open_sockets(scenario.running_nodes()[0].addr)[0]
+        told = closer._peer
+        closer.close()
+        assert not closer.open and told.open and told._peer is closer
+
+        before = _socket_table(sim.network)
+        assert len(before) > 2000
+        assert any(not row[3] for row in before)  # the closed end is there
+        restored = Simulator.restore(sim.snapshot())
+        assert _socket_table(restored.network) == before
+
+        a = sim.run_for(120.0)
+        b = restored.run_for(120.0)
+        assert int(a) == int(b) > 10_000
+        assert sim.now == restored.now
+        assert sim.scheduler.fired == restored.scheduler.fired
+        assert _sync_digest(restored.components["scenario"]) == _sync_digest(
+            scenario
+        )
+        assert len(scenario.churn.departures) > 0
+
     def test_restore_rejects_wrong_kind(self):
         blob = dump_checkpoint({"not": "a simulator"}, kind="other")
         with pytest.raises((CheckpointError, SimulationError)):
@@ -312,6 +425,32 @@ class TestSimulatorSnapshot:
         # on the live simulator
         assert sim.perf is not None
         assert sim.scheduler.perf is sim.perf
+
+
+def _socket_table(network):
+    """Every socket with an open end, and its peer: who it is, whether
+    it is open, and that ``_peer`` points at the other end of *its* pair.
+    (A pair with both ends closed has left the table; nothing reads the
+    ``_peer`` of a closed socket.)"""
+    rows = []
+    for socks in network._sockets_by_addr.values():
+        for sock in socks:
+            for end in (sock, sock._peer):
+                rows.append((
+                    end.local_addr, end.remote_addr, end.is_inbound,
+                    end.open, end._peer.local_addr, end._peer._peer is end,
+                ))
+    assert all(row[5] for row in rows)
+    return rows
+
+
+def _sync_digest(scenario):
+    return (
+        [(node.addr, node.chain.height, node.outbound_count)
+         for node in scenario.running_nodes()],
+        scenario.sync_fraction(),
+        scenario.sim.network.messages_delivered,
+    )
 
 
 def _tiny_config():
@@ -366,6 +505,131 @@ class TestStoredCampaign:
                 store.get_blob(record.digest), expect_kind="snapshot-result"
             )
             assert snap.index == record.index
+
+
+class _Killed(Exception):
+    """Stands in for the hard exit of the crash hook."""
+
+
+def _kill(code):
+    raise _Killed(code)
+
+
+class TestResumeInProcess:
+    """The kill-and-resume pin at tier-1 speed: same store code, the
+    crash hook's ``os._exit`` swapped for an exception."""
+
+    def test_resumed_digests_match_fresh(self, tmp_path, monkeypatch):
+        config = _tiny_config()
+        fresh = run_stored_campaign(tmp_path / "fresh", config).manifest
+
+        monkeypatch.setenv(CRASH_ENV, "0")
+        monkeypatch.setattr(os, "_exit", _kill)
+        with pytest.raises(_Killed):
+            run_stored_campaign(tmp_path / "killed", config)
+        monkeypatch.delenv(CRASH_ENV)
+        resumed = run_stored_campaign(tmp_path / "killed", config)
+        assert resumed.resumed_from == 1 and not resumed.cached
+
+        # A restored object whose attribute names are not interned the
+        # way a fresh one's are pickles to different memo references:
+        # equal result, different digest.  These would catch it.
+        assert [s.digest for s in resumed.manifest.snapshots] == [
+            s.digest for s in fresh.snapshots
+        ]
+        assert resumed.manifest.result_digest == fresh.result_digest
+
+
+class TestRetiredFormat:
+    """A store written by a format-1 build: a clean miss, one named
+    failure where it is asked for by name, never a loop."""
+
+    @pytest.fixture
+    def old_store(self, tmp_path):
+        store = RunStore(tmp_path)
+        manifest = RunManifest(
+            run_id="campaign-0123456789ab",
+            key="0123456789ab" + "c" * 52,
+            kind="campaign", seed=13, snapshots_total=3,
+            config={"scenario": {}, "campaign": {}},
+            status="complete",
+            checkpoint=CheckpointRecord(
+                digest=store.put_blob(
+                    format_1_blob("a runner", kind="campaign-runner")
+                ),
+                snapshot_index=2,
+            ),
+            result_digest=store.put_blob(
+                format_1_blob("a result", kind="campaign-result")
+            ),
+        )
+        store.save_manifest(manifest)
+        return store, manifest
+
+    def test_same_config_is_a_clean_miss(self, old_store):
+        store, old = old_store
+        stored = run_stored_campaign(store, _tiny_config())
+        assert not stored.cached and stored.resumed_from is None
+        assert stored.manifest.run_id != old.run_id
+        # the old run is still listed, shown and kept by gc
+        assert set(store.index()) == {old.run_id, stored.manifest.run_id}
+        assert store.load_manifest(old.run_id).status == "complete"
+        assert not set(store.gc()["removed"]) & set(old.referenced_digests())
+        assert store.get_blob(old.result_digest)
+
+    def test_resume_fails_once_naming_both_formats(self, old_store):
+        store, old = old_store
+        for _ in range(2):  # and again: nothing was written or retried
+            with pytest.raises(CheckpointError) as excinfo:
+                run_stored_campaign(
+                    store, _tiny_config(), resume=old.run_id
+                )
+            assert "format 1" in str(excinfo.value)
+            assert f"format {CHECKPOINT_FORMAT}" in str(excinfo.value)
+        assert [m.run_id for m in store.manifests()] == [old.run_id]
+        assert store.load_manifest(old.run_id).to_dict() == old.to_dict()
+
+    @pytest.mark.parametrize("kind", ["attack-sweep", "variant-matrix"])
+    def test_sweep_runners_refuse_by_name_too(self, tmp_path, kind):
+        from repro.adversary.plan import AttackerSpec, AttackPlan
+        from repro.core import (
+            SyncCampaignConfig,
+            run_stored_attack_sweep,
+            run_stored_variant_matrix,
+        )
+
+        store = RunStore(tmp_path)
+        old = RunManifest(
+            run_id=f"{kind}-0123456789ab", key="0123456789ab" + "c" * 52,
+            kind=kind, seed=7, snapshots_total=2, config={},
+            checkpoint=CheckpointRecord(
+                digest=store.put_blob(
+                    format_1_blob("partial", kind=f"{kind}-partial")
+                ),
+                snapshot_index=0,
+            ),
+        )
+        store.save_manifest(old)
+        base = SyncCampaignConfig(n_reachable=12, seed=7)
+        with pytest.raises(CheckpointError, match="format 1.*format 2"):
+            if kind == "attack-sweep":
+                plan = AttackPlan(
+                    attackers=(AttackerSpec(kind="addr_flooder", count=2),)
+                )
+                run_stored_attack_sweep(
+                    store, plan, base, counts=(0, 2), seeds=[7],
+                    resume=old.run_id,
+                )
+            else:
+                run_stored_variant_matrix(
+                    store, ["baseline"], base, churn_levels=(2.0,),
+                    seeds=[7], resume=old.run_id,
+                )
+
+    def test_load_campaign_result_refuses_by_name(self, old_store):
+        store, old = old_store
+        with pytest.raises(CheckpointError, match="format 1.*format 2"):
+            load_campaign_result(store, old)
 
 
 _CHILD_SCRIPT = """
