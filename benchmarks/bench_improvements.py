@@ -45,9 +45,16 @@ def test_addressing_refinements_raise_success_rate(benchmark):
     def run():
         return {
             "baseline": _success_rate(PolicyConfig()),
-            "tried-only": _success_rate(PolicyConfig(addr_from_tried_only=True)),
+            "tried-only": _success_rate(
+                PolicyConfig(params={"addr_from_tried_only": True})
+            ),
             "tried-only+17d": _success_rate(
-                PolicyConfig(addr_from_tried_only=True, tried_horizon_days=17.0)
+                PolicyConfig(
+                    params={
+                        "addr_from_tried_only": True,
+                        "tried_horizon_days": 17.0,
+                    }
+                )
             ),
         }
 
@@ -75,7 +82,9 @@ def test_block_priority_reduces_relay_delay(benchmark):
 
             scenario, target, clients = build_relay_scenario(
                 config,
-                policies=PolicyConfig(prioritize_block_relay=prioritize),
+                policies=PolicyConfig(
+                    params={"prioritize_block_relay": prioritize}
+                ),
             )
             scenario.start()
             target.start()

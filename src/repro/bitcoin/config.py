@@ -7,10 +7,8 @@ every two minutes, addrman ``new``/``tried`` tables with the 30-day /
 round-robin message handler.
 
 :class:`PolicyConfig` names a registered protocol-policy variant plus its
-parameters (see :mod:`repro.bitcoin.policy`).  The three §V refinements
-remain spellable as the legacy boolean/float keywords — they canonicalize
-onto the equivalent variant, so old configs parse, behave, and *key* (in
-the run store) identically.
+parameters (see :mod:`repro.bitcoin.policy`); the three §V refinements
+are knobs of the ``baseline``/``improved`` family, set through ``params``.
 """
 
 from __future__ import annotations
@@ -64,15 +62,6 @@ ADDR_FORWARD_MAX = 10
 ADDR_FORWARD_FANOUT = 2
 
 
-#: The legacy §V keywords, accepted by ``PolicyConfig(...)`` and
-#: ``PolicyConfig.from_dict`` for backward compatibility.
-_LEGACY_KNOBS = (
-    "addr_from_tried_only",
-    "tried_horizon_days",
-    "prioritize_block_relay",
-)
-
-
 @dataclass(init=False)
 class PolicyConfig:
     """A serializable reference to a registered protocol-policy variant.
@@ -83,12 +72,10 @@ class PolicyConfig:
     and serve-submission keys.  Construction canonicalizes eagerly (see
     :func:`repro.bitcoin.policy.registry.resolve`), so two configs with
     equal behavior compare equal and key identically, whichever spelling
-    built them.
+    built them (``params`` that add up to ``improved`` *are* ``improved``).
 
-    The pre-registry API is preserved: the three §V refinements remain
-    spellable as keywords (``PolicyConfig(addr_from_tried_only=True)``)
-    and readable as properties; both map onto the effective knobs of the
-    resolved variant.
+    The three §V refinements are readable as properties off the
+    effective knobs of the resolved variant.
     """
 
     #: Registered variant name (``repro.bitcoin.policy.variant_names()``).
@@ -100,32 +87,14 @@ class PolicyConfig:
         self,
         variant: str = "baseline",
         params: Optional[Mapping[str, Any]] = None,
-        *,
-        addr_from_tried_only: Optional[bool] = None,
-        tried_horizon_days: Optional[float] = None,
-        prioritize_block_relay: Optional[bool] = None,
     ) -> None:
-        merged: Dict[str, Any] = dict(params) if params else {}
-        for knob, value in (
-            ("addr_from_tried_only", addr_from_tried_only),
-            ("tried_horizon_days", tried_horizon_days),
-            ("prioritize_block_relay", prioritize_block_relay),
-        ):
-            if value is None:
-                continue
-            if knob in merged and merged[knob] != value:
-                raise ValueError(
-                    f"policy knob {knob!r} given both as a param "
-                    f"({merged[knob]!r}) and a keyword ({value!r})"
-                )
-            merged[knob] = value
         # Deferred import: the registry's builtin variants read protocol
         # constants from this module.
         from .policy.registry import resolve
 
-        self.variant, self.params, self._knobs = resolve(variant, merged)
+        self.variant, self.params, self._knobs = resolve(variant, params or {})
 
-    # -- legacy §V reads ------------------------------------------------
+    # -- §V reads -------------------------------------------------------
     @property
     def addr_from_tried_only(self) -> bool:
         """§V "Refining the Addressing Protocol": tried-only GETADDR."""
@@ -165,24 +134,21 @@ class PolicyConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PolicyConfig":
-        """Parse canonical (``variant``/``params``) or legacy keys.
+        """Parse ``{"variant": ..., "params": {...}}``.
 
-        Strict: unknown top-level keys are rejected, as are unknown
-        variants and params (via canonicalization) — a typo must fail
-        the submission, not silently default and alias a cache key.
+        Strict: unknown top-level keys are rejected by name, as are
+        unknown variants and params (via canonicalization) — a typo must
+        fail the submission, not silently default and alias a cache key.
         """
         remaining = dict(data)
         variant = remaining.pop("variant", "baseline")
         params = remaining.pop("params", None)
-        legacy = {
-            knob: remaining.pop(knob) for knob in _LEGACY_KNOBS if knob in remaining
-        }
         if remaining:
             raise ValueError(
                 f"unknown PolicyConfig keys {sorted(remaining)} "
-                f"(expected variant/params or legacy {list(_LEGACY_KNOBS)})"
+                f"(expected variant/params)"
             )
-        return cls(variant, params, **legacy)
+        return cls(variant, params)
 
 
 @dataclass

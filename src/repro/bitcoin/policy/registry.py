@@ -4,9 +4,9 @@ A :class:`PolicyVariant` ties a name (``"baseline"``, ``"improved"``,
 ``"unreachable-relay"``, ...) to a *knob schema* (``defaults``) and the
 policy classes that interpret the knobs.  ``PolicyConfig`` stores only
 ``(variant, params)``; :func:`resolve` canonicalizes that pair so every
-spelling of the same behavior — legacy booleans, explicit variant
-names, redundant default-valued params — lands on one canonical form,
-and therefore on one run-store key.
+spelling of the same behavior — §V knobs set one by one, explicit
+variant names, redundant default-valued params — lands on one canonical
+form, and therefore on one run-store key.
 
 Canonical form:
 
@@ -16,10 +16,10 @@ Canonical form:
 * within the §V family, the canonical *anchor* is chosen by effective
   knobs: all three refinements at their improved values → ``improved``
   with empty params, anything else → ``baseline`` plus the knobs that
-  differ from baseline.  So ``PolicyConfig(addr_from_tried_only=True,
-  tried_horizon_days=17.0, prioritize_block_relay=True)`` and
-  ``PolicyConfig(variant="improved")`` are *equal objects* with equal
-  store keys.
+  differ from baseline.  So ``PolicyConfig(params={"addr_from_tried_only":
+  True, "tried_horizon_days": 17.0, "prioritize_block_relay": True})``
+  and ``PolicyConfig(variant="improved")`` are *equal objects* with
+  equal store keys.
 
 Builtin variants self-register on first use (:func:`ensure_builtins`);
 experiment code can register additional variants at import time as long
@@ -45,8 +45,8 @@ __all__ = [
     "variant_names",
 ]
 
-#: Knobs every variant must define defaults for — the §V surface that
-#: legacy boolean configs spell directly.
+#: Knobs every variant must define defaults for — the §V surface
+#: ``PolicyConfig``'s read-only properties expose.
 UNIVERSAL_KNOBS = (
     "addr_from_tried_only",
     "tried_horizon_days",

@@ -18,10 +18,12 @@ Commands
 ``serve``      run the campaign service over a run store (``repro.serve``)
 ``lint``       determinism & checkpoint-safety static analysis
 
-``campaign --store DIR`` checkpoints the run into a content-addressed
-store after every snapshot; an interrupted run resumes from its last
-checkpoint (``--resume RUN_ID`` to be explicit) and a completed run with
-the same config is a cache hit.
+``--store DIR`` (on ``campaign``, ``attack``, and ``variants``)
+checkpoints the run into a content-addressed store after every unit
+(snapshot, count level, matrix cell); an interrupted run resumes after
+its last completed unit (``--resume RUN_ID`` to be explicit), a
+completed run with the same config is a cache hit, and ``--force``
+re-executes it anyway.
 
 ``--faults plan.json`` (on ``campaign``, ``sync``, and ``chaos``)
 compiles a deterministic fault plan onto every run; ``--seed-timeout``
@@ -108,6 +110,56 @@ def _report_supervision(label: str, sweep) -> None:
         )
 
 
+def _sync_base(args: argparse.Namespace, **extra: Any):
+    """The SyncCampaignConfig that ``_world_flags`` describes."""
+    if hasattr(args, "fidelity"):
+        extra["fidelity"] = args.fidelity
+    return core.SyncCampaignConfig(
+        n_reachable=args.nodes,
+        duration=args.hours * HOURS,
+        seed=args.seed,
+        **extra,
+    )
+
+
+def _store_flags_error(args: argparse.Namespace) -> Optional[str]:
+    """What is wrong with this use of ``_store_flags``, if anything: a
+    run to resume or to force is one run in a store that is named."""
+    if not (args.resume or args.force):
+        return None
+    if not args.store:
+        return "--resume and --force require --store"
+    if args.command == "campaign" and args.seeds > 1:
+        return (
+            "--resume and --force address one run; a --seeds sweep "
+            "stores one per seed (re-run it to resume each)"
+        )
+    return None
+
+
+def _run_stored(args: argparse.Namespace, plan, unit: str):
+    """``plan`` through ``--store``; says where the result came from."""
+    from .store import run_stored
+
+    stored = run_stored(
+        args.store, plan, resume=args.resume, force=args.force
+    )
+    run_id = stored.manifest.run_id
+    if stored.cached:
+        print(
+            f"cache hit: run {run_id} is complete — "
+            f"returning the stored result (no simulation)"
+        )
+    elif stored.resumed_from is not None:
+        print(
+            f"resumed run {run_id} from {unit} "
+            f"{stored.resumed_from}/{plan.units}"
+        )
+    else:
+        print(f"stored as run {run_id}")
+    return stored.result
+
+
 def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
     base = LongitudinalConfig(
         scale=args.scale, snapshots=args.snapshots, seed=args.seed,
@@ -176,34 +228,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         scale=args.scale, snapshots=args.snapshots, seed=args.seed,
         fidelity=args.fidelity, faults=_load_fault_plan(args),
     )
-    if args.store is not None or args.resume is not None:
-        from .store import default_store_root, run_stored_campaign
+    # The printed tables need the deterministic address universe the
+    # campaign ran against; for a stored run, rebuilding the scenario
+    # from the config recreates it without simulating anything.
+    scenario = LongitudinalScenario(config)
+    print(
+        f"campaign: scale={args.scale} snapshots={args.snapshots} "
+        f"population={scenario.population.summary()}"
+    )
+    if args.store:
+        from .store import CampaignPlan
 
-        root = args.store if args.store is not None else default_store_root()
-        stored = run_stored_campaign(root, config, resume=args.resume)
-        provenance = (
-            "cached" if stored.cached
-            else f"resumed from snapshot {stored.resumed_from}"
-            if stored.resumed_from is not None
-            else "fresh run"
-        )
-        print(
-            f"campaign: run {stored.manifest.run_id} [{provenance}] "
-            f"store={root}"
-        )
-        result = stored.result
-        # The printed tables need the deterministic address universe the
-        # campaign ran against; rebuilding the scenario from the config
-        # recreates it without simulating anything.
-        scenario = LongitudinalScenario(config)
+        result = _run_stored(args, CampaignPlan(config), "snapshot")
     else:
-        scenario = LongitudinalScenario(config)
-        runner = core.CampaignRunner(scenario)
-        print(
-            f"campaign: scale={args.scale} snapshots={args.snapshots} "
-            f"population={scenario.population.summary()}"
-        )
-        result = runner.run()
+        result = core.CampaignRunner(scenario).run()
     if result.truncated:
         _warn_truncated("snapshots", result.truncated_snapshots)
     s = args.scale
@@ -257,13 +295,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_sync(args: argparse.Namespace) -> int:
-    base = core.SyncCampaignConfig(
-        n_reachable=args.nodes,
-        fidelity=args.fidelity,
-        duration=args.hours * HOURS,
-        seed=args.seed,
-        faults=_load_fault_plan(args),
-    )
+    base = _sync_base(args, faults=_load_fault_plan(args))
     if args.seeds > 1:
         seeds = core.seed_range(args.seed, args.seeds)
         print(
@@ -329,12 +361,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     plan = FaultPlan.from_file(args.faults)
     intensities = [float(part) for part in args.intensities.split(",")]
-    base = core.SyncCampaignConfig(
-        n_reachable=args.nodes,
-        fidelity=args.fidelity,
-        duration=args.hours * HOURS,
-        seed=args.seed,
-    )
+    base = _sync_base(args)
     seeds = core.seed_range(args.seed, args.seeds)
     print(
         f"chaos: nodes={args.nodes} duration={args.hours}h plan={args.faults} "
@@ -397,51 +424,18 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
     plan = AttackPlan.from_file(args.plan)
     counts = [int(part) for part in args.counts.split(",")]
-    base = core.SyncCampaignConfig(
-        n_reachable=args.nodes,
-        fidelity=args.fidelity,
-        duration=args.hours * HOURS,
-        seed=args.seed,
-    )
+    base = _sync_base(args)
     seeds = core.seed_range(args.seed, args.seeds)
+    supervisor = _supervisor_config(args)
+    sweep = core.AttackSweepPlan(
+        plan, base, counts, seeds, args.workers, supervisor
+    )
     print(
         f"attack: nodes={args.nodes} duration={args.hours}h plan={args.plan} "
         f"({len(plan)} cohort(s)) counts={counts} seeds={seeds} "
         f"workers={args.workers or 'auto'}..."
     )
-    supervisor = _supervisor_config(args)
-    if args.store:
-        stored = core.run_stored_attack_sweep(
-            args.store,
-            plan,
-            base,
-            counts=counts,
-            seeds=seeds,
-            workers=args.workers,
-            supervisor=supervisor,
-        )
-        result = stored.result
-        if stored.cached:
-            print(
-                f"cache hit: run {stored.manifest.run_id} is complete — "
-                f"returning the stored result (no simulation)"
-            )
-        elif stored.resumed_from is not None:
-            print(
-                f"resumed run {stored.manifest.run_id} from level "
-                f"{stored.resumed_from}/{len(counts)}"
-            )
-        else:
-            print(f"stored as run {stored.manifest.run_id}")
-    else:
-        result = core.run_attack_sweep(
-            plan,
-            base,
-            counts=counts,
-            seeds=seeds,
-            workers=args.workers,
-            supervisor=supervisor,
-        )
+    result = _run_stored(args, sweep, "level") if args.store else sweep.run()
     for level in result.levels:
         _report_supervision(f"attackers={level.count}", level.sweep)
     rows = []
@@ -531,62 +525,24 @@ def _cmd_variants(args: argparse.Namespace) -> int:
             f"fault plan: {len(fault_plan)} fault(s) loaded from "
             f"{args.faults} (matrix runs fault-free + plan)"
         )
-    if args.resume and not args.store:
-        print("error: --resume requires --store", file=sys.stderr)
-        return 2
-    base = core.SyncCampaignConfig(
-        n_reachable=args.nodes,
-        duration=args.hours * HOURS,
-        seed=args.seed,
-    )
     seeds = core.seed_range(args.seed, args.seeds)
-    n_cells = (
-        len(variants) * len(churn_levels) * len(fault_plans) * len(fidelities)
+    matrix = core.VariantMatrixPlan(
+        variants,
+        _sync_base(args),
+        churn_levels=churn_levels,
+        fault_plans=fault_plans,
+        fidelities=fidelities,
+        seeds=seeds,
+        workers=args.workers,
+        supervisor=_supervisor_config(args),
     )
     print(
         f"variants: {variants} x churn={churn_levels} x "
         f"{len(fault_plans)} fault plan(s) x fidelities={fidelities} "
-        f"({n_cells} cells, seeds={seeds}, workers={args.workers or 'auto'})..."
+        f"({matrix.units} cells, seeds={seeds}, "
+        f"workers={args.workers or 'auto'})..."
     )
-    supervisor = _supervisor_config(args)
-    if args.store:
-        stored = core.run_stored_variant_matrix(
-            args.store,
-            variants,
-            base,
-            churn_levels=churn_levels,
-            fault_plans=fault_plans,
-            fidelities=fidelities,
-            seeds=seeds,
-            workers=args.workers,
-            supervisor=supervisor,
-            resume=args.resume,
-            force=args.force,
-        )
-        result = stored.result
-        if stored.cached:
-            print(
-                f"cache hit: run {stored.manifest.run_id} is complete — "
-                f"returning the stored result (no simulation)"
-            )
-        elif stored.resumed_from is not None:
-            print(
-                f"resumed run {stored.manifest.run_id} from cell "
-                f"{stored.resumed_from}/{n_cells}"
-            )
-        else:
-            print(f"stored as run {stored.manifest.run_id}")
-    else:
-        result = core.run_variant_matrix(
-            variants,
-            base,
-            churn_levels=churn_levels,
-            fault_plans=fault_plans,
-            fidelities=fidelities,
-            seeds=seeds,
-            workers=args.workers,
-            supervisor=supervisor,
-        )
+    result = _run_stored(args, matrix, "cell") if args.store else matrix.run()
     for cell in result.cells:
         _report_supervision(
             f"{cell.variant_label} churn={cell.churn_per_10min:g} "
@@ -855,21 +811,74 @@ def _supervisor_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _fault_flags(p: argparse.ArgumentParser) -> None:
+def _fault_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--faults", type=str, default=None, metavar="PLAN.json",
         help="compile this fault plan onto every run (see repro.faults)",
     )
+
+
+def _world_flags(
+    p: argparse.ArgumentParser,
+    nodes: int,
+    hours: float,
+    seed: int,
+    fidelity: bool = True,
+) -> None:
+    """The simulated protocol world: size, duration, seed, node tiers."""
+    p.add_argument("--nodes", type=int, default=nodes)
+    p.add_argument("--hours", type=float, default=hours)
+    p.add_argument("--seed", type=int, default=seed)
+    if fidelity:
+        _fidelity_flag(p)
+
+
+def _fidelity_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--fidelity", choices=("full", "hybrid"), default="full",
+        help="node-tier fidelity: hybrid models the unreachable cloud "
+        "with O(1)-memory light nodes (same seed, same figures; use for "
+        "paper-scale worlds)",
+    )
+
+
+def _sweep_flags(p: argparse.ArgumentParser, seeds: int, per: str) -> None:
+    """The multi-seed fan-out and its supervision, ``--export``, ``--profile``."""
+    p.add_argument(
+        "--seeds", type=int, default=seeds, metavar="N",
+        help=f"consecutive seeds (from --seed) per {per}",
+    )
+    p.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="worker processes for --seeds > 1 (default: CPU count)",
+    )
+    p.add_argument("--export", type=str, default=None, metavar="DIR")
     _supervisor_flags(p)
-
-
-def _profile_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--profile", nargs="?", const="repro-profile", default=None,
         metavar="OUT",
         help="run under cProfile; write hotspots to OUT.txt and OUT.json "
         "(default OUT: repro-profile).  Figures are unchanged — only "
         "wall time is (profiled loops run ~2x slower).",
+    )
+
+
+def _store_flags(p: argparse.ArgumentParser, unit: str) -> None:
+    """``--store/--resume/--force``, checked by ``_store_flags_error``."""
+    p.add_argument(
+        "--store", type=str, default=None, metavar="DIR",
+        help=f"checkpoint each {unit} into this run store "
+        "(resume/cache on re-run)",
+    )
+    p.add_argument(
+        "--resume", type=str, default=None, metavar="RUN_ID",
+        help=f"resume this run id after its last completed {unit} "
+        "(with --store)",
+    )
+    p.add_argument(
+        "--force", action="store_true",
+        help="re-execute even when the store holds a complete result "
+        "(with --store)",
     )
 
 
@@ -884,52 +893,16 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--scale", type=float, default=0.01)
     campaign.add_argument("--snapshots", type=int, default=12)
     campaign.add_argument("--seed", type=int, default=42)
-    campaign.add_argument(
-        "--fidelity", choices=("full", "hybrid"), default="full",
-        help="node-tier fidelity: hybrid models the unreachable cloud "
-        "with O(1)-memory light nodes (same seed, same figures)",
-    )
-    campaign.add_argument(
-        "--seeds", type=int, default=1, metavar="N",
-        help="run N consecutive seeds (from --seed) and merge",
-    )
-    campaign.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for --seeds > 1 (default: CPU count)",
-    )
-    campaign.add_argument("--export", type=str, default=None, metavar="DIR")
-    campaign.add_argument(
-        "--store", type=str, default=None, metavar="DIR",
-        help="checkpoint into this run store (resume/cache on re-run)",
-    )
-    campaign.add_argument(
-        "--resume", type=str, default=None, metavar="RUN_ID",
-        help="resume this run id from its last checkpoint",
-    )
-    _fault_flags(campaign)
-    _profile_flag(campaign)
+    _fidelity_flag(campaign)
+    _fault_flag(campaign)
+    _sweep_flags(campaign, seeds=1, per="campaign")
+    _store_flags(campaign, "snapshot")
     campaign.set_defaults(func=_cmd_campaign)
 
     sync = sub.add_parser("sync", help="run the Fig. 1 churn contrast")
-    sync.add_argument("--nodes", type=int, default=60)
-    sync.add_argument("--hours", type=float, default=2.0)
-    sync.add_argument("--seed", type=int, default=21)
-    sync.add_argument(
-        "--fidelity", choices=("full", "hybrid"), default="full",
-        help="node-tier fidelity: hybrid models the unreachable cloud "
-        "with O(1)-memory light nodes (use for paper-scale --nodes)",
-    )
-    sync.add_argument(
-        "--seeds", type=int, default=1, metavar="N",
-        help="run N consecutive seeds (from --seed) per churn level",
-    )
-    sync.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for --seeds > 1 (default: CPU count)",
-    )
-    sync.add_argument("--export", type=str, default=None, metavar="DIR")
-    _fault_flags(sync)
-    _profile_flag(sync)
+    _world_flags(sync, nodes=60, hours=2.0, seed=21)
+    _fault_flag(sync)
+    _sweep_flags(sync, seeds=1, per="churn level")
     sync.set_defaults(func=_cmd_sync)
 
     chaos = sub.add_parser(
@@ -944,24 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--intensities", type=str, default="0,0.5,1,1.5,2", metavar="LIST",
         help="comma-separated intensity multipliers (0 = clean baseline)",
     )
-    chaos.add_argument("--nodes", type=int, default=40)
-    chaos.add_argument("--hours", type=float, default=1.0)
-    chaos.add_argument("--seed", type=int, default=21)
-    chaos.add_argument(
-        "--fidelity", choices=("full", "hybrid"), default="full",
-        help="node-tier fidelity for the underlying sync campaigns",
-    )
-    chaos.add_argument(
-        "--seeds", type=int, default=2, metavar="N",
-        help="seeds per intensity level",
-    )
-    chaos.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (default: CPU count)",
-    )
-    chaos.add_argument("--export", type=str, default=None, metavar="DIR")
-    _supervisor_flags(chaos)
-    _profile_flag(chaos)
+    _world_flags(chaos, nodes=40, hours=1.0, seed=21)
+    _sweep_flags(chaos, seeds=2, per="intensity level")
     chaos.set_defaults(func=_cmd_chaos)
 
     attack = sub.add_parser(
@@ -977,26 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated attacker counts (0 = clean baseline; "
         "default ends at the paper's 73-node attack)",
     )
-    attack.add_argument("--nodes", type=int, default=40)
-    attack.add_argument("--hours", type=float, default=1.0)
-    attack.add_argument("--seed", type=int, default=21)
-    attack.add_argument(
-        "--fidelity", choices=("full", "hybrid"), default="full",
-        help="node-tier fidelity for the underlying sync campaigns",
-    )
-    attack.add_argument(
-        "--seeds", type=int, default=2, metavar="N",
-        help="seeds per attacker-count level",
-    )
-    attack.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (default: CPU count)",
-    )
-    attack.add_argument(
-        "--store", type=str, default=None, metavar="DIR",
-        help="checkpoint each count level into this run store "
-        "(resume/cache on re-run)",
-    )
     attack.add_argument(
         "--mitigations", nargs="?", const="improved", default=None,
         metavar="VARIANT",
@@ -1004,9 +941,9 @@ def build_parser() -> argparse.ArgumentParser:
         "variant and report the sync recovered (bare flag: the paper's "
         "§V 'improved' refinements)",
     )
-    attack.add_argument("--export", type=str, default=None, metavar="DIR")
-    _supervisor_flags(attack)
-    _profile_flag(attack)
+    _world_flags(attack, nodes=40, hours=1.0, seed=21)
+    _sweep_flags(attack, seeds=2, per="attacker-count level")
+    _store_flags(attack, "level")
     attack.set_defaults(func=_cmd_attack)
 
     variants = sub.add_parser(
@@ -1036,39 +973,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run every variant under this fault plan "
         "(the fault-free axis is kept for contrast)",
     )
-    variants.add_argument("--nodes", type=int, default=40)
-    variants.add_argument("--hours", type=float, default=1.0)
-    variants.add_argument("--seed", type=int, default=21)
-    variants.add_argument(
-        "--seeds", type=int, default=2, metavar="N",
-        help="seeds per matrix cell",
-    )
-    variants.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (default: CPU count)",
-    )
-    variants.add_argument(
-        "--store", type=str, default=None, metavar="DIR",
-        help="checkpoint each cell into this run store (resume/cache "
-        "on re-run)",
-    )
-    variants.add_argument(
-        "--resume", type=str, default=None, metavar="RUN_ID",
-        help="resume this matrix run id from its last completed cell",
-    )
-    variants.add_argument(
-        "--force", action="store_true",
-        help="re-execute even when the store holds a complete result",
-    )
-    variants.add_argument("--export", type=str, default=None, metavar="DIR")
-    _supervisor_flags(variants)
-    _profile_flag(variants)
+    _world_flags(variants, nodes=40, hours=1.0, seed=21, fidelity=False)
+    _sweep_flags(variants, seeds=2, per="matrix cell")
+    _store_flags(variants, "cell")
     variants.set_defaults(func=_cmd_variants)
 
     relay = sub.add_parser("relay", help="run the Fig. 10/11 relay experiment")
-    relay.add_argument("--nodes", type=int, default=30)
-    relay.add_argument("--hours", type=float, default=2.0)
-    relay.add_argument("--seed", type=int, default=11)
+    _world_flags(relay, nodes=30, hours=2.0, seed=11, fidelity=False)
     relay.add_argument("--export", type=str, default=None, metavar="DIR")
     relay.set_defaults(func=_cmd_relay)
 
@@ -1161,6 +1072,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "resume"):
+        error = _store_flags_error(args)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     profile_out = getattr(args, "profile", None)
     if profile_out:
         from .perf.profiler import profile_to

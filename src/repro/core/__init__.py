@@ -41,9 +41,9 @@ from .malicious_detect import (
 )
 from .attack_experiments import (
     AttackSweepLevel,
+    AttackSweepPlan,
     AttackSweepResult,
     MitigationComparison,
-    StoredAttackSweep,
     compare_mitigations,
     run_attack_sweep,
     run_stored_attack_sweep,
@@ -54,8 +54,8 @@ from .fault_experiments import (
     run_sync_under_faults,
 )
 from .variant_experiments import (
-    StoredVariantMatrix,
     VariantCell,
+    VariantMatrixPlan,
     VariantMatrixResult,
     run_stored_variant_matrix,
     run_variant_matrix,
@@ -69,6 +69,7 @@ from .parallel import (
     run_multi_seed,
     run_multi_seed_supervised,
     run_sync_campaign_sweep,
+    run_sync_groups,
     seed_range,
 )
 from .pipeline import (
@@ -121,6 +122,7 @@ __all__ = [
     "AddrComposition",
     "AddressCrawler",
     "AttackSweepLevel",
+    "AttackSweepPlan",
     "AttackSweepResult",
     "BlockPropagation",
     "CampaignConfig",
@@ -151,7 +153,6 @@ __all__ = [
     "SnapshotResult",
     "SourceStats",
     "StabilityResult",
-    "StoredAttackSweep",
     "SuccessResult",
     "SuccessRun",
     "SupervisedRun",
@@ -164,8 +165,8 @@ __all__ = [
     "SyncSnapshot",
     "SyncSweepResult",
     "TargetShift",
-    "StoredVariantMatrix",
     "VariantCell",
+    "VariantMatrixPlan",
     "VariantMatrixResult",
     "VerProber",
     "analyze",
@@ -200,6 +201,7 @@ __all__ = [
     "run_supervised",
     "run_sync_campaign",
     "run_sync_campaign_sweep",
+    "run_sync_groups",
     "run_sync_under_faults",
     "run_stored_variant_matrix",
     "run_variant_matrix",

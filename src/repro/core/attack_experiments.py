@@ -10,57 +10,37 @@ sweep per count, and report mean sync % per count — count 0 is the clean
 baseline, so every level's degradation is measured against the same
 seeds under the same scenario.
 
-Two persistence layers ride on top:
+The sweep is an :class:`AttackSweepPlan` — one unit per attacker count —
+so :func:`run_attack_sweep` (in memory) and
+:func:`run_stored_attack_sweep` (keyed, checkpointed per level,
+resumable, a cache hit once complete; see :mod:`repro.store.plan`) share
+one validation and one level body.
 
-* :func:`run_stored_attack_sweep` runs the sweep through the run store —
-  the key is a content hash of (plan, campaign config, counts,
-  seeds), a completed key returns the stored result without simulating
-  anything, and a partial run checkpoints after every count level so a
-  killed sweep resumes from the last completed level.  Setting
-  ``REPRO_CRASH_AFTER_LEVEL=k`` hard-exits after level ``k``'s
-  checkpoint is durable (the sweep-level analogue of the campaign
-  store's crash hook).
-
-* :func:`compare_mitigations` reruns the attacked campaign under a
-  hardened policy variant — any name registered with
-  :mod:`repro.bitcoin.policy` (default the §V ``improved`` variant) —
-  and reports what the hardening buys back.
+:func:`compare_mitigations` reruns the attacked campaign under a
+hardened policy variant — any name registered with
+:mod:`repro.bitcoin.policy` (default the §V ``improved`` variant) — and
+reports what the hardening buys back.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; store imports are lazy
-    from ..store.manifest import RunManifest
-    from ..store.runstore import RunStore
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..adversary.plan import AttackPlan
 from ..bitcoin.config import PolicyConfig
-from ..errors import ConfigurationError, StoreError
-from .parallel import (
-    SyncSweepResult,
-    _run_sync_config,
-    run_multi_seed_supervised,
-    seed_range,
-)
+from ..errors import ConfigurationError
+from ..store.manifest import config_to_dict
+from ..store.plan import StoredPlan, StoredRun, run_stored
+from ..store.runstore import RunStore
+from .parallel import SyncSweepResult, run_sync_groups, seed_range
 from .supervisor import SupervisorConfig
 from .sync_experiments import SyncCampaignConfig
 
 #: Default attacker-count axis: clean baseline to the paper's 73 nodes.
 DEFAULT_COUNTS = (0, 18, 36, 73)
-
-#: Test/CI hook: hard-exit after this count level is durably checkpointed.
-CRASH_ENV = "REPRO_CRASH_AFTER_LEVEL"
-CRASH_EXIT_CODE = 42
-
-KIND_ATTACK_SWEEP = "attack-sweep"
-_CKPT_KIND = "attack-sweep-partial"
-_RESULT_KIND = "attack-sweep-result"
 
 
 @dataclass
@@ -145,30 +125,76 @@ def _run_level(
     supervisor: Optional[SupervisorConfig],
 ) -> AttackSweepLevel:
     scaled = _level_plan(plan, count)
-    tasks = [replace(base, seed=seed, attack=scaled) for seed in seeds]
-    run = run_multi_seed_supervised(
-        _run_sync_config,
-        tasks,
-        workers,
-        supervisor,
-        labels=[config.seed for config in tasks],
-    )
-    kept = [
-        (seed, item)
-        for seed, item in zip(seeds, run.results)
-        if item is not None
-    ]
-    sweep = SyncSweepResult(
-        seeds=[seed for seed, _ in kept],
-        per_seed=[item for _, item in kept],
-        failed_seeds=[
-            seed
-            for seed, item in zip(seeds, run.results)
-            if item is None
-        ],
-        retried_seeds=[seeds[position] for position in run.retried_indexes],
+    (sweep,) = run_sync_groups(
+        [replace(base, attack=scaled)], seeds, workers, supervisor
     )
     return AttackSweepLevel(count=count, plan=scaled, sweep=sweep)
+
+
+class AttackSweepPlan(StoredPlan):
+    """``plan`` scaled across ``counts``, one multi-seed level per count."""
+
+    kind = "attack-sweep"
+    unit_kind = "attack-sweep-level"
+    result_kind = "attack-sweep-result"
+    result_type = AttackSweepResult
+    aliasing = False
+
+    def __init__(
+        self,
+        plan: AttackPlan,
+        base: Optional[SyncCampaignConfig] = None,
+        counts: Sequence[int] = DEFAULT_COUNTS,
+        seeds: Optional[Sequence[int]] = None,
+        workers: Optional[int] = None,
+        supervisor: Optional[SupervisorConfig] = None,
+    ) -> None:
+        plan.validate()
+        if not counts:
+            raise ConfigurationError("need at least one attacker count")
+        if any(count < 0 for count in counts):
+            raise ConfigurationError(
+                f"attacker counts must be >= 0, got {list(counts)}"
+            )
+        base = base if base is not None else SyncCampaignConfig()
+        for count in counts:
+            level = _level_plan(plan, count)
+            if level is not None:
+                level.validate_for(base.n_reachable)
+        self.plan = plan
+        self.base = base
+        self.counts = [int(count) for count in counts]
+        self.seeds = (
+            [int(seed) for seed in seeds]
+            if seeds is not None
+            else seed_range(base.seed, 3)
+        )
+        self.workers = workers
+        self.supervisor = supervisor
+        self.seed = base.seed
+        self.units = len(self.counts)
+
+    def config(self) -> Dict[str, Any]:
+        return {
+            "plan": self.plan.to_dict(),
+            "campaign": config_to_dict(self.base),
+            "counts": self.counts,
+            "seeds": self.seeds,
+        }
+
+    def run_unit(self, state: None, index: int) -> AttackSweepLevel:
+        return _run_level(
+            self.plan, self.counts[index], self.base, self.seeds,
+            self.workers, self.supervisor,
+        )
+
+    def record(self, index: int, out: AttackSweepLevel) -> Dict[str, Any]:
+        return {"when": float(out.count)}
+
+    def finish(
+        self, state: None, outs: List[AttackSweepLevel]
+    ) -> AttackSweepResult:
+        return AttackSweepResult(plan=self.plan, levels=outs)
 
 
 def run_attack_sweep(
@@ -180,25 +206,38 @@ def run_attack_sweep(
     supervisor: Optional[SupervisorConfig] = None,
 ) -> AttackSweepResult:
     """Measure sync-% degradation as ``plan`` scales across counts."""
-    plan.validate()
-    if not counts:
-        raise ConfigurationError("need at least one attacker count")
-    if any(count < 0 for count in counts):
-        raise ConfigurationError(
-            f"attacker counts must be >= 0, got {list(counts)}"
-        )
-    base = base if base is not None else SyncCampaignConfig()
-    for count in counts:
-        level = _level_plan(plan, count)
-        if level is not None:
-            level.validate_for(base.n_reachable)
-    seeds = list(seeds) if seeds is not None else seed_range(base.seed, 3)
-    result = AttackSweepResult(plan=plan)
-    for count in counts:
-        result.levels.append(
-            _run_level(plan, count, base, seeds, workers, supervisor)
-        )
-    return result
+    return AttackSweepPlan(plan, base, counts, seeds, workers, supervisor).run()
+
+
+def attack_sweep_key(
+    plan: AttackPlan,
+    base: SyncCampaignConfig,
+    counts: Sequence[int],
+    seeds: Sequence[int],
+) -> str:
+    """The run key for an attack-sweep invocation."""
+    return AttackSweepPlan(plan, base, counts, seeds).key
+
+
+def run_stored_attack_sweep(
+    store: Union[RunStore, str],
+    plan: AttackPlan,
+    base: Optional[SyncCampaignConfig] = None,
+    counts: Sequence[int] = DEFAULT_COUNTS,
+    seeds: Optional[Sequence[int]] = None,
+    workers: Optional[int] = None,
+    supervisor: Optional[SupervisorConfig] = None,
+    resume: Optional[str] = None,
+    force: bool = False,
+) -> StoredRun:
+    """Run (or resume, or fetch) an attack sweep through the run store
+    (see :func:`~repro.store.plan.run_stored`)."""
+    return run_stored(
+        store,
+        AttackSweepPlan(plan, base, counts, seeds, workers, supervisor),
+        resume,
+        force,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -276,227 +315,4 @@ def compare_mitigations(
     ).sweep
     return MitigationComparison(
         clean=clean, attacked=attacked, mitigated=mitigated, policies=policies
-    )
-
-
-# ---------------------------------------------------------------------------
-# Stored sweeps: caching, level-wise checkpoints, crash-resume
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StoredAttackSweep:
-    """What a stored sweep handed back: result plus provenance."""
-
-    manifest: "RunManifest"
-    result: AttackSweepResult
-    #: True when the result came straight from the store (no simulation).
-    cached: bool = False
-    #: Count levels already complete when execution (re)started.
-    resumed_from: Optional[int] = None
-
-
-def attack_sweep_key(
-    plan: AttackPlan,
-    base: SyncCampaignConfig,
-    counts: Sequence[int],
-    seeds: Sequence[int],
-) -> str:
-    """The run key for an attack-sweep invocation."""
-    from ..store.manifest import config_to_dict, run_key
-
-    return run_key(
-        KIND_ATTACK_SWEEP,
-        {
-            "plan": plan.to_dict(),
-            "campaign": config_to_dict(base),
-            "counts": [int(count) for count in counts],
-            "seeds": [int(seed) for seed in seeds],
-        },
-        seed=base.seed,
-        snapshots_total=len(counts),
-    )
-
-
-def attack_sweep_run_id(key: str) -> str:
-    """Human-scannable run id derived from the key."""
-    return f"{KIND_ATTACK_SWEEP}-{key[:12]}"
-
-
-def run_stored_attack_sweep(
-    store: Union["RunStore", str],
-    plan: AttackPlan,
-    base: Optional[SyncCampaignConfig] = None,
-    counts: Sequence[int] = DEFAULT_COUNTS,
-    seeds: Optional[Sequence[int]] = None,
-    workers: Optional[int] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-    resume: Optional[str] = None,
-    force: bool = False,
-) -> StoredAttackSweep:
-    """Run (or resume, or fetch) an attack sweep through the run store.
-
-    The sweep checkpoints its partial result after every count level;
-    re-invoking with the same arguments against the same store resumes
-    from the last completed level, and a complete key returns the cached
-    result without simulating.  ``resume`` names an existing run id and
-    fails loudly on config drift; ``force=True`` re-executes a complete
-    run.
-    """
-    from ..store.checkpoint import dump_checkpoint, load_checkpoint
-    from ..store.manifest import (
-        STATUS_COMPLETE,
-        STATUS_RUNNING,
-        CheckpointRecord,
-        RunManifest,
-        SnapshotRecord,
-        code_version,
-        config_to_dict,
-    )
-    from ..store.runstore import RunStore
-    from ..store.wallclock import now as wall_now
-
-    if isinstance(store, (str, os.PathLike)):
-        store = RunStore(store)
-    plan.validate()
-    base = base if base is not None else SyncCampaignConfig()
-    if not counts:
-        raise ConfigurationError("need at least one attacker count")
-    for count in counts:
-        level = _level_plan(plan, count)
-        if level is not None:
-            level.validate_for(base.n_reachable)
-    seeds = list(seeds) if seeds is not None else seed_range(base.seed, 3)
-    key = attack_sweep_key(plan, base, counts, seeds)
-    run_id = attack_sweep_run_id(key)
-
-    manifest: Optional[RunManifest] = None
-    if resume is not None:
-        manifest = store.load_manifest(resume)
-        if manifest.kind != KIND_ATTACK_SWEEP:
-            raise StoreError(f"run {resume!r} is a {manifest.kind!r} run")
-        if manifest.key != key:
-            store.refuse_retired_format(manifest)
-            raise StoreError(
-                f"cannot resume {resume!r}: the supplied config hashes to a "
-                f"different run key (config drift between start and resume)"
-            )
-    elif store.has_run(run_id):
-        manifest = store.load_manifest(run_id)
-
-    result: Optional[AttackSweepResult] = None
-    resumed_from: Optional[int] = None
-    if manifest is not None:
-        if manifest.status == STATUS_COMPLETE and not force:
-            if manifest.result_digest is None:
-                raise StoreError(
-                    f"run {run_id!r} is complete but has no stored result"
-                )
-            cached = load_checkpoint(
-                store.get_blob(manifest.result_digest),
-                expect_kind=_RESULT_KIND,
-            )
-            if not isinstance(cached, AttackSweepResult):
-                raise StoreError(
-                    f"run {run_id!r} result blob has wrong type"
-                )
-            return StoredAttackSweep(
-                manifest=manifest, result=cached, cached=True
-            )
-        if manifest.checkpoint is not None and not force:
-            partial = load_checkpoint(
-                store.get_blob(manifest.checkpoint.digest),
-                expect_kind=_CKPT_KIND,
-            )
-            if not isinstance(partial, AttackSweepResult):
-                raise StoreError(
-                    f"run {run_id!r} checkpoint blob has wrong type"
-                )
-            completed = len(partial.levels)
-            if completed != manifest.checkpoint.snapshot_index + 1:
-                raise StoreError(
-                    f"run {run_id!r} checkpoint is inconsistent: contains "
-                    f"{completed} levels, manifest says "
-                    f"{manifest.checkpoint.snapshot_index + 1}"
-                )
-            result = partial
-            resumed_from = completed
-            manifest.snapshots = manifest.snapshots[:completed]
-            manifest.status = STATUS_RUNNING
-            manifest.result_digest = None
-
-    if result is None:
-        result = AttackSweepResult(plan=plan)
-        manifest = RunManifest(
-            run_id=run_id,
-            key=key,
-            kind=KIND_ATTACK_SWEEP,
-            seed=base.seed,
-            snapshots_total=len(counts),
-            config={
-                "plan": plan.to_dict(),
-                "campaign": config_to_dict(base),
-                "counts": [int(count) for count in counts],
-                "seeds": [int(seed) for seed in seeds],
-            },
-            status=STATUS_RUNNING,
-            code_version=code_version(),
-        )
-        store.save_manifest(manifest)
-
-    crash_after = os.environ.get(CRASH_ENV)
-    crash_index: Optional[int] = None
-    if crash_after is not None:
-        try:
-            crash_index = int(crash_after)
-        except ValueError:
-            raise ConfigurationError(
-                f"{CRASH_ENV} must be an integer level index, "
-                f"got {crash_after!r}"
-            ) from None
-
-    start = len(result.levels)
-    for index in range(start, len(counts)):
-        level = _run_level(
-            plan, counts[index], base, seeds, workers, supervisor
-        )
-        result.levels.append(level)
-        # aliasing=False: a sweep resumed mid-axis appends fresh levels
-        # onto an unpickled partial result, so its object graph shares
-        # substructure differently than a single-process run; the
-        # memo-free pickle keeps equal results digest-equal.
-        ckpt_digest = store.put_blob(
-            dump_checkpoint(
-                result,
-                kind=_CKPT_KIND,
-                meta={"snapshot_index": index, "run_id": run_id},
-                aliasing=False,
-            )
-        )
-        manifest.snapshots.append(
-            SnapshotRecord(
-                index=index, when=float(counts[index]), digest=ckpt_digest
-            )
-        )
-        manifest.checkpoint = CheckpointRecord(
-            digest=ckpt_digest, snapshot_index=index
-        )
-        manifest.updated_at = wall_now()
-        store.save_manifest(manifest)
-        if crash_index is not None and index >= crash_index:
-            os._exit(CRASH_EXIT_CODE)
-
-    # No run-specific metadata in the result blob: equal results must
-    # hash equally across runs, so cache hits can be audited by digest.
-    manifest.result_digest = store.put_blob(
-        dump_checkpoint(result, kind=_RESULT_KIND, aliasing=False)
-    )
-    manifest.status = STATUS_COMPLETE
-    manifest.updated_at = wall_now()
-    store.save_manifest(manifest)
-    return StoredAttackSweep(
-        manifest=manifest,
-        result=result,
-        cached=False,
-        resumed_from=resumed_from,
     )

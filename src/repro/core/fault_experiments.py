@@ -26,12 +26,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
-from .parallel import (
-    SyncSweepResult,
-    _run_sync_config,
-    run_multi_seed_supervised,
-    seed_range,
-)
+from .parallel import SyncSweepResult, run_sync_groups, seed_range
 from .supervisor import SupervisorConfig
 from .sync_experiments import SyncCampaignConfig
 
@@ -119,40 +114,17 @@ def run_sync_under_faults(
         raise ConfigurationError("need at least one fault intensity")
     base = base if base is not None else SyncCampaignConfig()
     seeds = list(seeds) if seeds is not None else seed_range(base.seed, 3)
-    levels = [(intensity, plan.scaled(intensity)) for intensity in intensities]
-    tasks: List[SyncCampaignConfig] = []
-    for _, scaled in levels:
-        for seed in seeds:
-            tasks.append(replace(base, seed=seed, faults=scaled))
-    run = run_multi_seed_supervised(
-        _run_sync_config,
-        tasks,
+    scaled = [plan.scaled(intensity) for intensity in intensities]
+    sweeps = run_sync_groups(
+        [replace(base, faults=level) for level in scaled],
+        seeds,
         workers,
         supervisor,
-        labels=[config.seed for config in tasks],
     )
-    result = FaultSweepResult(plan=plan)
-    for index, (intensity, scaled) in enumerate(levels):
-        low, high = index * len(seeds), (index + 1) * len(seeds)
-        chunk = run.results[low:high]
-        kept = [
-            (seed, item)
-            for seed, item in zip(seeds, chunk)
-            if item is not None
-        ]
-        sweep = SyncSweepResult(
-            seeds=[seed for seed, _ in kept],
-            per_seed=[item for _, item in kept],
-            failed_seeds=[
-                seed for seed, item in zip(seeds, chunk) if item is None
-            ],
-            retried_seeds=[
-                seeds[position - low]
-                for position in run.retried_indexes
-                if low <= position < high
-            ],
-        )
-        result.levels.append(
-            FaultSweepLevel(intensity=intensity, plan=scaled, sweep=sweep)
-        )
-    return result
+    return FaultSweepResult(
+        plan=plan,
+        levels=[
+            FaultSweepLevel(intensity=intensity, plan=level, sweep=sweep)
+            for intensity, level, sweep in zip(intensities, scaled, sweeps)
+        ],
+    )

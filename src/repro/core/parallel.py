@@ -135,8 +135,8 @@ def run_multi_seed(
 # ---------------------------------------------------------------------------
 # Fig. 1 synchronization campaigns
 # ---------------------------------------------------------------------------
-def _sync_worker(base: SyncCampaignConfig, seed: int) -> SyncCampaignResult:
-    return run_sync_campaign(replace(base, seed=seed))
+def _run_sync_config(config: SyncCampaignConfig) -> SyncCampaignResult:
+    return run_sync_campaign(config)
 
 
 @dataclass
@@ -196,33 +196,59 @@ class SyncSweepResult:
         return kde(self.sync_samples, **kwargs)
 
 
+def run_sync_groups(
+    bases: Sequence[SyncCampaignConfig],
+    seeds: Sequence[int],
+    workers: Optional[int] = None,
+    supervisor: Optional[SupervisorConfig] = None,
+) -> List[SyncSweepResult]:
+    """Run every base config under every seed; one sweep per base.
+
+    All ``len(bases) x len(seeds)`` campaigns share one supervised
+    fan-out; results are regrouped per base, each group in seed order.
+    Partial mode: a seed that fails permanently is dropped from its
+    group's merge and reported on that group's ``failed_seeds`` instead
+    of aborting, one that needed a retry on ``retried_seeds``.
+    """
+    if not seeds:
+        raise ConfigurationError("need at least one seed")
+    tasks = [replace(base, seed=seed) for base in bases for seed in seeds]
+    run = run_multi_seed_supervised(
+        _run_sync_config,
+        tasks,
+        workers,
+        supervisor,
+        labels=[config.seed for config in tasks],
+    )
+    sweeps: List[SyncSweepResult] = []
+    for low in range(0, len(tasks), len(seeds)):
+        high = low + len(seeds)
+        chunk = list(zip(seeds, run.results[low:high]))
+        sweeps.append(
+            SyncSweepResult(
+                seeds=[seed for seed, item in chunk if item is not None],
+                per_seed=[item for _, item in chunk if item is not None],
+                failed_seeds=[seed for seed, item in chunk if item is None],
+                retried_seeds=[
+                    seeds[position - low]
+                    for position in run.retried_indexes
+                    if low <= position < high
+                ],
+            )
+        )
+    return sweeps
+
+
 def run_sync_campaign_sweep(
     base: Optional[SyncCampaignConfig] = None,
     seeds: Optional[Sequence[int]] = None,
     workers: Optional[int] = None,
     supervisor: Optional[SupervisorConfig] = None,
 ) -> SyncSweepResult:
-    """Run the Fig. 1 campaign once per seed and merge deterministically.
-
-    Partial mode: seeds that fail permanently are dropped from the merge
-    and reported on ``failed_seeds`` instead of aborting the sweep.
-    """
+    """Run the Fig. 1 campaign once per seed and merge deterministically."""
     base = base if base is not None else SyncCampaignConfig()
     seeds = list(seeds) if seeds is not None else seed_range(base.seed, 4)
-    run = run_multi_seed_supervised(
-        partial(_sync_worker, base), seeds, workers, supervisor
-    )
-    kept = [
-        (seed, result)
-        for seed, result in zip(seeds, run.results)
-        if result is not None
-    ]
-    return SyncSweepResult(
-        seeds=[seed for seed, _ in kept],
-        per_seed=[result for _, result in kept],
-        failed_seeds=list(run.failed_labels),
-        retried_seeds=list(run.retried_labels),
-    )
+    return run_sync_groups([base], seeds, workers, supervisor)[0]
 
 
 def run_2019_vs_2020_sweep(
@@ -233,54 +259,19 @@ def run_2019_vs_2020_sweep(
     churn_2019: float = 5.0,
     churn_2020: float = 14.0,
 ) -> Dict[str, SyncSweepResult]:
-    """The Fig. 1 contrast with N seeds per churn level.
-
-    All ``2 x len(seeds)`` runs share one supervised fan-out; results are
-    regrouped by label, each group ordered by seed, with per-label
-    ``failed_seeds`` / ``retried_seeds``.
-    """
+    """The Fig. 1 contrast with N seeds per churn level, keyed by label."""
     base = base if base is not None else SyncCampaignConfig()
     seeds = list(seeds) if seeds is not None else seed_range(base.seed, 4)
-    labels = (("2019", churn_2019), ("2020", churn_2020))
-    tasks: List[SyncCampaignConfig] = []
-    for _, churn in labels:
-        for seed in seeds:
-            tasks.append(replace(base, churn_per_10min=churn, seed=seed))
-    run = run_multi_seed_supervised(
-        _run_sync_config,
-        tasks,
+    sweeps = run_sync_groups(
+        [
+            replace(base, churn_per_10min=churn)
+            for churn in (churn_2019, churn_2020)
+        ],
+        seeds,
         workers,
         supervisor,
-        labels=[config.seed for config in tasks],
     )
-    out: Dict[str, SyncSweepResult] = {}
-    for index, (label, _) in enumerate(labels):
-        low, high = index * len(seeds), (index + 1) * len(seeds)
-        chunk = run.results[low:high]
-        kept = [
-            (seed, result)
-            for seed, result in zip(seeds, chunk)
-            if result is not None
-        ]
-        out[label] = SyncSweepResult(
-            seeds=[seed for seed, _ in kept],
-            per_seed=[result for _, result in kept],
-            failed_seeds=[
-                seed
-                for seed, result in zip(seeds, chunk)
-                if result is None
-            ],
-            retried_seeds=[
-                seeds[position - low]
-                for position in run.retried_indexes
-                if low <= position < high
-            ],
-        )
-    return out
-
-
-def _run_sync_config(config: SyncCampaignConfig) -> SyncCampaignResult:
-    return run_sync_campaign(config)
+    return dict(zip(("2019", "2020"), sweeps))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +288,8 @@ def _campaign_worker(
     if store_root is not None:
         # Route through the run store: each seed's campaign becomes a
         # durable, individually resumable run, and re-sweeping the same
-        # configs is a per-seed cache hit.  Imported lazily so plain
-        # sweeps never load the store package in workers.
+        # configs is a per-seed cache hit.  Imported here because
+        # ``store.campaign`` imports this package's pipeline module.
         from ..store.campaign import run_stored_campaign
 
         stored = run_stored_campaign(

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Type, TypeVar
 from ..core.pipeline import CampaignConfig
 from ..errors import ConfigurationError
 from ..netmodel.scenario import LongitudinalConfig
-from ..store.campaign import campaign_key, campaign_run_id
+from ..store.campaign import CampaignPlan
 
 T = TypeVar("T")
 
@@ -119,15 +119,10 @@ class SubmissionSpec:
     def __post_init__(self) -> None:
         if not self.plans:
             self.plans = [
-                SeedPlan(seed=seed, key=key, run_id=campaign_run_id(key))
-                for seed, key in (
-                    (
-                        seed,
-                        campaign_key(
-                            replace(self.scenario, seed=seed),
-                            self.campaign,
-                            self.snapshots,
-                        ),
+                SeedPlan(seed=plan.seed, key=plan.key, run_id=plan.run_id)
+                for plan in (
+                    CampaignPlan(
+                        self.seed_config(seed), self.campaign, self.snapshots
                     )
                     for seed in self.seeds
                 )

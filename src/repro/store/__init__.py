@@ -5,8 +5,9 @@ addressed blobs with atomic writes (:mod:`~repro.store.blobs`), JSON run
 manifests keyed by a content hash of (scenario, seed, config)
 (:mod:`~repro.store.manifest`), versioned integrity-checked checkpoint
 framing (:mod:`~repro.store.checkpoint`), the store facade with gc and
-manifest diffing (:mod:`~repro.store.runstore`), and the resumable
-campaign driver (:mod:`~repro.store.campaign`).
+manifest diffing (:mod:`~repro.store.runstore`), the resumable
+work-unit runner (:mod:`~repro.store.plan`), and the crawl campaign as
+a plan over it (:mod:`~repro.store.campaign`).
 
 ``repro.simnet.Simulator.snapshot()`` / ``restore()`` build on the same
 checkpoint framing, so a whole simulator — event queue, clock, RNG
@@ -16,10 +17,8 @@ bit-identically.
 
 from .blobs import BlobStore, sha256_hex
 from .campaign import (
-    CRASH_ENV,
-    StoredCampaign,
+    CampaignPlan,
     campaign_key,
-    campaign_run_id,
     load_campaign_result,
     run_stored_campaign,
 )
@@ -40,12 +39,21 @@ from .manifest import (
     code_version,
     run_key,
 )
+from .plan import (
+    CRASH_ENV,
+    CRASH_EXIT_CODE,
+    StoredPlan,
+    StoredRun,
+    run_stored,
+)
 from .runstore import RunStore, default_store_root
 
 __all__ = [
     "BlobStore",
     "CHECKPOINT_FORMAT",
     "CRASH_ENV",
+    "CRASH_EXIT_CODE",
+    "CampaignPlan",
     "CheckpointRecord",
     "MANIFEST_FORMAT",
     "RunManifest",
@@ -54,9 +62,9 @@ __all__ = [
     "STATUS_INTERRUPTED",
     "STATUS_RUNNING",
     "SnapshotRecord",
-    "StoredCampaign",
+    "StoredPlan",
+    "StoredRun",
     "campaign_key",
-    "campaign_run_id",
     "code_version",
     "default_store_root",
     "dump_checkpoint",
@@ -64,6 +72,7 @@ __all__ = [
     "load_checkpoint",
     "read_header",
     "run_key",
+    "run_stored",
     "run_stored_campaign",
     "sha256_hex",
 ]

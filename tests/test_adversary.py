@@ -7,9 +7,9 @@ Four layers under test:
 * **Behavior layer** — deterministic replay (same seed, bit-identical
   attacker counters and sync figures), snapshot/restore mid-attack,
   eclipse slot monopoly and restart starvation, the staller trap.
-* **Experiment layer** — degradation sweeps, the run-store cache
-  (same key → stored result, no simulation), kill-and-resume
-  digest-equivalence through the level-wise checkpoints.
+* **Experiment layer** — degradation sweeps and the run-store cache
+  (same key → stored result, no simulation); kill-and-resume
+  digest-equivalence is pinned in ``tests/test_stored_plan.py``.
 * **Detection layer** — the acceptance pins: all 73 paper-parameter
   flooders flagged with zero false positives on an honest run, plus the
   documented blind spot (ADDR heuristics do not see sync-stallers).
@@ -17,9 +17,6 @@ Four layers under test:
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -43,11 +40,7 @@ from repro.core import (
     score_detection,
     time_to_detection,
 )
-from repro.core.attack_experiments import (
-    CRASH_ENV,
-    CRASH_EXIT_CODE,
-    attack_sweep_key,
-)
+from repro.core.attack_experiments import attack_sweep_key
 from repro.core.getaddr import CrawlResult, PeerHarvest
 from repro.core.malicious_detect import DetectionReport, MaliciousFinding
 from repro.core.pipeline import CRAWLER_ADDR
@@ -58,7 +51,6 @@ from repro.netmodel import (
     ProtocolScenario,
 )
 from repro.simnet import NetAddr, Simulator
-from repro.store.runstore import RunStore
 
 
 def flood_plan(count: int = 2, volume: int = 1500) -> AttackPlan:
@@ -571,61 +563,3 @@ class TestAttackSweep:
         assert key != attack_sweep_key(flood_plan(), base, (0, 3), [7])
         assert key != attack_sweep_key(flood_plan(), base, (0, 2), [8])
         assert key == attack_sweep_key(flood_plan(), base, (0, 2), [7])
-
-
-_CHILD_SCRIPT = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.core import run_stored_attack_sweep
-from tests.test_adversary import flood_plan, tiny_campaign
-
-run_stored_attack_sweep(
-    {store!r}, flood_plan(count=3, volume=2000), tiny_campaign(),
-    counts=(0, 3), seeds=[7], workers=1,
-)
-"""
-
-
-def _run_sweep_child(store: Path, crash_after=None) -> int:
-    env = dict(os.environ)
-    env.pop(CRASH_ENV, None)
-    if crash_after is not None:
-        env[CRASH_ENV] = str(crash_after)
-    root = Path(__file__).resolve().parent.parent
-    script = _CHILD_SCRIPT.format(src=str(root / "src"), store=str(store))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src"), str(root)]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True,
-        text=True, timeout=600, cwd=str(root),
-    )
-    if crash_after is None and proc.returncode != 0:
-        raise AssertionError(f"child failed: {proc.stderr}")
-    return proc.returncode
-
-
-@pytest.mark.slow
-class TestSweepKillAndResume:
-    """Kill -9 after level 0's checkpoint; resume must be digest-equal."""
-
-    def test_resumed_sweep_is_digest_identical(self, tmp_path):
-        interrupted = tmp_path / "interrupted"
-        uninterrupted = tmp_path / "uninterrupted"
-
-        assert _run_sweep_child(interrupted, crash_after=0) == CRASH_EXIT_CODE
-        store = RunStore(interrupted)
-        manifest = store.manifests()[0]
-        assert manifest.status == "running"
-        assert manifest.checkpoint is not None
-        assert manifest.checkpoint.snapshot_index == 0
-
-        # Same invocation resumes from the level checkpoint...
-        assert _run_sweep_child(interrupted) == 0
-        resumed = store.load_manifest(manifest.run_id)
-        assert resumed.status == "complete"
-
-        # ...and an uninterrupted twin lands on the same result digest.
-        assert _run_sweep_child(uninterrupted) == 0
-        fresh = RunStore(uninterrupted).load_manifest(manifest.run_id)
-        assert resumed.result_digest == fresh.result_digest

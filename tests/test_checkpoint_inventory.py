@@ -61,9 +61,9 @@ KINDS = {
     "campaign-runner",
     "snapshot-result",
     "campaign-result",
-    "attack-sweep-partial",
+    "attack-sweep-level",
     "attack-sweep-result",
-    "variant-matrix-partial",
+    "variant-matrix-cell",
     "variant-matrix-result",
 }
 
@@ -248,33 +248,30 @@ def test_campaign_kinds(campaign):
 @pytest.mark.parametrize("aliasing", [True, False])
 def test_attack_and_variant_kinds(sync_result, aliasing):
     sweep = SyncSweepResult(seeds=[7, 8], per_seed=[sync_result, sync_result])
+    level = AttackSweepLevel(count=4, plan=_ATTACK.with_total(4), sweep=sweep)
     attack = AttackSweepResult(
         plan=_ATTACK,
-        levels=[
-            AttackSweepLevel(count=0, plan=None, sweep=sweep),
-            AttackSweepLevel(count=4, plan=_ATTACK.with_total(4), sweep=sweep),
-        ],
+        levels=[AttackSweepLevel(count=0, plan=None, sweep=sweep), level],
     )
     policies = PolicyConfig(variant="improved")
+    cell = VariantCell(
+        policies=policies,
+        churn_per_10min=2.0,
+        fidelity="hybrid",
+        fault_label="none",
+        sweep=sweep,
+    )
     matrix = VariantMatrixResult(
         variants=[policies],
         churn_levels=[2.0],
         fault_labels=["none"],
         fidelities=["hybrid"],
-        cells=[
-            VariantCell(
-                policies=policies,
-                churn_per_10min=2.0,
-                fidelity="hybrid",
-                fault_label="none",
-                sweep=sweep,
-            )
-        ],
+        cells=[cell],
     )
     for kind, obj in (
-        ("attack-sweep-partial", attack),
+        ("attack-sweep-level", level),
         ("attack-sweep-result", attack),
-        ("variant-matrix-partial", matrix),
+        ("variant-matrix-cell", cell),
         ("variant-matrix-result", matrix),
     ):
         assert_canonical(obj, kind=kind, aliasing=aliasing)
@@ -286,7 +283,11 @@ def test_every_dump_site_writes_an_inventoried_kind():
     text = "\n".join(
         path.read_text() for path in sorted(SRC.rglob("*.py"))
     )
-    tags = set(re.findall(r'_KIND = "([a-z-]+)"', text)) | {"simulator"}
+    # Kind tags are the ``unit_kind`` / ``state_kind`` / ``result_kind``
+    # class attributes of the ``StoredPlan`` subclasses.
+    tags = set(
+        re.findall(r'\b(?:unit|state|result)_kind = "([a-z-]+)"', text)
+    ) | {"simulator"}
     assert tags == KINDS
 
 

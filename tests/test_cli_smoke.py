@@ -87,8 +87,16 @@ class TestCampaignSmoke:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "[cached]" in out
-        assert run_id in out
+        assert f"cache hit: run {run_id} is complete" in out
+
+    def test_campaign_force_reexecutes(self, tiny_store, capsys):
+        root, run_id = tiny_store
+        code = main(
+            ["campaign", "--scale", "0.002", "--snapshots", "2",
+             "--seed", "7", "--store", str(root), "--force"]
+        )
+        assert code == 0
+        assert f"stored as run {run_id}" in capsys.readouterr().out
 
     def test_campaign_resume_wrong_config_fails_loudly(self, tiny_store):
         from repro.errors import StoreError
@@ -99,6 +107,45 @@ class TestCampaignSmoke:
                 ["campaign", "--scale", "0.002", "--snapshots", "2",
                  "--seed", "8", "--store", str(root), "--resume", run_id]
             )
+
+
+class TestStoreFlags:
+    """``--store/--resume/--force`` are one option group with one rule,
+    whichever command carries them."""
+
+    COMMANDS = {
+        "campaign": ["campaign"],
+        "attack": ["attack", "--plan", "plan.json"],
+        "variants": ["variants", "--variants", "baseline"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flags_parse_everywhere(self, command):
+        args = build_parser().parse_args(
+            self.COMMANDS[command]
+            + ["--store", "st", "--resume", "some-run", "--force"]
+        )
+        assert (args.store, args.resume, args.force) == (
+            "st", "some-run", True
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("flag", [["--resume", "some-run"], ["--force"]])
+    def test_resume_and_force_require_store(self, command, flag, capsys):
+        assert main(self.COMMANDS[command] + flag) == 2
+        assert "require --store" in capsys.readouterr().err
+
+    def test_campaign_sweep_cannot_resume_one_run(self, tiny_store, capsys):
+        """``--seeds N`` stores one run per seed; naming one to resume
+        used to be silently ignored."""
+        root, run_id = tiny_store
+        code = main(
+            ["campaign", "--scale", "0.002", "--snapshots", "2",
+             "--seed", "7", "--seeds", "2", "--store", str(root),
+             "--resume", run_id]
+        )
+        assert code == 2
+        assert "one run" in capsys.readouterr().err
 
 
 class TestStoreSmoke:
@@ -210,3 +257,28 @@ class TestVariantsSmoke:
         assert "stored as run variant-matrix-" in out
         assert main(argv) == 0
         assert "cache hit" in capsys.readouterr().out
+
+
+@pytest.mark.slow
+class TestAttackSmoke:
+    def test_attack_stores_resumes_by_name_and_forces(self, tmp_path, capsys):
+        """``attack --store`` names its run, so ``--resume`` can address
+        it and ``--force`` can redo it — as on ``variants``."""
+        from pathlib import Path
+
+        plan = Path(__file__).resolve().parent.parent / "examples"
+        argv = [
+            "attack", "--plan", str(plan / "attackplan_flood.json"),
+            "--counts", "0,2", "--nodes", "10", "--hours", "0.2",
+            "--fidelity", "hybrid", "--seeds", "1", "--workers", "1",
+            "--store", str(tmp_path / "store"),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "attackers" in out
+        run_id = out.split("stored as run ")[1].split()[0]
+        assert run_id.startswith("attack-sweep-")
+        assert main(argv + ["--resume", run_id]) == 0
+        assert f"cache hit: run {run_id}" in capsys.readouterr().out
+        assert main(argv + ["--force"]) == 0
+        assert f"stored as run {run_id}" in capsys.readouterr().out

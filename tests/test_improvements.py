@@ -32,8 +32,12 @@ class TestPolicyConfig:
         assert policy.label() == "tried-only+17d+block-prio"
 
     def test_partial_labels(self):
-        assert PolicyConfig(addr_from_tried_only=True).label() == "tried-only"
-        assert PolicyConfig(tried_horizon_days=17.0).label() == "17d"
+        assert PolicyConfig(
+            params={"addr_from_tried_only": True}
+        ).label() == "tried-only"
+        assert PolicyConfig(
+            params={"tried_horizon_days": 17.0}
+        ).label() == "17d"
 
 
 class TestTriedOnlyAddrPolicy:
@@ -67,7 +71,7 @@ class TestTriedOnlyAddrPolicy:
 
     def test_tried_only_gossips_clean(self, sim):
         server, client = self._world(
-            sim, PolicyConfig(addr_from_tried_only=True)
+            sim, PolicyConfig(params={"addr_from_tried_only": True})
         )
         polluted = sum(
             1
@@ -87,7 +91,11 @@ class TestTriedOnlyAddrPolicy:
 class TestHorizonPolicy:
     def test_17d_horizon_evicts_departed_sooner(self, sim):
         short = make_node(
-            sim, 1, NodeConfig(policies=PolicyConfig(tried_horizon_days=17.0))
+            sim,
+            1,
+            NodeConfig(
+                policies=PolicyConfig(params={"tried_horizon_days": 17.0})
+            ),
         )
         long = make_node(sim, 2)  # 30-day baseline
         stale = make_addr(50)

@@ -274,7 +274,7 @@ class TestIBD:
 class TestPolicies:
     def test_priority_relay_puts_blocks_first(self, sim):
         config = NodeConfig(
-            policies=PolicyConfig(prioritize_block_relay=True)
+            policies=PolicyConfig(params={"prioritize_block_relay": True})
         )
         node = make_node(sim, 1, config)
         node.start()
@@ -311,7 +311,9 @@ class TestPolicies:
         assert peer.send_queue[0].command == "getaddr"
 
     def test_tried_only_addr_response(self, sim):
-        config = NodeConfig(policies=PolicyConfig(addr_from_tried_only=True))
+        config = NodeConfig(
+            policies=PolicyConfig(params={"addr_from_tried_only": True})
+        )
         a, b = two_connected_nodes(sim, config_b=config)
         # a sent GETADDR on connect; b's new-table pollution must not leak.
         pollution = [make_addr(i + 100) for i in range(50)]

@@ -1,12 +1,11 @@
 """The pluggable policy registry: canonicalization and equivalence.
 
-The refactor's contract is twofold.  First, ``PolicyConfig`` is now a
-``(variant, params)`` reference into ``repro.bitcoin.policy`` and every
-legacy boolean spelling must canonicalize onto the equivalent variant —
-same dataclass fields, same label, same run-store identity.  Second, the
-extraction must be draw-for-draw invisible: a scenario run under the
-``baseline``/``improved`` variants must be *bit-identical* (snapshot
-digests, not just figures) to one configured through the old booleans.
+``PolicyConfig`` is a ``(variant, params)`` reference into
+``repro.bitcoin.policy``, and every spelling of one behavior must
+canonicalize onto one form — §V knobs that add up to ``improved`` *are*
+``improved``: same dataclass fields, same label, same run-store
+identity.  The retired boolean keywords are rejected by name.  Distinct
+variants must stay distinct down to the snapshot digest.
 """
 
 from __future__ import annotations
@@ -27,18 +26,21 @@ from repro.bitcoin.policy import (
     register,
     variant_names,
 )
-from repro.core import (
-    CampaignConfig,
-    CampaignRunner,
-    SyncCampaignConfig,
-    run_sync_campaign,
-)
+from repro.core import CampaignConfig, CampaignRunner
 from repro.netmodel import (
     LongitudinalConfig,
     LongitudinalScenario,
     ProtocolConfig,
     ProtocolScenario,
 )
+
+
+#: The three §V knobs at their ``improved`` values, spelled one by one.
+_IMPROVED_KNOBS = {
+    "addr_from_tried_only": True,
+    "tried_horizon_days": 17,
+    "prioritize_block_relay": True,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -56,38 +58,31 @@ class TestCanonicalization:
         assert config.prioritize_block_relay is False
 
     def test_legacy_improved_booleans_map_onto_improved(self):
-        legacy = PolicyConfig(
-            addr_from_tried_only=True,
-            tried_horizon_days=17,
-            prioritize_block_relay=True,
-        )
-        assert legacy.variant == "improved"
-        assert legacy.params == {}
-        assert dataclasses.asdict(legacy) == dataclasses.asdict(
+        spelled_out = PolicyConfig(params=_IMPROVED_KNOBS)
+        assert spelled_out.variant == "improved"
+        assert spelled_out.params == {}
+        assert spelled_out == PolicyConfig.improved()
+        assert dataclasses.asdict(spelled_out) == dataclasses.asdict(
             PolicyConfig.improved()
         )
 
     def test_partial_legacy_stays_baseline_with_diffs(self):
-        config = PolicyConfig(addr_from_tried_only=True)
+        config = PolicyConfig(params={"addr_from_tried_only": True})
         assert config.variant == "baseline"
         assert config.params == {"addr_from_tried_only": True}
         assert config.label() == "tried-only"
 
     def test_labels_preserved(self):
         assert PolicyConfig().label() == "baseline"
-        assert PolicyConfig(tried_horizon_days=17).label() == "17d"
+        assert PolicyConfig(params={"tried_horizon_days": 17}).label() == "17d"
         assert (
-            PolicyConfig(
-                addr_from_tried_only=True,
-                tried_horizon_days=17,
-                prioritize_block_relay=True,
-            ).label()
+            PolicyConfig(params=_IMPROVED_KNOBS).label()
             == "tried-only+17d+block-prio"
         )
 
     def test_numeric_params_coerced_for_key_stability(self):
-        int_spelling = PolicyConfig(tried_horizon_days=17)
-        float_spelling = PolicyConfig(tried_horizon_days=17.0)
+        int_spelling = PolicyConfig(params={"tried_horizon_days": 17})
+        float_spelling = PolicyConfig(params={"tried_horizon_days": 17.0})
         assert dataclasses.asdict(int_spelling) == dataclasses.asdict(
             float_spelling
         )
@@ -103,7 +98,8 @@ class TestCanonicalization:
         )
 
     def test_variant_and_conflicting_legacy_rejected(self):
-        with pytest.raises(ValueError):
+        """The retired boolean keywords are gone, not silently merged."""
+        with pytest.raises(TypeError, match="addr_from_tried_only"):
             PolicyConfig(
                 variant="improved",
                 params={"addr_from_tried_only": True},
@@ -129,14 +125,10 @@ class TestCanonicalization:
         clone = PolicyConfig.from_dict(dataclasses.asdict(config))
         assert dataclasses.asdict(clone) == dataclasses.asdict(config)
 
-    def test_from_dict_accepts_legacy_keys(self):
-        clone = PolicyConfig.from_dict(
-            {
-                "addr_from_tried_only": True,
-                "tried_horizon_days": 17,
-                "prioritize_block_relay": True,
-            }
-        )
+    def test_from_dict_rejects_retired_keys_by_name(self):
+        with pytest.raises(ValueError, match="tried_horizon_days"):
+            PolicyConfig.from_dict({"tried_horizon_days": 17})
+        clone = PolicyConfig.from_dict({"params": _IMPROVED_KNOBS})
         assert clone.variant == "improved"
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -201,14 +193,8 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Digest equivalence: the refactor must be draw-for-draw invisible
+# Digest distinctness: variants differ down to the snapshot
 # ---------------------------------------------------------------------------
-
-_IMPROVED_LEGACY = dict(
-    addr_from_tried_only=True,
-    tried_horizon_days=17,
-    prioritize_block_relay=True,
-)
 
 
 def _protocol_digest(policies):
@@ -228,36 +214,10 @@ def _protocol_digest(policies):
     return hashlib.sha256(scenario.sim.snapshot()).hexdigest()
 
 
-def test_protocol_digest_variant_equals_boolean_spelling():
-    assert _protocol_digest(
-        PolicyConfig(variant="improved")
-    ) == _protocol_digest(PolicyConfig(**_IMPROVED_LEGACY))
-
-
 def test_protocol_digest_baseline_distinct_from_improved():
     assert _protocol_digest(PolicyConfig()) != _protocol_digest(
         PolicyConfig(variant="improved")
     )
-
-
-def test_sync_campaign_variant_equals_boolean_spelling():
-    base = dict(
-        n_reachable=10,
-        fidelity="hybrid",
-        churn_per_10min=4.0,
-        pre_mined_blocks=10,
-        warmup=200.0,
-        duration=600.0,
-        seed=33,
-    )
-    variant = run_sync_campaign(
-        SyncCampaignConfig(policies=PolicyConfig(variant="improved"), **base)
-    )
-    legacy = run_sync_campaign(
-        SyncCampaignConfig(policies=PolicyConfig(**_IMPROVED_LEGACY), **base)
-    )
-    assert variant.sync_samples == legacy.sync_samples
-    assert variant.total_departures == legacy.total_departures
 
 
 def _campaign_figures(policies):
@@ -282,12 +242,6 @@ def _campaign_figures(policies):
         )
         for snap in result.snapshots
     ]
-
-
-def test_longitudinal_variant_equals_boolean_spelling():
-    assert _campaign_figures(
-        PolicyConfig(variant="improved")
-    ) == _campaign_figures(PolicyConfig(**_IMPROVED_LEGACY))
 
 
 def test_longitudinal_no_policies_equals_baseline_variant():

@@ -1,18 +1,13 @@
 """Tests for the run store: blobs, checkpoints, manifests, resume.
 
-The subprocess tests at the bottom are the tentpole acceptance pin:
-a campaign killed mid-run (hard ``os._exit`` right after a checkpoint
-commits) and then resumed produces byte-identical CSV exports and
-identical content-store digests to an uninterrupted run.
+The runner itself, and the subprocess kill-and-resume acceptance pin
+for all three stored flavours, are in ``tests/test_stored_plan.py``.
 """
 
 from __future__ import annotations
 
 import errno
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -33,8 +28,9 @@ from repro.store import (
     RunManifest,
     RunStore,
     SnapshotRecord,
+    CRASH_ENV,
+    CampaignPlan,
     campaign_key,
-    campaign_run_id,
     dump_checkpoint,
     load_checkpoint,
     read_header,
@@ -42,11 +38,7 @@ from repro.store import (
     run_stored_campaign,
     sha256_hex,
 )
-from repro.store.campaign import (
-    CRASH_ENV,
-    CRASH_EXIT_CODE,
-    load_campaign_result,
-)
+from repro.store.campaign import load_campaign_result
 
 from .conftest import make_addr
 from .reference_pickler import format_1_blob
@@ -226,7 +218,7 @@ class TestRunKey:
         assert key != campaign_key(
             LongitudinalConfig(seed=2, scale=0.002, snapshots=2), None
         )
-        assert campaign_run_id(key) == f"campaign-{key[:12]}"
+        assert CampaignPlan(config).run_id == f"campaign-{key[:12]}"
         spec = parse_submission(
             {"scenario": {"seed": 1, "scale": 0.002, "snapshots": 2}}
         )
@@ -630,83 +622,6 @@ class TestRetiredFormat:
         store, old = old_store
         with pytest.raises(CheckpointError, match="format 1.*format 2"):
             load_campaign_result(store, old)
-
-
-_CHILD_SCRIPT = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.netmodel.scenario import LongitudinalConfig
-from repro.store import run_stored_campaign
-config = LongitudinalConfig(
-    seed=13, scale=0.01, snapshots=3, campaign_days=1.0
-)
-run_stored_campaign({store!r}, config)
-"""
-
-
-def _run_child(store: Path, crash_after=None) -> int:
-    env = dict(os.environ)
-    env.pop(CRASH_ENV, None)
-    if crash_after is not None:
-        env[CRASH_ENV] = str(crash_after)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    script = _CHILD_SCRIPT.format(src=src, store=str(store))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True,
-        text=True, timeout=600,
-    )
-    if crash_after is None and proc.returncode != 0:
-        raise AssertionError(f"child failed: {proc.stderr}")
-    return proc.returncode
-
-
-@pytest.mark.slow
-class TestKillAndResume:
-    """The acceptance pin: kill -9 mid-campaign, resume, compare."""
-
-    def test_resumed_run_is_bit_identical(self, tmp_path):
-        from repro.core.export import export_campaign_series
-
-        interrupted = tmp_path / "interrupted"
-        uninterrupted = tmp_path / "uninterrupted"
-
-        # Child 1 hard-exits right after snapshot 0's checkpoint commits.
-        code = _run_child(interrupted, crash_after=0)
-        assert code == CRASH_EXIT_CODE
-        store = RunStore(interrupted)
-        manifest = store.manifests()[0]
-        assert manifest.status == "running"
-        assert manifest.completed_snapshots == 1
-        assert manifest.checkpoint is not None
-
-        # Child 2 (same invocation) auto-resumes from the checkpoint.
-        assert _run_child(interrupted) == 0
-        resumed = store.load_manifest(manifest.run_id)
-        assert resumed.status == "complete"
-        assert resumed.completed_snapshots == 3
-
-        # Child 3 runs the same campaign uninterrupted in a second store.
-        assert _run_child(uninterrupted) == 0
-        fresh = RunStore(uninterrupted).load_manifest(manifest.run_id)
-
-        # Content addressing makes the comparison exact: every snapshot
-        # blob and the final result blob must hash identically.
-        assert [s.digest for s in resumed.snapshots] == [
-            s.digest for s in fresh.snapshots
-        ]
-        assert resumed.result_digest == fresh.result_digest
-
-        # And the user-facing artifact: byte-identical CSV exports.
-        result_resumed = run_stored_campaign(interrupted, _tiny_config())
-        result_fresh = run_stored_campaign(uninterrupted, _tiny_config())
-        assert result_resumed.cached and result_fresh.cached
-        path_a = export_campaign_series(
-            result_resumed.result, tmp_path / "a.csv"
-        )
-        path_b = export_campaign_series(
-            result_fresh.result, tmp_path / "b.csv"
-        )
-        assert path_a.read_bytes() == path_b.read_bytes()
 
 
 class TestReadOnlyStore:

@@ -2,20 +2,17 @@
 
 Covers the cross-product driver (`repro.core.variant_experiments`), the
 cache-collision guard the registry refactor promises — distinct
-variants/params can never share a run key, and every legacy boolean
-spelling keys identically to its canonical variant, on both the store
-and serve paths — plus the light-tier behaviors the ``unreachable-relay``
-variant switches on: assist endpoints keep riding the no-cancel fast
-lane, and a mixed-tier world snapshots/restores mid-run without drift.
+variants/params can never share a run key, and §V knobs that add up to
+``improved`` key identically to it, on both the store and serve paths —
+plus the light-tier behaviors the ``unreachable-relay`` variant switches
+on: assist endpoints keep riding the no-cancel fast lane, and a
+mixed-tier world snapshots/restores mid-run without drift.  (Matrix
+kill-and-resume is pinned in ``tests/test_stored_plan.py``.)
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -27,17 +24,12 @@ from repro.core import (
     run_stored_variant_matrix,
     variant_matrix_key,
 )
-from repro.core.variant_experiments import (
-    CRASH_ENV,
-    CRASH_EXIT_CODE,
-    normalize_variants,
-)
+from repro.core.variant_experiments import normalize_variants
 from repro.errors import ConfigurationError
 from repro.netmodel import LongitudinalConfig, ProtocolConfig, ProtocolScenario
 from repro.serve.submission import parse_submission
 from repro.simnet import Simulator
 from repro.store.campaign import campaign_key
-from repro.store.runstore import RunStore
 
 from .reference_scheduler import ReferenceScheduler, on_reference_scheduler
 
@@ -55,11 +47,12 @@ def tiny_campaign(seed: int = 7) -> SyncCampaignConfig:
     )
 
 
-_IMPROVED_LEGACY = dict(
-    addr_from_tried_only=True,
-    tried_horizon_days=17,
-    prioritize_block_relay=True,
-)
+#: The three §V knobs at their ``improved`` values, spelled one by one.
+_IMPROVED_KNOBS = {
+    "addr_from_tried_only": True,
+    "tried_horizon_days": 17,
+    "prioritize_block_relay": True,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +173,8 @@ class TestRunKeyIdentity:
                 )
             ]
         )
-        # Legacy boolean spelling keys identically to its variant.
-        assert key(["improved"]) == key([PolicyConfig(**_IMPROVED_LEGACY)])
+        # The knob-by-knob spelling keys identically to its variant.
+        assert key(["improved"]) == key([PolicyConfig(params=_IMPROVED_KNOBS)])
 
     def test_campaign_key_carries_variant_identity(self):
         def key(policies):
@@ -203,7 +196,7 @@ class TestRunKeyIdentity:
             ),
         }
         assert len(keys) == 5
-        assert key(PolicyConfig(**_IMPROVED_LEGACY)) == key(
+        assert key(PolicyConfig(params=_IMPROVED_KNOBS)) == key(
             PolicyConfig(variant="improved")
         )
 
@@ -222,7 +215,7 @@ class TestRunKeyIdentity:
             return [plan.key for plan in spec.plans]
 
         improved = keys({"variant": "improved"})
-        assert improved == keys(dict(_IMPROVED_LEGACY))
+        assert improved == keys({"params": _IMPROVED_KNOBS})
         assert set(improved).isdisjoint(keys({"variant": "unreachable-relay"}))
         assert set(keys({"variant": "unreachable-relay"})).isdisjoint(
             keys(
@@ -237,6 +230,14 @@ class TestRunKeyIdentity:
         with pytest.raises(ConfigurationError, match="policies"):
             parse_submission(
                 {"scenario": {"policies": {"variant": "no-such-variant"}}}
+            )
+
+    def test_serve_rejects_retired_boolean_keys_by_name(self):
+        """A submission still using a pre-registry key gets a 400
+        (``ConfigurationError``) that names it."""
+        with pytest.raises(ConfigurationError, match="addr_from_tried_only"):
+            parse_submission(
+                {"scenario": {"policies": {"addr_from_tried_only": True}}}
             )
 
 
@@ -329,54 +330,3 @@ def test_mixed_tier_snapshot_restore_under_assist():
         return hashlib.sha256(repr(figures).encode()).hexdigest()
 
     assert digest(scenario.sim) == digest(restored)
-
-
-# ---------------------------------------------------------------------------
-# Kill -9 mid-matrix; resume must pick up from the last completed cell
-# ---------------------------------------------------------------------------
-
-_CHILD_SCRIPT = """
-import sys
-sys.path.insert(0, {src!r})
-from repro.core import run_stored_variant_matrix
-from tests.test_variant_lab import tiny_campaign
-
-run_stored_variant_matrix(
-    {store!r}, ["baseline", "improved"], tiny_campaign(),
-    churn_levels=(2.0,), fidelities=("hybrid",), seeds=[7], workers=1,
-)
-"""
-
-
-def _run_matrix_child(store: Path, crash_after=None) -> int:
-    env = dict(os.environ)
-    env.pop(CRASH_ENV, None)
-    if crash_after is not None:
-        env[CRASH_ENV] = str(crash_after)
-    root = Path(__file__).resolve().parent.parent
-    script = _CHILD_SCRIPT.format(src=str(root / "src"), store=str(store))
-    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True,
-        text=True, timeout=600, cwd=str(root),
-    )
-    if crash_after is None and proc.returncode != 0:
-        raise AssertionError(f"child failed: {proc.stderr}")
-    return proc.returncode
-
-
-@pytest.mark.slow
-class TestMatrixKillAndResume:
-    def test_resumed_matrix_completes_from_checkpoint(self, tmp_path):
-        store_dir = tmp_path / "interrupted"
-        assert _run_matrix_child(store_dir, crash_after=0) == CRASH_EXIT_CODE
-        store = RunStore(store_dir)
-        manifest = store.manifests()[0]
-        assert manifest.status == "running"
-        assert manifest.checkpoint is not None
-        assert manifest.checkpoint.snapshot_index == 0
-
-        assert _run_matrix_child(store_dir) == 0
-        resumed = store.load_manifest(manifest.run_id)
-        assert resumed.status == "complete"
-        assert resumed.result_digest is not None
