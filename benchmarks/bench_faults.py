@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 
-from repro.core.fault_experiments import run_sync_under_faults
+from repro.core.condition_sweep import ConditionSweepPlan, fault_conditions
 from repro.core.reports import format_table
 from repro.core.sync_experiments import SyncCampaignConfig
 from repro.faults.plan import FaultPlan
@@ -36,14 +36,14 @@ def test_sync_under_faults(benchmark):
         seed=21,
     )
     result = benchmark.pedantic(
-        lambda: run_sync_under_faults(
-            plan, base=base, intensities=(0.0, 0.5, 1.0, 2.0), seeds=[21, 22]
-        ),
+        ConditionSweepPlan(
+            "chaos", fault_conditions(plan, base, (0.0, 0.5, 1.0, 2.0)), [21, 22]
+        ).run,
         rounds=1,
         iterations=1,
     )
 
-    rows = result.degradation_table()
+    rows = result.degradation_table(intensity=0)
     print()
     print(
         format_table(
@@ -62,17 +62,17 @@ def test_sync_under_faults(benchmark):
             title="Chaos — sync degradation vs fault intensity",
         )
     )
-    for level in result.levels:
-        stats = {k: v for k, v in level.fault_stats.items() if v}
-        print(f"intensity {level.intensity}: {stats or 'no faults fired'}")
+    for cell in result.cells:
+        stats = {k: v for k, v in cell.totals("fault_stats").items() if v}
+        print(f"{cell.tag}: {stats or 'no faults fired'}")
 
     # The supervised sweep completes: every seed at every level reports.
     assert all(not row["failed_seeds"] for row in rows)
-    baseline = result.baseline
+    baseline = result.cell(intensity=0)
     assert baseline is not None
     # Clean baseline really is clean.
-    assert all(value == 0 for value in baseline.fault_stats.values())
+    assert all(value == 0 for value in baseline.totals("fault_stats").values())
     # Faults fire once intensity is on, and full intensity hurts sync.
-    stressed = result.levels[-1]
-    assert stressed.fault_stats["messages_dropped"] > 0
-    assert stressed.mean_sync < baseline.mean_sync
+    stressed = result.cells[-1]
+    assert stressed.totals("fault_stats")["messages_dropped"] > 0
+    assert stressed.sweep.mean < baseline.sweep.mean

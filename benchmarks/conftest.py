@@ -21,9 +21,10 @@ import pytest
 
 from repro.core import (
     CampaignRunner,
+    ConditionSweepPlan,
     RelayExperimentConfig,
     SyncCampaignConfig,
-    run_2019_vs_2020,
+    churn_conditions,
     run_relay_experiment,
 )
 from repro.netmodel import (
@@ -84,7 +85,8 @@ def warm_protocol():
 
 @pytest.fixture(scope="session")
 def sync_campaigns():
-    """The Fig. 1 contrast (2019-like vs 2020-like churn)."""
+    """The Fig. 1 contrast (2019-like vs 2020-like churn), by year."""
     duration = 1.5 * 3600.0 if FAST else 3 * 3600.0
     base = SyncCampaignConfig(duration=duration, seed=21)
-    return run_2019_vs_2020(base)
+    result = ConditionSweepPlan("fig1", churn_conditions(base), [base.seed]).run()
+    return {cell.labels["year"]: cell.sweep for cell in result.cells}

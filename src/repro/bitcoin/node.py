@@ -180,18 +180,6 @@ class BitcoinNode(NodeBehavior):
     def established_peers(self) -> List[Peer]:
         return [peer for peer in self.peers.values() if peer.established]
 
-    @property
-    def _active_feelers(self) -> int:
-        return self.connections.active_feelers
-
-    @property
-    def _uplink_free_at(self) -> float:
-        return self.handlers.uplink_free_at
-
-    @_uplink_free_at.setter
-    def _uplink_free_at(self, when: float) -> None:
-        self.handlers.uplink_free_at = when
-
     def is_synchronized(self, best_height: int) -> bool:
         """Does this node hold the up-to-date blockchain?"""
         return self.chain.height >= best_height
@@ -289,12 +277,6 @@ class BitcoinNode(NodeBehavior):
     # ------------------------------------------------------------------
     # Connection plumbing shared with the connection manager
     # ------------------------------------------------------------------
-    def _ensure_connecting(self) -> None:
-        self.connections.ensure_connecting()
-
-    def _try_feeler(self) -> None:
-        self.connections.try_feeler()
-
     def _connected_to(self, target: NetAddr) -> bool:
         return any(peer.remote_addr == target for peer in self.peers.values())
 
@@ -348,23 +330,12 @@ class BitcoinNode(NodeBehavior):
             socket.close()
         self.connections.ensure_connecting()
 
-    # ------------------------------------------------------------------
-    # Handler-loop delegates (kept for experiment drivers and tests)
-    # ------------------------------------------------------------------
     def _wake_handler(self) -> None:
         self.handlers.wake()
-
-    def _handler_pass(self) -> None:
-        self.handlers.run_pass()
 
     # ------------------------------------------------------------------
     # Message processing
     # ------------------------------------------------------------------
-    def _process_message(self, peer: Peer, message: Message) -> None:
-        handler = self._DISPATCH.get(message.command)
-        if handler is not None:
-            handler(self, peer, message)
-
     def _handle_version(self, peer: Peer, message: Version) -> None:
         peer.version_received = True
         peer.remote_height = message.start_height
@@ -495,62 +466,38 @@ class BitcoinNode(NodeBehavior):
                 second = pool[int(rand() * count)]
                 while second is origin or second is first:
                     second = pool[int(rand() * count)]
-            if fanout <= 2:
-                # Default-config path (fanout 1 or 2), fully unrolled:
-                # no targets tuple, and Peer.enqueue_send inlined.  One
-                # ADDR object per record, shared by both targets — the
-                # message is immutable in flight, so relaying the same
-                # instance twice is indistinguishable from two copies.
-                forwarded = None
-                known = first.known_addrs
+            # Fanout is 1 or 2 (``ADDR_FORWARD_FANOUT``), fully unrolled:
+            # no targets tuple, and Peer.enqueue_send inlined.  One ADDR
+            # object per record, shared by both targets — the message is
+            # immutable in flight, so relaying the same instance twice
+            # is indistinguishable from two copies.
+            forwarded = None
+            known = first.known_addrs
+            if addr not in known:
+                known.add(addr)
+                forwarded = (
+                    reusable
+                    if reusable is not None
+                    else Addr(addresses=(record,))
+                )
+                first.send_queue.append(forwarded)
+                loop = first.loop
+                if loop is not None:
+                    loop.dirty_send[first] = None
+            if second is not None:
+                known = second.known_addrs
                 if addr not in known:
                     known.add(addr)
-                    forwarded = (
-                        reusable
-                        if reusable is not None
-                        else Addr(addresses=(record,))
-                    )
-                    first.send_queue.append(forwarded)
-                    loop = first.loop
+                    if forwarded is None:
+                        forwarded = (
+                            reusable
+                            if reusable is not None
+                            else Addr(addresses=(record,))
+                        )
+                    second.send_queue.append(forwarded)
+                    loop = second.loop
                     if loop is not None:
-                        loop.dirty_send[first] = None
-                if second is not None:
-                    known = second.known_addrs
-                    if addr not in known:
-                        known.add(addr)
-                        if forwarded is None:
-                            forwarded = (
-                                reusable
-                                if reusable is not None
-                                else Addr(addresses=(record,))
-                            )
-                        second.send_queue.append(forwarded)
-                        loop = second.loop
-                        if loop is not None:
-                            loop.dirty_send[second] = None
-                continue
-            # pragma-rare: non-default fanout config (> 2 targets).
-            rest = self._rng.sample(
-                [
-                    peer
-                    for peer in pool
-                    if peer is not origin
-                    and peer is not first
-                    and peer is not second
-                ],
-                fanout - 2,
-            )
-            targets = (first, second, *rest)
-            forwarded = None
-            for peer in targets:
-                if addr in peer.known_addrs:
-                    continue
-                peer.known_addrs.add(addr)
-                if forwarded is None:
-                    forwarded = (
-                        reusable if reusable is not None else Addr(addresses=(record,))
-                    )
-                peer.enqueue_send(forwarded)
+                        loop.dirty_send[second] = None
 
     def _handle_inv(self, peer: Peer, message: Inv) -> None:
         wanted: List[InvItem] = []
@@ -703,12 +650,6 @@ class BitcoinNode(NodeBehavior):
             self.relay_tracker.saw(tx.txid, "tx", self.sim.now)
         self.relay.relay_tx(tx, exclude=None)
         self.handlers.wake()
-
-    def _relay_block(self, block: Block) -> None:
-        self.relay.relay_block(block)
-
-    def _relay_tx(self, tx: Transaction, exclude: Optional[Peer]) -> None:
-        self.relay.relay_tx(tx, exclude)
 
     def _send_getaddr_round(self) -> None:
         """Periodic GETADDR to every peer (request-load generation)."""

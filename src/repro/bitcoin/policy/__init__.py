@@ -15,6 +15,7 @@ from .registry import (
     ensure_builtins,
     get_variant,
     register,
+    require_light_tier,
     resolve,
     variant_names,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "ensure_builtins",
     "get_variant",
     "register",
+    "require_light_tier",
     "resolve",
     "variant_names",
 ]

@@ -43,7 +43,7 @@ __all__ = ["ASSIST_LIGHT_PROFILE", "UnreachableRelayLightPolicy"]
 #: instance — pickling dedupes it across the whole cloud).
 ASSIST_LIGHT_PROFILE = LightNodeProfile(listen=True, relay_txs=True)
 
-#: Salt keeping assist membership independent of the /16-shard and
+#: Salt keeping assist membership independent of the /16-netgroup and
 #: addrman bucket hashes that also mix the raw IP.
 _ASSIST_SALT = 0x9E3779B97F4A7C15
 

@@ -18,12 +18,17 @@ Commands
 ``serve``      run the campaign service over a run store (``repro.serve``)
 ``lint``       determinism & checkpoint-safety static analysis
 
+``sync``, ``chaos``, ``attack`` and ``variants`` are one program — Fig. 1
+under a list of conditions (``repro.core.condition_sweep``) — behind one
+``_sweep``, one degradation printer, one totals printer, one exporter.
+
 ``--store DIR`` (on ``campaign``, ``attack``, and ``variants``)
 checkpoints the run into a content-addressed store after every unit
 (snapshot, count level, matrix cell); an interrupted run resumes after
 its last completed unit (``--resume RUN_ID`` to be explicit), a
 completed run with the same config is a cache hit, and ``--force``
-re-executes it anyway.
+re-executes it anyway.  Sweep runs are ``sync-sweep-…`` whichever
+command made them.
 
 ``--faults plan.json`` (on ``campaign``, ``sync``, and ``chaos``)
 compiles a deterministic fault plan onto every run; ``--seed-timeout``
@@ -50,7 +55,7 @@ import numpy as np
 from . import core
 from .bitcoin import NodeConfig
 from .core import export as export_mod
-from .core.variant_experiments import DEFAULT_CHURN_LEVELS, DEFAULT_VARIANTS
+from .core.condition_sweep import DEFAULT_CHURN_LEVELS, DEFAULT_VARIANTS
 from .core.reports import comparison_table, format_table
 from .netmodel import (
     LongitudinalConfig,
@@ -294,33 +299,97 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep(args: argparse.Namespace, name: str, conditions, seeds, unit=None):
+    """Run a Fig. 1 condition sweep and report each cell's supervision.
+    ``unit`` is what the command's ``_store_flags`` call a unit: given,
+    the sweep goes through ``--store`` when the invocation names one."""
+    plan = core.ConditionSweepPlan(
+        name, conditions, seeds, args.workers, _supervisor_config(args)
+    )
+    if unit is not None and args.store:
+        result = _run_stored(args, plan, unit)
+    else:
+        result = plan.run()
+    for cell in result.cells:
+        _report_supervision(cell.tag, cell.sweep)
+    return result
+
+
+def _print_degradation(
+    rows: List[dict], axis: str, versus: str = "baseline", seeds: bool = True
+) -> None:
+    """A ``degradation_table`` along ``axis``; ``seeds`` adds the
+    failed / retried seed counts."""
+    headers = [axis, "mean sync %", "median sync %", f"delta vs {versus}"]
+    if seeds:
+        headers += ["failed", "retried"]
+    table = []
+    for row in rows:
+        delta = row["delta_vs_baseline"]
+        line = [
+            row[axis],
+            round(row["mean_sync"], 2),
+            round(row["median_sync"], 2),
+            "-" if delta is None else round(delta, 2),
+        ]
+        if seeds:
+            line += [len(row["failed_seeds"]), len(row["retried_seeds"])]
+        table.append(line)
+    print(format_table(headers, table))
+
+
+def _print_totals(result, title: str, stats: str, axis: str, empty: str) -> None:
+    """Each cell's summed ``stats`` counters, zeros left out."""
+    print()
+    print(title)
+    for cell in result.cells:
+        nonzero = {k: v for k, v in cell.totals(stats).items() if v}
+        print(f"  {cell.labels[axis]}: {nonzero if nonzero else empty}")
+
+
+def _export_sweep(
+    args: argparse.Namespace, result, stem: str, label: str, table=None
+) -> Path:
+    """Every cell's samples as ``sync_samples_<stem>.csv`` — ``stem``
+    and ``label`` (the CSV's label column) are format strings over the
+    cell's labels — and ``table``, a ``(file name, rows)`` pair, as JSON."""
+    out = Path(args.export)
+    out.mkdir(parents=True, exist_ok=True)
+    if table is not None:
+        name, rows = table
+        with open(out / name, "w", encoding="utf-8") as fh:
+            json.dump(rows, fh, indent=2, sort_keys=True)
+    for cell in result.cells:
+        tag = "".join(
+            ch if ch.isalnum() or ch in "._-" else "-"
+            for ch in stem.format(**cell.labels)
+        )
+        export_mod.export_sync_samples(
+            cell.sweep,
+            out / f"sync_samples_{tag}.csv",
+            label=label.format(**cell.labels),
+        )
+    return out
+
+
 def _cmd_sync(args: argparse.Namespace) -> int:
     base = _sync_base(args, faults=_load_fault_plan(args))
-    if args.seeds > 1:
-        seeds = core.seed_range(args.seed, args.seeds)
-        print(
-            f"sync: nodes={args.nodes} duration={args.hours}h — running "
-            f"2019 and 2020 churn levels over seeds={seeds} "
-            f"(workers={args.workers or 'auto'})..."
-        )
-        results = core.run_2019_vs_2020_sweep(
-            base, seeds=seeds, workers=args.workers,
-            supervisor=_supervisor_config(args),
-        )
-        for label, sweep in results.items():
-            _report_supervision(f"sync {label!r}", sweep)
-    else:
-        print(
-            f"sync: nodes={args.nodes} duration={args.hours}h — running 2019 "
-            f"and 2020 churn levels..."
-        )
-        results = core.run_2019_vs_2020(base)
+    seeds = core.seed_range(args.seed, args.seeds)
+    over = (
+        f" over seeds={seeds} (workers={args.workers or 'auto'})"
+        if args.seeds > 1
+        else ""
+    )
+    print(
+        f"sync: nodes={args.nodes} duration={args.hours}h — running 2019 "
+        f"and 2020 churn levels{over}..."
+    )
+    result = _sweep(args, "fig1", core.churn_conditions(base), seeds)
+    results = {cell.labels["year"]: cell.sweep for cell in result.cells}
     r2019, r2020 = results["2019"], results["2020"]
-    for label, result in results.items():
-        if result.truncated:
-            _warn_truncated(f"sync campaign {label!r}", getattr(
-                result, "truncated_seeds", "the event cap"
-            ))
+    for label, sweep in results.items():
+        if sweep.truncated:
+            _warn_truncated(f"sync campaign {label!r}", sweep.truncated_seeds)
     print(
         comparison_table(
             [
@@ -340,17 +409,14 @@ def _cmd_sync(args: argparse.Namespace) -> int:
     print("Fig. 1 kernel densities (x: 0..100% synchronized):")
     print(
         density_overlay(
-            {label: result.density() for label, result in results.items()}
+            {label: sweep.density() for label, sweep in results.items()}
         )
     )
     if args.export:
-        out = Path(args.export)
-        for label, result in results.items():
-            export_mod.export_sync_samples(
-                result, out / f"sync_samples_{label}.csv", label=label
-            )
+        out = _export_sweep(args, result, "{year}", "{year}")
+        for label, sweep in results.items():
             export_mod.export_density(
-                result.density(), out / f"sync_kde_{label}.csv"
+                sweep.density(), out / f"sync_kde_{label}.csv"
             )
         print(f"exported CSVs to {out}/")
     return 0
@@ -361,60 +427,25 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     plan = FaultPlan.from_file(args.faults)
     intensities = [float(part) for part in args.intensities.split(",")]
-    base = _sync_base(args)
     seeds = core.seed_range(args.seed, args.seeds)
+    conditions = core.fault_conditions(plan, _sync_base(args), intensities)
     print(
         f"chaos: nodes={args.nodes} duration={args.hours}h plan={args.faults} "
         f"({len(plan)} fault(s)) intensities={intensities} seeds={seeds} "
         f"workers={args.workers or 'auto'}..."
     )
-    result = core.run_sync_under_faults(
-        plan,
-        base,
-        intensities=intensities,
-        seeds=seeds,
-        workers=args.workers,
-        supervisor=_supervisor_config(args),
+    result = _sweep(args, "chaos", conditions, seeds)
+    table = result.degradation_table(intensity=0)
+    _print_degradation(table, "intensity")
+    _print_totals(
+        result, "injector totals per intensity level:", "fault_stats",
+        "intensity", "(no faults fired)",
     )
-    for level in result.levels:
-        _report_supervision(f"intensity {level.intensity}", level.sweep)
-    rows = []
-    for row in result.degradation_table():
-        delta = row["delta_vs_baseline"]
-        rows.append(
-            (
-                row["intensity"],
-                round(row["mean_sync"], 2),
-                round(row["median_sync"], 2),
-                "-" if delta is None else round(delta, 2),
-                len(row["failed_seeds"]),
-                len(row["retried_seeds"]),
-            )
-        )
-    print(
-        format_table(
-            ("intensity", "mean sync %", "median sync %",
-             "delta vs baseline", "failed", "retried"),
-            rows,
-        )
-    )
-    print()
-    print("injector totals per intensity level:")
-    for level in result.levels:
-        stats = level.fault_stats
-        nonzero = {k: v for k, v in stats.items() if v}
-        print(f"  {level.intensity}: {nonzero if nonzero else '(no faults fired)'}")
     if args.export:
-        out = Path(args.export)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "chaos_degradation.json", "w", encoding="utf-8") as fh:
-            json.dump(result.degradation_table(), fh, indent=2, sort_keys=True)
-        for level in result.levels:
-            export_mod.export_sync_samples(
-                level.sweep,
-                out / f"sync_samples_intensity_{level.intensity}.csv",
-                label=f"intensity={level.intensity}",
-            )
+        out = _export_sweep(
+            args, result, "intensity_{intensity}", "intensity={intensity}",
+            table=("chaos_degradation.json", table),
+        )
         print(f"exported degradation table and samples to {out}/")
     return 0
 
@@ -426,85 +457,47 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     counts = [int(part) for part in args.counts.split(",")]
     base = _sync_base(args)
     seeds = core.seed_range(args.seed, args.seeds)
-    supervisor = _supervisor_config(args)
-    sweep = core.AttackSweepPlan(
-        plan, base, counts, seeds, args.workers, supervisor
+    conditions = core.attack_conditions(plan, base, counts)
+    hardened = (
+        core.mitigation_conditions(plan, base, args.mitigations)
+        if args.mitigations
+        else None
     )
     print(
         f"attack: nodes={args.nodes} duration={args.hours}h plan={args.plan} "
         f"({len(plan)} cohort(s)) counts={counts} seeds={seeds} "
         f"workers={args.workers or 'auto'}..."
     )
-    result = _run_stored(args, sweep, "level") if args.store else sweep.run()
-    for level in result.levels:
-        _report_supervision(f"attackers={level.count}", level.sweep)
-    rows = []
-    for row in result.degradation_table():
-        delta = row["delta_vs_baseline"]
-        rows.append(
-            (
-                row["attackers"],
-                round(row["mean_sync"], 2),
-                round(row["median_sync"], 2),
-                "-" if delta is None else round(delta, 2),
-                len(row["failed_seeds"]),
-                len(row["retried_seeds"]),
-            )
-        )
-    print(
-        format_table(
-            ("attackers", "mean sync %", "median sync %",
-             "delta vs baseline", "failed", "retried"),
-            rows,
-        )
+    result = _sweep(args, "attack", conditions, seeds, unit="level")
+    table = result.degradation_table(attackers=0)
+    _print_degradation(table, "attackers")
+    _print_totals(
+        result, "attacker totals per count level:", "attack_stats",
+        "attackers", "(no attack)",
     )
-    print()
-    print("attacker totals per count level:")
-    for level in result.levels:
-        stats = level.attack_stats
-        nonzero = {k: v for k, v in stats.items() if v}
-        print(f"  {level.count}: {nonzero if nonzero else '(no attack)'}")
-    if args.mitigations:
+    if hardened is not None:
         print()
         print(
             f"mitigations: rerunning the full attack under the "
             f"{args.mitigations!r} policy variant..."
         )
-        comparison = core.compare_mitigations(
-            plan, base, policies=args.mitigations, seeds=seeds,
-            workers=args.workers, supervisor=supervisor,
+        comparison = _sweep(args, "mitigations", hardened, seeds)
+        _print_degradation(
+            comparison.degradation_table(condition="clean"), "condition",
+            versus="clean", seeds=False,
         )
-        mrows = [
-            (
-                row["condition"],
-                round(row["mean_sync"], 2),
-                round(row["median_sync"], 2),
-                round(row["delta_vs_clean"], 2),
-            )
-            for row in comparison.table()
-        ]
-        print(
-            format_table(
-                ("condition", "mean sync %", "median sync %",
-                 "delta vs clean"),
-                mrows,
-            )
+        recovered = (
+            comparison.cell(condition="mitigated").sweep.mean
+            - comparison.cell(condition="attacked").sweep.mean
         )
         print(
-            f"hardening recovered {comparison.recovered:+.2f} "
-            f"sync percentage points"
+            f"hardening recovered {recovered:+.2f} sync percentage points"
         )
     if args.export:
-        out = Path(args.export)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "attack_degradation.json", "w", encoding="utf-8") as fh:
-            json.dump(result.degradation_table(), fh, indent=2, sort_keys=True)
-        for level in result.levels:
-            export_mod.export_sync_samples(
-                level.sweep,
-                out / f"sync_samples_attackers_{level.count}.csv",
-                label=f"attackers={level.count}",
-            )
+        out = _export_sweep(
+            args, result, "attackers_{attackers}", "attackers={attackers}",
+            table=("attack_degradation.json", table),
+        )
         print(f"exported degradation table and samples to {out}/")
     return 0
 
@@ -526,72 +519,46 @@ def _cmd_variants(args: argparse.Namespace) -> int:
             f"{args.faults} (matrix runs fault-free + plan)"
         )
     seeds = core.seed_range(args.seed, args.seeds)
-    matrix = core.VariantMatrixPlan(
-        variants,
-        _sync_base(args),
-        churn_levels=churn_levels,
-        fault_plans=fault_plans,
-        fidelities=fidelities,
-        seeds=seeds,
-        workers=args.workers,
-        supervisor=_supervisor_config(args),
+    conditions = core.variant_conditions(
+        variants, _sync_base(args), churn_levels, fault_plans, fidelities
     )
     print(
         f"variants: {variants} x churn={churn_levels} x "
         f"{len(fault_plans)} fault plan(s) x fidelities={fidelities} "
-        f"({matrix.units} cells, seeds={seeds}, "
+        f"({len(conditions)} cells, seeds={seeds}, "
         f"workers={args.workers or 'auto'})..."
     )
-    result = _run_stored(args, matrix, "cell") if args.store else matrix.run()
-    for cell in result.cells:
-        _report_supervision(
-            f"{cell.variant_label} churn={cell.churn_per_10min:g} "
-            f"faults={cell.fault_label} fidelity={cell.fidelity}",
-            cell.sweep,
-        )
-    churn_headers = [f"sync%@{level:g}" for level in result.churn_levels]
+    result = _sweep(args, "variants", conditions, seeds, unit="cell")
+    levels = [f"{level:g}" for level in result.axis("churn")]
+    table = result.retention_table(along="churn")
     rows = []
-    for row in result.retention_table():
+    for row in table:
         means = row["mean_sync"]
-        cells = [
-            "-" if means.get(f"{level:g}") is None
-            else round(means[f"{level:g}"], 2)
-            for level in result.churn_levels
-        ]
         retention = row["retention"]
         rows.append(
             (
                 row["variant"],
                 row["faults"],
                 row["fidelity"],
-                *cells,
+                *(
+                    "-" if means[level] is None else round(means[level], 2)
+                    for level in levels
+                ),
                 "-" if retention is None else round(retention, 3),
             )
         )
     print(
         format_table(
-            ("variant", "faults", "fidelity", *churn_headers, "retention"),
+            ("variant", "faults", "fidelity",
+             *(f"sync%@{level}" for level in levels), "retention"),
             rows,
         )
     )
     if args.export:
-        out = Path(args.export)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "variant_retention.json", "w", encoding="utf-8") as fh:
-            json.dump(result.retention_table(), fh, indent=2, sort_keys=True)
-        for cell in result.cells:
-            tag = (
-                f"{cell.variant_label}_churn{cell.churn_per_10min:g}"
-                f"_{cell.fault_label}_{cell.fidelity}"
-            )
-            tag = "".join(
-                ch if ch.isalnum() or ch in "._-" else "-" for ch in tag
-            )
-            export_mod.export_sync_samples(
-                cell.sweep,
-                out / f"sync_samples_{tag}.csv",
-                label=cell.variant_label,
-            )
+        out = _export_sweep(
+            args, result, "{variant}_churn{churn:g}_{faults}_{fidelity}",
+            "{variant}", table=("variant_retention.json", table),
+        )
         print(f"exported retention table and samples to {out}/")
     return 0
 
@@ -965,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
         "retention = mean sync at the highest level / the lowest",
     )
     variants.add_argument(
-        "--fidelities", type=str, default="full", metavar="LIST",
+        "--fidelities", type=str, default="hybrid", metavar="LIST",
         help="comma-separated node-tier fidelities (full and/or hybrid)",
     )
     variants.add_argument(

@@ -39,36 +39,23 @@ from .malicious_detect import (
     score_detection,
     time_to_detection,
 )
-from .attack_experiments import (
-    AttackSweepLevel,
-    AttackSweepPlan,
-    AttackSweepResult,
-    MitigationComparison,
-    compare_mitigations,
-    run_attack_sweep,
-    run_stored_attack_sweep,
-)
-from .fault_experiments import (
-    FaultSweepLevel,
-    FaultSweepResult,
-    run_sync_under_faults,
-)
-from .variant_experiments import (
-    VariantCell,
-    VariantMatrixPlan,
-    VariantMatrixResult,
-    run_stored_variant_matrix,
-    run_variant_matrix,
-    variant_matrix_key,
+from .condition_sweep import (
+    Condition,
+    ConditionCell,
+    ConditionSweepPlan,
+    ConditionSweepResult,
+    attack_conditions,
+    churn_conditions,
+    fault_conditions,
+    mitigation_conditions,
+    variant_conditions,
 )
 from .parallel import (
     CampaignSweepResult,
     SyncSweepResult,
-    run_2019_vs_2020_sweep,
     run_campaign_sweep,
     run_multi_seed,
     run_multi_seed_supervised,
-    run_sync_campaign_sweep,
     run_sync_groups,
     seed_range,
 )
@@ -105,7 +92,6 @@ from .routing import (
 from .sync_experiments import (
     SyncCampaignConfig,
     SyncCampaignResult,
-    run_2019_vs_2020,
     run_sync_campaign,
 )
 from .supervisor import (
@@ -121,9 +107,6 @@ __all__ = [
     "ASHostingRow",
     "AddrComposition",
     "AddressCrawler",
-    "AttackSweepLevel",
-    "AttackSweepPlan",
-    "AttackSweepResult",
     "BlockPropagation",
     "CampaignConfig",
     "CampaignResult",
@@ -131,18 +114,19 @@ __all__ = [
     "CampaignSweepResult",
     "ChurnMatrix",
     "ChurnStats",
+    "Condition",
+    "ConditionCell",
+    "ConditionSweepPlan",
+    "ConditionSweepResult",
     "CrawlInput",
     "CrawlResult",
     "DetectionMetrics",
     "DetectionReport",
-    "FaultSweepLevel",
-    "FaultSweepResult",
     "GetAddrConfig",
     "GetAddrCrawler",
     "HijackPlan",
     "HostingReport",
     "MaliciousFinding",
-    "MitigationComparison",
     "PeerHarvest",
     "ProbeCampaignResult",
     "ProbeConfig",
@@ -165,31 +149,28 @@ __all__ = [
     "SyncSnapshot",
     "SyncSweepResult",
     "TargetShift",
-    "VariantCell",
-    "VariantMatrixPlan",
-    "VariantMatrixResult",
     "VerProber",
     "analyze",
+    "attack_conditions",
     "best_height_at",
     "build_matrix",
     "build_relay_scenario",
+    "churn_conditions",
     "classify_harvest",
     "common_top_ases",
-    "compare_mitigations",
     "comparison_table",
     "composition",
     "departures_between",
     "detect_flooders",
     "export",
+    "fault_conditions",
     "figures",
     "format_table",
     "hosting_report",
     "measure_propagation",
     "merge_reports",
+    "mitigation_conditions",
     "plan_hijack",
-    "run_2019_vs_2020",
-    "run_attack_sweep",
-    "run_2019_vs_2020_sweep",
     "run_campaign_sweep",
     "run_connection_stability",
     "run_connection_success",
@@ -197,15 +178,9 @@ __all__ = [
     "run_multi_seed_supervised",
     "run_relay_experiment",
     "run_resync_experiment",
-    "run_stored_attack_sweep",
     "run_supervised",
     "run_sync_campaign",
-    "run_sync_campaign_sweep",
     "run_sync_groups",
-    "run_sync_under_faults",
-    "run_stored_variant_matrix",
-    "run_variant_matrix",
-    "variant_matrix_key",
     "score_detection",
     "seed_range",
     "series_preview",
@@ -214,4 +189,5 @@ __all__ = [
     "table_composition",
     "target_shifts",
     "time_to_detection",
+    "variant_conditions",
 ]

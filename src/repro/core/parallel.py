@@ -14,8 +14,10 @@ fails yields a structured :class:`~repro.errors.SeedTaskError` instead
 of poisoning the whole campaign.  :func:`run_multi_seed` keeps the old
 all-or-nothing contract (it raises
 :class:`~repro.errors.CampaignAbortedError` carrying the partial
-results); the sweep drivers run in partial mode and report
-``failed_seeds`` / ``retried_seeds`` on their results.
+results); the two sweep mergers here — :func:`run_sync_groups` under
+every Fig. 1 condition sweep (:mod:`repro.core.condition_sweep`) and
+:func:`run_campaign_sweep` for the crawl campaign — run in partial mode
+and report ``failed_seeds`` / ``retried_seeds`` on their results.
 
 Workers default to the machine's CPU count (capped by the number of
 seeds) and can be forced with ``workers=`` or the ``REPRO_WORKERS``
@@ -30,7 +32,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -237,41 +239,6 @@ def run_sync_groups(
             )
         )
     return sweeps
-
-
-def run_sync_campaign_sweep(
-    base: Optional[SyncCampaignConfig] = None,
-    seeds: Optional[Sequence[int]] = None,
-    workers: Optional[int] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-) -> SyncSweepResult:
-    """Run the Fig. 1 campaign once per seed and merge deterministically."""
-    base = base if base is not None else SyncCampaignConfig()
-    seeds = list(seeds) if seeds is not None else seed_range(base.seed, 4)
-    return run_sync_groups([base], seeds, workers, supervisor)[0]
-
-
-def run_2019_vs_2020_sweep(
-    base: Optional[SyncCampaignConfig] = None,
-    seeds: Optional[Sequence[int]] = None,
-    workers: Optional[int] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-    churn_2019: float = 5.0,
-    churn_2020: float = 14.0,
-) -> Dict[str, SyncSweepResult]:
-    """The Fig. 1 contrast with N seeds per churn level, keyed by label."""
-    base = base if base is not None else SyncCampaignConfig()
-    seeds = list(seeds) if seeds is not None else seed_range(base.seed, 4)
-    sweeps = run_sync_groups(
-        [
-            replace(base, churn_per_10min=churn)
-            for churn in (churn_2019, churn_2020)
-        ],
-        seeds,
-        workers,
-        supervisor,
-    )
-    return dict(zip(("2019", "2020"), sweeps))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ The paper's headline observation: with the reachable network size flat at
 (Jan-Apr 2020), and the only network parameter that moved was churn among
 *synchronized* nodes (3.9 → 7.6 departures per 10 minutes).
 
-This driver runs a live protocol network under a configurable churn rate
-and measures synchronization exactly as Bitnodes does — periodic sweeps
-with per-node poll staleness — yielding the sample series Fig. 1's kernel
-densities are built from.
+This driver runs *one* live protocol network under a configurable churn
+rate and measures synchronization exactly as Bitnodes does — periodic
+sweeps with per-node poll staleness — yielding the sample series Fig. 1's
+kernel densities are built from.  The contrast itself, and every other
+reading of Fig. 1 under changing conditions (faults, attackers, policy
+variants), is a condition list over this campaign:
+:mod:`repro.core.condition_sweep`.
 
 Time-scale compression: the simulated chain is short, so a replacement
 node's catch-up takes minutes instead of days; the churn rate is raised
@@ -101,28 +104,31 @@ class SyncCampaignResult:
         return kde(self.sync_samples, **kwargs)
 
 
+def protocol_config(config: SyncCampaignConfig) -> ProtocolConfig:
+    """The live network a campaign measures."""
+    node_config = (
+        NodeConfig() if config.policies is None
+        else NodeConfig(policies=config.policies)
+    )
+    return ProtocolConfig(
+        seed=config.seed,
+        fidelity=config.fidelity,
+        n_reachable=config.n_reachable,
+        churn_per_10min=config.churn_per_10min,
+        block_interval=config.block_interval,
+        pre_mined_blocks=config.pre_mined_blocks,
+        node_config=node_config,
+        faults=config.faults,
+        attack=config.attack,
+    )
+
+
 def run_sync_campaign(
     config: Optional[SyncCampaignConfig] = None,
 ) -> SyncCampaignResult:
     """Run one campaign and return its synchronization distribution."""
     config = config if config is not None else SyncCampaignConfig()
-    node_config = (
-        NodeConfig() if config.policies is None
-        else NodeConfig(policies=config.policies)
-    )
-    scenario = ProtocolScenario(
-        ProtocolConfig(
-            seed=config.seed,
-            fidelity=config.fidelity,
-            n_reachable=config.n_reachable,
-            churn_per_10min=config.churn_per_10min,
-            block_interval=config.block_interval,
-            pre_mined_blocks=config.pre_mined_blocks,
-            node_config=node_config,
-            faults=config.faults,
-            attack=config.attack,
-        )
-    )
+    scenario = ProtocolScenario(protocol_config(config))
     scenario.start(warmup=config.warmup)
     monitor = SyncMonitor(
         scenario, period=config.sample_period, poll_spread=config.poll_spread
@@ -141,37 +147,3 @@ def run_sync_campaign(
         fault_stats=None if injector is None else injector.stats.as_dict(),
         attack_stats=None if force is None else force.stats(),
     )
-
-
-def run_2019_vs_2020(
-    base: Optional[SyncCampaignConfig] = None,
-    churn_2019: float = 5.0,
-    churn_2020: float = 14.0,
-) -> Dict[str, SyncCampaignResult]:
-    """The full Fig. 1 contrast: same network, churn roughly doubled.
-
-    The rates keep the paper's ~1:2 synchronized-departure ratio; the
-    *measured* synchronized-departure rates land near the paper's 3.9 and
-    7.6 per 10 minutes.
-    """
-    base = base if base is not None else SyncCampaignConfig()
-    results: Dict[str, SyncCampaignResult] = {}
-    for label, churn in (("2019", churn_2019), ("2020", churn_2020)):
-        config = SyncCampaignConfig(
-            n_reachable=base.n_reachable,
-            fidelity=base.fidelity,
-            churn_per_10min=churn,
-            block_interval=base.block_interval,
-            pre_mined_blocks=base.pre_mined_blocks,
-            sample_period=base.sample_period,
-            poll_spread=base.poll_spread,
-            warmup=base.warmup,
-            duration=base.duration,
-            seed=base.seed,
-            max_events=base.max_events,
-            faults=base.faults,
-            attack=base.attack,
-            policies=base.policies,
-        )
-        results[label] = run_sync_campaign(config)
-    return results

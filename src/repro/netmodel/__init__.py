@@ -20,7 +20,6 @@ from .churn import (
 from .malicious import (
     FloodVolumeModel,
     MaliciousAddrServer,
-    MaliciousBitcoinNode,
     plant_flooders,
 )
 from .metrics import (
@@ -55,7 +54,6 @@ __all__ = [
     "LongitudinalConfig",
     "LongitudinalScenario",
     "MaliciousAddrServer",
-    "MaliciousBitcoinNode",
     "NatModel",
     "NodeClass",
     "NodeRecord",

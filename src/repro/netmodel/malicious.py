@@ -5,13 +5,11 @@ The paper detected 73 reachable nodes whose every ADDR response contained
 with per-node flood volumes up to >400K addresses, 8 nodes above 100K, and
 59% of the flooders clustered in AS3320.
 
-Two implementations mirror the two scenario fidelities:
-
-* :class:`MaliciousAddrServer` — a longitudinal-mode GETADDR responder
-  backed by a finite pool of fabricated unreachable addresses;
-* :class:`MaliciousBitcoinNode` — a protocol-mode node that additionally
-  pushes unsolicited ADDR floods to its peers, polluting their addrman
-  tables and driving the outbound-connection failure rate up.
+:class:`MaliciousAddrServer` is the longitudinal-mode flooder — a
+GETADDR responder backed by a finite pool of fabricated unreachable
+addresses, planted by :func:`plant_flooders`.  Its protocol-mode
+counterpart, a full node that also pushes unsolicited ADDR floods, is
+:class:`repro.adversary.behaviors.AddrFlooderNode`.
 """
 
 from __future__ import annotations
@@ -23,9 +21,6 @@ from typing import List, Optional
 
 from ..simnet.addresses import NetAddr, TimestampedAddr
 from ..simnet.simulator import Simulator
-from ..bitcoin.config import NodeConfig
-from ..bitcoin.messages import Addr
-from ..bitcoin.node import BitcoinNode
 from . import calibration as cal
 from .addr_server import AddrServer
 from .population import Population
@@ -100,79 +95,6 @@ class MaliciousAddrServer(AddrServer):
         now = self.sim.now
         # No self-advertisement — the tell the detector keys on.
         return [TimestampedAddr(a, now) for a in fresh + filler]
-
-
-class MaliciousBitcoinNode(BitcoinNode):
-    """A protocol-mode flooder: full node, poisoned address plane.
-
-    GETADDR responses come from the fabricated pool, and every
-    ``flood_interval`` seconds the node pushes small unsolicited ADDR
-    announcements (which honest peers forward, spreading the pollution).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        addr: NetAddr,
-        population: Population,
-        flood_volume: int,
-        config: Optional[NodeConfig] = None,
-        flood_interval: float = 30.0,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(sim, addr, config=config, name=name)
-        self.population = population
-        self.flood_volume = flood_volume
-        self.flood_interval = flood_interval
-        self._flood_pool: List[NetAddr] = []
-        self._flood_cursor = 0
-        self._flood_task = None
-        self.addrs_flooded = 0
-
-    def _pool_addr(self) -> NetAddr:
-        """Next fabricated address, minting lazily up to the volume."""
-        if self._flood_cursor < len(self._flood_pool):
-            addr = self._flood_pool[self._flood_cursor]
-        elif len(self._flood_pool) < self.flood_volume:
-            addr = self.population.mint_fake_address().addr
-            self._flood_pool.append(addr)
-        else:
-            addr = self._rng.choice(self._flood_pool)
-        self._flood_cursor = (self._flood_cursor + 1) % max(
-            1, min(self.flood_volume, len(self._flood_pool) + 1)
-        )
-        return addr
-
-    def _build_addr_response(self, records) -> List[TimestampedAddr]:
-        now = self.sim.now
-        count = min(1000, self.flood_volume)
-        return [TimestampedAddr(self._pool_addr(), now) for _ in range(count)]
-
-    def start(self) -> None:
-        super().start()
-        if self._flood_task is None and self.flood_interval > 0:
-            self._flood_task = self.sim.call_every(
-                self.flood_interval, self._push_flood
-            )
-
-    def stop(self) -> None:
-        if self._flood_task is not None:
-            self._flood_task.stop()
-            self._flood_task = None
-        super().stop()
-
-    def _push_flood(self) -> None:
-        """Unsolicited ≤10-address announcements to every peer."""
-        if not self.running:
-            return
-        now = self.sim.now
-        for peer in self.established_peers:
-            records = tuple(
-                TimestampedAddr(self._pool_addr(), now) for _ in range(10)
-            )
-            peer.enqueue_send(Addr(addresses=records))
-            self.addrs_flooded += len(records)
-        self._wake_handler()
 
 
 def plant_flooders(

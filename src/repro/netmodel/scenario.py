@@ -40,7 +40,7 @@ from ..bitcoin.light import LightNode
 from ..bitcoin.mining import MiningProcess, TransactionGenerator
 from ..bitcoin.node import BitcoinNode
 from ..bitcoin.policy.base import AddrPolicy, LightTierPolicy
-from ..bitcoin.policy.registry import build_policies
+from ..bitcoin.policy.registry import build_policies, require_light_tier
 
 # The adversary package sits above bitcoin/ and below netmodel/ in the
 # layering; importing only its plan module here keeps construction
@@ -76,14 +76,6 @@ class LightCloud:
     transport instead of a raw probe-behavior table entry.  The
     transport answers connects and probes identically either way, which
     is what makes full and hybrid runs of the same seed bit-identical.
-
-    Endpoints are additionally grouped into **shards** by /16 netgroup
-    (the latency model's locality unit).  A shard is the unit the fast
-    path reasons about: every endpoint in a shard shares one latency
-    base per remote group and one behaviour profile per class, so
-    shard-level operations (bulk retargeting at a churn epoch, census)
-    run O(shards touched) instead of O(endpoints).  Sharding is pure
-    bookkeeping — it never changes which endpoint answers or when.
     """
 
     def __init__(
@@ -93,8 +85,6 @@ class LightCloud:
     ) -> None:
         self.sim = sim
         self.nodes: Dict[NetAddr, LightNode] = {}
-        #: group16 -> {addr: LightNode}, in install order within a shard.
-        self.shards: Dict[int, Dict[NetAddr, LightNode]] = {}
         #: Per-address profile override (``unreachable-relay`` assists).
         #: ``None`` — every endpoint runs the shared default profile and
         #: the install path below is byte-for-byte the pre-policy one.
@@ -115,7 +105,6 @@ class LightCloud:
                 node = LightNode(self.sim, addr, behavior=behavior, profile=profile)
             node.start()
             self.nodes[addr] = node
-            self.shards.setdefault(addr.group16, {})[addr] = node
             if profile is not None and profile.listen:
                 # Sync the transport's listen state with the initial
                 # churn class (start() listens unconditionally).
@@ -124,32 +113,6 @@ class LightCloud:
             node.apply_behavior(behavior)
         else:
             node.behavior = behavior
-
-    def shard_of(self, addr: NetAddr) -> Dict[NetAddr, LightNode]:
-        """The endpoints sharing ``addr``'s netgroup (empty if none)."""
-        return self.shards.get(addr.group16, {})
-
-    def retarget_shard(self, group16: int, behavior: ProbeBehavior) -> int:
-        """Point every endpoint in one shard at ``behavior``.
-
-        The batched form of calling :meth:`install` per address when a
-        whole netgroup changes class at once (AS-level events: a
-        provider block going dark, a partition healing).  Returns the
-        number of endpoints retargeted.
-        """
-        shard = self.shards.get(group16)
-        if not shard:
-            return 0
-        for node in shard.values():
-            if node.profile.listen:
-                node.apply_behavior(behavior)
-            else:
-                node.behavior = behavior
-        return len(shard)
-
-    def shard_census(self) -> Dict[int, int]:
-        """Endpoint count per shard (diagnostic)."""
-        return {group: len(shard) for group, shard in self.shards.items()}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -228,6 +191,8 @@ class LongitudinalConfig:
             validate_fidelity(self.fidelity)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
+        if self.policies is not None:
+            require_light_tier(self.policies, self.fidelity)
         if self.scale <= 0:
             raise ScenarioError("scale must be positive")
         if self.snapshots < 1:
@@ -517,8 +482,6 @@ class ProtocolConfig:
     tx_rate: float = 0.0
     #: Live churn: departures per 10 minutes (None disables).
     churn_per_10min: Optional[float] = None
-    #: Plant protocol-mode malicious flooders.
-    flooder_count: int = 0
     #: Optional fault plan compiled onto the run (see ``repro.faults``).
     faults: Optional[FaultPlan] = None
     #: Optional attack plan (see ``repro.adversary``): adversarial peers
@@ -537,6 +500,7 @@ class ProtocolConfig:
             validate_fidelity(self.fidelity)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
+        require_light_tier(self.node_config.policies, self.fidelity)
         if self.n_reachable < 2:
             raise ScenarioError("need at least two reachable nodes")
         if not 0 < self.addr_reachable_share < 1:

@@ -29,18 +29,17 @@ from repro.adversary import (
 )
 from repro.bitcoin import BitcoinNode, NodeConfig
 from repro.core import (
+    ConditionSweepPlan,
     DetectionMetrics,
     GetAddrConfig,
     GetAddrCrawler,
     SyncCampaignConfig,
+    attack_conditions,
     detect_flooders,
-    run_attack_sweep,
-    run_stored_attack_sweep,
     run_sync_campaign,
     score_detection,
     time_to_detection,
 )
-from repro.core.attack_experiments import attack_sweep_key
 from repro.core.getaddr import CrawlResult, PeerHarvest
 from repro.core.malicious_detect import DetectionReport, MaliciousFinding
 from repro.core.pipeline import CRAWLER_ADDR
@@ -51,6 +50,7 @@ from repro.netmodel import (
     ProtocolScenario,
 )
 from repro.simnet import NetAddr, Simulator
+from repro.store import run_stored
 
 
 def flood_plan(count: int = 2, volume: int = 1500) -> AttackPlan:
@@ -504,62 +504,67 @@ def tiny_campaign(seed: int = 7) -> SyncCampaignConfig:
     )
 
 
+def attack_sweep(plan, base, counts, seeds) -> ConditionSweepPlan:
+    return ConditionSweepPlan(
+        "attack", attack_conditions(plan, base, counts), seeds, workers=1
+    )
+
+
 @pytest.mark.slow
 class TestAttackSweep:
     def test_degradation_and_replay(self):
         plan = flood_plan(count=3, volume=2000)
         base = tiny_campaign()
-        sweep = run_attack_sweep(
-            plan, base, counts=(0, 3), seeds=[7], workers=1
-        )
-        table = sweep.degradation_table()
+        sweep = attack_sweep(plan, base, (0, 3), [7]).run()
+        table = sweep.degradation_table(attackers=0)
         assert [row["attackers"] for row in table] == [0, 3]
         assert table[0]["delta_vs_baseline"] == 0.0
-        assert sweep.levels[1].attack_stats["addrs_flooded"] > 0
+        assert sweep.cells[1].totals("attack_stats")["addrs_flooded"] > 0
         # Same seed → identical sync-fraction table, bit for bit.
-        again = run_attack_sweep(
-            plan, base, counts=(0, 3), seeds=[7], workers=1
-        )
-        assert again.degradation_table() == table
+        again = attack_sweep(plan, base, (0, 3), [7]).run()
+        assert again.degradation_table(attackers=0) == table
         assert [
-            level.sweep.sync_samples for level in again.levels
-        ] == [level.sweep.sync_samples for level in sweep.levels]
+            cell.sweep.sync_samples for cell in again.cells
+        ] == [cell.sweep.sync_samples for cell in sweep.cells]
 
     def test_count_zero_is_attack_free(self):
         base = tiny_campaign()
         clean = run_sync_campaign(base)
-        sweep = run_attack_sweep(
-            flood_plan(), base, counts=(0,), seeds=[base.seed], workers=1
-        )
-        assert sweep.levels[0].sweep.per_seed[0].sync_samples == (
-            clean.sync_samples
-        )
-        assert sweep.levels[0].sweep.per_seed[0].attack_stats is None
+        sweep = attack_sweep(flood_plan(), base, (0,), [base.seed]).run()
+        (only,) = sweep.cells[0].sweep.per_seed
+        assert only.sync_samples == clean.sync_samples
+        assert only.attack_stats is None
+        assert sweep.cells[0].totals("attack_stats") == {}
 
     def test_stored_sweep_caches_by_key(self, tmp_path):
         plan = flood_plan(count=3, volume=2000)
         base = tiny_campaign()
-        first = run_stored_attack_sweep(
-            tmp_path / "store", plan, base,
-            counts=(0, 3), seeds=[7], workers=1,
+        first = run_stored(
+            tmp_path / "store", attack_sweep(plan, base, (0, 3), [7])
         )
         assert not first.cached
-        second = run_stored_attack_sweep(
-            tmp_path / "store", plan, base,
-            counts=(0, 3), seeds=[7], workers=1,
+        second = run_stored(
+            tmp_path / "store", attack_sweep(plan, base, (0, 3), [7])
         )
         # Acceptance pin: same run key → cache hit, identical table.
         assert second.cached
         assert second.manifest.run_id == first.manifest.run_id
         assert (
-            second.result.degradation_table()
-            == first.result.degradation_table()
+            second.result.degradation_table(attackers=0)
+            == first.result.degradation_table(attackers=0)
         )
 
     def test_key_separates_plans_and_counts(self):
         base = tiny_campaign()
-        key = attack_sweep_key(flood_plan(), base, (0, 2), [7])
-        assert key != attack_sweep_key(flood_plan(4), base, (0, 2), [7])
-        assert key != attack_sweep_key(flood_plan(), base, (0, 3), [7])
-        assert key != attack_sweep_key(flood_plan(), base, (0, 2), [8])
-        assert key == attack_sweep_key(flood_plan(), base, (0, 2), [7])
+
+        def key(plan, counts, seeds):
+            return attack_sweep(plan, base, counts, seeds).key
+
+        same = key(flood_plan(), (0, 2), [7])
+        assert same != key(flood_plan(volume=900), (0, 2), [7])
+        assert same != key(flood_plan(), (0, 3), [7])
+        assert same != key(flood_plan(), (0, 2), [8])
+        assert same == key(flood_plan(), (0, 2), [7])
+        # The key hashes what runs: a cohort declared at 4 and rescaled
+        # to the same counts is the same experiment.
+        assert same == key(flood_plan(4), (0, 2), [7])

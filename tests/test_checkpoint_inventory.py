@@ -26,7 +26,7 @@ import pytest
 from repro.adversary.plan import AttackerSpec, AttackPlan
 from repro.bitcoin import BitcoinNode, LightNode, LightNodeProfile, NodeConfig
 from repro.bitcoin.config import PolicyConfig
-from repro.core.attack_experiments import AttackSweepLevel, AttackSweepResult
+from repro.core.condition_sweep import ConditionCell, ConditionSweepResult
 from repro.core.getaddr import GetAddrCrawler
 from repro.core.parallel import SyncSweepResult
 from repro.core.pipeline import (
@@ -39,7 +39,6 @@ from repro.core.prober import VerProber
 from repro.core.propagation import PropagationTracker
 from repro.core.sync_experiments import SyncCampaignConfig, run_sync_campaign
 from repro.core.sync_monitor import SyncMonitor
-from repro.core.variant_experiments import VariantCell, VariantMatrixResult
 from repro.faults.plan import FaultPlan, FaultScope, FaultSpec
 from repro.netmodel.scenario import (
     LongitudinalConfig,
@@ -61,10 +60,8 @@ KINDS = {
     "campaign-runner",
     "snapshot-result",
     "campaign-result",
-    "attack-sweep-level",
-    "attack-sweep-result",
-    "variant-matrix-cell",
-    "variant-matrix-result",
+    "sync-sweep-cell",
+    "sync-sweep-result",
 }
 
 
@@ -247,32 +244,23 @@ def test_campaign_kinds(campaign):
 
 @pytest.mark.parametrize("aliasing", [True, False])
 def test_attack_and_variant_kinds(sync_result, aliasing):
+    """Both are ``sync-sweep`` cells now: one labelled as an attacker
+    count, one as a matrix cell, over a sweep whose campaigns carry the
+    fault, attack and policy configs (``sync_result``)."""
     sweep = SyncSweepResult(seeds=[7, 8], per_seed=[sync_result, sync_result])
-    level = AttackSweepLevel(count=4, plan=_ATTACK.with_total(4), sweep=sweep)
-    attack = AttackSweepResult(
-        plan=_ATTACK,
-        levels=[AttackSweepLevel(count=0, plan=None, sweep=sweep), level],
-    )
-    policies = PolicyConfig(variant="improved")
-    cell = VariantCell(
-        policies=policies,
-        churn_per_10min=2.0,
-        fidelity="hybrid",
-        fault_label="none",
+    level = ConditionCell(labels={"attackers": 4}, sweep=sweep)
+    cell = ConditionCell(
+        labels={
+            "variant": "tried-only+17d+block-prio", "churn": 2.0,
+            "faults": "none", "fidelity": "hybrid",
+        },
         sweep=sweep,
     )
-    matrix = VariantMatrixResult(
-        variants=[policies],
-        churn_levels=[2.0],
-        fault_labels=["none"],
-        fidelities=["hybrid"],
-        cells=[cell],
-    )
     for kind, obj in (
-        ("attack-sweep-level", level),
-        ("attack-sweep-result", attack),
-        ("variant-matrix-cell", cell),
-        ("variant-matrix-result", matrix),
+        ("sync-sweep-cell", level),
+        ("sync-sweep-cell", cell),
+        ("sync-sweep-result", ConditionSweepResult("attack", [level, level])),
+        ("sync-sweep-result", ConditionSweepResult("variants", [cell])),
     ):
         assert_canonical(obj, kind=kind, aliasing=aliasing)
 

@@ -213,11 +213,11 @@ class TestVariantsWiring:
         args = build_parser().parse_args(
             ["variants", "--variants", "baseline,improved",
              "--churn", "2,6", "--fidelities", "hybrid",
-             "--store", "st", "--resume", "variant-matrix-abc", "--force"]
+             "--store", "st", "--resume", "sync-sweep-abc", "--force"]
         )
         assert args.command == "variants"
         assert args.variants == "baseline,improved"
-        assert args.resume == "variant-matrix-abc"
+        assert args.resume == "sync-sweep-abc"
         assert args.force is True
         assert callable(args.func)
 
@@ -235,7 +235,7 @@ class TestVariantsWiring:
     def test_variants_resume_requires_store(self, capsys):
         code = main(
             ["variants", "--variants", "baseline",
-             "--resume", "variant-matrix-abc"]
+             "--resume", "sync-sweep-abc"]
         )
         assert code == 2
 
@@ -254,7 +254,7 @@ class TestVariantsSmoke:
         out = capsys.readouterr().out
         assert "retention" in out
         assert "unreachable-relay" in out
-        assert "stored as run variant-matrix-" in out
+        assert "stored as run sync-sweep-" in out
         assert main(argv) == 0
         assert "cache hit" in capsys.readouterr().out
 
@@ -277,7 +277,7 @@ class TestAttackSmoke:
         out = capsys.readouterr().out
         assert "attackers" in out
         run_id = out.split("stored as run ")[1].split()[0]
-        assert run_id.startswith("attack-sweep-")
+        assert run_id.startswith("sync-sweep-")
         assert main(argv + ["--resume", run_id]) == 0
         assert f"cache hit: run {run_id}" in capsys.readouterr().out
         assert main(argv + ["--force"]) == 0

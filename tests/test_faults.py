@@ -427,7 +427,7 @@ class TestFaultsThroughStore:
 # ---------------------------------------------------------------------------
 class TestSyncUnderFaults:
     def test_degradation_sweep_shapes(self):
-        from repro.core import run_sync_under_faults
+        from repro.core import ConditionSweepPlan, fault_conditions
         from repro.core.sync_experiments import SyncCampaignConfig
 
         plan = FaultPlan(faults=(
@@ -438,15 +438,17 @@ class TestSyncUnderFaults:
             sample_period=120.0, poll_spread=80.0, warmup=150.0,
             duration=600.0, seed=3,
         )
-        result = run_sync_under_faults(
-            plan, base, intensities=(0.0, 1.0), seeds=[3, 4], workers=1,
+        result = ConditionSweepPlan(
+            "chaos", fault_conditions(plan, base, (0.0, 1.0)), [3, 4], workers=1
+        ).run()
+        assert result.axis("intensity") == [0.0, 1.0]
+        baseline, stressed = result.cells
+        assert len(baseline.sweep.per_seed[0].config.faults) == 0
+        assert all(
+            value == 0 for value in baseline.totals("fault_stats").values()
         )
-        assert result.intensities == [0.0, 1.0]
-        baseline, stressed = result.levels
-        assert len(baseline.plan) == 0
-        assert all(value == 0 for value in baseline.fault_stats.values())
-        assert stressed.fault_stats["messages_dropped"] > 0
-        rows = result.degradation_table()
+        assert stressed.totals("fault_stats")["messages_dropped"] > 0
+        rows = result.degradation_table(intensity=0)
         assert rows[0]["delta_vs_baseline"] == 0
         assert rows[1]["delta_vs_baseline"] is not None
         assert all(row["failed_seeds"] == [] for row in rows)

@@ -72,7 +72,7 @@ class TestCrawlAgainstFullNodes:
 @pytest.mark.slow
 class TestDetectorAgainstLiveFlooder:
     def test_flooder_detected_in_live_crawl(self):
-        from repro.netmodel.malicious import MaliciousBitcoinNode
+        from repro.adversary.behaviors import AddrFlooderNode
 
         scenario = ProtocolScenario(
             ProtocolConfig(
@@ -82,7 +82,7 @@ class TestDetectorAgainstLiveFlooder:
                 node_config=NodeConfig(serve_repeated_getaddr=True),
             )
         )
-        flooder = MaliciousBitcoinNode(
+        flooder = AddrFlooderNode(
             scenario.sim,
             scenario.universe.allocate_address(3320),
             population=scenario.population,

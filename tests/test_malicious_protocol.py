@@ -1,12 +1,13 @@
-"""Tests for the protocol-mode malicious flooder node."""
+"""Tests for the protocol-mode malicious flooder node
+(``repro.adversary.behaviors.AddrFlooderNode``)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.adversary.behaviors import AddrFlooderNode
 from repro.bitcoin import NodeConfig
 from repro.netmodel.asmap import ASUniverse
-from repro.netmodel.malicious import MaliciousBitcoinNode
 from repro.netmodel.population import NodeClass, Population, PopulationConfig
 
 from .conftest import make_addr, make_node
@@ -20,7 +21,7 @@ def world(sim, rng):
 
 
 def _flooder(sim, population, volume=5000, interval=10.0):
-    flooder = MaliciousBitcoinNode(
+    flooder = AddrFlooderNode(
         sim,
         make_addr(500),
         population=population,

@@ -287,7 +287,7 @@ class TestPolicies:
 
         peer.send_queue.clear()
         peer.enqueue_send(GetAddr())
-        node._relay_block(  # noqa: SLF001 - exercising the relay path
+        node.relay.relay_block(  # exercising the relay path
             Block(block_id=9, prev_id=0, height=1, created_at=sim.now, size=100)
         )
         first = peer.send_queue[0]
@@ -305,7 +305,7 @@ class TestPolicies:
 
         peer.send_queue.clear()
         peer.enqueue_send(GetAddr())
-        node._relay_block(  # noqa: SLF001
+        node.relay.relay_block(
             Block(block_id=9, prev_id=0, height=1, created_at=sim.now, size=100)
         )
         assert peer.send_queue[0].command == "getaddr"

@@ -6,13 +6,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.parallel import (
-    default_workers,
-    run_2019_vs_2020_sweep,
-    run_multi_seed,
-    run_sync_campaign_sweep,
-    seed_range,
-)
+from repro.core.condition_sweep import ConditionSweepPlan, churn_conditions
+from repro.core.parallel import default_workers, run_multi_seed, seed_range
 from repro.core.sync_experiments import SyncCampaignConfig
 
 #: Small enough to run two full sweeps in a test, large enough to churn.
@@ -30,6 +25,14 @@ TINY = SyncCampaignConfig(
 
 def _square(seed: int) -> int:
     return seed * seed
+
+
+def fig1(seeds, workers=1):
+    """The Fig. 1 contrast over ``seeds``: ``{year: SyncSweepResult}``."""
+    result = ConditionSweepPlan(
+        "fig1", churn_conditions(TINY), seeds, workers=workers
+    ).run()
+    return {cell.labels["year"]: cell.sweep for cell in result.cells}
 
 
 class TestRunMultiSeed:
@@ -55,39 +58,46 @@ class TestRunMultiSeed:
 
 
 class TestSyncSweep:
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """One arm of the two-seed contrast."""
+        return fig1([5, 6])["2019"]
+
     def test_parallel_equals_sequential(self):
         seeds = [5, 6]
-        seq = run_sync_campaign_sweep(TINY, seeds, workers=1)
-        par = run_sync_campaign_sweep(TINY, seeds, workers=2)
-        assert seq.seeds == par.seeds == seeds
-        # Bit-identical per-seed results and merged sample stream.
-        assert seq.sync_samples == par.sync_samples
-        for a, b in zip(seq.per_seed, par.per_seed):
-            assert a.sync_samples == b.sync_samples
-            assert a.sync_departures_per_10min == b.sync_departures_per_10min
-            assert a.total_departures == b.total_departures
-        assert seq.mean == par.mean
-        assert seq.sync_departures_per_10min == par.sync_departures_per_10min
+        sequential, parallel = fig1(seeds, workers=1), fig1(seeds, workers=2)
+        for year in ("2019", "2020"):
+            seq, par = sequential[year], parallel[year]
+            assert seq.seeds == par.seeds == seeds
+            # Bit-identical per-seed results and merged sample stream.
+            assert seq.sync_samples == par.sync_samples
+            for a, b in zip(seq.per_seed, par.per_seed):
+                assert a.sync_samples == b.sync_samples
+                assert (
+                    a.sync_departures_per_10min == b.sync_departures_per_10min
+                )
+                assert a.total_departures == b.total_departures
+            assert seq.mean == par.mean
+            assert (
+                seq.sync_departures_per_10min == par.sync_departures_per_10min
+            )
 
-    def test_merge_is_seed_ordered_concatenation(self):
-        sweep = run_sync_campaign_sweep(TINY, [5, 6], workers=1)
+    def test_merge_is_seed_ordered_concatenation(self, sweep):
         expected = sweep.per_seed[0].sync_samples + sweep.per_seed[1].sync_samples
         assert sweep.sync_samples == expected
 
-    def test_seeds_actually_vary_the_runs(self):
-        sweep = run_sync_campaign_sweep(TINY, [5, 6], workers=1)
+    def test_seeds_actually_vary_the_runs(self, sweep):
         a, b = sweep.per_seed
         assert a.config.seed == 5 and b.config.seed == 6
 
-    def test_density_over_pooled_samples(self):
-        sweep = run_sync_campaign_sweep(TINY, [5, 6], workers=1)
+    def test_density_over_pooled_samples(self, sweep):
         estimate = sweep.density()
         assert estimate.count == len(sweep.sync_samples)
 
 
 class TestContrastSweep:
     def test_labels_and_churn_levels(self):
-        sweep = run_2019_vs_2020_sweep(TINY, seeds=[5], workers=1)
+        sweep = fig1([5])
         assert set(sweep) == {"2019", "2020"}
         assert sweep["2019"].per_seed[0].config.churn_per_10min == 5.0
         assert sweep["2020"].per_seed[0].config.churn_per_10min == 14.0
@@ -96,6 +106,6 @@ class TestContrastSweep:
         from repro.core.sync_experiments import run_sync_campaign
         from dataclasses import replace
 
-        sweep = run_2019_vs_2020_sweep(TINY, seeds=[5], workers=1)
+        sweep = fig1([5])
         direct = run_sync_campaign(replace(TINY, churn_per_10min=5.0, seed=5))
         assert sweep["2019"].sync_samples == direct.sync_samples

@@ -222,7 +222,7 @@ class TestRoundRobinFairness:
             peers[0].enqueue_process(GetAddr())
         peers[1].enqueue_process(GetAddr())
         peers[2].enqueue_process(GetAddr())
-        hub._handler_pass()  # noqa: SLF001 - single pass, no reschedule wait
+        hub.handlers.run_pass()  # single pass, no reschedule wait
         # One message consumed from EACH queue, not five from the first.
         assert len(peers[0].process_queue) == 4
         assert len(peers[1].process_queue) == 0
@@ -230,16 +230,16 @@ class TestRoundRobinFairness:
 
     def test_uplink_serializes_sends(self, sim):
         a, _b, peer_a, _peer_b = connected_pair(sim)
-        start = a._uplink_free_at  # noqa: SLF001
+        start = a.handlers.uplink_free_at
         peer_a.send_queue.clear()
         big_block = Block(
             block_id=1, prev_id=0, height=1, created_at=sim.now, size=1_000_000
         )
         a.chain.add_block(big_block)
         peer_a.enqueue_send(BlockMsg(block=big_block))
-        a._handler_pass()  # noqa: SLF001
+        a.handlers.run_pass()
         transmit = 1_000_000 / a.config.uplink_bandwidth
-        assert a._uplink_free_at >= sim.now + transmit * 0.99  # noqa: SLF001
+        assert a.handlers.uplink_free_at >= sim.now + transmit * 0.99
 
 
 class TestTxPath:

@@ -260,6 +260,28 @@ class TestValidation:
 
         with_service(tmp_path, body)
 
+    def test_light_tier_variant_under_full_fidelity_is_400(self, tmp_path):
+        """``unreachable-relay`` acts only through the light cloud that
+        ``fidelity="full"`` (the default) never builds: refused by name
+        at submit time; the same scenario under hybrid is admitted."""
+
+        async def body(service, client):
+            spec = tiny()
+            spec["scenario"]["policies"] = {"variant": "unreachable-relay"}
+            r = await client.request("POST", "/v1/campaigns", body=spec)
+            assert r.status == 400
+            error = r.json()["error"]
+            assert "'unreachable-relay'" in error and "fidelity='full'" in error
+            assert RunStore(tmp_path / "store").manifests() == []
+            spec["scenario"]["fidelity"] = "hybrid"
+            r = await client.request("POST", "/v1/campaigns", body=spec)
+            assert r.status == 202, r.json()
+            events = await stream_to_end(client, r.json()["id"])
+            assert events[-1]["kind"] == "job-complete"
+            return None
+
+        with_service(tmp_path, body)
+
     def test_malformed_json_is_400(self, tmp_path):
         async def body(service, client):
             r = await client.request(

@@ -35,6 +35,7 @@ from repro.store import (
     load_checkpoint,
     read_header,
     run_key,
+    run_stored,
     run_stored_campaign,
     sha256_hex,
 )
@@ -582,41 +583,90 @@ class TestRetiredFormat:
         assert store.load_manifest(old.run_id).to_dict() == old.to_dict()
 
     @pytest.mark.parametrize("kind", ["attack-sweep", "variant-matrix"])
-    def test_sweep_runners_refuse_by_name_too(self, tmp_path, kind):
+    def test_sweep_runners_refuse_by_name_too(self, tmp_path, kind, capsys):
+        """Runs of the two retired sweep *kinds* (every sweep is a
+        ``sync-sweep`` now), partial and complete: still listed, shown,
+        diffed and kept by gc; a clean miss for the same experiment; one
+        named failure when resumed by name, and nothing written."""
         from repro.adversary.plan import AttackerSpec, AttackPlan
+        from repro.cli import main
         from repro.core import (
+            ConditionSweepPlan,
             SyncCampaignConfig,
-            run_stored_attack_sweep,
-            run_stored_variant_matrix,
+            attack_conditions,
+            variant_conditions,
         )
 
         store = RunStore(tmp_path)
-        old = RunManifest(
-            run_id=f"{kind}-0123456789ab", key="0123456789ab" + "c" * 52,
-            kind=kind, seed=7, snapshots_total=2, config={},
-            checkpoint=CheckpointRecord(
-                digest=store.put_blob(
-                    format_1_blob("partial", kind=f"{kind}-partial")
-                ),
-                snapshot_index=0,
-            ),
+        unit = "level" if kind == "attack-sweep" else "cell"
+        old_runs = []
+        for tag, complete in (("0123456789ab", False), ("ba9876543210", True)):
+            old = RunManifest(
+                run_id=f"{kind}-{tag}", key=tag + "c" * 52,
+                kind=kind, seed=7, snapshots_total=1, config={},
+                status="complete" if complete else "running",
+                snapshots=[
+                    SnapshotRecord(
+                        index=0, when=0.0, digest=store.put_blob(
+                            dump_checkpoint(
+                                f"a {unit} of {tag}", kind=f"{kind}-{unit}",
+                                meta={"index": 0}, aliasing=False,
+                            )
+                        ),
+                    )
+                ] if complete else [],
+                result_digest=store.put_blob(
+                    dump_checkpoint(
+                        "a result", kind=f"{kind}-result", aliasing=False
+                    )
+                ) if complete else None,
+            )
+            store.save_manifest(old)
+            old_runs.append(old)
+        blobs = sorted(store.blobs.digests())
+        manifests = [m.to_json() for m in store.manifests()]
+
+        base = SyncCampaignConfig(
+            n_reachable=8, fidelity="hybrid", duration=300.0, warmup=150.0,
+            pre_mined_blocks=10, sample_period=100.0, poll_spread=60.0, seed=7,
         )
-        store.save_manifest(old)
-        base = SyncCampaignConfig(n_reachable=12, seed=7)
-        with pytest.raises(CheckpointError, match="format 1.*format 2"):
-            if kind == "attack-sweep":
-                plan = AttackPlan(
-                    attackers=(AttackerSpec(kind="addr_flooder", count=2),)
+        if kind == "attack-sweep":
+            flood = AttackPlan(
+                attackers=(AttackerSpec(kind="addr_flooder", count=2),)
+            )
+            conditions = attack_conditions(flood, base, (0,))
+        else:
+            conditions = variant_conditions(["baseline"], base, (2.0,))
+        plan = ConditionSweepPlan(kind, conditions, [7], workers=1)
+
+        for old in old_runs:
+            for _ in range(2):  # and again: nothing was written or retried
+                with pytest.raises(StoreError) as excinfo:
+                    run_stored(store, plan, resume=old.run_id)
+                assert str(excinfo.value) == (
+                    f"run {old.run_id!r} is a {kind!r} run"
                 )
-                run_stored_attack_sweep(
-                    store, plan, base, counts=(0, 2), seeds=[7],
-                    resume=old.run_id,
-                )
-            else:
-                run_stored_variant_matrix(
-                    store, ["baseline"], base, churn_levels=(2.0,),
-                    seeds=[7], resume=old.run_id,
-                )
+        assert sorted(store.blobs.digests()) == blobs
+        assert [m.to_json() for m in store.manifests()] == manifests
+
+        root = ["--store", str(tmp_path)]
+        partial, complete = (old.run_id for old in old_runs)
+        assert main(["store", "ls", *root]) == 0
+        listed = capsys.readouterr().out
+        assert partial in listed and complete in listed and kind in listed
+        assert main(["store", "show", complete, *root]) == 0
+        assert old_runs[1].result_digest in capsys.readouterr().out
+        assert main(["store", "gc", "--dry-run", *root]) == 0
+        assert "would remove 0 unreferenced" in capsys.readouterr().out
+        assert main(["store", "diff", partial, complete, *root]) == 0
+        assert "status: 'running' -> 'complete'" in capsys.readouterr().out
+
+        # The same experiment is a clean miss: it runs, under a new id.
+        fresh = run_stored(store, plan)
+        assert not fresh.cached and fresh.resumed_from is None
+        assert fresh.manifest.run_id.startswith("sync-sweep-")
+        assert set(store.index()) == {partial, complete, fresh.manifest.run_id}
+        assert not set(store.gc()["removed"]) & set(blobs)
 
     def test_load_campaign_result_refuses_by_name(self, old_store):
         store, old = old_store

@@ -7,13 +7,16 @@ Three layers, cheapest first:
   state-carrying (resume reloads carried state) — through a crash at
   every unit index, ``force``, config drift, wrong kind, wrong result
   type, a manifest that disagrees with its blobs, and a bad hook value.
-* **Stores a previous layout wrote.**  A partial sweep whose manifest
-  points at the retired ``*-partial`` blobs fails once, by name; a
-  complete run of each kind is still a cache hit.
-* **The flavours, once each.**  Campaign, attack sweep and variant
-  matrix through the same kill → resume → compare-with-fresh body, in
-  process and in real subprocesses; and a literal pin of the keys and
-  result digests the runner must not move.
+* **Stores another blob layout wrote.**  A partial sweep whose manifest
+  points at blobs of a kind this build does not keep (as the retired
+  ``*-partial`` sweep checkpoints were) fails once, by name; a complete
+  run of each kind is still a cache hit.  (Runs of the retired
+  ``attack-sweep`` / ``variant-matrix`` *kinds* are
+  ``tests/test_store.py::TestRetiredFormat``'s.)
+* **The flavours, once each.**  Campaign, attack sweep, variant matrix
+  and chaos sweep through the same kill → resume → compare-with-fresh
+  body, in process and in real subprocesses; and a literal pin of the
+  keys and result digests the runner must not move.
 """
 
 from __future__ import annotations
@@ -28,19 +31,19 @@ from typing import List
 
 import pytest
 
+import hashlib
+
 from repro.adversary.plan import AttackerSpec, AttackPlan
 from repro.core import (
-    AttackSweepPlan,
-    VariantMatrixPlan,
-    run_attack_sweep,
-    run_stored_attack_sweep,
-    run_stored_variant_matrix,
-    run_variant_matrix,
+    ConditionSweepPlan,
+    attack_conditions,
+    fault_conditions,
+    variant_conditions,
 )
-from repro.core.attack_experiments import attack_sweep_key
 from repro.core.export import export_campaign_series
 from repro.core.pipeline import CampaignResult
 from repro.errors import CheckpointError, ConfigurationError, StoreError
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.netmodel.scenario import LongitudinalConfig
 from repro.store import (
     CRASH_ENV,
@@ -56,7 +59,8 @@ from repro.store import (
     run_stored_campaign,
 )
 
-from .test_adversary import flood_plan, tiny_campaign as tiny_sync
+from .test_adversary import attack_sweep, flood_plan, tiny_campaign as tiny_sync
+from .test_variant_lab import matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -321,7 +325,7 @@ class TestRunStored:
 
 
 # ---------------------------------------------------------------------------
-# Stores written under the previous layout
+# Stores written under another blob layout
 # ---------------------------------------------------------------------------
 
 
@@ -329,14 +333,26 @@ def tiny_crawl() -> LongitudinalConfig:
     return LongitudinalConfig(seed=13, scale=0.01, snapshots=3, campaign_days=1.0)
 
 
-def _old_layout_plans():
-    """(plan, an empty result of its type) for the three flavours; the
-    sweeps checkpointed their whole partial result under ``*-partial``."""
-    attack = AttackSweepPlan(flood_plan(3, 2000), tiny_sync(), (0, 3), [7], workers=1)
-    matrix = VariantMatrixPlan(
-        ["baseline", "improved"], tiny_sync(), churn_levels=(2.0,),
-        fidelities=("hybrid",), seeds=[7], workers=1,
+def attack_plan(counts=(0, 3), seeds=(7,), flooders=3) -> ConditionSweepPlan:
+    return attack_sweep(flood_plan(flooders, 2000), tiny_sync(), counts, seeds)
+
+
+def variants_plan(churn_levels=(2.0,)) -> ConditionSweepPlan:
+    return matrix(["baseline", "improved"], churn_levels)
+
+
+def chaos_plan() -> ConditionSweepPlan:
+    drop = FaultPlan(faults=(FaultSpec(kind="drop", probability=0.3),))
+    return ConditionSweepPlan(
+        "chaos", fault_conditions(drop, tiny_sync(), (0.0, 1.0)), [7], workers=1
     )
+
+
+def _old_layout_plans():
+    """(plan, an empty result of its type) for the three flavours; a
+    sweep once checkpointed its whole partial result under
+    ``<kind>-partial``."""
+    attack, matrix = attack_plan(), variants_plan()
     return {
         "campaign": (CampaignPlan(tiny_crawl()), CampaignResult()),
         "attack-sweep": (attack, attack.finish(None, [])),
@@ -398,7 +414,7 @@ class TestPreviousLayout:
             with pytest.raises(CheckpointError) as excinfo:
                 run_stored(store, plan, resume=resume)
             message = str(excinfo.value)
-            assert f"'{kind}-partial'" in message
+            assert f"'{plan.kind}-partial'" in message
             assert f"'{plan.unit_kind}'" in message
             assert "--force" in message
         assert sorted(store.blobs.digests()) == blobs
@@ -433,6 +449,12 @@ class TestOneValidation:
     """A plan that cannot run fails in its constructor — the same way
     through either entry point, before any manifest is written."""
 
+    @staticmethod
+    def _run(tmp_path, stored, conditions):
+        """``conditions()`` through either entry point."""
+        run = partial(run_stored, tmp_path) if stored else ConditionSweepPlan.run
+        return run(ConditionSweepPlan("sweep", conditions(), [7], workers=1))
+
     @pytest.mark.parametrize(
         "counts, message",
         [
@@ -447,13 +469,11 @@ class TestOneValidation:
                 AttackerSpec(kind="addr_flooder", count=3, tier="reachable"),
             )
         )
-        run = (
-            partial(run_stored_attack_sweep, tmp_path)
-            if stored
-            else run_attack_sweep
-        )
         with pytest.raises(ConfigurationError, match=message):
-            run(plan, tiny_sync(), counts=counts, seeds=[7], workers=1)
+            self._run(
+                tmp_path, stored,
+                lambda: attack_conditions(plan, tiny_sync(), counts),
+            )
         assert RunStore(tmp_path).manifests() == []
 
     @pytest.mark.parametrize(
@@ -468,47 +488,32 @@ class TestOneValidation:
     )
     def test_variant_matrix(self, tmp_path, stored, axes, message):
         axes = {"variants": ["baseline"], **axes}
-        run = (
-            partial(run_stored_variant_matrix, tmp_path)
-            if stored
-            else run_variant_matrix
-        )
         with pytest.raises(ValueError, match=message):
-            run(base=tiny_sync(), seeds=[7], workers=1, **axes)
+            self._run(
+                tmp_path, stored,
+                lambda: variant_conditions(base=tiny_sync(), **axes),
+            )
         assert RunStore(tmp_path).manifests() == []
 
 
 def test_negative_attacker_count_never_reaches_a_key():
+    """The builder fails, so no plan — and no key — ever exists."""
     with pytest.raises(ConfigurationError, match="must be >= 0"):
-        attack_sweep_key(flood_plan(3, 2000), tiny_sync(), (-1, 3), [7])
+        attack_plan(counts=(-1, 3)).key
 
 
 # ---------------------------------------------------------------------------
-# The three flavours: kill, resume, compare with an uninterrupted twin
+# The four flavours: kill, resume, compare with an uninterrupted twin
 # ---------------------------------------------------------------------------
 
-
-def _campaign(store):
-    return run_stored_campaign(store, tiny_crawl())
-
-
-def _attack_sweep(store):
-    return run_stored_attack_sweep(
-        store, flood_plan(3, 2000), tiny_sync(), counts=(0, 3), seeds=[7], workers=1
-    )
-
-
-def _variant_matrix(store):
-    return run_stored_variant_matrix(
-        store, ["baseline", "improved"], tiny_sync(), churn_levels=(2.0,),
-        fidelities=("hybrid",), seeds=[7], workers=1,
-    )
-
-
+#: ``store -> StoredRun``.  The three sweeps are one plan class under
+#: three builders; chaos has no ``--store`` flag yet, and needs none to
+#: be stored, killed and resumed.
 FLAVOURS = {
-    "campaign": _campaign,
-    "attack-sweep": _attack_sweep,
-    "variant-matrix": _variant_matrix,
+    "campaign": lambda store: run_stored_campaign(store, tiny_crawl()),
+    "attack-sweep": lambda store: run_stored(store, attack_plan()),
+    "variant-matrix": lambda store: run_stored(store, variants_plan()),
+    "chaos": lambda store: run_stored(store, chaos_plan()),
 }
 
 
@@ -558,14 +563,14 @@ def _assert_resumed_equals_fresh(flavour, tmp_path, run):
         path_a = export_campaign_series(again_a.result, tmp_path / "a.csv")
         path_b = export_campaign_series(again_b.result, tmp_path / "b.csv")
         assert path_a.read_bytes() == path_b.read_bytes()
-    elif flavour == "attack-sweep":
+    elif flavour == "variant-matrix":
+        assert again_a.result.retention_table(
+            along="churn"
+        ) == again_b.result.retention_table(along="churn")
+    else:
         assert (
             again_a.result.degradation_table()
             == again_b.result.degradation_table()
-        )
-    else:
-        assert (
-            again_a.result.retention_table() == again_b.result.retention_table()
         )
 
 
@@ -626,10 +631,15 @@ def test_kill_and_resume(flavour, tmp_path):
 # Literal pins: what the single runner must not have moved
 # ---------------------------------------------------------------------------
 
-#: Key and result digest of three small runs, computed with the three
-#: hand-written runners this module's subject replaced (commit 37e6c5e).
-#: A run-key payload, a result class's pickled state, ``MANIFEST_FORMAT``
-#: or ``CHECKPOINT_FORMAT`` changing moves these — say so when it does.
+#: Key and result digest of three small runs.  The campaign row, its
+#: unit blobs and its final checkpoint were computed with the
+#: hand-written runner ``run_stored`` replaced (commit 37e6c5e) and have
+#: not moved since.  The two sweep rows were re-keyed once, when the
+#: attack sweep and the variant matrix became condition lists on one
+#: ``sync-sweep`` plan (old kind, key and result digest in CHANGES.md);
+#: ``_SWEEP_CELLS`` is the proof that only the envelope moved.  A run-key
+#: payload, a result class's pickled state, ``MANIFEST_FORMAT`` or
+#: ``CHECKPOINT_FORMAT`` changing moves these — say so when it does.
 PINS = {
     "campaign": (
         lambda store: run_stored_campaign(store, tiny_crawl()),
@@ -637,21 +647,17 @@ PINS = {
         "ea814f3123c231f4bb28c63f0cd2f48792db017a79146d3dadf541a5802b837f",
     ),
     "attack-sweep": (
-        lambda store: run_stored_attack_sweep(
-            store, flood_plan(4, 2000), tiny_sync(),
-            counts=(0, 1, 2, 3, 4), seeds=[7, 8], workers=1,
+        lambda store: run_stored(
+            store,
+            attack_plan(counts=(0, 1, 2, 3, 4), seeds=(7, 8), flooders=4),
         ),
-        "93bd33998de13fe17a668d5b08820727ad19a3a206929664bf047cb9611d25f9",
-        "8034b7efb8ec1768d0fa9e5e04b473b9b23c0d76ee75daa3436e453ad43bafe5",
+        "0881c67f5e3b151027b4a12f465bf0ab27fb4c36e0967c5dd2edd019127537ea",
+        "35b62015db0b859f268a0ede278d9145f64c5ab19ec00b65579595d54fef5b21",
     ),
     "variant-matrix": (
-        lambda store: run_stored_variant_matrix(
-            store, ["baseline", "improved"], tiny_sync(),
-            churn_levels=(2.0, 6.0), fidelities=("hybrid",), seeds=[7],
-            workers=1,
-        ),
-        "0d233acc9534494f74257f1e4537eb9618bb938d3302d8e928e52a7f02d1453c",
-        "d0f7a7019e440e2a56facb58a48be41ff5577493620e7ad6a02712c4e76d65dc",
+        lambda store: run_stored(store, variants_plan(churn_levels=(2.0, 6.0))),
+        "742ce8582ea158c9101ad8d572658af071531b6f33de7eb93a7e11a6d9256d44",
+        "69935e0504e29211e5451136429fd43a0fbd1a8eb4abeed6c8104f57ba22d313",
     ),
 }
 
@@ -666,18 +672,45 @@ _CAMPAIGN_CHECKPOINT = (
     "ae4f3f0bc748fba5d79ed080a536e329d46fed31464e42cfab7da15c8ab61aa4"
 )
 
+#: ``sha256(dump_checkpoint(cell.sweep, kind="x", aliasing=False))`` of
+#: every cell of the two pinned sweeps, computed at commit c074915 from
+#: ``AttackSweepLevel.sweep`` / ``VariantCell.sweep``: the measurements
+#: inside the re-keyed envelopes are the parent's, bit for bit.
+_SWEEP_CELLS = {
+    "attack-sweep": [
+        "c4eb25018538347d2c7895d5942760f01c5a6f1fdd49ee02d54bacdc5d02889f",
+        "a2df3bdbdf3166751edcf98590f7e06f04fe0c50d6c6f5fff51134139467a59e",
+        "1e2bb795a28fe347f5255315691f7041a2b018da6737276355df2ce3502dfe30",
+        "42bf389ac4ad91bf57ebf53872c94a273c4cadf7078e3b372ad2a9637e676164",
+        "dc644e08b55ed82047637f17e2ca87705c67d8871404b27416a814631bc87fed",
+    ],
+    "variant-matrix": [
+        "032dab43826149ef3fec91ed0a85822843945cafeff565a773ef076434f735e2",
+        "76f631249bb49d7d403d33cd3e90fefa4df826344ee3735e5a2153654a902064",
+        "650a3dbb14f2fd5ed8f3c1277e02b3ba4826104d9e85f73482d0b412f37d9166",
+        "b68bae17408c6cfefb6ba4fe7f99acd29e99d0c1e80e36fa8b26aea6d74adbf2",
+    ],
+}
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("flavour", sorted(PINS))
 def test_keys_and_result_digests_did_not_move(flavour, tmp_path):
     run, key, result_digest = PINS[flavour]
-    manifest = run(tmp_path).manifest
+    stored = run(tmp_path)
+    manifest = stored.manifest
     assert manifest.key == key
-    assert manifest.run_id == f"{flavour}-{key[:12]}"
+    assert manifest.run_id == f"{manifest.kind}-{key[:12]}"
     assert manifest.result_digest == result_digest
     if flavour == "campaign":
         units, checkpoint, _ = _digests(manifest)
         assert units == _CAMPAIGN_UNITS
         assert checkpoint == _CAMPAIGN_CHECKPOINT
     else:
-        assert manifest.checkpoint is None
+        assert manifest.kind == "sync-sweep" and manifest.checkpoint is None
+        assert [
+            hashlib.sha256(
+                dump_checkpoint(cell.sweep, kind="x", aliasing=False)
+            ).hexdigest()
+            for cell in stored.result.cells
+        ] == _SWEEP_CELLS[flavour]

@@ -1,6 +1,6 @@
 """The §V protocol-variant lab and its run-store identity guarantees.
 
-Covers the cross-product driver (`repro.core.variant_experiments`), the
+Covers the cross-product builder (`repro.core.variant_conditions`), the
 cache-collision guard the registry refactor promises — distinct
 variants/params can never share a run key, and §V knobs that add up to
 ``improved`` key identically to it, on both the store and serve paths —
@@ -19,16 +19,15 @@ import pytest
 from repro.bitcoin import NodeConfig, PolicyConfig
 from repro.core import (
     CampaignConfig,
+    ConditionSweepPlan,
     SyncCampaignConfig,
-    run_variant_matrix,
-    run_stored_variant_matrix,
-    variant_matrix_key,
+    variant_conditions,
 )
-from repro.core.variant_experiments import normalize_variants
 from repro.errors import ConfigurationError
 from repro.netmodel import LongitudinalConfig, ProtocolConfig, ProtocolScenario
 from repro.serve.submission import parse_submission
 from repro.simnet import Simulator
+from repro.store import run_stored
 from repro.store.campaign import campaign_key
 
 from .reference_scheduler import ReferenceScheduler, on_reference_scheduler
@@ -56,89 +55,65 @@ _IMPROVED_KNOBS = {
 
 
 # ---------------------------------------------------------------------------
-# The matrix driver
+# The matrix
 # ---------------------------------------------------------------------------
+
+
+def matrix(variants, churn_levels=(2.0, 6.0), seeds=(7,)) -> ConditionSweepPlan:
+    return ConditionSweepPlan(
+        "variants",
+        variant_conditions(variants, tiny_campaign(), churn_levels),
+        seeds,
+        workers=1,
+    )
 
 
 class TestVariantMatrix:
     def test_axes_validation(self):
         with pytest.raises(ConfigurationError):
-            normalize_variants([])
+            variant_conditions([])
         with pytest.raises(ValueError):
-            normalize_variants(["no-such-variant"])
+            variant_conditions(["no-such-variant"])
         with pytest.raises(ConfigurationError):
-            run_variant_matrix(["baseline"], tiny_campaign(), churn_levels=())
+            variant_conditions(["baseline"], tiny_campaign(), churn_levels=())
         with pytest.raises(ConfigurationError):
-            run_variant_matrix(
+            variant_conditions(
                 ["baseline"], tiny_campaign(), churn_levels=(-1.0,)
             )
 
     @pytest.mark.slow
     def test_cross_product_and_retention(self):
-        result = run_variant_matrix(
-            ["baseline", "improved"],
-            tiny_campaign(),
-            churn_levels=(2.0, 6.0),
-            fidelities=("hybrid",),
-            seeds=[7],
-            workers=1,
-        )
+        result = matrix(["baseline", "improved"]).run()
         assert len(result.cells) == 4
         # Deterministic cell order: variant -> churn -> fault -> fidelity.
-        assert [
-            (cell.variant_label, cell.churn_per_10min) for cell in result.cells
-        ] == [
-            ("baseline", 2.0),
-            ("baseline", 6.0),
-            ("tried-only+17d+block-prio", 2.0),
-            ("tried-only+17d+block-prio", 6.0),
+        assert [cell.labels for cell in result.cells] == [
+            {"variant": variant, "churn": churn, "faults": "none",
+             "fidelity": "hybrid"}
+            for variant in ("baseline", "tried-only+17d+block-prio")
+            for churn in (2.0, 6.0)
         ]
-        table = result.retention_table()
+        table = result.retention_table(along="churn")
         assert len(table) == 2
         for row in table:
             assert set(row["mean_sync"]) == {"2", "6"}
             assert row["retention"] is not None
         # Same invocation replays bit-identically.
-        again = run_variant_matrix(
-            ["baseline", "improved"],
-            tiny_campaign(),
-            churn_levels=(2.0, 6.0),
-            fidelities=("hybrid",),
-            seeds=[7],
-            workers=1,
-        )
-        assert again.retention_table() == table
+        again = matrix(["baseline", "improved"]).run()
+        assert again.retention_table(along="churn") == table
         assert [
             cell.sweep.per_seed[0].sync_samples for cell in again.cells
         ] == [cell.sweep.per_seed[0].sync_samples for cell in result.cells]
 
     @pytest.mark.slow
     def test_stored_matrix_caches_by_key(self, tmp_path):
-        base = tiny_campaign()
-        first = run_stored_variant_matrix(
-            tmp_path / "store",
-            ["baseline"],
-            base,
-            churn_levels=(2.0,),
-            fidelities=("hybrid",),
-            seeds=[7],
-            workers=1,
-        )
+        first = run_stored(tmp_path / "store", matrix(["baseline"], (2.0,)))
         assert not first.cached
-        second = run_stored_variant_matrix(
-            tmp_path / "store",
-            ["baseline"],
-            base,
-            churn_levels=(2.0,),
-            fidelities=("hybrid",),
-            seeds=[7],
-            workers=1,
-        )
+        second = run_stored(tmp_path / "store", matrix(["baseline"], (2.0,)))
         assert second.cached
         assert second.manifest.run_id == first.manifest.run_id
-        assert (
-            second.result.retention_table() == first.result.retention_table()
-        )
+        assert second.result.retention_table(
+            along="churn"
+        ) == first.result.retention_table(along="churn")
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +123,8 @@ class TestVariantMatrix:
 
 class TestRunKeyIdentity:
     def test_matrix_key_separates_axes(self):
-        base = tiny_campaign()
-
         def key(variants, churn=(2.0, 6.0), seeds=(7,)):
-            return variant_matrix_key(
-                base,
-                normalize_variants(variants),
-                churn,
-                [None],
-                ["hybrid"],
-                list(seeds),
-            )
+            return matrix(variants, churn, seeds).key
 
         baseline = key(["baseline"])
         assert baseline != key(["improved"])
@@ -207,6 +173,7 @@ class TestRunKeyIdentity:
                     "scenario": {
                         "scale": 0.004,
                         "snapshots": 2,
+                        "fidelity": "hybrid",
                         "policies": policies,
                     },
                     "seeds": [1, 2],
@@ -239,6 +206,79 @@ class TestRunKeyIdentity:
             parse_submission(
                 {"scenario": {"policies": {"addr_from_tried_only": True}}}
             )
+
+
+# ---------------------------------------------------------------------------
+# unreachable-relay acts through the light cloud, or not at all
+# ---------------------------------------------------------------------------
+
+_RELAY = PolicyConfig(variant="unreachable-relay")
+
+
+def _cli_variants_under_full():
+    from repro.cli import main
+
+    return main(
+        ["variants", "--variants", "baseline,unreachable-relay",
+         "--fidelities", "full", "--nodes", "10", "--hours", "0.2",
+         "--seeds", "1", "--workers", "1"]
+    )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: ProtocolConfig(
+            n_reachable=8, node_config=NodeConfig(policies=_RELAY)
+        ).validate(),
+        lambda: LongitudinalConfig(scale=0.004, policies=_RELAY).validate(),
+        lambda: variant_conditions(
+            ["baseline", "unreachable-relay"], tiny_campaign(),
+            fidelities=("hybrid", "full"),
+        ),
+        _cli_variants_under_full,
+        lambda: parse_submission(
+            {"scenario": {"scale": 0.004, "policies": {"variant": _RELAY.variant}}}
+        ),
+    ],
+    ids=["protocol-config", "longitudinal-config", "builder", "cli", "serve"],
+)
+def test_light_tier_variant_under_full_fidelity_is_refused_by_name(entry):
+    """Under ``fidelity="full"`` no light cloud is built, so the variant
+    would run event for event as the baseline under another name: every
+    entry point says so — the variant, the fidelity, the remedy — before
+    anything simulates.  (Over HTTP: ``tests/test_serve.py``.)"""
+    with pytest.raises(ConfigurationError) as excinfo:
+        entry()
+    message = str(excinfo.value)
+    assert "'unreachable-relay'" in message
+    assert "fidelity='full'" in message and "fidelity='hybrid'" in message
+
+
+def test_variants_without_a_light_tier_run_under_either_fidelity():
+    for name in ("baseline", "improved", "churn-resilient"):
+        policies = PolicyConfig(variant=name)
+        ProtocolConfig(node_config=NodeConfig(policies=policies)).validate()
+        LongitudinalConfig(policies=policies).validate()
+
+
+def _events_fired(policies: PolicyConfig) -> int:
+    scenario = ProtocolScenario(
+        ProtocolConfig(
+            seed=11, n_reachable=8, fidelity="hybrid", churn_per_10min=2.0,
+            pre_mined_blocks=3, tx_rate=0.05,
+            node_config=NodeConfig(policies=policies),
+        )
+    )
+    scenario.start(warmup=120.0)
+    scenario.sim.run_for(400.0)
+    return scenario.sim.scheduler.fired
+
+
+def test_unreachable_relay_differs_from_baseline_under_hybrid():
+    """The positive half: with its cloud built, the variant's assists
+    answer and relay — same seed, more events than the baseline."""
+    assert _events_fired(_RELAY) > _events_fired(PolicyConfig())
 
 
 # ---------------------------------------------------------------------------
