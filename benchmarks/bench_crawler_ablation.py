@@ -16,6 +16,7 @@ from repro.core import GetAddrConfig, GetAddrCrawler
 from repro.core.reports import format_table
 from repro.netmodel.addr_server import AddrServer
 from repro.simnet import NetAddr, Simulator
+from repro.simnet.addresses import stamp
 
 CRAWLER = NetAddr.parse("203.0.113.9:8333")
 
@@ -25,9 +26,10 @@ def _build_world(seed: int = 5, servers: int = 30, table_size: int = 400):
     rng = sim.random.stream("bench")
     world = []
     for index in range(servers):
-        table = [
-            NetAddr(ip=((index + 10) << 16) | (i + 1)) for i in range(table_size)
-        ]
+        table = stamp(
+            (NetAddr(ip=((index + 10) << 16) | (i + 1)) for i in range(table_size)),
+            0.0,
+        )
         server = AddrServer(
             sim, NetAddr(ip=((index + 1) << 8) | 1), rng, table=table
         )
@@ -52,9 +54,8 @@ def _crawl(stop_rule: str, threshold: float = 0.5):
     rounds = []
     for server in servers:
         harvest = result.harvests[server.addr]
-        coverages.append(
-            len(harvest.addresses & set(server.table)) / len(server.table)
-        )
+        table = {record.addr for record in server.table}
+        coverages.append(len(harvest.addresses & table) / len(table))
         rounds.append(harvest.rounds)
     return float(np.mean(coverages)), float(np.mean(rounds))
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..simnet.addresses import NetAddr, TimestampedAddr
+from ..simnet import rand
 from ..units import DAYS
 from . import config as cfg
 
@@ -156,7 +157,7 @@ class _Table:
 
     def sample(self, count: int) -> List[NetAddr]:
         count = min(count, len(self._flat))
-        return self._rng.sample(self._flat, count)
+        return rand.sample(self._rng, self._flat, count)
 
     def all_addresses(self) -> List[NetAddr]:
         return list(self._flat)

@@ -102,7 +102,12 @@ class GetAddr(Message):
 
 @dataclass(repr=False, slots=True)
 class Addr(Message):
-    """ADDR: gossip of (address, last-seen) records (≤1000)."""
+    """ADDR: gossip of (address, last-seen) records (≤1000).
+
+    A record's timestamp is when the *sender* last saw the address — it
+    relays what it stored, it does not stamp the send time — so the same
+    record object may ride in many messages and sit in many tables.
+    """
 
     command = "addr"
     addresses: Tuple[TimestampedAddr, ...]

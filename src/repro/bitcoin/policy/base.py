@@ -60,17 +60,17 @@ class AddrPolicy:
 
     def crawl_gossip(
         self,
-        reachable: "List[NetAddr]",
-        unreachable: "List[NetAddr]",
-    ) -> "List[NetAddr]":
+        reachable: "List[TimestampedAddr]",
+        unreachable: "List[TimestampedAddr]",
+    ) -> "List[TimestampedAddr]":
         """Compose a gossiped table at population scale.
 
         The longitudinal model materializes crawler-visible tables from
-        a reachable and an unreachable sample; this hook decides what
-        the population actually gossips.  The baseline concatenates
-        both (addresses spread with no notion of reachability — the
-        §IV-B weakness); tried-only gossip keeps just the reachable
-        part.
+        a reachable and an unreachable sample of last-seen records; this
+        hook decides what the population actually gossips.  The baseline
+        concatenates both (addresses spread with no notion of
+        reachability — the §IV-B weakness); tried-only gossip keeps just
+        the reachable part.
         """
         raise NotImplementedError
 

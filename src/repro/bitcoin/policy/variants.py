@@ -44,9 +44,9 @@ class StandardAddrPolicy(AddrPolicy):
 
     def crawl_gossip(
         self,
-        reachable: "List[NetAddr]",
-        unreachable: "List[NetAddr]",
-    ) -> "List[NetAddr]":
+        reachable: "List[TimestampedAddr]",
+        unreachable: "List[TimestampedAddr]",
+    ) -> "List[TimestampedAddr]":
         if self.tried_only:
             return reachable
         return reachable + unreachable

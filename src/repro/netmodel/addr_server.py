@@ -8,6 +8,14 @@ of the currently gossiped address pool) and serves 23%-capped-at-1000
 samples of it, always prepending its own address (the paper's §IV-B
 malicious-detection heuristic rests on that behaviour).
 
+The table holds ``(address, last-seen)`` records, not bare addresses, and
+a response relays them as stored — what a Core node does, and what a
+passive last-seen estimator would read.  The scenario builds one record
+per gossiped address per snapshot and every table that draws the address
+shares it, so a response costs one sample and no per-record work; only
+the server's own record is made per response, stamped with the response
+time (a node has just seen itself).
+
 Message processing is immediate (no round-robin engine): crawl
 experiments measure *address content*, not queueing delay.
 """
@@ -18,6 +26,7 @@ import random
 from typing import List, Optional, Sequence
 
 from ..simnet.addresses import NetAddr, TimestampedAddr
+from ..simnet.rand import sample
 from ..simnet.simulator import Simulator
 from ..simnet.transport import Socket
 from ..bitcoin import config as cfg
@@ -32,7 +41,7 @@ class AddrServer:
         sim: Simulator,
         addr: NetAddr,
         rng: random.Random,
-        table: Optional[Sequence[NetAddr]] = None,
+        table: Optional[Sequence[TimestampedAddr]] = None,
         max_inbound: int = cfg.MAX_INBOUND,
         response_max: int = cfg.ADDR_RESPONSE_MAX,
         response_pct: int = cfg.ADDR_RESPONSE_MAX_PCT,
@@ -40,7 +49,9 @@ class AddrServer:
         self.sim = sim
         self.addr = addr
         self._rng = rng
-        self.table: List[NetAddr] = list(table) if table is not None else []
+        self.table: List[TimestampedAddr] = (
+            list(table) if table is not None else []
+        )
         self.max_inbound = max_inbound
         self.response_max = response_max
         self.response_pct = response_pct
@@ -63,8 +74,11 @@ class AddrServer:
         self.sim.network.disconnect_host(self.addr)
         self.listening = False
         self._inbound = 0
+        # A departed node's table is dead weight until the next refresh
+        # (a rejoining server is handed a new one before it starts).
+        self.set_table(())
 
-    def set_table(self, table: Sequence[NetAddr]) -> None:
+    def set_table(self, table: Sequence[TimestampedAddr]) -> None:
         """Re-materialise the served address table (per-snapshot refresh)."""
         self.table = list(table)
 
@@ -101,18 +115,12 @@ class AddrServer:
     # ADDR response construction
     # ------------------------------------------------------------------
     def _sample_response(self) -> List[TimestampedAddr]:
-        limit = 0
-        if self.table:
+        table = self.table
+        response = [TimestampedAddr(self.addr, self.sim.now)]
+        if table:
             limit = min(
                 self.response_max,
-                max(1, len(self.table) * self.response_pct // 100),
+                max(1, len(table) * self.response_pct // 100),
             )
-        sampled = (
-            self._rng.sample(self.table, min(limit, len(self.table)))
-            if limit
-            else []
-        )
-        now = self.sim.now
-        response = [TimestampedAddr(self.addr, now)]
-        response += [TimestampedAddr(a, now) for a in sampled]
+            response += sample(self._rng, table, min(limit, len(table)))
         return response[: self.response_max]

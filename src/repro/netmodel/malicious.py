@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..simnet.addresses import NetAddr, TimestampedAddr
+from ..simnet.addresses import NetAddr, TimestampedAddr, stamp
+from ..simnet.rand import sample
 from ..simnet.simulator import Simulator
 from . import calibration as cal
 from .addr_server import AddrServer
@@ -72,29 +73,40 @@ class MaliciousAddrServer(AddrServer):
         self.flood_volume = flood_volume
 
     def set_table(self, table) -> None:  # noqa: D102 - keep the flood pool
-        # Snapshot refreshes must not replace a flooder's pool.
+        # Neither a snapshot refresh nor a stop may replace a flooder's pool.
         return
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name, value in state.items():
+            # setattr interns names as pickle's BUILD does; __dict__.update
+            # would not (see simulator.canonical_sets).
+            setattr(self, name, value)
+        # A campaign checkpointed when pools held bare addresses resumes
+        # under the same run key (CHECKPOINT_FORMAT did not move): give
+        # its pool records.  The mint times are gone; nothing reads them.
+        if self.table and not isinstance(self.table[0], TimestampedAddr):
+            self.table = stamp(self.table, 0.0)
 
     def _sample_response(self) -> List[TimestampedAddr]:
         # The paper's flooders kept producing *fresh* unreachable
         # addresses (one sent >400K); mint lazily up to the flood volume,
         # serving the freshly minted batch first, then random repeats.
+        # An address is stamped once, when minted, and relayed as stored.
+        table = self.table
         shortfall = max(
-            0, min(self.response_max, self.flood_volume - len(self.table))
+            0, min(self.response_max, self.flood_volume - len(table))
         )
-        fresh = [
-            self.population.mint_fake_address().addr for _ in range(shortfall)
-        ]
-        self.table.extend(fresh)
-        filler_count = min(self.response_max - len(fresh), len(self.table) - len(fresh))
-        filler = (
-            self._rng.sample(self.table[: len(self.table) - len(fresh)], filler_count)
-            if filler_count > 0
-            else []
+        fresh = stamp(
+            (self.population.mint_fake_address().addr for _ in range(shortfall)),
+            self.sim.now,
         )
-        now = self.sim.now
+        # The filler comes from the pool as it stood before this batch.
+        filler = sample(
+            self._rng, table, min(self.response_max - shortfall, len(table))
+        )
+        table.extend(fresh)
         # No self-advertisement — the tell the detector keys on.
-        return [TimestampedAddr(a, now) for a in fresh + filler]
+        return fresh + filler
 
 
 def plant_flooders(

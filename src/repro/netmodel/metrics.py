@@ -18,6 +18,7 @@ import networkx as nx
 
 from ..bitcoin.node import BitcoinNode
 from ..errors import AnalysisError
+from ..simnet import rand
 
 
 def connection_graph(nodes: Sequence[BitcoinNode]) -> "nx.DiGraph":
@@ -118,7 +119,7 @@ def pairwise_distances_sample(
     attempts = 0
     while len(lengths) < sample and attempts < sample * 10:
         attempts += 1
-        a, b = rng.sample(addresses, 2)
+        a, b = rand.sample(rng, addresses, 2)
         try:
             lengths.append(nx.shortest_path_length(graph, a, b))
         except nx.NetworkXNoPath:

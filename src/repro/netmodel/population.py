@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ScenarioError
 from ..simnet.addresses import DEFAULT_PORT, NetAddr
+from ..simnet.rand import sample
 from . import calibration as cal
 from .asmap import ASUniverse
 
@@ -259,7 +260,7 @@ class Population:
         self, records: List[NodeRecord], count: int
     ) -> List[NodeRecord]:
         count = min(count, len(records))
-        return self._rng.sample(records, count)
+        return sample(self._rng, records, count)
 
     def summary(self) -> Dict[str, int]:
         return {

@@ -6,8 +6,9 @@ Two fidelities match the two kinds of experiment in the paper:
   (Figs. 3-5, 8, 12, 13, Table I).  Node presence follows precomputed
   churn timelines; reachable nodes are lightweight GETADDR responders
   whose tables are re-materialised per snapshot from the currently
-  gossiped address pool.  Protocol traffic is simulated only while the
-  crawler works.
+  gossiped address pool — one ``(address, last-seen)`` record per
+  gossiped address per snapshot, shared by every table that draws it.
+  Protocol traffic is simulated only while the crawler works.
 
 * :class:`ProtocolScenario` — full-fidelity networks of
   :class:`~repro.bitcoin.node.BitcoinNode` with mining, live churn, and
@@ -26,11 +27,12 @@ preserves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ScenarioError
 from ..faults.plan import FaultPlan
-from ..simnet.addresses import NetAddr
+from ..simnet.addresses import NetAddr, stamp
+from ..simnet.rand import sample
 from ..simnet.simulator import Simulator
 from ..simnet.transport import ProbeBehavior
 from ..units import DAYS
@@ -121,6 +123,20 @@ class LightCloud:
 # ---------------------------------------------------------------------------
 # Longitudinal (measurement-campaign) scenario
 # ---------------------------------------------------------------------------
+
+
+def _split_alive(
+    records: Sequence[NodeRecord], timeline: PresenceTimeline, when: float
+) -> Tuple[List[NetAddr], List[NetAddr]]:
+    """Addresses of ``records`` online at ``when`` and the rest, each in
+    population order."""
+    alive: List[NetAddr] = []
+    gone: List[NetAddr] = []
+    alive_at = timeline.alive_at
+    for record in records:
+        addr = record.addr
+        (alive if alive_at(addr, when) else gone).append(addr)
+    return alive, gone
 
 
 @dataclass
@@ -364,17 +380,13 @@ class LongitudinalScenario:
 
     def gossip_pool(self, when: float) -> List[NetAddr]:
         """Unreachable addresses currently circulating in gossip."""
-        pool = [
-            record.addr
-            for record in self.population.responsive
-            if self.responsive_timeline.alive_at(record.addr, when)
-        ]
-        pool.extend(
-            record.addr
-            for record in self.population.silent
-            if self.silent_timeline.alive_at(record.addr, when)
+        responsive, _ = _split_alive(
+            self.population.responsive, self.responsive_timeline, when
         )
-        return pool
+        silent, _ = _split_alive(
+            self.population.silent, self.silent_timeline, when
+        )
+        return responsive + silent
 
     def materialize_snapshot(self, when: float) -> None:
         """Fast-forward the world to ``when`` and rebuild node state.
@@ -386,13 +398,24 @@ class LongitudinalScenario:
         if when < self.sim.now:
             raise ScenarioError("snapshots must advance in time")
         self.sim.run_until(when)
-        alive = self.alive_reachable(when)
-        alive_addrs = [record.addr for record in alive]
+        alive_addrs = [record.addr for record in self.alive_reachable(when)]
         alive_set = set(alive_addrs)
-        pool = self.gossip_pool(when)
+        # Presence is decided once; the gossip pool and the NAT marks
+        # below both read these lists.
+        responsive_alive, responsive_gone = _split_alive(
+            self.population.responsive, self.responsive_timeline, when
+        )
+        silent_alive, silent_gone = _split_alive(
+            self.population.silent, self.silent_timeline, when
+        )
+        # One last-seen record per gossiped address, made here and shared
+        # by every table that draws it.  The lists keep the address order,
+        # so the draws are the ones bare addresses got.
+        alive_records = stamp(alive_addrs, when)
+        pool = stamp(responsive_alive + silent_alive, when)
 
         # Table sizing: reachable sample + enough unreachable for the mix.
-        n_reach = min(self.config.table_reachable_sample, len(alive_addrs))
+        n_reach = min(self.config.table_reachable_sample, len(alive_records))
         share = self.config.addr_reachable_share
         n_unreach = min(len(pool), round(n_reach * (1 - share) / share))
 
@@ -402,8 +425,8 @@ class LongitudinalScenario:
             if addr in alive_set:
                 # Both samples are always drawn (the RNG sequence is
                 # policy-independent); the policy only composes them.
-                reach_sample = rng.sample(alive_addrs, n_reach)
-                unreach_sample = rng.sample(pool, n_unreach)
+                reach_sample = sample(rng, alive_records, n_reach)
+                unreach_sample = sample(rng, pool, n_unreach)
                 if addr_policy is None:
                     table = reach_sample + unreach_sample
                 else:
@@ -417,23 +440,14 @@ class LongitudinalScenario:
         for flooder in self.flooders:
             flooder.start()
 
-        # NAT behaviour of the unreachable world at this instant.  The
-        # alive addresses are batched into one mark_* call per pool; the
-        # iteration order (hence the mark_silent RNG draw order) is the
-        # population order, exactly as the per-record calls produced.
-        responsive_alive: List[NetAddr] = []
-        for record in self.population.responsive:
-            if self.responsive_timeline.alive_at(record.addr, when):
-                responsive_alive.append(record.addr)
-            else:
-                self.nat.mark_offline(record.addr)
+        # NAT behaviour of the unreachable world at this instant, one
+        # batch per pool in population order (which fixes the mark_silent
+        # RNG draw order).
+        for addr in responsive_gone:
+            self.nat.mark_offline(addr)
         self.nat.mark_responsive(responsive_alive)
-        silent_alive: List[NetAddr] = []
-        for record in self.population.silent:
-            if self.silent_timeline.alive_at(record.addr, when):
-                silent_alive.append(record.addr)
-            else:
-                self.nat.mark_offline(record.addr)
+        for addr in silent_gone:
+            self.nat.mark_offline(addr)
         self.nat.mark_silent(silent_alive)
         self._snapshot_index += 1
 
@@ -589,7 +603,7 @@ class ProtocolScenario:
         # reachable nodes, tens of thousands of unreachable records)
         # rebuilding these per node is quadratic.  The cached lists hold
         # exactly what the per-node construction produced — population
-        # order — so the ``rng.sample`` draws are unchanged.  Fakes are
+        # order — so the sampling draws are unchanged.  Fakes are
         # appended per call in ``_seed_tables`` because malicious nodes
         # mint them while the run is live.
         self._reachable_pool: List[NetAddr] = [
@@ -695,8 +709,8 @@ class ProtocolScenario:
             len(unreachable_pool), round(n_reach * (1 - share) / share)
         )
         node.bootstrap(
-            self._rng.sample(reachable_addrs, n_reach)
-            + self._rng.sample(unreachable_pool, n_unreach)
+            sample(self._rng, reachable_addrs, n_reach)
+            + sample(self._rng, unreachable_pool, n_unreach)
         )
 
     def pollute_addrman(self, node: BitcoinNode) -> None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
 from ..simnet.addresses import NetAddr
+from ..simnet.rand import sample
 from ..simnet.simulator import canonical_sets
 from ..units import DAYS
 from .churn import PresenceTimeline
@@ -190,7 +191,7 @@ class DnsSeeder:
     def query(self, count: int = 256) -> List[NetAddr]:
         """A DNS response: up to ``count`` known reachable addresses."""
         count = min(count, len(self._known))
-        return self._rng.sample(self._known, count)
+        return sample(self._rng, self._known, count)
 
     def __len__(self) -> int:
         return len(self._known)

@@ -20,7 +20,7 @@ prefix), which drives addrman bucketing and outbound-diversity rules.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
+from typing import Iterable, List, NamedTuple
 
 #: Bitcoin's default P2P port; 95.78% of reachable nodes in the paper's
 #: measurement used it.
@@ -101,7 +101,10 @@ class TimestampedAddr(NamedTuple):
     """An address plus the freshness timestamp carried in ADDR messages.
 
     Bitcoin nodes gossip ``(address, last-seen-time)`` pairs; the timestamp
-    influences relay decisions and addrman eviction.
+    influences relay decisions and addrman eviction.  It is when the
+    *sender* last saw the address, not when it answered: a record is
+    stored once and relayed as stored, so many tables and many responses
+    may share one record object.
     """
 
     addr: NetAddr
@@ -109,3 +112,8 @@ class TimestampedAddr(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.addr}@{self.timestamp:.0f}"
+
+
+def stamp(addrs: Iterable[NetAddr], when: float) -> List[TimestampedAddr]:
+    """One ``(addr, when)`` record per address, in order."""
+    return [TimestampedAddr(addr, when) for addr in addrs]

@@ -146,8 +146,8 @@ class Socket:
         for name, value in state.items():
             setattr(self, name, value)
         # Network.__setstate__ may already have linked this socket (when
-        # the load reaches the network first); only a pair with both
-        # ends closed is left unlinked, and nothing reads its ``_peer``.
+        # the load reaches the network first); a dead pair stays
+        # unlinked, as it was when dumped (see Network._unlink).
         if not hasattr(self, "_peer"):
             self._peer = None
 
@@ -397,6 +397,7 @@ class Network:
             self.connects_refused += 1
             out_sock.open = False
             in_sock.open = False
+            self._unlink(out_sock)
             on_result(None)
             return
         if in_sock.handler is None:
@@ -473,17 +474,36 @@ class Network:
     def _close_initiated(self, closer: Socket) -> None:
         self._forget(closer)
         peer = closer._peer
-        if peer is not None and peer.open:
+        if peer is None:
+            return  # a bare socket, never paired
+        if peer.open:
             delay = self.latency.sample(closer.local_addr, closer.remote_addr)
             self._scheduler.schedule(delay, self._peer_closed, peer)
+        else:
+            self._unlink(closer)
 
     def _peer_closed(self, sock: Socket) -> None:
         if not sock.open:
             return
         sock.open = False
         self._forget(sock)
+        self._unlink(sock)
         if sock.handler is not None:
             sock.handler.on_disconnect(sock)
+
+    @staticmethod
+    def _unlink(sock: Socket) -> None:
+        """Cut a pair whose second end just closed.
+
+        A linked pair is a reference cycle, and each end holds its
+        handler — a crawler with a whole snapshot's harvest — so a dead
+        pair left linked is garbage only the cycle collector can free.
+        Nothing reads the ``_peer`` of a closed socket, and a restored
+        simulator never had dead pairs linked (``__getstate__`` lists
+        only pairs with an open end), so fresh and restored worlds agree.
+        """
+        sock._peer._peer = None
+        sock._peer = None
 
     def _forget(self, sock: Socket) -> None:
         socks = self._sockets_by_addr.get(sock.local_addr)

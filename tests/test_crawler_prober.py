@@ -11,6 +11,7 @@ from repro.errors import ScenarioError
 from repro.netmodel.addr_server import AddrServer
 from repro.netmodel.seeds import AddressViews
 from repro.simnet import ProbeBehavior, Simulator
+from repro.simnet.addresses import stamp
 
 from .conftest import make_addr
 
@@ -50,7 +51,9 @@ class TestAddressCrawler:
 
 class TestGetAddrCrawler:
     def _server(self, sim, rng, index, table_size=60):
-        table = [make_addr(1000 + index * 1000 + i) for i in range(table_size)]
+        table = stamp(
+            (make_addr(1000 + index * 1000 + i) for i in range(table_size)), 0.0
+        )
         server = AddrServer(sim, make_addr(index), rng, table=table)
         server.start()
         return server
@@ -64,7 +67,8 @@ class TestGetAddrCrawler:
         for server in servers:
             harvest = result.harvests[server.addr]
             assert harvest.connected
-            coverage = len(harvest.addresses & set(server.table)) / len(server.table)
+            table = {record.addr for record in server.table}
+            coverage = len(harvest.addresses & table) / len(table)
             assert coverage > 0.4
             assert harvest.sent_own_addr
 

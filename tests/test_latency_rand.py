@@ -5,12 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.simnet.addresses import NetAddr
 from repro.simnet.latency import LatencyConfig, LatencyModel
 from repro.simnet.rand import (
     derive_seed,
+    sample,
     weighted_sample_without_replacement,
     zipf_weights,
 )
@@ -80,6 +81,59 @@ class TestDeriveSeed:
     def test_64_bit_range(self):
         value = derive_seed(123, "stream")
         assert 0 <= value < 2**64
+
+
+#: ``Random.sample`` switches from the pool to the selected-set method
+#: where the population outgrows ``21 + 4**ceil(log(3k, 4))`` (21 for
+#: ``k <= 5``); the smallest ``k`` of each band, with its threshold.
+_SETSIZE_BANDS = [(5, 21), (6, 85), (22, 277), (86, 1045), (342, 4117)]
+
+
+class TestSampleMatchesStdlib:
+    """``rand.sample`` is ``random.Random.sample`` draw for draw: every
+    seeded digest in the repo rests on the two agreeing.  If a new Python
+    changes how ``Random.sample`` draws, this is the test that fails."""
+
+    @staticmethod
+    def _assert_same(seed, n, k):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        population = list(range(n))
+        assert sample(ours, population, k) == stdlib.sample(population, k)
+        assert ours.getstate() == stdlib.getstate()
+
+    @pytest.mark.parametrize("k, threshold", _SETSIZE_BANDS)
+    def test_both_sides_of_every_setsize_threshold(self, k, threshold):
+        for n in (threshold - 1, threshold, threshold + 1):
+            for seed in range(5):
+                self._assert_same(seed, n, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        n=st.one_of(
+            st.integers(min_value=0, max_value=5000),
+            st.sampled_from(
+                [t + d for _k, t in _SETSIZE_BANDS for d in (-1, 0, 1)]
+            ),
+        ),
+        k=st.one_of(
+            st.sampled_from([0, 1, 5, 6, None]),
+            st.integers(min_value=0, max_value=5000),
+        ),
+    )
+    def test_result_and_generator_state(self, seed, n, k):
+        self._assert_same(seed, n, n if k is None else min(k, n))
+
+    def test_population_is_left_alone(self, rng):
+        population = list(range(50))
+        sample(rng, population, 20)
+        assert population == list(range(50))
+
+    def test_out_of_range_k(self, rng):
+        with pytest.raises(ValueError):
+            sample(rng, [1, 2, 3], 4)
+        with pytest.raises(ValueError):
+            sample(rng, [1, 2, 3], -1)
 
 
 class TestWeightedSample:

@@ -49,8 +49,8 @@ class TestLongitudinalScenario:
         server = scenario.servers[alive[0].addr]
         reachable_in_table = sum(
             1
-            for addr in server.table
-            if scenario.population.is_reachable_addr(addr)
+            for record in server.table
+            if scenario.population.is_reachable_addr(record.addr)
         )
         share = reachable_in_table / len(server.table)
         assert share == pytest.approx(
@@ -71,6 +71,23 @@ class TestLongitudinalScenario:
 
     def test_flooders_planted(self, scenario):
         assert scenario.flooders  # scale floor keeps at least one
+
+    def test_tables_share_one_record_per_gossiped_address(self):
+        scenario = LongitudinalScenario(
+            LongitudinalConfig(scale=0.005, snapshots=6, seed=3)
+        )
+        when = scenario.snapshot_times[0]
+        scenario.materialize_snapshot(when)
+        tables = [s.table for s in scenario.servers.values() if s.listening]
+        assert len(tables) > 1
+        records = {}
+        for table in tables:
+            for record in table:
+                # last seen at materialisation, and the same object
+                # wherever the address was drawn
+                assert record.timestamp == when
+                assert records.setdefault(record.addr, record) is record
+        assert len(records) < sum(len(table) for table in tables)
 
 
 class TestProtocolScenario:

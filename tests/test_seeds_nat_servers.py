@@ -19,6 +19,7 @@ from repro.netmodel.nat import NatModel
 from repro.netmodel.population import Population, PopulationConfig
 from repro.netmodel.seeds import AddressOracles, DnsSeeder, SeedViewConfig
 from repro.simnet import ProbeBehavior
+from repro.simnet.addresses import stamp
 from repro.units import DAYS
 
 from .conftest import make_addr
@@ -164,15 +165,14 @@ def _getaddr_exchange(sim, server):
 
 class TestAddrServer:
     def test_serves_sample_with_self_first(self, sim, rng):
-        table = [make_addr(i + 10) for i in range(100)]
+        table = stamp((make_addr(i + 10) for i in range(100)), 0.0)
         server = AddrServer(sim, make_addr(1), rng, table=table)
         server.start()
         response = _getaddr_exchange(sim, server)
         assert response is not None
         assert response.addresses[0].addr == server.addr
         assert 0 < len(response.addresses) <= 1000
-        sample = {record.addr for record in response.addresses[1:]}
-        assert sample <= set(table)
+        assert set(response.addresses[1:]) <= set(table)
 
     def test_response_respects_23_percent(self, sim, rng):
         table = [make_addr(i + 10) for i in range(100)]
@@ -180,6 +180,26 @@ class TestAddrServer:
         server.start()
         response = _getaddr_exchange(sim, server)
         assert len(response.addresses) <= 1 + 23
+
+    def test_relays_stored_records_behind_a_fresh_own_record(self, sim, rng):
+        table = stamp((make_addr(i + 10) for i in range(100)), 7.0)
+        server = AddrServer(sim, make_addr(1), rng, table=table)
+        server.start()
+        response = _getaddr_exchange(sim, server)
+        own, relayed = response.addresses[0], response.addresses[1:]
+        # A node has just seen itself; everything else is relayed as
+        # stored — the table's own record objects, last-seen time intact.
+        assert own.addr == server.addr and 7.0 < own.timestamp <= sim.now
+        stored = {id(record) for record in table}
+        assert relayed and all(id(record) in stored for record in relayed)
+
+    def test_stop_releases_the_table(self, sim, rng):
+        server = AddrServer(
+            sim, make_addr(1), rng, table=stamp([make_addr(10)], 0.0)
+        )
+        server.start()
+        server.stop()
+        assert server.table == []
 
     def test_stop_refuses_connections(self, sim, rng):
         server = AddrServer(sim, make_addr(1), rng)
@@ -229,6 +249,15 @@ class TestMaliciousAddrServer:
         _getaddr_exchange(sim, flooder)
         flooder.set_table([make_addr(50)])
         assert len(flooder.table) == 100
+
+    def test_stop_does_not_clear_pool(self, sim, rng):
+        flooder = self._flooder(sim, rng, volume=100)
+        flooder.start()
+        response = _getaddr_exchange(sim, flooder)
+        flooder.stop()
+        # The pool is the minted records themselves, stamped once.
+        assert len(flooder.table) == 100
+        assert list(map(id, flooder.table)) == list(map(id, response.addresses))
 
 
 class TestFloodVolumeModel:

@@ -55,6 +55,7 @@ from repro.store import (
     SnapshotRecord,
     StoredPlan,
     dump_checkpoint,
+    load_checkpoint,
     run_stored,
     run_stored_campaign,
 )
@@ -595,6 +596,44 @@ def test_resume_in_process(flavour, tmp_path, monkeypatch):
     _assert_resumed_equals_fresh(flavour, tmp_path, run)
 
 
+def test_campaign_checkpointed_with_bare_address_tables_resumes(
+    tmp_path, crash_hook
+):
+    """Tables held bare addresses until they held last-seen records, and
+    ``CHECKPOINT_FORMAT`` did not move: a partial campaign written back
+    then has this run key and must resume to this result.  The old shape
+    is rebuilt by hand on the restored runner — every honest table and,
+    the one that outlives a snapshot, the flooder's pool."""
+    store = RunStore(tmp_path)
+    crash_hook(0, lambda: run_stored_campaign(store, tiny_crawl()))
+    (manifest,) = store.manifests()
+    runner = load_checkpoint(
+        store.get_blob(manifest.checkpoint.digest), expect_kind="campaign-runner"
+    )
+    scenario = runner.scenario
+    servers = list(scenario.servers.values()) + scenario.flooders
+    assert any(flooder.table for flooder in scenario.flooders)
+    for server in servers:
+        server.table = [record.addr for record in server.table]
+    manifest.checkpoint = CheckpointRecord(
+        digest=store.put_blob(
+            dump_checkpoint(
+                runner,
+                kind="campaign-runner",
+                meta={"snapshot_index": 0, "run_id": manifest.run_id},
+            )
+        ),
+        snapshot_index=0,
+    )
+    store.save_manifest(manifest)
+
+    resumed = run_stored_campaign(store, tiny_crawl())
+    assert resumed.resumed_from == 1
+    units, _, result_digest = _digests(resumed.manifest)
+    assert units == _CAMPAIGN_UNITS
+    assert result_digest == PINS["campaign"][2]
+
+
 _CHILD_SCRIPT = """
 import sys
 from tests.test_stored_plan import FLAVOURS
@@ -663,13 +702,17 @@ PINS = {
 
 #: The campaign's unit blobs and final runner checkpoint are the one
 #: place the runner writes what its predecessor wrote, byte for byte.
+#: The checkpoint moved once since (old value in CHANGES.md, PR 19):
+#: the runner's state changed shape — server tables hold shared
+#: last-seen records, a stopped server holds none, dead socket pairs
+#: are unlinked — while the unit blobs, which are measurements, did not.
 _CAMPAIGN_UNITS = [
     "5b03d378a91b08057cf55fd085220ded6988e8802341b26e10589012a95b7315",
     "d1568e950eed3322fe686f7c29f95e264dcfe064c1bc52ff662f63bc363ab027",
     "63c12901e5ee696bef13a845ec14b780997018973367a4cd9de6e6e9f7ca6151",
 ]
 _CAMPAIGN_CHECKPOINT = (
-    "ae4f3f0bc748fba5d79ed080a536e329d46fed31464e42cfab7da15c8ab61aa4"
+    "35643a9f719954a258fdf921cb485110d885f8c9960a2e4fecfcddc2a6ed395f"
 )
 
 #: ``sha256(dump_checkpoint(cell.sweep, kind="x", aliasing=False))`` of

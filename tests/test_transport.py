@@ -7,7 +7,7 @@ from typing import List, Optional
 import pytest
 
 from repro.errors import AddressInUseError, ConnectionClosedError
-from repro.simnet import ProbeBehavior, ProbeResult
+from repro.simnet import ProbeBehavior, ProbeResult, Simulator
 from repro.simnet.transport import Socket
 
 from .conftest import make_addr
@@ -187,6 +187,74 @@ class TestMessaging:
         sock.send(DummyMsg(size=300))
         assert sock.bytes_sent == 800
         assert sock.messages_sent == 2
+
+
+class TestDeadPairsUnlink:
+    """A pair is cut when its second end closes, and only then: a dead
+    pair left linked is a cycle that pins both handlers."""
+
+    _pair = TestMessaging._pair
+
+    def test_close_then_notify(self, sim):
+        sock, listener, _client = self._pair(sim)
+        in_sock = listener.inbound[0]
+        sock.close()
+        # Half-closed: the FIN is in flight and still needs the link.
+        assert in_sock.open and sock._peer is in_sock and in_sock._peer is sock
+        sim.run_for(5.0)
+        assert listener.disconnects == [in_sock]
+        assert sock._peer is None and in_sock._peer is None
+
+    def test_simultaneous_close(self, sim):
+        sock, listener, _client = self._pair(sim)
+        in_sock = listener.inbound[0]
+        sock.close()
+        in_sock.close()
+        assert sock._peer is None and in_sock._peer is None
+        sim.run_for(5.0)  # the FIN already in flight finds a closed socket
+        assert listener.disconnects == []
+
+    def test_refused_connect(self, sim):
+        seen = []
+
+        class Refuser(Recorder):
+            def on_inbound_connection(self, socket):
+                seen.append((socket, socket._peer))
+                return False
+
+        b = make_addr(2)
+        sim.network.listen(b, Refuser())
+        assert connect(sim, make_addr(1), b, Recorder()) == [None]
+        (in_sock, out_sock), = seen
+        assert not in_sock.open and not out_sock.open
+        assert in_sock._peer is None and out_sock._peer is None
+
+    def test_round_trip_with_dead_and_half_closed_pairs(self):
+        sim = Simulator(seed=1234)
+        listener = Recorder()
+        b = make_addr(2)
+        sim.network.listen(b, listener)
+        sim.register("listener", listener)
+        dead, half = (
+            connect(sim, make_addr(i + 10), b, Recorder())[0] for i in range(2)
+        )
+        dead.close()
+        sim.run_for(5.0)
+        half.close()
+
+        restored = Simulator.restore(sim.snapshot())
+        r_dead, r_half = restored.components["listener"].inbound
+        assert not r_dead.open and r_dead._peer is None
+        assert r_half.open and not r_half._peer.open
+        assert r_half._peer._peer is r_half
+
+        for world in (sim, restored):
+            world.run_for(5.0)
+            told = world.components["listener"]
+            assert told.disconnects == told.inbound
+            assert all(sock._peer is None for sock in told.inbound)
+        assert restored.now == sim.now
+        assert restored.scheduler.fired == sim.scheduler.fired
 
 
 class TestDisconnectHost:
