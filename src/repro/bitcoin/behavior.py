@@ -24,7 +24,9 @@ defaults so a tier only overrides what it actually does:
 
 * ``fidelity`` — ``"full"`` or ``"light"``; scenario census and the
   run-store config keys read this.
-* ``running`` / ``start()`` / ``stop()`` — lifecycle.
+* ``running`` / ``start()`` / ``stop()`` — lifecycle; ``depart()`` is
+  the stop a churn departure makes, after which the behavior never
+  starts again and may release whatever only a running node needs.
 * ``on_inbound_connection(socket) -> bool`` — accept or refuse.
 * ``on_message(socket, message)`` / ``on_disconnect(socket)`` — the
   connection-handler half of the transport contract.
@@ -68,6 +70,10 @@ class NodeBehavior:
     def stop(self) -> None:
         """Take the behavior offline."""
         raise NotImplementedError
+
+    def depart(self) -> None:
+        """Take the behavior offline for good (a churn departure)."""
+        self.stop()
 
     # -- transport contract ---------------------------------------------
     def on_inbound_connection(self, socket: Socket) -> bool:

@@ -195,7 +195,10 @@ class ConnectionManager:
         node = self.node
         success = socket is not None
         if success:
-            node.addrman.good(target, node.sim.now)
+            # A feeler can outlive its node's departure; the record has
+            # no address tables left to credit.
+            if not node.departed:
+                node.addrman.good(target, node.sim.now)
             socket.close()
         if node.config.track_connection_attempts:
             self.attempt_log.append(

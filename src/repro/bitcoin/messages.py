@@ -15,12 +15,14 @@ download (INV/GETDATA/BLOCK/TX), the BIP152 compact-block path
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Tuple
 
 from ..simnet.addresses import NetAddr, TimestampedAddr
-from .blockchain import Block
+
+# InvType / InvItem are defined beside Block, which owns its inventory
+# vector, and re-exported here: they are wire vocabulary all the same.
+from .blockchain import Block, InvItem, InvType  # noqa: F401
 
 #: P2P message header: magic + command + length + checksum.
 HEADER_SIZE = 24
@@ -32,21 +34,6 @@ INV_RECORD_SIZE = 36
 SHORTID_SIZE = 6
 #: Block header size.
 BLOCK_HEADER_SIZE = 80
-
-
-class InvType(enum.Enum):
-    """Inventory vector types (subset relevant to the study)."""
-
-    TX = 1
-    BLOCK = 2
-
-
-@dataclass(frozen=True, slots=True)
-class InvItem:
-    """One inventory vector: the type and the object id."""
-
-    type: InvType
-    object_id: int
 
 
 class Message:

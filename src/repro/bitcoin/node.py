@@ -121,6 +121,9 @@ class BitcoinNode(NodeBehavior):
         self.peers: Dict[Socket, Peer] = {}
         self.running = False
         self.started_at: Optional[float] = None
+        #: Set by :meth:`depart`: the node left for good and this object
+        #: is the record of it.
+        self.departed = False
         # Composed behavior layers.
         self.connections = ConnectionManager(self)
         self.handlers = HandlerLoop(self)
@@ -205,6 +208,7 @@ class BitcoinNode(NodeBehavior):
     # ------------------------------------------------------------------
     def bootstrap(self, addresses: Sequence[NetAddr]) -> int:
         """Seed the addrman (DNS-seeder bootstrap).  Returns # added."""
+        self._refuse_if_departed("bootstrap")
         added = 0
         now = self.sim.now
         for address in addresses:
@@ -216,6 +220,7 @@ class BitcoinNode(NodeBehavior):
 
     def start(self) -> None:
         """Bring the node online: listen, connect out, start feelers."""
+        self._refuse_if_departed("start")
         if self.running:
             return
         self.running = True
@@ -247,8 +252,8 @@ class BitcoinNode(NodeBehavior):
             self._ping_task = None
         self.connections.stop()
         self.sim.network.disconnect_host(self.addr)
-        self.peers.clear()
-        self._established_cache = None
+        for socket in list(self.peers):
+            self._release_peer(socket)
         self.handlers.dirty_process.clear()
         self.handlers.dirty_send.clear()
         self._pending_cmpct.clear()
@@ -257,6 +262,35 @@ class BitcoinNode(NodeBehavior):
         """Stop and immediately start again (the §IV-D resync experiment)."""
         self.stop()
         self.start()
+
+    def depart(self) -> None:
+        """Leave the network for good (a churn departure).
+
+        A departure is final — a rejoining address gets a fresh
+        ``BitcoinNode`` — so the node stops (peers and pending compact
+        blocks go there) and then releases what only a running node
+        needs: the addrman tables, the chain's block and orphan maps,
+        the mempool.  What is left is the record monitors and figures
+        read after the fact: ``addr``, ``name``, ``running``,
+        ``started_at``, ``chain.height``, ``height_at``,
+        ``tip_history``, ``attempt_log``,
+        ``connection_success_rate()``, ``first_relay_at``,
+        ``relay_tracker``.  :meth:`stop` alone (crash faults,
+        :meth:`restart`) keeps all state.
+        """
+        self.stop()
+        self.departed = True
+        self.addrman = None
+        self.chain.release()
+        self.mempool = None
+
+    def _refuse_if_departed(self, action: str) -> None:
+        if self.departed:
+            raise ProtocolError(
+                f"{action} on departed node {self.addr}: a departure is "
+                "final and released the node's state; a rejoining "
+                "address gets a fresh BitcoinNode"
+            )
 
     def lose_state(self) -> None:
         """Discard chain and mempool, as after an unclean crash.
@@ -287,6 +321,21 @@ class BitcoinNode(NodeBehavior):
         self.peers[socket] = peer
         return peer
 
+    def _release_peer(self, socket: Socket) -> Optional[Peer]:
+        """Take ``socket``'s peer out of ``peers``; None if it was not in.
+
+        The node put the ``Peer`` in ``socket.user_data`` and takes it
+        out again here: ``peer.socket`` points back, so a peer left in
+        the slot is a cycle that keeps its ``known_*`` sets until a full
+        collection, pinned meanwhile by whatever still holds the socket
+        (its stale lifetime timer, for one).
+        """
+        peer = self.peers.pop(socket, None)
+        if peer is not None:
+            socket.user_data = None
+            self._established_cache = None
+        return peer
+
     # ------------------------------------------------------------------
     # Transport callbacks
     # ------------------------------------------------------------------
@@ -313,19 +362,17 @@ class BitcoinNode(NodeBehavior):
             loop._schedule_pass(0.0, loop.run_pass, None)
 
     def on_disconnect(self, socket: Socket) -> None:
-        peer = self.peers.pop(socket, None)
+        peer = self._release_peer(socket)
         if peer is None:
             return
-        self._established_cache = None
         if not peer.is_inbound:
             self.connections.ensure_connecting()
 
     def _drop_connection(self, socket: Socket) -> None:
         """A spontaneous outbound-connection drop (lifetime expiry)."""
-        peer = self.peers.pop(socket, None)
+        peer = self._release_peer(socket)
         if peer is None or not self.running:
             return
-        self._established_cache = None
         if socket.open:
             socket.close()
         self.connections.ensure_connecting()
@@ -500,21 +547,33 @@ class BitcoinNode(NodeBehavior):
                         loop.dirty_send[second] = None
 
     def _handle_inv(self, peer: Peer, message: Inv) -> None:
+        # A GETBLOCKS reply names up to 500 blocks and at most
+        # MAX_BLOCKS_IN_TRANSIT of them can be requested, so the
+        # have-it-already tests run only while the window has room;
+        # past that an announced block is just marked known.
         wanted: List[InvItem] = []
+        block_type = InvType.BLOCK
+        known_blocks = peer.known_blocks
+        in_flight = peer.blocks_in_flight
+        room = cfg.MAX_BLOCKS_IN_TRANSIT - len(in_flight)
+        have = self.chain.blocks
+        pending = self._pending_cmpct
         for item in message.items:
-            if item.type is InvType.BLOCK:
-                peer.known_blocks.add(item.object_id)
+            object_id = item.object_id
+            if item.type is block_type:
+                known_blocks.add(object_id)
                 if (
-                    item.object_id not in self.chain
-                    and item.object_id not in peer.blocks_in_flight
-                    and item.object_id not in self._pending_cmpct
+                    room > 0
+                    and object_id not in have
+                    and object_id not in in_flight
+                    and object_id not in pending
                 ):
-                    if len(peer.blocks_in_flight) < cfg.MAX_BLOCKS_IN_TRANSIT:
-                        peer.blocks_in_flight.add(item.object_id)
-                        wanted.append(item)
+                    in_flight.add(object_id)
+                    wanted.append(item)
+                    room -= 1
             else:
-                peer.known_txs.add(item.object_id)
-                if item.object_id not in self.mempool:
+                peer.known_txs.add(object_id)
+                if object_id not in self.mempool:
                     wanted.append(item)
         if wanted:
             peer.enqueue_send(GetData(items=tuple(wanted)))
@@ -533,11 +592,9 @@ class BitcoinNode(NodeBehavior):
                     peer.enqueue_send(TxMsg(txid=tx.txid, size=tx.size))
 
     def _handle_getblocks(self, peer: Peer, message: GetBlocks) -> None:
-        ids = self.chain.ids_above(message.from_height, limit=500)
-        if ids:
-            peer.enqueue_send(
-                Inv(items=tuple(InvItem(InvType.BLOCK, bid) for bid in ids))
-            )
+        items = self.chain.inv_above(message.from_height, limit=500)
+        if items:
+            peer.enqueue_send(Inv(items=items))
 
     def _handle_block(self, peer: Peer, message: BlockMsg) -> None:
         peer.blocks_in_flight.discard(message.block_id)

@@ -49,6 +49,9 @@ class RelayEngine:
         policy = node.policy.relay
         to_front = policy.block_to_front
         tracker = node.relay_tracker
+        # One INV per block, shared by every peer it is announced to: the
+        # message is immutable in flight (as with forwarded ADDRs).
+        announcement: Optional[Inv] = None
         for peer in policy.block_order(node.established_peers):
             if block.block_id in peer.known_blocks:
                 continue
@@ -56,7 +59,9 @@ class RelayEngine:
             if node.config.compact_blocks and peer.wants_cmpct_hb:
                 message: Message = CmpctBlock(block=block)
             else:
-                message = Inv(items=(InvItem(InvType.BLOCK, block.block_id),))
+                if announcement is None:
+                    announcement = Inv(items=(block.inv,))
+                message = announcement
             peer.enqueue_send(message, to_front=to_front)
             if tracker is not None:
                 tracker.enqueued(block.block_id)

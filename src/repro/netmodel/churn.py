@@ -180,12 +180,14 @@ def build_unreachable_timeline(
 class ChurnProcess:
     """Live departures/arrivals for protocol-fidelity scenarios.
 
-    At exponential intervals a running node is stopped; a replacement is
-    started after a short delay, so the network size hovers around its
-    initial value while the *synchronized* population is eroded — the
-    §IV-D mechanism.  Rates are expressed per 10 minutes to match the
-    paper's 2019-vs-2020 comparison (3.9 vs 7.6 synchronized departures
-    per 10 minutes, full-network scale).
+    At exponential intervals a running node departs
+    (:meth:`~repro.bitcoin.behavior.NodeBehavior.depart` — for good: what
+    comes back is a new node); a replacement is started after a short
+    delay, so the network size hovers around its initial value while the
+    *synchronized* population is eroded — the §IV-D mechanism.  Rates
+    are expressed per 10 minutes to match the paper's 2019-vs-2020
+    comparison (3.9 vs 7.6 synchronized departures per 10 minutes,
+    full-network scale).
     """
 
     def __init__(
@@ -208,8 +210,10 @@ class ChurnProcess:
         self._rng = sim.random.stream("churn-process")
         self._running = False
         self._event = None
-        #: (time, node, was_synchronized_flag_or_None) log of departures.
-        self.departures: List[Tuple[float, object]] = []
+        #: (time, address) log of departures.  The address, not the node:
+        #: the log must not be what keeps a departed record alive once
+        #: its address has been recycled.
+        self.departures: List[Tuple[float, NetAddr]] = []
         self.arrivals: List[float] = []
 
     def start(self) -> None:
@@ -239,8 +243,8 @@ class ChurnProcess:
         ]
         if candidates:
             victim = self._rng.choice(candidates)
-            victim.stop()
-            self.departures.append((self.sim.now, victim))
+            victim.depart()
+            self.departures.append((self.sim.now, victim.addr))
             delay = (
                 self._rng.expovariate(1.0 / self.replacement_delay_mean)
                 if self.replacement_delay_mean > 0

@@ -597,6 +597,10 @@ class ProtocolScenario:
             record.addr for record in self.population.silent
         )
         self.seeder = DnsSeeder(self.sim.random.stream("dns"))
+        #: Every honest node of the run: the running ones, and the record
+        #: of each that churn took (``BitcoinNode.depart`` — identity and
+        #: measurement history, no protocol state) until its address is
+        #: recycled by a replacement.
         self.nodes: List[BitcoinNode] = []
         self._next_replacement = 0
         # Seed-table pools, computed once: at paper scale (thousands of
@@ -766,7 +770,9 @@ class ProtocolScenario:
         exchanges, which are dominated by unreachable gossip (§IV-B), so
         its slot-filling is as slow as everyone else's.  When the unique-
         address pool is exhausted, departed addresses are recycled (nodes
-        rejoining, as in Fig. 12).
+        rejoining, as in Fig. 12): the rejoiner is a fresh node and the
+        old record leaves ``nodes`` (the churn log keeps addresses, not
+        nodes, so it does not hold the record back).
         """
         if self._next_replacement < len(self._replacement_pool):
             record = self._replacement_pool[self._next_replacement]

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bitcoin.blockchain import Block, Blockchain, make_genesis
+import dataclasses
+import pickle
+
+from repro.bitcoin.blockchain import Block, Blockchain, InvItem, InvType, make_genesis
 from repro.bitcoin.mempool import Mempool, Transaction
 from repro.errors import ChainError
 
@@ -64,11 +67,46 @@ class TestBlockchain:
 
     def test_ids_above(self):
         chain = Blockchain()
-        for block in chain_of(10):
+        blocks = chain_of(10)
+        for block in blocks:
             chain.add_block(block)
-        assert chain.ids_above(3, limit=4) == [4, 5, 6, 7]
-        assert chain.ids_above(9, limit=100) == [10]
-        assert chain.ids_above(10, limit=5) == []
+
+        def ids(items):
+            return [item.object_id for item in items]
+
+        assert ids(chain.inv_above(3, limit=4)) == [4, 5, 6, 7]
+        assert ids(chain.inv_above(9, limit=100)) == [10]
+        assert chain.inv_above(10, limit=5) == ()
+        # The reply is made of the blocks' own items, not of copies.
+        assert chain.inv_above(3, limit=4)[0] is blocks[3].inv
+
+    def test_block_owns_its_inventory_item(self):
+        block, twin = (
+            Block(block_id=7, prev_id=0, height=1, created_at=0.0) for _ in range(2)
+        )
+        assert block.inv == InvItem(InvType.BLOCK, 7)
+        # Derived data: it takes no part in what a block *is*.
+        assert block == twin and hash(block) == hash(twin)
+        assert block.inv is not twin.inv and "inv" not in repr(block)
+        assert dataclasses.replace(block, block_id=8).inv.object_id == 8
+        # It rides the pickle memo with its block: a restored chain still
+        # names the block with the block's own item.
+        chain = Blockchain()
+        chain.add_block(block)
+        restored = pickle.loads(pickle.dumps(chain))
+        assert restored.inv_above(0, 1)[0] is restored.get(7).inv
+
+    def test_released_chain_keeps_its_tip_only(self):
+        chain = Blockchain()
+        for block in chain_of(5):
+            chain.add_block(block)
+        chain.add_block(Block(block_id=50, prev_id=49, height=9, created_at=0.0))
+        chain.release()
+        assert chain.height == 5 and chain.tip.block_id == 5
+        assert len(chain) == 0 and 3 not in chain and chain.get(3) is None
+        assert chain.orphan_count == 0
+        assert chain.block_at_height(3) is None
+        assert chain.inv_above(-1, 500) == ()
 
     def test_second_genesis_rejected(self):
         chain = Blockchain()
@@ -115,6 +153,100 @@ class TestBlockchain:
             chain.add_block(blocks[index])
         assert chain.height == 12
         assert chain.orphan_count == 0
+
+
+class _DictMainChain:
+    """The main-chain index as it was before it became a list: a
+    ``height -> block id`` dict written when the tip advances, read one
+    ``dict.get`` at a time.  Kept as the oracle of
+    :class:`TestMainChainMatchesDictReference`."""
+
+    def __init__(self, genesis):
+        self._blocks = {genesis.block_id: genesis}
+        self._by_height = {genesis.height: genesis.block_id}
+        self._orphans = {}
+        self.tip = genesis
+
+    def block_at_height(self, height):
+        block_id = self._by_height.get(height)
+        return self._blocks.get(block_id) if block_id is not None else None
+
+    def ids_above(self, from_height, limit):
+        out = []
+        height = from_height + 1
+        while len(out) < limit:
+            block_id = self._by_height.get(height)
+            if block_id is None:
+                break
+            out.append(block_id)
+            height += 1
+        return out
+
+    def add_block(self, block):
+        if block.block_id in self._blocks:
+            return False
+        if block.prev_id not in self._blocks:
+            self._orphans.setdefault(block.prev_id, []).append(block)
+            return False
+        return self._connect(block)
+
+    def _connect(self, block):
+        self._blocks[block.block_id] = block
+        advanced = False
+        if block.height > self.tip.height:
+            self.tip = block
+            self._by_height[block.height] = block.block_id
+            advanced = True
+        for orphan in self._orphans.pop(block.block_id, ()):
+            if self._connect(orphan):
+                advanced = True
+        return advanced
+
+
+@st.composite
+def forked_arrivals(draw):
+    """A main chain, a fork off it long enough to tie and then overtake,
+    and an arrival order over all of it (so parents arrive late and
+    orphans connect in bursts), with some blocks delivered twice."""
+    main_length = draw(st.integers(1, 14))
+    fork_at = draw(st.integers(0, main_length - 1))
+    fork_length = draw(st.integers(0, main_length - fork_at + 2))
+    blocks = chain_of(main_length)
+    prev = blocks[fork_at - 1].block_id if fork_at else 0
+    for step in range(fork_length):
+        block = Block(
+            block_id=100 + step, prev_id=prev, height=fork_at + step + 1,
+            created_at=0.0,
+        )
+        prev = block.block_id
+        blocks.append(block)
+    order = draw(st.permutations(blocks))
+    repeats = draw(st.lists(st.sampled_from(blocks), max_size=4))
+    return list(order) + repeats
+
+
+class TestMainChainMatchesDictReference:
+    @settings(max_examples=150, deadline=None)
+    @given(arrivals=forked_arrivals())
+    def test_list_main_chain_matches_dict_reference(self, arrivals):
+        genesis = make_genesis()
+        chain, reference = Blockchain(genesis), _DictMainChain(genesis)
+        for block in arrivals:
+            assert chain.add_block(block) == reference.add_block(block)
+            assert chain.tip is reference.tip
+            top = chain.height
+            for height in range(-3, top + 3):
+                assert chain.block_at_height(height) is reference.block_at_height(
+                    height
+                )
+                for limit in (0, 1, 3, top + 5):
+                    items = chain.inv_above(height, limit)
+                    assert [item.object_id for item in items] == (
+                        reference.ids_above(height, limit)
+                    )
+                    assert all(
+                        item is chain.get(item.object_id).inv for item in items
+                    )
 
 
 class TestMempool:

@@ -8,6 +8,7 @@ network emergent behaviour.
 
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
 
 from repro.bitcoin import (
     BitcoinNode,
@@ -29,7 +30,11 @@ from repro.bitcoin.messages import (
     TxMsg,
 )
 
-from .conftest import make_node
+from repro.bitcoin import config as cfg
+from repro.simnet import Simulator
+from repro.simnet.transport import Socket
+
+from .conftest import build_small_network, make_addr, make_node
 
 
 def connected_pair(sim, config_a=None, config_b=None):
@@ -173,6 +178,117 @@ class TestInventoryPath:
         assert len(invs) == 1
         ids = [item.object_id for item in invs[0].items]
         assert ids == [3, 4, 5]
+
+
+def _reference_handle_inv(node, peer, message):
+    """The INV handler as it was before it stopped at its window: every
+    item pays every membership test, through ``Blockchain.__contains__``.
+    Kept as the oracle of :class:`TestInvHandlerMatchesPerItemReference`."""
+    wanted = []
+    for item in message.items:
+        if item.type is InvType.BLOCK:
+            peer.known_blocks.add(item.object_id)
+            if (
+                item.object_id not in node.chain
+                and item.object_id not in peer.blocks_in_flight
+                and item.object_id not in node._pending_cmpct  # noqa: SLF001
+            ):
+                if len(peer.blocks_in_flight) < cfg.MAX_BLOCKS_IN_TRANSIT:
+                    peer.blocks_in_flight.add(item.object_id)
+                    wanted.append(item)
+        else:
+            peer.known_txs.add(item.object_id)
+            if item.object_id not in node.mempool:
+                wanted.append(item)
+    if wanted:
+        peer.enqueue_send(GetData(items=tuple(wanted)))
+
+
+#: Ids are drawn from a range this small so that an INV repeats itself
+#: and collides with what the node already has, requested or is rebuilding.
+_ID = st.integers(0, 70)
+
+
+class TestInvHandlerMatchesPerItemReference:
+    @staticmethod
+    def _world(chain_ids, pending_ids, mempool_ids, in_flight):
+        """An unstarted node holding the given state, and one peer of it
+        on a bare socket (the handler needs no network)."""
+        sim = Simulator(seed=1)
+        node = make_node(sim, 1)
+        prev = 0
+        for height, block_id in enumerate(chain_ids, start=1):
+            node.chain.add_block(
+                Block(block_id=block_id, prev_id=prev, height=height, created_at=0.0)
+            )
+            prev = block_id
+        for block_id in pending_ids:
+            node._pending_cmpct[block_id] = Block(  # noqa: SLF001
+                block_id=block_id, prev_id=prev, height=len(chain_ids) + 1,
+                created_at=0.0,
+            )
+        for txid in mempool_ids:
+            node.mempool.add(Transaction(txid=txid))
+        socket = Socket(sim.network, node.addr, make_addr(2), False, 0.0)
+        peer = node._adopt_socket(socket)  # noqa: SLF001
+        peer.blocks_in_flight.update(in_flight)
+        return node, peer
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        items=st.lists(st.tuples(st.booleans(), _ID), max_size=500),
+        chain_ids=st.lists(st.integers(1, 70), unique=True, max_size=30),
+        pending_ids=st.sets(_ID, max_size=5),
+        mempool_ids=st.sets(_ID, max_size=20),
+        window=st.sampled_from([0, 15, 16]).flatmap(
+            lambda n: st.sets(st.integers(0, 90), min_size=n, max_size=n)
+        ),
+    )
+    def test_same_getdata_and_same_bookkeeping(
+        self, items, chain_ids, pending_ids, mempool_ids, window
+    ):
+        message = Inv(
+            items=tuple(
+                InvItem(InvType.BLOCK if is_block else InvType.TX, object_id)
+                for is_block, object_id in items
+            )
+        )
+        state = (chain_ids, pending_ids, mempool_ids, window)
+        node, peer = self._world(*state)
+        ref_node, ref_peer = self._world(*state)
+        node._handle_inv(peer, message)  # noqa: SLF001
+        _reference_handle_inv(ref_node, ref_peer, message)
+        assert [m.command for m in peer.send_queue] == [
+            m.command for m in ref_peer.send_queue
+        ]
+        if ref_peer.send_queue:
+            (sent,), (expected,) = peer.send_queue, ref_peer.send_queue
+            assert sent.command == "getdata"
+            assert len(sent.items) == len(expected.items)
+            assert all(a is b for a, b in zip(sent.items, expected.items))
+        assert peer.known_blocks == ref_peer.known_blocks
+        assert peer.known_txs == ref_peer.known_txs
+        assert peer.blocks_in_flight == ref_peer.blocks_in_flight
+
+
+class TestBlockAnnouncement:
+    def test_one_inv_per_block_shared_by_every_peer(self, sim):
+        nodes = build_small_network(
+            sim, 4, config_factory=lambda: NodeConfig(compact_blocks=False)
+        )
+        sim.run_for(30.0)
+        node = nodes[0]
+        assert len(node.established_peers) >= 2
+        block = Block(block_id=1, prev_id=0, height=1, created_at=sim.now)
+        node.submit_block(block)
+        announced = [
+            [m for m in peer.send_queue if m.command == "inv"]
+            for peer in node.established_peers
+        ]
+        assert all(len(invs) == 1 for invs in announced)
+        first = announced[0][0]
+        assert all(invs[0] is first for invs in announced)
+        assert first.items == (block.inv,) and first.items[0] is block.inv
 
 
 class TestSendCmpctNegotiation:
