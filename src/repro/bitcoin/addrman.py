@@ -18,16 +18,28 @@ Deviation from Core noted here once: selection is uniform over addresses
 rather than Core's uniform-over-buckets-with-freshness-bias.  The paper's
 phenomena (success rate, pollution, eviction latency) do not depend on the
 bias, and uniform keeps selection O(1).
+
+Layout: an address is a *row*, not an object.  A table keeps the last
+ADDR record heard for each address **as received** (``_rec``; a node
+stores a record's timestamp and re-serves it as stored, so a GETADDR
+reply is a list of pointers and one record is shared by every table and
+message it passed through) beside the source it was learned from
+(``_src``), with ``_pos`` mapping address to row.  Removal moves the
+last row into the hole.  Which table holds the row *is* ``in_tried``;
+the bucket is recomputed from ``(key, addr, source)`` on the rare
+remove; attempt state lives in the sparse ``AddrMan._tries``, only for
+addresses ever dialled.  ``tests/reference_addrman.py`` is the
+object-per-address layout this replaced, kept as the oracle: both make
+the same RNG draws over the same row order.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..simnet.addresses import NetAddr, TimestampedAddr
-from ..simnet import rand
 from ..units import DAYS
 from . import config as cfg
 
@@ -47,14 +59,34 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass(slots=True)
-class AddrInfo:
-    """Bookkeeping for one known address.
+def is_terrible(
+    timestamp: float, tries: Tuple[float, float, int], now: float, horizon: float
+) -> bool:
+    """Core's ``AddrInfo::IsTerrible`` eviction predicate, over a
+    last-seen time and a ``(last_try, last_success, attempts)`` triple."""
+    if tries[0] >= now - 60.0:
+        return False  # tried in the last minute: leave it alone
+    if timestamp > now + 10 * 60.0:
+        return True  # timestamp from the future
+    if timestamp < now - horizon:
+        return True  # not seen within the horizon
+    last_success = tries[1]
+    if last_success < 0:
+        return tries[2] >= cfg.ADDRMAN_RETRIES  # never succeeded
+    return (
+        last_success < now - cfg.ADDRMAN_MIN_FAIL_DAYS * DAYS
+        and tries[2] >= cfg.ADDRMAN_MAX_FAILURES
+    )
 
-    Slotted: a scale run holds hundreds of thousands of these per node
-    population, and the per-instance ``__dict__`` of a plain dataclass
-    roughly doubles their footprint.
-    """
+
+#: ``(last_try, last_success, attempts)`` of an address never dialled.
+_NEVER_TRIED = (-1.0, -1.0, 0)
+
+
+@dataclass(frozen=True, slots=True)
+class AddrInfo:
+    """What is known about one address: a snapshot, built by
+    :meth:`AddrMan.info` for tests and analyses (the tables keep rows)."""
 
     addr: NetAddr
     source: Optional[NetAddr]
@@ -67,104 +99,86 @@ class AddrInfo:
     #: Failed attempts since the last success.
     attempts: int = 0
     in_tried: bool = False
-    bucket: int = -1
-    #: Memoized GETADDR-response record for the current ``timestamp``
-    #: (addresses are re-sampled across many responses, so reusing the
-    #: record avoids re-allocating an identical tuple each time).
-    record: Optional[TimestampedAddr] = None
 
     def is_terrible(self, now: float, horizon: float) -> bool:
-        """Core's ``AddrInfo::IsTerrible`` eviction predicate."""
-        if self.last_try >= now - 60.0:
-            return False  # tried in the last minute: leave it alone
-        if self.timestamp > now + 10 * 60.0:
-            return True  # timestamp from the future
-        if self.timestamp < now - horizon:
-            return True  # not seen within the horizon
-        if self.last_success < 0 and self.attempts >= cfg.ADDRMAN_RETRIES:
-            return True  # never succeeded
-        if (
-            self.last_success >= 0
-            and self.last_success < now - cfg.ADDRMAN_MIN_FAIL_DAYS * DAYS
-            and self.attempts >= cfg.ADDRMAN_MAX_FAILURES
-        ):
-            return True
-        return False
+        """:func:`is_terrible` of this snapshot."""
+        tries = (self.last_try, self.last_success, self.attempts)
+        return is_terrible(self.timestamp, tries, now, horizon)
+
+
+_Row = Tuple[TimestampedAddr, Optional[NetAddr]]
 
 
 class _Table:
-    """One addrman table: capped buckets plus a flat index for O(1) picks."""
+    """One addrman table: capped buckets over row columns.
+
+    Row ``i`` is ``(_rec[i], _src[i])`` and ``_pos[_rec[i].addr] == i``;
+    the columns are what ``select`` / ``get_addr`` index into.  Buckets
+    list their members' addresses in arrival order, a victim replaced
+    in place: the victim draw is an index into that order.
+    """
 
     def __init__(self, bucket_count: int, bucket_size: int, rng: random.Random):
         self.bucket_count = bucket_count
         self.bucket_size = bucket_size
         self._rng = rng
         self._buckets: Dict[int, List[NetAddr]] = {}
-        self._flat: List[NetAddr] = []
         self._pos: Dict[NetAddr, int] = {}
+        self._rec: List[TimestampedAddr] = []
+        self._src: List[Optional[NetAddr]] = []
 
     def __len__(self) -> int:
-        return len(self._flat)
+        return len(self._rec)
 
     def __contains__(self, addr: NetAddr) -> bool:
         return addr in self._pos
 
-    def bucket_len(self, bucket: int) -> int:
-        return len(self._buckets.get(bucket, ()))
-
-    def insert(self, addr: NetAddr, bucket: int) -> Optional[NetAddr]:
-        """Insert ``addr``; return an evicted address if the bucket was full."""
-        if addr in self._pos:
-            return None
-        slot = self._buckets.setdefault(bucket, [])
+    def insert(
+        self, record: TimestampedAddr, source: Optional[NetAddr], bucket: int
+    ) -> Optional[_Row]:
+        """Append a row (its address in neither table); return the row a
+        full bucket gave up for it, if any."""
+        addr = record[0]
         evicted = None
-        if len(slot) >= self.bucket_size:
-            victim_index = int(self._rng.random() * len(slot))
-            evicted = slot[victim_index]
-            slot[victim_index] = addr
-            self._remove_flat(evicted)
-        else:
+        slot = self._buckets.get(bucket)
+        if slot is None:
+            self._buckets[bucket] = [addr]
+        elif len(slot) < self.bucket_size:
             slot.append(addr)
-        self._pos[addr] = len(self._flat)
-        self._flat.append(addr)
+        else:
+            victim_index = int(self._rng.random() * len(slot))
+            evicted = self._drop_row(slot[victim_index])
+            slot[victim_index] = addr
+        self._pos[addr] = len(self._rec)
+        self._rec.append(record)
+        self._src.append(source)
         return evicted
 
     def remove(self, addr: NetAddr, bucket: int) -> None:
-        slot = self._buckets.get(bucket)
-        if slot is not None:
-            try:
-                slot.remove(addr)
-            except ValueError:
-                pass
-            if not slot:
-                del self._buckets[bucket]
-        self._remove_flat(addr)
+        slot = self._buckets[bucket]
+        slot.remove(addr)
+        if not slot:
+            del self._buckets[bucket]
+        self._drop_row(addr)
 
-    def _remove_flat(self, addr: NetAddr) -> None:
-        index = self._pos.pop(addr, None)
-        if index is None:
-            return
-        last = self._flat.pop()
-        if last != addr:
-            self._flat[index] = last
-            self._pos[last] = index
-
-    def random_addr(self) -> Optional[NetAddr]:
-        flat = self._flat
-        if not flat:
-            return None
-        return flat[int(self._rng.random() * len(flat))]
-
-    def sample(self, count: int) -> List[NetAddr]:
-        count = min(count, len(self._flat))
-        return rand.sample(self._rng, self._flat, count)
+    def _drop_row(self, addr: NetAddr) -> _Row:
+        rec, src = self._rec, self._src
+        index = self._pos.pop(addr)
+        row = rec[index], src[index]
+        last_rec, last_src = rec.pop(), src.pop()
+        if index < len(rec):
+            rec[index] = last_rec
+            src[index] = last_src
+            self._pos[last_rec[0]] = index
+        return row
 
     def all_addresses(self) -> List[NetAddr]:
-        return list(self._flat)
+        return [record[0] for record in self._rec]
 
 
 class AddrMan:
-    """The address manager of one node."""
+    """The address manager of one node: two :class:`_Table` s of rows and
+    the attempt state of the few addresses ever dialled."""
 
     def __init__(
         self,
@@ -178,9 +192,10 @@ class AddrMan:
         self._rng = rng
         self._key = key
         self.horizon = horizon_days * DAYS
-        self._info: Dict[NetAddr, AddrInfo] = {}
         self._new = _Table(new_buckets, bucket_size, rng)
         self._tried = _Table(tried_buckets, bucket_size, rng)
+        #: addr -> (last_try, last_success, attempts); dropped with the row.
+        self._tries: Dict[NetAddr, Tuple[float, float, int]] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -196,18 +211,28 @@ class AddrMan:
         return len(self._tried)
 
     def __len__(self) -> int:
-        return len(self._info)
+        return len(self._new) + len(self._tried)
 
     def __contains__(self, addr: NetAddr) -> bool:
-        return addr in self._info
+        return addr in self._new or addr in self._tried
 
     def info(self, addr: NetAddr) -> Optional[AddrInfo]:
-        """The bookkeeping record for ``addr``, or None if unknown."""
-        return self._info.get(addr)
+        """A snapshot of what is known about ``addr``, or None if unknown."""
+        for table in (self._new, self._tried):
+            index = table._pos.get(addr)
+            if index is not None:
+                return AddrInfo(
+                    addr,
+                    table._src[index],
+                    table._rec[index][1],
+                    *self._tries.get(addr, _NEVER_TRIED),
+                    in_tried=table is self._tried,
+                )
+        return None
 
     def all_addresses(self) -> List[NetAddr]:
         """Every address in either table."""
-        return list(self._info)
+        return self._new.all_addresses() + self._tried.all_addresses()
 
     # ------------------------------------------------------------------
     # Bucketing
@@ -241,25 +266,9 @@ class AddrMan:
         source: Optional[NetAddr] = None,
         timestamp: Optional[float] = None,
     ) -> bool:
-        """Learn ``addr`` (ADDR gossip / DNS seed).  True if newly added.
-
-        An address already known only has its gossiped timestamp refreshed
-        (Core applies a similar update rule); a new address lands in the
-        new table, evicting a random occupant of a full bucket.
-        """
-        stamp = now if timestamp is None else min(timestamp, now + 600.0)
-        existing = self._info.get(addr)
-        if existing is not None:
-            if stamp > existing.timestamp:
-                existing.timestamp = stamp
-            return False
-        info = AddrInfo(addr=addr, source=source, timestamp=stamp)
-        info.bucket = self._new_bucket(addr, source)
-        evicted = self._new.insert(addr, info.bucket)
-        if evicted is not None:
-            self._info.pop(evicted, None)
-        self._info[addr] = info
-        return True
+        """Learn ``addr`` (ADDR gossip / DNS seed).  True if newly added."""
+        record = TimestampedAddr(addr, now if timestamp is None else timestamp)
+        return self.add_many((record,), now, source) == 1
 
     def add_many(
         self,
@@ -267,88 +276,92 @@ class AddrMan:
         now: float,
         source: Optional[NetAddr] = None,
     ) -> int:
-        """Bulk :meth:`add` for a whole ADDR message.  Returns # added.
+        """Ingest a whole ADDR message.  Returns # newly added.
 
-        Processing ADDR gossip record-by-record through :meth:`add` is
-        the busiest addrman entry point in a scale run (GETADDR replies
-        carry up to 1000 records), so the per-record loop is inlined
-        here with the lookups hoisted.  Semantics are record-for-record
-        identical to calling ``add(record.addr, now, source,
-        record.timestamp)`` in order — including the timestamp clamp and
-        the eviction draw order — so same-seed figures do not move.
+        An address already known only has its record replaced by a
+        fresher one (Core applies a similar update rule); a new address
+        lands in the new table, evicting a random occupant of a full
+        bucket.  The record is stored as received — a new one is made
+        only when its timestamp is more than ten minutes ahead and has
+        to be clamped.  GETADDR replies carry up to 1000 records, so the
+        lookups are hoisted out of the loop.
         """
-        info_map = self._info
+        new_pos, new_rec = self._new._pos, self._new._rec
+        tried_pos, tried_rec = self._tried._pos, self._tried._rec
         new_insert = self._new.insert
+        forget_tries = self._tries.pop
         key = self._key
         bucket_count = self._new.bucket_count
         source_group = (source[0] >> 16) if source is not None else 0
         clamp = now + 600.0
         added = 0
         for record in records:
-            addr = record.addr
-            timestamp = record.timestamp
-            stamp = timestamp if timestamp < clamp else clamp
-            existing = info_map.get(addr)
-            if existing is not None:
-                if stamp > existing.timestamp:
-                    existing.timestamp = stamp
+            addr, timestamp = record
+            if timestamp > clamp:
+                record = TimestampedAddr(addr, clamp)
+                timestamp = clamp
+            index = new_pos.get(addr)
+            if index is not None:
+                if timestamp > new_rec[index][1]:
+                    new_rec[index] = record
                 continue
-            info = AddrInfo(addr=addr, source=source, timestamp=stamp)
+            index = tried_pos.get(addr)
+            if index is not None:
+                if timestamp > tried_rec[index][1]:
+                    tried_rec[index] = record
+                continue
             # _new_bucket with _mix64 unrolled — arithmetic identical to
             # the method, sans two Python calls per new record.
             x = (key ^ (addr[0] & 0xFFFF0000) ^ source_group) & 0xFFFFFFFFFFFFFFFF
             x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
             x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-            info.bucket = bucket = (x ^ (x >> 31)) % bucket_count
-            evicted = new_insert(addr, bucket)
-            if evicted is not None:
-                info_map.pop(evicted, None)
-            info_map[addr] = info
+            evicted = new_insert(record, source, (x ^ (x >> 31)) % bucket_count)
+            if evicted is not None:  # a (record, source) row
+                forget_tries(evicted[0][0], None)
             added += 1
         return added
 
     def attempt(self, addr: NetAddr, now: float) -> None:
         """Record a connection attempt to ``addr``."""
-        info = self._info.get(addr)
-        if info is None:
-            return
-        info.last_try = now
-        info.attempts += 1
+        if addr in self:
+            _, last_success, attempts = self._tries.get(addr, _NEVER_TRIED)
+            self._tries[addr] = (now, last_success, attempts + 1)
 
     def good(self, addr: NetAddr, now: float) -> None:
         """Record a successful connection: promote ``addr`` to tried."""
-        info = self._info.get(addr)
-        if info is None:
+        new, tried = self._new, self._tried
+        record = TimestampedAddr(addr, now)
+        if addr not in self:
             # Learned through an inbound path we never gossiped; adopt it.
-            self.add(addr, now)
-            info = self._info[addr]
-        info.last_success = now
-        info.last_try = now
-        info.timestamp = now
-        info.attempts = 0
-        if info.in_tried:
+            self.add_many((record,), now)
+        self._tries[addr] = (now, now, 0)
+        index = tried._pos.get(addr)
+        if index is not None:
+            tried._rec[index] = record
             return
-        self._new.remove(addr, info.bucket)
-        info.in_tried = True
-        info.bucket = self._tried_bucket(addr)
-        evicted = self._tried.insert(addr, info.bucket)
-        if evicted is not None:
+        source = new._src[new._pos[addr]]
+        new.remove(addr, self._new_bucket(addr, source))
+        displaced = tried.insert(record, source, self._tried_bucket(addr))
+        if displaced is not None:
             # Core moves the displaced tried entry back to new; we follow.
-            displaced = self._info.get(evicted)
-            if displaced is not None:
-                displaced.in_tried = False
-                displaced.bucket = self._new_bucket(evicted, displaced.source)
-                re_evicted = self._new.insert(evicted, displaced.bucket)
-                if re_evicted is not None:
-                    self._info.pop(re_evicted, None)
+            back, back_source = displaced
+            evicted = new.insert(
+                back, back_source, self._new_bucket(back[0], back_source)
+            )
+            if evicted is not None:
+                self._tries.pop(evicted[0][0], None)
 
     def remove(self, addr: NetAddr) -> None:
         """Forget ``addr`` entirely."""
-        info = self._info.pop(addr, None)
-        if info is None:
+        new = self._new
+        index = new._pos.get(addr)
+        if index is not None:
+            new.remove(addr, self._new_bucket(addr, new._src[index]))
+        elif addr in self._tried:
+            self._tried.remove(addr, self._tried_bucket(addr))
+        else:
             return
-        table = self._tried if info.in_tried else self._new
-        table.remove(addr, info.bucket)
+        self._tries.pop(addr, None)
 
     # ------------------------------------------------------------------
     # Selection (outbound targets)
@@ -365,24 +378,21 @@ class AddrMan:
         weight (policy variants skew selection toward proven addresses);
         any value makes the same single RNG draw.
         """
+        new_rows, tried_rows = self._new._rec, self._tried._rec
         for _ in range(8):
-            if new_only:
-                use_tried = False
-            elif len(self._tried) == 0:
-                use_tried = False
-            elif len(self._new) == 0:
-                use_tried = True
+            if new_only or not tried_rows:
+                rows = new_rows
+            elif not new_rows or self._rng.random() < tried_bias:
+                rows = tried_rows
             else:
-                use_tried = self._rng.random() < tried_bias
-            table = self._tried if use_tried else self._new
-            addr = table.random_addr()
-            if addr is None:
+                rows = new_rows
+            if not rows:
                 return None
-            info = self._info[addr]
-            if info.is_terrible(now, self.horizon):
-                self.remove(addr)
-                continue
-            return addr
+            addr, timestamp = rows[int(self._rng.random() * len(rows))]
+            tries = self._tries.get(addr, _NEVER_TRIED)
+            if not is_terrible(timestamp, tries, now, self.horizon):
+                return addr
+            self.remove(addr)
         return None
 
     # ------------------------------------------------------------------
@@ -395,16 +405,17 @@ class AddrMan:
         max_pct: int = cfg.ADDR_RESPONSE_MAX_PCT,
         tried_only: bool = False,
     ) -> List[TimestampedAddr]:
-        """Sample addresses for an ADDR response.
+        """Sample stored records for an ADDR response.
 
         ``tried_only`` implements the §V addressing refinement.  Terrible
         addresses discovered during sampling are evicted and skipped, so a
-        GETADDR-heavy workload also ages the tables (as in Core).
+        GETADDR-heavy workload also ages the tables (as in Core) — which
+        is why the walk runs over a copy of the record columns.
         """
         if tried_only:
-            pool = self._tried.all_addresses()
+            pool = self._tried._rec[:]
         else:
-            pool = self._new.all_addresses() + self._tried.all_addresses()
+            pool = self._new._rec + self._tried._rec
         pool_len = len(pool)
         limit = min(max_count, max(1, pool_len * max_pct // 100)) if pool else 0
         # Lazy partial Fisher-Yates: step ``i`` draws a uniform element
@@ -415,42 +426,20 @@ class AddrMan:
         # network, so the full shuffle was a dominant per-event cost in
         # paper-scale runs.
         rand = self._rng.random
-        info_map = self._info
+        tries_get = self._tries.get
         horizon = self.horizon
         out: List[TimestampedAddr] = []
-        i = 0
-        while i < pool_len and len(out) < limit:
+        for i in range(pool_len):
+            if len(out) >= limit:
+                break
             # int(random() * k) is a single C call per draw; see the
             # module docstring's uniform-selection deviation note.
             j = i + int(rand() * (pool_len - i))
-            addr = pool[j]
+            record = pool[j]
             pool[j] = pool[i]
-            i += 1
-            info = info_map[addr]
-            if info.is_terrible(now, horizon):
+            addr, timestamp = record
+            if is_terrible(timestamp, tries_get(addr, _NEVER_TRIED), now, horizon):
                 self.remove(addr)
-                continue
-            record = info.record
-            if record is None or record.timestamp != info.timestamp:
-                record = TimestampedAddr(addr=addr, timestamp=info.timestamp)
-                info.record = record
-            out.append(record)
+            else:
+                out.append(record)
         return out
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def evict_terrible(self, now: float) -> int:
-        """Proactively evict every terrible address.  Returns the count.
-
-        Core does this lazily; the explicit sweep exists for experiments
-        that measure table composition after a horizon change (§V).
-        """
-        victims = [
-            addr
-            for addr, info in self._info.items()
-            if info.is_terrible(now, self.horizon)
-        ]
-        for addr in victims:
-            self.remove(addr)
-        return len(victims)

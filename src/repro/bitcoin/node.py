@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
-from ..simnet.addresses import NetAddr, TimestampedAddr
+from ..simnet.addresses import NetAddr, TimestampedAddr, stamp
 from ..simnet.rand import derive_seed
 from ..simnet.simulator import Simulator
 from ..simnet.transport import Socket
@@ -209,14 +209,11 @@ class BitcoinNode(NodeBehavior):
     def bootstrap(self, addresses: Sequence[NetAddr]) -> int:
         """Seed the addrman (DNS-seeder bootstrap).  Returns # added."""
         self._refuse_if_departed("bootstrap")
-        added = 0
         now = self.sim.now
-        for address in addresses:
-            if address == self.addr:
-                continue
-            if self.addrman.add(address, now):
-                added += 1
-        return added
+        own = self.addr
+        return self.addrman.add_many(
+            stamp((addr for addr in addresses if addr != own), now), now
+        )
 
     def start(self) -> None:
         """Bring the node online: listen, connect out, start feelers."""

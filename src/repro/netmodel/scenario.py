@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ScenarioError
 from ..faults.plan import FaultPlan
-from ..simnet.addresses import NetAddr, stamp
+from ..simnet.addresses import NetAddr, TimestampedAddr, stamp
 from ..simnet.rand import sample
 from ..simnet.simulator import Simulator
 from ..simnet.transport import ProbeBehavior
@@ -620,6 +620,12 @@ class ProtocolScenario:
         self._unreachable_pool.extend(
             record.addr for record in self.population.silent
         )
+        #: Both pools as ADDR records stamped ``_seed_stamp``: nodes
+        #: seeded at one instant (the whole standing network, at t = 0)
+        #: share one record per pool address.
+        self._seed_stamp: Optional[float] = None
+        self._reachable_records: List[TimestampedAddr] = []
+        self._unreachable_records: List[TimestampedAddr] = []
         # Materialise the standing network.
         standing = self.population.reachable[: self.config.n_reachable]
         self._replacement_pool = self.population.reachable[
@@ -697,24 +703,31 @@ class ProtocolScenario:
 
     def _seed_tables(self, node: BitcoinNode) -> None:
         """Pollute the node's addrman with the measured 15/85 mixture."""
-        reachable_addrs = [
-            addr for addr in self._reachable_pool if addr != node.addr
+        now = self.sim.now
+        if now != self._seed_stamp:
+            self._seed_stamp = now
+            self._reachable_records = stamp(self._reachable_pool, now)
+            self._unreachable_records = stamp(self._unreachable_pool, now)
+        own = node.addr
+        reachable = [
+            record for record in self._reachable_records if record[0] != own
         ]
-        n_reach = min(self.config.table_reachable_sample, len(reachable_addrs))
+        n_reach = min(self.config.table_reachable_sample, len(reachable))
         share = self.config.addr_reachable_share
+        unreachable = self._unreachable_records
         fake = self.population.fake
         if fake:
-            unreachable_pool = self._unreachable_pool + [
-                record.addr for record in fake
-            ]
-        else:
-            unreachable_pool = self._unreachable_pool
-        n_unreach = min(
-            len(unreachable_pool), round(n_reach * (1 - share) / share)
-        )
-        node.bootstrap(
-            sample(self._rng, reachable_addrs, n_reach)
-            + sample(self._rng, unreachable_pool, n_unreach)
+            unreachable = unreachable + stamp(
+                (record.addr for record in fake), now
+            )
+        n_unreach = min(len(unreachable), round(n_reach * (1 - share) / share))
+        # What ``node.bootstrap`` would do with the addresses, minus the
+        # per-node records: the sample is over shared ones (same draws —
+        # ``sample`` picks by index) and holds no ``node.addr``.
+        node.addrman.add_many(
+            sample(self._rng, reachable, n_reach)
+            + sample(self._rng, unreachable, n_unreach),
+            now,
         )
 
     def pollute_addrman(self, node: BitcoinNode) -> None:

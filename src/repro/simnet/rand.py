@@ -5,7 +5,7 @@ selection, ...) draws from its own named stream derived from the master
 seed.  Components therefore stay reproducible independently of each other:
 adding events to one stream does not perturb the draws seen by another.
 
-:func:`sample` is how the network model and addrman draw without
+:func:`sample` is how the network model draws without
 replacement: ``random.Random.sample`` with its draw loop inlined — same
 result, same generator state afterwards, about twice as fast at the
 shapes the crawl campaign draws millions of times (a few hundred out of

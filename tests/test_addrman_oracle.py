@@ -25,8 +25,14 @@ seen to turn the named test red, and reverted):
   ``_pos`` entry
   -> ``TestDirected::test_swap_remove_keeps_the_moved_row_addressable``
 
-Each also fails ``TestAddrManMatchesReference`` and ``test_long_program``;
-the directed tests exist so a red run names the rule that broke.
+Each also fails ``test_long_program``, and the first three were seen to
+fail ``TestAddrManMatchesReference`` (under the fourth the state machine
+was stopped after minutes of shrinking — run the directed tests first);
+the directed tests exist so a red run names the rule that broke.  Two
+more of the second kind — ``good()`` and ``remove()`` keeping the
+``_tries`` entry of the row they drop — fail
+``test_a_displaced_tried_entry_evicts_a_whole_row_from_new`` and
+``test_an_evicted_row_takes_its_attempt_state_with_it``.
 """
 
 from __future__ import annotations

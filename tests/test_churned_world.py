@@ -6,6 +6,11 @@ its memory behaves over simulated time.  These tests pin that as counts,
 not as RSS: a dead ``Peer`` dies by reference count, a departed node's
 record holds nothing a running node needs, and the census of a world is
 the census of its running nodes however many have come and gone.
+
+``TestGossipBudget`` takes the same census on ``gossip_scale``'s shape
+(``benchmarks/ledger``: hybrid tiers, steady ADDR gossip) as a budget of
+GC-tracked objects — what the cycle collector has to walk: so many per
+full node, one per light node, none per addrman row.
 """
 
 from __future__ import annotations
@@ -19,14 +24,14 @@ import pytest
 
 from repro.bitcoin import Block, NodeConfig
 from repro.bitcoin import node as node_module
-from repro.bitcoin.addrman import AddrInfo
+from repro.bitcoin.addrman import AddrMan
 from repro.bitcoin.blockchain import Blockchain
 from repro.bitcoin.light import LightNode
 from repro.bitcoin.peer import Peer
 from repro.errors import ProtocolError
 from repro.netmodel.churn import ChurnProcess
 from repro.netmodel.scenario import ProtocolConfig, ProtocolScenario
-from repro.simnet import NetAddr, Simulator
+from repro.simnet import NetAddr, Simulator, TimestampedAddr
 from repro.simnet.transport import Socket
 
 from .conftest import build_small_network, make_addr
@@ -107,13 +112,15 @@ def _chain_entries(chain: Blockchain) -> int:
 
 
 def census(scenario: ProtocolScenario) -> int:
-    """Live ``AddrInfo`` + ``Peer`` + chain-map entries reachable from
+    """Addrman rows + live ``Peer`` s + chain-map entries reachable from
     the scenario — through ``nodes``, the churn log, the mining history,
     the event queue and every socket still pinned by a timer."""
     total = 0
     for obj in reachable(scenario):
-        if isinstance(obj, (AddrInfo, Peer)):
+        if isinstance(obj, Peer):
             total += 1
+        elif isinstance(obj, AddrMan):
+            total += len(obj)
         elif isinstance(obj, Blockchain):
             total += _chain_entries(obj)
     return total
@@ -194,6 +201,99 @@ def _assert_alive_peers_are_connected_or_awaiting_a_pass(made) -> int:
             or peer in loop.dirty_send
         ), f"{peer} of a closed connection outlived its handler pass"
     return alive
+
+
+N_GOSSIP = 40
+
+
+def gossip_world(fidelity: str = "hybrid", events: int = 5000) -> ProtocolScenario:
+    """The ledger's ``gossip_scale`` world at 40 full nodes: built,
+    warmed for 15 s, then run for ``events`` events."""
+    scenario = ProtocolScenario(
+        ProtocolConfig(
+            seed=5,
+            n_reachable=N_GOSSIP,
+            fidelity=fidelity,
+            churn_per_10min=6.0,
+            pre_mined_blocks=10,
+        )
+    )
+    scenario.start(warmup=15.0)
+    scenario.sim.run_for(1e9, max_events=events)
+    return scenario
+
+
+def tracked(scenario: ProtocolScenario) -> int:
+    """GC-tracked objects reachable from the scenario."""
+    gc.collect()
+    return sum(1 for obj in reachable(scenario) if gc.is_tracked(obj))
+
+
+class TestGossipBudget:
+    #: Measured 379 (of which 232 are bucket lists); 804 when every
+    #: address was an ``AddrInfo`` object with a memoized record.
+    FULL_NODE_CEILING = 450
+    #: Measured 1.005: the ``LightNode`` itself and nothing else.
+    LIGHT_NODE_CEILING = 1.1
+
+    def test_tracked_objects_per_node_by_tier(self):
+        """A full-fidelity world is the hybrid one minus its light tier
+        (same seed, same events, same clock), so the difference of the
+        two censuses is what the light tier costs."""
+        full, hybrid = gossip_world("full"), gossip_world("hybrid")
+        assert full.light_cloud is None and hybrid.sim.now == full.sim.now
+        lights = len(hybrid.light_cloud)
+        assert lights > 10 * N_GOSSIP
+        in_full = tracked(full)
+        per_full = in_full / N_GOSSIP
+        per_light = (tracked(hybrid) - in_full) / lights
+        rows = sum(len(node.addrman) for node in full.running_nodes())
+        assert rows > 300 * N_GOSSIP  # the tables the budget is about
+        assert per_full <= self.FULL_NODE_CEILING, per_full
+        assert 1.0 <= per_light <= self.LIGHT_NODE_CEILING, per_light
+
+    def test_an_addrman_row_owns_nothing_but_its_record(self):
+        """Ingesting N fresh addresses grows the collector's heap by the
+        bucket lists they open — one per /16 here, all from one source
+        — and by nothing per row: the record is the sender's."""
+        scenario = gossip_world()
+        node = scenario.running_nodes()[0]
+        now = scenario.sim.now
+        groups, hosts = 20, 60  # 60 < ADDRMAN_BUCKET_SIZE: nobody evicted
+        records = [
+            TimestampedAddr(NetAddr(ip=((0xF000 + group) << 16) | host), now)
+            for group in range(groups)
+            for host in range(1, hosts + 1)
+        ]
+        source = NetAddr(ip=0xEFFF0001)
+        rows = len(node.addrman)
+        gc.collect()
+        before = len(gc.get_objects())
+        added = node.addrman.add_many(records, now, source)
+        grown = len(gc.get_objects()) - before
+        assert added == groups * hosts
+        assert len(node.addrman) > rows + groups * hosts // 2
+        assert grown <= groups, grown
+
+    def test_gossip_leaves_nothing_for_the_collector(self):
+        """Set-up, warm-up, 20 K events and the first departures, all
+        with the collector off: a full collection then finds nothing —
+        which is why no ``gc`` knob is set anywhere under ``src/``."""
+        gc.collect()
+        gc.disable()
+        try:
+            scenario = gossip_world(events=20_000)
+            assert scenario.churn.departures
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                gc.collect()
+                found = Counter(type(obj).__name__ for obj in gc.garbage)
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+            assert not found, found
+        finally:
+            gc.enable()
 
 
 class TestFlatCensus:
