@@ -287,7 +287,7 @@ class LightNode(NodeBehavior):
                 wanted = []  # repro-lint: disable=HOT001 (assist-only branch: one short list per inv carrying unseen txids)
             wanted.append(item)
         if wanted:
-            socket.send(GetData(items=tuple(wanted)))  # repro-lint: disable=HOT001 (assist-only branch: one request per unseen announcement)
+            socket.send(GetData(items=tuple(wanted)))
 
     def _relay_accept(self, socket: Socket, message: TxMsg) -> None:
         """Record a received tx and announce it to the other sessions."""
@@ -300,13 +300,13 @@ class LightNode(NodeBehavior):
         if len(relay) >= self.RELAY_CACHE_MAX:
             # Same FIFO half-eviction as the payload memo: bridging is
             # a recency phenomenon, insertion age approximates LRU.
-            for stale in list(relay)[: self.RELAY_CACHE_MAX // 2]:  # repro-lint: disable=HOT001 (cache-full branch: one sweep per RELAY_CACHE_MAX/2 relayed txs)
+            for stale in list(relay)[: self.RELAY_CACHE_MAX // 2]:
                 del relay[stale]
         relay[txid] = message.size
         sessions = self._sessions
         if sessions is None or len(sessions) < 2:
             return
-        announcement = Inv(items=(InvItem(InvType.TX, txid),))  # repro-lint: disable=HOT001 (assist-only branch: one shared announcement per bridged tx)
+        announcement = Inv(items=(InvItem(InvType.TX, txid),))
         for peer_socket, flags in sessions.items():
             if peer_socket is not socket and flags & _GOT_VERSION:
                 peer_socket.send(announcement)
@@ -320,7 +320,7 @@ class LightNode(NodeBehavior):
             if item.type is InvType.TX:
                 size = relay.get(item.object_id)
                 if size is not None:
-                    socket.send(TxMsg(txid=item.object_id, size=size))  # repro-lint: disable=HOT001 (assist-only branch: one reply per requested tx)
+                    socket.send(TxMsg(txid=item.object_id, size=size))
 
     def on_disconnect(self, socket: Socket) -> None:
         sessions = self._sessions

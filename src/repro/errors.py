@@ -111,7 +111,7 @@ class StoreError(ReproError):
 
 
 class LintError(ReproError):
-    """A static-analysis failure (bad config, unreadable baseline)."""
+    """A static-analysis failure (bad config, unknown rule code)."""
 
 
 class CheckpointError(StoreError):

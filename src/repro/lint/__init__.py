@@ -24,8 +24,6 @@ PICK001    ``lambda`` / nested-``def`` callbacks on the event queue
            or stored on snapshot-reachable objects
 ASYNC001   blocking call transitively reachable from an ``async
            def`` without ``run_in_executor`` / ``to_thread``
-ASYNC002   coroutine constructed but never awaited
-ASYNC003   ``create_task`` result discarded (GC can kill the task)
 ASYNC004   loop-owned state mutated from thread context without
            ``call_soon_threadsafe``
 HOT001     allocation-bearing construct in a hot-path function
@@ -38,22 +36,19 @@ resolves methods via self-type inference, ``functools.partial``
 wrappers, and aliased imports, then propagates may-block taint and
 hot-path membership transitively.
 
-Findings are suppressed per line (``# repro-lint: disable=DET002``),
-per file (``# repro-lint: disable-file=DET002``), or grandfathered in a
-committed baseline file; CI enforces a no-new-violations policy.
+Every finding fails the run.  A finding that is right at its site is
+suppressed there, with a rationale, by a ``# repro-lint:`` comment: per
+line (``disable=DET002``) or per file (``disable-file=DET002``).  A
+directive that silences nothing is reported as a note.
 """
 
-from .baseline import Baseline, BaselineEntry, fingerprint
 from .callgraph import CallGraph, ProjectRule, build_call_graph
 from .config import LintConfig, load_config
 from .engine import LintResult, lint_paths
-from .findings import Finding, Severity
+from .findings import Finding
 from .rules import FAMILIES, RULES, all_rules, family_of, get_rule
-from .sarif import render_sarif
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "CallGraph",
     "FAMILIES",
     "Finding",
@@ -61,13 +56,10 @@ __all__ = [
     "LintResult",
     "ProjectRule",
     "RULES",
-    "Severity",
     "all_rules",
     "build_call_graph",
     "family_of",
-    "fingerprint",
     "get_rule",
     "lint_paths",
     "load_config",
-    "render_sarif",
 ]

@@ -30,8 +30,7 @@ project-wide view those rules need:
 
    * *may-block* taint flows **up** the graph from blocking roots
      (``time.sleep``, file/socket/subprocess I/O, ``pathlib.Path``
-     methods, configured extras) to every sync function that can reach
-     one;
+     methods) to every sync function that can reach one;
    * *hotness* flows **down** from functions named in
      ``[tool.repro-lint] hot-paths`` or marked ``# repro-lint: hot`` to
      everything they call;
@@ -194,10 +193,6 @@ _STDLIB_ROOTS = frozenset(
     }
 )
 
-#: Attribute names treated as ``asyncio.create_task``-shaped no matter
-#: what the receiver is (``loop.create_task``, ``asyncio.create_task``).
-_TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
-
 
 # ---------------------------------------------------------------------------
 # Data model
@@ -213,9 +208,8 @@ class CallSite:
     #: Dotted target: a project function key, a ``<tag>.<method>``
     #: typed-method target, or an external dotted name.
     target: str
-    #: "call" | "constructor" | "partial" | "create_task"
+    #: "call" | "constructor" | "partial"
     kind: str = "call"
-    awaited: bool = False
 
 
 @dataclass
@@ -245,9 +239,6 @@ class FunctionInfo:
     #: Parameter name -> type tag from annotations.
     params: Dict[str, str] = field(default_factory=dict)
     calls: List[CallSite] = field(default_factory=list)
-    #: Calls whose value is discarded (``Expr`` statements) — the raw
-    #: material for ASYNC002/ASYNC003.
-    bare_calls: List[CallSite] = field(default_factory=list)
     allocs: List[AllocSite] = field(default_factory=list)
 
     @property
@@ -296,7 +287,6 @@ class CallGraph:
     def __init__(self) -> None:
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        self.lines: Dict[str, Sequence[str]] = {}
         self.modules: Dict[str, _ModuleInfo] = {}
         #: function key -> first blocking call inside it.
         self.may_block: Dict[str, BlockCause] = {}
@@ -306,7 +296,8 @@ class CallGraph:
         self.thread_ctx: Dict[str, str] = {}
         #: functions marked ``# repro-lint: loop-owned``.
         self.loop_owned: Set[str] = set()
-        #: (target dotted, description, entry kind) thread/loop entries.
+        #: (target dotted, how it was dispatched) for every callable
+        #: handed to an executor or thread.
         self._entries: List[Tuple[str, str]] = []
 
     # -- resolution ----------------------------------------------------
@@ -376,12 +367,6 @@ class CallGraph:
                 parts.append(cause.site.target)
         return parts
 
-    def source_line(self, path: str, lineno: int) -> str:
-        lines = self.lines.get(path, ())
-        if 1 <= lineno <= len(lines):
-            return lines[lineno - 1].strip()
-        return ""
-
 
 # ---------------------------------------------------------------------------
 # Module naming and imports
@@ -422,6 +407,22 @@ def _resolve_import_from(
     if node.module:
         base = base + node.module.split(".")
     return ".".join(base) if base else None
+
+
+def _resolve_global(info: _ModuleInfo, parts: List[str]) -> Optional[str]:
+    """Resolve a dotted chain whose root is an import, a module
+    top-level name, or a stdlib module (``open`` alone also resolves)."""
+    root, rest = parts[0], parts[1:]
+    if root in info.imports:
+        return ".".join([info.imports[root]] + rest)
+    if root in info.top_level:
+        prefix = f"{info.name}.{root}" if info.name else root
+        return ".".join([prefix] + rest)
+    if root in _STDLIB_ROOTS:
+        return ".".join([root] + rest)
+    if root == "open" and not rest:
+        return "open"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +466,7 @@ class _SymbolCollector(ast.NodeVisitor):
             return None
         parts.append(node.id)
         parts.reverse()
-        return self.resolve_parts(parts)
-
-    def resolve_parts(self, parts: List[str]) -> Optional[str]:
-        root, rest = parts[0], parts[1:]
-        if root in self.info.imports:
-            return ".".join([self.info.imports[root]] + rest)
-        if root in self.info.top_level:
-            prefix = f"{self.info.name}.{root}" if self.info.name else root
-            return ".".join([prefix] + rest)
-        if root in _STDLIB_ROOTS:
-            return ".".join([root] + rest)
-        if not rest and root == "open":
-            return "open"
-        return None
+        return _resolve_global(self.info, parts)
 
     def annotation_tag(self, node: Optional[ast.AST]) -> Optional[str]:
         """A type tag (or project-class dotted name) for an annotation."""
@@ -488,7 +476,7 @@ class _SymbolCollector(ast.NodeVisitor):
             text = node.value.split("[", 1)[0].strip().strip("'\"")
             if not text:
                 return None
-            dotted = self.resolve_parts(text.split("."))
+            dotted = _resolve_global(self.info, text.split("."))
         elif isinstance(node, ast.Subscript):
             head = node.value
             head_name = None
@@ -670,8 +658,6 @@ class _BodyCollector(ast.NodeVisitor):
         self.graph = graph
         self._scope: List[Tuple[str, str]] = []
         self._frames: List[_Frame] = []
-        self._await_value: Optional[ast.AST] = None
-        self._stmt_call: Optional[ast.AST] = None
         self._raise_depth = 0
 
     # -- naming / resolution -------------------------------------------
@@ -683,11 +669,6 @@ class _BodyCollector(ast.NodeVisitor):
         return f"{self.info.name}.{qual}" if self.info.name else qual
 
     def _class_key(self) -> Optional[str]:
-        parts: List[str] = []
-        for kind, name in self._scope:
-            parts.append(name)
-            if kind == "class":
-                continue
         for index in range(len(self._scope) - 1, -1, -1):
             if self._scope[index][0] == "class":
                 names = [name for _, name in self._scope[: index + 1]]
@@ -725,16 +706,7 @@ class _BodyCollector(ast.NodeVisitor):
                     if tag is not None:
                         return f"{tag}.{rest[1]}"
             return None
-        if root in self.info.imports:
-            return ".".join([self.info.imports[root]] + rest)
-        if root in self.info.top_level:
-            prefix = f"{self.info.name}.{root}" if self.info.name else root
-            return ".".join([prefix] + rest)
-        if root in _STDLIB_ROOTS:
-            return ".".join([root] + rest)
-        if root == "open" and not rest:
-            return "open"
-        return None
+        return _resolve_global(self.info, parts)
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         parts: List[str] = []
@@ -855,18 +827,6 @@ class _BodyCollector(ast.NodeVisitor):
             self.visit(node.value)
 
     # -- statements ----------------------------------------------------
-    def visit_Expr(self, node: ast.Expr) -> None:
-        if isinstance(node.value, ast.Call):
-            self._stmt_call = node.value
-        self.generic_visit(node)
-        self._stmt_call = None
-
-    def visit_Await(self, node: ast.Await) -> None:
-        previous = self._await_value
-        self._await_value = node.value
-        self.generic_visit(node)
-        self._await_value = previous
-
     def visit_Assign(self, node: ast.Assign) -> None:
         # Track partial(...) bindings and typed locals.
         if self._frames and len(node.targets) == 1 and isinstance(
@@ -943,7 +903,6 @@ class _BodyCollector(ast.NodeVisitor):
             # Module-level code: import-time blocking is legitimate.
             self.generic_visit(node)
             return
-        frame = self._frames[-1]
         func_expr = node.func
         attr_name = (
             func_expr.attr if isinstance(func_expr, ast.Attribute) else None
@@ -975,27 +934,18 @@ class _BodyCollector(ast.NodeVisitor):
                 )
 
         resolved = self.resolve(func_expr)
-        site: Optional[CallSite] = None
         if resolved is not None and resolved.startswith("_partial:"):
             # Invoking a local bound to functools.partial(f, ...).
-            site = self._record_call(
-                node, resolved[len("_partial:"):], "call"
-            )
+            self._record_call(node, resolved[len("_partial:"):], "call")
         elif resolved in ("functools.partial", "partial"):
             inner = (
                 self._extract_callable(node.args[0]) if node.args else None
             )
             if inner is not None:
-                site = self._record_call(node, inner, "partial")
+                self._record_call(node, inner, "partial")
         elif resolved is not None:
-            kind = "call"
-            if resolved in self.graph.classes:
-                kind = "constructor"
-            if attr_name in _TASK_SPAWNERS or resolved in (
-                "asyncio.create_task", "asyncio.ensure_future"
-            ):
-                kind = "create_task"
-            site = self._record_call(node, resolved, kind)
+            kind = "constructor" if resolved in self.graph.classes else "call"
+            self._record_call(node, resolved, kind)
         elif isinstance(func_expr, ast.Call):
             # Immediate invocation: partial(f, ...)(...)
             inner_dotted = self.resolve(func_expr.func)
@@ -1006,15 +956,7 @@ class _BodyCollector(ast.NodeVisitor):
                     else None
                 )
                 if inner is not None:
-                    site = self._record_call(node, inner, "call")
-        elif attr_name is not None and attr_name in _TASK_SPAWNERS:
-            # tg.create_task(...) on an unresolvable receiver.
-            site = self._record_call(
-                node, f"asyncio.{attr_name}", "create_task"
-            )
-
-        if site is not None and self._stmt_call is node:
-            frame.func.bare_calls.append(site)
+                    self._record_call(node, inner, "call")
         self.generic_visit(node)
 
     def _receiver_tag(self, node: ast.AST) -> Optional[str]:
@@ -1028,18 +970,15 @@ class _BodyCollector(ast.NodeVisitor):
                 return self.graph.classes[class_key].attr_types.get(node.attr)
         return None
 
-    def _record_call(
-        self, node: ast.Call, target: str, kind: str
-    ) -> CallSite:
-        site = CallSite(
-            lineno=node.lineno,
-            col=node.col_offset,
-            target=target,
-            kind=kind,
-            awaited=self._await_value is node,
+    def _record_call(self, node: ast.Call, target: str, kind: str) -> None:
+        self._frames[-1].func.calls.append(
+            CallSite(
+                lineno=node.lineno,
+                col=node.col_offset,
+                target=target,
+                kind=kind,
+            )
         )
-        self._frames[-1].func.calls.append(site)
-        return site
 
     def _handle_barrier(self, node: ast.Call, attr_name: str) -> None:
         """Executor/loop dispatch: no taint edge through the callable."""
@@ -1078,16 +1017,6 @@ class _BodyCollector(ast.NodeVisitor):
 
 
 def _propagate(graph: CallGraph, config: LintConfig) -> None:
-    extra_blocking = dict(BLOCKING_CALLS)
-    for dotted in config.blocking:
-        extra_blocking.setdefault(dotted, "configured blocking root")
-
-    def external_reason(target: str) -> Optional[str]:
-        reason = extra_blocking.get(target)
-        if reason is not None:
-            return reason
-        return graph.blocking_reason(target)
-
     # Resolved project edges (taint flows through calls, constructors).
     callers_of: Dict[str, List[Tuple[str, CallSite]]] = {}
     callees_of: Dict[str, List[str]] = {}
@@ -1107,7 +1036,7 @@ def _propagate(graph: CallGraph, config: LintConfig) -> None:
         for site in func.calls:
             if site.kind not in ("call", "constructor"):
                 continue
-            reason = external_reason(site.target)
+            reason = graph.blocking_reason(site.target)
             if reason is not None:
                 graph.may_block[func.key] = BlockCause(site, reason)
                 worklist.append(func.key)
@@ -1196,7 +1125,6 @@ def build_call_graph(
             is_package=is_package,
         )
         infos.append(info)
-        graph.lines[label] = lines
         graph.modules[name] = info
     for info in infos:
         _SymbolCollector(info, graph).visit(info.tree)
@@ -1215,20 +1143,18 @@ class ProjectRule(Rule):
     """A rule that runs once over the whole-project call graph.
 
     File rules consume AST events; project rules implement
-    :meth:`check` instead and report against graph locations.  They
-    share the severity/disable/suppression/baseline machinery with file
-    rules — the engine applies each file's suppression map to project
-    findings exactly as it does to per-file ones.
+    :meth:`check` instead and report against graph locations.  The
+    engine applies each file's suppression map to project findings
+    exactly as it does to per-file ones.
     """
 
     scope = "project"
 
-    def check(self, graph: CallGraph, config: LintConfig) -> None:
+    def check(self, graph: CallGraph) -> None:
         raise NotImplementedError
 
     def report_site(
         self,
-        graph: CallGraph,
         path: str,
         lineno: int,
         col: int,
@@ -1242,8 +1168,6 @@ class ProjectRule(Rule):
                 col=col,
                 code=self.code,
                 message=message,
-                severity=self.severity,
                 suggestion=suggestion,
-                source_line=graph.source_line(path, lineno),
             )
         )

@@ -1,8 +1,8 @@
 """CLI glue for ``repro lint``.
 
-Exit codes: 0 — clean (or every finding baselined / info-severity);
-1 — new error- or warning-severity findings, or unparseable files;
-2 — usage or configuration problems (bad rule code, corrupt baseline).
+Exit codes: 0 — clean; 1 — findings or unparseable files; 2 — usage or
+configuration problems (bad rule code, malformed ``[tool.repro-lint]``,
+stale ``hot-paths`` seed).
 """
 
 from __future__ import annotations
@@ -10,15 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import textwrap
-from pathlib import Path
-from typing import Optional
 
 from ..errors import LintError
-from .baseline import Baseline
 from .config import load_config
 from .engine import lint_paths, render_text
 from .rules import FAMILIES, RULES, family_of, get_rule
-from .sarif import render_sarif
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -29,26 +25,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths, i.e. src)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default: text; sarif renders as GitHub "
-        "code-scanning annotations)",
-    )
-    parser.add_argument(
-        "--baseline", type=str, default=None, metavar="FILE",
-        help="baseline file (default: from pyproject, "
-        "repro-lint.baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--verbose", action="store_true",
-        help="also print baselined findings",
+        "--format", choices=("text", "json"), default="text",
+        help="output format (default: text)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -73,13 +51,12 @@ def _print_catalog() -> None:
         print(f"{family} — {FAMILIES.get(family, 'other')}")
         for code in families[family]:
             rule = RULES[code]
-            print(f"  {code}  [{rule.default_severity:7}] {rule.summary}")
+            print(f"  {code}  {rule.summary}")
 
 
 def _print_explanation(code: str) -> None:
     rule = get_rule(code)
-    print(f"{rule.code} ({rule.name}) — default severity: "
-          f"{rule.default_severity}")
+    print(f"{rule.code} ({rule.name})")
     print(f"  {rule.summary}")
     print()
     print(textwrap.fill(rule.rationale, width=76, initial_indent="  ",
@@ -91,7 +68,8 @@ def _print_explanation(code: str) -> None:
         for line in rule.example.splitlines():
             print(f"  {line}" if line else "")
     print()
-    print(f"  suppress with: # repro-lint: disable={rule.code}  (rationale)")
+    print("  suppress with: # repro-lint: "
+          f"disable={rule.code}  (rationale)")
 
 
 def run_from_args(args: argparse.Namespace) -> int:
@@ -112,33 +90,9 @@ def _run(args: argparse.Namespace) -> int:
 
     config = load_config()
     paths = args.paths if args.paths else list(config.paths)
-
-    baseline_path: Optional[Path]
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = config.baseline_path()
-
-    if args.update_baseline:
-        result = lint_paths(paths, config, baseline=None)
-        if result.parse_errors:
-            for path, error in result.parse_errors:
-                print(f"{path}: cannot lint: {error}")
-            return 1
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(
-            f"wrote {len(result.findings)} grandfathered finding(s) to "
-            f"{baseline_path}"
-        )
-        return 0
-
-    baseline = None if args.no_baseline else Baseline.load(baseline_path)
-    result = lint_paths(paths, config, baseline=baseline)
-
+    result = lint_paths(paths, config)
     if args.format == "json":
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(render_sarif(result))
     else:
-        print(render_text(result, verbose=args.verbose))
+        print(render_text(result))
     return 1 if result.failed else 0

@@ -2,18 +2,19 @@
 
 The config answers three questions the rules cannot answer from the AST
 alone: *which* files are linted by default, *where* the wall-clock
-boundary lies (DET002's allowlist), and how severe each rule is in this
-repository.  Everything has a working default so ``repro lint`` runs
+boundary lies (DET002's allowlist), and which functions seed HOT001's
+hot set.  Everything has a working default so ``repro lint`` runs
 usefully even without a pyproject section (or on Python < 3.11 where
-``tomllib`` is unavailable).
+``tomllib`` is unavailable).  Keys other than these three are ignored,
+so a ``pyproject.toml`` from any commit in history still loads.
 """
 
 from __future__ import annotations
 
 import posixpath
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import LintError
 
@@ -27,44 +28,22 @@ class LintConfigError(LintError):
     """Raised for malformed ``[tool.repro-lint]`` tables."""
 
 
-DEFAULT_BASELINE = "repro-lint.baseline.json"
-
-
 @dataclass(frozen=True)
 class LintConfig:
     """Effective lint settings for one run."""
 
     #: Paths linted when the CLI is invoked without positional paths.
     paths: Tuple[str, ...] = ("src",)
-    #: Baseline file, relative to the config root.
-    baseline: str = DEFAULT_BASELINE
     #: Path prefixes where DET002 (wall-clock reads) is allowed.  The
     #: perf recorder *measures* wall time by design; it is the canonical
     #: member of this list.
     clock_allowlist: Tuple[str, ...] = ("src/repro/perf",)
-    #: Rule codes disabled outright.
-    disable: Tuple[str, ...] = ()
-    #: Per-rule severity overrides (code -> severity).
-    severity: Dict[str, str] = field(default_factory=dict)
     #: Dotted function keys (``module.Qualname``) seeding HOT001's
     #: hot-path propagation, alongside ``# repro-lint: hot`` markers.
     hot_paths: Tuple[str, ...] = ()
-    #: Extra dotted callables treated as blocking roots by ASYNC001.
-    blocking: Tuple[str, ...] = ()
-    #: Directory the config was loaded from (resolves the baseline).
+    #: Directory the config was loaded from (findings are labelled
+    #: relative to it).
     root: Optional[str] = None
-
-    def baseline_path(self) -> Path:
-        base = Path(self.baseline)
-        if base.is_absolute() or self.root is None:
-            return base
-        return Path(self.root) / base
-
-    def severity_for(self, code: str, default: str) -> str:
-        return self.severity.get(code, default)
-
-    def rule_enabled(self, code: str) -> bool:
-        return code not in self.disable
 
     def clock_allowlisted(self, path: str) -> bool:
         """Whether ``path`` (repo-relative) sits inside the clock boundary."""
@@ -133,33 +112,7 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     allow = _as_str_tuple(table, "clock-allowlist", where)
     if allow is not None:
         config = replace(config, clock_allowlist=allow)
-    disable = _as_str_tuple(table, "disable", where)
-    if disable is not None:
-        config = replace(config, disable=disable)
     hot_paths = _as_str_tuple(table, "hot-paths", where)
     if hot_paths is not None:
         config = replace(config, hot_paths=hot_paths)
-    blocking = _as_str_tuple(table, "blocking", where)
-    if blocking is not None:
-        config = replace(config, blocking=blocking)
-    baseline = table.get("baseline")
-    if baseline is not None:
-        if not isinstance(baseline, str):
-            raise LintConfigError(f"{where}.baseline must be a string")
-        config = replace(config, baseline=baseline)
-    severity = table.get("severity")
-    if severity is not None:
-        if not isinstance(severity, dict):
-            raise LintConfigError(f"{where}.severity must be a table")
-        from .findings import Severity
-
-        checked: Dict[str, str] = {}
-        for code, level in severity.items():
-            if not isinstance(level, str) or level not in Severity.ALL:
-                raise LintConfigError(
-                    f"{where}.severity.{code} must be one of "
-                    f"{', '.join(Severity.ALL)}"
-                )
-            checked[str(code)] = level
-        config = replace(config, severity=checked)
     return config

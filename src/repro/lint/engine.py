@@ -3,9 +3,10 @@
 :func:`lint_paths` is the library entry point the CLI and tests share.
 It walks the requested paths, builds the project-wide set-attribute
 table (pass 0), analyses every file (passes 1 and 2 from
-:mod:`repro.lint.visitor`), applies suppression comments, then matches
-the survivors against the baseline.  The result carries everything a
-front-end needs to render text or JSON and to compute an exit code.
+:mod:`repro.lint.visitor`), runs the project rules over the call graph
+(pass 3), and applies suppression comments.  Every surviving finding
+fails the run; the result carries what a front-end needs to render text
+or JSON and to compute an exit code.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .baseline import Baseline, BaselineMatch
 from .callgraph import ProjectRule, build_call_graph
 from .config import LintConfig, normalize_path
-from .findings import Finding, Severity, sort_findings
+from .findings import Finding, sort_findings
 from .rules import all_rules
 from .suppressions import SuppressionMap, parse_suppressions
 from .visitor import FileContext, FileFacts, collect_facts, run_rules
@@ -31,35 +31,24 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hg", "node_modules"})
 class LintResult:
     """Everything one lint run produced."""
 
-    #: All unsuppressed findings, sorted.
+    #: All unsuppressed findings, sorted.  Each one gates.
     findings: List[Finding] = field(default_factory=list)
-    #: Findings not covered by the baseline (these gate CI).
-    new_findings: List[Finding] = field(default_factory=list)
-    #: Findings absorbed by the baseline.
-    baselined: List[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing (fixed violations).
-    stale_baseline: List[str] = field(default_factory=list)
     #: Files that could not be parsed, with the reason.
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
-    #: Diagnostics (unknown suppression codes etc.), per file.
+    #: Notes that never change the exit code: suppression directives
+    #: naming an unknown code, or that silenced nothing in this run.
     diagnostics: List[str] = field(default_factory=list)
     files_checked: int = 0
 
     @property
     def failed(self) -> bool:
         """Whether this run should exit non-zero."""
-        if self.parse_errors:
-            return True
-        return any(
-            Severity.fails(finding.severity) for finding in self.new_findings
-        )
+        return bool(self.parse_errors or self.findings)
 
     def to_dict(self) -> dict:
         return {
             "files_checked": self.files_checked,
-            "new_findings": [f.to_dict() for f in self.new_findings],
-            "baselined_findings": [f.to_dict() for f in self.baselined],
-            "stale_baseline": list(self.stale_baseline),
+            "findings": [f.to_dict() for f in self.findings],
             "parse_errors": [
                 {"path": path, "error": error}
                 for path, error in self.parse_errors
@@ -84,7 +73,7 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
 
 
 def _relative_label(path: Path, root: Optional[str]) -> str:
-    """The repo-relative label findings and baselines use for ``path``."""
+    """The repo-relative label findings use for ``path``."""
     resolved = path.resolve()
     if root is not None:
         try:
@@ -110,11 +99,9 @@ def _parse(path: Path) -> Tuple[Optional[ast.AST], Optional[str], List[str]]:
 
 
 def lint_paths(
-    paths: Iterable[str],
-    config: Optional[LintConfig] = None,
-    baseline: Optional[Baseline] = None,
+    paths: Iterable[str], config: Optional[LintConfig] = None
 ) -> LintResult:
-    """Lint ``paths`` and compare against ``baseline`` (None: skip)."""
+    """Lint every Python file under ``paths``."""
     config = config if config is not None else LintConfig()
     result = LintResult()
     files = iter_python_files([Path(p) for p in paths])
@@ -135,16 +122,15 @@ def lint_paths(
         parsed.append((path, label, tree, lines, facts))
     global_set_attrs: FrozenSet[str] = frozenset(attr_names)
 
-    known_codes = [rule.code for rule in all_rules()]
+    rules = all_rules()
+    known_codes = [rule.code for rule in rules]
     all_findings: List[Finding] = []
     suppression_maps: Dict[str, SuppressionMap] = {}
-    enabled = all_rules(config.severity, config.disable)
-    file_rules = [r for r in enabled if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in enabled if isinstance(r, ProjectRule)]
+    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
+    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     for path, label, tree, lines, facts in parsed:
         ctx = FileContext(
             path=label,
-            lines=lines,
             facts=facts,
             global_set_attrs=global_set_attrs,
             clock_allowlisted=config.clock_allowlisted(label),
@@ -152,8 +138,6 @@ def lint_paths(
         findings = run_rules(tree, ctx, file_rules)
         suppressions = parse_suppressions(lines, known_codes)
         suppression_maps[label] = suppressions
-        for note in suppressions.unknown_codes:
-            result.diagnostics.append(f"{label}: {note}")
         all_findings.extend(
             finding
             for finding in findings
@@ -163,14 +147,14 @@ def lint_paths(
 
     # Pass 3: the interprocedural rules run once over the project call
     # graph; their findings flow through the same per-file suppression
-    # maps (and, below, the same baseline) as per-file findings.
-    if project_rules and parsed:
+    # maps as per-file findings.
+    if parsed:
         graph = build_call_graph(
             [(label, tree, lines) for _, label, tree, lines, _ in parsed],
             config,
         )
         for rule in project_rules:
-            rule.check(graph, config)
+            rule.check(graph)
             findings, rule.findings = rule.findings, []
             for finding in findings:
                 file_map = suppression_maps.get(finding.path)
@@ -180,52 +164,31 @@ def lint_paths(
                     continue
                 all_findings.append(finding)
 
+    for label, suppressions in suppression_maps.items():
+        for note in suppressions.unknown_codes + suppressions.unused():
+            result.diagnostics.append(f"{label}: {note}")
     result.findings = sort_findings(all_findings)
-    if baseline is None:
-        result.new_findings = list(result.findings)
-        return result
-    match: BaselineMatch = baseline.match(result.findings)
-    result.new_findings = sort_findings(match.new)
-    result.baselined = sort_findings(match.baselined)
-    result.stale_baseline = [
-        f"{entry.path}:{entry.line}: {entry.code} {entry.message} "
-        f"[{entry.fingerprint}]"
-        for entry in match.stale
-    ]
     return result
 
 
-def render_text(result: LintResult, verbose: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """Human-readable report."""
     lines: List[str] = []
     for path, error in result.parse_errors:
         lines.append(f"{path}: cannot lint: {error}")
-    for finding in result.new_findings:
+    for finding in result.findings:
         lines.append(finding.render())
-    if verbose:
-        for finding in result.baselined:
-            lines.append(f"{finding.render()} (baselined)")
     for note in result.diagnostics:
         lines.append(f"note: {note}")
-    for stale in result.stale_baseline:
-        lines.append(
-            f"stale baseline entry (violation fixed — run "
-            f"--update-baseline): {stale}"
-        )
     counts: Dict[str, int] = {}
-    for finding in result.new_findings:
+    for finding in result.findings:
         counts[finding.code] = counts.get(finding.code, 0) + 1
     summary = ", ".join(
         f"{code}: {count}" for code, count in sorted(counts.items())
     )
     lines.append(
         f"checked {result.files_checked} file(s): "
-        f"{len(result.new_findings)} new finding(s)"
+        f"{len(result.findings)} finding(s)"
         + (f" ({summary})" if summary else "")
-        + (
-            f", {len(result.baselined)} baselined"
-            if result.baselined
-            else ""
-        )
     )
     return "\n".join(lines)

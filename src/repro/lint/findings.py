@@ -1,38 +1,14 @@
-"""The unit of lint output: a :class:`Finding` with a severity."""
+"""The unit of lint output: a :class:`Finding`.
+
+Every finding fails the run.  There are no severities: a rule that
+should not gate is deleted, and a finding that is acceptable at its
+site takes an inline suppression with a rationale.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
-
-
-class Severity:
-    """Finding severities, ordered by how loudly CI should object.
-
-    ``ERROR`` and ``WARNING`` findings fail a lint run unless they are
-    suppressed or baselined; ``INFO`` findings are reported but never
-    change the exit code (use it to demote a rule in
-    ``[tool.repro-lint.severity]`` while a cleanup is in flight).
-    """
-
-    ERROR = "error"
-    WARNING = "warning"
-    INFO = "info"
-
-    ALL = (ERROR, WARNING, INFO)
-
-    @classmethod
-    def validate(cls, value: str) -> str:
-        if value not in cls.ALL:
-            raise ValueError(
-                f"unknown severity {value!r} (want one of {', '.join(cls.ALL)})"
-            )
-        return value
-
-    @classmethod
-    def fails(cls, value: str) -> bool:
-        """Whether a finding at this severity should fail the run."""
-        return value in (cls.ERROR, cls.WARNING)
 
 
 @dataclass(frozen=True)
@@ -44,19 +20,16 @@ class Finding:
     col: int
     code: str
     message: str
-    severity: str = Severity.ERROR
     #: Short remediation hint ("wrap in sorted(...)", "use
     #: functools.partial"); rendered after the message.
     suggestion: Optional[str] = None
-    #: The stripped source line, used for baseline fingerprinting.
-    source_line: str = field(default="", compare=False)
 
     @property
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
 
     def render(self) -> str:
-        text = f"{self.location}: {self.code} [{self.severity}] {self.message}"
+        text = f"{self.location}: {self.code} {self.message}"
         if self.suggestion:
             text += f" — {self.suggestion}"
         return text
@@ -67,7 +40,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "code": self.code,
-            "severity": self.severity,
             "message": self.message,
             "suggestion": self.suggestion,
         }

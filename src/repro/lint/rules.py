@@ -10,20 +10,18 @@ about them.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from ..errors import LintError
 from .callgraph import CallGraph, ProjectRule
-from .config import LintConfig
-from .findings import Severity
 from .visitor import FileContext, Rule
 
 #: Rule families, by code prefix.  ``--list-rules`` groups by these.
 FAMILIES: Dict[str, str] = {
     "DET": "determinism — hidden global state and ordering hazards",
     "PICK": "picklability — checkpoint/snapshot safety",
-    "ASYNC": "asyncio — event-loop blocking and task-lifetime hazards "
-             "(interprocedural)",
+    "ASYNC": "asyncio — event-loop blocking and cross-thread mutation "
+             "hazards (interprocedural)",
     "HOT": "hot path — allocation discipline in marked fast-lane "
            "functions (interprocedural)",
 }
@@ -82,7 +80,6 @@ class UnseededRandomRule(Rule):
         "call to the global random/numpy.random state instead of an "
         "injected sim.random.stream"
     )
-    default_severity = Severity.ERROR
     rationale = (
         "Module-level random functions share one hidden global state: any "
         "draw anywhere perturbs every later draw, so adding a log line can "
@@ -146,7 +143,6 @@ class WallClockRule(Rule):
         "wall-clock read (time.time, datetime.now, ...) outside the "
         "allowlisted store/perf boundary"
     )
-    default_severity = Severity.ERROR
     rationale = (
         "Simulation code must read time from the scenario clock (sim.now / "
         "SimClock), which only the event scheduler advances.  A host clock "
@@ -176,7 +172,6 @@ class SetIterationRule(Rule):
     code = "DET003"
     name = "unordered-set-iteration"
     summary = "order-sensitive iteration over a set/frozenset"
-    default_severity = Severity.ERROR
     rationale = (
         "A set's iteration order depends on its insertion history and, for "
         "str keys, on interpreter hash randomization — so the same logical "
@@ -213,7 +208,6 @@ class IdentityHashRule(Rule):
     code = "DET004"
     name = "identity-as-key"
     summary = "id()/hash() used where a stable key is required"
-    default_severity = Severity.ERROR
     rationale = (
         "id() is a memory address: it differs between runs and is never "
         "preserved across a checkpoint restore, so id-based tie-breakers "
@@ -254,7 +248,6 @@ class QueueLambdaRule(Rule):
         "lambda or nested function scheduled on the event queue or stored "
         "on an object"
     )
-    default_severity = Severity.ERROR
     rationale = (
         "Simulator.snapshot() pickles the live event queue and everything "
         "its callbacks reach.  Lambdas and nested functions cannot be "
@@ -301,7 +294,6 @@ class BlockingInAsyncRule(ProjectRule):
         "blocking call (sleep/file/socket/subprocess I/O) reachable from "
         "an async def without run_in_executor/to_thread"
     )
-    default_severity = Severity.ERROR
     rationale = (
         "The serve layer runs every request handler on one event loop: a "
         "single synchronous sleep, file read, or subprocess wait inside a "
@@ -328,7 +320,7 @@ class BlockingInAsyncRule(ProjectRule):
         "            self._io, self.store.load_manifest, run_id)"
     )
 
-    def check(self, graph: CallGraph, config: LintConfig) -> None:
+    def check(self, graph: CallGraph) -> None:
         for func in graph.functions.values():
             if not func.is_async:
                 continue
@@ -336,14 +328,9 @@ class BlockingInAsyncRule(ProjectRule):
                 if site.kind not in ("call", "constructor"):
                     continue
                 reason = graph.blocking_reason(site.target)
-                if reason is None:
-                    for dotted in config.blocking:
-                        if site.target == dotted:
-                            reason = "configured blocking root"
-                            break
                 if reason is not None:
                     self.report_site(
-                        graph, func.path, site.lineno, site.col,
+                        func.path, site.lineno, site.col,
                         f"async {func.display} calls {site.target} "
                         f"({reason}), blocking the event loop",
                         "dispatch it with loop.run_in_executor(...) or "
@@ -359,106 +346,11 @@ class BlockingInAsyncRule(ProjectRule):
                     continue
                 chain = " -> ".join(graph.chain(callee.key))
                 self.report_site(
-                    graph, func.path, site.lineno, site.col,
+                    func.path, site.lineno, site.col,
                     f"async {func.display} reaches blocking I/O via "
                     f"{chain}",
                     "dispatch the sync chain with "
                     "loop.run_in_executor(...) or asyncio.to_thread(...)",
-                )
-
-
-class UnawaitedCoroutineRule(ProjectRule):
-    """ASYNC002: a coroutine constructed but never awaited."""
-
-    code = "ASYNC002"
-    name = "coroutine-not-awaited"
-    summary = (
-        "async function called without await/create_task — the coroutine "
-        "object is discarded and its body never runs"
-    )
-    default_severity = Severity.ERROR
-    rationale = (
-        "Calling an async function only constructs a coroutine object; "
-        "nothing executes until it is awaited or wrapped in "
-        "asyncio.create_task.  A bare call silently drops the work — the "
-        "handler returns success, the job is never scheduled, and the "
-        "only trace is a 'coroutine was never awaited' RuntimeWarning "
-        "long after the fact.  Because this analysis resolves calls "
-        "through the project symbol table, it catches the miss even when "
-        "the async def lives in another module."
-    )
-    example = (
-        "    async def shutdown(self):\n"
-        "        self.jobs.drain()        # ASYNC002: drain is async —\n"
-        "                                 # this builds a coroutine and\n"
-        "                                 # throws it away\n"
-        "\n"
-        "fix:\n"
-        "\n"
-        "    async def shutdown(self):\n"
-        "        await self.jobs.drain()"
-    )
-
-    def check(self, graph: CallGraph, config: LintConfig) -> None:
-        for func in graph.functions.values():
-            for site in func.bare_calls:
-                if site.kind != "call" or site.awaited:
-                    continue
-                callee = graph.resolve_function(site.target)
-                if callee is None or not callee.is_async:
-                    continue
-                self.report_site(
-                    graph, func.path, site.lineno, site.col,
-                    f"{func.display} calls async {callee.display} without "
-                    f"awaiting it — the coroutine never runs",
-                    "await it, or wrap it in asyncio.create_task(...) and "
-                    "retain the task",
-                )
-
-
-class DroppedTaskRule(ProjectRule):
-    """ASYNC003: ``create_task`` result not retained."""
-
-    code = "ASYNC003"
-    name = "task-reference-dropped"
-    summary = (
-        "create_task/ensure_future result discarded — the event loop "
-        "holds only a weak reference and may garbage-collect the task "
-        "mid-flight"
-    )
-    default_severity = Severity.WARNING
-    rationale = (
-        "asyncio keeps only a weak reference to scheduled tasks: if "
-        "nothing else holds the Task object, the garbage collector can "
-        "reap it before it finishes, killing the work without an "
-        "exception surfacing anywhere.  The serve layer retains "
-        "connection tasks in a dict and job tasks in JobManager._tasks "
-        "for exactly this reason.  Assign the result to a retained "
-        "structure and discard it on completion (add_done_callback)."
-    )
-    example = (
-        "    async def start(self):\n"
-        "        asyncio.create_task(self._poll())   # ASYNC003\n"
-        "\n"
-        "fix — retain until done:\n"
-        "\n"
-        "    async def start(self):\n"
-        "        task = asyncio.create_task(self._poll())\n"
-        "        self._tasks.add(task)\n"
-        "        task.add_done_callback(self._tasks.discard)"
-    )
-
-    def check(self, graph: CallGraph, config: LintConfig) -> None:
-        for func in graph.functions.values():
-            for site in func.bare_calls:
-                if site.kind != "create_task":
-                    continue
-                self.report_site(
-                    graph, func.path, site.lineno, site.col,
-                    f"{func.display} discards the create_task result — "
-                    f"the task may be garbage-collected mid-flight",
-                    "retain the task (e.g. in a set with an "
-                    "add_done_callback(discard) pair)",
                 )
 
 
@@ -471,7 +363,6 @@ class CrossThreadMutationRule(ProjectRule):
         "function marked '# repro-lint: loop-owned' called from "
         "executor/thread context without call_soon_threadsafe"
     )
-    default_severity = Severity.ERROR
     rationale = (
         "Job state, SSE subscriber lists, and metrics in the serve layer "
         "are mutated without locks because every mutation happens on the "
@@ -495,7 +386,7 @@ class CrossThreadMutationRule(ProjectRule):
         "        loop.call_soon_threadsafe(job.supervisor_event, event)"
     )
 
-    def check(self, graph: CallGraph, config: LintConfig) -> None:
+    def check(self, graph: CallGraph) -> None:
         for key, context in graph.thread_ctx.items():
             func = graph.functions.get(key)
             if func is None:
@@ -507,7 +398,7 @@ class CrossThreadMutationRule(ProjectRule):
                 if callee is None or callee.key not in graph.loop_owned:
                     continue
                 self.report_site(
-                    graph, func.path, site.lineno, site.col,
+                    func.path, site.lineno, site.col,
                     f"{func.display} runs in thread context ({context}) "
                     f"but calls loop-owned {callee.display} directly",
                     "bridge with loop.call_soon_threadsafe"
@@ -524,7 +415,6 @@ class HotPathAllocationRule(ProjectRule):
         "allocation-bearing construct (closure, lambda, comprehension, "
         "dict/list/set literal, f-string) in a hot-path function"
     )
-    default_severity = Severity.WARNING
     rationale = (
         "The fast lane dispatches tens of thousands of events per second "
         "on one core; PR 6 bought its 2.15x by stripping per-event "
@@ -555,14 +445,14 @@ class HotPathAllocationRule(ProjectRule):
         "            addr, peer = dirty.popitem()"
     )
 
-    def check(self, graph: CallGraph, config: LintConfig) -> None:
+    def check(self, graph: CallGraph) -> None:
         for key, origin in graph.hot.items():
             func = graph.functions.get(key)
             if func is None:
                 continue
             for alloc in func.allocs:
                 self.report_site(
-                    graph, func.path, alloc.lineno, alloc.col,
+                    func.path, alloc.lineno, alloc.col,
                     f"{alloc.what} in hot-path {func.display} "
                     f"({origin})",
                     "hoist the allocation out of the hot path, reuse a "
@@ -581,8 +471,6 @@ RULES: Dict[str, Type[Rule]] = {
         IdentityHashRule,
         QueueLambdaRule,
         BlockingInAsyncRule,
-        UnawaitedCoroutineRule,
-        DroppedTaskRule,
         CrossThreadMutationRule,
         HotPathAllocationRule,
     )
@@ -598,14 +486,6 @@ def get_rule(code: str) -> Type[Rule]:
         ) from None
 
 
-def all_rules(
-    severity_overrides: Optional[Dict[str, str]] = None,
-    disable: tuple = (),
-) -> List[Rule]:
-    """Instantiate every enabled rule with effective severities."""
-    overrides = severity_overrides or {}
-    return [
-        rule_cls(overrides.get(code))
-        for code, rule_cls in sorted(RULES.items())
-        if code not in disable
-    ]
+def all_rules() -> List[Rule]:
+    """A fresh instance of every rule, in code order."""
+    return [rule_cls() for _, rule_cls in sorted(RULES.items())]

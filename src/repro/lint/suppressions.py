@@ -1,10 +1,10 @@
 """Per-line and per-file suppression comments.
 
 Two forms, modelled on pylint's but with this tool's name so the two
-cannot collide::
+cannot collide — a ``# repro-lint:`` comment followed by::
 
-    x = time.time()  # repro-lint: disable=DET002  (why it is safe here)
-    # repro-lint: disable-file=DET002,DET004
+    disable=DET002  (why it is safe here)     on the offending line
+    disable-file=DET002,DET004                anywhere in the file
 
 A bare ``disable`` (no ``=CODE`` list) silences every rule for that
 line.  ``disable-file`` may appear on any line and applies to the whole
@@ -12,13 +12,17 @@ file — by convention it sits in the module docstring region with a
 rationale next to it.  Suppressions apply to the line a finding is
 *reported* on (a statement's first line); trailing text after the code
 list is free-form rationale and ignored.
+
+A directive that names an unknown code, or that silenced no finding in
+the run, is reported as a note: a suppression that outlived its finding
+reads as a claim about the code that is no longer true.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence, Set
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 _DIRECTIVE = re.compile(
     r"#\s*repro-lint:\s*(?P<kind>disable-file|disable)"
@@ -40,14 +44,33 @@ class SuppressionMap:
     #: directives whose codes matched no known rule (surfaced as
     #: diagnostics so a typo'd suppression cannot silently rot).
     unknown_codes: List[str] = field(default_factory=list)
+    #: ``(line, code)`` of every directive entry that silenced a finding
+    #: (line 0: file-wide), recorded by :meth:`suppressed`.
+    hits: Set[Tuple[int, str]] = field(default_factory=set)
 
     def suppressed(self, line: int, code: str) -> bool:
-        if ALL_CODES in self.file_wide or code in self.file_wide:
-            return True
-        codes = self.by_line.get(line)
-        if codes is None:
-            return False
-        return ALL_CODES in codes or code in codes
+        on_line = self.by_line.get(line, frozenset())
+        for where, codes in ((0, self.file_wide), (line, on_line)):
+            for entry in (ALL_CODES, code):
+                if entry in codes:
+                    self.hits.add((where, entry))
+                    return True
+        return False
+
+    def unused(self) -> List[str]:
+        """Notes for directive entries that silenced nothing this run."""
+        notes = [
+            f"disable-file={code} suppressed nothing"
+            for code in sorted(self.file_wide)
+            if (0, code) not in self.hits
+        ]
+        for line in sorted(self.by_line):
+            for code in sorted(self.by_line[line]):
+                if (line, code) not in self.hits:
+                    notes.append(
+                        f"line {line}: disable={code} suppressed nothing"
+                    )
+        return notes
 
 
 def parse_suppressions(
@@ -57,7 +80,8 @@ def parse_suppressions(
 
     A regex scan (rather than the tokenizer) deliberately also matches
     directives inside strings; the cost is a pathological false
-    suppression nobody writes, the benefit is that the scan cannot fail
+    suppression nobody writes (this package spells its own examples so
+    that they do not match), the benefit is that the scan cannot fail
     on source the AST parser already accepted.
     """
     suppressions = SuppressionMap()
@@ -73,11 +97,12 @@ def parse_suppressions(
             else:
                 codes = {part.strip() for part in raw.split(",") if part.strip()}
                 if known:
-                    for code in sorted(codes - known - {ALL_CODES}):
+                    for code in sorted(codes - known):
                         suppressions.unknown_codes.append(
                             f"line {lineno}: unknown rule code {code!r} "
                             f"in suppression"
                         )
+                    codes &= known  # reported once, as unknown
             if match.group("kind") == "disable-file":
                 file_wide |= codes
             else:

@@ -32,7 +32,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .findings import Finding, Severity
+from .findings import Finding
 
 #: Methods that put a callback onto the simulator's event queue.
 SCHEDULING_METHODS = frozenset(
@@ -97,17 +97,11 @@ class FileContext:
     """Everything a rule may consult when handling an event."""
 
     path: str
-    lines: Sequence[str]
     facts: FileFacts
     #: Set-typed attribute names from the whole linted tree.
     global_set_attrs: FrozenSet[str] = frozenset()
     #: True when the file lies inside the DET002 wall-clock allowlist.
     clock_allowlisted: bool = False
-
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
 
 class Rule:
@@ -116,7 +110,6 @@ class Rule:
     code: str = ""
     name: str = ""
     summary: str = ""
-    default_severity: str = Severity.ERROR
     #: Longer prose for ``repro lint --explain CODE``.
     rationale: str = ""
     #: Worked before/after example for ``--explain CODE`` (optional).
@@ -125,10 +118,7 @@ class Rule:
     #: :mod:`repro.lint.callgraph`) run once over the call graph.
     scope: str = "file"
 
-    def __init__(self, severity: Optional[str] = None) -> None:
-        self.severity = Severity.validate(
-            severity if severity is not None else self.default_severity
-        )
+    def __init__(self) -> None:
         self.findings: List[Finding] = []
 
     def report(
@@ -138,17 +128,14 @@ class Rule:
         message: str,
         suggestion: Optional[str] = None,
     ) -> None:
-        lineno = getattr(node, "lineno", 1)
         self.findings.append(
             Finding(
                 path=ctx.path,
-                line=lineno,
+                line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0),
                 code=self.code,
                 message=message,
-                severity=self.severity,
                 suggestion=suggestion,
-                source_line=ctx.source_line(lineno),
             )
         )
 

@@ -32,7 +32,7 @@ def lint_tree(tmp_path: Path, files: dict, **config):
             textwrap.dedent(source).lstrip("\n"), encoding="utf-8"
         )
     cfg = LintConfig(root=str(tmp_path), **config)
-    return lint_paths([str(tmp_path)], cfg, baseline=None)
+    return lint_paths([str(tmp_path)], cfg)
 
 
 def graph_for(files: dict, **config):
@@ -360,67 +360,6 @@ class TestCycleTermination:
         assert codes(result) == ["ASYNC001"]
 
 
-class TestAsyncLifetimes:
-    def test_unawaited_coroutine_flagged(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "svc.py": """
-                    async def job():
-                        return 1
-
-                    async def handler():
-                        job()
-
-                    async def ok_handler():
-                        await job()
-                    """,
-            },
-        )
-        assert codes(result) == ["ASYNC002"]
-        assert result.findings[0].line == 5
-
-    def test_cross_module_unawaited_coroutine(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "jobs.py": """
-                    async def drain():
-                        return 1
-                    """,
-                "svc.py": """
-                    import jobs
-
-                    async def shutdown():
-                        jobs.drain()
-                    """,
-            },
-        )
-        assert codes(result) == ["ASYNC002"]
-
-    def test_dropped_create_task_flagged_retained_ok(self, tmp_path):
-        result = lint_tree(
-            tmp_path,
-            {
-                "svc.py": """
-                    import asyncio
-
-                    async def poll():
-                        return 1
-
-                    async def bad_start():
-                        asyncio.create_task(poll())
-
-                    async def good_start(tasks):
-                        task = asyncio.create_task(poll())
-                        tasks.add(task)
-                    """,
-            },
-        )
-        assert codes(result) == ["ASYNC003"]
-        assert result.findings[0].line == 7
-
-
 class TestCrossThreadMutation:
     def test_thread_callback_calling_loop_owned_flagged(self, tmp_path):
         result = lint_tree(
@@ -549,7 +488,7 @@ class TestHotPaths:
         monkeypatch.chdir(tmp_path)
         parser = argparse.ArgumentParser()
         add_lint_arguments(parser)
-        args = parser.parse_args(["--no-baseline"])
+        args = parser.parse_args([])
         assert run_from_args(args) == 2
         assert "hot.gone" in capsys.readouterr().out
 
