@@ -17,7 +17,7 @@ DET001     unseeded global RNG (``random.*`` / ``numpy.random``
            module functions) instead of an injected
            ``sim.random.stream``
 DET002     wall-clock reads (``time.time``, ``datetime.now``, ...)
-           outside the allowlisted store/perf boundary
+           outside the allowlisted host-time boundary
 DET003     ordering-sensitive iteration over ``set`` / ``frozenset``
 DET004     ``id()`` / ``hash()`` as tie-breakers or keys
 PICK001    ``lambda`` / nested-``def`` callbacks on the event queue

@@ -34,9 +34,9 @@ class LintConfig:
 
     #: Paths linted when the CLI is invoked without positional paths.
     paths: Tuple[str, ...] = ("src",)
-    #: Path prefixes where DET002 (wall-clock reads) is allowed.  The
-    #: perf recorder *measures* wall time by design; it is the canonical
-    #: member of this list.
+    #: Path prefixes where DET002 (wall-clock reads) is allowed.  This
+    #: default applies only to a tree with no ``[tool.repro-lint]``
+    #: table; this repo's ``pyproject.toml`` sets its own list.
     clock_allowlist: Tuple[str, ...] = ("src/repro/perf",)
     #: Dotted function keys (``module.Qualname``) seeding HOT001's
     #: hot-path propagation, alongside ``# repro-lint: hot`` markers.

@@ -135,13 +135,13 @@ class UnseededRandomRule(Rule):
 
 
 class WallClockRule(Rule):
-    """DET002: wall-clock reads outside the store/perf boundary."""
+    """DET002: wall-clock reads outside the allowlisted boundary."""
 
     code = "DET002"
     name = "wall-clock-read"
     summary = (
         "wall-clock read (time.time, datetime.now, ...) outside the "
-        "allowlisted store/perf boundary"
+        "allowlisted host-time boundary"
     )
     rationale = (
         "Simulation code must read time from the scenario clock (sim.now / "
@@ -149,8 +149,9 @@ class WallClockRule(Rule):
         "read makes output depend on machine speed and run date, breaks "
         "bit-identical kill-and-resume checkpoints, and invalidates "
         "longitudinal comparisons.  Host timestamps are legitimate only as "
-        "provenance metadata (store manifests, via repro.store.wallclock) "
-        "and perf instrumentation (repro.perf) — both outside sim state."
+        "provenance metadata (store manifests, via repro.store.wallclock), "
+        "the supervisor's worker watchdog and serve's request latency — "
+        "all outside sim state."
     )
 
     def on_reference(

@@ -6,9 +6,8 @@ engine a cheap way to measure that claim — current and peak RSS read
 from ``/proc/self/status`` (with a ``resource.getrusage`` fallback off
 Linux) and a live-object census from the garbage collector.
 
-The probes read *measurement* state, not simulation state: they are
-excluded from snapshots (like the perf recorder) and never influence
-event order, so instrumented and bare runs stay bit-identical.
+The probes read *measurement* state, not simulation state: nothing in
+a snapshot refers to them and they never influence event order.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ whole command under ``cProfile`` and dumps the hotspot ranking twice —
 * ``OUT.json`` — the same rows as structured data, for diffing two
   profiles or tracking a hotspot across commits.
 
-Like the perf recorder and the memory probes, the profiler observes
-measurement state only: it changes no event order and draws no RNG, so
-a profiled run computes bit-identical figures to a bare run (it is just
+Like the memory probes, the profiler observes measurement state only:
+it changes no event order and draws no RNG, so a profiled run computes
+bit-identical figures to a bare run (it is just
 slower — cProfile's tracing hook roughly doubles the wall time of
 call-dense simulation loops; compare ``tottime`` ratios, not absolute
 seconds, against un-profiled runs).

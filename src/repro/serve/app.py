@@ -449,16 +449,14 @@ class CampaignService:
     ) -> int:
         job = self.jobs.get(parts[2])
         if job is None:
-            await send_response(
-                stream._writer,
-                Response.error(404, f"no such job {parts[2]!r}"),
-                keep_alive=False,
-            )
-            return 404
+            raise HttpError(404, f"no such job {parts[2]!r}")
         try:
             seen = int(request.query.get("after", "0"))
         except ValueError:
             raise HttpError(400, "after must be an integer") from None
+        if seen < 0:
+            # A negative cursor would index the log from its end.
+            raise HttpError(400, "after must not be negative")
         await stream.start()
         while True:
             while seen < len(job.events):

@@ -1,11 +1,10 @@
 """Request metrics: per-route latency quantiles + service counters.
 
-The same philosophy as :mod:`repro.perf`: cheap, always-on aggregate
-counters (no per-request storage beyond a bounded latency ring), read
-out as one structured snapshot by ``GET /v1/metrics``.  Latency is
-recorded in milliseconds against the *route template* ("GET
-/v1/runs/{run_id}"), not the concrete path, so quantiles aggregate
-usefully across runs.
+Cheap, always-on aggregate counters (no per-request storage beyond a
+bounded latency ring), read out as one structured snapshot by
+``GET /v1/metrics``.  Latency is recorded in milliseconds against the
+*route template* ("GET /v1/runs/{run_id}"), not the concrete path, so
+quantiles aggregate usefully across runs.
 
 This module measures host wall time by design (request latency); it is
 covered by the repro-lint clock allowlist for ``repro.serve``.

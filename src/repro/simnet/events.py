@@ -101,10 +101,6 @@ def _noop(*_args: Any) -> None:
 class Scheduler:
     """Deterministic ``(time, seq)``-ordered event queue for a SimClock."""
 
-    #: Optional :class:`repro.perf.PerfRecorder`; when set, the dispatch
-    #: loop routes every callback through ``perf.dispatch``.
-    perf = None
-
     def __init__(
         self, clock: SimClock, *, compact_min: int = DEFAULT_COMPACT_MIN
     ) -> None:
@@ -240,7 +236,6 @@ class Scheduler:
         heap = self._heap  # stable: compaction rewrites it in place
         lane = self._lane_heap
         heappop = heapq.heappop
-        perf = self.perf
         cap = -1 if max_events is None else max_events
         dispatched = 0
         while dispatched != cap:
@@ -261,12 +256,7 @@ class Scheduler:
                     clock._now = entry[0]
                     self._fired += 1
                     self._live -= 1
-                    if perf is None:
-                        entry[2](entry[3])
-                    else:
-                        perf.dispatch(
-                            entry[2], (entry[3],), len(heap) + len(lane)
-                        )
+                    entry[2](entry[3])
                     dispatched += 1
                     continue
             elif not heap:
@@ -284,12 +274,7 @@ class Scheduler:
             handle._sched = None
             self._fired += 1
             self._live -= 1
-            if perf is None:
-                handle.callback(*handle.args)
-            else:
-                perf.dispatch(
-                    handle.callback, handle.args, len(heap) + len(lane)
-                )
+            handle.callback(*handle.args)
             dispatched += 1
         else:
             return dispatched, True

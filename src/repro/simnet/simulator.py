@@ -6,11 +6,9 @@ the library (Bitcoin nodes, churn processes, crawlers) is built on this
 object and advances only when :meth:`run_until` / :meth:`run` dispatch
 events.
 
-There is one event engine (:class:`~repro.simnet.events.Scheduler`) and
-every way of driving it — :meth:`Simulator.step`, :meth:`run_until`,
-:meth:`run` — goes through one private bracket, so optional perf
-instrumentation (``perf=True`` / ``REPRO_PERF=1``) sees the same wall
-clock whichever call the experiment uses.
+There is one event engine (:class:`~repro.simnet.events.Scheduler`);
+:meth:`Simulator.step`, :meth:`run_until` and :meth:`run` all drive its
+one dispatch loop.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import SimulationError
-from ..perf import MemorySample, PerfRecorder, perf_enabled_by_env, read_memory
 from .clock import SimClock
 from .events import EventHandle, Scheduler
 from .latency import LatencyConfig, LatencyModel
@@ -100,19 +97,10 @@ class RunResult(int):
     """
 
     truncated: bool
-    memory: Optional[MemorySample]
 
-    def __new__(
-        cls,
-        dispatched: int,
-        truncated: bool,
-        memory: Optional[MemorySample] = None,
-    ) -> "RunResult":
+    def __new__(cls, dispatched: int, truncated: bool) -> "RunResult":
         obj = super().__new__(cls, dispatched)
         obj.truncated = truncated
-        #: Peak-RSS / live-object sample taken as the run returned;
-        #: ``None`` unless the simulator runs with perf instrumentation.
-        obj.memory = memory
         return obj
 
     @property
@@ -132,16 +120,10 @@ class Simulator:
         seed: int = 0,
         latency_config: Optional[LatencyConfig] = None,
         connect_timeout: float = 5.0,
-        perf: bool = False,
     ) -> None:
         self.seed = int(seed)
         self.clock = SimClock()
         self.scheduler = Scheduler(self.clock)
-        #: Optional engine instrumentation (``perf=True`` or REPRO_PERF=1).
-        self.perf: Optional[PerfRecorder] = None
-        if perf or perf_enabled_by_env():
-            self.perf = PerfRecorder()
-            self.scheduler.perf = self.perf
         self.random = RandomStreams(self.seed)
         latency = LatencyModel(
             latency_config if latency_config is not None else LatencyConfig(),
@@ -190,27 +172,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, when: float, max_events: Optional[int]
-    ) -> Tuple[int, bool]:
-        """The one bracket around the scheduler's loop.
-
-        Every public way of advancing the simulation goes through here,
-        so the perf recorder's wall clock covers ``step()``-driven runs
-        (the crawler and prober) as well as ``run_until`` / ``run``.
-        """
-        perf = self.perf
-        if perf is None:
-            return self.scheduler.run_until(when, max_events)
-        perf.start()
-        try:
-            return self.scheduler.run_until(when, max_events)
-        finally:
-            perf.stop()
-
     def step(self) -> bool:
         """Dispatch the single earliest event.  False if none pending."""
-        return self._dispatch(_INF, 1)[0] > 0
+        return self.scheduler.run_until(_INF, 1)[0] > 0
 
     def run_until(self, when: float, max_events: Optional[int] = None) -> RunResult:
         """Dispatch events until the clock reaches ``when``.
@@ -227,11 +191,10 @@ class Simulator:
             raise SimulationError(
                 f"run_until({when}) but clock is already at {self.clock.now}"
             )
-        dispatched, truncated = self._dispatch(when, max_events)
-        memory = read_memory() if self.perf is not None else None
+        dispatched, truncated = self.scheduler.run_until(when, max_events)
         if not truncated:
             self.clock.advance_to(when)
-        return RunResult(dispatched, truncated, memory=memory)
+        return RunResult(dispatched, truncated)
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> RunResult:
         """Dispatch events for ``duration`` seconds of simulated time."""
@@ -239,7 +202,7 @@ class Simulator:
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Dispatch events until the heap is empty (bounded by max_events)."""
-        dispatched, truncated = self._dispatch(_INF, max_events)
+        dispatched, truncated = self.scheduler.run_until(_INF, max_events)
         if truncated:
             raise SimulationError(
                 f"simulation did not quiesce within {max_events} events"
@@ -288,30 +251,19 @@ class Simulator:
         whatever the pending callbacks reach (nodes, addrman tables,
         churn processes).  :meth:`restore` rebuilds a simulator that
         dispatches the exact same event sequence as the original.
-
-        The perf recorder is excluded: it holds wall-clock measurements,
-        which are not simulation state and would differ per host.
         """
         from ..store.checkpoint import dump_checkpoint
 
-        perf = self.perf
-        sched_perf = self.scheduler.perf
-        self.perf = None
-        self.scheduler.perf = None
-        try:
-            return dump_checkpoint(
-                self,
-                kind="simulator",
-                meta={
-                    "seed": self.seed,
-                    "now": self.clock.now,
-                    "fired": self.scheduler.fired,
-                    "pending": self.scheduler.pending,
-                },
-            )
-        finally:
-            self.perf = perf
-            self.scheduler.perf = sched_perf
+        return dump_checkpoint(
+            self,
+            kind="simulator",
+            meta={
+                "seed": self.seed,
+                "now": self.clock.now,
+                "fired": self.scheduler.fired,
+                "pending": self.scheduler.pending,
+            },
+        )
 
     @classmethod
     def restore(cls, data: bytes) -> "Simulator":
@@ -330,15 +282,6 @@ class Simulator:
                 f"checkpoint does not contain a {cls.__name__}"
             )
         return sim
-
-    # ------------------------------------------------------------------
-    # Instrumentation
-    # ------------------------------------------------------------------
-    def perf_report(self) -> Optional[Dict[str, Any]]:
-        """The perf metrics dict, or ``None`` when instrumentation is off."""
-        if self.perf is None:
-            return None
-        return self.perf.report(self.scheduler)
 
     # ------------------------------------------------------------------
     # Component registry

@@ -2,8 +2,8 @@
 
 This is the seed engine, re-homed from ``src/`` and trimmed to what an
 oracle needs: ONE binary heap of handle objects ordered by a Python
-``__lt__`` on ``(when, seq)`` — no lane heap, no tuples, no compaction,
-no perf hook.  ``lane_schedule*`` are plain ``schedule*``, so a world
+``__lt__`` on ``(when, seq)`` — no lane heap, no tuples, no
+compaction.  ``lane_schedule*`` are plain ``schedule*``, so a world
 built on this class routes every event through the single queue.  It
 is deliberately too slow and too simple to be wrong in the same way as
 the production :class:`~repro.simnet.events.Scheduler`, which is the
@@ -53,8 +53,6 @@ class ReferenceHandle:
 
 
 class ReferenceScheduler:
-    perf = None
-
     def __init__(self, clock):
         self._clock = clock
         self._heap = []

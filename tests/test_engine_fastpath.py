@@ -1,6 +1,5 @@
 """Scheduler tests: oracle equivalence (regular queue + no-cancel lane),
-live counters, truncated runs, compaction, periodic-task edges, and the
-perf recorder.
+live counters, truncated runs, compaction and periodic-task edges.
 
 The production :class:`~repro.simnet.events.Scheduler` must be
 *observationally identical* to the naive single-heap oracle in
@@ -321,60 +320,3 @@ def test_periodic_stop_inside_callback_leaves_clean_heap(sim):
     sim.run_until(100.0)
     assert ticks == [5.0]
     assert sim.scheduler.pending == 0
-
-
-# ---------------------------------------------------------------------------
-# Perf recorder
-# ---------------------------------------------------------------------------
-def test_perf_recorder_smoke():
-    sim = Simulator(seed=3, perf=True)
-
-    def tag():
-        pass
-
-    for i in range(20):
-        sim.schedule(float(i) / 10.0, tag)
-    handle = sim.schedule(1.5, tag)
-    handle.cancel()
-    sim.run_until(5.0)
-
-    report = sim.perf_report()
-    assert report["events"] == 20
-    assert report["scheduled"] == 21
-    assert report["cancelled"] == 1
-    assert 0 < report["cancel_ratio"] < 1
-    assert report["pending"] == report["pending_raw"] == 0
-    assert report["wall_time_s"] > 0
-    assert report["busy_time_s"] >= 0
-    label = next(iter(report["callbacks"]))
-    assert "tag" in label
-    assert report["callbacks"][label]["count"] == 20
-    # Human rendering should not blow up.
-    assert "events" in sim.perf.format_report(sim.scheduler)
-
-
-def test_perf_off_by_default():
-    sim = Simulator(seed=3)
-    assert sim.perf is None
-    assert sim.perf_report() is None
-    assert sim.scheduler.perf is None
-
-
-def test_perf_instrumented_order_matches_uninstrumented():
-    """Instrumentation must not change what runs or when."""
-    traces = []
-    for perf in (False, True):
-        sim = Simulator(seed=9, perf=perf)
-        trace = []
-
-        def chain(depth, sim=sim, trace=trace):
-            trace.append((sim.now, depth))
-            if depth:
-                sim.schedule(0.3, chain, depth - 1)
-
-        for i in range(10):
-            sim.schedule(float(i) / 4.0, chain, 3)
-        sim.run_until(30.0, max_events=25)
-        sim.run_until(30.0)
-        traces.append(trace)
-    assert traces[0] == traces[1]

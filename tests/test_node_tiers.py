@@ -158,6 +158,29 @@ def test_protocol_fidelity_equivalence():
     assert census["light"] == len(hybrid_scenario.light_cloud.nodes) > 0
 
 
+def test_paper_scale_hybrid_world_builds_and_runs():
+    """Ten times the seed's ProtocolScenario: 1,500 full-tier reachable
+    nodes over the proportional unreachable cloud, built, warmed up and
+    run into the event cap.  No RSS or events/s assertion: a process-wide
+    high-water mark inside a shared pytest process measures the other
+    tests; memory per tier is TestGossipBudget's and the ledger's."""
+    scenario = ProtocolScenario(
+        ProtocolConfig(
+            seed=5,
+            n_reachable=1500,
+            fidelity="hybrid",
+            churn_per_10min=6.0,
+            pre_mined_blocks=10,
+        )
+    )
+    scenario.start(warmup=10.0)
+    result = scenario.sim.run_for(10.0, max_events=50_000)
+    assert scenario.tier_census() == {"full": 1500, "light": 28921}
+    assert scenario.sync_fraction() == 1.0
+    assert len(scenario.running_nodes()) == 1500
+    assert result.truncated and int(result) == 50_000
+
+
 def test_sync_campaign_fidelity_equivalence():
     base = dict(
         n_reachable=12,

@@ -111,6 +111,40 @@ class TestSubmitStreamFetch:
 
         with_service(tmp_path, body)
 
+    @pytest.mark.parametrize("after", [-2, -1000])
+    def test_negative_replay_offset_is_rejected(self, tmp_path, after):
+        """A negative cursor used to index the log from its end (``-2``
+        replayed the last two events, then all of them) or past it
+        (``-1000``: IndexError after the 200 header was out)."""
+
+        async def body(service, client):
+            r = await client.request("POST", "/v1/campaigns", body=tiny())
+            job_id = r.json()["id"]
+            full = await stream_to_end(client, job_id)
+            r = await client.request(
+                "GET", f"/v1/jobs/{job_id}/events?after={after}"
+            )
+            assert r.status == 400
+            assert "after" in r.json()["error"]
+            assert service.metrics.internal_errors == 0
+            # The refusal left nothing behind: a fresh connection gets
+            # the whole log once, in order.
+            again = await stream_to_end(client, job_id)
+            assert [ev["seq"] for ev in again] == list(range(len(full)))
+            return None
+
+        with_service(tmp_path, body)
+
+    def test_events_of_unknown_job_is_404(self, tmp_path):
+        async def body(service, client):
+            r = await client.request("GET", "/v1/jobs/nope/events")
+            assert r.status == 404
+            assert "no such job" in r.json()["error"]
+            assert service.metrics.internal_errors == 0
+            return None
+
+        with_service(tmp_path, body)
+
     def test_runs_and_manifest_endpoints(self, tmp_path):
         async def body(service, client):
             r = await client.request("POST", "/v1/campaigns", body=tiny())

@@ -410,15 +410,6 @@ class TestSimulatorSnapshot:
         with pytest.raises((CheckpointError, SimulationError)):
             Simulator.restore(blob)
 
-    def test_snapshot_keeps_perf_recorder(self):
-        sim = Simulator(seed=1, perf=True)
-        assert sim.perf is not None
-        sim.snapshot()
-        # the recorder is excluded from the payload but must survive
-        # on the live simulator
-        assert sim.perf is not None
-        assert sim.scheduler.perf is sim.perf
-
 
 def _socket_table(network):
     """Every socket with an open end, and its peer: who it is, whether

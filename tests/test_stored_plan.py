@@ -702,17 +702,18 @@ PINS = {
 
 #: The campaign's unit blobs and final runner checkpoint are the one
 #: place the runner writes what its predecessor wrote, byte for byte.
-#: The checkpoint moved once since (old value in CHANGES.md, PR 19):
-#: the runner's state changed shape — server tables hold shared
+#: The checkpoint moved twice since (old values in CHANGES.md, PRs 19
+#: and 23): the runner's state changed shape — server tables hold shared
 #: last-seen records, a stopped server holds none, dead socket pairs
-#: are unlinked — while the unit blobs, which are measurements, did not.
+#: are unlinked; then ``Simulator`` state lost its always-``None``
+#: ``perf`` entry — while the unit blobs, which are measurements, did not.
 _CAMPAIGN_UNITS = [
     "5b03d378a91b08057cf55fd085220ded6988e8802341b26e10589012a95b7315",
     "d1568e950eed3322fe686f7c29f95e264dcfe064c1bc52ff662f63bc363ab027",
     "63c12901e5ee696bef13a845ec14b780997018973367a4cd9de6e6e9f7ca6151",
 ]
 _CAMPAIGN_CHECKPOINT = (
-    "35643a9f719954a258fdf921cb485110d885f8c9960a2e4fecfcddc2a6ed395f"
+    "1a8607cd8691ff9c2cb8be6e341c8aa12a5f1beaaaa67d6c464026a966fa1cf4"
 )
 
 #: ``sha256(dump_checkpoint(cell.sweep, kind="x", aliasing=False))`` of
