@@ -674,6 +674,11 @@ def _cmd_store_show(args: argparse.Namespace) -> int:
             f"{'checkpoint':16} {manifest.checkpoint.digest[:16]}... "
             f"(after snapshot {manifest.checkpoint.snapshot_index})"
         )
+    for name, digest in sorted(manifest.views.items()):
+        print(
+            f"{'view':16} {name} {digest[:16]}... "
+            f"({store.blobs.size_bytes(digest)} bytes)"
+        )
     print(f"{'config':16} {json.dumps(manifest.config, sort_keys=True)}")
     if manifest.snapshots:
         print()

@@ -2,13 +2,16 @@
 
 Every figure's underlying data can be dumped to plain CSV for external
 plotting (the library deliberately has no plotting dependency).  Files
-are written with ``csv`` from the standard library; each function returns
-the path it wrote.
+are written with ``csv`` from the standard library; each ``export_*``
+function returns the path it wrote.  The campaign series is also a
+stored *view* of a run (:meth:`repro.store.campaign.CampaignPlan.views`),
+so it has a ``render_*`` twin that returns the file's bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterable, List, Sequence, Union
 
@@ -23,16 +26,27 @@ from .sync_experiments import SyncCampaignResult
 PathLike = Union[str, Path]
 
 
+def _render_rows(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
+    """The CSV file's bytes: ``csv``'s default dialect (``\\r\\n`` line
+    ends), UTF-8 whatever the locale — stored views are content-addressed."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _write_bytes(path: PathLike, data: bytes) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
 def _write_rows(
     path: PathLike, header: Sequence[str], rows: Iterable[Sequence]
 ) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    return _write_bytes(path, _render_rows(header, rows))
 
 
 def export_sync_samples(
@@ -58,8 +72,8 @@ def export_density(density: DensityEstimate, path: PathLike) -> Path:
     )
 
 
-def export_campaign_series(result: CampaignResult, path: PathLike) -> Path:
-    """Figs. 3/4/5 series: one row per snapshot."""
+def render_campaign_series(result: CampaignResult) -> bytes:
+    """Figs. 3/4/5 series, one row per snapshot, as the CSV file's bytes."""
     fig4 = result.fig4_series()
     fig5 = result.fig5_series()
     rows = []
@@ -82,8 +96,7 @@ def export_campaign_series(result: CampaignResult, path: PathLike) -> Path:
                 round(snap.addr_composition.mean_reachable_share, 4),
             )
         )
-    return _write_rows(
-        path,
+    return _render_rows(
         (
             "snapshot",
             "time_s",
@@ -101,6 +114,11 @@ def export_campaign_series(result: CampaignResult, path: PathLike) -> Path:
         ),
         rows,
     )
+
+
+def export_campaign_series(result: CampaignResult, path: PathLike) -> Path:
+    """:func:`render_campaign_series` written to ``path``."""
+    return _write_bytes(path, render_campaign_series(result))
 
 
 def export_churn(stats: ChurnStats, path: PathLike) -> Path:

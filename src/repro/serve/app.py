@@ -42,8 +42,6 @@ import asyncio
 import json
 import logging
 import math
-import os
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -51,8 +49,6 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
-from ..core.export import export_campaign_series
-from ..core.pipeline import CampaignResult
 from ..core.supervisor import SupervisorConfig
 from ..errors import (
     ConfigurationError,
@@ -491,64 +487,65 @@ class CampaignService:
             self.cache.put(key, data)
         return data
 
-    async def _load_result(self, manifest: RunManifest) -> CampaignResult:
+    async def _view(self, manifest: RunManifest, name: str) -> bytes:
+        """One rendered view of a run's result (see
+        :meth:`~repro.store.plan.StoredPlan.views`): a plain blob the
+        run wrote beside its result, read like any other blob."""
         if manifest.result_digest is None:
             raise HttpError(
                 404,
                 f"run {manifest.run_id!r} has no result yet "
                 f"(status {manifest.status!r})",
             )
-        # Deserializing the blob is pure CPU on in-memory bytes; only
-        # the blob read itself needs the executor.
-        blob = await self._blob_bytes(manifest.result_digest)
-        return CampaignPlan.decode_result(blob, manifest.run_id)
+        digest = manifest.views.get(name)
+        if digest is not None:
+            return await self._blob_bytes(digest)
+        # A run stored before manifests carried views: render now, with
+        # the plan's own renderer, what a newer run rendered at commit.
+        key = (name, manifest.result_digest)
+        data = self.cache.get(key)
+        if data is None:
+            blob = await self._blob_bytes(manifest.result_digest)
+            result = CampaignPlan.decode_result(blob, manifest.run_id)
+            data = CampaignPlan.views(result)[name]
+            self.cache.put(key, data)
+        return data
 
     async def _h_result(
         self, request: Request, parts: Tuple[str, ...]
     ) -> Response:
         manifest = await self._manifest(parts[2])
-        if manifest.result_digest is not None:
-            key = ("summary", manifest.result_digest)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return Response(status=200, body=cached)
-        result = await self._load_result(manifest)
-        fig4 = result.fig4_series()
-        fig5 = result.fig5_series()
-        payload = {
-            "run_id": manifest.run_id,
-            "key": manifest.key,
-            "seed": manifest.seed,
-            "status": manifest.status,
-            "snapshots": manifest.completed_snapshots,
-            "truncated": manifest.truncated,
-            "fig4": fig4,
-            "fig5": fig5,
-            "mean_addr_reachable_share": result.mean_addr_reachable_share(),
-            "cumulative_unreachable": len(result.cumulative_unreachable),
-            "result_digest": manifest.result_digest,
-            "export_csv": (
-                f"/v1/runs/{manifest.run_id}/export/campaign_series.csv"
-            ),
-        }
-        body = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
-        self.cache.put(("summary", manifest.result_digest), body)
+        # The body names the run as well as its result, so both key it
+        # (a run has a result digest only once it is complete).
+        key = ("result", manifest.run_id, str(manifest.result_digest))
+        body = self.cache.get(key)
+        if body is None:
+            payload = {
+                "run_id": manifest.run_id,
+                "key": manifest.key,
+                "seed": manifest.seed,
+                "status": manifest.status,
+                "snapshots": manifest.completed_snapshots,
+                "truncated": manifest.truncated,
+                "result_digest": manifest.result_digest,
+                "export_csv": (
+                    f"/v1/runs/{manifest.run_id}/export/campaign_series.csv"
+                ),
+            }
+            payload.update(
+                json.loads(await self._view(manifest, "summary.json"))
+            )
+            body = (
+                json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            ).encode()
+            self.cache.put(key, body)
         return Response(status=200, body=body)
 
     async def _h_export_csv(
         self, request: Request, parts: Tuple[str, ...]
     ) -> Response:
         manifest = await self._manifest(parts[2])
-        if manifest.result_digest is not None:
-            key = ("csv", manifest.result_digest)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return Response(
-                    status=200, body=cached, content_type="text/csv"
-                )
-        result = await self._load_result(manifest)
-        body = await self._io_call(_render_csv, result)
-        self.cache.put(("csv", manifest.result_digest), body)
+        body = await self._view(manifest, "campaign_series.csv")
         return Response(status=200, body=body, content_type="text/csv")
 
     async def _h_blob(
@@ -596,16 +593,6 @@ class CampaignService:
         self, request: Request, parts: Tuple[str, ...]
     ) -> Response:
         return Response.json(self.ledger.snapshot())
-
-
-def _render_csv(result: CampaignResult) -> bytes:
-    """Materialize the campaign-series CSV (tempfile I/O; runs on the
-    service's I/O pool, never on the event loop)."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = export_campaign_series(
-            result, os.path.join(tmp, "campaign_series.csv")
-        )
-        return Path(path).read_bytes()
 
 
 async def run_service(

@@ -4,8 +4,8 @@ Everything the read endpoints serve is derived from immutable,
 content-addressed blobs, so a cache entry can never go stale: the key
 embeds the blob digest, and a digest never changes meaning.  That makes
 caching trivial — no invalidation, just a byte-budgeted LRU — and makes
-the warm read path skip disk I/O, SHA-256 verification, *and* the
-unpickle/summarize work for result views.
+the warm read path skip disk I/O and SHA-256 verification (and, for a
+run stored without views, the unpickle-and-render of its result).
 
 The cache can be disabled at runtime (admin endpoint) so the load
 benchmark can measure the cold path honestly at any request count.
@@ -16,8 +16,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-#: Keys are (kind, digest-ish) pairs, e.g. ("blob", sha) / ("summary", sha).
-CacheKey = Tuple[str, str]
+#: ("blob", sha); ("result", run id, result sha) for an assembled
+#: ``/result`` body; (view name, result sha) for a view rendered at read
+#: time.
+CacheKey = Tuple[str, ...]
 
 
 class ReadCache:

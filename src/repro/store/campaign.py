@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Union
 
+from ..core.export import render_campaign_series
 from ..core.pipeline import (
     CampaignConfig,
     CampaignResult,
@@ -26,7 +27,7 @@ from ..core.pipeline import (
     SnapshotResult,
 )
 from ..netmodel.scenario import LongitudinalConfig, LongitudinalScenario
-from .manifest import RunManifest, config_to_dict
+from .manifest import RunManifest, canonical_json, config_to_dict
 from .plan import StoredPlan, StoredRun, run_stored
 from .runstore import RunStore
 
@@ -74,6 +75,22 @@ class CampaignPlan(StoredPlan):
         self, state: CampaignRunner, outs: List[SnapshotResult]
     ) -> CampaignResult:
         return state.result
+
+    @classmethod
+    def views(cls, result: CampaignResult) -> Dict[str, bytes]:
+        """The Figs. 3-5 series a reader is shown: ``summary.json`` (the
+        result-derived fields of ``GET /v1/runs/{id}/result``) and
+        ``campaign_series.csv`` (what ``--export`` writes)."""
+        summary = {
+            "fig4": result.fig4_series(),
+            "fig5": result.fig5_series(),
+            "mean_addr_reachable_share": result.mean_addr_reachable_share(),
+            "cumulative_unreachable": len(result.cumulative_unreachable),
+        }
+        return {
+            "summary.json": canonical_json(summary).encode("ascii"),
+            "campaign_series.csv": render_campaign_series(result),
+        }
 
 
 def campaign_key(

@@ -2,7 +2,8 @@
 
 A manifest describes one run — what was executed (scenario + campaign
 config, seed, code version), what came out of it
-(per-snapshot result blobs, the final result blob), and where it stands
+(per-snapshot result blobs, the final result blob, the result's
+rendered views), and where it stands
 (``running`` / ``complete`` / ``interrupted``).  Blobs live in the
 content-addressed :class:`~repro.store.blobs.BlobStore`; the manifest
 holds only digests, so identical outputs across runs share storage.
@@ -134,6 +135,10 @@ class RunManifest:
     snapshots: List[SnapshotRecord] = field(default_factory=list)
     checkpoint: Optional[CheckpointRecord] = None
     result_digest: Optional[str] = None
+    #: View name -> digest of its rendered bytes (see
+    #: :meth:`~repro.store.plan.StoredPlan.views`), written with the
+    #: result.  Empty until then, and in manifests older than the field.
+    views: Dict[str, str] = field(default_factory=dict)
     format: int = MANIFEST_FORMAT
 
     def __post_init__(self) -> None:
@@ -159,6 +164,7 @@ class RunManifest:
             digests.append(self.checkpoint.digest)
         if self.result_digest is not None:
             digests.append(self.result_digest)
+        digests.extend(self.views.values())
         return digests
 
     # ------------------------------------------------------------------

@@ -18,7 +18,11 @@ What the store holds for a run:
 * for a *state-carrying* plan (``state_kind`` set) one **state blob** —
   the live object the next unit continues from, re-dumped after every
   unit and pointed at by ``manifest.checkpoint``;
-* one **result blob** once every unit is done.
+* one **result blob** once every unit is done, and beside it one plain
+  blob per **view** — whatever :meth:`StoredPlan.views` renders of the
+  result (a summary, a CSV), recorded as ``manifest.views`` in the same
+  manifest write that marks the run complete.  A reader serves a view's
+  bytes as they are; it never has to unpickle the result to show it.
 
 Resume therefore has two modes.  A state-carrying plan reloads its
 state blob and runs the remaining units on it; a stateless plan keeps
@@ -129,6 +133,14 @@ class StoredPlan:
         state = self.start()
         outs = [self.run_unit(state, index) for index in range(self.units)]
         return self.finish(state, outs)
+
+    @classmethod
+    def views(cls, result: Any) -> Dict[str, bytes]:
+        """Renderings of ``result`` worth serving, by file name.
+        :func:`run_stored` stores them beside the result while it is
+        still in memory; a reader holding a manifest without them (an
+        older store) calls this on the loaded result instead."""
+        return {}
 
     @classmethod
     def decode_result(cls, data: bytes, run_id: str) -> Any:
@@ -342,6 +354,9 @@ def run_stored(
     manifest.result_digest = store.put_blob(
         dump_checkpoint(result, kind=plan.result_kind, aliasing=plan.aliasing)
     )
+    manifest.views = {
+        name: store.put_blob(data) for name, data in plan.views(result).items()
+    }
     manifest.status = STATUS_COMPLETE
     manifest.updated_at = wall_now()
     store.save_manifest(manifest)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.store import RunStore
 
 
 @pytest.fixture
@@ -166,6 +167,13 @@ class TestStoreSmoke:
         out = capsys.readouterr().out
         assert "result_digest" in out
         assert "snapshot" in out
+        # one line per stored view: name, digest prefix, size
+        store = RunStore(root)
+        views = store.load_manifest(run_id).views
+        assert sorted(views) == ["campaign_series.csv", "summary.json"]
+        for name, digest in views.items():
+            size = store.blobs.size_bytes(digest)
+            assert f"{name} {digest[:16]}... ({size} bytes)" in out
 
     def test_gc(self, tiny_store, capsys):
         root, _ = tiny_store
@@ -173,6 +181,11 @@ class TestStoreSmoke:
         assert "would remove" in capsys.readouterr().out
         assert main(["store", "gc", "--store", str(root)]) == 0
         assert "removed" in capsys.readouterr().out
+        # a live run's views are pinned like its result
+        store = RunStore(root)
+        (manifest,) = store.manifests()
+        assert len(manifest.views) == 2
+        assert all(digest in store.blobs for digest in manifest.views.values())
         # after gc the stored result must still load (cache hit path)
         code = main(
             ["campaign", "--scale", "0.002", "--snapshots", "2",

@@ -8,11 +8,12 @@ real, not mocked.  Campaigns use the tiny test scenario (scale=0.002,
 """
 
 import asyncio
+import hashlib
 
 import pytest
 
 from repro.serve import CampaignService, Client, ServiceConfig
-from repro.store import RunStore
+from repro.store import CampaignPlan, RunManifest, RunStore
 
 #: The tiny campaign used throughout; fresh ~1s, cached ~ms.
 TINY = {"scenario": {"scale": 0.002, "campaign_days": 1.0}, "snapshots": 2}
@@ -394,6 +395,149 @@ class TestRetiredCheckpointFormat:
             assert r.json()["disposition"] == "queued"
             await stream_to_end(client, r.json()["id"])
             return None
+
+        with_service(tmp_path, body)
+
+
+#: The two read endpoints, and the stored view each is served from.
+READS = {
+    "result": "summary.json",
+    "export/campaign_series.csv": "campaign_series.csv",
+}
+
+#: sha256 of what the commit before stored views (9eccb42) served for
+#: ``TINY`` — it unpickled the result and rendered both bodies on every
+#: cold read.  The ``/result`` body names the run, so a change to the
+#: run-key payload moves its pin (and must say so); nothing else may.
+_SERVED_BEFORE_VIEWS = {
+    "result": (
+        "71478c4f49c48be1c877c685172b8e840986746f634d05b4c3bb36394ff05d78"
+    ),
+    "export/campaign_series.csv": (
+        "efec76f94c08903fc215c5dad8d8c4ff5d37c0eec009e997307a30e0bc042c4d"
+    ),
+}
+
+
+def served_as_before(tail, response):
+    digest = hashlib.sha256(response.body).hexdigest()
+    return response.status == 200 and digest == _SERVED_BEFORE_VIEWS[tail]
+
+
+async def run_tiny(client):
+    r = await client.request("POST", "/v1/campaigns", body=tiny())
+    await stream_to_end(client, r.json()["id"])
+    return r.json()["runs"][0]["run_id"]
+
+
+async def read_both(client, run_id):
+    return {
+        tail: await client.request("GET", f"/v1/runs/{run_id}/{tail}")
+        for tail in READS
+    }
+
+
+async def set_cache(client, enabled):
+    r = await client.request(
+        "POST", "/v1/admin/cache", body={"enabled": enabled}
+    )
+    assert r.json()["enabled"] is enabled
+
+
+class TestStoredViews:
+    """A read serves what the run wrote beside its result."""
+
+    def test_cold_read_unpickles_nothing(self, tmp_path, monkeypatch):
+        def refuse(data, run_id):
+            raise AssertionError(f"a read of {run_id} unpickled its result")
+
+        async def body(service, client):
+            run_id = await run_tiny(client)
+            monkeypatch.setattr(CampaignPlan, "decode_result", refuse)
+            await set_cache(client, False)
+            for tail, served in (await read_both(client, run_id)).items():
+                assert served_as_before(tail, served), (tail, served.body)
+            shown = (await client.request("GET", f"/v1/runs/{run_id}")).json()
+            assert sorted(shown["views"]) == sorted(READS.values())
+            assert service.metrics.internal_errors == 0
+
+        with_service(tmp_path, body)
+
+    def test_manifest_without_views_serves_the_same_bytes(self, tmp_path):
+        """A store written before manifests carried views: the read
+        renders with the plan's own renderer what a newer run stored."""
+
+        async def body(service, client):
+            run_id = await run_tiny(client)
+            await set_cache(client, False)
+            stored = await read_both(client, run_id)
+            manifest = service.store.load_manifest(run_id)
+            assert sorted(manifest.views) == sorted(READS.values())
+            manifest.views = {}
+            service.store.save_manifest(manifest)
+            rounds = [await read_both(client, run_id)]
+            await set_cache(client, True)
+            rounds += [await read_both(client, run_id) for _ in range(2)]
+            for legacy in rounds:
+                for tail in READS:
+                    assert legacy[tail].status == 200
+                    assert legacy[tail].body == stored[tail].body, tail
+            assert service.metrics.internal_errors == 0
+
+        with_service(tmp_path, body)
+
+    def test_corrupt_view_fails_once_by_digest_and_is_not_cached(
+        self, tmp_path
+    ):
+        async def body(service, client):
+            run_id = await run_tiny(client)
+            manifest = service.store.load_manifest(run_id)
+            for tail, name in READS.items():
+                path = service.store.blobs._path(manifest.views[name])
+                good = path.read_bytes()
+                path.write_bytes(bytes([good[0] ^ 1]) + good[1:])
+                entries = service.cache.stats()["entries"]
+                url = f"/v1/runs/{run_id}/{tail}"
+                r = await client.request("GET", url)
+                assert r.status == 404, (tail, r.status)
+                assert manifest.views[name] in r.json()["error"]
+                assert "corrupt" in r.json()["error"]
+                assert service.cache.stats()["entries"] == entries
+                path.write_bytes(good)
+                r = await client.request("GET", url)
+                assert served_as_before(tail, r), (tail, r.status)
+            assert service.metrics.internal_errors == 0
+
+        with_service(tmp_path, body)
+
+    def test_run_without_a_result_is_404_on_both(self, tmp_path):
+        running = RunManifest(
+            run_id="campaign-0123456789ab", key="0123456789ab" + "c" * 52,
+            kind="campaign", seed=13, snapshots_total=2,
+            config={"scenario": {}, "campaign": {}},
+        )
+        RunStore(tmp_path / "store").save_manifest(running)
+
+        async def body(service, client):
+            for tail, served in (
+                await read_both(client, running.run_id)
+            ).items():
+                assert served.status == 404, tail
+                assert "no result yet" in served.json()["error"]
+            assert service.cache.stats()["entries"] == 0
+
+        with_service(tmp_path, body)
+
+    def test_tenant_is_charged_for_the_views(self, tmp_path):
+        async def body(service, client):
+            run_id = await run_tiny(client)
+            manifest = service.store.load_manifest(run_id)
+            pinned = set(manifest.referenced_digests())
+            assert set(manifest.views.values()) <= pinned
+            q = (await client.request("GET", "/v1/admin/quota")).json()
+            assert q["tenants"]["anon"]["bytes_stored"] == sum(
+                service.store.blobs.size_bytes(digest) for digest in pinned
+            )
 
         with_service(tmp_path, body)
 

@@ -347,6 +347,22 @@ class TestRunStore:
         assert store.gc(dry_run=True)["removed"] == [dropped]
         assert store.get_blob(manifest.result_digest) == b"old result"
 
+    def test_views_are_an_additive_manifest_field(self, tmp_path):
+        """A manifest written before the field existed loads with no
+        views; one written with them round-trips and pins their blobs."""
+        assert '"views"' not in _LEGACY_MANIFEST_JSON
+        manifest = RunManifest.from_json(
+            _LEGACY_MANIFEST_JSON.replace("@RESULT@", "a" * 64)
+        )
+        assert manifest.views == {} and manifest.format == 1
+        before = manifest.referenced_digests()
+        manifest.views = {"summary.json": "b" * 64, "series.csv": "c" * 64}
+        again = RunManifest.from_json(manifest.to_json())
+        assert again == manifest and again.to_dict()["views"] == manifest.views
+        assert sorted(again.referenced_digests()) == sorted(
+            before + ["b" * 64, "c" * 64]
+        )
+
     def test_invalid_run_id_rejected(self, tmp_path):
         store = RunStore(tmp_path)
         with pytest.raises(StoreError):

@@ -125,6 +125,10 @@ class StatelessToy(StoredPlan):
     def finish(self, state, outs):
         return ToyResult(outs=outs, total=sum(out["square"] for out in outs))
 
+    @classmethod
+    def views(cls, result):
+        return {"total.txt": b"%d\n" % result.total}
+
 
 class CarryingToy(StatelessToy):
     """The same units, but the running total lives in carried state."""
@@ -194,6 +198,7 @@ class TestRunStored:
         assert partial.status == "running" and partial.result_digest is None
         assert partial.completed_snapshots == crash_after + 1
         assert (partial.checkpoint is not None) == (toy is CarryingToy)
+        assert partial.views == {}  # written with the result, not before
 
         survivor = toy()
         resumed = run_stored(tmp_path / "killed", survivor)
@@ -205,6 +210,11 @@ class TestRunStored:
         # equal results must hash equally: every unit blob, the carried
         # state after the last unit, and the result
         assert _digests(resumed.manifest) == _digests(fresh.manifest)
+        # and so must what a reader is served
+        store = RunStore(tmp_path / "killed")
+        assert resumed.manifest.views == fresh.manifest.views
+        assert store.load_manifest(killed.run_id).views == fresh.manifest.views
+        assert store.get_blob(fresh.manifest.views["total.txt"]) == b"14\n"
 
     def test_equal_outputs_hash_equally_however_they_alias(self, tmp_path):
         shared = run_stored(tmp_path / "a", StatelessToy()).manifest
@@ -230,6 +240,21 @@ class TestRunStored:
         assert not redone.cached and redone.resumed_from is None
         assert forced.ran == [0, 1, 2, 3]
         assert _digests(redone.manifest) == _digests(first.manifest)
+        assert redone.manifest.views == first.manifest.views != {}
+
+    def test_gc_follows_the_views(self, tmp_path):
+        store = RunStore(tmp_path)
+        manifest = run_stored(store, StatelessToy()).manifest
+        (view,) = manifest.views.values()
+        assert view in manifest.referenced_digests()
+        # a live run keeps its views...
+        assert store.gc()["removed"] == [] and view in store.blobs
+        # ...a deleted one gives them up: counted by a dry run, then gone
+        store.delete_run(manifest.run_id)
+        dry = store.gc(dry_run=True)
+        assert view in dry["removed"] and view in store.blobs
+        assert dry["removed_bytes"] == store.blobs.total_bytes()
+        assert view in store.gc()["removed"] and view not in store.blobs
 
     @pytest.mark.parametrize("toy", TOYS)
     def test_force_restarts_a_partial_run(self, tmp_path, crash_hook, toy):
@@ -550,6 +575,13 @@ def _assert_resumed_equals_fresh(flavour, tmp_path, run):
     assert _digests(resumed)[0] == units
     assert resumed.result_digest == result_digest
     assert None not in units + [result_digest]
+    # What a reader is served is content too: the views a resumed run
+    # stored are the uninterrupted run's (none, for a sweep).
+    assert manifest.views == {}
+    assert resumed.views == fresh.views
+    assert sorted(fresh.views) == (
+        ["campaign_series.csv", "summary.json"] if flavour == "campaign" else []
+    )
     if fresh.checkpoint is None:
         # a stateless plan stores each unit once and nothing else
         assert blobs_at_kill == 1
@@ -564,6 +596,10 @@ def _assert_resumed_equals_fresh(flavour, tmp_path, run):
         path_a = export_campaign_series(again_a.result, tmp_path / "a.csv")
         path_b = export_campaign_series(again_b.result, tmp_path / "b.csv")
         assert path_a.read_bytes() == path_b.read_bytes()
+        # ...which is the stored view, byte for byte: one renderer
+        assert path_a.read_bytes() == store.get_blob(
+            resumed.views["campaign_series.csv"]
+        )
     elif flavour == "variant-matrix":
         assert again_a.result.retention_table(
             along="churn"
@@ -716,6 +752,19 @@ _CAMPAIGN_CHECKPOINT = (
     "1a8607cd8691ff9c2cb8be6e341c8aa12a5f1beaaaa67d6c464026a966fa1cf4"
 )
 
+#: The campaign's stored views.  The CSV's digest is the sha256 of the
+#: file ``export_campaign_series`` wrote for this run at commit 9eccb42,
+#: before the CSV was rendered in memory and stored at all; the summary
+#: is canonical JSON of the four result-derived ``/result`` fields.
+_CAMPAIGN_VIEWS = {
+    "campaign_series.csv": (
+        "df9a325ac949c0cb95fd09134a99973f02f7bd3db1363e45931d21f1be84cbc5"
+    ),
+    "summary.json": (
+        "4f4b397b5c845dc1fa3095c7f175305136b8835192d2b601d2ca170a16f8d68f"
+    ),
+}
+
 #: ``sha256(dump_checkpoint(cell.sweep, kind="x", aliasing=False))`` of
 #: every cell of the two pinned sweeps, computed at commit c074915 from
 #: ``AttackSweepLevel.sweep`` / ``VariantCell.sweep``: the measurements
@@ -750,8 +799,10 @@ def test_keys_and_result_digests_did_not_move(flavour, tmp_path):
         units, checkpoint, _ = _digests(manifest)
         assert units == _CAMPAIGN_UNITS
         assert checkpoint == _CAMPAIGN_CHECKPOINT
+        assert manifest.views == _CAMPAIGN_VIEWS
     else:
         assert manifest.kind == "sync-sweep" and manifest.checkpoint is None
+        assert manifest.views == {}
         assert [
             hashlib.sha256(
                 dump_checkpoint(cell.sweep, kind="x", aliasing=False)
