@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..errors import AnalysisError
 
@@ -57,7 +56,9 @@ def kde(
         density = np.exp(-0.5 * ((grid - center) / sigma) ** 2)
         density /= np.trapezoid(density, grid) or 1.0
     else:
-        estimator = scipy_stats.gaussian_kde(array, bw_method=bandwidth)
+        from scipy import stats
+
+        estimator = stats.gaussian_kde(array, bw_method=bandwidth)
         density = estimator(grid)
     return DensityEstimate(
         grid=grid,

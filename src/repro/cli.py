@@ -22,12 +22,12 @@ Commands
 under a list of conditions (``repro.core.condition_sweep``) — behind one
 ``_sweep``, one degradation printer, one totals printer, one exporter.
 
-``--store DIR`` (on ``campaign``, ``attack``, and ``variants``)
-checkpoints the run into a content-addressed store after every unit
-(snapshot, count level, matrix cell); an interrupted run resumes after
-its last completed unit (``--resume RUN_ID`` to be explicit), a
-completed run with the same config is a cache hit, and ``--force``
-re-executes it anyway.  Sweep runs are ``sync-sweep-…`` whichever
+``--store DIR`` (on ``campaign``, ``sync``, ``chaos``, ``attack``, and
+``variants``) checkpoints the run into a content-addressed store after
+every unit (snapshot, churn arm, intensity level, count level, matrix
+cell); an interrupted run resumes after its last completed unit
+(``--resume RUN_ID`` to be explicit), a completed run with the same
+config is a cache hit, and ``--force`` re-executes it anyway.  Sweep runs are ``sync-sweep-…`` whichever
 command made them.
 
 ``--faults plan.json`` (on ``campaign``, ``sync``, and ``chaos``)
@@ -384,7 +384,7 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         f"sync: nodes={args.nodes} duration={args.hours}h — running 2019 "
         f"and 2020 churn levels{over}..."
     )
-    result = _sweep(args, "fig1", core.churn_conditions(base), seeds)
+    result = _sweep(args, "fig1", core.churn_conditions(base), seeds, unit="arm")
     results = {cell.labels["year"]: cell.sweep for cell in result.cells}
     r2019, r2020 = results["2019"], results["2020"]
     for label, sweep in results.items():
@@ -434,7 +434,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         f"({len(plan)} fault(s)) intensities={intensities} seeds={seeds} "
         f"workers={args.workers or 'auto'}..."
     )
-    result = _sweep(args, "chaos", conditions, seeds)
+    result = _sweep(args, "chaos", conditions, seeds, unit="level")
     table = result.degradation_table(intensity=0)
     _print_degradation(table, "intensity")
     _print_totals(
@@ -875,6 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     _world_flags(sync, nodes=60, hours=2.0, seed=21)
     _fault_flag(sync)
     _sweep_flags(sync, seeds=1, per="churn level")
+    _store_flags(sync, "arm")
     sync.set_defaults(func=_cmd_sync)
 
     chaos = sub.add_parser(
@@ -891,6 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _world_flags(chaos, nodes=40, hours=1.0, seed=21)
     _sweep_flags(chaos, seeds=2, per="intensity level")
+    _store_flags(chaos, "level")
     chaos.set_defaults(func=_cmd_chaos)
 
     attack = sub.add_parser(

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..bitcoin.node import BitcoinNode
 from ..errors import AnalysisError
 from ..simnet import rand
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def connection_graph(nodes: Sequence[BitcoinNode]) -> "nx.DiGraph":
@@ -27,6 +28,8 @@ def connection_graph(nodes: Sequence[BitcoinNode]) -> "nx.DiGraph":
     An edge u→v means u holds an established *outbound* connection to v.
     Only connections between nodes in ``nodes`` are included.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     addresses = {node.addr for node in nodes if node.running}
     for node in nodes:
@@ -68,6 +71,8 @@ class TopologyStats:
 
 def topology_stats(nodes: Sequence[BitcoinNode]) -> TopologyStats:
     """Compute :class:`TopologyStats` for the running nodes."""
+    import networkx as nx
+
     graph = connection_graph(nodes)
     if graph.number_of_nodes() == 0:
         raise AnalysisError("no running nodes to measure")
@@ -109,6 +114,8 @@ def pairwise_distances_sample(
     graph distance.
     """
     import random
+
+    import networkx as nx
 
     graph = connection_graph(nodes).to_undirected()
     addresses = list(graph.nodes)

@@ -117,6 +117,8 @@ class TestStoreFlags:
     COMMANDS = {
         "campaign": ["campaign"],
         "attack": ["attack", "--plan", "plan.json"],
+        "chaos": ["chaos", "--faults", "plan.json"],
+        "sync": ["sync"],
         "variants": ["variants", "--variants", "baseline"],
     }
 
@@ -295,3 +297,24 @@ class TestAttackSmoke:
         assert f"cache hit: run {run_id}" in capsys.readouterr().out
         assert main(argv + ["--force"]) == 0
         assert f"stored as run {run_id}" in capsys.readouterr().out
+
+
+@pytest.mark.slow
+class TestChaosSmoke:
+    def test_chaos_stores_then_caches(self, tmp_path, capsys):
+        from pathlib import Path
+
+        plan = Path(__file__).resolve().parent.parent / "examples"
+        argv = [
+            "chaos", "--faults", str(plan / "faultplan_partition.json"),
+            "--intensities", "0,1", "--nodes", "8", "--hours", "0.2",
+            "--fidelity", "hybrid", "--seeds", "1", "--workers", "1",
+            "--store", str(tmp_path / "store"),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "intensity" in out
+        run_id = out.split("stored as run ")[1].split()[0]
+        assert run_id.startswith("sync-sweep-")
+        assert main(argv) == 0
+        assert f"cache hit: run {run_id}" in capsys.readouterr().out
