@@ -47,6 +47,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, List, Optional
 
@@ -100,17 +101,19 @@ def _supervisor_config(args: argparse.Namespace):
     return config
 
 
-def _report_supervision(label: str, sweep) -> None:
-    """Print the sweep's partial-result bookkeeping, when any."""
-    if sweep.retried_seeds:
+def _report_supervision(
+    label: str, retried: List[int], failed: List[int], completed: int
+) -> None:
+    """Print a fan-out's partial-result bookkeeping, when any."""
+    if retried:
         print(
-            f"NOTE: {label} seeds {sweep.retried_seeds} needed retries "
+            f"NOTE: {label} seeds {retried} needed retries "
             f"(crashed or hung workers) but completed"
         )
-    if sweep.failed_seeds:
+    if failed:
         print(
-            f"WARNING: {label} seeds {sweep.failed_seeds} failed permanently "
-            f"— pooled statistics cover the {len(sweep.seeds)} completed "
+            f"WARNING: {label} seeds {failed} failed permanently "
+            f"— pooled statistics cover the {completed} completed "
             f"seed(s) only"
         )
 
@@ -142,6 +145,22 @@ def _store_flags_error(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def _say_stored(
+    run_id: str, cached: bool, resumed_from: Optional[int], unit: str,
+    units: int,
+) -> None:
+    """The one line that says where a stored result came from."""
+    if cached:
+        print(
+            f"cache hit: run {run_id} is complete — "
+            f"returning the stored result (no simulation)"
+        )
+    elif resumed_from is not None:
+        print(f"resumed run {run_id} from {unit} {resumed_from}/{units}")
+    else:
+        print(f"stored as run {run_id}")
+
+
 def _run_stored(args: argparse.Namespace, plan, unit: str):
     """``plan`` through ``--store``; says where the result came from."""
     from .store import run_stored
@@ -149,23 +168,16 @@ def _run_stored(args: argparse.Namespace, plan, unit: str):
     stored = run_stored(
         args.store, plan, resume=args.resume, force=args.force
     )
-    run_id = stored.manifest.run_id
-    if stored.cached:
-        print(
-            f"cache hit: run {run_id} is complete — "
-            f"returning the stored result (no simulation)"
-        )
-    elif stored.resumed_from is not None:
-        print(
-            f"resumed run {run_id} from {unit} "
-            f"{stored.resumed_from}/{plan.units}"
-        )
-    else:
-        print(f"stored as run {run_id}")
+    _say_stored(
+        stored.manifest.run_id, stored.cached, stored.resumed_from, unit,
+        plan.units,
+    )
     return stored.result
 
 
 def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
+    from .store import CampaignPlan, RunStore
+
     base = LongitudinalConfig(
         scale=args.scale, snapshots=args.snapshots, seed=args.seed,
         fidelity=args.fidelity, faults=_load_fault_plan(args),
@@ -176,15 +188,36 @@ def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
         f"seeds={seeds} workers={args.workers or 'auto'}"
         + (f" store={args.store}" if args.store else "")
     )
-    sweep = core.run_campaign_sweep(
-        base, seeds, workers=args.workers, store=args.store,
+    plans = [CampaignPlan(replace(base, seed=seed)) for seed in seeds]
+    run = core.run_plans(
+        plans, store=args.store, workers=args.workers,
         supervisor=_supervisor_config(args),
     )
-    _report_supervision("campaign", sweep)
-    if sweep.truncated:
-        _warn_truncated("campaigns for seeds", sweep.truncated_seeds)
+    done = [
+        (plan, out) for plan, out in zip(plans, run.results) if out is not None
+    ]
+    if args.store:
+        # A stored run hands back its provenance; the result is read
+        # from the store it was written to.
+        store = RunStore(args.store)
+        for plan, (cached, resumed_from) in done:
+            _say_stored(plan.run_id, cached, resumed_from, "snapshot",
+                        plan.units)
+        done = [
+            (plan, plan.load_result(store, store.load_manifest(plan.run_id)))
+            for plan, _ in done
+        ]
+    _report_supervision(
+        "campaign", run.retried_labels, run.failed_labels, len(done)
+    )
+    truncated = [plan.seed for plan, result in done if result.truncated]
+    if truncated:
+        _warn_truncated("campaigns for seeds", truncated)
+
+    def mean(stat) -> float:
+        return float(np.mean([stat(result) for _, result in done]))
+
     s = args.scale
-    mean = sweep.mean_over_seeds
     print(
         comparison_table(
             [
@@ -209,18 +242,18 @@ def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
         format_table(
             ("seed", "cumulative unreachable", "responsive/snapshot"),
             [
-                (seed,
+                (plan.seed,
                  len(result.cumulative_unreachable),
                  round(float(np.mean(result.fig5_series()["per_snapshot"])), 1))
-                for seed, result in zip(sweep.seeds, sweep.per_seed)
+                for plan, result in done
             ],
         )
     )
     if args.export:
         out = Path(args.export)
-        for seed, result in zip(sweep.seeds, sweep.per_seed):
+        for plan, result in done:
             export_mod.export_campaign_series(
-                result, out / f"seed{seed}" / "campaign_series.csv"
+                result, out / f"seed{plan.seed}" / "campaign_series.csv"
             )
         print(f"exported per-seed CSVs to {out}/seed<N>/")
     return 0
@@ -311,7 +344,10 @@ def _sweep(args: argparse.Namespace, name: str, conditions, seeds, unit=None):
     else:
         result = plan.run()
     for cell in result.cells:
-        _report_supervision(cell.tag, cell.sweep)
+        _report_supervision(
+            cell.tag, cell.sweep.retried_seeds, cell.sweep.failed_seeds,
+            len(cell.sweep.seeds),
+        )
     return result
 
 

@@ -51,11 +51,8 @@ from .condition_sweep import (
     variant_conditions,
 )
 from .parallel import (
-    CampaignSweepResult,
     SyncSweepResult,
-    run_campaign_sweep,
-    run_multi_seed,
-    run_multi_seed_supervised,
+    run_plans,
     run_sync_groups,
     seed_range,
 )
@@ -111,7 +108,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "CampaignRunner",
-    "CampaignSweepResult",
     "ChurnMatrix",
     "ChurnStats",
     "Condition",
@@ -171,11 +167,9 @@ __all__ = [
     "merge_reports",
     "mitigation_conditions",
     "plan_hijack",
-    "run_campaign_sweep",
     "run_connection_stability",
     "run_connection_success",
-    "run_multi_seed",
-    "run_multi_seed_supervised",
+    "run_plans",
     "run_relay_experiment",
     "run_resync_experiment",
     "run_supervised",

@@ -1,4 +1,4 @@
-"""Multi-seed campaign execution across worker processes.
+"""Multi-seed execution across worker processes.
 
 Every experiment in the reproduction is a deterministic function of its
 seed, which makes seed-level parallelism trivial to make *exactly*
@@ -11,19 +11,18 @@ Execution goes through the :mod:`~repro.core.supervisor` rather than a
 bare ``Pool.map``: crashed workers are detected and retried with
 backoff, hung workers can be timed out, and a seed that permanently
 fails yields a structured :class:`~repro.errors.SeedTaskError` instead
-of poisoning the whole campaign.  :func:`run_multi_seed` keeps the old
-all-or-nothing contract (it raises
-:class:`~repro.errors.CampaignAbortedError` carrying the partial
-results); the two sweep mergers here — :func:`run_sync_groups` under
-every Fig. 1 condition sweep (:mod:`repro.core.condition_sweep`) and
-:func:`run_campaign_sweep` for the crawl campaign — run in partial mode
-and report ``failed_seeds`` / ``retried_seeds`` on their results.
+of poisoning the whole campaign.  Two fan-outs live here:
+:func:`run_plans` runs one :class:`~repro.store.plan.StoredPlan` per
+seed (the crawl campaign of ``repro campaign --seeds N`` and of every
+``POST /v1/campaigns``), and :func:`run_sync_groups` runs the Fig. 1
+campaigns under every condition sweep
+(:mod:`repro.core.condition_sweep`), reporting ``failed_seeds`` /
+``retried_seeds`` on its results.
 
 Workers default to the machine's CPU count (capped by the number of
-seeds) and can be forced with ``workers=`` or the ``REPRO_WORKERS``
-environment variable; ``workers=1`` executes inline in this process with
-no multiprocessing machinery at all, which is also the fallback used
-when only one seed is requested.
+tasks); ``workers=1`` executes inline in this process with no
+multiprocessing machinery at all, which is also the fallback used when
+only one task is given.
 """
 
 from __future__ import annotations
@@ -32,14 +31,13 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..analysis.kde import DensityEstimate, kde
-from ..errors import CampaignAbortedError, ConfigurationError
-from ..netmodel.scenario import LongitudinalConfig, LongitudinalScenario
-from .pipeline import CampaignConfig, CampaignResult, CampaignRunner
+from ..errors import ConfigurationError
+from ..store.plan import StoredPlan, run_stored
 from .supervisor import (
     SupervisedRun,
     SupervisorConfig,
@@ -52,25 +50,9 @@ from .sync_experiments import (
     run_sync_campaign,
 )
 
-T = TypeVar("T")
-
 
 def default_workers(n_tasks: int) -> int:
-    """Worker count: ``REPRO_WORKERS`` if set, else CPUs, capped by tasks.
-
-    Values below 1 clamp to 1 (inline execution); a non-integer
-    ``REPRO_WORKERS`` raises :class:`~repro.errors.ConfigurationError`.
-    """
-    env = os.environ.get("REPRO_WORKERS")
-    if env is not None:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_WORKERS must be an integer worker count, "
-                f"got {env!r}"
-            ) from None
-        return max(1, min(requested, n_tasks))
+    """Worker count: the machine's CPUs, capped by tasks, at least 1."""
     return max(1, min(multiprocessing.cpu_count(), n_tasks))
 
 
@@ -81,57 +63,46 @@ def seed_range(base_seed: int, count: int) -> List[int]:
     return list(range(base_seed, base_seed + count))
 
 
-def run_multi_seed_supervised(
-    task: Callable[[T], object],
-    items: Sequence[T],
+def _run_plan(store_root: Optional[str], plan: StoredPlan) -> Any:
+    """One plan's worker body (module-level so it pickles to processes).
+    Unstored it returns the result; stored, only ``(cached,
+    resumed_from)`` — the result stays in the store, so no worker
+    pickles one back to its parent."""
+    if store_root is None:
+        return plan.run()
+    stored = run_stored(store_root, plan)
+    return stored.cached, stored.resumed_from
+
+
+def run_plans(
+    plans: Sequence[StoredPlan],
+    store: Optional[Union[str, "os.PathLike[str]"]] = None,
     workers: Optional[int] = None,
     supervisor: Optional[SupervisorConfig] = None,
-    labels: Optional[Sequence[object]] = None,
     on_event: Optional[Callable[[SupervisorEvent], None]] = None,
 ) -> SupervisedRun:
-    """Run ``task(item)`` per item under supervision; never raises per-seed.
+    """Run every plan under supervision, labelled by its seed.
 
-    Results come back in input order with ``None`` holes where items
-    permanently failed (see :class:`~repro.core.supervisor.SupervisedRun`).
-    ``labels`` names the items in failure reports (defaults to the items
-    themselves — pass the seed list when items are config objects).
-    ``task`` must be picklable (a module-level function or a
-    ``functools.partial`` of one) when more than one worker is used.
-    ``on_event`` observes per-item lifecycle transitions
+    Without ``store`` each slot of the returned run holds ``plan.run()``.
+    With a store root each plan goes through
+    :func:`~repro.store.plan.run_stored` there — durable, resumable, a
+    cache hit once complete, so a crashed worker's retry resumes from
+    the plan's last durable unit — and its slot holds ``(cached,
+    resumed_from)``; ``plan.load_result`` reads the result back.
+    ``None`` marks a plan that failed permanently.  ``on_event``
+    observes each plan's lifecycle
     (:class:`~repro.core.supervisor.SupervisorEvent`) — the serving
     layer's progress stream is fed from exactly this hook.
     """
-    items = list(items)
-    if workers is None:
-        workers = default_workers(len(items))
+    plans = list(plans)
     return run_supervised(
-        task, items, workers, config=supervisor, labels=labels,
+        partial(_run_plan, None if store is None else os.fspath(store)),
+        plans,
+        default_workers(len(plans)) if workers is None else workers,
+        config=supervisor,
+        labels=[plan.seed for plan in plans],
         on_event=on_event,
     )
-
-
-def run_multi_seed(
-    task: Callable[[int], T],
-    seeds: Sequence[int],
-    workers: Optional[int] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-) -> List[T]:
-    """Run ``task(seed)`` for every seed; results in seed (input) order.
-
-    The strict variant: if any seed fails permanently (after the
-    supervisor's retries), raises
-    :class:`~repro.errors.CampaignAbortedError` whose ``partial``
-    attribute still carries every completed result.
-    """
-    run = run_multi_seed_supervised(task, seeds, workers, supervisor)
-    if not run.ok:
-        raise CampaignAbortedError(
-            f"{len(run.failures)} of {len(run.results)} seed(s) failed "
-            f"permanently: {run.failed_labels}",
-            failures=run.failures,
-            partial=run.results,
-        )
-    return run.results
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +186,11 @@ def run_sync_groups(
     if not seeds:
         raise ConfigurationError("need at least one seed")
     tasks = [replace(base, seed=seed) for base in bases for seed in seeds]
-    run = run_multi_seed_supervised(
+    run = run_supervised(
         _run_sync_config,
         tasks,
-        workers,
-        supervisor,
+        default_workers(len(tasks)) if workers is None else workers,
+        config=supervisor,
         labels=[config.seed for config in tasks],
     )
     sweeps: List[SyncSweepResult] = []
@@ -239,111 +210,3 @@ def run_sync_groups(
             )
         )
     return sweeps
-
-
-# ---------------------------------------------------------------------------
-# Fig. 2 crawl campaigns
-# ---------------------------------------------------------------------------
-def _campaign_worker(
-    base: LongitudinalConfig,
-    config: Optional[CampaignConfig],
-    snapshots: Optional[int],
-    store_root: Optional[str],
-    seed: int,
-) -> CampaignResult:
-    seeded = replace(base, seed=seed)
-    if store_root is not None:
-        # Route through the run store: each seed's campaign becomes a
-        # durable, individually resumable run, and re-sweeping the same
-        # configs is a per-seed cache hit.  Imported here because
-        # ``store.campaign`` imports this package's pipeline module.
-        from ..store.campaign import run_stored_campaign
-
-        stored = run_stored_campaign(
-            store_root, seeded, campaign_config=config, snapshots=snapshots
-        )
-        return stored.result
-    scenario = LongitudinalScenario(seeded)
-    runner = CampaignRunner(scenario, config)
-    return runner.run(snapshots=snapshots)
-
-
-@dataclass
-class CampaignSweepResult:
-    """Multi-seed crawl campaign, merged in seed order.
-
-    Partial-result reporting mirrors :class:`SyncSweepResult`: seeds the
-    supervisor gave up on land in ``failed_seeds``, seeds that needed a
-    retry but completed in ``retried_seeds``.
-    """
-
-    seeds: List[int]
-    per_seed: List[CampaignResult]
-    failed_seeds: List[int] = field(default_factory=list)
-    retried_seeds: List[int] = field(default_factory=list)
-
-    def mean_over_seeds(self, stat: Callable[[CampaignResult], float]) -> float:
-        """Average a per-campaign statistic across seeds."""
-        return float(np.mean([stat(result) for result in self.per_seed]))
-
-    def pooled_cumulative_unreachable(self) -> int:
-        """Unique unreachable addresses across every seed's campaign."""
-        seen = set()
-        for result in self.per_seed:
-            seen |= result.cumulative_unreachable
-        return len(seen)
-
-    @property
-    def truncated(self) -> bool:
-        """True if any seed's campaign contains a cut-short snapshot."""
-        return any(result.truncated for result in self.per_seed)
-
-    @property
-    def truncated_seeds(self) -> List[int]:
-        """Seeds with at least one truncated snapshot (lower bounds only)."""
-        return [
-            seed
-            for seed, result in zip(self.seeds, self.per_seed)
-            if result.truncated
-        ]
-
-
-def run_campaign_sweep(
-    base: LongitudinalConfig,
-    seeds: Sequence[int],
-    config: Optional[CampaignConfig] = None,
-    snapshots: Optional[int] = None,
-    workers: Optional[int] = None,
-    store: Optional[str] = None,
-    supervisor: Optional[SupervisorConfig] = None,
-) -> CampaignSweepResult:
-    """Run the Fig. 2 crawl campaign once per seed and merge.
-
-    ``store`` names a run-store root; when given, every per-seed campaign
-    is checkpointed there and completed seeds are served from the cache
-    on re-runs (the store root travels to workers as a plain path so the
-    task stays picklable).  The store also makes supervision cheap: a
-    crashed worker's retry resumes from the seed's last checkpoint — and
-    a seed that already finished is a pure cache hit — so completed work
-    is never recomputed.
-    """
-    seeds = list(seeds)
-    task = partial(
-        _campaign_worker,
-        base,
-        config,
-        snapshots,
-        os.fspath(store) if store is not None else None,
-    )
-    run = run_multi_seed_supervised(task, seeds, workers, supervisor)
-    kept = [
-        (seed, result)
-        for seed, result in zip(seeds, run.results)
-        if result is not None
-    ]
-    return CampaignSweepResult(
-        seeds=[seed for seed, _ in kept],
-        per_seed=[result for _, result in kept],
-        failed_seeds=list(run.failed_labels),
-        retried_seeds=list(run.retried_labels),
-    )

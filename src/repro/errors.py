@@ -87,21 +87,6 @@ class SeedTaskError(SupervisionError):
         self.cause = cause
 
 
-class CampaignAbortedError(SupervisionError):
-    """A strict multi-seed run could not complete every seed.
-
-    ``failures`` holds the per-seed :class:`SeedTaskError` records;
-    ``partial`` the results that did complete (in input order, ``None``
-    where a seed failed), so a caller aborting loudly still gets to keep
-    what finished.
-    """
-
-    def __init__(self, message: str, failures=(), partial=None) -> None:
-        super().__init__(message)
-        self.failures = list(failures)
-        self.partial = partial
-
-
 class AnalysisError(ReproError):
     """Invalid input to an analysis routine (e.g. empty sample set)."""
 

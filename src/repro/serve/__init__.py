@@ -16,8 +16,8 @@ Layering:
 
 - :mod:`repro.serve.http` — wire protocol (requests, responses, chunked
   streaming, SSE framing)
-- :mod:`repro.serve.submission` — config JSON -> validated dataclasses
-  -> per-seed run keys
+- :mod:`repro.serve.submission` — config JSON -> one validated
+  ``CampaignPlan`` per seed
 - :mod:`repro.serve.jobs` — slots, queueing, backpressure, supervised
   execution, the per-job event log
 - :mod:`repro.serve.cache` / :mod:`repro.serve.quota` /

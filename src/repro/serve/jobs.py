@@ -1,10 +1,10 @@
-"""Job manager: bounded worker slots over the supervised campaign runner.
+"""Job manager: bounded worker slots over the supervised plan runner.
 
-A *job* is one submission — one or more seeds of one campaign config —
-executed through :func:`repro.store.campaign.run_stored_campaign` under
-the :mod:`repro.core.supervisor`, so every seed is individually durable,
-resumable, crash-supervised, and deduplicated by run key.  The manager
-adds what serving needs on top:
+A *job* is one submission — the :class:`~repro.store.campaign.CampaignPlan`
+of each of its seeds, as parsed — executed by
+:func:`repro.core.parallel.run_plans` through the run store, so every
+seed is individually durable, resumable, crash-supervised, and
+deduplicated by run key.  The manager adds what serving needs on top:
 
 * **slots + backpressure** — at most ``slots`` jobs simulate at once
   (one thread per slot; the simulation itself runs in supervised worker
@@ -36,10 +36,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.parallel import run_multi_seed_supervised
-from ..core.supervisor import SupervisorConfig, SupervisorEvent
+from ..core.parallel import run_plans
+from ..core.supervisor import SupervisedRun, SupervisorConfig, SupervisorEvent
 from ..errors import ServiceBusyError, StoreError
-from ..store.campaign import run_stored_campaign
 from ..store.manifest import STATUS_COMPLETE
 from ..store.runstore import RunStore
 from ..store.wallclock import now as wall_now
@@ -59,32 +58,6 @@ JOB_HISTORY_LIMIT = 256
 DISPOSITION_CACHED = "cached"
 DISPOSITION_JOINED = "joined"
 DISPOSITION_QUEUED = "queued"
-
-
-def _seed_task(
-    store_root: str,
-    scenario: Any,
-    campaign_config: Any,
-    snapshots: Optional[int],
-    seed: int,
-) -> Dict[str, Any]:
-    """Per-seed worker body (module-level so it pickles to processes)."""
-    from dataclasses import replace
-
-    stored = run_stored_campaign(
-        store_root,
-        replace(scenario, seed=seed),
-        campaign_config=campaign_config,
-        snapshots=snapshots,
-    )
-    manifest = stored.manifest
-    return {
-        "run_id": manifest.run_id,
-        "cached": stored.cached,
-        "resumed_from": stored.resumed_from,
-        "truncated": manifest.truncated,
-        "snapshots": manifest.completed_snapshots,
-    }
 
 
 def _forward_event(
@@ -381,22 +354,15 @@ class JobManager:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _execute(self, job: Job, loop: asyncio.AbstractEventLoop):
-        """Worker-thread body: the supervised multi-seed fan-out."""
-        spec = job.spec
-        task = partial(
-            _seed_task,
-            str(self.store.root),
-            spec.scenario,
-            spec.campaign,
-            spec.snapshots,
-        )
-        return run_multi_seed_supervised(
-            task,
-            spec.seeds,
-            workers=min(self.workers, len(spec.seeds)),
+    def _execute(
+        self, job: Job, loop: asyncio.AbstractEventLoop
+    ) -> SupervisedRun:
+        """Worker-thread body: the job's plans, one supervised fan-out."""
+        return run_plans(
+            job.spec.plans,
+            store=self.store.root,
+            workers=self.workers,
             supervisor=self.supervisor,
-            labels=spec.seeds,
             on_event=partial(_forward_event, loop, job),
         )
 
@@ -414,14 +380,14 @@ class JobManager:
         for run_record, result in zip(job.runs, run.results):
             if result is not None:
                 run_record.status = "complete"
-                if result.get("truncated"):
-                    run_record.detail = "truncated"
         for index, failure in zip(run.failed_indexes, run.failures):
             job.runs[index].status = "failed"
             job.runs[index].detail = failure.cause
-        skipped = await loop.run_in_executor(
+        truncated, skipped = await loop.run_in_executor(
             self._admission, self._account_bytes, job
         )
+        for run_record in truncated:
+            run_record.detail = "truncated"
         if skipped is not None:
             job.post("accounting-skipped", detail=skipped)
         if run.ok:
@@ -435,20 +401,28 @@ class JobManager:
                      failed=list(run.failed_labels))
         self._inflight.pop(key, None)
 
-    def _account_bytes(self, job: Job) -> Optional[str]:
+    def _account_bytes(
+        self, job: Job
+    ) -> Tuple[List[SeedRun], Optional[str]]:
         """Charge the tenant for blob bytes its fresh runs pinned.
 
         Runs on the admission executor (manifest/blob-size reads are
-        file I/O).  Returns a skip reason instead of posting to the job
-        event log directly — the log is loop-owned, so the caller posts
-        back on the loop.
+        file I/O).  Returns the completed runs whose manifests say
+        ``truncated`` and a skip reason instead of touching the job
+        directly — its records and event log are loop-owned, so the
+        caller applies both back on the loop.
         """
         total = 0
+        truncated: List[SeedRun] = []
         for run in job.runs:
-            if run.cached_at_submit or run.status != "complete":
+            if run.status != "complete":
                 continue
             try:
                 manifest = self.store.load_manifest(run.run_id)
+                if manifest.truncated:
+                    truncated.append(run)
+                if run.cached_at_submit:
+                    continue
                 seen = set()
                 for digest in manifest.referenced_digests():
                     if digest not in seen and self.store.blobs.has(digest):
@@ -459,8 +433,8 @@ class JobManager:
         try:
             self.ledger.add_bytes(job.tenant, total)
         except StoreError as exc:
-            return str(exc)
-        return None
+            return truncated, str(exc)
+        return truncated, None
 
     # ------------------------------------------------------------------
     # Shutdown

@@ -1,10 +1,11 @@
-"""Campaign submissions: config JSON -> validated config dataclasses.
+"""Campaign submissions: config JSON -> one validated plan per seed.
 
 The wire format mirrors the run-store manifest ``config`` block: a
 ``scenario`` object (``LongitudinalConfig`` fields), an optional
 ``campaign`` object (``CampaignConfig`` fields), optional ``seeds`` (a
 list; defaults to the scenario's own seed) and optional ``snapshots``
-override.  Unknown fields are rejected loudly — a typoed knob silently
+override (at most the scenario's own count).  Unknown fields and
+mistyped values are rejected loudly — a typoed knob silently
 falling back to its default would submit the *wrong experiment* and then
 cache it under the wrong-experiment's key forever.
 
@@ -12,18 +13,20 @@ Because the dataclasses themselves define the schema, anything a config
 file can express (nested churn/seed-view/fault-plan/attack-plan blocks
 included) is submittable — an ``attack`` block is parsed through
 :meth:`~repro.adversary.plan.AttackPlan.from_dict` with the same strict
-unknown-key rejection — and the resulting run keys are identical to the
-CLI's —
-a campaign submitted over HTTP is a cache hit for the same campaign run
-locally, and vice versa.
+unknown-key rejection.  Each seed becomes a
+:class:`~repro.store.campaign.CampaignPlan` here, once; the service
+runs exactly those plans, and their run keys are the CLI's — a campaign
+submitted over HTTP is a cache hit for the same campaign run locally,
+and vice versa.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import typing
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Type, TypeVar
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Type, TypeVar
 
 from ..core.pipeline import CampaignConfig
 from ..errors import ConfigurationError
@@ -38,13 +41,39 @@ MAX_SEEDS = 64
 
 _TOP_LEVEL_KEYS = frozenset({"scenario", "campaign", "seeds", "snapshots"})
 
+#: What a scalar field's JSON value may be, by annotation.  ``bool`` is
+#: not an ``int`` (``true`` would key another run than ``1``); an
+#: ``int`` is a valid ``float``.
+_SCALARS = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _check_scalar(where: str, value: Any, ftype: Any, optional: bool) -> None:
+    """Refuse a JSON leaf its field's scalar annotation does not admit
+    (``None`` only where the field is ``Optional``)."""
+    if ftype not in _SCALARS or (value is None and optional):
+        return
+    accepted, name = _SCALARS[ftype]
+    if isinstance(value, bool) != (ftype is bool) or not isinstance(
+        value, accepted
+    ):
+        raise ConfigurationError(
+            f"{where} must be {name}{' or null' if optional else ''}, "
+            f"got {json.dumps(value)}"
+        )
+
 
 def dataclass_from_dict(cls: Type[T], data: Any, context: str = "") -> T:
     """Build dataclass ``cls`` from a JSON object, strictly.
 
-    Unknown keys raise :class:`~repro.errors.ConfigurationError`; nested
-    dataclass fields recurse; classes with their own ``from_dict``
-    (e.g. :class:`~repro.faults.plan.FaultPlan`) use it.
+    Unknown keys raise :class:`~repro.errors.ConfigurationError`, as
+    does a scalar leaf of the wrong JSON type; nested dataclass fields
+    recurse; classes with their own ``from_dict`` (e.g.
+    :class:`~repro.faults.plan.FaultPlan`) use it.
     """
     where = context or cls.__name__
     if not isinstance(data, dict):
@@ -65,13 +94,16 @@ def dataclass_from_dict(cls: Type[T], data: Any, context: str = "") -> T:
             continue
         value = data[f.name]
         ftype = hints.get(f.name)
+        optional = False
         if typing.get_origin(ftype) is typing.Union:
             non_none = [
                 arg for arg in typing.get_args(ftype)
                 if arg is not type(None)
             ]
+            optional = len(non_none) < len(typing.get_args(ftype))
             if len(non_none) == 1:
                 ftype = non_none[0]
+        _check_scalar(f"{where}.{f.name}", value, ftype, optional)
         if (
             value is not None
             and isinstance(ftype, type)
@@ -98,48 +130,12 @@ def dataclass_from_dict(cls: Type[T], data: Any, context: str = "") -> T:
 
 
 @dataclass
-class SeedPlan:
-    """One seed's identity within a submission: its run key and id."""
-
-    seed: int
-    key: str
-    run_id: str
-
-
-@dataclass
 class SubmissionSpec:
-    """A parsed, validated campaign submission."""
+    """A parsed, validated campaign submission: one plan per seed, built
+    once here and executed as built."""
 
-    scenario: LongitudinalConfig
-    campaign: CampaignConfig
     seeds: List[int]
-    snapshots: Optional[int] = None
-    plans: List[SeedPlan] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.plans:
-            self.plans = [
-                SeedPlan(seed=plan.seed, key=plan.key, run_id=plan.run_id)
-                for plan in (
-                    CampaignPlan(
-                        self.seed_config(seed), self.campaign, self.snapshots
-                    )
-                    for seed in self.seeds
-                )
-            ]
-
-    def seed_config(self, seed: int) -> LongitudinalConfig:
-        return replace(self.scenario, seed=seed)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seeds": list(self.seeds),
-            "snapshots": self.snapshots,
-            "runs": [
-                {"seed": plan.seed, "run_id": plan.run_id, "key": plan.key}
-                for plan in self.plans
-            ],
-        }
+    plans: List[CampaignPlan]
 
 
 def parse_submission(data: Any) -> SubmissionSpec:
@@ -186,12 +182,15 @@ def parse_submission(data: Any) -> SubmissionSpec:
         seeds = list(seeds_raw)
 
     snapshots = data.get("snapshots")
-    if snapshots is not None:
-        if not isinstance(snapshots, int) or isinstance(snapshots, bool):
-            raise ConfigurationError("snapshots must be an integer")
-        if snapshots < 1:
-            raise ConfigurationError("snapshots must be >= 1")
+    if snapshots is not None and (
+        not isinstance(snapshots, int) or isinstance(snapshots, bool)
+    ):
+        raise ConfigurationError("snapshots must be an integer")
 
     return SubmissionSpec(
-        scenario=scenario, campaign=campaign, seeds=seeds, snapshots=snapshots
+        seeds=seeds,
+        plans=[
+            CampaignPlan(replace(scenario, seed=seed), campaign, snapshots)
+            for seed in seeds
+        ],
     )

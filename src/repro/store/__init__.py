@@ -16,12 +16,7 @@ bit-identically.
 """
 
 from .blobs import BlobStore, sha256_hex
-from .campaign import (
-    CampaignPlan,
-    campaign_key,
-    load_campaign_result,
-    run_stored_campaign,
-)
+from .campaign import CampaignPlan, run_stored_campaign
 from .checkpoint import (
     CHECKPOINT_FORMAT,
     dump_checkpoint,
@@ -64,11 +59,9 @@ __all__ = [
     "SnapshotRecord",
     "StoredPlan",
     "StoredRun",
-    "campaign_key",
     "code_version",
     "default_store_root",
     "dump_checkpoint",
-    "load_campaign_result",
     "load_checkpoint",
     "read_header",
     "run_key",

@@ -26,8 +26,9 @@ from ..core.pipeline import (
     CampaignRunner,
     SnapshotResult,
 )
+from ..errors import ConfigurationError
 from ..netmodel.scenario import LongitudinalConfig, LongitudinalScenario
-from .manifest import RunManifest, canonical_json, config_to_dict
+from .manifest import canonical_json, config_to_dict
 from .plan import StoredPlan, StoredRun, run_stored
 from .runstore import RunStore
 
@@ -53,6 +54,13 @@ class CampaignPlan(StoredPlan):
         )
         self.seed = config.seed
         self.units = snapshots if snapshots is not None else config.snapshots
+        if not 1 <= self.units <= config.snapshots:
+            # The scenario schedules only its own snapshots; a longer
+            # plan would fail at unit ``config.snapshots``, mid-run.
+            raise ConfigurationError(
+                f"snapshots must be between 1 and the scenario's "
+                f"{config.snapshots}, got {self.units}"
+            )
 
     def config(self) -> Dict[str, Any]:
         return {
@@ -91,22 +99,6 @@ class CampaignPlan(StoredPlan):
             "summary.json": canonical_json(summary).encode("ascii"),
             "campaign_series.csv": render_campaign_series(result),
         }
-
-
-def campaign_key(
-    config: LongitudinalConfig,
-    campaign_config: Optional[CampaignConfig],
-    snapshots: Optional[int] = None,
-) -> str:
-    """The run key for a campaign invocation."""
-    return CampaignPlan(config, campaign_config, snapshots).key
-
-
-def load_campaign_result(
-    store: RunStore, manifest: RunManifest
-) -> CampaignResult:
-    """The final :class:`CampaignResult` of a complete run."""
-    return CampaignPlan.load_result(store, manifest)
 
 
 def run_stored_campaign(

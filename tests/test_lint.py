@@ -477,7 +477,10 @@ class TestRepositoryGate:
         original = (
             REPO_ROOT / "src" / "repro" / "serve" / "jobs.py"
         ).read_text(encoding="utf-8")
-        fixed = "        except StoreError as exc:\n            return str(exc)\n"
+        fixed = (
+            "        except StoreError as exc:\n"
+            "            return truncated, str(exc)\n"
+        )
         post = '            job.post("accounting-skipped", detail=str(exc))'
         assert original.count(fixed) == 1
         seeded_source = original.replace(

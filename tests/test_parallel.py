@@ -1,14 +1,15 @@
-"""Multi-seed runner: parallel execution must merge identically to
-sequential, because ``Pool.map`` preserves seed order and every run is a
-pure function of its seed."""
+"""Multi-seed runners: parallel execution must merge identically to
+sequential, because results are assembled in seed (input) order and
+every run is a pure function of its seed."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.condition_sweep import ConditionSweepPlan, churn_conditions
-from repro.core.parallel import default_workers, run_multi_seed, seed_range
+from repro.core.parallel import run_plans, seed_range
 from repro.core.sync_experiments import SyncCampaignConfig
+from repro.store import RunStore, StoredPlan
 
 #: Small enough to run two full sweeps in a test, large enough to churn.
 TINY = SyncCampaignConfig(
@@ -23,8 +24,30 @@ TINY = SyncCampaignConfig(
 )
 
 
-def _square(seed: int) -> int:
-    return seed * seed
+class _Square(StoredPlan):
+    """One unit: the square of the plan's seed."""
+
+    kind = "square"
+    unit_kind = "square-unit"
+    result_kind = "square-result"
+    result_type = int
+    units = 1
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+
+    def config(self):
+        return {}
+
+    def run_unit(self, state, index):
+        return self.seed * self.seed
+
+    def finish(self, state, outs):
+        return outs[0]
+
+
+def _squares(*seeds):
+    return [_Square(seed) for seed in seeds]
 
 
 def fig1(seeds, workers=1):
@@ -37,24 +60,34 @@ def fig1(seeds, workers=1):
 
 class TestRunMultiSeed:
     def test_results_in_seed_order(self):
-        assert run_multi_seed(_square, [3, 1, 2], workers=1) == [9, 1, 4]
+        run = run_plans(_squares(3, 1, 2), workers=1)
+        assert run.results == [9, 1, 4]
+        assert run.labels == [3, 1, 2]
 
     def test_parallel_results_in_seed_order(self):
-        assert run_multi_seed(_square, [3, 1, 2], workers=2) == [9, 1, 4]
+        assert run_plans(_squares(3, 1, 2), workers=2).results == [9, 1, 4]
 
     def test_single_seed_runs_inline(self):
-        assert run_multi_seed(_square, [7], workers=8) == [49]
+        assert run_plans(_squares(7), workers=8).results == [49]
 
     def test_seed_range(self):
         assert seed_range(10, 3) == [10, 11, 12]
         with pytest.raises(ValueError):
             seed_range(10, 0)
 
-    def test_default_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "1")
-        assert default_workers(8) == 1
-        monkeypatch.setenv("REPRO_WORKERS", "64")
-        assert default_workers(3) == 3  # capped by task count
+    def test_stored_plans_hand_back_provenance_only(self, tmp_path):
+        """Through a store a worker returns ``(cached, resumed_from)``
+        and leaves the result where it wrote it; a re-run is a cache
+        hit per plan."""
+        first = run_plans(_squares(3, 1), store=tmp_path, workers=2)
+        assert first.results == [(False, None), (False, None)]
+        again = run_plans(_squares(3, 1), store=tmp_path, workers=1)
+        assert again.results == [(True, None), (True, None)]
+        store = RunStore(tmp_path)
+        assert [
+            plan.load_result(store, store.load_manifest(plan.run_id))
+            for plan in _squares(3, 1)
+        ] == [9, 1]
 
 
 class TestSyncSweep:

@@ -9,10 +9,11 @@ real, not mocked.  Campaigns use the tiny test scenario (scale=0.002,
 
 import asyncio
 import hashlib
+import re
 
 import pytest
 
-from repro.serve import CampaignService, Client, ServiceConfig
+from repro.serve import CampaignService, Client, ServiceConfig, parse_submission
 from repro.store import CampaignPlan, RunManifest, RunStore
 
 #: The tiny campaign used throughout; fresh ~1s, cached ~ms.
@@ -317,6 +318,62 @@ class TestValidation:
 
         with_service(tmp_path, body)
 
+    def test_snapshots_beyond_the_scenario_are_400(self, tmp_path):
+        """More snapshots than the scenario schedules used to be admitted
+        and charged, then die at the first missing one — leaving a
+        manifest stuck at ``running`` that every resume failed on."""
+
+        async def body(service, client):
+            bad = tiny(snapshots=3)
+            bad["scenario"]["snapshots"] = 2
+            r = await client.request("POST", "/v1/campaigns", body=bad)
+            assert r.status == 400
+            assert "snapshots" in r.json()["error"]
+            q = (await client.request("GET", "/v1/admin/quota")).json()
+            assert "anon" not in q["tenants"]  # runs_submitted untouched
+            assert service.metrics.internal_errors == 0
+
+        with_service(tmp_path, body)
+        assert RunStore(tmp_path / "store").manifests() == []
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"scenario": {"scale": "0.1"}}, "scenario.scale"),
+            ({"scenario": {"scale": None}}, "scenario.scale"),
+            ({"scenario": {"scale": 0.002, "snapshots": True}},
+             "scenario.snapshots"),
+            ({"scenario": {"scale": 0.002, "seed": 1.5}}, "scenario.seed"),
+            ({"scenario": {"scale": 0.002, "flooders": 1}},
+             "scenario.flooders"),
+            ({"scenario": {"scale": 0.002}, "campaign": {"probe_enabled": "no"}},
+             "campaign.probe_enabled"),
+        ],
+    )
+    def test_mistyped_scalar_is_400_naming_the_field(
+        self, tmp_path, body, field
+    ):
+        """A scalar of the wrong JSON type used to be a 500 (``TypeError``
+        out of ``validate``) or, for ``true`` as an integer, a run keyed
+        apart from ``1``."""
+
+        async def run(service, client):
+            r = await client.request(
+                "POST", "/v1/campaigns", body=dict(body, snapshots=1)
+            )
+            assert r.status == 400, r.json()
+            assert field in r.json()["error"]
+            assert service.metrics.internal_errors == 0
+
+        with_service(tmp_path, run)
+        assert RunStore(tmp_path / "store").manifests() == []
+
+    def test_int_is_a_number_and_null_fills_an_optional(self):
+        spec = parse_submission(
+            {"scenario": {"scale": 1, "flooder_count": None}}
+        )
+        assert spec.plans[0].scenario_config.scale == 1
+
     def test_malformed_json_is_400(self, tmp_path):
         async def body(service, client):
             r = await client.request(
@@ -397,6 +454,56 @@ class TestRetiredCheckpointFormat:
             return None
 
         with_service(tmp_path, body)
+
+
+#: What ``repro campaign --scale 0.002 --snapshots 2 --seed 3 --seeds 2``
+#: runs, as a submission.
+BOTH_FRONT_ENDS = {"scenario": {"scale": 0.002, "snapshots": 2}, "seeds": [3, 4]}
+
+
+def cli_campaign(store, capsys):
+    from repro.cli import main
+
+    argv = ["campaign", "--scale", "0.002", "--snapshots", "2", "--seed", "3",
+            "--seeds", "2", "--workers", "1", "--store", str(store)]
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+class TestOneCache:
+    """``repro campaign --seeds N --store`` and ``POST /v1/campaigns``
+    build the same plans and run them the same way: either front end's
+    runs are the other's cache hits."""
+
+    def test_cli_runs_are_served_as_cached(self, tmp_path, capsys):
+        stored = re.findall(
+            r"stored as run (\S+)", cli_campaign(tmp_path / "store", capsys)
+        )
+        assert len(stored) == 2
+
+        async def body(service, client):
+            r = await client.request(
+                "POST", "/v1/campaigns", body=BOTH_FRONT_ENDS
+            )
+            assert r.status == 200
+            assert r.json()["disposition"] == "cached"
+            return [run["run_id"] for run in r.json()["runs"]]
+
+        assert with_service(tmp_path, body) == stored
+
+    def test_served_runs_are_cli_cache_hits(self, tmp_path, capsys):
+        async def body(service, client):
+            r = await client.request(
+                "POST", "/v1/campaigns", body=BOTH_FRONT_ENDS
+            )
+            assert r.status == 202
+            events = await stream_to_end(client, r.json()["id"])
+            assert events[-1]["kind"] == "job-complete"
+            return [run["run_id"] for run in r.json()["runs"]]
+
+        served = with_service(tmp_path, body)
+        out = cli_campaign(tmp_path / "store", capsys)
+        assert re.findall(r"cache hit: run (\S+) is complete", out) == served
 
 
 #: The two read endpoints, and the stored view each is served from.

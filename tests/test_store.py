@@ -13,7 +13,12 @@ import pytest
 
 from repro.bitcoin.peer import Peer
 from repro.core.pipeline import CampaignResult, SnapshotResult
-from repro.errors import CheckpointError, SimulationError, StoreError
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    SimulationError,
+    StoreError,
+)
 from repro.netmodel.scenario import (
     LongitudinalConfig,
     ProtocolConfig,
@@ -30,7 +35,6 @@ from repro.store import (
     SnapshotRecord,
     CRASH_ENV,
     CampaignPlan,
-    campaign_key,
     dump_checkpoint,
     load_checkpoint,
     read_header,
@@ -39,7 +43,6 @@ from repro.store import (
     run_stored_campaign,
     sha256_hex,
 )
-from repro.store.campaign import load_campaign_result
 
 from .conftest import make_addr
 from .reference_pickler import format_1_blob
@@ -214,11 +217,11 @@ class TestRunKey:
 
         config = LongitudinalConfig(seed=1, scale=0.002, snapshots=2)
         twin = LongitudinalConfig(seed=1, scale=0.002, snapshots=2)
-        key = campaign_key(config, None)
-        assert key == campaign_key(twin, None)
-        assert key != campaign_key(
-            LongitudinalConfig(seed=2, scale=0.002, snapshots=2), None
-        )
+        key = CampaignPlan(config).key
+        assert key == CampaignPlan(twin).key
+        assert key != CampaignPlan(
+            LongitudinalConfig(seed=2, scale=0.002, snapshots=2)
+        ).key
         assert CampaignPlan(config).run_id == f"campaign-{key[:12]}"
         spec = parse_submission(
             {"scenario": {"seed": 1, "scale": 0.002, "snapshots": 2}}
@@ -460,6 +463,15 @@ def _tiny_config():
 
 
 class TestStoredCampaign:
+    @pytest.mark.parametrize("snapshots", [0, 4])
+    def test_plan_refuses_snapshots_its_scenario_lacks(self, snapshots):
+        """A plan that constructs can run: a unit count beyond the
+        scenario's snapshot schedule used to die at that unit, leaving
+        a manifest every resume failed on again."""
+        with pytest.raises(ConfigurationError, match="between 1 and"):
+            CampaignPlan(_tiny_config(), snapshots=snapshots)
+        assert CampaignPlan(_tiny_config(), snapshots=3).units == 3
+
     def test_cache_hit_skips_simulation(self, tmp_path):
         config = _tiny_config()
         first = run_stored_campaign(tmp_path, config)
@@ -678,7 +690,7 @@ class TestRetiredFormat:
     def test_load_campaign_result_refuses_by_name(self, old_store):
         store, old = old_store
         with pytest.raises(CheckpointError, match="format 1.*format 2"):
-            load_campaign_result(store, old)
+            CampaignPlan.load_result(store, old)
 
 
 class TestReadOnlyStore:

@@ -6,18 +6,9 @@ from functools import partial
 
 import pytest
 
-from repro.core.parallel import (
-    default_workers,
-    run_multi_seed,
-    run_multi_seed_supervised,
-    seed_range,
-)
+from repro.core.parallel import seed_range
 from repro.core.supervisor import Supervisor, SupervisorConfig, run_supervised
-from repro.errors import (
-    CampaignAbortedError,
-    ConfigurationError,
-    SeedTaskError,
-)
+from repro.errors import ConfigurationError, SeedTaskError
 
 #: Fast supervision for tests: immediate retries, no polling slack.
 FAST = SupervisorConfig(retries=2, backoff=0.0)
@@ -223,28 +214,16 @@ class TestDegradation:
 
 
 # ---------------------------------------------------------------------------
-# Strict wrapper and configuration validation
+# Partial reporting and configuration validation
 # ---------------------------------------------------------------------------
 class TestStrictWrapper:
-    def test_run_multi_seed_still_returns_plain_list(self):
-        assert run_multi_seed(_double, [1, 2, 3], workers=2) == [2, 4, 6]
-
-    def test_run_multi_seed_supervised_reports_instead_of_raising(self):
-        run = run_multi_seed_supervised(
-            partial(_raise_on, 2), [1, 2, 3], workers=3, supervisor=FAST
+    def test_run_supervised_reports_instead_of_raising(self):
+        run = run_supervised(
+            partial(_raise_on, 2), [1, 2, 3], workers=3, config=FAST
         )
         assert not run.ok
         assert run.results == [2, None, 6]
         assert run.failed_labels == [2]
-
-    def test_run_multi_seed_aborts_with_partial(self):
-        with pytest.raises(CampaignAbortedError) as excinfo:
-            run_multi_seed(
-                partial(_raise_on, 2), [1, 2, 3], workers=3, supervisor=FAST
-            )
-        error = excinfo.value
-        assert error.partial == [2, None, 6]
-        assert [f.seed for f in error.failures] == [2]
 
     def test_supervisor_config_validation(self):
         with pytest.raises(ConfigurationError, match="timeout"):
@@ -256,20 +235,6 @@ class TestStrictWrapper:
 
 
 class TestWorkerConfiguration:
-    def test_malformed_repro_workers_names_the_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        with pytest.raises(ConfigurationError, match="REPRO_WORKERS"):
-            default_workers(4)
-
-    def test_malformed_repro_workers_is_still_a_value_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "4.5")
-        with pytest.raises(ValueError):
-            default_workers(4)
-
-    def test_valid_repro_workers_still_caps_by_tasks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "64")
-        assert default_workers(3) == 3
-
     def test_seed_range_error_is_configuration_error(self):
         with pytest.raises(ConfigurationError):
             seed_range(10, 0)

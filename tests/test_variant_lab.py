@@ -27,8 +27,7 @@ from repro.errors import ConfigurationError
 from repro.netmodel import LongitudinalConfig, ProtocolConfig, ProtocolScenario
 from repro.serve.submission import parse_submission
 from repro.simnet import Simulator
-from repro.store import run_stored
-from repro.store.campaign import campaign_key
+from repro.store import CampaignPlan, run_stored
 
 from .reference_scheduler import ReferenceScheduler, on_reference_scheduler
 
@@ -144,10 +143,10 @@ class TestRunKeyIdentity:
 
     def test_campaign_key_carries_variant_identity(self):
         def key(policies):
-            return campaign_key(
+            return CampaignPlan(
                 LongitudinalConfig(scale=0.004, seed=5, policies=policies),
                 CampaignConfig(),
-            )
+            ).key
 
         keys = {
             key(None),
