@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 
 from repro.core.condition_sweep import ConditionSweepPlan, fault_conditions
+from repro.core.decode import decode_file
 from repro.core.reports import format_table
 from repro.core.sync_experiments import SyncCampaignConfig
 from repro.faults.plan import FaultPlan
@@ -24,7 +25,7 @@ PLAN_PATH = os.path.join(os.path.dirname(__file__), "..", "examples", "faultplan
 
 
 def test_sync_under_faults(benchmark):
-    plan = FaultPlan.from_file(PLAN_PATH)
+    plan = decode_file(FaultPlan, PLAN_PATH)
     base = SyncCampaignConfig(
         n_reachable=16,
         churn_per_10min=3.0,

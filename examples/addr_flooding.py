@@ -25,6 +25,7 @@ from repro.core import (
     detect_flooders,
     score_detection,
 )
+from repro.core.decode import decode_file
 from repro.core.pipeline import CRAWLER_ADDR
 from repro.core.reports import format_table
 from repro.netmodel import ProtocolConfig, ProtocolScenario
@@ -34,7 +35,7 @@ PLAN_FILE = Path(__file__).resolve().parent / "attackplan_flood.json"
 
 
 def main() -> None:
-    plan = AttackPlan.from_file(PLAN_FILE)
+    plan = decode_file(AttackPlan, PLAN_FILE)
     print(
         f"Building a 25-node network under {PLAN_FILE.name} "
         f"({plan.total_count} flooder(s) in AS3320)..."

@@ -13,8 +13,11 @@ Plans are plain frozen dataclasses so they
   campaign under an attack plan is a *different experiment* than the
   same campaign without one, and the content-addressed cache must see
   that;
-* round-trip to JSON (:meth:`AttackPlan.to_json` / :meth:`from_json`)
-  for the ``repro attack --plan plan.json`` CLI surface;
+* are their own JSON schema: a ``repro attack --plan plan.json`` file
+  or an ``attack`` block in a submission is read by
+  :func:`repro.core.decode.decode_file` /
+  :func:`~repro.core.decode.decode`, and
+  ``json.dumps(dataclasses.asdict(plan))`` writes one;
 * sweep coherently: :meth:`AttackPlan.with_total` redistributes one
   total attacker count over the specs, which is what the Fig. 8
   degradation sweep varies.
@@ -27,15 +30,13 @@ bit-identically and adding an attacker never shifts another's draws.
 
 Validation is **eager** and uses the shared error taxonomy: every
 malformed plan raises :class:`~repro.errors.ConfigurationError` naming
-the offending field at construction/parse time, never mid-run.
+the offending field when it is decoded or validated, never mid-run.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
 
@@ -308,97 +309,3 @@ class AttackPlan:
             if count > 0
         )
         return AttackPlan(attackers=scaled)
-
-    # ------------------------------------------------------------------
-    # (De)serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        import dataclasses
-
-        return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AttackPlan":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"attack plan must be a JSON object, got {type(data).__name__}"
-            )
-        known = {"attackers", "format"}
-        unknown = [key for key in data if key not in known]
-        if unknown:
-            raise ConfigurationError(
-                f"unknown attack plan key(s) {unknown} (want {sorted(known)})"
-            )
-        specs = []
-        for index, raw in enumerate(data.get("attackers", ())):
-            if not isinstance(raw, dict):
-                raise ConfigurationError(f"attacker #{index} must be an object")
-            raw = dict(raw)
-            scope: Optional[AttackScope] = None
-            if raw.get("scope") is None:
-                # Absent or null: hosting-distribution placement.  A
-                # *present but empty* object is an explicit empty scope
-                # and is rejected by AttackerSpec.validate below.
-                raw.pop("scope", None)
-            else:
-                scope_raw = raw.pop("scope")
-                scope_known = {"asns", "prefixes", "addrs"}
-                scope_unknown = [
-                    key for key in scope_raw if key not in scope_known
-                ]
-                if scope_unknown:
-                    raise ConfigurationError(
-                        f"attacker #{index} scope has unknown key(s) {scope_unknown}"
-                    )
-                scope = AttackScope(
-                    asns=tuple(scope_raw.get("asns", ())),
-                    prefixes=tuple(scope_raw.get("prefixes", ())),
-                    addrs=tuple(scope_raw.get("addrs", ())),
-                )
-            spec_fields = {
-                f.name for f in AttackerSpec.__dataclass_fields__.values()
-            }
-            bad = [key for key in raw if key not in spec_fields - {"scope"}]
-            if bad:
-                raise ConfigurationError(
-                    f"attacker #{index} has unknown key(s) {bad}"
-                )
-            try:
-                specs.append(AttackerSpec(scope=scope, **raw))
-            except TypeError as exc:
-                raise ConfigurationError(f"attacker #{index}: {exc}") from exc
-        plan = cls(
-            attackers=tuple(specs), format=data.get("format", ATTACK_FORMAT)
-        )
-        plan.validate()
-        return plan
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttackPlan":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"corrupt attack plan JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "AttackPlan":
-        path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read attack plan {path}: {exc}"
-            ) from exc
-        return cls.from_json(text)
-
-    def to_file(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(), encoding="utf-8")
-        return path

@@ -80,8 +80,9 @@ class PolicyConfig:
 
     #: Registered variant name (``repro.bitcoin.policy.variant_names()``).
     variant: str = "baseline"
-    #: Knob overrides; canonicalized to the non-default subset.
-    params: Dict[str, Any] = field(default_factory=dict)
+    #: Knob overrides; canonicalized to the non-default subset (a dict
+    #: once constructed; ``None`` means no overrides).
+    params: Optional[Dict[str, Any]] = field(default_factory=dict)
 
     def __init__(
         self,
@@ -131,24 +132,6 @@ class PolicyConfig:
     def improved(cls) -> "PolicyConfig":
         """All three §V refinements enabled."""
         return cls(variant="improved")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PolicyConfig":
-        """Parse ``{"variant": ..., "params": {...}}``.
-
-        Strict: unknown top-level keys are rejected by name, as are
-        unknown variants and params (via canonicalization) — a typo must
-        fail the submission, not silently default and alias a cache key.
-        """
-        remaining = dict(data)
-        variant = remaining.pop("variant", "baseline")
-        params = remaining.pop("params", None)
-        if remaining:
-            raise ValueError(
-                f"unknown PolicyConfig keys {sorted(remaining)} "
-                f"(expected variant/params)"
-            )
-        return cls(variant, params)
 
 
 @dataclass

@@ -57,7 +57,9 @@ from . import core
 from .bitcoin import NodeConfig
 from .core import export as export_mod
 from .core.condition_sweep import DEFAULT_CHURN_LEVELS, DEFAULT_VARIANTS
+from .core.decode import decode_file
 from .core.reports import comparison_table, format_table
+from .errors import ConfigurationError
 from .netmodel import (
     LongitudinalConfig,
     LongitudinalScenario,
@@ -82,7 +84,7 @@ def _load_fault_plan(args: argparse.Namespace):
         return None
     from .faults import FaultPlan
 
-    plan = FaultPlan.from_file(path)
+    plan = decode_file(FaultPlan, path)
     print(f"fault plan: {len(plan)} fault(s) loaded from {path}")
     return plan
 
@@ -130,19 +132,18 @@ def _sync_base(args: argparse.Namespace, **extra: Any):
     )
 
 
-def _store_flags_error(args: argparse.Namespace) -> Optional[str]:
-    """What is wrong with this use of ``_store_flags``, if anything: a
-    run to resume or to force is one run in a store that is named."""
+def _check_store_flags(args: argparse.Namespace) -> None:
+    """Refuse a use of ``_store_flags`` that names no single stored
+    run: a run to resume or to force is one run in a store that is named."""
     if not (args.resume or args.force):
-        return None
+        return
     if not args.store:
-        return "--resume and --force require --store"
+        raise ConfigurationError("--resume and --force require --store")
     if args.command == "campaign" and args.seeds > 1:
-        return (
+        raise ConfigurationError(
             "--resume and --force address one run; a --seeds sweep "
             "stores one per seed (re-run it to resume each)"
         )
-    return None
 
 
 def _say_stored(
@@ -461,7 +462,7 @@ def _cmd_sync(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import FaultPlan
 
-    plan = FaultPlan.from_file(args.faults)
+    plan = decode_file(FaultPlan, args.faults)
     intensities = [float(part) for part in args.intensities.split(",")]
     seeds = core.seed_range(args.seed, args.seeds)
     conditions = core.fault_conditions(plan, _sync_base(args), intensities)
@@ -489,7 +490,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     from .adversary import AttackPlan
 
-    plan = AttackPlan.from_file(args.plan)
+    plan = decode_file(AttackPlan, args.plan)
     counts = [int(part) for part in args.counts.split(",")]
     base = _sync_base(args)
     seeds = core.seed_range(args.seed, args.seeds)
@@ -548,7 +549,7 @@ def _cmd_variants(args: argparse.Namespace) -> int:
     if args.faults:
         from .faults import FaultPlan
 
-        fault_plan = FaultPlan.from_file(args.faults)
+        fault_plan = decode_file(FaultPlan, args.faults)
         fault_plans = [None, fault_plan]
         print(
             f"fault plan: {len(fault_plan)} fault(s) loaded from "
@@ -872,7 +873,7 @@ def _sweep_flags(p: argparse.ArgumentParser, seeds: int, per: str) -> None:
 
 
 def _store_flags(p: argparse.ArgumentParser, unit: str) -> None:
-    """``--store/--resume/--force``, checked by ``_store_flags_error``."""
+    """``--store/--resume/--force``, checked by ``_check_store_flags``."""
     p.add_argument(
         "--store", type=str, default=None, metavar="DIR",
         help=f"checkpoint each {unit} into this run store "
@@ -1080,20 +1081,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; a malformed setting — a flag, a plan file, a
+    config the command refuses — prints ``error: …`` and exits 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "resume"):
-        error = _store_flags_error(args)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    profile_out = getattr(args, "profile", None)
-    if profile_out:
-        from .perf.profiler import profile_to
+    try:
+        if hasattr(args, "resume"):
+            _check_store_flags(args)
+        profile_out = getattr(args, "profile", None)
+        if profile_out:
+            from .perf.profiler import profile_to
 
-        with profile_to(profile_out):
-            return args.func(args)
-    return args.func(args)
+            with profile_to(profile_out):
+                return args.func(args)
+        return args.func(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -56,12 +56,14 @@ class ConfigurationError(ReproError, ValueError):
     """
 
 
-class FaultInjectionError(ReproError):
+class FaultInjectionError(ConfigurationError):
     """An invalid fault plan or a fault that cannot apply to this world.
 
     Raised at compile time (malformed :class:`~repro.faults.plan.FaultSpec`,
     a crash fault with no node provider) rather than mid-simulation: a
-    fault plan either installs completely or not at all.
+    fault plan either installs completely or not at all.  A malformed
+    plan is a malformed setting, so a submission carrying one is a 400
+    and a CLI run exits 2, like any other :class:`ConfigurationError`.
     """
 
 

@@ -12,8 +12,11 @@ Plans are plain frozen dataclasses so they
 * serialize through ``dataclasses.asdict`` into run-store keys — a
   campaign under a fault plan is a *different experiment* than the same
   campaign without it, and the content-addressed cache must see that;
-* round-trip to JSON (:meth:`FaultPlan.to_json` / :meth:`from_json`)
-  for the ``--faults plan.json`` CLI surface;
+* are their own JSON schema: a ``--faults plan.json`` file or a
+  ``faults`` block in a submission is read by
+  :func:`repro.core.decode.decode_file` /
+  :func:`~repro.core.decode.decode`, and
+  ``json.dumps(dataclasses.asdict(plan))`` writes one;
 * scale coherently: :meth:`FaultPlan.scaled` multiplies every intensity
   axis (probabilities, rates, delays, partition durations, crash
   downtimes) by one factor, which is what the ``sync_under_faults``
@@ -26,10 +29,8 @@ deterministic) fault realisations, exactly like churn timelines.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from ..errors import FaultInjectionError
 
@@ -234,82 +235,3 @@ class FaultPlan:
                     spec = replace(spec, downtime=spec.downtime * intensity)
             scaled.append(spec)
         return FaultPlan(faults=tuple(scaled))
-
-    # ------------------------------------------------------------------
-    # (De)serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        import dataclasses
-
-        return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise FaultInjectionError(
-                f"fault plan must be a JSON object, got {type(data).__name__}"
-            )
-        known = {"faults", "format"}
-        unknown = [key for key in data if key not in known]
-        if unknown:
-            raise FaultInjectionError(
-                f"unknown fault plan key(s) {unknown} (want {sorted(known)})"
-            )
-        specs = []
-        for index, raw in enumerate(data.get("faults", ())):
-            if not isinstance(raw, dict):
-                raise FaultInjectionError(f"fault #{index} must be an object")
-            raw = dict(raw)
-            scope_raw = raw.pop("scope", None) or {}
-            scope_known = {"asns", "prefixes", "addrs"}
-            scope_unknown = [key for key in scope_raw if key not in scope_known]
-            if scope_unknown:
-                raise FaultInjectionError(
-                    f"fault #{index} scope has unknown key(s) {scope_unknown}"
-                )
-            scope = FaultScope(
-                asns=tuple(scope_raw.get("asns", ())),
-                prefixes=tuple(scope_raw.get("prefixes", ())),
-                addrs=tuple(scope_raw.get("addrs", ())),
-            )
-            spec_fields = {f.name for f in FaultSpec.__dataclass_fields__.values()}
-            bad = [key for key in raw if key not in spec_fields]
-            if bad:
-                raise FaultInjectionError(
-                    f"fault #{index} has unknown key(s) {bad}"
-                )
-            try:
-                specs.append(FaultSpec(scope=scope, **raw))
-            except TypeError as exc:
-                raise FaultInjectionError(f"fault #{index}: {exc}") from exc
-        plan = cls(faults=tuple(specs), format=data.get("format", PLAN_FORMAT))
-        plan.validate()
-        return plan
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise FaultInjectionError(f"corrupt fault plan JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "FaultPlan":
-        path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise FaultInjectionError(
-                f"cannot read fault plan {path}: {exc}"
-            ) from exc
-        return cls.from_json(text)
-
-    def to_file(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json(), encoding="utf-8")
-        return path

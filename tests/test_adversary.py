@@ -2,8 +2,8 @@
 
 Four layers under test:
 
-* **Plan layer** — eager validation with named-field errors, JSON
-  round-trips, count redistribution for the sweep axis.
+* **Plan layer** — eager validation with named-field errors, decoding
+  from JSON, count redistribution for the sweep axis.
 * **Behavior layer** — deterministic replay (same seed, bit-identical
   attacker counters and sync figures), snapshot/restore mid-attack,
   eclipse slot monopoly and restart starvation, the staller trap.
@@ -40,6 +40,7 @@ from repro.core import (
     score_detection,
     time_to_detection,
 )
+from repro.core.decode import decode, decode_file
 from repro.core.getaddr import CrawlResult, PeerHarvest
 from repro.core.malicious_detect import DetectionReport, MaliciousFinding
 from repro.core.pipeline import CRAWLER_ADDR
@@ -118,19 +119,23 @@ class TestPlanValidation:
             AttackerSpec(kind="addr_flooder", victim="0.9.0.1:8333").validate()
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown attack plan key"):
-            AttackPlan.from_dict({"atackers": []})
-        with pytest.raises(ConfigurationError, match="unknown key"):
-            AttackPlan.from_dict(
-                {"attackers": [{"kind": "addr_flooder", "countt": 2}]}
+        with pytest.raises(ConfigurationError, match=r"\['atackers'\] for AttackPlan"):
+            decode(AttackPlan, {"atackers": []})
+        with pytest.raises(ConfigurationError, match=r"\['countt'\] for attackers\[0\]"):
+            decode(
+                AttackPlan,
+                {"attackers": [{"kind": "addr_flooder", "countt": 2}]},
             )
-        with pytest.raises(ConfigurationError, match="scope has unknown key"):
-            AttackPlan.from_dict(
+        with pytest.raises(
+            ConfigurationError, match=r"\['asn'\] for attackers\[0\]\.scope"
+        ):
+            decode(
+                AttackPlan,
                 {
                     "attackers": [
                         {"kind": "addr_flooder", "scope": {"asn": [1]}}
                     ]
-                }
+                },
             )
 
     def test_protocol_config_validates_plan_eagerly(self):
@@ -177,32 +182,15 @@ class TestPlanValidation:
 
 
 class TestPlanSerialization:
-    def test_json_round_trip(self, tmp_path):
-        plan = AttackPlan(
-            attackers=(
-                AttackerSpec(
-                    kind="addr_flooder",
-                    count=3,
-                    tier="reachable",
-                    scope=AttackScope(asns=(3320,)),
-                    flood_volume=4000,
-                ),
-                AttackerSpec(kind="sync_staller", height_lead=500),
-            )
-        )
-        path = plan.to_file(tmp_path / "plan.json")
-        assert AttackPlan.from_file(path) == plan
-        assert AttackPlan.from_dict(plan.to_dict()) == plan
-
     def test_null_scope_means_hosting_placement(self):
-        plan = AttackPlan.from_dict(
-            {"attackers": [{"kind": "addr_flooder", "scope": None}]}
+        plan = decode(
+            AttackPlan, {"attackers": [{"kind": "addr_flooder", "scope": None}]}
         )
         assert plan.attackers[0].scope is None
         # A present-but-empty scope object is a config mistake.
         with pytest.raises(ConfigurationError, match="scope is empty"):
-            AttackPlan.from_dict(
-                {"attackers": [{"kind": "addr_flooder", "scope": {}}]}
+            decode(
+                AttackPlan, {"attackers": [{"kind": "addr_flooder", "scope": {}}]}
             )
 
     def test_shipped_example_plan_parses(self):
@@ -211,7 +199,7 @@ class TestPlanSerialization:
             / "examples"
             / "attackplan_flood.json"
         )
-        plan = AttackPlan.from_file(path)
+        plan = decode_file(AttackPlan, path)
         assert plan.total_count == 3
         assert plan.attackers[0].scope.asns == (3320,)
 

@@ -8,10 +8,14 @@ its headline table on stdout.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.store import RunStore
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 @pytest.fixture
@@ -149,6 +153,43 @@ class TestStoreFlags:
         )
         assert code == 2
         assert "one run" in capsys.readouterr().err
+
+
+class TestBadInput:
+    """A malformed plan file or a config the command refuses is one
+    ``error:`` line and exit 2 — not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, plan, says",
+        [
+            (["chaos", "--faults"], None, "is not a readable JSON file"),
+            (["chaos", "--faults"], "{nope", "is not a readable JSON file"),
+            (["chaos", "--faults"],
+             '{"faults": [{"kind": "drop", "probability": "0.5"}]}',
+             'faults[0].probability must be a number, got "0.5"'),
+            # Small enough that the run the parent made of it ends.
+            (["attack", "--counts", "1", "--nodes", "8", "--hours", "0.1",
+              "--seeds", "1", "--workers", "1", "--plan"],
+             '{"attackers": [{"kind": "addr_flooder", "count": true}]}',
+             "attackers[0].count must be an integer, got true"),
+            (["attack", "--plan"], EXAMPLES / "attackplan_flood.json",
+             "73 reachable-tier attackers exceed the network size "
+             "(40 reachable nodes)"),
+        ],
+        ids=["missing-file", "corrupt-json", "string-probability",
+             "bool-count", "flood-at-default-counts"],
+    )
+    def test_is_an_error_line_not_a_traceback(
+        self, tmp_path, capsys, command, plan, says
+    ):
+        path = tmp_path / "plan.json"
+        if isinstance(plan, str):
+            path.write_text(plan)
+        elif plan is not None:
+            path = plan
+        assert main(command + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err, err
 
 
 class TestStoreSmoke:

@@ -7,6 +7,11 @@ is imported inside that analysis (docs/architecture.md, "Cold start"):
 scipy by ``analysis.kde.kde``, networkx by the ``netmodel.metrics``
 topology helpers.  ``test_analysis.py`` and ``test_metrics_propagation.py``
 show those still work once called.
+
+The child also imports ``repro.core.decode`` — the one JSON-to-config
+decoder the CLI's plan files and the service's submissions share — with
+``repro.serve`` blocked, so the decoder cannot drift back into the
+service layer.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ import runpy
 import sys
 
 sys.modules["scipy"] = sys.modules["networkx"] = None
+sys.modules["repro.serve"] = None
+import repro.core.decode
+del sys.modules["repro.serve"]
 import repro, repro.cli, repro.store, repro.serve, repro.core
 import repro.netmodel, repro.analysis
 

@@ -45,6 +45,7 @@ from repro.core import (
     variant_conditions,
 )
 from repro.core import parallel
+from repro.core.decode import decode_file
 from repro.errors import ConfigurationError, FaultInjectionError, ScenarioError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.store import RunStore, run_stored
@@ -420,7 +421,7 @@ def test_flood_degrades_sync_monotonically():
     two seeds: mean sync % strictly falls as the cohort grows, and the
     flooders actually flooded."""
     base = SyncCampaignConfig(n_reachable=16, duration=0.3 * 3600.0, seed=21)
-    plan = AttackPlan.from_file(EXAMPLES / "attackplan_flood.json")
+    plan = decode_file(AttackPlan, EXAMPLES / "attackplan_flood.json")
     result = ConditionSweepPlan(
         "attack", attack_conditions(plan, base, (0, 4, 8)), [21, 22], workers=2
     ).run()

@@ -1,8 +1,12 @@
 """Tests for the deterministic fault-injection subsystem (repro.faults)."""
 
+import dataclasses
+import json
+
 import pytest
 
-from repro.errors import FaultInjectionError
+from repro.core.decode import decode, decode_file
+from repro.errors import ConfigurationError, FaultInjectionError
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -23,23 +27,13 @@ from repro.simnet.simulator import Simulator
 # Plan validation and (de)serialization
 # ---------------------------------------------------------------------------
 class TestFaultPlan:
-    def test_json_round_trip(self):
-        plan = FaultPlan(faults=(
-            FaultSpec(kind="drop", probability=0.1, start=5.0, duration=50.0),
-            FaultSpec(kind="partition", start=10.0, duration=20.0,
-                      scope=FaultScope(asns=(24940,), prefixes=(7,),
-                                       addrs=("1.2.3.4:8333",))),
-            FaultSpec(kind="crash", scope=FaultScope(asns=(3320,)),
-                      downtime=60.0, state_loss=False, name="outage"),
-        ))
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
     def test_file_round_trip(self, tmp_path):
         plan = FaultPlan(faults=(
             FaultSpec(kind="delay", delay=0.5, jitter=0.2),
         ))
-        path = plan.to_file(tmp_path / "plan.json")
-        assert FaultPlan.from_file(path) == plan
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(dataclasses.asdict(plan)))
+        assert decode_file(FaultPlan, path) == plan
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FaultInjectionError, match="unknown fault kind"):
@@ -68,20 +62,22 @@ class TestFaultPlan:
             FaultPlan(faults=(spec,)).validate()
 
     def test_unknown_plan_key_rejected(self):
-        with pytest.raises(FaultInjectionError, match="unknown fault plan key"):
-            FaultPlan.from_dict({"faults": [], "bogus": 1})
+        with pytest.raises(ConfigurationError, match=r"\['bogus'\] for FaultPlan"):
+            decode(FaultPlan, {"faults": [], "bogus": 1})
 
     def test_unknown_fault_key_rejected(self):
-        with pytest.raises(FaultInjectionError, match="unknown key"):
-            FaultPlan.from_dict({"faults": [{"kind": "drop", "oops": 2}]})
+        with pytest.raises(ConfigurationError, match=r"\['oops'\] for faults\[0\]"):
+            decode(FaultPlan, {"faults": [{"kind": "drop", "oops": 2}]})
 
     def test_format_mismatch_rejected(self):
         with pytest.raises(FaultInjectionError, match="format"):
-            FaultPlan.from_dict({"faults": [], "format": PLAN_FORMAT + 1})
+            decode(FaultPlan, {"faults": [], "format": PLAN_FORMAT + 1})
 
-    def test_corrupt_json_rejected(self):
-        with pytest.raises(FaultInjectionError, match="corrupt"):
-            FaultPlan.from_json("{nope")
+    def test_corrupt_json_rejected(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text("{nope")
+        with pytest.raises(ConfigurationError, match="plan.json is not a readable"):
+            decode_file(FaultPlan, path)
 
     def test_scaled_clips_probability(self):
         plan = FaultPlan(faults=(FaultSpec(kind="drop", probability=0.6),))

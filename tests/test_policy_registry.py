@@ -27,6 +27,8 @@ from repro.bitcoin.policy import (
     variant_names,
 )
 from repro.core import CampaignConfig, CampaignRunner
+from repro.core.decode import decode
+from repro.errors import ConfigurationError
 from repro.netmodel import (
     LongitudinalConfig,
     LongitudinalScenario,
@@ -118,22 +120,15 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             PolicyConfig(variant="baseline", params={"addr_from_tried_only": 1})
 
-    def test_from_dict_round_trip(self):
-        config = PolicyConfig(
-            variant="unreachable-relay", params={"assist_fraction": 0.5}
-        )
-        clone = PolicyConfig.from_dict(dataclasses.asdict(config))
-        assert dataclasses.asdict(clone) == dataclasses.asdict(config)
-
     def test_from_dict_rejects_retired_keys_by_name(self):
-        with pytest.raises(ValueError, match="tried_horizon_days"):
-            PolicyConfig.from_dict({"tried_horizon_days": 17})
-        clone = PolicyConfig.from_dict({"params": _IMPROVED_KNOBS})
+        with pytest.raises(ConfigurationError, match="tried_horizon_days"):
+            decode(PolicyConfig, {"tried_horizon_days": 17})
+        clone = decode(PolicyConfig, {"params": _IMPROVED_KNOBS})
         assert clone.variant == "improved"
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError):
-            PolicyConfig.from_dict({"variant": "baseline", "bogus": 1})
+        with pytest.raises(ConfigurationError, match="bogus"):
+            decode(PolicyConfig, {"variant": "baseline", "bogus": 1})
 
     def test_pickle_round_trip(self):
         config = PolicyConfig(variant="churn-resilient")

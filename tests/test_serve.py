@@ -285,6 +285,62 @@ class TestBackpressureAndQuota:
         with_service(tmp_path, body)
 
 
+def in_scenario(**block):
+    """TINY with ``block`` added to its scenario."""
+    return {"scenario": dict(TINY["scenario"], **block), "snapshots": 2}
+
+
+def _fault(**spec):
+    return in_scenario(faults={"faults": [dict({"kind": "drop"}, **spec)]})
+
+
+def _attacker(**spec):
+    return in_scenario(
+        attack={"attackers": [dict({"kind": "addr_flooder"}, **spec)]}
+    )
+
+
+#: ``(body, the path the refusal must name)``: every value the decoder
+#: refuses, once per kind of mistake and once per nesting level.
+REFUSALS = {
+    "bool-count": (_attacker(count=True), "scenario.attack.attackers[0].count"),
+    "string-probability": (
+        _fault(probability="0.5"), "scenario.faults.faults[0].probability"
+    ),
+    "string-asns": (
+        _fault(scope={"asns": "12"}), "scenario.faults.faults[0].scope.asns"
+    ),
+    "object-attackers": (
+        in_scenario(attack={"attackers": {}}), "scenario.attack.attackers"
+    ),
+    "null-fault-scope": (_fault(scope=None), "scenario.faults.faults[0].scope"),
+    "unknown-top": (dict(TINY, bogus=1), "Submission"),
+    "unknown-scenario": (in_scenario(bogus=1), "scenario"),
+    "unknown-campaign": (dict(TINY, campaign={"bogus": 1}), "campaign"),
+    "unknown-campaign-probe": (
+        dict(TINY, campaign={"probe": {"bogus": 1}}), "campaign.probe"
+    ),
+    "unknown-churn": (in_scenario(churn={"bogus": 1}), "scenario.churn"),
+    "unknown-faults": (
+        in_scenario(faults={"faults": [], "bogus": 1}), "scenario.faults"
+    ),
+    "unknown-fault": (_fault(bogus=1), "scenario.faults.faults[0]"),
+    "unknown-fault-scope": (
+        _fault(scope={"bogus": 1}), "scenario.faults.faults[0].scope"
+    ),
+    "unknown-attack": (
+        in_scenario(attack={"attackers": [], "bogus": 1}), "scenario.attack"
+    ),
+    "unknown-attacker": (_attacker(bogus=1), "scenario.attack.attackers[0]"),
+    "unknown-attacker-scope": (
+        _attacker(scope={"bogus": 1}), "scenario.attack.attackers[0].scope"
+    ),
+    "unknown-policies": (
+        in_scenario(policies={"bogus": 1}), "scenario.policies"
+    ),
+}
+
+
 class TestValidation:
     def test_unknown_scenario_field_is_400(self, tmp_path):
         async def body(service, client):
@@ -364,6 +420,40 @@ class TestValidation:
             assert r.status == 400, r.json()
             assert field in r.json()["error"]
             assert service.metrics.internal_errors == 0
+
+        with_service(tmp_path, run)
+        assert RunStore(tmp_path / "store").manifests() == []
+
+    def test_refusals_are_400_naming_the_path(self, tmp_path):
+        """``REFUSALS`` over the wire: each one a 400 that names its
+        path, none a 500, nothing stored."""
+
+        async def run(service, client):
+            for name, (body, path) in REFUSALS.items():
+                r = await client.request("POST", "/v1/campaigns", body=body)
+                assert r.status == 400, (name, r.json())
+                assert path in r.json()["error"], name
+            assert service.metrics.internal_errors == 0
+
+        with_service(tmp_path, run)
+        assert RunStore(tmp_path / "store").manifests() == []
+
+    def test_malformed_fault_plan_is_400_not_500(self, tmp_path):
+        """A fault plan that decodes but fails its own ``validate()``
+        raised ``FaultInjectionError``, which the service did not map:
+        a 500 for a client's typo."""
+
+        async def run(service, client):
+            for spec in (
+                {"kind": "bogus"},
+                {"kind": "drop", "probability": 0.1, "scope": {"asns": [-1]}},
+            ):
+                body = in_scenario(faults={"faults": [spec]})
+                r = await client.request("POST", "/v1/campaigns", body=body)
+                assert r.status == 400, r.json()
+            assert service.metrics.internal_errors == 0
+            q = (await client.request("GET", "/v1/admin/quota")).json()
+            assert "anon" not in q["tenants"]  # runs_submitted untouched
 
         with_service(tmp_path, run)
         assert RunStore(tmp_path / "store").manifests() == []

@@ -215,13 +215,16 @@ _RELAY = PolicyConfig(variant="unreachable-relay")
 
 
 def _cli_variants_under_full():
-    from repro.cli import main
+    # The command itself, not ``main``: ``main`` prints the same
+    # message as ``error: …`` and exits 2.
+    from repro.cli import build_parser
 
-    return main(
+    args = build_parser().parse_args(
         ["variants", "--variants", "baseline,unreachable-relay",
          "--fidelities", "full", "--nodes", "10", "--hours", "0.2",
          "--seeds", "1", "--workers", "1"]
     )
+    return args.func(args)
 
 
 @pytest.mark.parametrize(
