@@ -150,7 +150,7 @@ class AddrFlooderNode(AdversaryNode):
         if not self.running:
             return
         now = self.sim.now
-        for peer in self.established_peers:
+        for peer in self.established_peer_list():
             records = tuple(
                 TimestampedAddr(self._pool_addr(), now) for _ in range(10)
             )
@@ -167,7 +167,7 @@ class EclipseNode(AdversaryNode):
 
     Each attacker holds ``connections_target`` sockets open to the
     victim (the transport allows parallel sockets to one host; only the
-    honest connection manager deduplicates), answers the victim's
+    honest connection loop deduplicates), answers the victim's
     GETADDR with nothing but attacker-cohort addresses, and pushes the
     cohort as unsolicited ADDR gossip so the victim's addrman drains
     toward attacker-only entries — the Heilman-style slot monopoly the
@@ -234,7 +234,7 @@ class EclipseNode(AdversaryNode):
         )
         for _ in range(max(0, deficit)):
             self._pending_connects += 1
-            # Straight to the transport: the honest ConnectionManager
+            # Straight to the transport: the honest connection loop
             # would refuse a second socket to one host, which is exactly
             # the courtesy an eclipse attacker does not extend.
             self.sim.network.connect(
@@ -386,7 +386,7 @@ class SyncStallerNode(AdversaryNode):
         if not self.running:
             return
         sent = False
-        for peer in self.established_peers:
+        for peer in self.established_peer_list():
             inv = self._phantom_inv(self.chain.height, limit=16)
             if inv.items:
                 peer.enqueue_send(inv)
@@ -492,7 +492,7 @@ class InvSpammerNode(AdversaryNode):
         if not self.running:
             return
         sent = False
-        for peer in self.established_peers:
+        for peer in self.established_peer_list():
             items = tuple(
                 InvItem(InvType.TX, self.adv_rng.getrandbits(63) | (1 << 62))
                 for _ in range(self.spam_batch)
@@ -505,21 +505,3 @@ class InvSpammerNode(AdversaryNode):
 
     def stats(self) -> dict:
         return {"invs_spammed": self.invs_spammed}
-
-
-# Method overrides must be re-bound into the per-class dispatch table:
-# the handler loop resolves commands through ``cls._DISPATCH``, not
-# ``getattr``, so a subclass that overrides a handler re-registers it.
-SyncStallerNode._DISPATCH = {
-    **BitcoinNode._DISPATCH,
-    "version": SyncStallerNode._handle_version,
-    "addr": SyncStallerNode._handle_addr,
-    "getblocks": SyncStallerNode._handle_getblocks,
-    "getdata": SyncStallerNode._handle_getdata,
-}
-EclipseNode._DISPATCH = {
-    **BitcoinNode._DISPATCH,
-    "addr": EclipseNode._handle_addr,
-    "getblocks": EclipseNode._handle_getblocks,
-    "getdata": EclipseNode._handle_getdata,
-}

@@ -12,13 +12,10 @@ from .behavior import (
     FIDELITY_FULL,
     FIDELITY_LIGHT,
     NodeBehavior,
-    describe_tier,
     validate_fidelity,
 )
 from .blockchain import GENESIS_ID, Block, Blockchain, make_genesis
 from .config import NodeConfig, PolicyConfig, unreachable_config
-from .connection import ConnectionManager
-from .handler import HandlerLoop
 from .light import DEFAULT_LIGHT_PROFILE, LightNode, LightNodeProfile
 from .mempool import Mempool, Transaction
 from .messages import (
@@ -57,7 +54,6 @@ from .policy import (
     variant_names,
 )
 from .relay import RelayRecord, RelayTracker, relay_order
-from .relay_engine import RelayEngine
 
 __all__ = [
     "DEFAULT_LIGHT_PROFILE",
@@ -76,12 +72,10 @@ __all__ = [
     "CmpctBlock",
     "ConnPolicy",
     "ConnectionAttempt",
-    "ConnectionManager",
     "GetAddr",
     "GetBlockTxn",
     "GetBlocks",
     "GetData",
-    "HandlerLoop",
     "Inv",
     "InvItem",
     "InvType",
@@ -100,7 +94,6 @@ __all__ = [
     "PolicyConfig",
     "PolicyVariant",
     "Pong",
-    "RelayEngine",
     "RelayRecord",
     "RelayTracker",
     "SendCmpct",
@@ -110,7 +103,6 @@ __all__ = [
     "Verack",
     "Version",
     "build_policies",
-    "describe_tier",
     "get_variant",
     "make_genesis",
     "register",

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..simnet.addresses import NetAddr
 from ..simnet.transport import Socket
 
 #: Tier tags, also used in scenario configs and run-store keys.
@@ -59,10 +58,6 @@ class NodeBehavior:
     fidelity: str = FIDELITY_FULL
 
     # -- lifecycle ------------------------------------------------------
-    @property
-    def is_light(self) -> bool:
-        return self.fidelity == FIDELITY_LIGHT
-
     def start(self) -> None:
         """Bring the behavior online (register with the transport)."""
         raise NotImplementedError
@@ -87,14 +82,6 @@ class NodeBehavior:
         """The remote side (or the network) closed the connection."""
 
 
-def describe_tier(behavior: Any) -> str:
-    """``"full"``/``"light"`` for census lines; tolerant of duck types."""
-    fidelity = getattr(behavior, "fidelity", None)
-    if fidelity in (FIDELITY_FULL, FIDELITY_LIGHT):
-        return fidelity
-    return FIDELITY_FULL
-
-
 def validate_fidelity(fidelity: str) -> str:
     """Normalise a scenario-level fidelity knob value.
 
@@ -115,6 +102,5 @@ __all__ = [
     "FIDELITY_FULL",
     "FIDELITY_LIGHT",
     "NodeBehavior",
-    "describe_tier",
     "validate_fidelity",
 ]

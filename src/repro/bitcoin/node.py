@@ -1,40 +1,40 @@
 """The simulated Bitcoin node (full tier).
 
 This is a Python rendering of the Bitcoin Core v0.20.1 architecture the
-paper reverse-engineered (§IV-B, §IV-C), composed from three extracted
-components plus the protocol-handler core that stays here:
+paper reverse-engineered (§IV-B, §IV-C), as one object:
 
-* :class:`~repro.bitcoin.connection.ConnectionManager` —
-  ThreadOpenConnections (one outbound attempt at a time, targets drawn
-  from addrman's new/tried tables with *no reachability information*)
-  and the ~2-minute feeler probes, with the Fig. 6/7 attempt log.
-* :class:`~repro.bitcoin.handler.HandlerLoop` — SocketHandler /
-  ThreadMessageHandler (paper Fig. 9, Alg. 3): round-robin passes, one
-  message per peer, sends serialized on the node's uplink (the §IV-C
-  relaying delay).
-* :class:`~repro.bitcoin.relay_engine.RelayEngine` — BIP152 compact
-  blocks with high-bandwidth peers, INV/GETDATA otherwise, Poisson inv
-  trickle, and the §V relay-priority policies.
+* **Connections** — ThreadOpenConnections (one outbound attempt at a
+  time, targets drawn from addrman's new/tried tables with *no
+  reachability information*) and the ~2-minute feeler probes, with the
+  Fig. 6/7 attempt log.
+* **The handler pass** — SocketHandler / ThreadMessageHandler (paper
+  Fig. 9, Alg. 3): round-robin passes, one message per peer, sends
+  serialized on the node's uplink (the §IV-C relaying delay).
+* **Protocol handlers** — one ``_handle_<command>`` method per message
+  command; :attr:`BitcoinNode._DISPATCH` is built from those names, for
+  this class and for every subclass, so an override is dispatched
+  without being registered anywhere.
+* **Relay** — BIP152 compact blocks with high-bandwidth peers, INV/GETDATA
+  otherwise, Poisson inv trickle, and the §V relay-priority policies.
 
-The node itself keeps identity (addr/config/RNG), the data planes
-(addrman, chain, mempool, peers), the per-message protocol handlers,
-and the measurement surface (tip history, relay tracker, attempt log
-view).  The :class:`~repro.bitcoin.light.LightNode` tier implements the
-same :class:`~repro.bitcoin.behavior.NodeBehavior` contract in O(1)
-memory for the unreachable cloud.
+Around those sit identity (addr/config/RNG), the data planes (addrman,
+chain, mempool, peers) and the measurement surface (tip history, relay
+tracker, attempt log).  The :class:`~repro.bitcoin.light.LightNode` tier
+implements the same :class:`~repro.bitcoin.behavior.NodeBehavior`
+contract in O(1) memory for the unreachable cloud.
 
-The decomposition is draw-for-draw and event-for-event identical to the
-monolithic node it replaced: every RNG call still comes from the same
-``("node", addr)`` stream in the same order, and every ``schedule()``
-call happens at the same point in the run, so same-seed figures are
-bit-identical across the refactor.
+Every RNG call comes from the one ``("node", addr)`` stream, and callbacks
+placed on the event queue are bound methods or ``functools.partial``
+objects, never closures, so simulator snapshots keep pickling.
 """
 
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..simnet.addresses import NetAddr, TimestampedAddr, stamp
@@ -46,8 +46,6 @@ from .addrman import AddrMan
 from .behavior import FIDELITY_FULL, NodeBehavior
 from .blockchain import Block, Blockchain
 from .config import NodeConfig
-from .connection import ConnectionAttempt, ConnectionManager
-from .handler import HandlerLoop
 from .mempool import Mempool, Transaction
 from .messages import (
     GETADDR,
@@ -75,7 +73,6 @@ from .messages import (
 from .peer import Peer
 from .policy.registry import build_policies
 from .relay import RelayTracker
-from .relay_engine import RelayEngine
 
 __all__ = ["BitcoinNode", "ConnectionAttempt"]
 
@@ -83,11 +80,83 @@ __all__ = ["BitcoinNode", "ConnectionAttempt"]
 #: feeds set.update without a Python-level lambda per record.
 _record_addr = itemgetter(0)
 
+#: Smallest gap between consecutive handler passes when work remains.
+_MIN_PASS_GAP = 0.001
+
+_HANDLER_PREFIX = "_handle_"
+
+
+def _dispatch_table(cls: type) -> Dict[str, Callable]:
+    """``command -> handler`` from ``cls``'s ``_handle_<command>`` methods."""
+    return {
+        name[len(_HANDLER_PREFIX):]: getattr(cls, name)
+        for name in dir(cls)
+        if name.startswith(_HANDLER_PREFIX)
+    }
+
+
+@dataclass(slots=True)
+class ConnectionAttempt:
+    """One outbound connection attempt and its outcome (Fig. 7 data)."""
+
+    started_at: float
+    finished_at: float
+    target: NetAddr
+    outcome: str  # "success", "failed", or "feeler-success"/"feeler-failed"
+
+    @property
+    def succeeded(self) -> bool:
+        return self.outcome.endswith("success")
+
+    @property
+    def duration(self) -> float:
+        return self.finished_at - self.started_at
+
+
+class _FeelerHandler:
+    """Socket handler for feeler connections: connect, verify, drop."""
+
+    def on_message(self, socket: Socket, message: Message) -> None:
+        pass  # a feeler never processes protocol traffic
+
+    def on_disconnect(self, socket: Socket) -> None:
+        pass
+
 
 class BitcoinNode(NodeBehavior):
     """A Bitcoin peer: reachable (listening) or unreachable (NAT'd)."""
 
     fidelity = FIDELITY_FULL
+
+    #: command -> ``_handle_<command>``; rebuilt for every subclass.
+    _DISPATCH: Dict[str, Callable] = {}
+
+    # A full node has more attributes than CPython keeps in an
+    # instance's inline values (29 on CPython 3.11); past that every
+    # instance grows a separate ``__dict__`` and every attribute read on
+    # the hot path takes the slower dict route (≈ 4 % of a 150-node
+    # gossip run's wall time).  Slots keep the state inline.  Subclasses
+    # (the adversaries) add a ``__dict__`` for their own fields only.
+    __slots__ = (
+        "sim", "addr", "config", "name", "_clock", "_rng", "policy",
+        "addrman", "chain", "mempool", "peers", "running", "started_at",
+        "departed",
+        # connections
+        "attempt_log", "active_feelers", "_attempt_in_flight",
+        "_connect_event", "_feeler_task",
+        # the handler pass
+        "_pass_scheduled", "uplink_free_at", "_schedule_pass",
+        "dirty_process", "dirty_send",
+        # relay and the periodic rounds
+        "_inbound_trickle_armed", "_getaddr_task", "_ping_task",
+        "_established_cache", "_pending_cmpct",
+        # measurement
+        "relay_tracker", "first_relay_at", "tip_history", "on_tip_advanced",
+    )
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._DISPATCH = _dispatch_table(cls)
 
     def __init__(
         self,
@@ -124,10 +193,35 @@ class BitcoinNode(NodeBehavior):
         #: Set by :meth:`depart`: the node left for good and this object
         #: is the record of it.
         self.departed = False
-        # Composed behavior layers.
-        self.connections = ConnectionManager(self)
-        self.handlers = HandlerLoop(self)
-        self.relay = RelayEngine(self)
+        # -- connections --
+        #: Fig. 7 measurement: every logged attempt and its outcome.
+        self.attempt_log: List[ConnectionAttempt] = []
+        #: Feeler connections currently in flight (they occupy sockets
+        #: but not outbound slots; polling counts them — Fig. 6).
+        self.active_feelers = 0
+        self._attempt_in_flight = False
+        self._connect_event = None
+        self._feeler_task = None
+        # -- the handler pass --
+        #: True while a pass sits on the event queue (the wake latch).
+        self._pass_scheduled = False
+        #: When the node's uplink finishes its last queued transmission.
+        self.uplink_free_at = 0.0
+        # Handler passes are never cancelled, so they ride the
+        # scheduler's no-cancel lane (no EventHandle per pass).
+        self._schedule_pass = sim.scheduler.lane_schedule
+        # Peers with queued work, in enqueue order (dicts keep insertion
+        # order, so iteration is deterministic).  A pass visits only
+        # these instead of scanning every connection: typical passes
+        # service one or two peers out of dozens, and the full scan was
+        # the dominant per-event cost at paper scale.  Peers enter via
+        # on_message / Peer.enqueue_send and leave when a pass drains
+        # their queue (or their socket is gone).
+        self.dirty_process: Dict[Peer, None] = {}
+        self.dirty_send: Dict[Peer, None] = {}
+        # -- relay --
+        #: The shared inbound trickle timer is pending.
+        self._inbound_trickle_armed = False
         self._getaddr_task = None
         self._ping_task = None
         # Cached list of established peers, in peers-dict (connection)
@@ -153,19 +247,6 @@ class BitcoinNode(NodeBehavior):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def attempt_log(self) -> List[ConnectionAttempt]:
-        """The connection manager's Fig. 7 attempt log."""
-        return self.connections.attempt_log
-
-    @property
-    def outbound_peers(self) -> List[Peer]:
-        return [peer for peer in self.peers.values() if not peer.is_inbound]
-
-    @property
-    def inbound_peers(self) -> List[Peer]:
-        return [peer for peer in self.peers.values() if peer.is_inbound]
-
-    @property
     def outbound_count(self) -> int:
         """Current outbound connections, excluding feelers."""
         return sum(1 for peer in self.peers.values() if not peer.is_inbound)
@@ -173,19 +254,25 @@ class BitcoinNode(NodeBehavior):
     @property
     def outbound_count_with_feelers(self) -> int:
         """What ``getconnectioncount``-style polling sees (Fig. 6)."""
-        return self.outbound_count + self.connections.active_feelers
+        return self.outbound_count + self.active_feelers
 
     @property
     def inbound_count(self) -> int:
         return sum(1 for peer in self.peers.values() if peer.is_inbound)
 
-    @property
-    def established_peers(self) -> List[Peer]:
-        return [peer for peer in self.peers.values() if peer.established]
+    def established_peer_list(self) -> List[Peer]:
+        """Established peers in connection order.
 
-    def is_synchronized(self, best_height: int) -> bool:
-        """Does this node hold the up-to-date blockchain?"""
-        return self.chain.height >= best_height
+        Cached (see ``__init__``) and shared by every caller: read it,
+        never mutate it.  A membership change drops the cache instead of
+        editing the list, so a caller iterating it is never disturbed.
+        """
+        cached = self._established_cache
+        if cached is None:
+            cached = self._established_cache = [
+                peer for peer in self.peers.values() if peer.established
+            ]
+        return cached
 
     def height_at(self, when: float) -> int:
         """Chain height this node held at time ``when`` (tip history)."""
@@ -195,9 +282,7 @@ class BitcoinNode(NodeBehavior):
     def connection_success_rate(self) -> Optional[float]:
         """Fraction of logged non-feeler attempts that succeeded."""
         attempts = [
-            a
-            for a in self.connections.attempt_log
-            if not a.outcome.startswith("feeler")
+            a for a in self.attempt_log if not a.outcome.startswith("feeler")
         ]
         if not attempts:
             return None
@@ -223,10 +308,18 @@ class BitcoinNode(NodeBehavior):
         self.running = True
         self.started_at = self.sim.now
         self.first_relay_at = None
-        self.handlers.reset(self.sim.now)
+        self.uplink_free_at = self.sim.now
+        self.dirty_process.clear()
+        self.dirty_send.clear()
         if self.config.listen:
             self.sim.network.listen(self.addr, self)
-        self.connections.start()
+        self._ensure_connecting()
+        if self.config.feelers_enabled:
+            self._feeler_task = self.sim.call_every(
+                self.config.feeler_interval,
+                self._try_feeler,
+                start_delay=self._rng.uniform(0, self.config.feeler_interval),
+            )
         if self.config.getaddr_repeat_interval:
             self._getaddr_task = self.sim.call_every(
                 self.config.getaddr_repeat_interval, self._send_getaddr_round
@@ -247,12 +340,18 @@ class BitcoinNode(NodeBehavior):
         if self._ping_task is not None:
             self._ping_task.stop()
             self._ping_task = None
-        self.connections.stop()
+        if self._feeler_task is not None:
+            self._feeler_task.stop()
+            self._feeler_task = None
+        if self._connect_event is not None:
+            self._connect_event.cancel()
+            self._connect_event = None
+        self.active_feelers = 0
         self.sim.network.disconnect_host(self.addr)
         for socket in list(self.peers):
             self._release_peer(socket)
-        self.handlers.dirty_process.clear()
-        self.handlers.dirty_send.clear()
+        self.dirty_process.clear()
+        self.dirty_send.clear()
         self._pending_cmpct.clear()
 
     def restart(self) -> None:
@@ -306,13 +405,120 @@ class BitcoinNode(NodeBehavior):
         self.tip_history.append((self.sim.now, 0))
 
     # ------------------------------------------------------------------
-    # Connection plumbing shared with the connection manager
+    # ThreadOpenConnections
     # ------------------------------------------------------------------
+    def _ensure_connecting(self) -> None:
+        """Schedule the next outbound attempt if slots are unfilled."""
+        if not self.running or self._attempt_in_flight:
+            return
+        if self.outbound_count >= self.config.max_outbound:
+            return
+        if self._connect_event is not None:
+            return
+        self._connect_event = self.sim.schedule(
+            self.config.connect_retry_interval, self._attempt_connection
+        )
+
+    def _attempt_connection(self) -> None:
+        self._connect_event = None
+        if not self.running or self.outbound_count >= self.config.max_outbound:
+            return
+        target = self.policy.conn.select_target(self, self.sim.now)
+        if target is None or target == self.addr or self._connected_to(target):
+            self._ensure_connecting()
+            return
+        self.addrman.attempt(target, self.sim.now)
+        self._attempt_in_flight = True
+        started = self.sim.now
+        self.sim.network.connect(
+            self.addr,
+            target,
+            handler=self,
+            # partial, not a lambda: the callback sits in the event queue
+            # and must survive Simulator.snapshot() pickling.
+            on_result=partial(self._connection_result, target, started),
+            timeout=self.config.connect_timeout,
+        )
+
+    def _connection_result(
+        self, target: NetAddr, started: float, socket: Optional[Socket]
+    ) -> None:
+        self._attempt_in_flight = False
+        if self.config.track_connection_attempts:
+            self.attempt_log.append(
+                ConnectionAttempt(
+                    started_at=started,
+                    finished_at=self.sim.now,
+                    target=target,
+                    outcome="success" if socket is not None else "failed",
+                )
+            )
+        if not self.running:
+            if socket is not None:
+                socket.close()
+            return
+        if socket is None:
+            self._ensure_connecting()
+            return
+        if self.outbound_count >= self.config.max_outbound:
+            socket.close()  # slot got filled while we were handshaking
+            self._ensure_connecting()
+            return
+        peer = self._adopt_socket(socket)
+        peer.enqueue_send(
+            Version(
+                sender=self.addr,
+                receiver=peer.remote_addr,
+                start_height=self.chain.height,
+            )
+        )
+        self._wake_handler()
+        self._ensure_connecting()
+
+    # Feelers (footnote 1 of the paper).
+    def _try_feeler(self) -> None:
+        if not self.running:
+            return
+        target = self.addrman.select(self.sim.now, new_only=True)
+        if target is None or target == self.addr or self._connected_to(target):
+            return
+        self.addrman.attempt(target, self.sim.now)
+        self.active_feelers += 1
+        started = self.sim.now
+        self.sim.network.connect(
+            self.addr,
+            target,
+            handler=_FeelerHandler(),
+            on_result=partial(self._feeler_result, target, started),
+            timeout=self.config.connect_timeout,
+        )
+
+    def _feeler_result(
+        self, target: NetAddr, started: float, socket: Optional[Socket]
+    ) -> None:
+        self.active_feelers = max(0, self.active_feelers - 1)
+        success = socket is not None
+        if success:
+            # A feeler can outlive its node's departure; the record has
+            # no address tables left to credit.
+            if not self.departed:
+                self.addrman.good(target, self.sim.now)
+            socket.close()
+        if self.config.track_connection_attempts:
+            self.attempt_log.append(
+                ConnectionAttempt(
+                    started_at=started,
+                    finished_at=self.sim.now,
+                    target=target,
+                    outcome="feeler-success" if success else "feeler-failed",
+                )
+            )
+
     def _connected_to(self, target: NetAddr) -> bool:
         return any(peer.remote_addr == target for peer in self.peers.values())
 
     def _adopt_socket(self, socket: Socket) -> Peer:
-        peer = Peer(socket, connected_at=self.sim.now, loop=self.handlers)
+        peer = Peer(socket, connected_at=self.sim.now, node=self)
         socket.user_data = peer
         socket.handler = self
         self.peers[socket] = peer
@@ -348,22 +554,21 @@ class BitcoinNode(NodeBehavior):
         peer = socket.user_data
         if peer is None or socket not in self.peers:
             return
-        # Peer.enqueue_process + HandlerLoop.wake, inlined: this runs
-        # once per delivered message, the single busiest protocol entry
-        # point at paper scale.
+        # vProcessMsg append + _wake_handler, inlined: this runs once
+        # per delivered message, the single busiest protocol entry point
+        # at paper scale.
         peer.process_queue.append(message)
-        loop = self.handlers
-        loop.dirty_process[peer] = None
-        if not loop.scheduled and self.running:
-            loop.scheduled = True
-            loop._schedule_pass(0.0, loop.run_pass, None)
+        self.dirty_process[peer] = None
+        if not self._pass_scheduled and self.running:
+            self._pass_scheduled = True
+            self._schedule_pass(0.0, self.run_pass, None)
 
     def on_disconnect(self, socket: Socket) -> None:
         peer = self._release_peer(socket)
         if peer is None:
             return
         if not peer.is_inbound:
-            self.connections.ensure_connecting()
+            self._ensure_connecting()
 
     def _drop_connection(self, socket: Socket) -> None:
         """A spontaneous outbound-connection drop (lifetime expiry)."""
@@ -372,13 +577,101 @@ class BitcoinNode(NodeBehavior):
             return
         if socket.open:
             socket.close()
-        self.connections.ensure_connecting()
-
-    def _wake_handler(self) -> None:
-        self.handlers.wake()
+        self._ensure_connecting()
 
     # ------------------------------------------------------------------
-    # Message processing
+    # SocketHandler + ThreadMessageHandler (paper Fig. 9 / Alg. 3)
+    # ------------------------------------------------------------------
+    def _wake_handler(self) -> None:
+        """Schedule a handler pass unless one is already pending."""
+        if self._pass_scheduled or not self.running:
+            return
+        self._pass_scheduled = True
+        self._schedule_pass(0.0, self.run_pass, None)
+
+    def run_pass(self, _lane_payload=None) -> None:  # repro-lint: hot
+        """One round-robin pass: one receive, then one send, per peer."""
+        self._pass_scheduled = False
+        if not self.running:
+            return
+        # This is the hottest protocol loop in the simulator (one pass per
+        # message burst on every node), so the per-iteration constants —
+        # config values, the dispatch table, and the clock, none of which
+        # change mid-pass — are hoisted to locals.
+        peers = self.peers
+        config = self.config
+        now = self._clock._now
+        busy = 0.0
+        # --- ThreadMessageHandler: one message per peer per pass ---
+        # Round-robin over the peers with pending messages, one message
+        # each (Alg. 3 fairness); a peer with a still-non-empty queue is
+        # re-marked for the next pass.
+        dirty_process = self.dirty_process
+        if dirty_process:
+            proc_time = config.proc_times.get
+            default_proc_time = config.default_proc_time
+            dispatch = self._DISPATCH.get
+            batch = list(dirty_process)
+            dirty_process.clear()
+            for peer in batch:
+                if peer.socket not in peers:
+                    continue  # dropped by an earlier handler in this pass
+                queue = peer.process_queue
+                if not queue:
+                    continue
+                message = queue.popleft()
+                busy += proc_time(message.command, default_proc_time)
+                handler = dispatch(message.command)
+                if handler is not None:
+                    handler(self, peer, message)
+                if queue:
+                    dirty_process[peer] = None
+        # --- SocketHandler: one send per peer per pass, uplink-serialized ---
+        # Snapshot taken after phase 1 so sends enqueued by the handlers
+        # above go out in this same pass, as with the full scan.  Sends
+        # serialize on the uplink, so a block queued behind pending
+        # replies reaches the last connection late — the §IV-C relaying
+        # delay the paper measures.
+        dirty_send = self.dirty_send
+        uplink_free_at = self.uplink_free_at
+        if dirty_send:
+            send_epoch = now + busy
+            uplink_bandwidth = config.uplink_bandwidth
+            note_relayed = self._note_relayed
+            deliver = self.sim.network._deliver
+            batch = list(dirty_send)
+            dirty_send.clear()
+            for peer in batch:
+                queue = peer.send_queue
+                socket = peer.socket
+                if not queue or not socket.open:
+                    continue
+                message = queue.popleft()
+                # Socket.send inlined: its open-check already ran above,
+                # and the wire size feeding the uplink delay doubles as
+                # the byte accounting (one property read, not two).
+                size = message.wire_size
+                start = send_epoch if send_epoch > uplink_free_at else uplink_free_at
+                done = start + size / uplink_bandwidth
+                uplink_free_at = done
+                deliver(socket, message, done - now)
+                socket.bytes_sent += size
+                socket.messages_sent += 1
+                note_relayed(message, done)
+                if queue:
+                    dirty_send[peer] = None
+        self.uplink_free_at = uplink_free_at
+        # --- reschedule if work remains ---
+        if dirty_process or dirty_send:
+            self._pass_scheduled = True
+            self._schedule_pass(
+                busy if busy > _MIN_PASS_GAP else _MIN_PASS_GAP,
+                self.run_pass,
+                None,
+            )
+
+    # ------------------------------------------------------------------
+    # Message processing: one ``_handle_<command>`` per command
     # ------------------------------------------------------------------
     def _handle_version(self, peer: Peer, message: Version) -> None:
         peer.version_received = True
@@ -463,15 +756,6 @@ class BitcoinNode(NodeBehavior):
         if 0 < len(records) <= cfg.ADDR_FORWARD_MAX:
             self._forward_addrs(peer, records, message)
 
-    def established_peer_list(self) -> List[Peer]:
-        """Established peers in connection order (cached; see __init__)."""
-        cached = self._established_cache
-        if cached is None:
-            cached = self._established_cache = [
-                peer for peer in self.peers.values() if peer.established
-            ]
-        return cached
-
     def _forward_addrs(
         self,
         origin: Peer,
@@ -489,6 +773,7 @@ class BitcoinNode(NodeBehavior):
         if available <= 0:
             return
         fanout = min(cfg.ADDR_FORWARD_FANOUT, available)
+        dirty_send = self.dirty_send
         # Index draws use ``int(random() * n)``: one C-level call per
         # draw, against randrange()/sample()'s Python-level setup that
         # dominated ADDR forwarding in paper-scale profiles.  random()
@@ -525,9 +810,7 @@ class BitcoinNode(NodeBehavior):
                     else Addr(addresses=(record,))
                 )
                 first.send_queue.append(forwarded)
-                loop = first.loop
-                if loop is not None:
-                    loop.dirty_send[first] = None
+                dirty_send[first] = None
             if second is not None:
                 known = second.known_addrs
                 if addr not in known:
@@ -539,9 +822,7 @@ class BitcoinNode(NodeBehavior):
                             else Addr(addresses=(record,))
                         )
                     second.send_queue.append(forwarded)
-                    loop = second.loop
-                    if loop is not None:
-                        loop.dirty_send[second] = None
+                    dirty_send[second] = None
 
     def _handle_inv(self, peer: Peer, message: Inv) -> None:
         # A GETBLOCKS reply names up to 500 blocks and at most
@@ -647,12 +928,10 @@ class BitcoinNode(NodeBehavior):
             return
         if self.relay_tracker is not None:
             self.relay_tracker.saw(tx.txid, "tx", self.sim.now)
-        self.relay.relay_tx(tx, exclude=peer)
-
-    _DISPATCH: Dict[str, Callable] = {}
+        self.relay_tx(tx, exclude=peer)
 
     # ------------------------------------------------------------------
-    # Block acceptance and relay
+    # Block acceptance and local submissions
     # ------------------------------------------------------------------
     def _accept_block(self, peer: Optional[Peer], block: Block) -> None:
         """Accept a full (or reconstructed) block; relay on tip advance."""
@@ -683,7 +962,7 @@ class BitcoinNode(NodeBehavior):
             for height in range(old_height + 1, self.chain.height + 1):
                 connected = self.chain.block_at_height(height)
                 if connected is not None:
-                    self.relay.relay_block(connected)
+                    self.relay_block(connected)
             if self.on_tip_advanced is not None:
                 self.on_tip_advanced(self, self.chain.tip)
         if peer is not None:
@@ -694,7 +973,7 @@ class BitcoinNode(NodeBehavior):
         if self.relay_tracker is not None:
             self.relay_tracker.saw(block.block_id, "block", self.sim.now)
         self._accept_block(None, block)
-        self.handlers.wake()
+        self._wake_handler()
 
     def submit_tx(self, tx: Transaction) -> None:
         """Inject a locally originated transaction (wallet behaviour)."""
@@ -702,24 +981,125 @@ class BitcoinNode(NodeBehavior):
             return
         if self.relay_tracker is not None:
             self.relay_tracker.saw(tx.txid, "tx", self.sim.now)
-        self.relay.relay_tx(tx, exclude=None)
-        self.handlers.wake()
+        self.relay_tx(tx, exclude=None)
+        self._wake_handler()
 
     def _send_getaddr_round(self) -> None:
         """Periodic GETADDR to every peer (request-load generation)."""
         if not self.running:
             return
-        for peer in self.established_peers:
+        for peer in self.established_peer_list():
             peer.enqueue_send(GETADDR)
-        self.handlers.wake()
+        self._wake_handler()
 
     def _send_ping_round(self) -> None:
         """Periodic PING keepalive to every established peer."""
         if not self.running:
             return
-        for peer in self.established_peers:
+        for peer in self.established_peer_list():
             peer.enqueue_send(Ping(nonce=self._rng.getrandbits(32)))
-        self.handlers.wake()
+        self._wake_handler()
+
+    # ------------------------------------------------------------------
+    # Block and transaction relay
+    # ------------------------------------------------------------------
+    # Mechanics live here; the *policy* — peer ordering, queue priority,
+    # inv targets — comes from the configured
+    # :class:`~repro.bitcoin.policy.RelayPolicy` variant.
+    def relay_block(self, block: Block) -> None:
+        """Push (BIP152 high-bandwidth) or announce ``block`` to every peer."""
+        policy = self.policy.relay
+        to_front = policy.block_to_front
+        tracker = self.relay_tracker
+        # One INV per block, shared by every peer it is announced to: the
+        # message is immutable in flight (as with forwarded ADDRs).
+        announcement: Optional[Inv] = None
+        for peer in policy.block_order(self.established_peer_list()):
+            if block.block_id in peer.known_blocks:
+                continue
+            peer.known_blocks.add(block.block_id)
+            if self.config.compact_blocks and peer.wants_cmpct_hb:
+                message: Message = CmpctBlock(block=block)
+            else:
+                if announcement is None:
+                    announcement = Inv(items=(block.inv,))
+                message = announcement
+            peer.enqueue_send(message, to_front=to_front)
+            if tracker is not None:
+                tracker.enqueued(block.block_id)
+
+    def relay_tx(self, tx: Transaction, exclude: Optional[Peer]) -> None:
+        """Queue ``tx`` behind each target peer's Poisson inv trickle."""
+        tracker = self.relay_tracker
+        for peer in self.policy.relay.tx_targets(self):
+            if peer is exclude or tx.txid in peer.known_txs:
+                continue
+            peer.pending_tx_invs.add(tx.txid)
+            if tracker is not None:
+                tracker.enqueued(tx.txid)
+            self._schedule_trickle(peer)
+
+    def _schedule_trickle(self, peer: Peer) -> None:
+        """Arm the Poisson inv-trickle timer covering ``peer``.
+
+        Per-peer timers for outbound connections, one shared timer for
+        all inbound ones, as Bitcoin Core's ``PoissonNextSendInbound``
+        does to blunt timing-based topology inference.
+        """
+        if peer.is_inbound:
+            if self._inbound_trickle_armed:
+                return
+            mean = self.config.tx_inv_interval_inbound
+            delay = self._rng.expovariate(1.0 / mean) if mean > 0 else 0.0
+            self._inbound_trickle_armed = True
+            self.sim.schedule(delay, self._flush_inbound_tx_invs)
+            return
+        if peer.next_tx_inv_at > self.sim.now:
+            return  # timer already pending
+        mean = self.config.tx_inv_interval_outbound
+        delay = self._rng.expovariate(1.0 / mean) if mean > 0 else 0.0
+        peer.next_tx_inv_at = self.sim.now + delay
+        self.sim.schedule(delay, self._flush_tx_invs, peer)
+
+    def _flush_inbound_tx_invs(self) -> None:
+        self._inbound_trickle_armed = False
+        if not self.running:
+            return
+        for peer in list(self.peers.values()):
+            if peer.is_inbound:
+                self._flush_peer_invs(peer)
+
+    def _flush_tx_invs(self, peer: Peer) -> None:
+        peer.next_tx_inv_at = 0.0
+        self._flush_peer_invs(peer)
+
+    def _flush_peer_invs(self, peer: Peer) -> None:
+        if peer.socket not in self.peers or not peer.established:
+            return
+        if not peer.pending_tx_invs:
+            return
+        txids = sorted(peer.pending_tx_invs)
+        peer.pending_tx_invs.clear()
+        peer.known_txs.update(txids)
+        peer.enqueue_send(
+            Inv(items=tuple(InvItem(InvType.TX, txid) for txid in txids))
+        )
+        self._wake_handler()
+
+    def _note_relayed(self, message: Message, completed_at: float) -> None:
+        """Record a completed send for the §IV-C measurement."""
+        if self.first_relay_at is None and isinstance(
+            message, (BlockMsg, CmpctBlock)
+        ):
+            self.first_relay_at = completed_at
+        tracker = self.relay_tracker
+        if tracker is None:
+            return
+        if isinstance(message, (BlockMsg, CmpctBlock)):
+            tracker.relayed(message.block_id, completed_at)
+        elif isinstance(message, Inv):
+            for item in message.items:
+                tracker.relayed(item.object_id, completed_at)
 
     # ------------------------------------------------------------------
     # Initial block download
@@ -738,20 +1118,4 @@ class BitcoinNode(NodeBehavior):
         )
 
 
-BitcoinNode._DISPATCH = {
-    "version": BitcoinNode._handle_version,
-    "verack": BitcoinNode._handle_verack,
-    "ping": BitcoinNode._handle_ping,
-    "pong": BitcoinNode._handle_pong,
-    "getaddr": BitcoinNode._handle_getaddr,
-    "addr": BitcoinNode._handle_addr,
-    "inv": BitcoinNode._handle_inv,
-    "getdata": BitcoinNode._handle_getdata,
-    "getblocks": BitcoinNode._handle_getblocks,
-    "block": BitcoinNode._handle_block,
-    "sendcmpct": BitcoinNode._handle_sendcmpct,
-    "cmpctblock": BitcoinNode._handle_cmpctblock,
-    "getblocktxn": BitcoinNode._handle_getblocktxn,
-    "blocktxn": BitcoinNode._handle_blocktxn,
-    "tx": BitcoinNode._handle_tx,
-}
+BitcoinNode._DISPATCH = _dispatch_table(BitcoinNode)

@@ -23,7 +23,7 @@ from ..simnet.transport import Socket
 from .messages import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .handler import HandlerLoop
+    from .node import BitcoinNode
 
 
 @canonical_sets(
@@ -37,7 +37,7 @@ class Peer:
     """One established connection, from this node's point of view."""
 
     __slots__ = (
-        "loop",
+        "node",
         "socket",
         "remote_addr",
         "is_inbound",
@@ -66,11 +66,11 @@ class Peer:
         self,
         socket: Socket,
         connected_at: float,
-        loop: Optional["HandlerLoop"] = None,
+        node: Optional["BitcoinNode"] = None,
     ) -> None:
-        #: The owning node's handler loop; enqueues register this peer in
-        #: its dirty maps so a pass only visits peers with queued work.
-        self.loop = loop
+        #: The owning node; enqueues register this peer in its dirty maps
+        #: so a handler pass only visits peers with queued work.
+        self.node = node
         self.socket = socket
         self.remote_addr: NetAddr = socket.remote_addr
         self.is_inbound: bool = socket.is_inbound
@@ -115,16 +115,16 @@ class Peer:
             self.send_queue.appendleft(message)
         else:
             self.send_queue.append(message)
-        loop = self.loop
-        if loop is not None:
-            loop.dirty_send[self] = None
+        node = self.node
+        if node is not None:
+            node.dirty_send[self] = None
 
     def enqueue_process(self, message: Message) -> None:
         """Append a received message to vProcessMsg (socket-handler side)."""
         self.process_queue.append(message)
-        loop = self.loop
-        if loop is not None:
-            loop.dirty_process[self] = None
+        node = self.node
+        if node is not None:
+            node.dirty_process[self] = None
 
     def __repr__(self) -> str:
         state = "established" if self.established else "handshaking"

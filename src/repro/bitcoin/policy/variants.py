@@ -64,7 +64,7 @@ class StandardRelayPolicy(RelayPolicy):
         return relay_order(peers, outbound_first=self.outbound_first)
 
     def tx_targets(self, node: "BitcoinNode") -> "Iterable[Peer]":
-        return node.established_peers
+        return node.established_peer_list()
 
 
 class StandardConnPolicy(ConnPolicy):

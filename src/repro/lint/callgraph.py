@@ -208,8 +208,6 @@ class CallSite:
     #: Dotted target: a project function key, a ``<tag>.<method>``
     #: typed-method target, or an external dotted name.
     target: str
-    #: "call" | "constructor" | "partial"
-    kind: str = "call"
 
 
 @dataclass
@@ -936,16 +934,11 @@ class _BodyCollector(ast.NodeVisitor):
         resolved = self.resolve(func_expr)
         if resolved is not None and resolved.startswith("_partial:"):
             # Invoking a local bound to functools.partial(f, ...).
-            self._record_call(node, resolved[len("_partial:"):], "call")
+            self._record_call(node, resolved[len("_partial:"):])
         elif resolved in ("functools.partial", "partial"):
-            inner = (
-                self._extract_callable(node.args[0]) if node.args else None
-            )
-            if inner is not None:
-                self._record_call(node, inner, "partial")
+            pass  # constructing a partial is metadata, not a call
         elif resolved is not None:
-            kind = "constructor" if resolved in self.graph.classes else "call"
-            self._record_call(node, resolved, kind)
+            self._record_call(node, resolved)
         elif isinstance(func_expr, ast.Call):
             # Immediate invocation: partial(f, ...)(...)
             inner_dotted = self.resolve(func_expr.func)
@@ -956,7 +949,7 @@ class _BodyCollector(ast.NodeVisitor):
                     else None
                 )
                 if inner is not None:
-                    self._record_call(node, inner, "call")
+                    self._record_call(node, inner)
         self.generic_visit(node)
 
     def _receiver_tag(self, node: ast.AST) -> Optional[str]:
@@ -970,14 +963,9 @@ class _BodyCollector(ast.NodeVisitor):
                 return self.graph.classes[class_key].attr_types.get(node.attr)
         return None
 
-    def _record_call(self, node: ast.Call, target: str, kind: str) -> None:
+    def _record_call(self, node: ast.Call, target: str) -> None:
         self._frames[-1].func.calls.append(
-            CallSite(
-                lineno=node.lineno,
-                col=node.col_offset,
-                target=target,
-                kind=kind,
-            )
+            CallSite(lineno=node.lineno, col=node.col_offset, target=target)
         )
 
     def _handle_barrier(self, node: ast.Call, attr_name: str) -> None:
@@ -1022,8 +1010,6 @@ def _propagate(graph: CallGraph, config: LintConfig) -> None:
     callees_of: Dict[str, List[str]] = {}
     for func in graph.functions.values():
         for site in func.calls:
-            if site.kind not in ("call", "constructor"):
-                continue
             callee = graph.resolve_function(site.target)
             if callee is None:
                 continue
@@ -1034,8 +1020,6 @@ def _propagate(graph: CallGraph, config: LintConfig) -> None:
     worklist: List[str] = []
     for func in graph.functions.values():
         for site in func.calls:
-            if site.kind not in ("call", "constructor"):
-                continue
             reason = graph.blocking_reason(site.target)
             if reason is not None:
                 graph.may_block[func.key] = BlockCause(site, reason)

@@ -326,8 +326,6 @@ class BlockingInAsyncRule(ProjectRule):
             if not func.is_async:
                 continue
             for site in func.calls:
-                if site.kind not in ("call", "constructor"):
-                    continue
                 reason = graph.blocking_reason(site.target)
                 if reason is not None:
                     self.report_site(
@@ -393,8 +391,6 @@ class CrossThreadMutationRule(ProjectRule):
             if func is None:
                 continue
             for site in func.calls:
-                if site.kind not in ("call", "constructor"):
-                    continue
                 callee = graph.resolve_function(site.target)
                 if callee is None or callee.key not in graph.loop_owned:
                     continue

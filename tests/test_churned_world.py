@@ -134,7 +134,7 @@ def census_of_the_living(scenario: ProtocolScenario) -> int:
     for node in scenario.running_nodes():
         awaiting_pass = {
             peer
-            for peer in (*node.handlers.dirty_process, *node.handlers.dirty_send)
+            for peer in (*node.dirty_process, *node.dirty_send)
             if node.peers.get(peer.socket) is not peer
         }
         total += len(node.addrman) + len(node.peers) + len(awaiting_pass)
@@ -194,11 +194,11 @@ def _assert_alive_peers_are_connected_or_awaiting_a_pass(made) -> int:
         if peer is None:
             continue
         alive += 1
-        loop = peer.loop
+        node = peer.node
         assert (
-            loop.node.peers.get(peer.socket) is peer
-            or peer in loop.dirty_process
-            or peer in loop.dirty_send
+            node.peers.get(peer.socket) is peer
+            or peer in node.dirty_process
+            or peer in node.dirty_send
         ), f"{peer} of a closed connection outlived its handler pass"
     return alive
 

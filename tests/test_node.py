@@ -11,6 +11,7 @@ from repro.bitcoin import (
     Transaction,
     unreachable_config,
 )
+from repro.bitcoin.messages import Ping
 
 from .conftest import build_small_network, make_addr, make_node
 
@@ -46,6 +47,44 @@ class TestHandshake:
         a, b = two_connected_nodes(sim)
         peer_on_a = next(iter(a.peers.values()))
         assert peer_on_a.remote_height == 0
+
+
+class TestDispatchRule:
+    COMMANDS = {
+        "version", "verack", "ping", "pong", "getaddr", "addr", "inv",
+        "getdata", "getblocks", "block", "sendcmpct", "cmpctblock",
+        "getblocktxn", "blocktxn", "tx",
+    }
+
+    def test_every_command_is_its_handler_method(self):
+        assert set(BitcoinNode._DISPATCH) == self.COMMANDS
+        for command, handler in BitcoinNode._DISPATCH.items():
+            assert handler is getattr(BitcoinNode, f"_handle_{command}")
+
+    def test_an_override_is_dispatched_without_registering_it(self, sim):
+        """A subclass that overrides one ``_handle_*`` and touches no
+        table gets its override called by the handler pass, and the base
+        class's table is left alone."""
+        nonces = []
+
+        class CountingNode(BitcoinNode):
+            def _handle_ping(self, peer, message):
+                nonces.append(message.nonce)
+                super()._handle_ping(peer, message)
+
+        assert CountingNode._DISPATCH["ping"] is CountingNode._handle_ping
+        assert BitcoinNode._DISPATCH["ping"] is BitcoinNode._handle_ping
+        counting = CountingNode(sim, make_addr(1))
+        other = make_node(sim, 2)
+        other.bootstrap([counting.addr])
+        counting.start()
+        other.start()
+        sim.run_for(30.0)
+        peer = next(iter(other.peers.values()))
+        peer.enqueue_send(Ping(nonce=7))
+        other._wake_handler()  # noqa: SLF001
+        sim.run_for(5.0)
+        assert 7 in nonces
 
 
 class TestConnectionManagement:
@@ -287,7 +326,7 @@ class TestPolicies:
 
         peer.send_queue.clear()
         peer.enqueue_send(GetAddr())
-        node.relay.relay_block(  # exercising the relay path
+        node.relay_block(  # exercising the relay path
             Block(block_id=9, prev_id=0, height=1, created_at=sim.now, size=100)
         )
         first = peer.send_queue[0]
@@ -305,7 +344,7 @@ class TestPolicies:
 
         peer.send_queue.clear()
         peer.enqueue_send(GetAddr())
-        node.relay.relay_block(
+        node.relay_block(
             Block(block_id=9, prev_id=0, height=1, created_at=sim.now, size=100)
         )
         assert peer.send_queue[0].command == "getaddr"

@@ -18,7 +18,6 @@ from repro.bitcoin import (
     LightNodeProfile,
     NodeBehavior,
     NodeConfig,
-    describe_tier,
     validate_fidelity,
 )
 from repro.bitcoin.messages import Message
@@ -52,9 +51,9 @@ class TestLightNode:
     def test_tier_tags(self):
         sim = Simulator(seed=1)
         node = LightNode(sim, NetAddr.parse("10.0.0.1"))
-        assert node.is_light and describe_tier(node) == "light"
+        assert node.fidelity == "light"
         full = BitcoinNode(sim, NetAddr.parse("10.0.0.2"), NodeConfig())
-        assert not full.is_light and describe_tier(full) == "full"
+        assert full.fidelity == "full"
         assert isinstance(full, NodeBehavior)
 
     def test_validate_fidelity(self):

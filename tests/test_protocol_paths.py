@@ -278,12 +278,12 @@ class TestBlockAnnouncement:
         )
         sim.run_for(30.0)
         node = nodes[0]
-        assert len(node.established_peers) >= 2
+        assert len(node.established_peer_list()) >= 2
         block = Block(block_id=1, prev_id=0, height=1, created_at=sim.now)
         node.submit_block(block)
         announced = [
             [m for m in peer.send_queue if m.command == "inv"]
-            for peer in node.established_peers
+            for peer in node.established_peer_list()
         ]
         assert all(len(invs) == 1 for invs in announced)
         first = announced[0][0]
@@ -338,7 +338,7 @@ class TestRoundRobinFairness:
             peers[0].enqueue_process(GetAddr())
         peers[1].enqueue_process(GetAddr())
         peers[2].enqueue_process(GetAddr())
-        hub.handlers.run_pass()  # single pass, no reschedule wait
+        hub.run_pass()  # single pass, no reschedule wait
         # One message consumed from EACH queue, not five from the first.
         assert len(peers[0].process_queue) == 4
         assert len(peers[1].process_queue) == 0
@@ -346,16 +346,16 @@ class TestRoundRobinFairness:
 
     def test_uplink_serializes_sends(self, sim):
         a, _b, peer_a, _peer_b = connected_pair(sim)
-        start = a.handlers.uplink_free_at
+        start = a.uplink_free_at
         peer_a.send_queue.clear()
         big_block = Block(
             block_id=1, prev_id=0, height=1, created_at=sim.now, size=1_000_000
         )
         a.chain.add_block(big_block)
         peer_a.enqueue_send(BlockMsg(block=big_block))
-        a.handlers.run_pass()
+        a.run_pass()
         transmit = 1_000_000 / a.config.uplink_bandwidth
-        assert a.handlers.uplink_free_at >= sim.now + transmit * 0.99
+        assert a.uplink_free_at >= sim.now + transmit * 0.99
 
 
 class TestTxPath:
