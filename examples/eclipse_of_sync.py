@@ -63,13 +63,13 @@ def main() -> None:
     )
 
     heights = {}
-    for label, attack in (("clean", None), ("eclipsed", plan)):
+    for label, attack in (("clean", AttackPlan()), ("eclipsed", plan)):
         scenario = build_scenario(args, attack)
         victim = scenario.nodes[0]
         scenario.start(warmup=600.0)
         scenario.sim.run_for(duration)
 
-        if attack is not None:
+        if attack.attackers:
             force = scenario.attack_force
             assert force is not None
             attacker_addrs = set(force.attacker_addrs())
@@ -103,7 +103,7 @@ def main() -> None:
             scenario.universe.allocate_address(3320),
             scenario._clone_node_config(),
         )
-        if attack is None:
+        if not attack.attackers:
             contacts = [node.addr for node in scenario.nodes[1:9]]
         else:
             contacts = force.attacker_addrs()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.adversary import AttackPlan, AttackScope, AttackerSpec
+from repro.adversary import AttackPlan, AttackerSpec
 from repro.core import (
     CampaignRunner,
     common_top_ases,
@@ -32,6 +32,7 @@ from repro.core import (
     target_shifts,
 )
 from repro.core.reports import format_table
+from repro.faults import FaultScope
 from repro.netmodel import LongitudinalConfig, LongitudinalScenario
 from repro.netmodel import calibration as cal
 
@@ -127,7 +128,7 @@ def main() -> None:
             AttackerSpec(
                 kind="addr_flooder",
                 count=6,
-                scope=AttackScope(asns=(top_asn,)),
+                scope=FaultScope(asns=(top_asn,)),
                 name="hijack-as-flood",
             ),
         )

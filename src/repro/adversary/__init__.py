@@ -20,7 +20,6 @@ from .plan import (
     ATTACK_KINDS,
     AttackerSpec,
     AttackPlan,
-    AttackScope,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "AdversaryNode",
     "AttackForce",
     "AttackPlan",
-    "AttackScope",
     "AttackerSpec",
     "EclipseNode",
     "InvSpammerNode",

@@ -3,7 +3,8 @@
 An :class:`AttackPlan` is a seed-independent description of *who
 misbehaves, where, and how hard*: an ordered tuple of
 :class:`AttackerSpec` records, each naming an attacker kind, a placement
-(:class:`AttackScope` over the asmap universe plus a reachable-vs-
+(a :class:`~repro.faults.plan.FaultScope` over the asmap universe —
+the one scope type fault plans use too — plus a reachable-vs-
 unreachable tier), and kind-specific magnitudes (flood rate, eclipse
 slot target, advertised height lead, spam batch size).
 
@@ -39,6 +40,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..faults.plan import FaultScope
 
 #: Bump on incompatible plan-file schema changes.
 ATTACK_FORMAT = 1
@@ -59,56 +61,6 @@ ATTACK_KINDS = (
 #: detectable, like the paper's 73); unreachable attackers only connect
 #: out, hiding in the cloud Wang & Pustogarov describe.
 TIERS = ("reachable", "unreachable")
-
-
-@dataclass(frozen=True)
-class AttackScope:
-    """Where attackers are placed in the address space.
-
-    The union of three selectors, mirroring
-    :class:`~repro.faults.plan.FaultScope`: autonomous systems (matched
-    through the scenario's asmap universe), /16 netgroups, and literal
-    ``"a.b.c.d:port"`` addresses.  A spec with **no** scope places its
-    attackers by the hosting distribution; a spec with an explicitly
-    *empty* scope is rejected — it selects nothing and is always a
-    config mistake.
-    """
-
-    asns: Tuple[int, ...] = ()
-    prefixes: Tuple[int, ...] = ()
-    addrs: Tuple[str, ...] = ()
-
-    @property
-    def empty(self) -> bool:
-        return not (self.asns or self.prefixes or self.addrs)
-
-    def validate(self, owner: str = "attacker") -> None:
-        if self.empty:
-            raise ConfigurationError(
-                f"{owner}: scope is empty — an explicit scope must select "
-                "at least one asn, prefix, or address (omit the scope for "
-                "hosting-distribution placement)"
-            )
-        for asn in self.asns:
-            if not isinstance(asn, int) or asn < 0:
-                raise ConfigurationError(
-                    f"{owner}: scope asn must be a non-negative int, got {asn!r}"
-                )
-        for prefix in self.prefixes:
-            if not isinstance(prefix, int) or not 0 <= prefix <= 0xFFFF:
-                raise ConfigurationError(
-                    f"{owner}: scope prefix must be a /16 group in 0..65535, "
-                    f"got {prefix!r}"
-                )
-        from ..simnet.addresses import NetAddr
-
-        for text in self.addrs:
-            try:
-                NetAddr.parse(text)
-            except (ValueError, TypeError) as exc:
-                raise ConfigurationError(
-                    f"{owner}: scope address {text!r} is not parseable: {exc}"
-                ) from exc
 
 
 @dataclass(frozen=True)
@@ -138,7 +90,7 @@ class AttackerSpec:
     kind: str
     count: int = 1
     #: ``None`` = place by the hosting distribution (no scope).
-    scope: Optional[AttackScope] = None
+    scope: Optional[FaultScope] = None
     tier: str = "unreachable"
     #: Activation time on the scenario clock (0 = from the start).
     start: float = 0.0
@@ -178,7 +130,13 @@ class AttackerSpec:
                 f"{owner}: start must be >= 0, got {self.start}"
             )
         if self.scope is not None:
-            self.scope.validate(owner)
+            if self.scope.empty:
+                raise ConfigurationError(
+                    f"{owner}: scope is empty — an explicit scope must select "
+                    "at least one asn, prefix, or address (omit the scope for "
+                    "hosting-distribution placement)"
+                )
+            self.scope.validate(ConfigurationError, owner)
         if self.victim and self.kind != KIND_ECLIPSE:
             raise ConfigurationError(
                 f"{owner}: victim is only meaningful for eclipse attackers"

@@ -60,6 +60,7 @@ from .core.condition_sweep import DEFAULT_CHURN_LEVELS, DEFAULT_VARIANTS
 from .core.decode import decode_file
 from .core.reports import comparison_table, format_table
 from .errors import ConfigurationError
+from .faults import FaultPlan
 from .netmodel import (
     LongitudinalConfig,
     LongitudinalScenario,
@@ -77,30 +78,14 @@ def _warn_truncated(label: str, indices_or_seeds) -> None:
     )
 
 
-def _load_fault_plan(args: argparse.Namespace):
-    """The FaultPlan named by ``--faults``, or None."""
+def _load_fault_plan(args: argparse.Namespace) -> FaultPlan:
+    """The FaultPlan named by ``--faults``; the empty plan without one."""
     path = getattr(args, "faults", None)
     if path is None:
-        return None
-    from .faults import FaultPlan
-
+        return FaultPlan()
     plan = decode_file(FaultPlan, path)
     print(f"fault plan: {len(plan)} fault(s) loaded from {path}")
     return plan
-
-
-def _supervisor_config(args: argparse.Namespace):
-    """A SupervisorConfig from ``--seed-timeout``/``--retries``, or None."""
-    timeout = getattr(args, "seed_timeout", None)
-    retries = getattr(args, "retries", None)
-    if timeout is None and retries is None:
-        return None
-    config = core.SupervisorConfig()
-    if timeout is not None:
-        config.timeout = timeout
-    if retries is not None:
-        config.retries = retries
-    return config
 
 
 def _report_supervision(
@@ -192,7 +177,7 @@ def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
     plans = [CampaignPlan(replace(base, seed=seed)) for seed in seeds]
     run = core.run_plans(
         plans, store=args.store, workers=args.workers,
-        supervisor=_supervisor_config(args),
+        supervisor=core.supervisor_config(args.seed_timeout, args.retries),
     )
     done = [
         (plan, out) for plan, out in zip(plans, run.results) if out is not None
@@ -338,7 +323,8 @@ def _sweep(args: argparse.Namespace, name: str, conditions, seeds, unit=None):
     ``unit`` is what the command's ``_store_flags`` call a unit: given,
     the sweep goes through ``--store`` when the invocation names one."""
     plan = core.ConditionSweepPlan(
-        name, conditions, seeds, args.workers, _supervisor_config(args)
+        name, conditions, seeds, args.workers,
+        core.supervisor_config(args.seed_timeout, args.retries),
     )
     if unit is not None and args.store:
         result = _run_stored(args, plan, unit)
@@ -460,8 +446,6 @@ def _cmd_sync(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .faults import FaultPlan
-
     plan = decode_file(FaultPlan, args.faults)
     intensities = [float(part) for part in args.intensities.split(",")]
     seeds = core.seed_range(args.seed, args.seeds)
@@ -545,12 +529,10 @@ def _cmd_variants(args: argparse.Namespace) -> int:
     fidelities = [
         part.strip() for part in args.fidelities.split(",") if part.strip()
     ]
-    fault_plans: List[Any] = [None]
+    fault_plans = [FaultPlan()]
     if args.faults:
-        from .faults import FaultPlan
-
         fault_plan = decode_file(FaultPlan, args.faults)
-        fault_plans = [None, fault_plan]
+        fault_plans.append(fault_plan)
         print(
             f"fault plan: {len(fault_plan)} fault(s) loaded from "
             f"{args.faults} (matrix runs fault-free + plan)"

@@ -96,6 +96,7 @@ from .supervisor import (
     SupervisorConfig,
     SupervisorEvent,
     run_supervised,
+    supervisor_config,
 )
 from .sync_monitor import SyncMonitor, SyncSnapshot, best_height_at
 
@@ -179,6 +180,7 @@ __all__ = [
     "seed_range",
     "series_preview",
     "summarize_attempt_durations",
+    "supervisor_config",
     "synchronized_departures",
     "table_composition",
     "target_shifts",

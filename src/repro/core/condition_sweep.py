@@ -302,14 +302,6 @@ def fault_conditions(
     ]
 
 
-def _attacked(
-    base: SyncCampaignConfig, plan: AttackPlan, count: int
-) -> SyncCampaignConfig:
-    """``base`` under ``plan`` rescaled to ``count`` attackers (attack
-    free below one)."""
-    return replace(base, attack=plan.with_total(count) if count > 0 else None)
-
-
 def attack_conditions(
     plan: AttackPlan,
     base: Optional[SyncCampaignConfig] = None,
@@ -327,7 +319,10 @@ def attack_conditions(
         )
     base = _base(base)
     return [
-        Condition({"attackers": int(count)}, _attacked(base, plan, count))
+        Condition(
+            {"attackers": int(count)},
+            replace(base, attack=plan.with_total(count)),
+        )
         for count in counts
     ]
 
@@ -351,9 +346,9 @@ def mitigation_conditions(
         policies = PolicyConfig.improved()
     elif isinstance(policies, str):
         policies = PolicyConfig(variant=policies)
-    attacked = _attacked(base, plan, plan.total_count)
+    attacked = replace(base, attack=plan)
     return [
-        Condition({"condition": "clean"}, replace(base, attack=None)),
+        Condition({"condition": "clean"}, replace(base, attack=AttackPlan())),
         Condition({"condition": "attacked"}, attacked),
         Condition(
             {"condition": "mitigated"}, replace(attacked, policies=policies)
@@ -361,19 +356,18 @@ def mitigation_conditions(
     ]
 
 
-def _fault_label(plan: Optional[FaultPlan], index: int) -> str:
-    if plan is None:
+def _fault_label(plan: FaultPlan, index: int) -> str:
+    if not plan.faults:
         return "none"
     names = sorted({spec.kind for spec in plan.faults})
-    tag = "+".join(names) if names else "empty"
-    return f"plan{index}:{tag}"
+    return f"plan{index}:{'+'.join(names)}"
 
 
 def variant_conditions(
     variants: Sequence[Union[str, PolicyConfig]] = DEFAULT_VARIANTS,
     base: Optional[SyncCampaignConfig] = None,
     churn_levels: Sequence[float] = DEFAULT_CHURN_LEVELS,
-    fault_plans: Sequence[Optional[FaultPlan]] = (None,),
+    fault_plans: Sequence[FaultPlan] = (FaultPlan(),),
     fidelities: Sequence[str] = ("hybrid",),
 ) -> List[Condition]:
     """The protocol-variant lab: variant × churn × fault plan × fidelity,
@@ -402,10 +396,9 @@ def variant_conditions(
         )
     if not fidelities:
         raise ConfigurationError("need at least one fidelity")
-    fault_plans = list(fault_plans) if fault_plans else [None]
+    fault_plans = list(fault_plans) if fault_plans else [FaultPlan()]
     for plan in fault_plans:
-        if plan is not None:
-            plan.validate()
+        plan.validate()
     base = _base(base)
     return [
         Condition(

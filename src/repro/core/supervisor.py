@@ -53,6 +53,9 @@ _TERM_GRACE = 5.0
 #: and backoff edges shorten individual waits below this.
 _POLL_INTERVAL = 0.25
 
+#: Multiplier applied to ``SupervisorConfig.backoff`` per further retry.
+BACKOFF_FACTOR = 2.0
+
 #: Progress event kinds, in lifecycle order.
 EVENT_SCHEDULED = "scheduled"
 EVENT_STARTED = "started"
@@ -117,10 +120,9 @@ class SupervisorConfig:
     timeout: Optional[float] = None
     #: Extra attempts after a crash or hang (0 = fail on first crash).
     retries: int = 2
-    #: Delay before the first retry, in seconds.
+    #: Delay before the first retry, in seconds (doubled per further
+    #: retry, ``BACKOFF_FACTOR``).
     backoff: float = 0.5
-    #: Multiplier applied to the backoff per further retry.
-    backoff_factor: float = 2.0
 
     def validate(self) -> None:
         from ..errors import ConfigurationError
@@ -137,10 +139,17 @@ class SupervisorConfig:
             raise ConfigurationError(
                 f"supervisor backoff must be >= 0, got {self.backoff}"
             )
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"supervisor backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
+
+
+def supervisor_config(
+    timeout: Optional[float] = None, retries: Optional[int] = None
+) -> SupervisorConfig:
+    """The supervisor a ``--seed-timeout`` / ``--retries`` pair asks for
+    (CLI flags or the service's fields); an unset one keeps its default."""
+    config = SupervisorConfig(timeout=timeout)
+    if retries is not None:
+        config.retries = retries
+    return config
 
 
 @dataclass
@@ -434,7 +443,7 @@ class Supervisor:
     def _fail_or_retry(self, attempt: _Attempt, cause: str) -> None:
         if attempt.attempt <= self.config.retries:
             delay = self.config.backoff * (
-                self.config.backoff_factor ** (attempt.attempt - 1)
+                BACKOFF_FACTOR ** (attempt.attempt - 1)
             )
             self._pending.append(
                 _Attempt(

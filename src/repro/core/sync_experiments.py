@@ -22,7 +22,7 @@ at the paper's ~1:2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -59,18 +59,18 @@ class SyncCampaignConfig:
     #: Optional event-count safety cap on the measurement run; when hit,
     #: the campaign is cut short and the result is marked truncated.
     max_events: Optional[int] = None
-    #: Optional fault plan compiled onto the run (see ``repro.faults``).
-    #: Fault ``start`` times are relative to the scenario clock, which
-    #: includes the warm-up period.
-    faults: Optional[FaultPlan] = None
-    #: Optional attack plan (see ``repro.adversary``).  Attacker
-    #: ``start`` times follow the same scenario-clock convention as
-    #: fault windows.  Part of run-store keys through ``asdict``.
-    attack: Optional[AttackPlan] = None
-    #: Node policies for the honest network (``None`` = defaults): the
-    #: §V mitigation knobs — tried-only ADDR responses, shortened tried
-    #: horizon — applied when measuring attack mitigations.
-    policies: Optional[PolicyConfig] = None
+    #: Fault plan compiled onto the run (see ``repro.faults``; empty =
+    #: fault-free).  Fault ``start`` times are relative to the scenario
+    #: clock, which includes the warm-up period.
+    faults: FaultPlan = field(default_factory=FaultPlan)
+    #: Attack plan (see ``repro.adversary``; empty = attack-free).
+    #: Attacker ``start`` times follow the same scenario-clock convention
+    #: as fault windows.  Part of run-store keys through ``asdict``.
+    attack: AttackPlan = field(default_factory=AttackPlan)
+    #: Node policies for the honest network: the §V mitigation knobs —
+    #: tried-only ADDR responses, shortened tried horizon — applied when
+    #: measuring attack mitigations.
+    policies: PolicyConfig = field(default_factory=PolicyConfig)
 
 
 @dataclass
@@ -85,10 +85,10 @@ class SyncCampaignResult:
     #: elapsed — the sample series is shorter than requested.
     truncated: bool = False
     #: What the fault injector did (``FaultStats.as_dict()``); ``None``
-    #: for fault-free campaigns.
+    #: for fault-free campaigns (an empty plan installs no injector).
     fault_stats: Optional[Dict[str, int]] = None
     #: What the attackers did (``AttackForce.stats()``); ``None`` for
-    #: attack-free campaigns.
+    #: attack-free campaigns (an empty plan installs no attackers).
     attack_stats: Optional[Dict[str, int]] = None
 
     @property
@@ -106,10 +106,6 @@ class SyncCampaignResult:
 
 def protocol_config(config: SyncCampaignConfig) -> ProtocolConfig:
     """The live network a campaign measures."""
-    node_config = (
-        NodeConfig() if config.policies is None
-        else NodeConfig(policies=config.policies)
-    )
     return ProtocolConfig(
         seed=config.seed,
         fidelity=config.fidelity,
@@ -117,7 +113,7 @@ def protocol_config(config: SyncCampaignConfig) -> ProtocolConfig:
         churn_per_10min=config.churn_per_10min,
         block_interval=config.block_interval,
         pre_mined_blocks=config.pre_mined_blocks,
-        node_config=node_config,
+        node_config=NodeConfig(policies=config.policies),
         faults=config.faults,
         attack=config.attack,
     )

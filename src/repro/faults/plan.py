@@ -30,9 +30,9 @@ deterministic) fault realisations, exactly like churn timelines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Type
 
-from ..errors import FaultInjectionError
+from ..errors import ConfigurationError, FaultInjectionError
 
 #: Bump on incompatible plan-file schema changes.
 PLAN_FORMAT = 1
@@ -56,14 +56,17 @@ FAULT_KINDS = (
 
 @dataclass(frozen=True)
 class FaultScope:
-    """Which addresses a fault applies to.
+    """A slice of the address space: which addresses a fault applies to,
+    or where an attack plan places its attackers.
 
     A scope is the union of three selectors: autonomous systems (matched
     through the scenario's :class:`~repro.netmodel.asmap.ASUniverse`),
     /16 netgroups (``addr.group16``), and literal ``"a.b.c.d:port"``
-    addresses.  An empty scope matches *everything* — legal for link
-    faults ("5% loss network-wide") but rejected for partitions, where
-    the scope defines one side of the cut.
+    addresses.  For a fault an empty scope matches *everything* — legal
+    for link faults ("5% loss network-wide") but rejected for
+    partitions, where the scope defines one side of the cut.  An
+    attacker's explicit scope must not be empty
+    (:class:`~repro.adversary.plan.AttackerSpec`).
     """
 
     asns: Tuple[int, ...] = ()
@@ -74,14 +77,25 @@ class FaultScope:
     def empty(self) -> bool:
         return not (self.asns or self.prefixes or self.addrs)
 
-    def validate(self) -> None:
+    def validate(
+        self,
+        error: Type[ConfigurationError] = FaultInjectionError,
+        owner: str = "",
+    ) -> None:
+        """Raise ``error`` (a fault spec's ``FaultInjectionError`` by
+        default), its message prefixed by ``owner``, on the first
+        malformed selector."""
+        prefix = f"{owner}: " if owner else ""
         for asn in self.asns:
             if not isinstance(asn, int) or asn < 0:
-                raise FaultInjectionError(f"scope asn must be a non-negative int, got {asn!r}")
-        for prefix in self.prefixes:
-            if not isinstance(prefix, int) or not 0 <= prefix <= 0xFFFF:
-                raise FaultInjectionError(
-                    f"scope prefix must be a /16 group in 0..65535, got {prefix!r}"
+                raise error(
+                    f"{prefix}scope asn must be a non-negative int, got {asn!r}"
+                )
+        for group in self.prefixes:
+            if not isinstance(group, int) or not 0 <= group <= 0xFFFF:
+                raise error(
+                    f"{prefix}scope prefix must be a /16 group in 0..65535, "
+                    f"got {group!r}"
                 )
         from ..simnet.addresses import NetAddr
 
@@ -89,8 +103,8 @@ class FaultScope:
             try:
                 NetAddr.parse(text)
             except (ValueError, TypeError) as exc:
-                raise FaultInjectionError(
-                    f"scope address {text!r} is not parseable: {exc}"
+                raise error(
+                    f"{prefix}scope address {text!r} is not parseable: {exc}"
                 ) from exc
 
 

@@ -166,49 +166,58 @@ class LongitudinalConfig:
     reachable_overprovision: float = 1.2
     churn: ReachableChurnConfig = field(default_factory=ReachableChurnConfig)
     seed_views: SeedViewConfig = field(default_factory=SeedViewConfig)
-    #: Plant the Fig. 8 malicious flooders.
-    flooders: bool = True
+    #: Size of the Fig. 8 malicious-flooder cohort: ``None`` plants the
+    #: paper's 73, scaled; 0 plants none.
     flooder_count: Optional[int] = None
     flood_volume_model: FloodVolumeModel = field(default_factory=FloodVolumeModel)
     #: Fraction of silent-class addresses answering RST (vs. dropping).
     rst_fraction: float = 0.45
-    #: Optional fault plan compiled onto the run (see ``repro.faults``).
-    #: Part of the config dataclass, hence of run-store keys: the same
-    #: campaign under different faults is a different experiment.
-    faults: Optional[FaultPlan] = None
-    #: Optional attack plan (see ``repro.adversary``).  When set it
-    #: replaces the default Fig. 8 flooder cohort with explicitly placed
-    #: attackers; like ``faults`` it is part of run-store keys.  Crawl
-    #: campaigns only expose the GETADDR surface, so only
-    #: ``addr_flooder`` specs are accepted here — the other kinds need
-    #: protocol fidelity.
-    attack: Optional[AttackPlan] = None
-    #: Optional protocol-policy variant.  The crawl model exposes one
-    #: policy surface — what the population gossips
+    #: Fault plan compiled onto the run (see ``repro.faults``); the empty
+    #: plan is a fault-free run.  Part of the config dataclass, hence of
+    #: run-store keys: the same campaign under different faults is a
+    #: different experiment.
+    faults: FaultPlan = field(default_factory=FaultPlan)
+    #: Attack plan (see ``repro.adversary``).  A non-empty plan replaces
+    #: the Fig. 8 flooder cohort with explicitly placed attackers, so it
+    #: is refused beside a ``flooder_count``; like ``faults`` it is part
+    #: of run-store keys.  Crawl campaigns only expose the GETADDR
+    #: surface, so only ``addr_flooder`` specs are accepted here — the
+    #: other kinds need protocol fidelity.
+    attack: AttackPlan = field(default_factory=AttackPlan)
+    #: Protocol-policy variant.  The crawl model exposes one policy
+    #: surface — what the population gossips
     #: (:meth:`~repro.bitcoin.policy.AddrPolicy.crawl_gossip` composes
     #: each materialized table) — so tried-only variants starve the
     #: unreachable share at campaign scale.  Part of run-store and serve
-    #: keys; ``None`` keeps the pre-policy composition.
-    policies: Optional[PolicyConfig] = None
+    #: keys.
+    policies: PolicyConfig = field(default_factory=PolicyConfig)
 
     def validate(self) -> None:
-        if self.faults is not None:
-            self.faults.validate()
-        if self.attack is not None:
-            self.attack.validate()
-            for index, spec in enumerate(self.attack.attackers):
-                if spec.kind != KIND_ADDR_FLOODER:
-                    raise ConfigurationError(
-                        f"attacker #{index}: kind {spec.kind!r} needs "
-                        "protocol fidelity — crawl campaigns support only "
-                        "addr_flooder attackers"
-                    )
+        self.faults.validate()
+        self.attack.validate()
+        for index, spec in enumerate(self.attack.attackers):
+            if spec.kind != KIND_ADDR_FLOODER:
+                raise ConfigurationError(
+                    f"attacker #{index}: kind {spec.kind!r} needs "
+                    "protocol fidelity — crawl campaigns support only "
+                    "addr_flooder attackers"
+                )
+        if self.flooder_count is not None:
+            if self.flooder_count < 0:
+                raise ConfigurationError(
+                    f"flooder_count must be >= 0 (0 = no flooders), "
+                    f"got {self.flooder_count}"
+                )
+            if self.attack.attackers:
+                raise ConfigurationError(
+                    "flooder_count sizes the Fig. 8 cohort that a non-empty "
+                    "attack plan replaces — set one or the other"
+                )
         try:
             validate_fidelity(self.fidelity)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
-        if self.policies is not None:
-            require_light_tier(self.policies, self.fidelity)
+        require_light_tier(self.policies, self.fidelity)
         if self.scale <= 0:
             raise ScenarioError("scale must be positive")
         if self.snapshots < 1:
@@ -243,12 +252,9 @@ class LongitudinalScenario:
         # fabricated-pool volumes can be debited from the silent class —
         # the paper's cumulative 694K unreachable includes the flooders'
         # fabrications, so ours must not double-count them.
-        self.flooders: List[MaliciousAddrServer] = []
-        if self.config.attack is not None:
+        if self.config.attack.attackers:
             self.flooders = self._plant_attack_flooders(self.config.attack)
-            total_fakes = sum(f.flood_volume for f in self.flooders)
-            self.population.trim_silent(total_fakes)
-        elif self.config.flooders:
+        else:
             self.flooders = plant_flooders(
                 self.sim,
                 self.sim.random.stream("flooders"),
@@ -257,8 +263,7 @@ class LongitudinalScenario:
                 volume_model=self.config.flood_volume_model,
                 count=self.config.flooder_count,
             )
-            total_fakes = sum(f.flood_volume for f in self.flooders)
-            self.population.trim_silent(total_fakes)
+        self.population.trim_silent(sum(f.flood_volume for f in self.flooders))
         self.reachable_timeline = build_reachable_timeline(
             self.sim.random.stream("churn-reachable"),
             self.population.reachable,
@@ -290,17 +295,13 @@ class LongitudinalScenario:
             self.reachable_timeline,
             self.config.seed_views,
         )
-        #: Gossip-composition policy (None → pre-policy concatenation).
-        self.addr_policy: Optional[AddrPolicy] = None
-        light_policy: Optional[LightTierPolicy] = None
-        if self.config.policies is not None:
-            bundle = build_policies(self.config.policies)
-            self.addr_policy = bundle.addr
-            light_policy = bundle.light
+        bundle = build_policies(self.config.policies)
+        #: What the population gossips (``AddrPolicy.crawl_gossip``).
+        self.addr_policy: AddrPolicy = bundle.addr
         #: Hybrid fidelity: the unreachable cloud as light-tier endpoints.
         self.light_cloud: Optional[LightCloud] = None
         if self.config.fidelity == "hybrid":
-            self.light_cloud = LightCloud(self.sim, light_policy=light_policy)
+            self.light_cloud = LightCloud(self.sim, light_policy=bundle.light)
         self.nat = NatModel(
             self.sim.network,
             self.sim.random.stream("nat"),
@@ -317,11 +318,11 @@ class LongitudinalScenario:
                 record.addr,
                 self.sim.random.stream("server", str(record.addr)),
             )
-        #: Fault injector, when the config carries a plan.  Crash faults
-        #: are rejected here (no full nodes to crash in this fidelity);
-        #: partitions/drops/delays shape the crawler's view instead.
+        #: Fault injector, when the config's plan is not empty.  Crash
+        #: faults are rejected here (no full nodes to crash in this
+        #: fidelity); partitions/drops/delays shape the crawler's view.
         self.fault_injector = None
-        if self.config.faults is not None:
+        if self.config.faults.faults:
             self.fault_injector = self.sim.install_faults(
                 self.config.faults, asn_of=self.universe.asn_of
             )
@@ -427,13 +428,9 @@ class LongitudinalScenario:
                 # policy-independent); the policy only composes them.
                 reach_sample = sample(rng, alive_records, n_reach)
                 unreach_sample = sample(rng, pool, n_unreach)
-                if addr_policy is None:
-                    table = reach_sample + unreach_sample
-                else:
-                    table = addr_policy.crawl_gossip(
-                        reach_sample, unreach_sample
-                    )
-                server.set_table(table)
+                server.set_table(
+                    addr_policy.crawl_gossip(reach_sample, unreach_sample)
+                )
                 server.start()
             else:
                 server.stop()
@@ -496,20 +493,19 @@ class ProtocolConfig:
     tx_rate: float = 0.0
     #: Live churn: departures per 10 minutes (None disables).
     churn_per_10min: Optional[float] = None
-    #: Optional fault plan compiled onto the run (see ``repro.faults``).
-    faults: Optional[FaultPlan] = None
-    #: Optional attack plan (see ``repro.adversary``): adversarial peers
-    #: compiled onto the run.  Composes with ``faults`` and, like it, is
-    #: part of run-store keys.
-    attack: Optional[AttackPlan] = None
+    #: Fault plan compiled onto the run (see ``repro.faults``); the
+    #: empty plan is a fault-free run.
+    faults: FaultPlan = field(default_factory=FaultPlan)
+    #: Attack plan (see ``repro.adversary``): adversarial peers compiled
+    #: onto the run; the empty plan is an attack-free run.  Composes
+    #: with ``faults`` and, like it, is part of run-store keys.
+    attack: AttackPlan = field(default_factory=AttackPlan)
 
     def validate(self) -> None:
-        if self.faults is not None:
-            self.faults.validate()
-        if self.attack is not None:
-            # Eager, named-field errors (ConfigurationError) — a bad plan
-            # must never surface as a mid-run failure.
-            self.attack.validate_for(self.n_reachable)
+        self.faults.validate()
+        # Eager, named-field errors (ConfigurationError) — a bad plan
+        # must never surface as a mid-run failure.
+        self.attack.validate_for(self.n_reachable)
         try:
             validate_fidelity(self.fidelity)
         except ValueError as exc:
@@ -662,22 +658,22 @@ class ProtocolScenario:
                 self.add_replacement_node,
                 departures_per_10min=self.config.churn_per_10min,
             )
-        #: Fault injector, when the config carries a plan.  This fidelity
-        #: supports every fault kind including crash/restart (the node
-        #: provider is the live population).
+        #: Fault injector, when the config's plan is not empty.  This
+        #: fidelity supports every fault kind including crash/restart
+        #: (the node provider is the live population).
         self.fault_injector = None
-        if self.config.faults is not None:
+        if self.config.faults.faults:
             self.fault_injector = self.sim.install_faults(
                 self.config.faults,
                 asn_of=self.universe.asn_of,
                 node_provider=self.running_nodes,
             )
-        #: Attack force, when the config carries a plan.  Installed last
-        #: so eclipse specs can target the standing roster; attackers are
-        #: kept off ``self.nodes`` (churn, mining, and the sync metric
-        #: see honest nodes only).
+        #: Attack force, when the config's plan is not empty.  Installed
+        #: last so eclipse specs can target the standing roster;
+        #: attackers are kept off ``self.nodes`` (churn, mining, and the
+        #: sync metric see honest nodes only).
         self.attack_force = None
-        if self.config.attack is not None:
+        if self.config.attack.attackers:
             from ..adversary.install import install_attack
 
             self.attack_force = install_attack(self, self.config.attack)

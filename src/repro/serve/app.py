@@ -49,7 +49,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
-from ..core.supervisor import SupervisorConfig
+from ..core.supervisor import supervisor_config
 from ..errors import (
     ConfigurationError,
     QuotaExceededError,
@@ -83,6 +83,9 @@ logger = logging.getLogger("repro.serve")
 #: Request header naming the tenant for quota accounting.
 TENANT_HEADER = "x-repro-tenant"
 
+#: Threads for store/ledger file I/O dispatched off the event loop.
+IO_THREADS = 4
+
 
 @dataclass
 class ServiceConfig:
@@ -110,18 +113,6 @@ class ServiceConfig:
     retry_after: float = 2.0
     #: Emit one structured log line per request.
     log_requests: bool = True
-    #: Threads for store/ledger file I/O dispatched off the event loop.
-    io_threads: int = 4
-
-    def supervisor_config(self) -> Optional[SupervisorConfig]:
-        if self.seed_timeout is None and self.retries is None:
-            return None
-        config = SupervisorConfig()
-        if self.seed_timeout is not None:
-            config.timeout = self.seed_timeout
-        if self.retries is not None:
-            config.retries = self.retries
-        return config
 
 
 #: Handlers: async (service, request, path parts) -> Response.
@@ -148,7 +139,7 @@ class CampaignService:
             slots=config.slots,
             queue_limit=config.queue_limit,
             workers=config.workers,
-            supervisor=config.supervisor_config(),
+            supervisor=supervisor_config(config.seed_timeout, config.retries),
             retry_after=config.retry_after,
         )
         self.server: Optional[asyncio.AbstractServer] = None
@@ -159,7 +150,7 @@ class CampaignService:
         # Store/ledger reads are file I/O; handlers must never run them
         # on the event loop (ASYNC001) — they go through _io_call.
         self._io = ThreadPoolExecutor(
-            max_workers=config.io_threads, thread_name_prefix="repro-serve-io"
+            max_workers=IO_THREADS, thread_name_prefix="repro-serve-io"
         )
 
     async def _io_call(self, fn: Callable[..., Any], *args: Any) -> Any:

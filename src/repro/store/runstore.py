@@ -1,27 +1,24 @@
-"""The run store: manifests + blobs + index under one root directory.
+"""The run store: manifests + blobs under one root directory.
 
 Layout::
 
     <root>/
       objects/<aa>/<...62 hex...>   content-addressed blobs
       runs/<run_id>.json            one manifest per run
-      index.json                    derived listing cache
 
 Manifest writes are atomic (tmp + ``os.replace``), so a run killed
 mid-write leaves either the old manifest or the new one, never a torn
-file.  ``index.json`` is a *derived* cache rebuilt from the manifests on
-every write and on demand — parallel sweep workers each rewrite it after
-their own manifest update, and because it carries no information the
-``runs/`` scan does not, the last writer winning is harmless.
+file.  The run listing (:meth:`RunStore.index`) is a scan of ``runs/``;
+nothing else is written beside the manifests, so a commit costs one
+manifest write however many runs the store holds.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 from ..errors import StoreError
 from .blobs import BlobStore, reject_read_only
@@ -52,7 +49,6 @@ class RunStore:
         except OSError as exc:
             reject_read_only(exc, self.root, "create runs/")
             raise
-        self.index_path = self.root / "index.json"
 
     # ------------------------------------------------------------------
     # Blobs (delegation, so callers hold one handle)
@@ -72,7 +68,7 @@ class RunStore:
         return self.runs_dir / f"{run_id}.json"
 
     def save_manifest(self, manifest: RunManifest) -> None:
-        """Atomically persist ``manifest`` and refresh the index."""
+        """Atomically persist ``manifest``."""
         path = self._manifest_path(manifest.run_id)
         try:
             fd, tmp_name = tempfile.mkstemp(
@@ -93,7 +89,6 @@ class RunStore:
             if isinstance(exc, OSError):
                 reject_read_only(exc, self.root, "write a manifest")
             raise
-        self._write_index()
 
     def load_manifest(self, run_id: str) -> RunManifest:
         path = self._manifest_path(run_id)
@@ -129,7 +124,6 @@ class RunStore:
             self._manifest_path(run_id).unlink()
         except FileNotFoundError:
             return False
-        self._write_index()
         return True
 
     def manifests(self) -> List[RunManifest]:
@@ -141,18 +135,8 @@ class RunStore:
             out.append(RunManifest.from_json(path.read_text()))
         return out
 
-    def find_by_key(self, key: str) -> Optional[RunManifest]:
-        """The manifest with run key ``key``, if any."""
-        for manifest in self.manifests():
-            if manifest.key == key:
-                return manifest
-        return None
-
-    # ------------------------------------------------------------------
-    # Index
-    # ------------------------------------------------------------------
     def index(self) -> Dict[str, Dict[str, Any]]:
-        """Rebuild and return the run listing (run id -> summary row)."""
+        """The run listing (run id -> summary row), scanned from ``runs/``."""
         rows: Dict[str, Dict[str, Any]] = {}
         for manifest in self.manifests():
             rows[manifest.run_id] = {
@@ -167,27 +151,6 @@ class RunStore:
                 "updated_at": manifest.updated_at,
             }
         return rows
-
-    def _write_index(self) -> None:
-        rows = self.index()
-        try:
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.root, prefix=".tmp-index-", suffix=".json"
-            )
-        except OSError as exc:
-            reject_read_only(exc, self.root, "refresh the index")
-            raise
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(rows, handle, sort_keys=True, indent=2)
-                handle.write("\n")
-            os.replace(tmp_name, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     # ------------------------------------------------------------------
     # Garbage collection

@@ -23,7 +23,6 @@ import pytest
 
 from repro.adversary import (
     AttackPlan,
-    AttackScope,
     AttackerSpec,
     install_attack,
 )
@@ -45,6 +44,7 @@ from repro.core.getaddr import CrawlResult, PeerHarvest
 from repro.core.malicious_detect import DetectionReport, MaliciousFinding
 from repro.core.pipeline import CRAWLER_ADDR
 from repro.errors import ConfigurationError
+from repro.faults import FaultScope
 from repro.netmodel import (
     LongitudinalConfig,
     ProtocolConfig,
@@ -83,7 +83,7 @@ class TestPlanValidation:
         with pytest.raises(ConfigurationError, match="scope is empty"):
             AttackPlan(
                 attackers=(
-                    AttackerSpec(kind="addr_flooder", scope=AttackScope()),
+                    AttackerSpec(kind="addr_flooder", scope=FaultScope()),
                 )
             ).validate()
 
@@ -111,7 +111,7 @@ class TestPlanValidation:
             AttackerSpec(
                 kind="eclipse",
                 victim="0.9.0.1:8333",
-                scope=AttackScope(addrs=("0.9.0.1:8333",)),
+                scope=FaultScope(addrs=("0.9.0.1:8333",)),
             ).validate()
 
     def test_victim_only_for_eclipse(self):
@@ -156,12 +156,12 @@ class TestPlanValidation:
             config.validate()
 
     def test_install_rejects_victim_inside_cohort_placement(self):
-        scenario = small_scenario(None)
+        scenario = small_scenario(AttackPlan())
         plan = AttackPlan(
             attackers=(
                 AttackerSpec(
                     kind="eclipse",
-                    scope=AttackScope(addrs=("0.200.0.9:8333",)),
+                    scope=FaultScope(addrs=("0.200.0.9:8333",)),
                     victim="0.200.0.9:8333",
                 ),
             )
@@ -171,7 +171,7 @@ class TestPlanValidation:
             install_attack(scenario, plan)
 
     def test_install_rejects_unknown_victim(self):
-        scenario = small_scenario(None)
+        scenario = small_scenario(AttackPlan())
         plan = AttackPlan(
             attackers=(
                 AttackerSpec(kind="eclipse", victim="0.250.0.9:8333"),
@@ -432,7 +432,7 @@ class TestDetectionScoring:
 
     def test_honest_hybrid_run_zero_false_positives(self):
         """Acceptance pin: the heuristic is quiet on a clean network."""
-        scenario = small_scenario(None, seed=31)
+        scenario = small_scenario(AttackPlan(), seed=31)
         scenario.start(warmup=300.0)
         scenario.sim.run_for(600.0)
         honest = [node.addr for node in scenario.running_nodes()]

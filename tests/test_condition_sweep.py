@@ -351,6 +351,7 @@ class TestBuilders:
             {"intensity": 0.0}, {"intensity": 0.5}, {"intensity": 2.0},
         ]
         assert [len(c.config.faults) for c in conditions] == [0, 1, 1]
+        assert conditions[0].config == TINY
         assert [
             spec.probability
             for c in conditions[1:] for spec in c.config.faults.faults
@@ -381,7 +382,7 @@ class TestBuilders:
             ["baseline", PolicyConfig(variant="improved")],
             tiny_campaign(),
             churn_levels=(2, 6),
-            fault_plans=(None, DROP),
+            fault_plans=(FaultPlan(), DROP),
             fidelities=("full", "hybrid"),
         )
         assert len(conditions) == 16

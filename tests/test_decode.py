@@ -1,10 +1,11 @@
 """The one JSON-to-config decoder (``repro.core.decode``).
 
-Three promises: a config survives ``asdict`` → JSON → ``decode``
+Four promises: a config survives ``asdict`` → JSON → ``decode``
 unchanged; every malformed value is refused with the dotted path that
 names it (``tests/test_serve.py``'s ``REFUSALS``, which it also POSTs);
-and the run keys computed before the decoder existed still hold, so no
-stored run became a cache miss.
+one experiment has one spelling, so its equal configs share one run
+key; and the pinned run keys move only when a config's spelling does
+(old → new in CHANGES.md).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.adversary import AttackerSpec, AttackPlan, AttackScope
+from repro.adversary import AttackerSpec, AttackPlan
 from repro.bitcoin import PolicyConfig
 from repro.core.condition_sweep import (
     ConditionSweepPlan,
@@ -44,7 +45,7 @@ _FAULTS = FaultPlan(faults=(
 ))
 _ATTACK = AttackPlan(attackers=(
     AttackerSpec(kind="addr_flooder", count=3, tier="reachable",
-                 scope=AttackScope(asns=(3320,)), flood_volume=4000),
+                 scope=FaultScope(asns=(3320,)), flood_volume=4000),
     AttackerSpec(kind="sync_staller", height_lead=500),
 ))
 _POLICY = PolicyConfig(
@@ -102,10 +103,8 @@ def test_a_tuple_field_decodes_to_a_tuple_and_an_int_stays_an_int():
 
 
 # ---------------------------------------------------------------------------
-# Run-key parity: the keys these configs had before the decoder existed
+# One experiment, one key: an empty plan or policy block is no block
 # ---------------------------------------------------------------------------
-
-_SWEEP_BASE = SyncCampaignConfig(n_reachable=40, duration=3600.0, seed=21)
 
 
 def _submission_key(body):
@@ -118,26 +117,47 @@ def _example(name):
 
 
 @pytest.mark.parametrize(
+    "scenario",
+    [
+        {"faults": {}, "attack": {}, "policies": {"variant": "baseline"}},
+        {"faults": {"faults": []}, "attack": {"attackers": []},
+         "policies": {"params": {}}},
+    ],
+    ids=["empty-objects", "empty-lists"],
+)
+def test_empty_blocks_key_as_no_blocks(scenario):
+    assert _submission_key({"scenario": scenario}) == _submission_key({})
+    assert _submission_key(in_scenario(**scenario)) == _submission_key(TINY)
+
+
+# ---------------------------------------------------------------------------
+# Run-key pins: re-pinned once when None stopped spelling an empty plan
+# ---------------------------------------------------------------------------
+
+_SWEEP_BASE = SyncCampaignConfig(n_reachable=40, duration=3600.0, seed=21)
+
+
+@pytest.mark.parametrize(
     "key_of, key",
     [
         (lambda: _submission_key(TINY),
-         "2fa13d53579d20e0a79f0d417362bfa56e23b9ae53d9e16bff7e1edb21c83284"),
+         "92cedca8a9b775f3cf526077a524c42b8aecae78042466d5bd87e61ce60e93fe"),
         (lambda: _submission_key(
             in_scenario(faults=_example("faultplan_partition.json"))),
-         "0ecba7a6a1a105d0848c8e08dc6419c6ee73da624428828376c79f6ab9471570"),
+         "d9d36e66ebb12fbc2f505e4c3ee1f0ecd51c612e11a879619b6a5a974c52b182"),
         (lambda: _submission_key(
             in_scenario(attack=_example("attackplan_flood.json"))),
-         "e224efd99c96c3def68d9025cdb226a17a26e2df23cb5c08d12b7d65fb8189b9"),
+         "8aad889db7e885a064d9188c8cb405ad49843df2f155ad61706d746b4440355c"),
         (lambda: _submission_key(in_scenario(policies={"variant": "improved"})),
-         "425d579e3ddf0d37a465c78f7f24599ef3034015a97502785e704e171adf80a9"),
+         "cf8cb9eee33d95aad904e11bb63f740e2107897b53682281b366171e955f814b"),
         (lambda: ConditionSweepPlan("chaos", fault_conditions(
             decode_file(FaultPlan, EXAMPLES / "faultplan_chaos.json"),
             _SWEEP_BASE, [0, 0.5, 1, 1.5, 2]), [21, 22]).key,
-         "a345f25dec1563a80f5e2c32038040b42fad45b50e6c998fce263adfca4f0a97"),
+         "428f6c9f1d4fd4d6d096882f87d52bc201f988c5164a5b39db734f0f9fbda98c"),
         (lambda: ConditionSweepPlan("attack", attack_conditions(
             decode_file(AttackPlan, EXAMPLES / "attackplan_flood.json"),
             _SWEEP_BASE, [0, 3]), [21, 22]).key,
-         "069b6371acbba63fb86f662b7a19a987f48430bc978329668b9552c0390269e1"),
+         "65f3be16d8192f64d42ac2bbf0a39ebded6a0d0521e46c6f1e89467251d7b988"),
     ],
     ids=["tiny", "tiny-faults", "tiny-attack", "tiny-policies",
          "chaos-sweep", "attack-sweep"],

@@ -164,7 +164,7 @@ class TestScenarioEdgeCases:
         from repro.netmodel import LongitudinalConfig, LongitudinalScenario
 
         scenario = LongitudinalScenario(
-            LongitudinalConfig(scale=0.002, snapshots=2, seed=3, flooders=False)
+            LongitudinalConfig(scale=0.002, snapshots=2, seed=3, flooder_count=0)
         )
         assert scenario.flooders == []
         from repro.core import CampaignRunner

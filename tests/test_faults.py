@@ -172,7 +172,7 @@ class TestInjectorBehaviour:
         plan = FaultPlan(faults=(
             FaultSpec(kind="duplicate", probability=1.0, start=0.0),
         ))
-        baseline = _scenario(None)
+        baseline = _scenario(FaultPlan())
         baseline.start(warmup=120.0)
         duplicated = _scenario(plan)
         duplicated.start(warmup=120.0)
@@ -201,7 +201,7 @@ class TestInjectorBehaviour:
 
     def test_partition_blocks_crossing_traffic(self):
         # One node's address on one side, everyone else on the other.
-        scenario = _scenario(None)
+        scenario = _scenario(FaultPlan())
         victim = scenario.nodes[0].addr
         plan = FaultPlan(faults=(
             FaultSpec(kind="partition", start=60.0, duration=600.0,
@@ -227,7 +227,7 @@ class TestInjectorBehaviour:
         assert scenario.sim.network.messages_delivered > 0
 
     def test_crash_stops_and_restarts_with_state_loss(self):
-        scenario = _scenario(None, pre_mined=8)
+        scenario = _scenario(FaultPlan(), pre_mined=8)
         victim = scenario.nodes[0]
         plan = FaultPlan(faults=(
             FaultSpec(kind="crash", start=50.0, downtime=100.0,
@@ -249,7 +249,7 @@ class TestInjectorBehaviour:
         assert stats.restarts == 1
 
     def test_crash_without_state_loss_keeps_chain(self):
-        scenario = _scenario(None, pre_mined=8)
+        scenario = _scenario(FaultPlan(), pre_mined=8)
         victim = scenario.nodes[0]
         plan = FaultPlan(faults=(
             FaultSpec(kind="crash", start=50.0, downtime=100.0,
@@ -315,7 +315,7 @@ class TestDeterminism:
         # A run with a plan whose windows never open must be bit-identical
         # to a run with no plan at all: fault randomness lives on its own
         # named streams and draws nothing until a window activates.
-        clean = _scenario(None, seed=23)
+        clean = _scenario(FaultPlan(), seed=23)
         clean.start(warmup=300.0)
         never = FaultPlan(faults=(
             FaultSpec(kind="drop", probability=0.9, start=1e9),

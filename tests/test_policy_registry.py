@@ -26,15 +26,9 @@ from repro.bitcoin.policy import (
     register,
     variant_names,
 )
-from repro.core import CampaignConfig, CampaignRunner
 from repro.core.decode import decode
 from repro.errors import ConfigurationError
-from repro.netmodel import (
-    LongitudinalConfig,
-    LongitudinalScenario,
-    ProtocolConfig,
-    ProtocolScenario,
-)
+from repro.netmodel import ProtocolConfig, ProtocolScenario
 
 
 #: The three §V knobs at their ``improved`` values, spelled one by one.
@@ -214,32 +208,3 @@ def test_protocol_digest_baseline_distinct_from_improved():
         PolicyConfig(variant="improved")
     )
 
-
-def _campaign_figures(policies):
-    config = LongitudinalConfig(
-        scale=0.004,
-        snapshots=2,
-        campaign_days=2.0,
-        seed=9,
-        fidelity="hybrid",
-        policies=policies,
-    )
-    runner = CampaignRunner(LongitudinalScenario(config), CampaignConfig())
-    result = runner.run()
-    return [
-        (
-            snap.when,
-            len(snap.connected),
-            len(snap.unreachable),
-            len(snap.responsive),
-            snap.new_unreachable,
-            snap.new_responsive,
-        )
-        for snap in result.snapshots
-    ]
-
-
-def test_longitudinal_no_policies_equals_baseline_variant():
-    # ``policies=None`` keeps the pre-registry crawl path; the baseline
-    # variant must compose the same gossip tables draw-for-draw.
-    assert _campaign_figures(None) == _campaign_figures(PolicyConfig())

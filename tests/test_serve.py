@@ -338,6 +338,21 @@ REFUSALS = {
     "unknown-policies": (
         in_scenario(policies={"bogus": 1}), "scenario.policies"
     ),
+    # An empty plan or policy is spelled empty, never null.
+    "null-faults": (in_scenario(faults=None), "scenario.faults"),
+    "null-attack": (in_scenario(attack=None), "scenario.attack"),
+    "null-policies": (in_scenario(policies=None), "scenario.policies"),
+    # "No flooders" is spelled ``flooder_count: 0`` and nothing else.
+    "flooders-switch": (
+        in_scenario(flooders=False), "['flooders'] for scenario"
+    ),
+    "negative-flooder-count": (in_scenario(flooder_count=-1), "flooder_count"),
+    "flooder-count-beside-attack": (
+        in_scenario(
+            flooder_count=5, attack={"attackers": [{"kind": "addr_flooder"}]}
+        ),
+        "flooder_count",
+    ),
 }
 
 
@@ -400,8 +415,8 @@ class TestValidation:
             ({"scenario": {"scale": 0.002, "snapshots": True}},
              "scenario.snapshots"),
             ({"scenario": {"scale": 0.002, "seed": 1.5}}, "scenario.seed"),
-            ({"scenario": {"scale": 0.002, "flooders": 1}},
-             "scenario.flooders"),
+            ({"scenario": {"scale": 0.002, "flooder_count": True}},
+             "scenario.flooder_count"),
             ({"scenario": {"scale": 0.002}, "campaign": {"probe_enabled": "no"}},
              "campaign.probe_enabled"),
         ],
@@ -606,9 +621,11 @@ READS = {
 #: ``TINY`` — it unpickled the result and rendered both bodies on every
 #: cold read.  The ``/result`` body names the run, so a change to the
 #: run-key payload moves its pin (and must say so); nothing else may.
+#: It moved once since, when an empty plan stopped having a ``None``
+#: spelling (old digest in CHANGES.md).
 _SERVED_BEFORE_VIEWS = {
     "result": (
-        "71478c4f49c48be1c877c685172b8e840986746f634d05b4c3bb36394ff05d78"
+        "ddafbfabf872d9a038e5c7ca79a64fb1abfd529060277f141f6f463fa84dfa6a"
     ),
     "export/campaign_series.csv": (
         "efec76f94c08903fc215c5dad8d8c4ff5d37c0eec009e997307a30e0bc042c4d"

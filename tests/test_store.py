@@ -286,14 +286,17 @@ class TestRunStore:
         loaded = store.load_manifest("campaign-abc")
         assert loaded == manifest
         assert store.has_run("campaign-abc")
-        assert store.find_by_key("k1").run_id == "campaign-abc"
-        assert store.find_by_key("nope") is None
+        assert store.index()["campaign-abc"]["key"] == "k1"
 
-    def test_index_written(self, tmp_path):
+    def test_index_is_scanned_and_never_written(self, tmp_path):
+        """The listing is read from ``runs/``; a commit writes its one
+        manifest and nothing beside it."""
         store = RunStore(tmp_path)
         store.save_manifest(self._manifest())
-        assert store.index_path.exists()
         assert "campaign-abc" in store.index()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["objects", "runs"]
+        assert store.delete_run("campaign-abc")
+        assert store.index() == {}
 
     def test_gc_removes_only_unreferenced(self, tmp_path):
         store = RunStore(tmp_path)
@@ -344,7 +347,7 @@ class TestRunStore:
         (store.runs_dir / f"{manifest.run_id}.json").write_text(text)
         assert [m.run_id for m in store.manifests()] == [manifest.run_id]
         assert store.load_manifest(manifest.run_id) == manifest
-        assert store.find_by_key(manifest.key).run_id == manifest.run_id
+        assert store.index()[manifest.run_id]["key"] == manifest.key
         assert "engine" not in store.index()[manifest.run_id]
         assert store.diff(manifest.run_id, manifest.run_id)["fields"] == {}
         assert store.gc(dry_run=True)["removed"] == [dropped]

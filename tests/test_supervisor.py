@@ -230,8 +230,8 @@ class TestStrictWrapper:
             SupervisorConfig(timeout=0.0).validate()
         with pytest.raises(ConfigurationError, match="retries"):
             SupervisorConfig(retries=-1).validate()
-        with pytest.raises(ConfigurationError, match="backoff_factor"):
-            SupervisorConfig(backoff_factor=0.5).validate()
+        with pytest.raises(ConfigurationError, match="backoff"):
+            SupervisorConfig(backoff=-0.5).validate()
 
 
 class TestWorkerConfiguration:

@@ -149,7 +149,6 @@ class TestRunKeyIdentity:
             ).key
 
         keys = {
-            key(None),
             key(PolicyConfig()),
             key(PolicyConfig(variant="improved")),
             key(PolicyConfig(variant="unreachable-relay")),
@@ -160,7 +159,7 @@ class TestRunKeyIdentity:
                 )
             ),
         }
-        assert len(keys) == 5
+        assert len(keys) == 4
         assert key(PolicyConfig(params=_IMPROVED_KNOBS)) == key(
             PolicyConfig(variant="improved")
         )
