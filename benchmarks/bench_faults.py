@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 
-from repro.core.condition_sweep import ConditionSweepPlan, fault_conditions
+from repro.core.condition_sweep import Axis, ConditionSweepPlan, conditions
 from repro.core.decode import decode_file
 from repro.core.reports import format_table
 from repro.core.sync_experiments import SyncCampaignConfig
@@ -38,7 +38,9 @@ def test_sync_under_faults(benchmark):
     )
     result = benchmark.pedantic(
         ConditionSweepPlan(
-            "chaos", fault_conditions(plan, base, (0.0, 0.5, 1.0, 2.0)), [21, 22]
+            "chaos",
+            conditions(base, Axis.intensity(plan, (0.0, 0.5, 1.0, 2.0))),
+            [21, 22],
         ).run,
         rounds=1,
         iterations=1,

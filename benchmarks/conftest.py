@@ -20,11 +20,12 @@ import os
 import pytest
 
 from repro.core import (
+    Axis,
     CampaignRunner,
     ConditionSweepPlan,
     RelayExperimentConfig,
     SyncCampaignConfig,
-    churn_conditions,
+    conditions,
     run_relay_experiment,
 )
 from repro.netmodel import (
@@ -88,5 +89,7 @@ def sync_campaigns():
     """The Fig. 1 contrast (2019-like vs 2020-like churn), by year."""
     duration = 1.5 * 3600.0 if FAST else 3 * 3600.0
     base = SyncCampaignConfig(duration=duration, seed=21)
-    result = ConditionSweepPlan("fig1", churn_conditions(base), [base.seed]).run()
+    result = ConditionSweepPlan(
+        "fig1", conditions(base, Axis.year()), [base.seed]
+    ).run()
     return {cell.labels["year"]: cell.sweep for cell in result.cells}

@@ -19,16 +19,20 @@ Commands
 ``lint``       determinism & checkpoint-safety static analysis
 
 ``sync``, ``chaos``, ``attack`` and ``variants`` are one program — Fig. 1
-under a list of conditions (``repro.core.condition_sweep``) — behind one
-``_sweep``, one degradation printer, one totals printer, one exporter.
+under a product of axes built from the flags
+(``repro.core.condition_sweep``) — behind one ``_sweep``, one table
+printer keyed by axis names (a cell with no completed seed reads ``-``)
+and one exporter; ``chaos`` and ``attack`` share one command body.
 
 ``--store DIR`` (on ``campaign``, ``sync``, ``chaos``, ``attack``, and
 ``variants``) checkpoints the run into a content-addressed store after
 every unit (snapshot, churn arm, intensity level, count level, matrix
 cell); an interrupted run resumes after its last completed unit
 (``--resume RUN_ID`` to be explicit), a completed run with the same
-config is a cache hit, and ``--force`` re-executes it anyway.  Sweep runs are ``sync-sweep-…`` whichever
-command made them.
+config is a cache hit, and ``--force`` re-executes it anyway.  Sweep
+runs are ``sync-sweep-…`` whichever command made them (``attack
+--mitigations`` stores two).  A stored cell that lost a seed is not
+committed: ``error:``, exit 1, and a re-run retries that cell.
 
 ``--faults plan.json`` (on ``campaign``, ``sync``, and ``chaos``)
 compiles a deterministic fault plan onto every run; ``--seed-timeout``
@@ -59,7 +63,7 @@ from .core import export as export_mod
 from .core.condition_sweep import DEFAULT_CHURN_LEVELS, DEFAULT_VARIANTS
 from .core.decode import decode_file
 from .core.reports import comparison_table, format_table
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SupervisionError
 from .faults import FaultPlan
 from .netmodel import (
     LongitudinalConfig,
@@ -147,13 +151,11 @@ def _say_stored(
         print(f"stored as run {run_id}")
 
 
-def _run_stored(args: argparse.Namespace, plan, unit: str):
+def _run_stored(args: argparse.Namespace, plan, unit: str, resume: Optional[str]):
     """``plan`` through ``--store``; says where the result came from."""
     from .store import run_stored
 
-    stored = run_stored(
-        args.store, plan, resume=args.resume, force=args.force
-    )
+    stored = run_stored(args.store, plan, resume=resume, force=args.force)
     _say_stored(
         stored.manifest.run_id, stored.cached, stored.resumed_from, unit,
         plan.units,
@@ -263,7 +265,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.store:
         from .store import CampaignPlan
 
-        result = _run_stored(args, CampaignPlan(config), "snapshot")
+        result = _run_stored(args, CampaignPlan(config), "snapshot", args.resume)
     else:
         result = core.CampaignRunner(scenario).run()
     if result.truncated:
@@ -318,16 +320,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep(args: argparse.Namespace, name: str, conditions, seeds, unit=None):
+def _sweep(
+    args: argparse.Namespace, name: str, conditions, seeds, unit: str,
+    resume: bool = True,
+):
     """Run a Fig. 1 condition sweep and report each cell's supervision.
-    ``unit`` is what the command's ``_store_flags`` call a unit: given,
-    the sweep goes through ``--store`` when the invocation names one."""
+    ``unit`` is what the command's ``_store_flags`` call a unit; with
+    ``--store`` the sweep is stored, and ``--resume`` names it unless
+    ``resume`` is false (a command's second sweep resumes by key)."""
     plan = core.ConditionSweepPlan(
         name, conditions, seeds, args.workers,
         core.supervisor_config(args.seed_timeout, args.retries),
     )
-    if unit is not None and args.store:
-        result = _run_stored(args, plan, unit)
+    if args.store:
+        result = _run_stored(args, plan, unit, args.resume if resume else None)
     else:
         result = plan.run()
     for cell in result.cells:
@@ -338,36 +344,35 @@ def _sweep(args: argparse.Namespace, name: str, conditions, seeds, unit=None):
     return result
 
 
-def _print_degradation(
-    rows: List[dict], axis: str, versus: str = "baseline", seeds: bool = True
-) -> None:
-    """A ``degradation_table`` along ``axis``; ``seeds`` adds the
-    failed / retried seed counts."""
-    headers = [axis, "mean sync %", "median sync %", f"delta vs {versus}"]
-    if seeds:
-        headers += ["failed", "retried"]
-    table = []
-    for row in rows:
-        delta = row["delta_vs_baseline"]
-        line = [
-            row[axis],
-            round(row["mean_sync"], 2),
-            round(row["median_sync"], 2),
-            "-" if delta is None else round(delta, 2),
-        ]
-        if seeds:
-            line += [len(row["failed_seeds"]), len(row["retried_seeds"])]
-        table.append(line)
-    print(format_table(headers, table))
+def _degradation(versus: str) -> list:
+    """``_print_table`` columns of a ``degradation_table``."""
+    return [
+        ("mean sync %", "mean_sync", 2), ("median sync %", "median_sync", 2),
+        (f"delta vs {versus}", "delta_vs_baseline", 2),
+        ("failed", "failed_seeds", 0), ("retried", "retried_seeds", 0),
+    ]
 
 
-def _print_totals(result, title: str, stats: str, axis: str, empty: str) -> None:
-    """Each cell's summed ``stats`` counters, zeros left out."""
-    print()
-    print(title)
-    for cell in result.cells:
-        nonzero = {k: v for k, v in cell.totals(stats).items() if v}
-        print(f"  {cell.labels[axis]}: {nonzero if nonzero else empty}")
+def _print_table(rows: List[dict], axes: List[str], columns: list) -> None:
+    """One line per row: its ``axes`` labels as they are, then each
+    ``(header, key, digits)`` column — ``None`` reads ``-``, a seed list
+    its length, a number is rounded to ``digits``."""
+
+    def show(value, digits):
+        if value is None:
+            return "-"
+        return len(value) if isinstance(value, list) else round(value, digits)
+
+    print(
+        format_table(
+            [*axes, *(header for header, _, _ in columns)],
+            [
+                [*(row[axis] for axis in axes),
+                 *(show(row[key], digits) for _, key, digits in columns)]
+                for row in rows
+            ],
+        )
+    )
 
 
 def _export_sweep(
@@ -407,37 +412,51 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         f"sync: nodes={args.nodes} duration={args.hours}h — running 2019 "
         f"and 2020 churn levels{over}..."
     )
-    result = _sweep(args, "fig1", core.churn_conditions(base), seeds, unit="arm")
+    result = _sweep(
+        args, "fig1", core.conditions(base, core.Axis.year()), seeds, "arm"
+    )
     results = {cell.labels["year"]: cell.sweep for cell in result.cells}
-    r2019, r2020 = results["2019"], results["2020"]
+    done = {label: sweep for label, sweep in results.items() if sweep.seeds}
     for label, sweep in results.items():
-        if sweep.truncated:
+        if label not in done:
+            print(
+                f"WARNING: sync campaign {label!r} completed no seed — "
+                f"left out of the table and the KDE"
+            )
+        elif sweep.truncated:
             _warn_truncated(f"sync campaign {label!r}", sweep.truncated_seeds)
+
+    def measured(label: str, stat: str):
+        return getattr(done[label], stat) if label in done else "-"
+
     print(
         comparison_table(
             [
-                ("mean sync 2019 (%)", cal.SYNC_MEAN_2019, r2019.mean),
-                ("mean sync 2020 (%)", cal.SYNC_MEAN_2020, r2020.mean),
+                ("mean sync 2019 (%)", cal.SYNC_MEAN_2019,
+                 measured("2019", "mean")),
+                ("mean sync 2020 (%)", cal.SYNC_MEAN_2020,
+                 measured("2020", "mean")),
                 ("sync departures/10min 2019", cal.SYNC_DEPARTURES_2019,
-                 r2019.sync_departures_per_10min),
+                 measured("2019", "sync_departures_per_10min")),
                 ("sync departures/10min 2020", cal.SYNC_DEPARTURES_2020,
-                 r2020.sync_departures_per_10min),
+                 measured("2020", "sync_departures_per_10min")),
             ],
             title="Fig. 1 / §IV-D",
         )
     )
-    from .core.figures import density_overlay
+    if done:
+        from .core.figures import density_overlay
 
-    print()
-    print("Fig. 1 kernel densities (x: 0..100% synchronized):")
-    print(
-        density_overlay(
-            {label: sweep.density() for label, sweep in results.items()}
+        print()
+        print("Fig. 1 kernel densities (x: 0..100% synchronized):")
+        print(
+            density_overlay(
+                {label: sweep.density() for label, sweep in done.items()}
+            )
         )
-    )
     if args.export:
         out = _export_sweep(args, result, "{year}", "{year}")
-        for label, sweep in results.items():
+        for label, sweep in done.items():
             export_mod.export_density(
                 sweep.density(), out / f"sync_kde_{label}.csv"
             )
@@ -445,79 +464,71 @@ def _cmd_sync(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    plan = decode_file(FaultPlan, args.faults)
-    intensities = [float(part) for part in args.intensities.split(",")]
-    seeds = core.seed_range(args.seed, args.seeds)
-    conditions = core.fault_conditions(plan, _sync_base(args), intensities)
-    print(
-        f"chaos: nodes={args.nodes} duration={args.hours}h plan={args.faults} "
-        f"({len(plan)} fault(s)) intensities={intensities} seeds={seeds} "
-        f"workers={args.workers or 'auto'}..."
-    )
-    result = _sweep(args, "chaos", conditions, seeds, unit="level")
-    table = result.degradation_table(intensity=0)
-    _print_degradation(table, "intensity")
-    _print_totals(
-        result, "injector totals per intensity level:", "fault_stats",
-        "intensity", "(no faults fired)",
-    )
-    if args.export:
-        out = _export_sweep(
-            args, result, "intensity_{intensity}", "intensity={intensity}",
-            table=("chaos_degradation.json", table),
-        )
-        print(f"exported degradation table and samples to {out}/")
-    return 0
-
-
-def _cmd_attack(args: argparse.Namespace) -> int:
+def _cmd_scaled(args: argparse.Namespace) -> int:
+    """``chaos`` / ``attack``: one plan file scaled along one axis and
+    read against its clean level 0; ``attack --mitigations`` adds a
+    second sweep, clean / attacked / mitigated."""
     from .adversary import AttackPlan
 
-    plan = decode_file(AttackPlan, args.plan)
-    counts = [int(part) for part in args.counts.split(",")]
+    plan_flag, plan_type, noun, flag, cast, preset, stats, title, empty = {
+        "chaos": (
+            "faults", FaultPlan, "fault(s)", "intensities", float,
+            core.Axis.intensity, "fault_stats",
+            "injector totals per intensity level:", "(no faults fired)",
+        ),
+        "attack": (
+            "plan", AttackPlan, "cohort(s)", "counts", int,
+            core.Axis.attackers, "attack_stats",
+            "attacker totals per count level:", "(no attack)",
+        ),
+    }[args.command]
+    path = getattr(args, plan_flag)
+    plan = decode_file(plan_type, path)
+    levels = [cast(part) for part in getattr(args, flag).split(",")]
     base = _sync_base(args)
     seeds = core.seed_range(args.seed, args.seeds)
-    conditions = core.attack_conditions(plan, base, counts)
+    axis = preset(plan, levels)
+    conditions, name = core.conditions(base, axis), axis.name
+    mitigations = getattr(args, "mitigations", None)
     hardened = (
-        core.mitigation_conditions(plan, base, args.mitigations)
-        if args.mitigations
+        core.conditions(base, core.Axis.condition(plan, mitigations))
+        if mitigations
         else None
     )
     print(
-        f"attack: nodes={args.nodes} duration={args.hours}h plan={args.plan} "
-        f"({len(plan)} cohort(s)) counts={counts} seeds={seeds} "
+        f"{args.command}: nodes={args.nodes} duration={args.hours}h "
+        f"plan={path} ({len(plan)} {noun}) {flag}={levels} seeds={seeds} "
         f"workers={args.workers or 'auto'}..."
     )
-    result = _sweep(args, "attack", conditions, seeds, unit="level")
-    table = result.degradation_table(attackers=0)
-    _print_degradation(table, "attackers")
-    _print_totals(
-        result, "attacker totals per count level:", "attack_stats",
-        "attackers", "(no attack)",
-    )
+    result = _sweep(args, args.command, conditions, seeds, "level")
+    table = result.degradation_table(**{name: 0})
+    _print_table(table, [name], _degradation("baseline"))
+    print()
+    print(title)
+    for cell in result.cells:
+        nonzero = {k: v for k, v in cell.totals(stats).items() if v}
+        print(f"  {cell.labels[name]}: {nonzero if nonzero else empty}")
     if hardened is not None:
         print()
         print(
             f"mitigations: rerunning the full attack under the "
-            f"{args.mitigations!r} policy variant..."
+            f"{mitigations!r} policy variant..."
         )
-        comparison = _sweep(args, "mitigations", hardened, seeds)
-        _print_degradation(
-            comparison.degradation_table(condition="clean"), "condition",
-            versus="clean", seeds=False,
+        comparison = _sweep(
+            args, "mitigations", hardened, seeds, "condition", resume=False
         )
-        recovered = (
-            comparison.cell(condition="mitigated").sweep.mean
-            - comparison.cell(condition="attacked").sweep.mean
-        )
-        print(
-            f"hardening recovered {recovered:+.2f} sync percentage points"
-        )
+        rows = comparison.degradation_table(condition="clean")
+        _print_table(rows, ["condition"], _degradation("clean")[:3])
+        mean = {row["condition"]: row["mean_sync"] for row in rows}
+        if None not in (mean["attacked"], mean["mitigated"]):
+            recovered = mean["mitigated"] - mean["attacked"]
+            print(
+                f"hardening recovered {recovered:+.2f} sync percentage points"
+            )
     if args.export:
         out = _export_sweep(
-            args, result, "attackers_{attackers}", "attackers={attackers}",
-            table=("attack_degradation.json", table),
+            args, result, f"{name}_{{{name}}}", f"{name}={{{name}}}",
+            table=(f"{args.command}_degradation.json", table),
         )
         print(f"exported degradation table and samples to {out}/")
     return 0
@@ -538,8 +549,10 @@ def _cmd_variants(args: argparse.Namespace) -> int:
             f"{args.faults} (matrix runs fault-free + plan)"
         )
     seeds = core.seed_range(args.seed, args.seeds)
-    conditions = core.variant_conditions(
-        variants, _sync_base(args), churn_levels, fault_plans, fidelities
+    conditions = core.conditions(
+        _sync_base(args), core.Axis.variant(variants),
+        core.Axis.churn(churn_levels), core.Axis.faults(fault_plans),
+        core.Axis.fidelity(fidelities),
     )
     print(
         f"variants: {variants} x churn={churn_levels} x "
@@ -547,31 +560,14 @@ def _cmd_variants(args: argparse.Namespace) -> int:
         f"({len(conditions)} cells, seeds={seeds}, "
         f"workers={args.workers or 'auto'})..."
     )
-    result = _sweep(args, "variants", conditions, seeds, unit="cell")
+    result = _sweep(args, "variants", conditions, seeds, "cell")
     levels = [f"{level:g}" for level in result.axis("churn")]
     table = result.retention_table(along="churn")
-    rows = []
-    for row in table:
-        means = row["mean_sync"]
-        retention = row["retention"]
-        rows.append(
-            (
-                row["variant"],
-                row["faults"],
-                row["fidelity"],
-                *(
-                    "-" if means[level] is None else round(means[level], 2)
-                    for level in levels
-                ),
-                "-" if retention is None else round(retention, 3),
-            )
-        )
-    print(
-        format_table(
-            ("variant", "faults", "fidelity",
-             *(f"sync%@{level}" for level in levels), "retention"),
-            rows,
-        )
+    _print_table(
+        [{**row, **row["mean_sync"]} for row in table],
+        [axis for axis in conditions[0].labels if axis != "churn"],
+        [*((f"sync%@{level}", level, 2) for level in levels),
+         ("retention", "retention", 3)],
     )
     if args.export:
         out = _export_sweep(
@@ -912,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
     _world_flags(chaos, nodes=40, hours=1.0, seed=21)
     _sweep_flags(chaos, seeds=2, per="intensity level")
     _store_flags(chaos, "level")
-    chaos.set_defaults(func=_cmd_chaos)
+    chaos.set_defaults(func=_cmd_scaled)
 
     attack = sub.add_parser(
         "attack",
@@ -937,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     _world_flags(attack, nodes=40, hours=1.0, seed=21)
     _sweep_flags(attack, seeds=2, per="attacker-count level")
     _store_flags(attack, "level")
-    attack.set_defaults(func=_cmd_attack)
+    attack.set_defaults(func=_cmd_scaled)
 
     variants = sub.add_parser(
         "variants",
@@ -1080,6 +1076,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SupervisionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -40,15 +40,12 @@ from .malicious_detect import (
     time_to_detection,
 )
 from .condition_sweep import (
+    Axis,
     Condition,
     ConditionCell,
     ConditionSweepPlan,
     ConditionSweepResult,
-    attack_conditions,
-    churn_conditions,
-    fault_conditions,
-    mitigation_conditions,
-    variant_conditions,
+    conditions,
 )
 from .parallel import (
     SyncSweepResult,
@@ -105,6 +102,7 @@ __all__ = [
     "ASHostingRow",
     "AddrComposition",
     "AddressCrawler",
+    "Axis",
     "BlockPropagation",
     "CampaignConfig",
     "CampaignResult",
@@ -148,25 +146,22 @@ __all__ = [
     "TargetShift",
     "VerProber",
     "analyze",
-    "attack_conditions",
     "best_height_at",
     "build_matrix",
     "build_relay_scenario",
-    "churn_conditions",
     "classify_harvest",
     "common_top_ases",
     "comparison_table",
     "composition",
+    "conditions",
     "departures_between",
     "detect_flooders",
     "export",
-    "fault_conditions",
     "figures",
     "format_table",
     "hosting_report",
     "measure_propagation",
     "merge_reports",
-    "mitigation_conditions",
     "plan_hijack",
     "run_connection_stability",
     "run_connection_success",
@@ -185,5 +180,4 @@ __all__ = [
     "table_composition",
     "target_shifts",
     "time_to_detection",
-    "variant_conditions",
 ]

@@ -1,4 +1,4 @@
-"""Fig. 1 under conditions: one sweep, five condition lists.
+"""Fig. 1 under conditions: one sweep, a product of axes.
 
 The paper's headline is one measurement — Fig. 1's synchronization
 distribution — read under changing conditions: churn doubling (the 2019
@@ -7,11 +7,11 @@ extension asks the same question of another axis (fault intensity,
 attacker count, policy variant × churn × fault plan × fidelity), so they
 are all one program:
 
-* a :class:`Condition` is a point on the axes — ``labels`` names it
-  (``{"intensity": 0.5}``, ``{"attackers": 18}``, ``{"year": "2020"}``,
-  ``{"variant": ..., "churn": ..., "faults": ..., "fidelity": ...}``),
-  ``config`` is the :class:`~repro.core.sync_experiments.SyncCampaignConfig`
-  it selects;
+* an :class:`Axis` is a name and its levels — each a label and the
+  ``SyncCampaignConfig`` fields it overrides; its classmethods are the
+  presets the CLI's sweeps use.  :func:`conditions` is the product of
+  axes over a base config: one :class:`Condition` (``labels``,
+  ``config``) per point;
 * a :class:`ConditionSweepPlan` runs a list of them over the same seeds
   (:func:`~repro.core.parallel.run_sync_groups`) and yields one
   :class:`ConditionSweepResult` of :class:`ConditionCell` — the labels
@@ -19,61 +19,161 @@ are all one program:
 * the result pivots two ways, neither knowing which experiment it
   serves: :meth:`~ConditionSweepResult.degradation_table` (one row per
   cell, delta against a baseline cell) and
-  :meth:`~ConditionSweepResult.retention_table` (one row per group of
-  cells that differ only along one numeric axis: mean at its highest
-  level / mean at its lowest).
+  :meth:`~ConditionSweepResult.retention_table` (mean at the highest
+  level of one numeric axis / mean at its lowest).  A cell with no
+  completed seed reads ``None`` in both.
 
-What used to be five experiments is five builders that validate their
-axis and return the list: :func:`churn_conditions` (Fig. 1 itself),
-:func:`fault_conditions` (``repro chaos``), :func:`attack_conditions`
-and :func:`mitigation_conditions` (``repro attack``),
-:func:`variant_conditions` (``repro variants``).  A builder that
-returns is a sweep that can run — a bad axis fails there, before any
-campaign does.
+Each refusal lives on the type it guards — an empty axis or an unknown
+field in :class:`Axis`, a negative count or intensity in
+``AttackPlan.with_total`` / ``FaultPlan.scaled``, the rest in
+``SyncCampaignConfig.validate`` via :class:`Condition` — so a condition
+list that builds is a sweep that can run.
 
 The plan is a :class:`~repro.store.plan.StoredPlan` (kind
-``sync-sweep``, one unit per condition), so *any* sweep is storable:
-``run_stored(store, plan)`` keys it by content, commits each cell as it
-completes, resumes after a kill and serves a completed key from the
-store.  :meth:`ConditionSweepPlan.run` (unstored) puts every
-``condition x seed`` campaign in **one** supervised fan-out; the stored
-path fans out once per unit, because a unit must be durable before the
-next starts.  That is the only difference between the two, and both
-build their cells in :meth:`ConditionSweepPlan._cells`.
+``sync-sweep``, one unit per condition): ``run_stored(store, plan)``
+keys it by content, commits each cell as it completes, resumes after a
+kill and serves a completed key from the store.  Unstored, every
+``condition x seed`` campaign shares **one** supervised fan-out and a
+cell keeps what completed; stored, each unit fans out on its own and a
+cell that lost a seed is never committed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Union
+import itertools
+from dataclasses import dataclass, fields, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..adversary.plan import AttackPlan
 from ..bitcoin.config import PolicyConfig
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SupervisionError
 from ..faults.plan import FaultPlan
 from ..store.manifest import config_to_dict
 from ..store.plan import StoredPlan
 from .parallel import SyncSweepResult, run_sync_groups
 from .supervisor import SupervisorConfig
-from .sync_experiments import SyncCampaignConfig, protocol_config
-
-#: Default intensity axis: clean baseline to double the plan's magnitudes.
-DEFAULT_INTENSITIES = (0.0, 0.5, 1.0, 1.5, 2.0)
-
-#: Default attacker-count axis: clean baseline to the paper's 73 nodes.
-DEFAULT_COUNTS = (0, 18, 36, 73)
+from .sync_experiments import SyncCampaignConfig
 
 #: Default variant axis: the §V pair plus the two PAPERS.md variants.
-DEFAULT_VARIANTS = (
-    "baseline",
-    "improved",
-    "unreachable-relay",
-    "churn-resilient",
-)
+DEFAULT_VARIANTS = ("baseline", "improved", "unreachable-relay", "churn-resilient")
 
 #: Default churn axis: the compressed 2019-like and 2020-like rates the
 #: Fig. 1 reproduction uses (departures per 10 minutes).
 DEFAULT_CHURN_LEVELS = (5.0, 15.0)
+
+_FIELDS = frozenset(f.name for f in fields(SyncCampaignConfig))
+
+
+@dataclass
+class Axis:
+    """One axis of a sweep: its name and its ``(label, overrides)``
+    levels, in order.  A label is hashed into the run key, so each
+    preset casts it one way; overrides name ``SyncCampaignConfig`` fields.
+    """
+
+    name: str
+    levels: Sequence[Tuple[Any, Dict[str, Any]]]
+
+    def __post_init__(self) -> None:
+        if not self.levels:
+            raise ConfigurationError(f"axis {self.name!r} has no levels")
+        for _, overrides in self.levels:
+            for name in overrides:
+                if name not in _FIELDS:
+                    raise ConfigurationError(
+                        f"axis {self.name!r}: SyncCampaignConfig has no "
+                        f"field {name!r}"
+                    )
+
+    @classmethod
+    def year(cls, churn_2019: float = 5.0, churn_2020: float = 14.0) -> "Axis":
+        """The Fig. 1 contrast: churn roughly doubled, keeping the
+        paper's ~1:2 synchronized-departure ratio (measured rates land
+        near its 3.9 and 7.6 per 10 minutes)."""
+        return cls("year", [
+            ("2019", {"churn_per_10min": churn_2019}),
+            ("2020", {"churn_per_10min": churn_2020}),
+        ])
+
+    @classmethod
+    def intensity(cls, plan: FaultPlan, levels: Sequence[float]) -> "Axis":
+        """``plan`` scaled by each level (:meth:`FaultPlan.scaled`);
+        intensity 0 is the clean baseline."""
+        return cls("intensity", [
+            (float(level), {"faults": plan.scaled(level)}) for level in levels
+        ])
+
+    @classmethod
+    def attackers(cls, plan: AttackPlan, counts: Sequence[int]) -> "Axis":
+        """``plan`` rescaled to each count (:meth:`AttackPlan.with_total`);
+        count 0 is the clean baseline."""
+        return cls("attackers", [
+            (int(count), {"attack": plan.with_total(count)}) for count in counts
+        ])
+
+    @classmethod
+    def condition(
+        cls,
+        plan: AttackPlan,
+        policies: Optional[Union[PolicyConfig, str]] = None,
+    ) -> "Axis":
+        """What a policy variant's hardening buys back under ``plan``:
+        ``clean`` (no attack), ``attacked`` (the full plan under the base
+        policies), ``mitigated`` (the full plan under ``policies`` — a
+        :class:`PolicyConfig` or a registered variant name; by default
+        the §V ``improved`` variant)."""
+        if policies is None:
+            policies = PolicyConfig.improved()
+        elif isinstance(policies, str):
+            policies = PolicyConfig(variant=policies)
+        return cls("condition", [
+            ("clean", {"attack": AttackPlan()}),
+            ("attacked", {"attack": plan}),
+            ("mitigated", {"attack": plan, "policies": policies}),
+        ])
+
+    @classmethod
+    def variant(
+        cls, variants: Sequence[Union[str, PolicyConfig]] = DEFAULT_VARIANTS
+    ) -> "Axis":
+        """Variant names and / or :class:`PolicyConfig` objects,
+        labelled canonically: equal behaviours share a label and a key."""
+        policies = [
+            variant if isinstance(variant, PolicyConfig)
+            else PolicyConfig(variant=variant)
+            for variant in variants
+        ]
+        return cls("variant", [(p.label(), {"policies": p}) for p in policies])
+
+    @classmethod
+    def churn(cls, levels: Sequence[float] = DEFAULT_CHURN_LEVELS) -> "Axis":
+        """Churn in departures per 10 minutes (the variant lab's
+        headline pivot is ``retention_table(along="churn")``)."""
+        return cls("churn", [
+            (float(level), {"churn_per_10min": float(level)})
+            for level in levels
+        ])
+
+    @classmethod
+    def faults(cls, plans: Sequence[FaultPlan] = (FaultPlan(),)) -> "Axis":
+        """Whole fault plans, labelled ``none`` or ``plan<i>:<kinds>``."""
+        return cls("faults", [
+            (_fault_label(plan, index), {"faults": plan})
+            for index, plan in enumerate(plans)
+        ])
+
+    @classmethod
+    def fidelity(cls, fidelities: Sequence[str] = ("hybrid",)) -> "Axis":
+        """Node-tier fidelities (a light-tier variant under ``full`` is
+        refused by :class:`Condition`)."""
+        return cls("fidelity", [(f, {"fidelity": f}) for f in fidelities])
+
+
+def _fault_label(plan: FaultPlan, index: int) -> str:
+    if not plan.faults:
+        return "none"
+    names = sorted({spec.kind for spec in plan.faults})
+    return f"plan{index}:{'+'.join(names)}"
 
 
 @dataclass
@@ -86,8 +186,27 @@ class Condition:
 
     def __post_init__(self) -> None:
         # A condition that constructs is a condition that can run: a bad
-        # plan, size, fidelity or variant fails in the builder, by name.
-        protocol_config(self.config).validate()
+        # plan, size, duration, fidelity or variant fails here, by name.
+        self.config.validate()
+
+
+def conditions(base: SyncCampaignConfig, *axes: Axis) -> List[Condition]:
+    """The product of ``axes`` over ``base``, in axis order with the last
+    axis varying fastest: one :class:`Condition` per point, labelled by
+    axis name, its config ``base`` under every level's overrides."""
+    names = [axis.name for axis in axes]
+    if len(set(names)) < len(names):
+        raise ConfigurationError(f"an axis appears twice in {names}")
+    points = []
+    for levels in itertools.product(*(axis.levels for axis in axes)):
+        overrides = {k: v for _, level in levels for k, v in level.items()}
+        points.append(
+            Condition(
+                {name: label for name, (label, _) in zip(names, levels)},
+                replace(base, **overrides),
+            )
+        )
+    return points
 
 
 @dataclass
@@ -110,6 +229,11 @@ class ConditionCell:
             for key, value in (getattr(result, stats) or {}).items():
                 totals[key] = totals.get(key, 0) + value
         return totals
+
+
+def _mean(cell: Optional[ConditionCell]) -> Optional[float]:
+    """The cell's pooled mean sync; ``None`` with no completed seed."""
+    return cell.sweep.mean if cell is not None and cell.sweep.seeds else None
 
 
 @dataclass
@@ -136,36 +260,41 @@ class ConditionSweepResult:
 
     def degradation_table(self, **baseline: Any) -> List[dict]:
         """One row per cell: its labels, mean / median sync and the
-        mean's delta against the cell ``baseline`` selects (``None``
-        when no such cell ran)."""
-        base = self.cell(**baseline) if baseline else None
-        base_mean = base.sweep.mean if base is not None else None
-        return [
-            {
+        mean's delta against the cell ``baseline`` selects.  Each reads
+        ``None`` when its cell (or the baseline's) completed no seed, and
+        the delta when no baseline cell ran."""
+        base_mean = _mean(self.cell(**baseline)) if baseline else None
+        rows = []
+        for cell in self.cells:
+            mean = _mean(cell)
+            rows.append({
                 **cell.labels,
-                "mean_sync": cell.sweep.mean,
-                "median_sync": cell.sweep.median,
+                "mean_sync": mean,
+                "median_sync": None if mean is None else cell.sweep.median,
                 "delta_vs_baseline": (
-                    cell.sweep.mean - base_mean
-                    if base_mean is not None
-                    else None
+                    None if mean is None or base_mean is None
+                    else mean - base_mean
                 ),
                 "failed_seeds": list(cell.sweep.failed_seeds),
                 "retried_seeds": list(cell.sweep.retried_seeds),
-            }
-            for cell in self.cells
-        ]
+            })
+        return rows
 
     def retention_table(self, along: str) -> List[dict]:
         """Sync retention along one numeric axis.
 
         One row per group of cells that differ only in ``along``: the
-        mean sync at every level of that axis plus the retention ratio
-        (mean at the highest level / mean at the lowest).  A group
-        missing either end, with a single level, or with a zero
-        denominator reports a retention of ``None``.
+        mean sync at every level of that axis (``None`` for a cell with
+        no completed seed) plus the retention ratio (mean at the highest
+        level / mean at the lowest).  A group missing either end, with a
+        single level, or with a zero denominator reports a retention of
+        ``None``; a group with no completed cell has no row.
         """
         levels = self.axis(along)
+        if not levels:
+            raise ConfigurationError(
+                f"sweep {self.name!r} has no axis {along!r}"
+            )
         low, high = min(levels), max(levels)
         groups: Dict[tuple, dict] = {}
         for cell in self.cells:
@@ -245,179 +374,19 @@ class ConditionSweepPlan(StoredPlan):
         return self.finish(None, self._cells(self.conditions))
 
     def run_unit(self, state: None, index: int) -> ConditionCell:
-        return self._cells([self.conditions[index]])[0]
+        # A stored cell is served to every later run: one that lost a
+        # seed (a crash, a --seed-timeout hang) must stay uncommitted,
+        # so the run stays resumable and a re-run retries just this cell.
+        cell = self._cells([self.conditions[index]])[0]
+        if cell.sweep.failed_seeds:
+            raise SupervisionError(
+                f"sweep {self.name!r} cell {cell.tag}: seeds "
+                f"{cell.sweep.failed_seeds} failed permanently; the cell "
+                f"is not stored — re-run to retry it"
+            )
+        return cell
 
     def finish(
         self, state: None, outs: List[ConditionCell]
     ) -> ConditionSweepResult:
         return ConditionSweepResult(name=self.name, cells=outs)
-
-
-# ---------------------------------------------------------------------------
-# The five builders
-# ---------------------------------------------------------------------------
-
-
-def _base(base: Optional[SyncCampaignConfig]) -> SyncCampaignConfig:
-    return base if base is not None else SyncCampaignConfig()
-
-
-def churn_conditions(
-    base: Optional[SyncCampaignConfig] = None,
-    churn_2019: float = 5.0,
-    churn_2020: float = 14.0,
-) -> List[Condition]:
-    """The Fig. 1 contrast: same network, churn roughly doubled.
-
-    The rates keep the paper's ~1:2 synchronized-departure ratio; the
-    *measured* synchronized-departure rates land near the paper's 3.9
-    and 7.6 per 10 minutes.
-    """
-    base = _base(base)
-    return [
-        Condition({"year": year}, replace(base, churn_per_10min=churn))
-        for year, churn in (("2019", churn_2019), ("2020", churn_2020))
-    ]
-
-
-def fault_conditions(
-    plan: FaultPlan,
-    base: Optional[SyncCampaignConfig] = None,
-    intensities: Sequence[float] = DEFAULT_INTENSITIES,
-) -> List[Condition]:
-    """``plan`` scaled across an intensity axis
-    (:meth:`~repro.faults.plan.FaultPlan.scaled`); intensity 0 is the
-    clean baseline, so degradation is measured against the same seeds
-    under the same scenario."""
-    plan.validate()
-    if not intensities:
-        raise ConfigurationError("need at least one fault intensity")
-    base = _base(base)
-    return [
-        Condition(
-            {"intensity": float(intensity)},
-            replace(base, faults=plan.scaled(intensity)),
-        )
-        for intensity in intensities
-    ]
-
-
-def attack_conditions(
-    plan: AttackPlan,
-    base: Optional[SyncCampaignConfig] = None,
-    counts: Sequence[int] = DEFAULT_COUNTS,
-) -> List[Condition]:
-    """``plan`` scaled across an attacker-count axis
-    (:meth:`~repro.adversary.plan.AttackPlan.with_total`); count 0 is
-    the clean baseline."""
-    plan.validate()
-    if not counts:
-        raise ConfigurationError("need at least one attacker count")
-    if any(count < 0 for count in counts):
-        raise ConfigurationError(
-            f"attacker counts must be >= 0, got {list(counts)}"
-        )
-    base = _base(base)
-    return [
-        Condition(
-            {"attackers": int(count)},
-            replace(base, attack=plan.with_total(count)),
-        )
-        for count in counts
-    ]
-
-
-def mitigation_conditions(
-    plan: AttackPlan,
-    base: Optional[SyncCampaignConfig] = None,
-    policies: Optional[Union[PolicyConfig, str]] = None,
-) -> List[Condition]:
-    """What a policy variant's hardening buys back under ``plan``.
-
-    Three conditions — ``clean`` (no attack), ``attacked`` (the full
-    plan under ``base``'s policies), ``mitigated`` (the full plan under
-    ``policies``).  ``policies`` may be a :class:`PolicyConfig` or any
-    registered variant name; the default is the §V ``improved`` variant
-    (tried-only ADDR, 17-day horizon, prioritized block relay).
-    """
-    plan.validate()
-    base = _base(base)
-    if policies is None:
-        policies = PolicyConfig.improved()
-    elif isinstance(policies, str):
-        policies = PolicyConfig(variant=policies)
-    attacked = replace(base, attack=plan)
-    return [
-        Condition({"condition": "clean"}, replace(base, attack=AttackPlan())),
-        Condition({"condition": "attacked"}, attacked),
-        Condition(
-            {"condition": "mitigated"}, replace(attacked, policies=policies)
-        ),
-    ]
-
-
-def _fault_label(plan: FaultPlan, index: int) -> str:
-    if not plan.faults:
-        return "none"
-    names = sorted({spec.kind for spec in plan.faults})
-    return f"plan{index}:{'+'.join(names)}"
-
-
-def variant_conditions(
-    variants: Sequence[Union[str, PolicyConfig]] = DEFAULT_VARIANTS,
-    base: Optional[SyncCampaignConfig] = None,
-    churn_levels: Sequence[float] = DEFAULT_CHURN_LEVELS,
-    fault_plans: Sequence[FaultPlan] = (FaultPlan(),),
-    fidelities: Sequence[str] = ("hybrid",),
-) -> List[Condition]:
-    """The protocol-variant lab: variant × churn × fault plan × fidelity,
-    in that (deterministic) order.
-
-    ``variants`` are registered names and / or :class:`PolicyConfig`
-    objects; construction canonicalizes, so an unknown name fails here
-    and equal behaviours share a label and a run key.  A variant that
-    acts only through the light cloud is rejected under a fidelity that
-    builds none (``ProtocolConfig.validate``).  The headline pivot is
-    ``retention_table(along="churn")``.
-    """
-    if not variants:
-        raise ConfigurationError("need at least one policy variant")
-    configs = [
-        variant
-        if isinstance(variant, PolicyConfig)
-        else PolicyConfig(variant=variant)
-        for variant in variants
-    ]
-    if not churn_levels:
-        raise ConfigurationError("need at least one churn level")
-    if any(level < 0 for level in churn_levels):
-        raise ConfigurationError(
-            f"churn levels must be >= 0, got {list(churn_levels)}"
-        )
-    if not fidelities:
-        raise ConfigurationError("need at least one fidelity")
-    fault_plans = list(fault_plans) if fault_plans else [FaultPlan()]
-    for plan in fault_plans:
-        plan.validate()
-    base = _base(base)
-    return [
-        Condition(
-            {
-                "variant": policies.label(),
-                "churn": float(churn),
-                "faults": _fault_label(plan, index),
-                "fidelity": fidelity,
-            },
-            replace(
-                base,
-                policies=policies,
-                churn_per_10min=float(churn),
-                faults=plan,
-                fidelity=fidelity,
-            ),
-        )
-        for policies in configs
-        for churn in churn_levels
-        for index, plan in enumerate(fault_plans)
-        for fidelity in fidelities
-    ]

@@ -30,6 +30,7 @@ import numpy as np
 from ..adversary.plan import AttackPlan
 from ..analysis.kde import DensityEstimate, kde
 from ..bitcoin.config import NodeConfig, PolicyConfig
+from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 from ..netmodel.scenario import ProtocolConfig, ProtocolScenario
 from .sync_monitor import SyncMonitor
@@ -71,6 +72,20 @@ class SyncCampaignConfig:
     #: tried-only ADDR responses, shortened tried horizon — applied when
     #: measuring attack mitigations.
     policies: PolicyConfig = field(default_factory=PolicyConfig)
+
+    def validate(self) -> None:
+        """Refuse a campaign the monitor cannot sample twice (the
+        departure rate needs two samples), then its live network."""
+        if self.sample_period <= 0:
+            raise ConfigurationError(
+                f"sample_period must be positive, got {self.sample_period}"
+            )
+        if self.duration < 2 * self.sample_period:
+            raise ConfigurationError(
+                f"duration {self.duration:g}s is too short for two monitor "
+                f"samples: need >= {2 * self.sample_period:g}s"
+            )
+        protocol_config(self).validate()
 
 
 @dataclass

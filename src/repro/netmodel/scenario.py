@@ -513,6 +513,10 @@ class ProtocolConfig:
         require_light_tier(self.node_config.policies, self.fidelity)
         if self.n_reachable < 2:
             raise ScenarioError("need at least two reachable nodes")
+        if (self.churn_per_10min or 0.0) < 0:
+            raise ConfigurationError(
+                f"churn_per_10min must be >= 0, got {self.churn_per_10min}"
+            )
         if not 0 < self.addr_reachable_share < 1:
             raise ScenarioError("addr_reachable_share must be in (0, 1)")
 

@@ -28,12 +28,13 @@ from repro.adversary import (
 )
 from repro.bitcoin import BitcoinNode, NodeConfig
 from repro.core import (
+    Axis,
     ConditionSweepPlan,
     DetectionMetrics,
     GetAddrConfig,
     GetAddrCrawler,
     SyncCampaignConfig,
-    attack_conditions,
+    conditions,
     detect_flooders,
     run_sync_campaign,
     score_detection,
@@ -494,7 +495,8 @@ def tiny_campaign(seed: int = 7) -> SyncCampaignConfig:
 
 def attack_sweep(plan, base, counts, seeds) -> ConditionSweepPlan:
     return ConditionSweepPlan(
-        "attack", attack_conditions(plan, base, counts), seeds, workers=1
+        "attack", conditions(base, Axis.attackers(plan, counts)), seeds,
+        workers=1,
     )
 
 

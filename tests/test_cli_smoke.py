@@ -359,3 +359,112 @@ class TestChaosSmoke:
         assert run_id.startswith("sync-sweep-")
         assert main(argv) == 0
         assert f"cache hit: run {run_id}" in capsys.readouterr().out
+
+
+def _lose(monkeypatch, lost):
+    """Make every campaign whose config satisfies ``lost`` fail."""
+    from repro.core import parallel
+
+    real = parallel._run_sync_config
+
+    def run(config):
+        if lost(config):
+            raise RuntimeError("boom")
+        return real(config)
+
+    monkeypatch.setattr(parallel, "_run_sync_config", run)
+
+
+_TINY_SWEEP = ["--nodes", "8", "--hours", "0.12", "--seeds", "1",
+               "--workers", "1"]
+
+
+@pytest.mark.slow
+class TestSweepFailures:
+    """A cell with no completed seed is a ``-``, never a crash; a stored
+    cell that lost a seed is an ``error:`` line and exit 1; a campaign
+    too short to sample twice is refused before anything runs."""
+
+    def test_sync_leaves_an_empty_arm_out(self, monkeypatch, capsys):
+        import warnings
+
+        _lose(monkeypatch, lambda config: config.churn_per_10min == 14.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sync", *_TINY_SWEEP]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "WARNING: sync campaign '2020' completed no seed — left out of "
+            "the table and the KDE"
+        ) in out
+        assert "mean sync 2020 (%)   61.9         -      -" in out
+        densities = out.split("kernel densities")[1].splitlines()[1:-1]
+        assert [line.split()[0] for line in densities] == ["2019"]
+
+    def test_chaos_prints_a_dash_for_an_empty_level(self, monkeypatch, capsys):
+        import warnings
+
+        _lose(monkeypatch, lambda config: len(config.faults) > 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(
+                ["chaos", "--faults", str(EXAMPLES / "faultplan_partition.json"),
+                 "--intensities", "0,1", *_TINY_SWEEP]
+            ) == 0
+        rows = capsys.readouterr().out.split("-------\n")[1].splitlines()
+        assert rows[1].split() == ["1", "-", "-", "-", "1", "0"]
+
+    def test_a_stored_cell_that_lost_a_seed_is_an_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        argv = ["sync", *_TINY_SWEEP, "--store", str(tmp_path)]
+        _lose(monkeypatch, lambda config: config.churn_per_10min == 14.0)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "year=2020: seeds [21]" in err
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert "from arm 1/2" in capsys.readouterr().out
+
+    def test_too_short_to_sample_twice_is_refused_and_not_stored(
+        self, tmp_path, capsys
+    ):
+        argv = [
+            "attack", "--plan", str(EXAMPLES / "attackplan_flood.json"),
+            "--counts", "0,2", "--nodes", "10", "--hours", "0.05",
+            "--seeds", "1", "--workers", "1", "--store", str(tmp_path),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration 180s is too short"), err
+        assert RunStore(tmp_path).manifests() == []
+
+    def test_mitigations_are_stored_as_their_own_run(self, tmp_path, capsys):
+        from .test_sweep_stdout import _FLOOD
+
+        plan = tmp_path / "flood.json"
+        plan.write_text(_FLOOD)
+        store = tmp_path / "store"
+        argv = ["attack", "--plan", str(plan), "--counts", "0,2",
+                "--mitigations", *_TINY_SWEEP, "--store", str(store)]
+
+        def lines(prefix):
+            return [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(prefix)
+            ]
+
+        assert main(argv) == 0
+        stored = lines("stored as run ")
+        runs = [line.split()[3] for line in stored]
+        assert len(set(runs)) == 2
+        assert sorted(m.run_id for m in RunStore(store).manifests()) == sorted(
+            runs
+        )
+        assert main(argv) == 0
+        assert len(lines("cache hit: run ")) == 2
+        assert main(argv + ["--force"]) == 0
+        assert lines("stored as run ") == stored
+        # --resume names the count sweep; the mitigation sweep, its key
+        assert main(argv + ["--resume", runs[0]]) == 0
+        assert [line.split()[3] for line in lines("cache hit: run ")] == runs

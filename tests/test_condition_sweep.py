@@ -1,17 +1,20 @@
 """Fig. 1 under conditions (``repro.core.condition_sweep``).
 
-The sweep once, the builders once:
+The sweep once, the axes once:
 
 * **The plan.**  ``ConditionSweepPlan`` over a two-condition list:
   ``run()`` (one fan-out) equals the per-unit path ``run_stored`` takes,
   one worker equals two, and a seed that fails lands on its own cell.
+  A cell that lost every seed reads ``None`` (and ``-`` on the CLI);
+  under ``run_stored`` a cell that lost any seed is never committed.
 * **The two pivots**, on hand-built cells: no simulation, every
   ``None`` case of ``degradation_table`` / ``retention_table``.
-* **The builders.**  A bad axis fails in the builder — before a plan, a
-  key or a manifest exists — through ``plan.run()`` and ``run_stored``
-  alike (the attack-count and variant-matrix axes are
-  ``tests/test_stored_plan.py::TestOneValidation``'s); and
-  ``churn_conditions`` carries every ``SyncCampaignConfig`` field.
+* **The axes.**  A bad axis fails while the condition list is built —
+  before a plan, a key or a manifest exists — through ``plan.run()``
+  and ``run_stored`` alike (the attack-count and variant-matrix axes
+  are ``tests/test_stored_plan.py::TestOneValidation``'s); each preset
+  lands where the builder it replaced did; and the year axis carries
+  every ``SyncCampaignConfig`` field.
 * **The two CI smokes**, run by name from ``attack-smoke`` and
   ``variant-smoke``: the shipped flood degrades sync monotonically, and
   a stored mini matrix is a cache hit with an equal retention table.
@@ -23,6 +26,7 @@ result and per-cell digest pins are in ``tests/test_stored_plan.py``.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -31,6 +35,7 @@ import pytest
 from repro.adversary.plan import AttackerSpec, AttackPlan
 from repro.bitcoin.config import PolicyConfig
 from repro.core import (
+    Axis,
     Condition,
     ConditionCell,
     ConditionSweepPlan,
@@ -38,15 +43,16 @@ from repro.core import (
     SyncCampaignConfig,
     SyncCampaignResult,
     SyncSweepResult,
-    attack_conditions,
-    churn_conditions,
-    fault_conditions,
-    mitigation_conditions,
-    variant_conditions,
+    conditions,
 )
 from repro.core import parallel
 from repro.core.decode import decode_file
-from repro.errors import ConfigurationError, FaultInjectionError, ScenarioError
+from repro.errors import (
+    ConfigurationError,
+    FaultInjectionError,
+    ScenarioError,
+    SupervisionError,
+)
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.store import RunStore, run_stored
 
@@ -65,7 +71,7 @@ DROP = FaultPlan(faults=(FaultSpec(kind="drop", probability=0.3),))
 
 def toy_plan(workers=1) -> ConditionSweepPlan:
     return ConditionSweepPlan(
-        "toy", churn_conditions(TINY, 2.0, 6.0), [5, 6], workers=workers
+        "toy", conditions(TINY, Axis.year(2.0, 6.0)), [5, 6], workers=workers
     )
 
 
@@ -119,6 +125,55 @@ class TestPlan:
         assert clean.sweep == one_fanout.cells[0].sweep
         assert hurt.sweep.per_seed == one_fanout.cells[1].sweep.per_seed[1:]
 
+    def test_a_cell_with_no_completed_seed_reads_none(self, monkeypatch):
+        real = parallel._run_sync_config
+
+        def lost(config):
+            if config.churn_per_10min == 6.0:
+                raise RuntimeError("boom")
+            return real(config)
+
+        monkeypatch.setattr(parallel, "_run_sync_config", lost)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = toy_plan().run()
+            rows = result.degradation_table(year="2019")
+            against_the_lost = result.degradation_table(year="2020")
+        assert rows[1] == {
+            "year": "2020", "mean_sync": None, "median_sync": None,
+            "delta_vs_baseline": None, "failed_seeds": [5, 6],
+            "retried_seeds": [],
+        }
+        assert rows[0]["delta_vs_baseline"] == 0.0
+        assert [row["delta_vs_baseline"] for row in against_the_lost] == [
+            None, None,
+        ]
+        with pytest.raises(ConfigurationError, match="no axis 'churn'"):
+            result.retention_table(along="churn")
+
+    def test_a_stored_cell_that_lost_a_seed_is_not_committed(
+        self, one_fanout, tmp_path, monkeypatch
+    ):
+        real = parallel._run_sync_config
+
+        def flaky(config):
+            if (config.churn_per_10min, config.seed) == (6.0, 5):
+                raise RuntimeError("boom")
+            return real(config)
+
+        monkeypatch.setattr(parallel, "_run_sync_config", flaky)
+        with pytest.raises(SupervisionError, match=r"year=2020: seeds \[5\]"):
+            run_stored(tmp_path, toy_plan())
+        partial_run = RunStore(tmp_path).load_manifest(toy_plan().run_id)
+        assert partial_run.status == "running"
+        assert partial_run.completed_snapshots == 1
+        assert partial_run.result_digest is None
+        # the crash is over: the same plan retries just the lost cell
+        monkeypatch.setattr(parallel, "_run_sync_config", real)
+        resumed = run_stored(tmp_path, toy_plan())
+        assert resumed.resumed_from == 1 and not resumed.cached
+        assert resumed.result == one_fanout
+
     def test_stored_equals_unstored_and_hits_its_cache(
         self, one_fanout, tmp_path
     ):
@@ -131,20 +186,24 @@ class TestPlan:
         assert again.cached and again.result == one_fanout
 
     def test_key_covers_name_labels_configs_and_seeds(self):
-        conditions = churn_conditions(TINY)
-        key = ConditionSweepPlan("a", conditions, [5]).key
-        assert key == ConditionSweepPlan("a", churn_conditions(TINY), [5]).key
+        points = conditions(TINY, Axis.year())
+        key = ConditionSweepPlan("a", points, [5]).key
+        assert key == ConditionSweepPlan(
+            "a", conditions(TINY, Axis.year()), [5]
+        ).key
         relabelled = [
-            Condition({"era": c.labels["year"]}, c.config) for c in conditions
+            Condition({"era": c.labels["year"]}, c.config) for c in points
         ]
         assert len(
             {
                 key,
-                ConditionSweepPlan("b", conditions, [5]).key,
-                ConditionSweepPlan("a", conditions, [6]).key,
-                ConditionSweepPlan("a", conditions[:1], [5]).key,
+                ConditionSweepPlan("b", points, [5]).key,
+                ConditionSweepPlan("a", points, [6]).key,
+                ConditionSweepPlan("a", points[:1], [5]).key,
                 ConditionSweepPlan("a", relabelled, [5]).key,
-                ConditionSweepPlan("a", churn_conditions(TINY, 4.0), [5]).key,
+                ConditionSweepPlan(
+                    "a", conditions(TINY, Axis.year(4.0)), [5]
+                ).key,
             }
         ) == 6
 
@@ -152,7 +211,7 @@ class TestPlan:
         with pytest.raises(ConfigurationError, match="no conditions"):
             ConditionSweepPlan("empty", [], [5])
         with pytest.raises(ConfigurationError, match="at least one seed"):
-            ConditionSweepPlan("seedless", churn_conditions(TINY), [])
+            ConditionSweepPlan("seedless", conditions(TINY, Axis.year()), [])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +334,7 @@ class TestRetentionTable:
 
 
 # ---------------------------------------------------------------------------
-# The builders
+# The axes
 # ---------------------------------------------------------------------------
 
 #: A reachable-tier cohort: over-sized counts exceed the network.
@@ -288,24 +347,25 @@ _REACHABLE = AttackPlan(
 @pytest.mark.parametrize(
     "conditions, error, message",
     [
-        (lambda: fault_conditions(DROP, tiny_campaign(), ()),
-         ConfigurationError, "at least one fault intensity"),
-        (lambda: fault_conditions(DROP, tiny_campaign(), (0.0, -1.0)),
+        (lambda: conditions(tiny_campaign(), Axis.intensity(DROP, ())),
+         ConfigurationError, "axis 'intensity' has no levels"),
+        (lambda: conditions(tiny_campaign(), Axis.intensity(DROP, (0.0, -1.0))),
          FaultInjectionError, "must be >= 0"),
-        (lambda: mitigation_conditions(_REACHABLE, tiny_campaign()),
+        (lambda: conditions(tiny_campaign(), Axis.condition(_REACHABLE)),
          ConfigurationError, "exceed"),
-        (lambda: mitigation_conditions(
-            flood_plan(), tiny_campaign(), "no-such-variant"),
+        (lambda: conditions(
+            tiny_campaign(), Axis.condition(flood_plan(), "no-such-variant")),
          ValueError, "no-such-variant"),
-        (lambda: mitigation_conditions(
-            flood_plan(), dataclasses.replace(tiny_campaign(), fidelity="full"),
-            "unreachable-relay"),
+        (lambda: conditions(
+            dataclasses.replace(tiny_campaign(), fidelity="full"),
+            Axis.condition(flood_plan(), "unreachable-relay")),
          ConfigurationError, "unreachable-relay.*fidelity='full'"),
-        (lambda: variant_conditions(
-            ["baseline"], tiny_campaign(), fidelities=("fulll",)),
+        (lambda: conditions(
+            tiny_campaign(), Axis.variant(["baseline"]),
+            Axis.fidelity(("fulll",))),
          ScenarioError, "unknown fidelity 'fulll'"),
-        (lambda: churn_conditions(
-            dataclasses.replace(tiny_campaign(), n_reachable=1)),
+        (lambda: conditions(
+            dataclasses.replace(tiny_campaign(), n_reachable=1), Axis.year()),
          ScenarioError, "at least two reachable nodes"),
         (lambda: [], ConfigurationError, "no conditions"),
     ],
@@ -340,32 +400,32 @@ class TestBuilders:
         assert all(
             getattr(base, name) != getattr(default, name) for name in names
         ), "give the new field a non-default value above"
-        for condition, churn in zip(churn_conditions(base), (5.0, 14.0)):
+        for condition, churn in zip(conditions(base, Axis.year()), (5.0, 14.0)):
             assert condition.config == dataclasses.replace(
                 base, churn_per_10min=churn
             )
 
     def test_fault_axis(self):
-        conditions = fault_conditions(DROP, TINY, (0, 0.5, 2))
-        assert [c.labels for c in conditions] == [
+        points = conditions(TINY, Axis.intensity(DROP, (0, 0.5, 2)))
+        assert [c.labels for c in points] == [
             {"intensity": 0.0}, {"intensity": 0.5}, {"intensity": 2.0},
         ]
-        assert [len(c.config.faults) for c in conditions] == [0, 1, 1]
-        assert conditions[0].config == TINY
+        assert [len(c.config.faults) for c in points] == [0, 1, 1]
+        assert points[0].config == TINY
         assert [
             spec.probability
-            for c in conditions[1:] for spec in c.config.faults.faults
+            for c in points[1:] for spec in c.config.faults.faults
         ] == [0.15, 0.6]
 
     def test_attack_axis_and_mitigations(self):
         plan, base = flood_plan(4), tiny_campaign()
-        conditions = attack_conditions(plan, base, (0, 2, 8))
-        assert [c.labels for c in conditions] == [
+        points = conditions(base, Axis.attackers(plan, (0, 2, 8)))
+        assert [c.labels for c in points] == [
             {"attackers": 0}, {"attackers": 2}, {"attackers": 8},
         ]
-        assert conditions[0].config == base
-        assert [c.config.attack.total_count for c in conditions[1:]] == [2, 8]
-        clean, attacked, mitigated = mitigation_conditions(plan, base)
+        assert points[0].config == base
+        assert [c.config.attack.total_count for c in points[1:]] == [2, 8]
+        clean, attacked, mitigated = conditions(base, Axis.condition(plan))
         assert [c.labels["condition"] for c in (clean, attacked, mitigated)] == [
             "clean", "attacked", "mitigated",
         ]
@@ -374,26 +434,26 @@ class TestBuilders:
         assert mitigated.config == dataclasses.replace(
             attacked.config, policies=PolicyConfig.improved()
         )
-        named = mitigation_conditions(plan, base, "churn-resilient")[2]
+        named = conditions(base, Axis.condition(plan, "churn-resilient"))[2]
         assert named.config.policies == PolicyConfig(variant="churn-resilient")
 
     def test_variant_cross_product_order_and_labels(self):
-        conditions = variant_conditions(
-            ["baseline", PolicyConfig(variant="improved")],
+        points = conditions(
             tiny_campaign(),
-            churn_levels=(2, 6),
-            fault_plans=(FaultPlan(), DROP),
-            fidelities=("full", "hybrid"),
+            Axis.variant(["baseline", PolicyConfig(variant="improved")]),
+            Axis.churn((2, 6)),
+            Axis.faults((FaultPlan(), DROP)),
+            Axis.fidelity(("full", "hybrid")),
         )
-        assert len(conditions) == 16
-        assert [tuple(c.labels.values()) for c in conditions[:5]] == [
+        assert len(points) == 16
+        assert [tuple(c.labels.values()) for c in points[:5]] == [
             ("baseline", 2.0, "none", "full"),
             ("baseline", 2.0, "none", "hybrid"),
             ("baseline", 2.0, "plan1:drop", "full"),
             ("baseline", 2.0, "plan1:drop", "hybrid"),
             ("baseline", 6.0, "none", "full"),
         ]
-        last = conditions[-1]
+        last = points[-1]
         assert last.labels == {
             "variant": "tried-only+17d+block-prio", "churn": 6.0,
             "faults": "plan1:drop", "fidelity": "hybrid",
@@ -406,9 +466,55 @@ class TestBuilders:
     def test_variant_lab_defaults_run_the_light_tier(self):
         """Every default variant under the default fidelity is runnable,
         and the one with a light tier gets its cloud."""
-        conditions = variant_conditions(base=tiny_campaign())
-        assert {c.config.fidelity for c in conditions} == {"hybrid"}
-        assert "unreachable-relay" in {c.labels["variant"] for c in conditions}
+        points = conditions(
+            tiny_campaign(), Axis.variant(), Axis.churn(), Axis.faults(),
+            Axis.fidelity(),
+        )
+        assert {c.config.fidelity for c in points} == {"hybrid"}
+        assert "unreachable-relay" in {c.labels["variant"] for c in points}
+
+
+class TestAxis:
+    """Each refusal in one place: the axis itself, or the config a point
+    of it selects (``SyncCampaignConfig.validate`` via ``Condition``)."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Axis("churn", []), "axis 'churn' has no levels"),
+            (lambda: Axis("era", [("x", {"churn": 2.0})]),
+             "axis 'era': SyncCampaignConfig has no field 'churn'"),
+            (lambda: conditions(TINY, Axis.year(), Axis.year()),
+             r"an axis appears twice in \['year', 'year'\]"),
+        ],
+        ids=["no-levels", "unknown-field", "twice"],
+    )
+    def test_a_malformed_axis_is_refused_by_name(self, build, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build()
+
+    def test_negative_churn_is_refused_for_every_sweep(self):
+        for axis in (Axis.churn((-1.0,)), Axis.year(-1.0)):
+            with pytest.raises(
+                ConfigurationError, match="churn_per_10min must be >= 0"
+            ):
+                conditions(TINY, axis)
+
+    def test_a_campaign_the_monitor_cannot_sample_twice_is_refused(self):
+        """Two samples need ``duration >= 2 x sample_period``: the
+        shortest campaign that completes still runs, a second less is
+        refused before anything simulates."""
+        shortest = dataclasses.replace(TINY, duration=240.0, sample_period=120.0)
+        (condition,) = conditions(shortest)
+        assert len(parallel._run_sync_config(condition.config).sync_samples) == 2
+        for config, message in (
+            (dataclasses.replace(shortest, duration=239.0),
+             "too short for two monitor samples"),
+            (dataclasses.replace(shortest, sample_period=0.0),
+             "sample_period must be positive"),
+        ):
+            with pytest.raises(ConfigurationError, match=message):
+                Condition({}, config)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +530,8 @@ def test_flood_degrades_sync_monotonically():
     base = SyncCampaignConfig(n_reachable=16, duration=0.3 * 3600.0, seed=21)
     plan = decode_file(AttackPlan, EXAMPLES / "attackplan_flood.json")
     result = ConditionSweepPlan(
-        "attack", attack_conditions(plan, base, (0, 4, 8)), [21, 22], workers=2
+        "attack", conditions(base, Axis.attackers(plan, (0, 4, 8))), [21, 22],
+        workers=2,
     ).run()
     rows = result.degradation_table(attackers=0)
     assert [row["attackers"] for row in rows] == [0, 4, 8]
@@ -445,8 +552,9 @@ def test_stored_matrix_is_a_cache_hit_with_equal_retention(tmp_path):
     def matrix():
         return ConditionSweepPlan(
             "variants",
-            variant_conditions(
-                ["baseline", "improved"], tiny_campaign(), (2.0, 6.0)
+            conditions(
+                tiny_campaign(), Axis.variant(["baseline", "improved"]),
+                Axis.churn((2.0, 6.0)), Axis.faults(), Axis.fidelity(),
             ),
             [7, 8],
             workers=2,

@@ -18,11 +18,7 @@ import pytest
 
 from repro.adversary import AttackerSpec, AttackPlan
 from repro.bitcoin import PolicyConfig
-from repro.core.condition_sweep import (
-    ConditionSweepPlan,
-    attack_conditions,
-    fault_conditions,
-)
+from repro.core.condition_sweep import Axis, ConditionSweepPlan, conditions
 from repro.core.decode import decode, decode_file
 from repro.core.sync_experiments import SyncCampaignConfig
 from repro.errors import ConfigurationError
@@ -150,13 +146,13 @@ _SWEEP_BASE = SyncCampaignConfig(n_reachable=40, duration=3600.0, seed=21)
          "8aad889db7e885a064d9188c8cb405ad49843df2f155ad61706d746b4440355c"),
         (lambda: _submission_key(in_scenario(policies={"variant": "improved"})),
          "cf8cb9eee33d95aad904e11bb63f740e2107897b53682281b366171e955f814b"),
-        (lambda: ConditionSweepPlan("chaos", fault_conditions(
+        (lambda: ConditionSweepPlan("chaos", conditions(_SWEEP_BASE, Axis.intensity(
             decode_file(FaultPlan, EXAMPLES / "faultplan_chaos.json"),
-            _SWEEP_BASE, [0, 0.5, 1, 1.5, 2]), [21, 22]).key,
+            [0, 0.5, 1, 1.5, 2])), [21, 22]).key,
          "428f6c9f1d4fd4d6d096882f87d52bc201f988c5164a5b39db734f0f9fbda98c"),
-        (lambda: ConditionSweepPlan("attack", attack_conditions(
+        (lambda: ConditionSweepPlan("attack", conditions(_SWEEP_BASE, Axis.attackers(
             decode_file(AttackPlan, EXAMPLES / "attackplan_flood.json"),
-            _SWEEP_BASE, [0, 3]), [21, 22]).key,
+            [0, 3])), [21, 22]).key,
          "65f3be16d8192f64d42ac2bbf0a39ebded6a0d0521e46c6f1e89467251d7b988"),
     ],
     ids=["tiny", "tiny-faults", "tiny-attack", "tiny-policies",

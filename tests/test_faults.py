@@ -423,7 +423,7 @@ class TestFaultsThroughStore:
 # ---------------------------------------------------------------------------
 class TestSyncUnderFaults:
     def test_degradation_sweep_shapes(self):
-        from repro.core import ConditionSweepPlan, fault_conditions
+        from repro.core import Axis, ConditionSweepPlan, conditions
         from repro.core.sync_experiments import SyncCampaignConfig
 
         plan = FaultPlan(faults=(
@@ -435,7 +435,8 @@ class TestSyncUnderFaults:
             duration=600.0, seed=3,
         )
         result = ConditionSweepPlan(
-            "chaos", fault_conditions(plan, base, (0.0, 1.0)), [3, 4], workers=1
+            "chaos", conditions(base, Axis.intensity(plan, (0.0, 1.0))), [3, 4],
+            workers=1,
         ).run()
         assert result.axis("intensity") == [0.0, 1.0]
         baseline, stressed = result.cells

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.condition_sweep import ConditionSweepPlan, churn_conditions
+from repro.core.condition_sweep import Axis, ConditionSweepPlan, conditions
 from repro.core.parallel import run_plans, seed_range
 from repro.core.sync_experiments import SyncCampaignConfig
 from repro.store import RunStore, StoredPlan
@@ -53,7 +53,7 @@ def _squares(*seeds):
 def fig1(seeds, workers=1):
     """The Fig. 1 contrast over ``seeds``: ``{year: SyncSweepResult}``."""
     result = ConditionSweepPlan(
-        "fig1", churn_conditions(TINY), seeds, workers=workers
+        "fig1", conditions(TINY, Axis.year()), seeds, workers=workers
     ).run()
     return {cell.labels["year"]: cell.sweep for cell in result.cells}
 

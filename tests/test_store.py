@@ -613,10 +613,10 @@ class TestRetiredFormat:
         from repro.adversary.plan import AttackerSpec, AttackPlan
         from repro.cli import main
         from repro.core import (
+            Axis,
             ConditionSweepPlan,
             SyncCampaignConfig,
-            attack_conditions,
-            variant_conditions,
+            conditions,
         )
 
         store = RunStore(tmp_path)
@@ -656,10 +656,13 @@ class TestRetiredFormat:
             flood = AttackPlan(
                 attackers=(AttackerSpec(kind="addr_flooder", count=2),)
             )
-            conditions = attack_conditions(flood, base, (0,))
+            points = conditions(base, Axis.attackers(flood, (0,)))
         else:
-            conditions = variant_conditions(["baseline"], base, (2.0,))
-        plan = ConditionSweepPlan(kind, conditions, [7], workers=1)
+            points = conditions(
+                base, Axis.variant(["baseline"]), Axis.churn((2.0,)),
+                Axis.faults(), Axis.fidelity(),
+            )
+        plan = ConditionSweepPlan(kind, points, [7], workers=1)
 
         for old in old_runs:
             for _ in range(2):  # and again: nothing was written or retried

@@ -35,12 +35,7 @@ import pytest
 import hashlib
 
 from repro.adversary.plan import AttackerSpec, AttackPlan
-from repro.core import (
-    ConditionSweepPlan,
-    attack_conditions,
-    fault_conditions,
-    variant_conditions,
-)
+from repro.core import Axis, ConditionSweepPlan, conditions
 from repro.core.export import export_campaign_series
 from repro.core.pipeline import CampaignResult
 from repro.errors import CheckpointError, ConfigurationError, StoreError
@@ -371,7 +366,8 @@ def variants_plan(churn_levels=(2.0,)) -> ConditionSweepPlan:
 def chaos_plan() -> ConditionSweepPlan:
     drop = FaultPlan(faults=(FaultSpec(kind="drop", probability=0.3),))
     return ConditionSweepPlan(
-        "chaos", fault_conditions(drop, tiny_sync(), (0.0, 1.0)), [7], workers=1
+        "chaos", conditions(tiny_sync(), Axis.intensity(drop, (0.0, 1.0))), [7],
+        workers=1,
     )
 
 
@@ -482,10 +478,13 @@ class TestOneValidation:
         run = partial(run_stored, tmp_path) if stored else ConditionSweepPlan.run
         return run(ConditionSweepPlan("sweep", conditions(), [7], workers=1))
 
+    # An empty axis is refused once, by Axis; the ids keep the names
+    # these cases had while each builder had its own message.
     @pytest.mark.parametrize(
         "counts, message",
         [
-            ((), "at least one attacker count"),
+            pytest.param((), "axis 'attackers' has no levels",
+                         id="counts0-at least one attacker count"),
             ((-1, 3), "must be >= 0"),
             ((0, 13), "exceed"),  # more reachable attackers than nodes
         ],
@@ -499,32 +498,40 @@ class TestOneValidation:
         with pytest.raises(ConfigurationError, match=message):
             self._run(
                 tmp_path, stored,
-                lambda: attack_conditions(plan, tiny_sync(), counts),
+                lambda: conditions(tiny_sync(), Axis.attackers(plan, counts)),
             )
         assert RunStore(tmp_path).manifests() == []
 
     @pytest.mark.parametrize(
         "axes, message",
         [
-            (dict(variants=[]), "at least one policy variant"),
+            pytest.param(dict(variants=[]), "axis 'variant' has no levels",
+                         id="axes0-at least one policy variant"),
             (dict(variants=["no-such-variant"]), "no-such-variant"),
-            (dict(churn_levels=()), "at least one churn level"),
+            pytest.param(dict(churn_levels=()), "axis 'churn' has no levels",
+                         id="axes2-at least one churn level"),
             (dict(churn_levels=(-1.0,)), "must be >= 0"),
-            (dict(fidelities=()), "at least one fidelity"),
+            pytest.param(dict(fidelities=()), "axis 'fidelity' has no levels",
+                         id="axes4-at least one fidelity"),
         ],
     )
     def test_variant_matrix(self, tmp_path, stored, axes, message):
-        axes = {"variants": ["baseline"], **axes}
+        axes = {"variants": ["baseline"], "churn_levels": (2.0,),
+                "fidelities": ("hybrid",), **axes}
         with pytest.raises(ValueError, match=message):
             self._run(
                 tmp_path, stored,
-                lambda: variant_conditions(base=tiny_sync(), **axes),
+                lambda: conditions(
+                    tiny_sync(), Axis.variant(axes["variants"]),
+                    Axis.churn(axes["churn_levels"]), Axis.faults(),
+                    Axis.fidelity(axes["fidelities"]),
+                ),
             )
         assert RunStore(tmp_path).manifests() == []
 
 
 def test_negative_attacker_count_never_reaches_a_key():
-    """The builder fails, so no plan — and no key — ever exists."""
+    """The axis fails, so no plan — and no key — ever exists."""
     with pytest.raises(ConfigurationError, match="must be >= 0"):
         attack_plan(counts=(-1, 3)).key
 

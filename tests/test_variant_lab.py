@@ -1,6 +1,6 @@
 """The §V protocol-variant lab and its run-store identity guarantees.
 
-Covers the cross-product builder (`repro.core.variant_conditions`), the
+Covers the cross-product of the lab's four axes (`repro.core.Axis`), the
 cache-collision guard the registry refactor promises — distinct
 variants/params can never share a run key, and §V knobs that add up to
 ``improved`` key identically to it, on both the store and serve paths —
@@ -18,10 +18,11 @@ import pytest
 
 from repro.bitcoin import NodeConfig, PolicyConfig
 from repro.core import (
+    Axis,
     CampaignConfig,
     ConditionSweepPlan,
     SyncCampaignConfig,
-    variant_conditions,
+    conditions,
 )
 from repro.errors import ConfigurationError
 from repro.netmodel import LongitudinalConfig, ProtocolConfig, ProtocolScenario
@@ -58,27 +59,30 @@ _IMPROVED_KNOBS = {
 # ---------------------------------------------------------------------------
 
 
+def lab(variants, churn_levels=(5.0, 15.0), fidelities=("hybrid",)):
+    """The lab's variant x churn x faults x fidelity conditions."""
+    return conditions(
+        tiny_campaign(), Axis.variant(variants), Axis.churn(churn_levels),
+        Axis.faults(), Axis.fidelity(fidelities),
+    )
+
+
 def matrix(variants, churn_levels=(2.0, 6.0), seeds=(7,)) -> ConditionSweepPlan:
     return ConditionSweepPlan(
-        "variants",
-        variant_conditions(variants, tiny_campaign(), churn_levels),
-        seeds,
-        workers=1,
+        "variants", lab(variants, churn_levels), seeds, workers=1
     )
 
 
 class TestVariantMatrix:
     def test_axes_validation(self):
         with pytest.raises(ConfigurationError):
-            variant_conditions([])
+            lab([])
         with pytest.raises(ValueError):
-            variant_conditions(["no-such-variant"])
+            lab(["no-such-variant"])
         with pytest.raises(ConfigurationError):
-            variant_conditions(["baseline"], tiny_campaign(), churn_levels=())
+            lab(["baseline"], churn_levels=())
         with pytest.raises(ConfigurationError):
-            variant_conditions(
-                ["baseline"], tiny_campaign(), churn_levels=(-1.0,)
-            )
+            lab(["baseline"], churn_levels=(-1.0,))
 
     @pytest.mark.slow
     def test_cross_product_and_retention(self):
@@ -233,9 +237,8 @@ def _cli_variants_under_full():
             n_reachable=8, node_config=NodeConfig(policies=_RELAY)
         ).validate(),
         lambda: LongitudinalConfig(scale=0.004, policies=_RELAY).validate(),
-        lambda: variant_conditions(
-            ["baseline", "unreachable-relay"], tiny_campaign(),
-            fidelities=("hybrid", "full"),
+        lambda: lab(
+            ["baseline", "unreachable-relay"], fidelities=("hybrid", "full")
         ),
         _cli_variants_under_full,
         lambda: parse_submission(
