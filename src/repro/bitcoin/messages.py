@@ -15,7 +15,7 @@ download (INV/GETDATA/BLOCK/TX), the BIP152 compact-block path
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from ..simnet.addresses import NetAddr, TimestampedAddr
@@ -98,16 +98,16 @@ class Addr(Message):
 
     command = "addr"
     addresses: Tuple[TimestampedAddr, ...]
+    #: Computed once, not a property: ADDR gossip is most of what a
+    #: node's handler pass sends, and the pass reads the size per send.
+    wire_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.addresses) > 1000:
             raise ValueError(
                 f"ADDR carries at most 1000 addresses, got {len(self.addresses)}"
             )
-
-    @property
-    def wire_size(self) -> int:
-        return HEADER_SIZE + 3 + ADDR_RECORD_SIZE * len(self.addresses)
+        self.wire_size = HEADER_SIZE + 3 + ADDR_RECORD_SIZE * len(self.addresses)
 
 
 @dataclass(repr=False, slots=True)

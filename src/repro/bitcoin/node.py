@@ -33,14 +33,13 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ProtocolError
 from ..simnet.addresses import NetAddr, TimestampedAddr, stamp
 from ..simnet.rand import derive_seed
 from ..simnet.simulator import Simulator
-from ..simnet.transport import Socket
+from ..simnet.transport import AddressIndex, Socket
 from . import config as cfg
 from .addrman import AddrMan
 from .behavior import FIDELITY_FULL, NodeBehavior
@@ -76,9 +75,13 @@ from .relay import RelayTracker
 
 __all__ = ["BitcoinNode", "ConnectionAttempt"]
 
-#: C-level accessor for TimestampedAddr.addr (field 0 of the namedtuple);
-#: feeds set.update without a Python-level lambda per record.
-_record_addr = itemgetter(0)
+#: The messages :meth:`BitcoinNode._note_relayed` records; a send of
+#: any other (an ADDR, most often) skips the call.
+_RELAY_NOTED = frozenset((BlockMsg, CmpctBlock, Inv))
+
+#: Bytes a known-address bitmap is regrown past the index's end, so
+#: the next 512 new addresses do not each regrow it.
+_BITMAP_SLACK = 64
 
 #: Smallest gap between consecutive handler passes when work remains.
 _MIN_PASS_GAP = 0.001
@@ -123,6 +126,20 @@ class _FeelerHandler:
         pass
 
 
+def _widened(peer: Peer, index: AddressIndex) -> bytearray:
+    """``peer``'s known-address bitmap, regrown past the index's end.
+
+    Regrown by copy, not in place: ``bytearray.extend`` over-allocates
+    by an eighth, and a copy keeps a peer at one bit per indexed address
+    plus the fixed slack.
+    """
+    known = peer.known_addrs
+    known = peer.known_addrs = known + bytes(
+        (len(index) >> 3) + _BITMAP_SLACK - len(known)
+    )
+    return known
+
+
 class BitcoinNode(NodeBehavior):
     """A Bitcoin peer: reachable (listening) or unreachable (NAT'd)."""
 
@@ -140,12 +157,12 @@ class BitcoinNode(NodeBehavior):
     __slots__ = (
         "sim", "addr", "config", "name", "_clock", "_rng", "policy",
         "addrman", "chain", "mempool", "peers", "running", "started_at",
-        "departed",
+        "departed", "_addr_index",
         # connections
         "attempt_log", "active_feelers", "_attempt_in_flight",
         "_connect_event", "_feeler_task",
         # the handler pass
-        "_pass_scheduled", "uplink_free_at", "_schedule_pass",
+        "_pass_scheduled", "uplink_free_at", "_schedule_pass", "_run_pass",
         "dirty_process", "dirty_send",
         # relay and the periodic rounds
         "_inbound_trickle_armed", "_getaddr_task", "_ping_task",
@@ -188,6 +205,9 @@ class BitcoinNode(NodeBehavior):
         self.chain = Blockchain()
         self.mempool = Mempool()
         self.peers: Dict[Socket, Peer] = {}
+        #: The world's address numbering, which ``Peer.known_addrs``
+        #: bitmaps are over (``sim.network.addr_index``).
+        self._addr_index = sim.network.addr_index
         self.running = False
         self.started_at: Optional[float] = None
         #: Set by :meth:`depart`: the node left for good and this object
@@ -210,6 +230,9 @@ class BitcoinNode(NodeBehavior):
         # Handler passes are never cancelled, so they ride the
         # scheduler's no-cancel lane (no EventHandle per pass).
         self._schedule_pass = sim.scheduler.lane_schedule
+        # Bound once: a pass is scheduled per message burst, and each
+        # ``self.run_pass`` read would make a fresh bound method.
+        self._run_pass = self.run_pass
         # Peers with queued work, in enqueue order (dicts keep insertion
         # order, so iteration is deterministic).  A pass visits only
         # these instead of scanning every connection: typical passes
@@ -561,7 +584,7 @@ class BitcoinNode(NodeBehavior):
         self.dirty_process[peer] = None
         if not self._pass_scheduled and self.running:
             self._pass_scheduled = True
-            self._schedule_pass(0.0, self.run_pass, None)
+            self._schedule_pass(0.0, self._run_pass, None)
 
     def on_disconnect(self, socket: Socket) -> None:
         peer = self._release_peer(socket)
@@ -587,7 +610,7 @@ class BitcoinNode(NodeBehavior):
         if self._pass_scheduled or not self.running:
             return
         self._pass_scheduled = True
-        self._schedule_pass(0.0, self.run_pass, None)
+        self._schedule_pass(0.0, self._run_pass, None)
 
     def run_pass(self, _lane_payload=None) -> None:  # repro-lint: hot
         """One round-robin pass: one receive, then one send, per peer."""
@@ -638,6 +661,7 @@ class BitcoinNode(NodeBehavior):
             send_epoch = now + busy
             uplink_bandwidth = config.uplink_bandwidth
             note_relayed = self._note_relayed
+            relay_noted = _RELAY_NOTED
             deliver = self.sim.network._deliver
             batch = list(dirty_send)
             dirty_send.clear()
@@ -657,7 +681,8 @@ class BitcoinNode(NodeBehavior):
                 deliver(socket, message, done - now)
                 socket.bytes_sent += size
                 socket.messages_sent += 1
-                note_relayed(message, done)
+                if type(message) in relay_noted:
+                    note_relayed(message, done)
                 if queue:
                     dirty_send[peer] = None
         self.uplink_free_at = uplink_free_at
@@ -666,7 +691,7 @@ class BitcoinNode(NodeBehavior):
             self._pass_scheduled = True
             self._schedule_pass(
                 busy if busy > _MIN_PASS_GAP else _MIN_PASS_GAP,
-                self.run_pass,
+                self._run_pass,
                 None,
             )
 
@@ -745,84 +770,103 @@ class BitcoinNode(NodeBehavior):
         records = message.addresses
         peer.addr_messages_received += 1
         peer.addrs_received += len(records)
-        # Bulk paths: addrman ingests the whole message in one call, and
-        # known_addrs fills through set.update over a C-level accessor.
-        # Neither draws the RNG differently from the per-record loop
-        # they replaced, so gossip outcomes are bit-identical.
+        # Bulk path: addrman ingests the whole message in one call,
+        # drawing the RNG exactly as the per-record loop it replaced.
         self.addrman.add_many(records, self._clock._now, peer.remote_addr)
-        peer.known_addrs.update(map(_record_addr, records))
         # Unsolicited small announcements are forwarded (Core relays fresh
         # addrs to a couple of peers); large getaddr replies are not.
-        if 0 < len(records) <= cfg.ADDR_FORWARD_MAX:
-            self._forward_addrs(peer, records, message)
+        # Most carry a single record (forwarding re-wraps each record
+        # individually, so chains stay single-record forever), and the
+        # message is immutable, so such a one is relayed as-is instead
+        # of allocating an identical copy.
+        forward = 0 < len(records) <= cfg.ADDR_FORWARD_MAX
+        reusable = message if len(records) == 1 else None
+        # One index lookup per record serves the sender's bit and the
+        # targets' test-and-set.
+        index = self._addr_index
+        known = peer.known_addrs
+        for record in records:
+            bit = index[record[0]]
+            byte, mask = bit
+            try:
+                known[byte] |= mask
+            except IndexError:
+                known = _widened(peer, index)
+                known[byte] |= mask
+            if forward:
+                self._forward_addr(peer, record, bit, reusable)
 
-    def _forward_addrs(
+    def _forward_addr(
         self,
         origin: Peer,
-        records: Tuple[TimestampedAddr, ...],
-        message: Optional[Addr] = None,
+        record: TimestampedAddr,
+        bit: Tuple[int, int],
+        reusable: Optional[Addr],
     ) -> None:
+        """Relay ``record`` to up to two peers that do not know it yet."""
         pool = self.established_peer_list()
-        # Most relayed announcements carry a single record (forwarding
-        # re-wraps each record individually, so chains stay single-record
-        # forever).  The incoming message is immutable, so it can be
-        # relayed as-is instead of allocating an identical copy.
-        reusable = message if message is not None and len(records) == 1 else None
         count = len(pool)
         available = count - 1 if origin.established else count
         if available <= 0:
             return
-        fanout = min(cfg.ADDR_FORWARD_FANOUT, available)
-        dirty_send = self.dirty_send
         # Index draws use ``int(random() * n)``: one C-level call per
         # draw, against randrange()/sample()'s Python-level setup that
         # dominated ADDR forwarding in paper-scale profiles.  random()
         # carries 53 bits, so the rounding bias at protocol-size ``n``
         # is immeasurable.
         rand = self._rng.random
-        for record in records:
-            addr = record.addr
-            # Draw fanout targets by rejection against the shared pool:
-            # uniform without replacement over the non-origin established
-            # peers — the same distribution as sampling from a dedicated
-            # candidates list, without materialising that list per
-            # message (an O(peers) scan per ADDR at paper scale).
+        # Draw fanout targets by rejection against the shared pool:
+        # uniform without replacement over the non-origin established
+        # peers — the same distribution as sampling from a dedicated
+        # candidates list, without materialising that list per
+        # message (an O(peers) scan per ADDR at paper scale).
+        first = pool[int(rand() * count)]
+        while first is origin:
             first = pool[int(rand() * count)]
-            while first is origin:
-                first = pool[int(rand() * count)]
-            second = None
-            if fanout >= 2:
+        second = None
+        if min(cfg.ADDR_FORWARD_FANOUT, available) >= 2:
+            second = pool[int(rand() * count)]
+            while second is origin or second is first:
                 second = pool[int(rand() * count)]
-                while second is origin or second is first:
-                    second = pool[int(rand() * count)]
-            # Fanout is 1 or 2 (``ADDR_FORWARD_FANOUT``), fully unrolled:
-            # no targets tuple, and Peer.enqueue_send inlined.  One ADDR
-            # object per record, shared by both targets — the message is
-            # immutable in flight, so relaying the same instance twice
-            # is indistinguishable from two copies.
-            forwarded = None
-            known = first.known_addrs
-            if addr not in known:
-                known.add(addr)
-                forwarded = (
-                    reusable
-                    if reusable is not None
-                    else Addr(addresses=(record,))
-                )
-                first.send_queue.append(forwarded)
-                dirty_send[first] = None
-            if second is not None:
-                known = second.known_addrs
-                if addr not in known:
-                    known.add(addr)
-                    if forwarded is None:
-                        forwarded = (
-                            reusable
-                            if reusable is not None
-                            else Addr(addresses=(record,))
-                        )
-                    second.send_queue.append(forwarded)
-                    dirty_send[second] = None
+        # Fanout is 1 or 2 (``ADDR_FORWARD_FANOUT``), fully unrolled:
+        # no targets tuple, and Peer.enqueue_send inlined.  One ADDR
+        # object per record, shared by both targets — the message is
+        # immutable in flight, so relaying the same instance twice is
+        # indistinguishable from two copies.  A bitmap too short for
+        # the bit does not know the address.
+        byte, mask = bit
+        dirty_send = self.dirty_send
+        forwarded = None
+        known = first.known_addrs
+        try:
+            fresh = not known[byte] & mask
+        except IndexError:
+            known = _widened(first, self._addr_index)
+            fresh = True
+        if fresh:
+            known[byte] |= mask
+            forwarded = (
+                reusable if reusable is not None else Addr(addresses=(record,))
+            )
+            first.send_queue.append(forwarded)
+            dirty_send[first] = None
+        if second is not None:
+            known = second.known_addrs
+            try:
+                fresh = not known[byte] & mask
+            except IndexError:
+                known = _widened(second, self._addr_index)
+                fresh = True
+            if fresh:
+                known[byte] |= mask
+                if forwarded is None:
+                    forwarded = (
+                        reusable
+                        if reusable is not None
+                        else Addr(addresses=(record,))
+                    )
+                second.send_queue.append(forwarded)
+                dirty_send[second] = None
 
     def _handle_inv(self, peer: Peer, message: Inv) -> None:
         # A GETBLOCKS reply names up to 500 blocks and at most

@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 @canonical_sets(
     "known_blocks",
     "known_txs",
-    "known_addrs",
     "pending_tx_invs",
     "blocks_in_flight",
 )
@@ -86,7 +85,11 @@ class Peer:
         #: Inventory this peer is known to have (suppress re-announcement).
         self.known_blocks: Set[int] = set()
         self.known_txs: Set[int] = set()
-        self.known_addrs: Set[NetAddr] = set()
+        #: Core's ``m_addr_known``: one bit per address of the world's
+        #: ``Network.addr_index``, set once the peer is known to have it.
+        #: The node grows it as the index grows; a bit past its end is
+        #: clear.
+        self.known_addrs = bytearray()
         #: Transactions queued behind the Poisson trickle timer.
         self.pending_tx_invs: Set[int] = set()
         #: When the trickle timer next fires (absolute sim time).

@@ -107,7 +107,7 @@ def lint_paths(
     files = iter_python_files([Path(p) for p in paths])
 
     # Pass 0: facts for every file, then the project-wide table of
-    # attribute names known to hold sets (so `peer.known_addrs` is
+    # attribute names known to hold sets (so `peer.known_blocks` is
     # recognized in node.py even though Peer lives in peer.py).
     parsed: List[Tuple[Path, str, ast.AST, List[str], FileFacts]] = []
     attr_names: set = set()

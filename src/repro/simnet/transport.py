@@ -28,7 +28,7 @@ responses to unsolicited packets, in-order delivery per direction).
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import AddressInUseError, ConnectionClosedError, TransportError
 from .addresses import NetAddr
@@ -157,6 +157,26 @@ class Socket:
         return f"Socket({self.local_addr}->{self.remote_addr}, {direction}, {state})"
 
 
+class AddressIndex(dict):
+    """One world's dense address numbering: ``NetAddr -> (byte, mask)``.
+
+    Looking up an address the index has not seen numbers it next, so
+    ids run in first-seen order.  The value is where the address's bit
+    sits in a bitmap over the index: the byte to read and the mask to
+    test in it.  That spares every known-address test a shift.  Ids are
+    never reused or renumbered, so a bitmap sized for a smaller index
+    stays valid; it is only shorter.  A dict keeps insertion order, so
+    the index pickles with its world and a restore keeps every id.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, addr: NetAddr) -> Tuple[int, int]:
+        count = len(self)
+        bit = self[addr] = (count >> 3, 1 << (count & 7))
+        return bit
+
+
 class Network:
     """The simulated internet: listeners, connections, probes, NAT."""
 
@@ -181,6 +201,9 @@ class Network:
         #: light-tier objects without moving a single event.
         self._endpoints: Dict[NetAddr, Any] = {}
         self._sockets_by_addr: Dict[NetAddr, List[Socket]] = {}
+        #: Every address ADDR gossip has carried, numbered for the
+        #: known-address bitmaps of the nodes that gossip it.
+        self.addr_index = AddressIndex()
         # Monotone counters for whole-run accounting.
         self.connects_attempted = 0
         self.connects_succeeded = 0

@@ -10,12 +10,14 @@ the census of its running nodes however many have come and gone.
 ``TestGossipBudget`` takes the same census on ``gossip_scale``'s shape
 (``benchmarks/ledger``: hybrid tiers, steady ADDR gossip) as a budget of
 GC-tracked objects — what the cycle collector has to walk: so many per
-full node, one per light node, none per addrman row.
+full node, one per light node, none per addrman row — and as a bytes
+budget for what a peer knows of the address space: a bit per address.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 import types
 import weakref
 from collections import Counter
@@ -275,6 +277,34 @@ class TestGossipBudget:
         assert len(node.addrman) > rows + groups * hosts // 2
         assert grown <= groups, grown
 
+    @staticmethod
+    def _assert_known_addrs_within_budget(scenario: ProtocolScenario) -> None:
+        """Every peer of every full node holds its known addresses in at
+        most ``len(index) // 8 + 128`` bytes: a bit per indexed address,
+        the bitmap's header and its regrowth slack."""
+        from .test_known_addrs import full_nodes
+
+        index = scenario.sim.network.addr_index
+        cap = len(index) // 8 + 128
+        for node in full_nodes(scenario):
+            held = [sys.getsizeof(peer.known_addrs) for peer in node.peers.values()]
+            assert max(held, default=0) <= cap, (node, max(held), cap)
+
+    def test_known_addresses_cost_a_bit_each(self):
+        """Measured on this world with 814 indexed addresses: 222 B per
+        peer at most against a cap of 229.  As ``set`` s the same peers
+        held up to 8,408 B (54,558 B per full node)."""
+        self._assert_known_addrs_within_budget(gossip_world(events=20_000))
+
+    @pytest.mark.slow
+    def test_flooded_known_addresses_cost_a_bit_each(self):
+        """Measured with 32,335 indexed addresses: 4,162 B per peer at
+        most against a cap of 4,169.  As ``set`` s the same peers held
+        up to 2,097,368 B (4.19 MB per full node)."""
+        from .test_known_addrs import flooded_world
+
+        self._assert_known_addrs_within_budget(flooded_world())
+
     def test_gossip_leaves_nothing_for_the_collector(self):
         """Set-up, warm-up, 20 K events and the first departures, all
         with the collector off: a full collection then finds nothing —
@@ -457,6 +487,40 @@ class TestSnapshotRestoreChurned:
         assert len(scenario.churn.departures) > 3
         assert _world_state(twin) == _world_state(scenario)
         _assert_one_inv_item_per_block(twin)
+
+
+class TestKnownAddrsAcrossASnapshot:
+    def test_bitmaps_and_index_survive_a_round_trip(self):
+        """Snapshot a 40-node gossip world at 5 K events and restore it:
+        the restored twin holds the same address index and bitmaps, and
+        5 K more events later both still agree, forwarding included."""
+        from .test_known_addrs import forwarding_digest, full_nodes
+
+        def bitmaps(scenario):
+            return [
+                sorted(
+                    (peer.remote_addr, bytes(peer.known_addrs))
+                    for peer in node.peers.values()
+                )
+                for node in full_nodes(scenario)
+            ]
+
+        def state(scenario):
+            index = scenario.sim.network.addr_index
+            assert all(node._addr_index is index for node in full_nodes(scenario))  # noqa: SLF001
+            return list(index.items()), bitmaps(scenario), forwarding_digest(scenario)
+
+        scenario = gossip_world(events=5000)
+        scenario.sim.register("scenario", scenario)
+        restored = Simulator.restore(scenario.sim.snapshot())
+        twin = restored.components["scenario"]
+        assert len(scenario.sim.network.addr_index) > 0
+        assert state(twin) == state(scenario)
+
+        a = scenario.sim.run_for(1e9, max_events=5000)
+        b = restored.run_for(1e9, max_events=5000)
+        assert int(a) == int(b) == 5000
+        assert state(twin) == state(scenario)
 
 
 def _world_state(scenario: ProtocolScenario):

@@ -121,14 +121,15 @@ class TestCheckpointFraming:
         # elements colliding in an 8-slot table keep insertion order),
         # else equal bytes would prove nothing about canonical order.
         txs_a, txs_b = _same_set_two_orders(0, 8)
+        blocks_a, blocks_b = _same_set_two_orders(1, 9)
         first, second = _colliding_addrs()
         addrs_a, addrs_b = _same_set_two_orders(first, second)
 
-        def peer(txs, addrs):
+        def peer(txs, blocks):
             sock = Socket(None, make_addr(1), make_addr(2), False, 0.0)
             one = Peer(sock, 0.0)
             one.known_txs = txs
-            one.known_addrs = addrs
+            one.known_blocks = blocks
             return one
 
         def snap(addrs):
@@ -140,7 +141,7 @@ class TestCheckpointFraming:
             )
 
         for kind, a, b in (
-            ("simulator", peer(txs_a, addrs_a), peer(txs_b, addrs_b)),
+            ("simulator", peer(txs_a, blocks_a), peer(txs_b, blocks_b)),
             ("snapshot-result", snap(addrs_a), snap(addrs_b)),
             ("campaign-result",
              CampaignResult(cumulative_unreachable=addrs_a),
@@ -152,11 +153,11 @@ class TestCheckpointFraming:
             loaded = load_checkpoint(blob, expect_kind=kind)
             assert dump_checkpoint(loaded, kind=kind) == blob
         restored = load_checkpoint(
-            dump_checkpoint(peer(txs_a, addrs_a), kind="t"), expect_kind="t"
+            dump_checkpoint(peer(txs_a, blocks_a), kind="t"), expect_kind="t"
         )
         assert type(restored.known_txs) is set
         assert restored.known_txs == {0, 8}
-        assert restored.known_addrs == {first, second}
+        assert restored.known_blocks == {1, 9}
 
     def test_format_1_refused_by_name(self):
         blob = format_1_blob({"a": 1}, kind="t")

@@ -750,12 +750,13 @@ PINS = {
 
 #: The campaign's unit blobs and final runner checkpoint are the one
 #: place the runner writes what its predecessor wrote, byte for byte.
-#: The checkpoint moved three times since (old values in CHANGES.md):
+#: The checkpoint moved four times since (old values in CHANGES.md):
 #: the runner's state changed shape — server tables hold shared
 #: last-seen records, a stopped server holds none, dead socket pairs
 #: are unlinked; then ``Simulator`` state lost its
 #: always-``None`` ``perf`` entry; then the scenario's config lost its
-#: ``None`` plans and it holds a built ``AddrPolicy`` — while the unit
+#: ``None`` plans and it holds a built ``AddrPolicy``; then the
+#: ``Network`` gained its (here empty) address index — while the unit
 #: blobs, which are measurements, did not.
 _CAMPAIGN_UNITS = [
     "5b03d378a91b08057cf55fd085220ded6988e8802341b26e10589012a95b7315",
@@ -763,7 +764,7 @@ _CAMPAIGN_UNITS = [
     "63c12901e5ee696bef13a845ec14b780997018973367a4cd9de6e6e9f7ca6151",
 ]
 _CAMPAIGN_CHECKPOINT = (
-    "3dc1ab33fcd5d48a4143a9b397954fc836a4d13b6f130696a8aaa304f7adf937"
+    "945470ca58d257ce45f2b8c39069ffbb7b15f6c32956c8b601d3d598c57c96b9"
 )
 
 #: The campaign's stored views.  The CSV's digest is the sha256 of the
