@@ -24,8 +24,10 @@ ADDR record heard for each address **as received** (``_rec``; a node
 stores a record's timestamp and re-serves it as stored, so a GETADDR
 reply is a list of pointers and one record is shared by every table and
 message it passed through) beside the source it was learned from
-(``_src``), with ``_pos`` mapping address to row.  Removal moves the
-last row into the hole.  Which table holds the row *is* ``in_tried``;
+(``_src``), with ``_pos`` mapping address to row (row numbers come from
+one shared pool of ints).  Removal moves the last row into the hole.  A
+bucket is a slot in a list: empty, one bare address, or a list of two or
+more in arrival order.  Which table holds the row *is* ``in_tried``;
 the bucket is recomputed from ``(key, addr, source)`` on the rare
 remove; attempt state lives in the sparse ``AddrMan._tries``, only for
 addresses ever dialled.  ``tests/reference_addrman.py`` is the
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..simnet.addresses import NetAddr, TimestampedAddr
 from ..units import DAYS
@@ -108,21 +110,37 @@ class AddrInfo:
 
 _Row = Tuple[TimestampedAddr, Optional[NetAddr]]
 
+#: A bucket: empty, one member, or two or more members in arrival order.
+_Slot = Union[None, NetAddr, List[NetAddr]]
+
+#: Row numbers shared by every table in the process: ``_ROWS[i] is i``.
+#: A row above 256 would otherwise box its own int per ``_pos`` entry;
+#: the pool grows on demand to the largest table ever built.
+_ROWS: List[int] = []
+
+
+def _row_number(n: int) -> int:
+    """``n`` from the shared pool, growing the pool to cover it."""
+    _ROWS.extend(range(len(_ROWS), 2 * n + 1024))
+    return _ROWS[n]
+
 
 class _Table:
     """One addrman table: capped buckets over row columns.
 
     Row ``i`` is ``(_rec[i], _src[i])`` and ``_pos[_rec[i].addr] == i``;
-    the columns are what ``select`` / ``get_addr`` index into.  Buckets
-    list their members' addresses in arrival order, a victim replaced
-    in place: the victim draw is an index into that order.
+    the columns are what ``select`` / ``get_addr`` index into.  Bucket
+    ``b`` is ``_slots[b]``: ``None``, the one member's address, or a list
+    of two or more in arrival order — most buckets hold one address, so
+    none of them pays for a list.  A full bucket's victim is an index
+    into that order and is replaced in place.
     """
 
     def __init__(self, bucket_count: int, bucket_size: int, rng: random.Random):
         self.bucket_count = bucket_count
         self.bucket_size = bucket_size
         self._rng = rng
-        self._buckets: Dict[int, List[NetAddr]] = {}
+        self._slots: List[_Slot] = [None] * bucket_count
         self._pos: Dict[NetAddr, int] = {}
         self._rec: List[TimestampedAddr] = []
         self._src: List[Optional[NetAddr]] = []
@@ -133,6 +151,15 @@ class _Table:
     def __contains__(self, addr: NetAddr) -> bool:
         return addr in self._pos
 
+    def members(self, bucket: int) -> Tuple[NetAddr, ...]:
+        """The addresses in ``bucket``, in arrival order."""
+        slot = self._slots[bucket]
+        if slot is None:
+            return ()
+        if slot.__class__ is list:
+            return tuple(slot)
+        return (slot,)
+
     def insert(
         self, record: TimestampedAddr, source: Optional[NetAddr], bucket: int
     ) -> Optional[_Row]:
@@ -140,25 +167,38 @@ class _Table:
         full bucket gave up for it, if any."""
         addr = record[0]
         evicted = None
-        slot = self._buckets.get(bucket)
+        slots = self._slots
+        slot = slots[bucket]
         if slot is None:
-            self._buckets[bucket] = [addr]
-        elif len(slot) < self.bucket_size:
-            slot.append(addr)
+            slots[bucket] = addr
+        elif slot.__class__ is list:
+            if len(slot) < self.bucket_size:
+                slot.append(addr)
+            else:
+                victim_index = int(self._rng.random() * len(slot))
+                evicted = self._drop_row(slot[victim_index])
+                slot[victim_index] = addr
+        elif self.bucket_size > 1:
+            slots[bucket] = [slot, addr]
         else:
-            victim_index = int(self._rng.random() * len(slot))
-            evicted = self._drop_row(slot[victim_index])
-            slot[victim_index] = addr
-        self._pos[addr] = len(self._rec)
+            # A full bucket of one still makes the victim draw.
+            self._rng.random()
+            evicted = self._drop_row(slot)
+            slots[bucket] = addr
+        n = len(self._rec)
+        self._pos[addr] = _ROWS[n] if n < len(_ROWS) else _row_number(n)
         self._rec.append(record)
         self._src.append(source)
         return evicted
 
     def remove(self, addr: NetAddr, bucket: int) -> None:
-        slot = self._buckets[bucket]
-        slot.remove(addr)
-        if not slot:
-            del self._buckets[bucket]
+        slot = self._slots[bucket]
+        if slot.__class__ is list:
+            slot.remove(addr)
+            if len(slot) == 1:
+                self._slots[bucket] = slot[0]
+        else:
+            self._slots[bucket] = None
         self._drop_row(addr)
 
     def _drop_row(self, addr: NetAddr) -> _Row:
@@ -174,6 +214,23 @@ class _Table:
 
     def all_addresses(self) -> List[NetAddr]:
         return [record[0] for record in self._rec]
+
+    def check(self, bucket_of: Callable[[NetAddr, Optional[NetAddr]], int]) -> None:
+        """Assert the bounds and the bucket/row correspondence, with
+        ``bucket_of(addr, source)`` the bucket a row belongs in."""
+        rows = len(self._rec)
+        assert len(self._src) == len(self._pos) == rows
+        seen = set()
+        for bucket, slot in enumerate(self._slots):
+            if slot.__class__ is list:
+                assert 2 <= len(slot) <= self.bucket_size, (bucket, len(slot))
+            for addr in self.members(bucket):
+                assert addr not in seen, addr
+                seen.add(addr)
+                row = self._pos[addr]
+                assert self._rec[row][0] == addr, (addr, row)
+                assert bucket_of(addr, self._src[row]) == bucket, (addr, bucket)
+        assert len(seen) == rows, (len(seen), rows)
 
 
 class AddrMan:
@@ -233,6 +290,16 @@ class AddrMan:
     def all_addresses(self) -> List[NetAddr]:
         """Every address in either table."""
         return self._new.all_addresses() + self._tried.all_addresses()
+
+    def check(self) -> None:
+        """Assert the table invariants: no bucket over ``bucket_size``,
+        bucket members and rows one to one, each member's ``_pos`` row
+        holding it in the bucket its ``(key, addr, source)`` names, and
+        attempt state only for rows.  Walks every bucket: for tests and
+        end-of-run checks, never the hot path."""
+        self._new.check(self._new_bucket)
+        self._tried.check(lambda addr, source: self._tried_bucket(addr))
+        assert self._tries.keys() <= self._new._pos.keys() | self._tried._pos.keys()
 
     # ------------------------------------------------------------------
     # Bucketing

@@ -24,10 +24,22 @@ seen to turn the named test red, and reverted):
 * swap-remove moves the last row into the hole without fixing its
   ``_pos`` entry
   -> ``TestDirected::test_swap_remove_keeps_the_moved_row_addressable``
+* a bare slot that takes a second member becomes ``[addr, slot]``
+  (newcomer first) instead of ``[slot, addr]``; or ``remove()`` leaves
+  a one-member list instead of the bare address; or ``remove()`` on a
+  bare slot leaves the address in it
+  -> ``TestDirected::test_a_slot_goes_bare_then_list_and_back_in_arrival_order``
+  (each also fails ``test_long_program``)
+* a full bucket of one replaces its member without the victim draw,
+  since the index can only be 0
+  -> ``TestDirected::test_a_bucket_of_one_draws_once_per_eviction``
+  (and ``TestAddrManMatchesReference``, in 38 s; not
+  ``test_long_program``, whose buckets hold six)
 
-Each also fails ``test_long_program``, and the first three were seen to
-fail ``TestAddrManMatchesReference`` (under the fourth the state machine
-was stopped after minutes of shrinking — run the directed tests first);
+The first four each also fail ``test_long_program``, and the first three
+were seen to fail ``TestAddrManMatchesReference`` (under the fourth the
+state machine was stopped after minutes of shrinking — run the directed
+tests first);
 the directed tests exist so a red run names the rule that broke.  Two
 more of the second kind — ``good()`` and ``remove()`` keeping the
 ``_tries`` entry of the row they drop — fail
@@ -83,8 +95,11 @@ class Pair:
         real, ref = self.real, self.ref
         assert real._new.all_addresses() == ref.new.order  # noqa: SLF001
         assert real._tried.all_addresses() == ref.tried.order  # noqa: SLF001
-        assert real._new._buckets == ref.new.buckets  # noqa: SLF001
-        assert real._tried._buckets == ref.tried.buckets  # noqa: SLF001
+        for table, oracle in ((real._new, ref.new), (real._tried, ref.tried)):  # noqa: SLF001
+            assert [table.members(b) for b in range(table.bucket_count)] == [
+                tuple(oracle.buckets.get(b, ())) for b in range(oracle.bucket_count)
+            ]
+        real.check()
         assert real.new_count == len(ref.new.order)
         assert real.tried_count == len(ref.tried.order)
         assert len(real) == len(ref)
@@ -227,9 +242,9 @@ class TestDirected:
             pair.do("add", addr, 0.0)
         victims_not_last = 0
         for addr in UNIVERSE[3:]:
-            before = list(pair.real._new._buckets[0])  # noqa: SLF001
+            before = pair.real._new.members(0)  # noqa: SLF001
             assert pair.do("add", addr, 0.0) is True
-            after = pair.real._new._buckets[0]  # noqa: SLF001
+            after = pair.real._new.members(0)  # noqa: SLF001
             (slot,) = [i for i in range(3) if before[i] != after[i]]
             assert after[slot] == addr
             assert before[slot] not in pair.real
@@ -307,6 +322,37 @@ class TestDirected:
         pair.do("good", C, 200.0)
         pair.do("remove", B)
         assert len(pair.real) == 1 and pair.real.info(C).in_tried
+
+    def test_a_slot_goes_bare_then_list_and_back_in_arrival_order(self):
+        pair = Pair(5, new_buckets=1, tried_buckets=1, bucket_size=3)
+        slots = pair.real._new._slots  # noqa: SLF001
+        assert slots[0] is None
+        pair.do("add", A, 0.0)
+        assert slots[0] == A and slots[0].__class__ is not list
+        pair.do("add", B, 1.0)
+        pair.do("add", C, 2.0)
+        assert slots[0] == [A, B, C]
+        pair.do("remove", B)
+        assert slots[0] == [A, C]
+        pair.do("remove", A)
+        assert slots[0] == C and slots[0].__class__ is not list
+        pair.do("add", D, 3.0)
+        assert slots[0] == [C, D]
+        pair.do("remove", D)
+        pair.do("remove", C)
+        assert slots[0] is None and len(pair.real) == 0
+
+    def test_a_bucket_of_one_draws_once_per_eviction(self):
+        pair = Pair(5, new_buckets=1, tried_buckets=1, bucket_size=1)
+        rng = pair.real._rng  # noqa: SLF001
+        pair.do("add", A, 0.0)
+        for stamp, addr in enumerate((B, C, D, A), start=1):
+            expected = random.Random()
+            expected.setstate(rng.getstate())
+            expected.random()
+            assert pair.do("add", addr, float(stamp)) is True
+            assert rng.getstate() == expected.getstate(), addr
+            assert pair.real._new.members(0) == (addr,)  # noqa: SLF001
 
 
 class TestQuirks:

@@ -25,6 +25,7 @@ from collections import Counter
 import pytest
 
 from repro.bitcoin import Block, NodeConfig
+from repro.bitcoin import addrman as addrman_module
 from repro.bitcoin import node as node_module
 from repro.bitcoin.addrman import AddrMan
 from repro.bitcoin.blockchain import Blockchain
@@ -210,7 +211,8 @@ N_GOSSIP = 40
 
 def gossip_world(fidelity: str = "hybrid", events: int = 5000) -> ProtocolScenario:
     """The ledger's ``gossip_scale`` world at 40 full nodes: built,
-    warmed for 15 s, then run for ``events`` events."""
+    warmed for 15 s, then run for ``events`` events, every address
+    table checked."""
     scenario = ProtocolScenario(
         ProtocolConfig(
             seed=5,
@@ -222,6 +224,8 @@ def gossip_world(fidelity: str = "hybrid", events: int = 5000) -> ProtocolScenar
     )
     scenario.start(warmup=15.0)
     scenario.sim.run_for(1e9, max_events=events)
+    for node in scenario.running_nodes():
+        node.addrman.check()
     return scenario
 
 
@@ -232,11 +236,15 @@ def tracked(scenario: ProtocolScenario) -> int:
 
 
 class TestGossipBudget:
-    #: Measured 379 (of which 232 are bucket lists); 804 when every
-    #: address was an ``AddrInfo`` object with a memoized record.
-    FULL_NODE_CEILING = 450
+    #: Measured 210.8, of which 50.4 are bucket lists (a bucket of one
+    #: holds its address bare); 370.6 (210.4 lists) with a dict of
+    #: bucket lists, 804 when every address was an ``AddrInfo`` object.
+    FULL_NODE_CEILING = 250
     #: Measured 1.005: the ``LightNode`` itself and nothing else.
     LIGHT_NODE_CEILING = 1.1
+    #: Measured 103.3 over 13,751 rows (the slot lists are a fixed
+    #: 10 KB a node); 133.2 with a dict of bucket lists.
+    ROW_BYTES_CEILING = 115
 
     def test_tracked_objects_per_node_by_tier(self):
         """A full-fidelity world is the hybrid one minus its light tier
@@ -276,6 +284,29 @@ class TestGossipBudget:
         assert added == groups * hosts
         assert len(node.addrman) > rows + groups * hosts // 2
         assert grown <= groups, grown
+
+    def test_an_addrman_row_costs_a_hundred_bytes(self):
+        """``getsizeof`` of every table's bucket slots and the lists in
+        them, ``_pos``, ``_rec`` and ``_src``, per row — the records are
+        the senders' and the row numbers the shared pool's."""
+        held = rows = 0
+        for node in gossip_world("full").running_nodes():
+            for table in (node.addrman._new, node.addrman._tried):  # noqa: SLF001
+                slots = table._slots  # noqa: SLF001
+                held += sys.getsizeof(slots) + sum(
+                    sys.getsizeof(slot) for slot in slots if slot.__class__ is list
+                )
+                held += sum(
+                    sys.getsizeof(column)
+                    for column in (table._pos, table._rec, table._src)  # noqa: SLF001
+                )
+                assert all(
+                    row is addrman_module._ROWS[row]  # noqa: SLF001
+                    for row in table._pos.values()  # noqa: SLF001
+                )
+                rows += len(table)
+        assert rows > 300 * N_GOSSIP
+        assert held / rows <= self.ROW_BYTES_CEILING, held / rows
 
     @staticmethod
     def _assert_known_addrs_within_budget(scenario: ProtocolScenario) -> None:

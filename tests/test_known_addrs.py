@@ -41,7 +41,8 @@ FLOODED_FORWARDING = (
 
 def flooded_world() -> ProtocolScenario:
     """Seed 21 of ``test_flood_degrades_sync_monotonically``'s
-    8-attacker cell, run as ``run_sync_campaign`` runs it, and kept."""
+    8-attacker cell, run as ``run_sync_campaign`` runs it, every address
+    table checked, and kept."""
     base = SyncCampaignConfig(n_reachable=16, duration=0.3 * 3600.0, seed=21)
     plan = decode_file(AttackPlan, EXAMPLES / "attackplan_flood.json")
     (condition,) = conditions(base, Axis.attackers(plan, (8,)))
@@ -53,6 +54,8 @@ def flooded_world() -> ProtocolScenario:
     )
     scenario.sim.run_for(config.duration, max_events=config.max_events)
     monitor.stop()
+    for node in full_nodes(scenario):
+        node.addrman.check()
     return scenario
 
 
