@@ -12,7 +12,6 @@ from .behavior import (
     FIDELITY_FULL,
     FIDELITY_LIGHT,
     NodeBehavior,
-    validate_fidelity,
 )
 from .blockchain import GENESIS_ID, Block, Blockchain, make_genesis
 from .config import NodeConfig, PolicyConfig, unreachable_config
@@ -108,6 +107,5 @@ __all__ = [
     "register",
     "relay_order",
     "unreachable_config",
-    "validate_fidelity",
     "variant_names",
 ]

@@ -22,8 +22,8 @@ The contract is duck-typed — the transport never isinstance-checks — but
 the base class pins the attribute names down and supplies the inert
 defaults so a tier only overrides what it actually does:
 
-* ``fidelity`` — ``"full"`` or ``"light"``; scenario census and the
-  run-store config keys read this.
+* ``fidelity`` — ``"full"`` or ``"light"``; the transport's tier census
+  reads this.
 * ``running`` / ``start()`` / ``stop()`` — lifecycle; ``depart()`` is
   the stop a churn departure makes, after which the behavior never
   starts again and may release whatever only a running node needs.
@@ -38,7 +38,7 @@ from typing import Any
 
 from ..simnet.transport import Socket
 
-#: Tier tags, also used in scenario configs and run-store keys.
+#: Tier tags, read by the transport's tier census.
 FIDELITY_FULL = "full"
 FIDELITY_LIGHT = "light"
 
@@ -82,25 +82,8 @@ class NodeBehavior:
         """The remote side (or the network) closed the connection."""
 
 
-def validate_fidelity(fidelity: str) -> str:
-    """Normalise a scenario-level fidelity knob value.
-
-    Scenario configs accept ``"full"`` (every peer is a
-    :class:`BitcoinNode` and the unreachable cloud is raw probe-behavior
-    table entries) or ``"hybrid"`` (reachable stays full tier, the
-    unreachable cloud becomes registered light-tier endpoints).  The
-    value is part of run-store keys, so unknown strings fail loudly.
-    """
-    if fidelity not in ("full", "hybrid"):
-        raise ValueError(
-            f"unknown fidelity {fidelity!r} (want 'full' or 'hybrid')"
-        )
-    return fidelity
-
-
 __all__ = [
     "FIDELITY_FULL",
     "FIDELITY_LIGHT",
     "NodeBehavior",
-    "validate_fidelity",
 ]

@@ -145,7 +145,7 @@ class LightNode(NodeBehavior):
         self.addr = addr
         self.profile = profile
         #: How the transport answers unsolicited packets while we do not
-        #: listen (the NAT model sets and updates this).
+        #: listen (``LightCloud`` sets and updates this).
         self.behavior = behavior
         self.running = False
         #: Shared, immutable gossip table served to GETADDR.
@@ -187,10 +187,6 @@ class LightNode(NodeBehavior):
         else:
             self.sim.network.unregister_endpoint(self.addr)
 
-    def set_behavior(self, behavior: ProbeBehavior) -> None:
-        """Update the NAT answer (churn: responsive host goes silent)."""
-        self.behavior = behavior
-
     def apply_behavior(self, behavior: ProbeBehavior) -> None:
         """Churn update that also syncs listen state (assist nodes).
 
@@ -200,7 +196,7 @@ class LightNode(NodeBehavior):
         ``behavior``.  For listen-profile nodes a churn event therefore
         transitions the transport registration too: FIN (host up) →
         listening; anything else → closed sockets, probe-behavior only.
-        Plain cloud nodes fall back to :meth:`set_behavior`.
+        Plain cloud nodes only take the new ``behavior``.
         """
         self.behavior = behavior
         if not self.profile.listen or not self.running:

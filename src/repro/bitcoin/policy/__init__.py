@@ -15,7 +15,6 @@ from .registry import (
     ensure_builtins,
     get_variant,
     register,
-    require_light_tier,
     resolve,
     variant_names,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "ensure_builtins",
     "get_variant",
     "register",
-    "require_light_tier",
     "resolve",
     "variant_names",
 ]

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ...errors import ConfigurationError
 from .base import AddrPolicy, ConnPolicy, LightTierPolicy, RelayPolicy
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "ensure_builtins",
     "get_variant",
     "register",
-    "require_light_tier",
     "resolve",
     "variant_names",
 ]
@@ -197,18 +195,6 @@ def resolve(
         if value != variant.defaults[knob]
     }
     return variant.name, canonical, effective
-
-
-def require_light_tier(config: "Any", fidelity: str) -> None:
-    """Reject a variant that acts only through the light-tier cloud
-    under a fidelity that builds none: it would run, event for event,
-    as the baseline under another variant's name."""
-    if fidelity != "hybrid" and get_variant(config.variant).light_factory:
-        raise ConfigurationError(
-            f"policy variant {config.variant!r} acts only through the "
-            f"light-tier cloud, which fidelity={fidelity!r} never builds "
-            f"(it would run as the baseline) — use fidelity='hybrid'"
-        )
 
 
 def build_policies(config: "Any") -> PolicyBundle:

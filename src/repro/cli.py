@@ -10,8 +10,8 @@ Commands
 ``sync``       the Fig. 1 contrast (2019-like vs 2020-like churn)
 ``chaos``      sync-% degradation vs. fault intensity (``repro.faults``)
 ``attack``     sync-% degradation vs. attacker count (``repro.adversary``)
-``variants``   the protocol-variant lab: policy variant x churn x fault x
-               fidelity cross-product (``repro.bitcoin.policy``)
+``variants``   the protocol-variant lab: policy variant x churn x fault
+               cross-product (``repro.bitcoin.policy``)
 ``relay``      the Fig. 10/11 relay-delay measurement
 ``conn``       the Fig. 6/7 connection experiments
 ``store``      inspect the run store (``ls`` / ``show`` / ``gc`` / ``diff``)
@@ -111,8 +111,6 @@ def _report_supervision(
 
 def _sync_base(args: argparse.Namespace, **extra: Any):
     """The SyncCampaignConfig that ``_world_flags`` describes."""
-    if hasattr(args, "fidelity"):
-        extra["fidelity"] = args.fidelity
     return core.SyncCampaignConfig(
         n_reachable=args.nodes,
         duration=args.hours * HOURS,
@@ -168,7 +166,7 @@ def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
 
     base = LongitudinalConfig(
         scale=args.scale, snapshots=args.snapshots, seed=args.seed,
-        fidelity=args.fidelity, faults=_load_fault_plan(args),
+        faults=_load_fault_plan(args),
     )
     seeds = core.seed_range(args.seed, args.seeds)
     print(
@@ -252,7 +250,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return _cmd_campaign_sweep(args)
     config = LongitudinalConfig(
         scale=args.scale, snapshots=args.snapshots, seed=args.seed,
-        fidelity=args.fidelity, faults=_load_fault_plan(args),
+        faults=_load_fault_plan(args),
     )
     # The printed tables need the deterministic address universe the
     # campaign ran against; for a stored run, rebuilding the scenario
@@ -537,9 +535,6 @@ def _cmd_scaled(args: argparse.Namespace) -> int:
 def _cmd_variants(args: argparse.Namespace) -> int:
     variants = [part.strip() for part in args.variants.split(",") if part.strip()]
     churn_levels = [float(part) for part in args.churn.split(",")]
-    fidelities = [
-        part.strip() for part in args.fidelities.split(",") if part.strip()
-    ]
     fault_plans = [FaultPlan()]
     if args.faults:
         fault_plan = decode_file(FaultPlan, args.faults)
@@ -552,11 +547,10 @@ def _cmd_variants(args: argparse.Namespace) -> int:
     conditions = core.conditions(
         _sync_base(args), core.Axis.variant(variants),
         core.Axis.churn(churn_levels), core.Axis.faults(fault_plans),
-        core.Axis.fidelity(fidelities),
     )
     print(
         f"variants: {variants} x churn={churn_levels} x "
-        f"{len(fault_plans)} fault plan(s) x fidelities={fidelities} "
+        f"{len(fault_plans)} fault plan(s) "
         f"({len(conditions)} cells, seeds={seeds}, "
         f"workers={args.workers or 'auto'})..."
     )
@@ -571,7 +565,7 @@ def _cmd_variants(args: argparse.Namespace) -> int:
     )
     if args.export:
         out = _export_sweep(
-            args, result, "{variant}_churn{churn:g}_{faults}_{fidelity}",
+            args, result, "{variant}_churn{churn:g}_{faults}",
             "{variant}", table=("variant_retention.json", table),
         )
         print(f"exported retention table and samples to {out}/")
@@ -810,23 +804,11 @@ def _world_flags(
     nodes: int,
     hours: float,
     seed: int,
-    fidelity: bool = True,
 ) -> None:
-    """The simulated protocol world: size, duration, seed, node tiers."""
+    """The simulated protocol world: size, duration, seed."""
     p.add_argument("--nodes", type=int, default=nodes)
     p.add_argument("--hours", type=float, default=hours)
     p.add_argument("--seed", type=int, default=seed)
-    if fidelity:
-        _fidelity_flag(p)
-
-
-def _fidelity_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--fidelity", choices=("full", "hybrid"), default="full",
-        help="node-tier fidelity: hybrid models the unreachable cloud "
-        "with O(1)-memory light nodes (same seed, same figures; use for "
-        "paper-scale worlds)",
-    )
 
 
 def _sweep_flags(p: argparse.ArgumentParser, seeds: int, per: str) -> None:
@@ -880,7 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--scale", type=float, default=0.01)
     campaign.add_argument("--snapshots", type=int, default=12)
     campaign.add_argument("--seed", type=int, default=42)
-    _fidelity_flag(campaign)
     _fault_flag(campaign)
     _sweep_flags(campaign, seeds=1, per="campaign")
     _store_flags(campaign, "snapshot")
@@ -938,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
     variants = sub.add_parser(
         "variants",
         help="run the protocol-variant lab "
-        "(variant x churn x fault x fidelity)",
+        "(variant x churn x fault)",
     )
     variants.add_argument(
         "--variants", type=str, default=",".join(DEFAULT_VARIANTS),
@@ -954,21 +935,17 @@ def build_parser() -> argparse.ArgumentParser:
         "retention = mean sync at the highest level / the lowest",
     )
     variants.add_argument(
-        "--fidelities", type=str, default="hybrid", metavar="LIST",
-        help="comma-separated node-tier fidelities (full and/or hybrid)",
-    )
-    variants.add_argument(
         "--faults", type=str, default=None, metavar="PLAN.json",
         help="also run every variant under this fault plan "
         "(the fault-free axis is kept for contrast)",
     )
-    _world_flags(variants, nodes=40, hours=1.0, seed=21, fidelity=False)
+    _world_flags(variants, nodes=40, hours=1.0, seed=21)
     _sweep_flags(variants, seeds=2, per="matrix cell")
     _store_flags(variants, "cell")
     variants.set_defaults(func=_cmd_variants)
 
     relay = sub.add_parser("relay", help="run the Fig. 10/11 relay experiment")
-    _world_flags(relay, nodes=30, hours=2.0, seed=11, fidelity=False)
+    _world_flags(relay, nodes=30, hours=2.0, seed=11)
     relay.add_argument("--export", type=str, default=None, metavar="DIR")
     relay.set_defaults(func=_cmd_relay)
 

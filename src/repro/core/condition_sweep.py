@@ -4,8 +4,8 @@ The paper's headline is one measurement — Fig. 1's synchronization
 distribution — read under changing conditions: churn doubling (the 2019
 vs 2020 contrast), the 73-node ADDR flood, the §V refinements.  Every
 extension asks the same question of another axis (fault intensity,
-attacker count, policy variant × churn × fault plan × fidelity), so they
-are all one program:
+attacker count, policy variant × churn × fault plan), so they are all
+one program:
 
 * an :class:`Axis` is a name and its levels — each a label and the
   ``SyncCampaignConfig`` fields it overrides; its classmethods are the
@@ -162,12 +162,6 @@ class Axis:
             for index, plan in enumerate(plans)
         ])
 
-    @classmethod
-    def fidelity(cls, fidelities: Sequence[str] = ("hybrid",)) -> "Axis":
-        """Node-tier fidelities (a light-tier variant under ``full`` is
-        refused by :class:`Condition`)."""
-        return cls("fidelity", [(f, {"fidelity": f}) for f in fidelities])
-
 
 def _fault_label(plan: FaultPlan, index: int) -> str:
     if not plan.faults:
@@ -186,7 +180,7 @@ class Condition:
 
     def __post_init__(self) -> None:
         # A condition that constructs is a condition that can run: a bad
-        # plan, size, duration, fidelity or variant fails here, by name.
+        # plan, size, duration or variant fails here, by name.
         self.config.validate()
 
 

@@ -42,10 +42,6 @@ class SyncCampaignConfig:
 
     #: Standing reachable network size.
     n_reachable: int = 80
-    #: Node-tier fidelity: ``"full"`` or ``"hybrid"`` (light-tier
-    #: unreachable cloud; same seed → identical figures, ~20x less
-    #: memory per cloud address).  Paper-scale campaigns use hybrid.
-    fidelity: str = "full"
     #: Live churn: departures per 10 minutes (compressed; see module doc).
     churn_per_10min: float = 5.0
     block_interval: float = 600.0
@@ -123,7 +119,6 @@ def protocol_config(config: SyncCampaignConfig) -> ProtocolConfig:
     """The live network a campaign measures."""
     return ProtocolConfig(
         seed=config.seed,
-        fidelity=config.fidelity,
         n_reachable=config.n_reachable,
         churn_per_10min=config.churn_per_10min,
         block_interval=config.block_interval,

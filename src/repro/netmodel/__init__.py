@@ -3,8 +3,9 @@
 Everything that defines *who is on the simulated Bitcoin network*: the AS
 universe and hosting distributions (Table I), the four node classes and
 their calibrated counts, churn timelines and live churn, the Bitnodes/DNS
-address oracles, the NAT/firewall model, malicious ADDR flooders, and the
-two scenario builders.
+address oracles, the unreachable cloud (NAT/firewall answers as
+light-tier endpoints), malicious ADDR flooders, and the two scenario
+builders.
 """
 
 from . import calibration
@@ -29,10 +30,9 @@ from .metrics import (
     pairwise_distances_sample,
     topology_stats,
 )
-from .nat import NatModel
+from .nat import LightCloud
 from .population import NodeClass, NodeRecord, Population, PopulationConfig
 from .scenario import (
-    LightCloud,
     LongitudinalConfig,
     LongitudinalScenario,
     ProtocolConfig,
@@ -54,7 +54,6 @@ __all__ = [
     "LongitudinalConfig",
     "LongitudinalScenario",
     "MaliciousAddrServer",
-    "NatModel",
     "NodeClass",
     "NodeRecord",
     "TopologyStats",

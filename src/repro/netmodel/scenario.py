@@ -34,15 +34,12 @@ from ..faults.plan import FaultPlan
 from ..simnet.addresses import NetAddr, TimestampedAddr, stamp
 from ..simnet.rand import sample
 from ..simnet.simulator import Simulator
-from ..simnet.transport import ProbeBehavior
 from ..units import DAYS
-from ..bitcoin.behavior import validate_fidelity
 from ..bitcoin.config import NodeConfig, PolicyConfig
-from ..bitcoin.light import LightNode
 from ..bitcoin.mining import MiningProcess, TransactionGenerator
 from ..bitcoin.node import BitcoinNode
-from ..bitcoin.policy.base import AddrPolicy, LightTierPolicy
-from ..bitcoin.policy.registry import build_policies, require_light_tier
+from ..bitcoin.policy.base import AddrPolicy
+from ..bitcoin.policy.registry import build_policies
 
 # The adversary package sits above bitcoin/ and below netmodel/ in the
 # layering; importing only its plan module here keeps construction
@@ -59,70 +56,28 @@ from .churn import (
     build_unreachable_timeline,
 )
 from .malicious import FloodVolumeModel, MaliciousAddrServer, plant_flooders
-from .nat import NatModel
+from .nat import LightCloud
 from .population import NodeRecord, Population, PopulationConfig
 from .seeds import AddressOracles, DnsSeeder, SeedViewConfig
 
 
 # ---------------------------------------------------------------------------
-# Hybrid fidelity: the light-tier unreachable cloud
-# ---------------------------------------------------------------------------
-
-
-class LightCloud:
-    """Registry of light-tier endpoints modelling the unreachable cloud.
-
-    In hybrid fidelity the NAT model's ``mark_*`` calls route through
-    :meth:`install`, so every unreachable address becomes (or retargets)
-    a :class:`~repro.bitcoin.light.LightNode` registered with the
-    transport instead of a raw probe-behavior table entry.  The
-    transport answers connects and probes identically either way, which
-    is what makes full and hybrid runs of the same seed bit-identical.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        light_policy: Optional[LightTierPolicy] = None,
-    ) -> None:
-        self.sim = sim
-        self.nodes: Dict[NetAddr, LightNode] = {}
-        #: Per-address profile override (``unreachable-relay`` assists).
-        #: ``None`` — every endpoint runs the shared default profile and
-        #: the install path below is byte-for-byte the pre-policy one.
-        self.light_policy = light_policy
-
-    def install(self, addr: NetAddr, behavior: ProbeBehavior) -> None:
-        """NAT-model endpoint factory: create or retarget a light node."""
-        node = self.nodes.get(addr)
-        if node is None:
-            profile = (
-                self.light_policy.profile_for(addr)
-                if self.light_policy is not None
-                else None
-            )
-            if profile is None:
-                node = LightNode(self.sim, addr, behavior=behavior)
-            else:
-                node = LightNode(self.sim, addr, behavior=behavior, profile=profile)
-            node.start()
-            self.nodes[addr] = node
-            if profile is not None and profile.listen:
-                # Sync the transport's listen state with the initial
-                # churn class (start() listens unconditionally).
-                node.apply_behavior(behavior)
-        elif node.profile.listen:
-            node.apply_behavior(behavior)
-        else:
-            node.behavior = behavior
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-# ---------------------------------------------------------------------------
 # Longitudinal (measurement-campaign) scenario
 # ---------------------------------------------------------------------------
+
+
+def _check_tiers(fidelity: str, rst_fraction: float) -> None:
+    """The checks both scenario configs share: the one node-tier model,
+    and an RST share that is a share."""
+    if fidelity != "hybrid":
+        raise ScenarioError(
+            f"fidelity must be 'hybrid' (full-tier reachable nodes, a "
+            f"light-tier unreachable cloud), got {fidelity!r}"
+        )
+    if not 0 <= rst_fraction <= 1:
+        raise ConfigurationError(
+            f"rst_fraction must be in [0, 1], got {rst_fraction}"
+        )
 
 
 def _split_alive(
@@ -145,11 +100,10 @@ class LongitudinalConfig:
 
     scale: float = 0.05
     seed: int = 1
-    #: ``"full"`` keeps the unreachable cloud as raw probe-behavior
-    #: entries; ``"hybrid"`` represents it with registered light-tier
-    #: endpoints.  Same seed → identical figures either way; the knob is
-    #: part of run-store keys.
-    fidelity: str = "full"
+    #: The node-tier model, part of run-store keys: ``"hybrid"`` — full
+    #: tier reachable nodes, a light-tier unreachable cloud — is the only
+    #: one (see :func:`_check_tiers`).
+    fidelity: str = "hybrid"
     campaign_days: float = float(cal.CAMPAIGN_DAYS)
     #: Crawl snapshots over the campaign (the paper crawled ~daily).
     snapshots: int = 60
@@ -213,11 +167,7 @@ class LongitudinalConfig:
                     "flooder_count sizes the Fig. 8 cohort that a non-empty "
                     "attack plan replaces — set one or the other"
                 )
-        try:
-            validate_fidelity(self.fidelity)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-        require_light_tier(self.policies, self.fidelity)
+        _check_tiers(self.fidelity, self.rst_fraction)
         if self.scale <= 0:
             raise ScenarioError("scale must be positive")
         if self.snapshots < 1:
@@ -298,17 +248,12 @@ class LongitudinalScenario:
         bundle = build_policies(self.config.policies)
         #: What the population gossips (``AddrPolicy.crawl_gossip``).
         self.addr_policy: AddrPolicy = bundle.addr
-        #: Hybrid fidelity: the unreachable cloud as light-tier endpoints.
-        self.light_cloud: Optional[LightCloud] = None
-        if self.config.fidelity == "hybrid":
-            self.light_cloud = LightCloud(self.sim, light_policy=bundle.light)
-        self.nat = NatModel(
-            self.sim.network,
+        #: The unreachable cloud as light-tier endpoints.
+        self.light_cloud = LightCloud(
+            self.sim,
             self.sim.random.stream("nat"),
             rst_fraction=self.config.rst_fraction,
-            endpoint_factory=(
-                self.light_cloud.install if self.light_cloud is not None else None
-            ),
+            light_policy=bundle.light,
         )
         #: One AddrServer per reachable record, started/stopped with churn.
         self.servers: Dict[NetAddr, AddrServer] = {}
@@ -440,12 +385,13 @@ class LongitudinalScenario:
         # NAT behaviour of the unreachable world at this instant, one
         # batch per pool in population order (which fixes the mark_silent
         # RNG draw order).
+        cloud = self.light_cloud
         for addr in responsive_gone:
-            self.nat.mark_offline(addr)
-        self.nat.mark_responsive(responsive_alive)
+            cloud.mark_offline(addr)
+        cloud.mark_responsive(responsive_alive)
         for addr in silent_gone:
-            self.nat.mark_offline(addr)
-        self.nat.mark_silent(silent_alive)
+            cloud.mark_offline(addr)
+        cloud.mark_silent(silent_alive)
         self._snapshot_index += 1
 
     def tier_census(self) -> Dict[str, int]:
@@ -463,12 +409,9 @@ class ProtocolConfig:
     """Sizing of a live protocol network."""
 
     seed: int = 7
-    #: ``"full"`` — the unreachable cloud is raw probe-behavior entries;
-    #: ``"hybrid"`` — the cloud is light-tier endpoints with O(1) state
-    #: each.  The measured vantage and the reachable network are full
-    #: tier in both, and same seed → identical figures; the knob is part
-    #: of run-store keys.
-    fidelity: str = "full"
+    #: The node-tier model, part of run-store keys: ``"hybrid"`` is the
+    #: only one (see :func:`_check_tiers`).
+    fidelity: str = "hybrid"
     #: Reachable full nodes online at start.
     n_reachable: int = 150
     #: Responsive unreachable addresses (FIN to probes, pollute tables).
@@ -506,11 +449,7 @@ class ProtocolConfig:
         # Eager, named-field errors (ConfigurationError) — a bad plan
         # must never surface as a mid-run failure.
         self.attack.validate_for(self.n_reachable)
-        try:
-            validate_fidelity(self.fidelity)
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
-        require_light_tier(self.node_config.policies, self.fidelity)
+        _check_tiers(self.fidelity, self.rst_fraction)
         if self.n_reachable < 2:
             raise ScenarioError("need at least two reachable nodes")
         if (self.churn_per_10min or 0.0) < 0:
@@ -576,24 +515,17 @@ class ProtocolScenario:
         #: The built policy bundle of the configured variant (shared by
         #: the light cloud; each node builds its own from its config).
         self.policy = build_policies(self.config.node_config.policies)
-        #: Hybrid fidelity: the unreachable cloud as light-tier endpoints.
-        self.light_cloud: Optional[LightCloud] = None
-        if self.config.fidelity == "hybrid":
-            self.light_cloud = LightCloud(
-                self.sim, light_policy=self.policy.light
-            )
-        self.nat = NatModel(
-            self.sim.network,
+        #: The unreachable cloud as light-tier endpoints.
+        self.light_cloud = LightCloud(
+            self.sim,
             self.sim.random.stream("nat"),
             rst_fraction=self.config.rst_fraction,
-            endpoint_factory=(
-                self.light_cloud.install if self.light_cloud is not None else None
-            ),
+            light_policy=self.policy.light,
         )
-        self.nat.mark_responsive(
+        self.light_cloud.mark_responsive(
             record.addr for record in self.population.responsive
         )
-        self.nat.mark_silent(
+        self.light_cloud.mark_silent(
             record.addr for record in self.population.silent
         )
         self.seeder = DnsSeeder(self.sim.random.stream("dns"))
@@ -814,7 +746,7 @@ class ProtocolScenario:
         Calibration metrics (sync fraction, relay delay, attempt logs)
         are drawn only from ``self.nodes`` — all full tier — so the
         census is diagnostic: it shows how much of the world the light
-        tier is carrying in hybrid runs.
+        tier is carrying.
         """
         return self.sim.network.tier_census()
 

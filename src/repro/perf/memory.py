@@ -1,8 +1,7 @@
 """Process-memory probes for paper-scale runs.
 
-Scale experiments live or die on resident memory: the hybrid tier exists
-so a 10x protocol scenario fits in one machine.  This module gives the
-engine a cheap way to measure that claim — current and peak RSS read
+Scale experiments live or die on resident memory.  This module gives
+the engine a cheap way to measure it — current and peak RSS read
 from ``/proc/self/status`` (with a ``resource.getrusage`` fallback off
 Linux) and a live-object census from the garbage collector.
 

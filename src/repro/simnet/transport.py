@@ -192,13 +192,10 @@ class Network:
         self.latency = latency
         self.connect_timeout = connect_timeout
         self._listeners: Dict[NetAddr, Any] = {}
-        self._probe_behavior: Dict[NetAddr, ProbeBehavior] = {}
-        #: Tier-aware endpoint registry: non-listening behaviors (light
-        #: nodes) keyed by address.  An endpoint only needs a
-        #: ``probe_behavior`` attribute; connects and probes honor it
-        #: with exactly the timing of the raw ``_probe_behavior`` table,
-        #: so a scenario can swap the statistical NAT table for live
-        #: light-tier objects without moving a single event.
+        #: Non-listening behaviors (light nodes) keyed by address.  An
+        #: endpoint only needs a ``probe_behavior`` attribute, which
+        #: connects and probes honor; an address with neither a listener
+        #: nor an endpoint answers SILENT.
         self._endpoints: Dict[NetAddr, Any] = {}
         self._sockets_by_addr: Dict[NetAddr, List[Socket]] = {}
         #: Every address ADDR gossip has carried, numbered for the
@@ -281,31 +278,15 @@ class Network:
         return addr in self._listeners
 
     # ------------------------------------------------------------------
-    # NAT / firewall behaviour for non-listening addresses
+    # Endpoint registry: how non-listening addresses answer (light nodes)
     # ------------------------------------------------------------------
-    def set_probe_behavior(self, addr: NetAddr, behavior: ProbeBehavior) -> None:
-        """Define how the non-listening ``addr`` answers unsolicited packets."""
-        if behavior is ProbeBehavior.SILENT:
-            self._probe_behavior.pop(addr, None)
-        else:
-            self._probe_behavior[addr] = behavior
-
     def probe_behavior(self, addr: NetAddr) -> ProbeBehavior:
-        return self._behavior_at(addr)
-
-    def _behavior_at(self, addr: NetAddr) -> ProbeBehavior:
-        """Effective unsolicited-packet behavior of a non-listener."""
-        behavior = self._probe_behavior.get(addr)
-        if behavior is not None:
-            return behavior
+        """How the non-listener ``addr`` answers unsolicited packets."""
         endpoint = self._endpoints.get(addr)
         if endpoint is not None:
             return endpoint.probe_behavior
         return ProbeBehavior.SILENT
 
-    # ------------------------------------------------------------------
-    # Tier-aware endpoint registry (light nodes)
-    # ------------------------------------------------------------------
     def register_endpoint(self, addr: NetAddr, endpoint: Any) -> None:
         """Attach a non-listening behavior object (light tier) to ``addr``.
 
@@ -321,10 +302,6 @@ class Network:
     def unregister_endpoint(self, addr: NetAddr) -> None:
         """Remove the endpoint on ``addr`` (no-op if absent)."""
         self._endpoints.pop(addr, None)
-
-    def endpoint(self, addr: NetAddr) -> Any:
-        """The registered endpoint on ``addr``, or ``None``."""
-        return self._endpoints.get(addr)
 
     def tier_census(self) -> Dict[str, int]:
         """How many behaviors of each tier the transport currently hosts.
@@ -387,7 +364,7 @@ class Network:
             )
             return
 
-        behavior = self._behavior_at(remote_addr)
+        behavior = self.probe_behavior(remote_addr)
         if behavior in (ProbeBehavior.RST, ProbeBehavior.FIN):
             # FIN-behaviour hosts accept the TCP handshake but close as
             # soon as Bitcoin speaks; either way the *connection attempt*
@@ -584,7 +561,7 @@ class Network:
         if remote_addr in self._listeners:
             self._scheduler.schedule(rtt, on_result, ProbeResult.BITCOIN)
             return
-        behavior = self._behavior_at(remote_addr)
+        behavior = self.probe_behavior(remote_addr)
         if behavior is ProbeBehavior.FIN:
             self._lane(rtt, on_result, ProbeResult.FIN)
         elif behavior is ProbeBehavior.RST:

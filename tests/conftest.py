@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from repro.bitcoin import BitcoinNode, NodeConfig
-from repro.simnet import NetAddr, Simulator
+from repro.bitcoin import BitcoinNode, LightNode, NodeConfig
+from repro.simnet import NetAddr, ProbeBehavior, Simulator
 
 
 @pytest.fixture
@@ -24,6 +24,16 @@ def rng() -> random.Random:
 def make_addr(index: int, port: int = 8333) -> NetAddr:
     """Distinct addresses across /16 groups (index < 65536)."""
     return NetAddr(ip=((index + 1) << 16) | 0x0101, port=port)
+
+
+def answer_with(
+    sim: Simulator, addr: NetAddr, behavior: ProbeBehavior
+) -> LightNode:
+    """Make the non-listening ``addr`` answer connects and probes with
+    ``behavior``: a started light-tier endpoint, as in the cloud."""
+    node = LightNode(sim, addr, behavior=behavior)
+    node.start()
+    return node
 
 
 @pytest.fixture

@@ -70,7 +70,6 @@ def small_scenario(attack, seed: int = 9, n: int = 12) -> ProtocolScenario:
         ProtocolConfig(
             n_reachable=n,
             seed=seed,
-            fidelity="hybrid",
             mining=False,
             attack=attack,
         )
@@ -301,7 +300,6 @@ class TestEclipseAndStaller:
             ProtocolConfig(
                 n_reachable=12,
                 seed=5,
-                fidelity="hybrid",
                 mining=True,
                 block_interval=120.0,
                 pre_mined_blocks=20,
@@ -483,7 +481,6 @@ class TestDetectionScoring:
 def tiny_campaign(seed: int = 7) -> SyncCampaignConfig:
     return SyncCampaignConfig(
         n_reachable=12,
-        fidelity="hybrid",
         duration=600.0,
         warmup=300.0,
         pre_mined_blocks=40,

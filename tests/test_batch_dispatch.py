@@ -33,7 +33,6 @@ def _protocol_figures():
         ProtocolConfig(
             seed=23,
             n_reachable=10,
-            fidelity="hybrid",
             churn_per_10min=2.0,
             pre_mined_blocks=5,
             tx_rate=0.05,
@@ -62,7 +61,6 @@ def test_protocol_scenario_batched_equals_unbatched(monkeypatch):
 def test_sync_campaign_batched_equals_unbatched(monkeypatch):
     config = SyncCampaignConfig(
         n_reachable=12,
-        fidelity="hybrid",
         churn_per_10min=4.0,
         pre_mined_blocks=20,
         warmup=200.0,
@@ -84,7 +82,6 @@ def test_snapshot_restore_mid_batch():
         ProtocolConfig(
             seed=17,
             n_reachable=8,
-            fidelity="hybrid",
             churn_per_10min=2.0,
             pre_mined_blocks=3,
         )

@@ -209,7 +209,7 @@ def _assert_alive_peers_are_connected_or_awaiting_a_pass(made) -> int:
 N_GOSSIP = 40
 
 
-def gossip_world(fidelity: str = "hybrid", events: int = 5000) -> ProtocolScenario:
+def gossip_world(events: int = 5000) -> ProtocolScenario:
     """The ledger's ``gossip_scale`` world at 40 full nodes: built,
     warmed for 15 s, then run for ``events`` events, every address
     table checked."""
@@ -217,7 +217,6 @@ def gossip_world(fidelity: str = "hybrid", events: int = 5000) -> ProtocolScenar
         ProtocolConfig(
             seed=5,
             n_reachable=N_GOSSIP,
-            fidelity=fidelity,
             churn_per_10min=6.0,
             pre_mined_blocks=10,
         )
@@ -247,17 +246,22 @@ class TestGossipBudget:
     ROW_BYTES_CEILING = 115
 
     def test_tracked_objects_per_node_by_tier(self):
-        """A full-fidelity world is the hybrid one minus its light tier
-        (same seed, same events, same clock), so the difference of the
-        two censuses is what the light tier costs."""
-        full, hybrid = gossip_world("full"), gossip_world("hybrid")
-        assert full.light_cloud is None and hybrid.sim.now == full.sim.now
-        lights = len(hybrid.light_cloud)
+        """The census of one world, taken again after its light tier is
+        dropped: the difference is what the light tier costs, and the
+        rest is the full tier's."""
+        world = gossip_world()
+        cloud = world.light_cloud
+        lights = len(cloud)
         assert lights > 10 * N_GOSSIP
-        in_full = tracked(full)
+        with_lights = tracked(world)
+        for node in cloud.nodes.values():
+            node.stop()
+        cloud.nodes.clear()
+        assert world.tier_census() == {"full": N_GOSSIP, "light": 0}
+        in_full = tracked(world)
         per_full = in_full / N_GOSSIP
-        per_light = (tracked(hybrid) - in_full) / lights
-        rows = sum(len(node.addrman) for node in full.running_nodes())
+        per_light = (with_lights - in_full) / lights
+        rows = sum(len(node.addrman) for node in world.running_nodes())
         assert rows > 300 * N_GOSSIP  # the tables the budget is about
         assert per_full <= self.FULL_NODE_CEILING, per_full
         assert 1.0 <= per_light <= self.LIGHT_NODE_CEILING, per_light
@@ -290,7 +294,7 @@ class TestGossipBudget:
         them, ``_pos``, ``_rec`` and ``_src``, per row — the records are
         the senders' and the row numbers the shared pool's."""
         held = rows = 0
-        for node in gossip_world("full").running_nodes():
+        for node in gossip_world().running_nodes():
             for table in (node.addrman._new, node.addrman._tried):  # noqa: SLF001
                 slots = table._slots  # noqa: SLF001
                 held += sys.getsizeof(slots) + sum(

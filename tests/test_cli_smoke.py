@@ -268,7 +268,7 @@ class TestVariantsWiring:
     def test_variants_flags_parse(self):
         args = build_parser().parse_args(
             ["variants", "--variants", "baseline,improved",
-             "--churn", "2,6", "--fidelities", "hybrid",
+             "--churn", "2,6",
              "--store", "st", "--resume", "sync-sweep-abc", "--force"]
         )
         assert args.command == "variants"
@@ -302,7 +302,7 @@ class TestVariantsSmoke:
         root = tmp_path / "store"
         argv = [
             "variants", "--variants", "baseline,unreachable-relay",
-            "--churn", "2,6", "--fidelities", "hybrid",
+            "--churn", "2,6",
             "--nodes", "10", "--hours", "0.3", "--seeds", "1",
             "--workers", "1", "--store", str(root),
         ]
@@ -326,7 +326,7 @@ class TestAttackSmoke:
         argv = [
             "attack", "--plan", str(plan / "attackplan_flood.json"),
             "--counts", "0,2", "--nodes", "10", "--hours", "0.2",
-            "--fidelity", "hybrid", "--seeds", "1", "--workers", "1",
+            "--seeds", "1", "--workers", "1",
             "--store", str(tmp_path / "store"),
         ]
         assert main(argv) == 0
@@ -349,7 +349,7 @@ class TestChaosSmoke:
         argv = [
             "chaos", "--faults", str(plan / "faultplan_partition.json"),
             "--intensities", "0,1", "--nodes", "8", "--hours", "0.2",
-            "--fidelity", "hybrid", "--seeds", "1", "--workers", "1",
+            "--seeds", "1", "--workers", "1",
             "--store", str(tmp_path / "store"),
         ]
         assert main(argv) == 0

@@ -47,6 +47,7 @@ from repro.core import (
 )
 from repro.core import parallel
 from repro.core.decode import decode_file
+from repro.core.sync_experiments import protocol_config
 from repro.errors import (
     ConfigurationError,
     FaultInjectionError,
@@ -356,14 +357,16 @@ _REACHABLE = AttackPlan(
         (lambda: conditions(
             tiny_campaign(), Axis.condition(flood_plan(), "no-such-variant")),
          ValueError, "no-such-variant"),
+        # There is one node-tier model, so no fidelity axis: a
+        # hand-built one names the field the sweep's config lacks.
         (lambda: conditions(
-            dataclasses.replace(tiny_campaign(), fidelity="full"),
-            Axis.condition(flood_plan(), "unreachable-relay")),
-         ConfigurationError, "unreachable-relay.*fidelity='full'"),
+            tiny_campaign(), Axis.condition(flood_plan(), "unreachable-relay"),
+            Axis("fidelity", [("full", {"fidelity": "full"})])),
+         ConfigurationError, "no field 'fidelity'"),
         (lambda: conditions(
             tiny_campaign(), Axis.variant(["baseline"]),
-            Axis.fidelity(("fulll",))),
-         ScenarioError, "unknown fidelity 'fulll'"),
+            Axis("fidelity", [("fulll", {"fidelity": "fulll"})])),
+         ConfigurationError, "no field 'fidelity'"),
         (lambda: conditions(
             dataclasses.replace(tiny_campaign(), n_reachable=1), Axis.year()),
          ScenarioError, "at least two reachable nodes"),
@@ -390,7 +393,7 @@ class TestBuilders:
         cannot be dropped on the way to Fig. 1."""
         default = SyncCampaignConfig()
         base = SyncCampaignConfig(
-            n_reachable=11, fidelity="hybrid", churn_per_10min=1.0,
+            n_reachable=11, churn_per_10min=1.0,
             block_interval=300.0, pre_mined_blocks=7, sample_period=90.0,
             poll_spread=30.0, warmup=120.0, duration=480.0, seed=99,
             max_events=10_000, faults=DROP, attack=flood_plan(),
@@ -443,34 +446,32 @@ class TestBuilders:
             Axis.variant(["baseline", PolicyConfig(variant="improved")]),
             Axis.churn((2, 6)),
             Axis.faults((FaultPlan(), DROP)),
-            Axis.fidelity(("full", "hybrid")),
         )
-        assert len(points) == 16
+        assert len(points) == 8
         assert [tuple(c.labels.values()) for c in points[:5]] == [
-            ("baseline", 2.0, "none", "full"),
-            ("baseline", 2.0, "none", "hybrid"),
-            ("baseline", 2.0, "plan1:drop", "full"),
-            ("baseline", 2.0, "plan1:drop", "hybrid"),
-            ("baseline", 6.0, "none", "full"),
+            ("baseline", 2.0, "none"),
+            ("baseline", 2.0, "plan1:drop"),
+            ("baseline", 6.0, "none"),
+            ("baseline", 6.0, "plan1:drop"),
+            ("tried-only+17d+block-prio", 2.0, "none"),
         ]
         last = points[-1]
         assert last.labels == {
             "variant": "tried-only+17d+block-prio", "churn": 6.0,
-            "faults": "plan1:drop", "fidelity": "hybrid",
+            "faults": "plan1:drop",
         }
         assert last.config == dataclasses.replace(
             tiny_campaign(), policies=PolicyConfig.improved(),
-            churn_per_10min=6.0, faults=DROP, fidelity="hybrid",
+            churn_per_10min=6.0, faults=DROP,
         )
 
     def test_variant_lab_defaults_run_the_light_tier(self):
-        """Every default variant under the default fidelity is runnable,
-        and the one with a light tier gets its cloud."""
+        """Every default variant is runnable, and each runs over the
+        light cloud — the one with a light tier gets its assists."""
         points = conditions(
             tiny_campaign(), Axis.variant(), Axis.churn(), Axis.faults(),
-            Axis.fidelity(),
         )
-        assert {c.config.fidelity for c in points} == {"hybrid"}
+        assert {protocol_config(c.config).fidelity for c in points} == {"hybrid"}
         assert "unreachable-relay" in {c.labels["variant"] for c in points}
 
 
@@ -554,7 +555,7 @@ def test_stored_matrix_is_a_cache_hit_with_equal_retention(tmp_path):
             "variants",
             conditions(
                 tiny_campaign(), Axis.variant(["baseline", "improved"]),
-                Axis.churn((2.0, 6.0)), Axis.faults(), Axis.fidelity(),
+                Axis.churn((2.0, 6.0)), Axis.faults(),
             ),
             [7, 8],
             workers=2,

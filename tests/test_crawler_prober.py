@@ -13,7 +13,7 @@ from repro.netmodel.seeds import AddressViews
 from repro.simnet import ProbeBehavior
 from repro.simnet.addresses import stamp
 
-from .conftest import make_addr
+from .conftest import answer_with, make_addr
 
 CRAWLER = make_addr(60000)
 
@@ -132,9 +132,9 @@ class TestVerProber:
         rst = [make_addr(i) for i in range(6, 9)]
         silent = [make_addr(i) for i in range(9, 12)]
         for addr in fin:
-            sim.network.set_probe_behavior(addr, ProbeBehavior.FIN)
+            answer_with(sim, addr, ProbeBehavior.FIN)
         for addr in rst:
-            sim.network.set_probe_behavior(addr, ProbeBehavior.RST)
+            answer_with(sim, addr, ProbeBehavior.RST)
         prober = VerProber(sim, CRAWLER, ProbeConfig(concurrency=4))
         result = prober.run_to_completion(fin + rst + silent)
         assert result.responsive == set(fin)

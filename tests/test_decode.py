@@ -23,7 +23,7 @@ from repro.core.decode import decode, decode_file
 from repro.core.sync_experiments import SyncCampaignConfig
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, FaultScope, FaultSpec
-from repro.netmodel import LongitudinalConfig
+from repro.netmodel import LongitudinalConfig, ProtocolConfig
 from repro.serve import parse_submission
 from repro.serve.submission import Submission
 
@@ -56,7 +56,7 @@ _POLICY = PolicyConfig(
         _ATTACK,
         _POLICY,
         LongitudinalConfig(
-            scale=0.004, fidelity="hybrid", faults=_FAULTS,
+            scale=0.004, faults=_FAULTS,
             attack=AttackPlan(attackers=_ATTACK.attackers[:1]),
             policies=_POLICY,
         ),
@@ -73,6 +73,16 @@ def test_refusal_names_the_path(body, path):
     with pytest.raises(ConfigurationError) as excinfo:
         decode(Submission, body)
     assert path in str(excinfo.value)
+
+
+@pytest.mark.parametrize("config", [LongitudinalConfig, ProtocolConfig])
+def test_an_rst_fraction_outside_the_unit_interval_is_refused(config):
+    """A JSON number, so the types pass; ``validate`` refuses it by
+    name instead of the scenario build raising a bare ``ValueError``."""
+    for fraction in (2.0, -0.5):
+        with pytest.raises(ConfigurationError, match="rst_fraction"):
+            decode(config, {"rst_fraction": fraction})
+    assert decode(config, {"rst_fraction": 1.0}).rst_fraction == 1.0
 
 
 def test_null_still_fills_every_optional_field():
@@ -127,7 +137,9 @@ def test_empty_blocks_key_as_no_blocks(scenario):
 
 
 # ---------------------------------------------------------------------------
-# Run-key pins: re-pinned once when None stopped spelling an empty plan
+# Run-key pins: re-pinned when None stopped spelling an empty plan, and
+# when the node-tier switch went (the campaign keys are now the ones
+# ``fidelity="hybrid"`` had; the sweep configs lost the field)
 # ---------------------------------------------------------------------------
 
 _SWEEP_BASE = SyncCampaignConfig(n_reachable=40, duration=3600.0, seed=21)
@@ -137,23 +149,23 @@ _SWEEP_BASE = SyncCampaignConfig(n_reachable=40, duration=3600.0, seed=21)
     "key_of, key",
     [
         (lambda: _submission_key(TINY),
-         "92cedca8a9b775f3cf526077a524c42b8aecae78042466d5bd87e61ce60e93fe"),
+         "01053591fe1ede89c7159d5de5a548e651c9c7e12ec76c7e4bd30874aef4dc0c"),
         (lambda: _submission_key(
             in_scenario(faults=_example("faultplan_partition.json"))),
-         "d9d36e66ebb12fbc2f505e4c3ee1f0ecd51c612e11a879619b6a5a974c52b182"),
+         "67051e9b9a133d41f18062ae2701087f0d864920848d815052ac2d9f54540f46"),
         (lambda: _submission_key(
             in_scenario(attack=_example("attackplan_flood.json"))),
-         "8aad889db7e885a064d9188c8cb405ad49843df2f155ad61706d746b4440355c"),
+         "3fa410ee5380e95da1f3958cb00be39c95506368744b670a09b6099b005bf1f1"),
         (lambda: _submission_key(in_scenario(policies={"variant": "improved"})),
-         "cf8cb9eee33d95aad904e11bb63f740e2107897b53682281b366171e955f814b"),
+         "e37ca49e4e11a21798ac3591346e6f9f160a7ab7ad19c7f97e1d01399b4eb188"),
         (lambda: ConditionSweepPlan("chaos", conditions(_SWEEP_BASE, Axis.intensity(
             decode_file(FaultPlan, EXAMPLES / "faultplan_chaos.json"),
             [0, 0.5, 1, 1.5, 2])), [21, 22]).key,
-         "428f6c9f1d4fd4d6d096882f87d52bc201f988c5164a5b39db734f0f9fbda98c"),
+         "9c829f890e5269f72296a33d5711ea167354de054298470938dacbcf3f984e75"),
         (lambda: ConditionSweepPlan("attack", conditions(_SWEEP_BASE, Axis.attackers(
             decode_file(AttackPlan, EXAMPLES / "attackplan_flood.json"),
             [0, 3])), [21, 22]).key,
-         "65f3be16d8192f64d42ac2bbf0a39ebded6a0d0521e46c6f1e89467251d7b988"),
+         "04cb9893522cfe31f944fc32c7ac94d578c966006f648f0338114e5893e1d0e6"),
     ],
     ids=["tiny", "tiny-faults", "tiny-attack", "tiny-policies",
          "chaos-sweep", "attack-sweep"],

@@ -157,7 +157,7 @@ def test_campaign_leaves_no_cyclic_garbage(monkeypatch):
     gc.disable()
     try:
         scenario = LongitudinalScenario(
-            LongitudinalConfig(scale=0.004, snapshots=3, seed=9, fidelity="hybrid")
+            LongitudinalConfig(scale=0.004, snapshots=3, seed=9)
         )
         runner = CampaignRunner(scenario)  # kept: it ends the run alive
         assert len(runner.run().snapshots) == 3 and len(made) == 6

@@ -191,7 +191,6 @@ def _protocol_digest(policies):
         ProtocolConfig(
             seed=11,
             n_reachable=8,
-            fidelity="hybrid",
             churn_per_10min=2.0,
             pre_mined_blocks=3,
             tx_rate=0.05,

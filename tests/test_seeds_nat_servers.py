@@ -7,6 +7,8 @@ import random
 import pytest
 
 from repro.bitcoin.messages import GetAddr, Version
+from repro.bitcoin.policy.unreachable_relay import UnreachableRelayLightPolicy
+from repro.errors import ConfigurationError
 from repro.netmodel.addr_server import AddrServer
 from repro.netmodel.asmap import ASUniverse
 from repro.netmodel.churn import PresenceTimeline
@@ -15,8 +17,9 @@ from repro.netmodel.malicious import (
     MaliciousAddrServer,
     plant_flooders,
 )
-from repro.netmodel.nat import NatModel
+from repro.netmodel.nat import LightCloud
 from repro.netmodel.population import Population, PopulationConfig
+from repro.netmodel.scenario import LongitudinalConfig, ProtocolConfig
 from repro.netmodel.seeds import AddressOracles, DnsSeeder, SeedViewConfig
 from repro.simnet import ProbeBehavior
 from repro.simnet.addresses import stamp
@@ -111,31 +114,59 @@ class TestAddressOracles:
 
 
 class TestNatModel:
+    """The NAT model: how the light cloud marks unreachable addresses."""
+
     def test_responsive_marked_fin(self, sim, rng):
-        nat = NatModel(sim.network, rng)
+        nat = LightCloud(sim, rng)
         addrs = [make_addr(i) for i in range(5)]
         nat.mark_responsive(addrs)
         for addr in addrs:
             assert sim.network.probe_behavior(addr) is ProbeBehavior.FIN
 
     def test_silent_mix_of_rst_and_silent(self, sim, rng):
-        nat = NatModel(sim.network, rng, rst_fraction=0.5)
+        nat = LightCloud(sim, rng, rst_fraction=0.5)
         addrs = [make_addr(i) for i in range(200)]
         nat.mark_silent(addrs)
         behaviors = [sim.network.probe_behavior(addr) for addr in addrs]
         rst_share = behaviors.count(ProbeBehavior.RST) / len(behaviors)
         assert 0.35 < rst_share < 0.65
+        # Only the RST answers are kept as nodes; silence is no node.
+        assert len(nat) == behaviors.count(ProbeBehavior.RST)
 
     def test_mark_offline(self, sim, rng):
-        nat = NatModel(sim.network, rng)
+        nat = LightCloud(sim, rng)
         addr = make_addr(1)
         nat.mark_responsive([addr])
+        node = nat.nodes[addr]
         nat.mark_offline(addr)
         assert sim.network.probe_behavior(addr) is ProbeBehavior.SILENT
+        # The departed host is stopped and forgotten.
+        assert len(nat) == 0 and not node.running
+        assert sim.network.tier_census() == {"full": 0, "light": 0}
 
-    def test_invalid_fraction(self, sim, rng):
-        with pytest.raises(ValueError):
-            NatModel(sim.network, rng, rst_fraction=2.0)
+    def test_a_listening_assist_is_kept_through_silence(self, sim, rng):
+        """Only a plain cloud node is forgotten when it goes silent: an
+        assist must listen again when its host comes back."""
+        nat = LightCloud(
+            sim, rng,
+            light_policy=UnreachableRelayLightPolicy({"assist_fraction": 1.0}),
+        )
+        addr = make_addr(1)
+        nat.mark_silent([addr] * 20)  # some draw is SILENT, none forgets
+        node = nat.nodes[addr]
+        nat.mark_offline(addr)
+        assert nat.nodes[addr] is node and node.running
+        assert not sim.network.is_listening(addr)
+        assert sim.network.probe_behavior(addr) is ProbeBehavior.SILENT
+        nat.mark_responsive([addr])
+        assert nat.nodes[addr] is node and sim.network.is_listening(addr)
+
+    def test_invalid_fraction(self):
+        """Refused by either config, by name, before a scenario is built."""
+        for config in (LongitudinalConfig, ProtocolConfig):
+            for fraction in (2.0, -0.1):
+                with pytest.raises(ConfigurationError, match="rst_fraction"):
+                    config(rst_fraction=fraction).validate()
 
 
 class _Collector:

@@ -353,6 +353,8 @@ REFUSALS = {
         ),
         "flooder_count",
     ),
+    # A share outside [0, 1] used to pass here and fail in the worker.
+    "rst-fraction-out-of-range": (in_scenario(rst_fraction=2.0), "rst_fraction"),
 }
 
 
@@ -368,19 +370,21 @@ class TestValidation:
         with_service(tmp_path, body)
 
     def test_light_tier_variant_under_full_fidelity_is_400(self, tmp_path):
-        """``unreachable-relay`` acts only through the light cloud that
-        ``fidelity="full"`` (the default) never builds: refused by name
-        at submit time; the same scenario under hybrid is admitted."""
+        """``fidelity="full"`` is no model any more: refused by name at
+        submit time; ``unreachable-relay``, which acts only through the
+        light cloud, is admitted under the default."""
 
         async def body(service, client):
             spec = tiny()
             spec["scenario"]["policies"] = {"variant": "unreachable-relay"}
+            spec["scenario"]["fidelity"] = "full"
             r = await client.request("POST", "/v1/campaigns", body=spec)
             assert r.status == 400
             error = r.json()["error"]
-            assert "'unreachable-relay'" in error and "fidelity='full'" in error
+            assert "fidelity must be 'hybrid'" in error and "'full'" in error
+            assert service.metrics.internal_errors == 0
             assert RunStore(tmp_path / "store").manifests() == []
-            spec["scenario"]["fidelity"] = "hybrid"
+            del spec["scenario"]["fidelity"]
             r = await client.request("POST", "/v1/campaigns", body=spec)
             assert r.status == 202, r.json()
             events = await stream_to_end(client, r.json()["id"])
@@ -621,11 +625,12 @@ READS = {
 #: ``TINY`` — it unpickled the result and rendered both bodies on every
 #: cold read.  The ``/result`` body names the run, so a change to the
 #: run-key payload moves its pin (and must say so); nothing else may.
-#: It moved once since, when an empty plan stopped having a ``None``
-#: spelling (old digest in CHANGES.md).
+#: It moved twice since, when an empty plan stopped having a ``None``
+#: spelling and when ``fidelity="hybrid"`` became the only and default
+#: value (old digests in CHANGES.md).
 _SERVED_BEFORE_VIEWS = {
     "result": (
-        "ddafbfabf872d9a038e5c7ca79a64fb1abfd529060277f141f6f463fa84dfa6a"
+        "d6e1b93808ecb219fe8b3871cd6f84cd30998e4b19131c404a93e988c4127bd6"
     ),
     "export/campaign_series.csv": (
         "efec76f94c08903fc215c5dad8d8c4ff5d37c0eec009e997307a30e0bc042c4d"

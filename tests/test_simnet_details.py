@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simnet import ProbeBehavior, ProbeResult, Simulator
 
-from .conftest import make_addr
+from .conftest import answer_with, make_addr
 
 
 class TestSchedulerStress:
@@ -61,7 +61,7 @@ class TestSchedulerStress:
 class TestProbeTimings:
     def test_fin_probe_fast_silent_probe_slow(self, sim):
         fin_addr, silent_addr = make_addr(1), make_addr(2)
-        sim.network.set_probe_behavior(fin_addr, ProbeBehavior.FIN)
+        answer_with(sim, fin_addr, ProbeBehavior.FIN)
         arrivals = {}
 
         def record(name):
@@ -86,7 +86,7 @@ class TestProbeTimings:
         nodes: all three answered FIN.  Reproduce exactly that."""
         in_house = [make_addr(i) for i in (1, 2, 3)]
         for addr in in_house:
-            sim.network.set_probe_behavior(addr, ProbeBehavior.FIN)
+            answer_with(sim, addr, ProbeBehavior.FIN)
         results = []
         for addr in in_house:
             sim.network.probe(make_addr(9), addr, results.append)

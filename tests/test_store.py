@@ -650,7 +650,7 @@ class TestRetiredFormat:
         manifests = [m.to_json() for m in store.manifests()]
 
         base = SyncCampaignConfig(
-            n_reachable=8, fidelity="hybrid", duration=300.0, warmup=150.0,
+            n_reachable=8, duration=300.0, warmup=150.0,
             pre_mined_blocks=10, sample_period=100.0, poll_spread=60.0, seed=7,
         )
         if kind == "attack-sweep":
@@ -661,7 +661,7 @@ class TestRetiredFormat:
         else:
             points = conditions(
                 base, Axis.variant(["baseline"]), Axis.churn((2.0,)),
-                Axis.faults(), Axis.fidelity(),
+                Axis.faults(),
             )
         plan = ConditionSweepPlan(kind, points, [7], workers=1)
 

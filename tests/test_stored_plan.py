@@ -511,20 +511,20 @@ class TestOneValidation:
             pytest.param(dict(churn_levels=()), "axis 'churn' has no levels",
                          id="axes2-at least one churn level"),
             (dict(churn_levels=(-1.0,)), "must be >= 0"),
-            pytest.param(dict(fidelities=()), "axis 'fidelity' has no levels",
-                         id="axes4-at least one fidelity"),
+            pytest.param(dict(fault_plans=()), "axis 'faults' has no levels",
+                         id="axes4-at least one fault plan"),
         ],
     )
     def test_variant_matrix(self, tmp_path, stored, axes, message):
         axes = {"variants": ["baseline"], "churn_levels": (2.0,),
-                "fidelities": ("hybrid",), **axes}
+                "fault_plans": (FaultPlan(),), **axes}
         with pytest.raises(ValueError, match=message):
             self._run(
                 tmp_path, stored,
                 lambda: conditions(
                     tiny_sync(), Axis.variant(axes["variants"]),
-                    Axis.churn(axes["churn_levels"]), Axis.faults(),
-                    Axis.fidelity(axes["fidelities"]),
+                    Axis.churn(axes["churn_levels"]),
+                    Axis.faults(axes["fault_plans"]),
                 ),
             )
         assert RunStore(tmp_path).manifests() == []
@@ -724,13 +724,16 @@ def test_kill_and_resume(flavour, tmp_path):
 #: plan or policy stopped having a ``None`` spelling (old values in
 #: CHANGES.md): the configs changed spelling, and a sweep result embeds
 #: its configs; ``_SWEEP_MEASUREMENTS`` is the proof that nothing
-#: measured moved.  A run-key payload, a result class's pickled state,
+#: measured moved.  Every key, the sweeps' result digests and
+#: ``_SWEEP_CELLS`` moved again when the node-tier switch went (the
+#: campaign's ``fidelity`` default became ``"hybrid"``, the sweep
+#: config lost the field; old values in CHANGES.md).  A run-key payload, a result class's pickled state,
 #: ``MANIFEST_FORMAT`` or ``CHECKPOINT_FORMAT`` changing moves these —
 #: say so when it does.
 PINS = {
     "campaign": (
         lambda store: run_stored_campaign(store, tiny_crawl()),
-        "a2890dec5e745add77243e5ce5b44ac53c45cfcb1131b20ca973ebb3c3620897",
+        "e3d87ed1c04756830e29cc8d0b1d4a66737a51168180e704af4247d32c0839fb",
         "ea814f3123c231f4bb28c63f0cd2f48792db017a79146d3dadf541a5802b837f",
     ),
     "attack-sweep": (
@@ -738,33 +741,34 @@ PINS = {
             store,
             attack_plan(counts=(0, 1, 2, 3, 4), seeds=(7, 8), flooders=4),
         ),
-        "ee839c3b189b43c24c4b244f7e0c0e8472ae75e3f725646ba711dd18b2029832",
-        "a27023c319cccf8d2f0799ed0d6493d4e33b4b8715bd89113e352101f74dedb0",
+        "96f6595e4668ecbde3f77a65c709216f0b687d0afb1c95b324bdbbf6afcb26d0",
+        "e3fa21957d23d88fab4fc5504f34de73331755bccdda26b1836944ff17b12f15",
     ),
     "variant-matrix": (
         lambda store: run_stored(store, variants_plan(churn_levels=(2.0, 6.0))),
-        "b8dd23ca98c5ea373324eb279df7f314fdd56701e59f374e7b63cfc692b33118",
-        "b220ba179cf57a2d1709e1dfdf66d61b92953e3cc3b9b8faffe5f08342b8ca89",
+        "9fcb89812888497d7835c055aa066bcf41e5ce738b6725bc244bcd7da1018334",
+        "c5ff4518d9b426dded8f13de271e91db28c427462fb6ff00a572eb74962f58b0",
     ),
 }
 
 #: The campaign's unit blobs and final runner checkpoint are the one
 #: place the runner writes what its predecessor wrote, byte for byte.
-#: The checkpoint moved four times since (old values in CHANGES.md):
+#: The checkpoint moved five times since (old values in CHANGES.md):
 #: the runner's state changed shape — server tables hold shared
 #: last-seen records, a stopped server holds none, dead socket pairs
 #: are unlinked; then ``Simulator`` state lost its
 #: always-``None`` ``perf`` entry; then the scenario's config lost its
 #: ``None`` plans and it holds a built ``AddrPolicy``; then the
-#: ``Network`` gained its (here empty) address index — while the unit
-#: blobs, which are measurements, did not.
+#: ``Network`` gained its (here empty) address index; then the scenario
+#: held its cloud as light nodes instead of a raw table — while the
+#: unit blobs, which are measurements, did not.
 _CAMPAIGN_UNITS = [
     "5b03d378a91b08057cf55fd085220ded6988e8802341b26e10589012a95b7315",
     "d1568e950eed3322fe686f7c29f95e264dcfe064c1bc52ff662f63bc363ab027",
     "63c12901e5ee696bef13a845ec14b780997018973367a4cd9de6e6e9f7ca6151",
 ]
 _CAMPAIGN_CHECKPOINT = (
-    "945470ca58d257ce45f2b8c39069ffbb7b15f6c32956c8b601d3d598c57c96b9"
+    "b99ac835449211aefaae2390c00825a44a88ef41810362d1455a7a9025e75e95"
 )
 
 #: The campaign's stored views.  The CSV's digest is the sha256 of the
@@ -786,17 +790,17 @@ _CAMPAIGN_VIEWS = {
 #: measured is ``_SWEEP_MEASUREMENTS``.
 _SWEEP_CELLS = {
     "attack-sweep": [
-        "5c415295efb817a6b9d1ac54bd41904e6f9c523ed30ac92f9bb9098dc153467f",
-        "9e52c75797eec5ecc8b7630a80715cebc036cb12e6d68329823e051e095e2f09",
-        "d29a9830f763b5a929958651cfd69b2e321ffa1c37a30366b03ec96a1c560221",
-        "032377fb68f0cd341c6f282a484fe9ba0584f4baae5753f7ec98f207494c39fa",
-        "93fe5ebc748572a31586a1ab9a374b469d912f55b6e27d8fd6b521420fa3e3fe",
+        "74237335d10b9f68f096980ab6341a6aae77cb7f87dc5f318aa931c7d02c2068",
+        "02eb23da85399e88983cb0ddc636ac3269837dfb5e5d090d2fd92a810a64835d",
+        "b726b74be47ae4cf74f174d0667c2359fccf1bbf2e264611572e2cda0e545835",
+        "9a9eacadcf136cb04d49905c7d84c9fc5679e024467a737d4c08c42b949b1b17",
+        "d378ecdf36e617d7ec1f317ca6f3d5912a9ceb5d6e3b78477427e63779fcffa4",
     ],
     "variant-matrix": [
-        "5deb068194979d0009781fdfbc610dace21d59ea40faba453c30632dc3ab0b21",
-        "6fba5d4309897bb0e4a05326070039edca2fa2cff25fd721f4b0b21e5ded027c",
-        "330b3c033b4cd4ca8c1cd92b4d56d3f481a75b20ca783611b2909e5073aeb357",
-        "b30e2a233b8a7bc485ab72d5598c0648c983851540cdd32b76ea59c84c907a2b",
+        "71fe832b283adf124f067cf4f08a0d00d083a8e643ce6e4334a81f4cfed14882",
+        "6e8262c3d8b5efd0ce11cce2a7d218b7688628d5829397f1378c51cf252b7665",
+        "591e8b3e2da108e1a4f40841f0b31b14404156616221709d05829e1c7127ac45",
+        "1e52796f6c6f49dd4c10dacb9367e694425e45fd3d9f5f67b965ae842587dfd7",
     ],
 }
 

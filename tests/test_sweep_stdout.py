@@ -29,7 +29,7 @@ _FLOOD = (
 _WORLD = ["--nodes", "10", "--hours", "0.2", "--workers", "1"]
 _ATTACK = [
     "attack", "--plan", "{tmp}/flood.json", "--counts", "0,2",
-    "--fidelity", "hybrid", "--seeds", "1", *_WORLD,
+    "--seeds", "1", *_WORLD,
 ]
 
 #: argv (``{examples}`` / ``{tmp}`` filled in) -> (stdout, {file: sha256}).
@@ -90,26 +90,26 @@ RUNS = {
         ["variants", "--variants", "baseline,improved", "--churn", "2,6",
          "--faults", "{examples}/faultplan_chaos.json", "--seeds", "1",
          *_WORLD],
-        "4ca960eafa0758472b6002749bbf8971d24deb6dc5ac2821786ac76740a03698",
+        "9b2eaa5c039427cb982cbbe8f991596b1f8a223c2fca364222182b17fa7a882f",
         {
-            "sync_samples_baseline_churn2_none_hybrid.csv":
+            "sync_samples_baseline_churn2_none.csv":
                 "c662a15a7948d9b5da531760e9b115aa9e1f78182fbfc7553e208db40827df4c",
-            "sync_samples_baseline_churn2_plan1-crash-delay-drop-duplicate-partition-reset_hybrid.csv":
+            "sync_samples_baseline_churn2_plan1-crash-delay-drop-duplicate-partition-reset.csv":
                 "3234279e4ff90d970d4261e9cf72f5b249bc0a184042c905f4fcf53ad5351721",
-            "sync_samples_baseline_churn6_none_hybrid.csv":
+            "sync_samples_baseline_churn6_none.csv":
                 "e120ddb82aaa4c747b9988a8b5e2a9d760e5852fe6ceb58a473255d24cb9a14c",
-            "sync_samples_baseline_churn6_plan1-crash-delay-drop-duplicate-partition-reset_hybrid.csv":
+            "sync_samples_baseline_churn6_plan1-crash-delay-drop-duplicate-partition-reset.csv":
                 "e120ddb82aaa4c747b9988a8b5e2a9d760e5852fe6ceb58a473255d24cb9a14c",
-            "sync_samples_tried-only-17d-block-prio_churn2_none_hybrid.csv":
+            "sync_samples_tried-only-17d-block-prio_churn2_none.csv":
                 "77c42120495c991fbd9d27f8d167a250b86e1962d0065bc628f93582c32f81d3",
-            "sync_samples_tried-only-17d-block-prio_churn2_plan1-crash-delay-drop-duplicate-partition-reset_hybrid.csv":
+            "sync_samples_tried-only-17d-block-prio_churn2_plan1-crash-delay-drop-duplicate-partition-reset.csv":
                 "f9e8d05d595562caaf158d30057be25375773f95ddcdfe56121698147fc0397c",
-            "sync_samples_tried-only-17d-block-prio_churn6_none_hybrid.csv":
+            "sync_samples_tried-only-17d-block-prio_churn6_none.csv":
                 "9b5d86fd9cb18052bd37ffbab860f18ee30d08ef19d0df50e91e8891484d7199",
-            "sync_samples_tried-only-17d-block-prio_churn6_plan1-crash-delay-drop-duplicate-partition-reset_hybrid.csv":
+            "sync_samples_tried-only-17d-block-prio_churn6_plan1-crash-delay-drop-duplicate-partition-reset.csv":
                 "9b5d86fd9cb18052bd37ffbab860f18ee30d08ef19d0df50e91e8891484d7199",
             "variant_retention.json":
-                "2d88824824a8eb14802833c656d0e6b7cd60c567dd8768dfa7f7475e5928aee8",
+                "3cb5ae41fc009b990efb0361d38a076be9f08ccbe441cea9993b833853882987",
         },
     ),
 }

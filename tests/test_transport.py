@@ -10,7 +10,7 @@ from repro.errors import AddressInUseError, ConnectionClosedError
 from repro.simnet import ProbeBehavior, ProbeResult, Simulator
 from repro.simnet.transport import Socket
 
-from .conftest import make_addr
+from .conftest import answer_with, make_addr
 
 
 class Recorder:
@@ -83,7 +83,7 @@ class TestConnect:
 
     def test_rst_target_fails_fast(self, sim):
         a, b = make_addr(1), make_addr(2)
-        sim.network.set_probe_behavior(b, ProbeBehavior.RST)
+        answer_with(sim, b, ProbeBehavior.RST)
         out = []
         sim.network.connect(a, b, Recorder(), out.append, timeout=5.0)
         sim.run_for(1.0)
@@ -91,7 +91,7 @@ class TestConnect:
 
     def test_fin_behaviour_also_fails_connect_fast(self, sim):
         a, b = make_addr(1), make_addr(2)
-        sim.network.set_probe_behavior(b, ProbeBehavior.FIN)
+        answer_with(sim, b, ProbeBehavior.FIN)
         out = []
         sim.network.connect(a, b, Recorder(), out.append, timeout=5.0)
         sim.run_for(1.0)
@@ -279,7 +279,7 @@ class TestProbe:
 
     def test_probe_fin(self, sim):
         target = make_addr(2)
-        sim.network.set_probe_behavior(target, ProbeBehavior.FIN)
+        answer_with(sim, target, ProbeBehavior.FIN)
         out = []
         sim.network.probe(make_addr(1), target, out.append)
         sim.run_for(2.0)
@@ -287,7 +287,7 @@ class TestProbe:
 
     def test_probe_rst(self, sim):
         target = make_addr(2)
-        sim.network.set_probe_behavior(target, ProbeBehavior.RST)
+        answer_with(sim, target, ProbeBehavior.RST)
         out = []
         sim.network.probe(make_addr(1), target, out.append)
         sim.run_for(2.0)
@@ -303,6 +303,6 @@ class TestProbe:
 
     def test_probe_behavior_reset_to_silent(self, sim):
         target = make_addr(2)
-        sim.network.set_probe_behavior(target, ProbeBehavior.FIN)
-        sim.network.set_probe_behavior(target, ProbeBehavior.SILENT)
+        endpoint = answer_with(sim, target, ProbeBehavior.FIN)
+        endpoint.stop()
         assert sim.network.probe_behavior(target) is ProbeBehavior.SILENT

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simnet import LatencyConfig, NetAddr, Simulator
 
-from .conftest import make_addr
+from .conftest import answer_with, make_addr
 
 
 class _Sink:
@@ -88,8 +88,8 @@ def test_every_connect_resolves_exactly_once(seed):
     sim = Simulator(seed=seed)
     listener = _Sink()
     sim.network.listen(make_addr(2), listener)
-    sim.network.set_probe_behavior(make_addr(3), ProbeBehavior.RST)
-    sim.network.set_probe_behavior(make_addr(4), ProbeBehavior.FIN)
+    answer_with(sim, make_addr(3), ProbeBehavior.RST)
+    answer_with(sim, make_addr(4), ProbeBehavior.FIN)
     results: List = []
     for target_index in (2, 3, 4, 5):  # listener, RST, FIN, silent
         sim.network.connect(

@@ -1,6 +1,6 @@
 """The §V protocol-variant lab and its run-store identity guarantees.
 
-Covers the cross-product of the lab's four axes (`repro.core.Axis`), the
+Covers the cross-product of the lab's three axes (`repro.core.Axis`), the
 cache-collision guard the registry refactor promises — distinct
 variants/params can never share a run key, and §V knobs that add up to
 ``improved`` key identically to it, on both the store and serve paths —
@@ -16,7 +16,7 @@ import hashlib
 
 import pytest
 
-from repro.bitcoin import NodeConfig, PolicyConfig
+from repro.bitcoin import NodeConfig, PolicyConfig, variant_names
 from repro.core import (
     Axis,
     CampaignConfig,
@@ -24,7 +24,7 @@ from repro.core import (
     SyncCampaignConfig,
     conditions,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScenarioError
 from repro.netmodel import LongitudinalConfig, ProtocolConfig, ProtocolScenario
 from repro.serve.submission import parse_submission
 from repro.simnet import Simulator
@@ -36,7 +36,6 @@ from .reference_scheduler import ReferenceScheduler, on_reference_scheduler
 def tiny_campaign(seed: int = 7) -> SyncCampaignConfig:
     return SyncCampaignConfig(
         n_reachable=12,
-        fidelity="hybrid",
         duration=600.0,
         warmup=300.0,
         pre_mined_blocks=40,
@@ -59,11 +58,11 @@ _IMPROVED_KNOBS = {
 # ---------------------------------------------------------------------------
 
 
-def lab(variants, churn_levels=(5.0, 15.0), fidelities=("hybrid",)):
-    """The lab's variant x churn x faults x fidelity conditions."""
+def lab(variants, churn_levels=(5.0, 15.0)):
+    """The lab's variant x churn x faults conditions."""
     return conditions(
         tiny_campaign(), Axis.variant(variants), Axis.churn(churn_levels),
-        Axis.faults(), Axis.fidelity(fidelities),
+        Axis.faults(),
     )
 
 
@@ -88,10 +87,9 @@ class TestVariantMatrix:
     def test_cross_product_and_retention(self):
         result = matrix(["baseline", "improved"]).run()
         assert len(result.cells) == 4
-        # Deterministic cell order: variant -> churn -> fault -> fidelity.
+        # Deterministic cell order: variant -> churn -> fault.
         assert [cell.labels for cell in result.cells] == [
-            {"variant": variant, "churn": churn, "faults": "none",
-             "fidelity": "hybrid"}
+            {"variant": variant, "churn": churn, "faults": "none"}
             for variant in ("baseline", "tried-only+17d+block-prio")
             for churn in (2.0, 6.0)
         ]
@@ -175,7 +173,6 @@ class TestRunKeyIdentity:
                     "scenario": {
                         "scale": 0.004,
                         "snapshots": 2,
-                        "fidelity": "hybrid",
                         "policies": policies,
                     },
                     "seeds": [1, 2],
@@ -211,56 +208,62 @@ class TestRunKeyIdentity:
 
 
 # ---------------------------------------------------------------------------
-# unreachable-relay acts through the light cloud, or not at all
+# unreachable-relay acts through the light cloud, which every world has
 # ---------------------------------------------------------------------------
 
 _RELAY = PolicyConfig(variant="unreachable-relay")
 
 
 def _cli_variants_under_full():
-    # The command itself, not ``main``: ``main`` prints the same
-    # message as ``error: …`` and exits 2.
     from repro.cli import build_parser
 
-    args = build_parser().parse_args(
+    build_parser().parse_args(
         ["variants", "--variants", "baseline,unreachable-relay",
          "--fidelities", "full", "--nodes", "10", "--hours", "0.2",
          "--seeds", "1", "--workers", "1"]
     )
-    return args.func(args)
 
 
 @pytest.mark.parametrize(
     "entry",
     [
         lambda: ProtocolConfig(
-            n_reachable=8, node_config=NodeConfig(policies=_RELAY)
+            n_reachable=8, fidelity="full",
+            node_config=NodeConfig(policies=_RELAY),
         ).validate(),
-        lambda: LongitudinalConfig(scale=0.004, policies=_RELAY).validate(),
-        lambda: lab(
-            ["baseline", "unreachable-relay"], fidelities=("hybrid", "full")
+        lambda: LongitudinalConfig(
+            scale=0.004, fidelity="full", policies=_RELAY
+        ).validate(),
+        lambda: conditions(
+            tiny_campaign(), Axis.variant(["baseline", "unreachable-relay"]),
+            Axis("fidelity", [("full", {"fidelity": "full"})]),
         ),
         _cli_variants_under_full,
         lambda: parse_submission(
-            {"scenario": {"scale": 0.004, "policies": {"variant": _RELAY.variant}}}
+            {"scenario": {"scale": 0.004, "fidelity": "full",
+                          "policies": {"variant": _RELAY.variant}}}
         ),
     ],
     ids=["protocol-config", "longitudinal-config", "builder", "cli", "serve"],
 )
-def test_light_tier_variant_under_full_fidelity_is_refused_by_name(entry):
-    """Under ``fidelity="full"`` no light cloud is built, so the variant
-    would run event for event as the baseline under another name: every
-    entry point says so — the variant, the fidelity, the remedy — before
-    anything simulates.  (Over HTTP: ``tests/test_serve.py``.)"""
-    with pytest.raises(ConfigurationError) as excinfo:
+def test_light_tier_variant_under_full_fidelity_is_refused_by_name(
+    entry, capsys
+):
+    """There is no cloud-less ``fidelity="full"`` to run the variant as
+    the baseline under another name: wherever it can still be spelled,
+    it is refused, naming the fidelity, before anything simulates.  The
+    configs refuse the value ``'full'``, ``conditions`` and the CLI the
+    name (argparse exits 2).  (Over HTTP: ``tests/test_serve.py``.)"""
+    refusals = (ConfigurationError, ScenarioError, SystemExit)
+    with pytest.raises(refusals) as excinfo:
         entry()
-    message = str(excinfo.value)
-    assert "'unreachable-relay'" in message
-    assert "fidelity='full'" in message and "fidelity='hybrid'" in message
+    assert "fidelit" in str(excinfo.value) + capsys.readouterr().err
 
 
 def test_variants_without_a_light_tier_run_under_either_fidelity():
-    for name in ("baseline", "improved", "churn-resilient"):
+    """Every registered variant, light tier or not, validates under the
+    one fidelity there is."""
+    for name in variant_names():
         policies = PolicyConfig(variant=name)
         ProtocolConfig(node_config=NodeConfig(policies=policies)).validate()
         LongitudinalConfig(policies=policies).validate()
@@ -269,7 +272,7 @@ def test_variants_without_a_light_tier_run_under_either_fidelity():
 def _events_fired(policies: PolicyConfig) -> int:
     scenario = ProtocolScenario(
         ProtocolConfig(
-            seed=11, n_reachable=8, fidelity="hybrid", churn_per_10min=2.0,
+            seed=11, n_reachable=8, churn_per_10min=2.0,
             pre_mined_blocks=3, tx_rate=0.05,
             node_config=NodeConfig(policies=policies),
         )
@@ -297,7 +300,6 @@ def _assist_figures():
         ProtocolConfig(
             seed=23,
             n_reachable=10,
-            fidelity="hybrid",
             churn_per_10min=2.0,
             pre_mined_blocks=5,
             tx_rate=0.05,
@@ -347,7 +349,6 @@ def test_mixed_tier_snapshot_restore_under_assist():
         ProtocolConfig(
             seed=17,
             n_reachable=8,
-            fidelity="hybrid",
             churn_per_10min=2.0,
             pre_mined_blocks=3,
             tx_rate=0.05,
