@@ -682,7 +682,7 @@ class BitcoinNode(NodeBehavior):
                 socket.bytes_sent += size
                 socket.messages_sent += 1
                 if type(message) in relay_noted:
-                    note_relayed(message, done)
+                    note_relayed(message, done, not peer.is_inbound)
                 if queue:
                     dirty_send[peer] = None
         self.uplink_free_at = uplink_free_at
@@ -1130,8 +1130,11 @@ class BitcoinNode(NodeBehavior):
         )
         self._wake_handler()
 
-    def _note_relayed(self, message: Message, completed_at: float) -> None:
-        """Record a completed send for the §IV-C measurement."""
+    def _note_relayed(
+        self, message: Message, completed_at: float, outbound: bool
+    ) -> None:
+        """Record a completed send for the §IV-C measurement
+        (``outbound``: it went to an outbound peer)."""
         if self.first_relay_at is None and isinstance(
             message, (BlockMsg, CmpctBlock)
         ):
@@ -1140,10 +1143,10 @@ class BitcoinNode(NodeBehavior):
         if tracker is None:
             return
         if isinstance(message, (BlockMsg, CmpctBlock)):
-            tracker.relayed(message.block_id, completed_at)
+            tracker.relayed(message.block_id, completed_at, outbound)
         elif isinstance(message, Inv):
             for item in message.items:
-                tracker.relayed(item.object_id, completed_at)
+                tracker.relayed(item.object_id, completed_at, outbound)
 
     # ------------------------------------------------------------------
     # Initial block download

@@ -44,6 +44,8 @@ class RelayRecord:
     relay_times: List[float] = field(default_factory=list)
     #: Number of connections the item was queued to.
     enqueued_to: int = 0
+    #: The subset of ``relay_times`` whose copy went to an outbound peer.
+    outbound_relay_times: List[float] = field(default_factory=list)
 
     @property
     def last_relay(self) -> Optional[float]:
@@ -55,16 +57,19 @@ class RelayRecord:
         last = self.last_relay
         return None if last is None else last - self.first_seen
 
-    def relaying_time_within(self, cutoff: float) -> Optional[float]:
+    def relaying_time_within(
+        self, cutoff: float, outbound: bool = False
+    ) -> Optional[float]:
         """Relaying time over the initial relay wave only.
 
         Sends more than ``cutoff`` seconds after first receipt are serving
         late requests (a peer's initial block download, hours-later
         GETDATA), not the §IV-C relay wave, and are excluded.
+        ``outbound`` times the wave to the last *outbound* peer — what
+        the §V outbound-first relay order shortens.
         """
-        wave = [
-            t for t in self.relay_times if t - self.first_seen <= cutoff
-        ]
+        times = self.outbound_relay_times if outbound else self.relay_times
+        wave = [t for t in times if t - self.first_seen <= cutoff]
         return max(wave) - self.first_seen if wave else None
 
 
@@ -89,11 +94,14 @@ class RelayTracker:
         if record is not None:
             record.enqueued_to += 1
 
-    def relayed(self, item_id: int, now: float) -> None:
-        """Record one relay copy leaving the uplink."""
+    def relayed(self, item_id: int, now: float, outbound: bool = False) -> None:
+        """Record one relay copy leaving the uplink (``outbound``: for an
+        outbound peer)."""
         record = self._records.get(item_id)
         if record is not None:
             record.relay_times.append(now)
+            if outbound:
+                record.outbound_relay_times.append(now)
 
     def records(self, kind: Optional[str] = None) -> List[RelayRecord]:
         """All records, optionally filtered to "block" or "tx"."""
@@ -103,16 +111,20 @@ class RelayTracker:
         return out
 
     def relaying_times(
-        self, kind: Optional[str] = None, cutoff: float = 60.0
+        self,
+        kind: Optional[str] = None,
+        cutoff: float = 60.0,
+        outbound: bool = False,
     ) -> List[float]:
         """Per-item relaying times (the Fig. 10/11 series).
 
-        ``cutoff`` bounds the relay wave; see
+        ``cutoff`` bounds the relay wave and ``outbound`` keeps only the
+        copies sent to outbound peers; see
         :meth:`RelayRecord.relaying_time_within`.
         """
         out: List[float] = []
         for record in self.records(kind):
-            value = record.relaying_time_within(cutoff)
+            value = record.relaying_time_within(cutoff, outbound)
             if value is not None and record.enqueued_to > 0:
                 out.append(value)
         return out

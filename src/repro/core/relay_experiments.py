@@ -16,7 +16,7 @@ the queued traffic blocks sit behind.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..analysis.stats import Summary, summarize
@@ -63,6 +63,9 @@ class RelayExperimentConfig:
     #: Relay-wave cutoff: sends later than this after first receipt serve
     #: block download, not the relay wave, and are excluded.
     wave_cutoff: float = 30.0
+    #: The measurement node's policy variant (relay ordering is what the
+    #: §V ablation toggles); the surrounding network keeps the baseline.
+    policies: PolicyConfig = field(default_factory=PolicyConfig)
 
     def validate(self) -> None:
         if self.n_clients < 1 or self.n_reachable < 4:
@@ -88,6 +91,8 @@ class RelayExperimentResult:
     outbound_at_end: int
     #: Relay-wave cutoff used when extracting the series (seconds).
     wave_cutoff: float = 30.0
+    #: Per-block relaying time to the last *outbound* peer (§V).
+    outbound_block_relay_times: List[float] = field(default_factory=list)
 
     @staticmethod
     def _maybe_quantize(values: List[float], quantized: bool) -> List[float]:
@@ -104,14 +109,8 @@ class RelayExperimentResult:
 
 def build_relay_scenario(
     config: RelayExperimentConfig,
-    policies: Optional[PolicyConfig] = None,
 ) -> "tuple[ProtocolScenario, BitcoinNode, List[BitcoinNode]]":
-    """Construct the world, the measurement node, and its pinned clients.
-
-    ``policies`` selects the measurement node's policy variant (relay
-    ordering is what the Fig. 10/11 ablations toggle); the surrounding
-    network keeps the default baseline policies either way.
-    """
+    """Construct the world, the measurement node, and its pinned clients."""
     config.validate()
     scenario = ProtocolScenario(
         ProtocolConfig(
@@ -129,7 +128,7 @@ def build_relay_scenario(
         serve_repeated_getaddr=True,
         tx_inv_interval_outbound=config.target_tx_trickle[0],
         tx_inv_interval_inbound=config.target_tx_trickle[1],
-        policies=policies if policies is not None else PolicyConfig(),
+        policies=config.policies,
     )
     target = scenario.make_observer_node(target_config)
 
@@ -221,4 +220,7 @@ def run_relay_experiment(
         inbound_at_end=target.inbound_count,
         outbound_at_end=target.outbound_count,
         wave_cutoff=config.wave_cutoff,
+        outbound_block_relay_times=tracker.relaying_times(
+            "block", cutoff=config.wave_cutoff, outbound=True
+        ),
     )

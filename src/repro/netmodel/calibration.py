@@ -2,8 +2,8 @@
 
 This module is the single source of truth tying the simulation to the
 paper.  Scenario builders read these values (scaled by a ``scale`` factor)
-and the benchmark harnesses print them next to the measured values in the
-EXPERIMENTS.md comparisons.
+and the accuracy table (``benchmarks/accuracy.py``) reads each row's
+paper value from here.
 
 All values come from the paper's text, tables, and figures; section
 references are given inline.
@@ -11,8 +11,7 @@ references are given inline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 # ---------------------------------------------------------------------------
 # §III-A / Fig. 3 — reachable-address collection
@@ -169,59 +168,3 @@ SYNC_MEDIAN_2019 = 80.38
 SYNC_MEAN_2020 = 61.91
 SYNC_MEDIAN_2020 = 65.47
 
-
-@dataclass(frozen=True)
-class PaperTargets:
-    """A grouped view of the headline targets, for report printing."""
-
-    name: str
-    values: Dict[str, float]
-
-
-def headline_targets() -> List[PaperTargets]:
-    """The per-experiment target values, grouped for EXPERIMENTS.md."""
-    return [
-        PaperTargets(
-            "fig1-sync",
-            {
-                "mean_2019": SYNC_MEAN_2019,
-                "median_2019": SYNC_MEDIAN_2019,
-                "mean_2020": SYNC_MEAN_2020,
-                "median_2020": SYNC_MEDIAN_2020,
-            },
-        ),
-        PaperTargets(
-            "fig4-unreachable",
-            {
-                "cumulative": CUMULATIVE_UNREACHABLE,
-                "per_snapshot": UNREACHABLE_PER_SNAPSHOT,
-            },
-        ),
-        PaperTargets(
-            "fig5-responsive",
-            {
-                "cumulative": CUMULATIVE_RESPONSIVE,
-                "per_snapshot": RESPONSIVE_PER_SNAPSHOT,
-            },
-        ),
-        PaperTargets(
-            "fig7-success",
-            {"success_rate": CONNECTION_SUCCESS_RATE},
-        ),
-        PaperTargets(
-            "fig10-block-relay",
-            {"mean": BLOCK_RELAY_MEAN, "max": BLOCK_RELAY_MAX},
-        ),
-        PaperTargets(
-            "fig11-tx-relay",
-            {"mean": TX_RELAY_MEAN, "max": TX_RELAY_MAX},
-        ),
-        PaperTargets(
-            "fig13-churn",
-            {
-                "daily_nodes": DAILY_CHURN_NODES,
-                "daily_rate": DAILY_CHURN_RATE,
-                "mean_lifetime_days": MEAN_NODE_LIFETIME_DAYS,
-            },
-        ),
-    ]

@@ -62,12 +62,6 @@ class TestCalibrationConsistency:
         assert cal.SYNC_MEDIAN_2020 < cal.SYNC_MEDIAN_2019
         assert cal.SYNC_DEPARTURES_2019 < cal.SYNC_DEPARTURES_2020
 
-    def test_headline_targets_structure(self):
-        targets = cal.headline_targets()
-        names = {t.name for t in targets}
-        assert "fig1-sync" in names
-        assert all(t.values for t in targets)
-
 
 class TestPeer:
     def _peer(self, inbound=False):

@@ -2,7 +2,8 @@
 
 Each policy is exercised against the baseline in a controlled world to
 verify the *mechanism* improves what the paper claims it improves.  The
-full quantitative ablation lives in ``benchmarks/bench_improvements.py``.
+full quantitative ablation is the ``improvements.*`` rows of the accuracy
+table (``benchmarks/accuracy.py``).
 """
 
 from __future__ import annotations

@@ -127,6 +127,15 @@ class TestRelayTracker:
         assert tracker.relaying_times("block", cutoff=60.0) == [2.0]
         assert tracker.relaying_times("block", cutoff=1000.0) == [490.0]
 
+    def test_outbound_times_the_last_outbound_copy(self):
+        tracker = RelayTracker()
+        tracker.saw(1, "block", 10.0)
+        tracker.enqueued(1)
+        tracker.relayed(1, 11.0, outbound=True)
+        tracker.relayed(1, 14.5)  # an inbound peer, last overall
+        assert tracker.relaying_times("block") == [4.5]
+        assert tracker.relaying_times("block", outbound=True) == [1.0]
+
     def test_unenqueued_items_excluded(self):
         tracker = RelayTracker()
         tracker.saw(1, "block", 10.0)
