@@ -342,30 +342,24 @@ def _decreases(series: Sequence[float]) -> int:
     return sum(1 for a, b in zip(series, series[1:]) if b < a)
 
 
-def crawl(seed: int) -> Values:
-    """The 60-day crawl campaign (Figs. 3-5, 8, 12, 13, Table I, ADDR)."""
+def _campaign(seed: int, **overrides):
+    """One 60-day crawl at :data:`SCALE`: its scenario and result."""
     scenario = LongitudinalScenario(
-        LongitudinalConfig(
-            scale=SCALE,
-            snapshots=SNAPSHOTS,
-            seed=seed,
-            # The Fig. 8 distribution needs the full flooder cohort, not a
-            # scale-rounded count of ~1; volumes stay scale-proportional.
-            flooder_count=cal.MALICIOUS_NODE_COUNT,
-        )
+        LongitudinalConfig(scale=SCALE, snapshots=SNAPSHOTS, seed=seed, **overrides)
     )
-    result = CampaignRunner(scenario).run()
+    return scenario, CampaignRunner(scenario).run()
+
+
+def crawl(seed: int) -> Values:
+    """The 60-day crawl campaign (Figs. 3-5, 12, 13, Table I, ADDR), its
+    flooder cohort the paper's share of this population."""
+    scenario, result = _campaign(seed)
     asn_of = scenario.universe.asn_of
 
     fig3 = result.fig3_rows()
     mean = {key: float(np.mean([r[key] for r in fig3])) for key in fig3[0]}
     fig4, fig5 = result.fig4_series(), result.fig5_series()
     connected = float(np.mean([len(snap.connected) for snap in result.snapshots]))
-
-    report = result.merged_detection(asn_of)
-    volumes = report.flood_volumes()
-    planted = {flooder.addr for flooder in scenario.flooders}
-    flagged = {finding.peer for finding in report.findings}
 
     matrix, churn = result.churn_matrix(), result.churn_stats()
     per_day = 86400.0 / matrix.snapshot_interval
@@ -421,12 +415,6 @@ def crawl(seed: int) -> Values:
         "table1.hijack_excess_ases": (
             len(hijack.hijacked_ases) - reachable.k_to_cover_half()
         ),
-        "fig08.misflagged": len(planted ^ flagged),
-        "fig08.detected": report.count,
-        "fig08.over_threshold": report.count_over(FLOOD_THRESHOLD),
-        "fig08.max_flood": report.max_flood,
-        "fig08.top8_share": sum(volumes[:8]) / sum(volumes),
-        "fig08.as3320_share": report.as_share_by_asn().get(cal.MALICIOUS_AS3320, 0.0),
         "fig12.unique": churn.unique_nodes,
         "fig12.always_on": churn.always_on,
         "fig12.lifetime_days": churn.mean_lifetime / DAYS,
@@ -439,6 +427,25 @@ def crawl(seed: int) -> Values:
         "fig13.arrival_gap": abs(arrivals - departures) / departures,
         "addr.reachable_share": share,
         "addr.unreachable_share": 1 - share,
+    }
+
+
+def flood_crawl(seed: int) -> Values:
+    """Fig. 8 from a crawl that plants the paper's full 73 flooders: the
+    per-flooder rows need a cohort big enough to have a distribution;
+    pools stay scale-proportional."""
+    scenario, result = _campaign(seed, flooder_count=cal.MALICIOUS_NODE_COUNT)
+    report = result.merged_detection(scenario.universe.asn_of)
+    volumes = report.flood_volumes()
+    planted = {flooder.addr for flooder in scenario.flooders}
+    flagged = {finding.peer for finding in report.findings}
+    return {
+        "fig08.misflagged": len(planted ^ flagged),
+        "fig08.detected": report.count,
+        "fig08.over_threshold": report.count_over(FLOOD_THRESHOLD),
+        "fig08.max_flood": report.max_flood,
+        "fig08.top8_share": sum(volumes[:8]) / sum(volumes),
+        "fig08.as3320_share": report.as_share_by_asn().get(cal.MALICIOUS_AS3320, 0.0),
     }
 
 
@@ -741,6 +748,7 @@ def stop_rule(seed: int) -> Values:
 #: finishes early.
 PLAN: List[Tuple[Callable[[int], Values], int, int]] = [
     (crawl, 101, PAPER_SEEDS),
+    (flood_crawl, 101, PAPER_SEEDS),
     (sync_arms, 21, PAPER_SEEDS),
     (relay, 11, PAPER_SEEDS),
     (policy_sync, 49, 1),
@@ -767,7 +775,8 @@ def _run_job(job: Tuple[Callable[[int], Values], int]) -> Values:
 
 def measure(plan: Sequence[Tuple[Callable[[int], Values], int, int]]) -> Dict[str, List[float]]:
     """Every job of ``plan`` in one supervised fan-out: ``{row id:
-    per-seed values}``, in seed order."""
+    per-seed values}``, in seed order.  A row id two experiments emit
+    is refused: its median would pool two experiments' seeds."""
     jobs = [(fn, first + i) for fn, first, count in plan for i in range(count)]
     run = run_supervised(
         _run_job, jobs, default_workers(len(jobs)), config=SupervisorConfig(retries=0),
@@ -778,8 +787,14 @@ def measure(plan: Sequence[Tuple[Callable[[int], Values], int, int]]) -> Dict[st
             "experiments failed: " + "; ".join(str(error) for error in run.failures)
         )
     samples: Dict[str, List[float]] = defaultdict(list)
-    for values in run.results:
+    emitted_by: Dict[str, str] = {}
+    for (fn, _), values in zip(jobs, run.results):
         for key, value in values.items():
+            owner = emitted_by.setdefault(key, fn.__name__)
+            if owner != fn.__name__:
+                raise SystemExit(
+                    f"row {key!r} is emitted by both {owner} and {fn.__name__}"
+                )
             samples[key].append(value)
     return samples
 

@@ -74,7 +74,7 @@ def main() -> None:
                  fig5["cumulative"][-1]),
                 ("ADDR reachable share", cal.ADDR_REACHABLE_SHARE,
                  result.mean_addr_reachable_share()),
-                ("flooders detected", round(cal.MALICIOUS_NODE_COUNT * s) or 1,
+                ("flooders detected", len(scenario.flooders),
                  detection.count),
                 ("always-on nodes", cal.ALWAYS_ON_NODES * s, stats.always_on),
                 ("daily departures", cal.DAILY_CHURN_NODES * s,

@@ -71,9 +71,10 @@ class AttackerSpec:
 
     ``addr_flooder``
         ``flood_volume`` — unique fabricated-address pool per attacker
-        (0 = draw from the scenario's volume model); ``flood_interval``
-        — seconds between unsolicited ≤10-address ADDR pushes (0
-        disables pushes, GETADDR responses still flood).
+        (0 = a :class:`~repro.netmodel.malicious.FloodVolumeModel`
+        draw); ``flood_interval`` — seconds between unsolicited
+        ≤10-address ADDR pushes (0 disables pushes, GETADDR responses
+        still flood).
     ``eclipse``
         ``victim`` — the target's literal address ("" = pick the first
         standing reachable node at install time); ``connections`` —

@@ -285,7 +285,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                  float(np.mean(fig5["per_snapshot"]))),
                 ("ADDR reachable share", cal.ADDR_REACHABLE_SHARE,
                  result.mean_addr_reachable_share()),
-                ("flooders detected", max(1, round(cal.MALICIOUS_NODE_COUNT * s)),
+                ("flooders detected", len(scenario.flooders),
                  detection.count),
                 ("always-on nodes", cal.ALWAYS_ON_NODES * s, stats.always_on),
                 ("daily departures", cal.DAILY_CHURN_NODES * s,

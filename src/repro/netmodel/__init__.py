@@ -18,11 +18,7 @@ from .churn import (
     build_reachable_timeline,
     build_unreachable_timeline,
 )
-from .malicious import (
-    FloodVolumeModel,
-    MaliciousAddrServer,
-    plant_flooders,
-)
+from .malicious import FloodVolumeModel, MaliciousAddrServer, paper_flooders
 from .metrics import (
     TopologyStats,
     connection_graph,
@@ -71,6 +67,6 @@ __all__ = [
     "build_unreachable_timeline",
     "calibration",
     "pairwise_distances_sample",
-    "plant_flooders",
+    "paper_flooders",
     "topology_stats",
 ]

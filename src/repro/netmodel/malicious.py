@@ -5,11 +5,14 @@ The paper detected 73 reachable nodes whose every ADDR response contained
 with per-node flood volumes up to >400K addresses, 8 nodes above 100K, and
 59% of the flooders clustered in AS3320.
 
-:class:`MaliciousAddrServer` is the longitudinal-mode flooder — a
-GETADDR responder backed by a finite pool of fabricated unreachable
-addresses, planted by :func:`plant_flooders`.  Its protocol-mode
-counterpart, a full node that also pushes unsolicited ADDR floods, is
-:class:`repro.adversary.behaviors.AddrFlooderNode`.
+That cohort is a value, :func:`paper_flooders`: an
+:class:`~repro.adversary.plan.AttackPlan` of reachable ``addr_flooder``
+specs, rescaled to any size.  A crawl campaign plants it (or any other
+flooder plan) as :class:`MaliciousAddrServer` GETADDR responders backed
+by a finite pool of fabricated unreachable addresses, each pool drawn
+from the one :class:`FloodVolumeModel` unless the spec fixes it.  The
+protocol-mode flooders, full nodes that also push unsolicited ADDR
+floods, live in :mod:`repro.adversary.behaviors`.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import List
 
+from ..adversary.plan import KIND_ADDR_FLOODER, AttackerSpec, AttackPlan
+from ..faults.plan import FaultScope
 from ..simnet.addresses import NetAddr, TimestampedAddr, stamp
 from ..simnet.rand import sample
 from ..simnet.simulator import Simulator
@@ -76,17 +81,6 @@ class MaliciousAddrServer(AddrServer):
         # Neither a snapshot refresh nor a stop may replace a flooder's pool.
         return
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            # setattr interns names as pickle's BUILD does; __dict__.update
-            # would not (see simulator.canonical_sets).
-            setattr(self, name, value)
-        # A campaign checkpointed when pools held bare addresses resumes
-        # under the same run key (CHECKPOINT_FORMAT did not move): give
-        # its pool records.  The mint times are gone; nothing reads them.
-        if self.table and not isinstance(self.table[0], TimestampedAddr):
-            self.table = stamp(self.table, 0.0)
-
     def _sample_response(self) -> List[TimestampedAddr]:
         # The paper's flooders kept producing *fresh* unreachable
         # addresses (one sent >400K); mint lazily up to the flood volume,
@@ -109,34 +103,28 @@ class MaliciousAddrServer(AddrServer):
         return fresh + filler
 
 
-def plant_flooders(
-    sim: Simulator,
-    rng: random.Random,
-    population: Population,
-    scale: float,
-    volume_model: Optional[FloodVolumeModel] = None,
-    count: Optional[int] = None,
-) -> List[MaliciousAddrServer]:
-    """Create the scaled Fig. 8 flooder cohort as crawl-mode servers.
+def paper_flooders(count: int) -> AttackPlan:
+    """The paper's Fig. 8 cohort rescaled to ``count`` reachable flooders.
 
-    59% are placed in AS3320 (the paper's observed clustering); the rest
-    follow the reachable hosting distribution.
+    Of the 73, ``round(0.59 * 73)`` = 43 sit in AS3320 (the paper's
+    observed clustering) and 30 follow the reachable hosting
+    distribution; :meth:`AttackPlan.with_total` keeps that split at any
+    ``count`` (1 -> one AS3320 flooder, 0 -> the empty plan).  Every pool
+    is a :class:`FloodVolumeModel` draw.
     """
-    volume_model = volume_model or FloodVolumeModel()
-    n_flooders = count if count is not None else max(
-        1, round(cal.MALICIOUS_NODE_COUNT * scale)
-    )
-    flooders: List[MaliciousAddrServer] = []
-    for index in range(n_flooders):
-        if rng.random() < cal.MALICIOUS_AS3320_SHARE:
-            asn = cal.MALICIOUS_AS3320
-        else:
-            asn = population.universe.sample_asn("reachable", rng)
-        addr = population.universe.allocate_address(asn)
-        volume = volume_model.sample(rng, scale=scale)
-        flooders.append(
-            MaliciousAddrServer(
-                sim, addr, rng, population=population, flood_volume=volume
-            )
+    clustered = round(cal.MALICIOUS_AS3320_SHARE * cal.MALICIOUS_NODE_COUNT)
+    return AttackPlan(
+        attackers=(
+            AttackerSpec(
+                kind=KIND_ADDR_FLOODER,
+                count=clustered,
+                scope=FaultScope(asns=(cal.MALICIOUS_AS3320,)),
+                tier="reachable",
+            ),
+            AttackerSpec(
+                kind=KIND_ADDR_FLOODER,
+                count=cal.MALICIOUS_NODE_COUNT - clustered,
+                tier="reachable",
+            ),
         )
-    return flooders
+    ).with_total(count)

@@ -55,7 +55,7 @@ from .churn import (
     build_reachable_timeline,
     build_unreachable_timeline,
 )
-from .malicious import FloodVolumeModel, MaliciousAddrServer, plant_flooders
+from .malicious import FloodVolumeModel, MaliciousAddrServer, paper_flooders
 from .nat import LightCloud
 from .population import NodeRecord, Population, PopulationConfig
 from .seeds import AddressOracles, DnsSeeder, SeedViewConfig
@@ -120,10 +120,11 @@ class LongitudinalConfig:
     reachable_overprovision: float = 1.2
     churn: ReachableChurnConfig = field(default_factory=ReachableChurnConfig)
     seed_views: SeedViewConfig = field(default_factory=SeedViewConfig)
-    #: Size of the Fig. 8 malicious-flooder cohort: ``None`` plants the
-    #: paper's 73, scaled; 0 plants none.
+    #: Size of the paper's Fig. 8 flooder cohort, planted as
+    #: :func:`~repro.netmodel.malicious.paper_flooders`: ``None`` is the
+    #: paper's 73 scaled with the population (at least one); 0 plants
+    #: none.
     flooder_count: Optional[int] = None
-    flood_volume_model: FloodVolumeModel = field(default_factory=FloodVolumeModel)
     #: Fraction of silent-class addresses answering RST (vs. dropping).
     rst_fraction: float = 0.45
     #: Fault plan compiled onto the run (see ``repro.faults``); the empty
@@ -131,12 +132,12 @@ class LongitudinalConfig:
     #: run-store keys: the same campaign under different faults is a
     #: different experiment.
     faults: FaultPlan = field(default_factory=FaultPlan)
-    #: Attack plan (see ``repro.adversary``).  A non-empty plan replaces
-    #: the Fig. 8 flooder cohort with explicitly placed attackers, so it
-    #: is refused beside a ``flooder_count``; like ``faults`` it is part
-    #: of run-store keys.  Crawl campaigns only expose the GETADDR
-    #: surface, so only ``addr_flooder`` specs are accepted here — the
-    #: other kinds need protocol fidelity.
+    #: Attack plan (see ``repro.adversary``).  A non-empty plan is planted
+    #: instead of the paper's cohort, so it is refused beside a
+    #: ``flooder_count``; like ``faults`` it is part of run-store keys.
+    #: Crawl campaigns only expose the GETADDR surface, so only
+    #: ``addr_flooder`` specs are accepted here — the other kinds need
+    #: protocol fidelity.
     attack: AttackPlan = field(default_factory=AttackPlan)
     #: Protocol-policy variant.  The crawl model exposes one policy
     #: surface — what the population gossips
@@ -202,17 +203,15 @@ class LongitudinalScenario:
         # fabricated-pool volumes can be debited from the silent class —
         # the paper's cumulative 694K unreachable includes the flooders'
         # fabrications, so ours must not double-count them.
-        if self.config.attack.attackers:
-            self.flooders = self._plant_attack_flooders(self.config.attack)
-        else:
-            self.flooders = plant_flooders(
-                self.sim,
-                self.sim.random.stream("flooders"),
-                self.population,
-                scale=self.config.scale,
-                volume_model=self.config.flood_volume_model,
-                count=self.config.flooder_count,
-            )
+        plan = self.config.attack
+        if not plan.attackers:
+            count = self.config.flooder_count
+            if count is None:
+                count = max(
+                    1, round(cal.MALICIOUS_NODE_COUNT * self.config.scale)
+                )
+            plan = paper_flooders(count)
+        self.flooders = self._plant(plan)
         self.population.trim_silent(sum(f.flood_volume for f in self.flooders))
         self.reachable_timeline = build_reachable_timeline(
             self.sim.random.stream("churn-reachable"),
@@ -273,10 +272,8 @@ class LongitudinalScenario:
             )
         self._snapshot_index = -1
 
-    def _plant_attack_flooders(
-        self, plan: AttackPlan
-    ) -> List[MaliciousAddrServer]:
-        """Materialize an AttackPlan's flooders as crawl-mode servers.
+    def _plant(self, plan: AttackPlan) -> List[MaliciousAddrServer]:
+        """Materialize a flooder plan as crawl-mode servers.
 
         Placement mirrors protocol-mode ``install_attack``: scoped specs
         land in their declared ASNs/prefixes/addresses, unscoped ones
@@ -293,7 +290,7 @@ class LongitudinalScenario:
                 addr = place_address(
                     self.universe, spec, index, rng, prefix_hosts
                 )
-                volume = spec.flood_volume or self.config.flood_volume_model.sample(
+                volume = spec.flood_volume or FloodVolumeModel().sample(
                     rng, scale=self.config.scale
                 )
                 flooders.append(

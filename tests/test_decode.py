@@ -139,7 +139,9 @@ def test_empty_blocks_key_as_no_blocks(scenario):
 # ---------------------------------------------------------------------------
 # Run-key pins: re-pinned when None stopped spelling an empty plan, and
 # when the node-tier switch went (the campaign keys are now the ones
-# ``fidelity="hybrid"`` had; the sweep configs lost the field)
+# ``fidelity="hybrid"`` had; the sweep configs lost the field); the four
+# campaign keys once more when the crawl config lost
+# ``flood_volume_model`` (old keys in CHANGES.md)
 # ---------------------------------------------------------------------------
 
 _SWEEP_BASE = SyncCampaignConfig(n_reachable=40, duration=3600.0, seed=21)
@@ -149,15 +151,15 @@ _SWEEP_BASE = SyncCampaignConfig(n_reachable=40, duration=3600.0, seed=21)
     "key_of, key",
     [
         (lambda: _submission_key(TINY),
-         "01053591fe1ede89c7159d5de5a548e651c9c7e12ec76c7e4bd30874aef4dc0c"),
+         "d7a7c001e47b1cae2cbb5dd2170aca379d9698df7d6d57bc4dfc8fd88874a225"),
         (lambda: _submission_key(
             in_scenario(faults=_example("faultplan_partition.json"))),
-         "67051e9b9a133d41f18062ae2701087f0d864920848d815052ac2d9f54540f46"),
+         "93cdbfe8a24d61fbe8fc744c0fb46e027fb6ca055653bde3614424e3d183de9c"),
         (lambda: _submission_key(
             in_scenario(attack=_example("attackplan_flood.json"))),
-         "3fa410ee5380e95da1f3958cb00be39c95506368744b670a09b6099b005bf1f1"),
+         "2cb456188919cfe3474f282a701826b1a0339dc70cdf3b548cd30a3f2230bce2"),
         (lambda: _submission_key(in_scenario(policies={"variant": "improved"})),
-         "e37ca49e4e11a21798ac3591346e6f9f160a7ab7ad19c7f97e1d01399b4eb188"),
+         "2dcc828ebf685a13690b6605f1ca25aeec1b91180004993d1aa632e9a985ec33"),
         (lambda: ConditionSweepPlan("chaos", conditions(_SWEEP_BASE, Axis.intensity(
             decode_file(FaultPlan, EXAMPLES / "faultplan_chaos.json"),
             [0, 0.5, 1, 1.5, 2])), [21, 22]).key,

@@ -309,15 +309,16 @@ def test_mixed_tier_snapshot_restore():
 
 
 #: ``run_key`` of ``LongitudinalConfig(seed=5, fidelity="hybrid")`` at
-#: 3 snapshots, taken while ``"full"`` was the default.
+#: 3 snapshots.  Taken while ``"full"`` was the default; moved once when
+#: the config lost ``flood_volume_model`` (old key in CHANGES.md).
 HYBRID_CAMPAIGN_KEY = (
-    "0981a2f49fa07233871c61bf72cbd9e725631024157853245b67dbefb303fac4"
+    "b961256259ff2a268491920345358e069cf3652171309d1c44a6247eb09e6ea5"
 )
 
 
 def test_fidelity_is_part_of_run_keys():
-    """The one fidelity is still keyed, so a hybrid run stored before
-    the other was dropped is the default config's cache hit."""
+    """The one fidelity is still keyed: the default config keys as
+    ``fidelity="hybrid"`` always did."""
     key = run_key(
         "campaign", LongitudinalConfig(seed=5), seed=5, snapshots_total=3
     )

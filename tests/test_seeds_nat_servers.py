@@ -15,11 +15,15 @@ from repro.netmodel.churn import PresenceTimeline
 from repro.netmodel.malicious import (
     FloodVolumeModel,
     MaliciousAddrServer,
-    plant_flooders,
+    paper_flooders,
 )
 from repro.netmodel.nat import LightCloud
 from repro.netmodel.population import Population, PopulationConfig
-from repro.netmodel.scenario import LongitudinalConfig, ProtocolConfig
+from repro.netmodel.scenario import (
+    LongitudinalConfig,
+    LongitudinalScenario,
+    ProtocolConfig,
+)
 from repro.netmodel.seeds import AddressOracles, DnsSeeder, SeedViewConfig
 from repro.simnet import ProbeBehavior
 from repro.simnet.addresses import stamp
@@ -319,12 +323,26 @@ class TestFloodVolumeModel:
 
 
 class TestPlantFlooders:
-    def test_count_and_as_clustering(self, sim, rng):
-        universe = ASUniverse(rng)
-        population = Population(rng, universe, PopulationConfig(scale=0.002))
-        flooders = plant_flooders(sim, rng, population, scale=1.0, count=73)
-        assert len(flooders) == 73
-        in_3320 = sum(
-            1 for f in flooders if universe.asn_of(f.addr) == 3320
+    def test_count_and_as_clustering(self):
+        scenario = LongitudinalScenario(
+            LongitudinalConfig(scale=0.002, snapshots=1, flooder_count=73)
         )
-        assert 0.4 < in_3320 / len(flooders) < 0.8  # paper: 59%
+        flooders = scenario.flooders
+        assert len(flooders) == 73
+        in_3320 = [scenario.universe.asn_of(f.addr) == 3320 for f in flooders]
+        # 43 placed there; the hosting distribution may add a few.
+        assert all(in_3320[:43])
+        assert 0.4 < sum(in_3320) / len(flooders) < 0.8  # paper: 59%
+
+    @pytest.mark.parametrize(
+        "count, split", [(0, ()), (1, (1,)), (5, (3, 2)), (73, (43, 30))]
+    )
+    def test_paper_cohort_keeps_its_as3320_share(self, count, split):
+        plan = paper_flooders(count)
+        assert tuple(spec.count for spec in plan.attackers) == split
+        for spec in plan.attackers:
+            assert (spec.kind, spec.tier) == ("addr_flooder", "reachable")
+        if plan.attackers:
+            assert plan.attackers[0].scope.asns == (3320,)
+        if len(plan.attackers) == 2:
+            assert plan.attackers[1].scope is None

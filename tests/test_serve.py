@@ -347,6 +347,12 @@ REFUSALS = {
         in_scenario(flooders=False), "['flooders'] for scenario"
     ),
     "negative-flooder-count": (in_scenario(flooder_count=-1), "flooder_count"),
+    # Flood pools have one volume rule, ``FloodVolumeModel()``; the
+    # knob that once chose another is gone.
+    "flood-volume-model": (
+        in_scenario(flood_volume_model={"median": 1500.0}),
+        "['flood_volume_model'] for scenario",
+    ),
     "flooder-count-beside-attack": (
         in_scenario(
             flooder_count=5, attack={"attackers": [{"kind": "addr_flooder"}]}
@@ -625,12 +631,13 @@ READS = {
 #: ``TINY`` — it unpickled the result and rendered both bodies on every
 #: cold read.  The ``/result`` body names the run, so a change to the
 #: run-key payload moves its pin (and must say so); nothing else may.
-#: It moved twice since, when an empty plan stopped having a ``None``
-#: spelling and when ``fidelity="hybrid"`` became the only and default
-#: value (old digests in CHANGES.md).
+#: It moved three times since, when an empty plan stopped having a
+#: ``None`` spelling, when ``fidelity="hybrid"`` became the only and
+#: default value, and when the crawl config lost ``flood_volume_model``
+#: (old digests in CHANGES.md).
 _SERVED_BEFORE_VIEWS = {
     "result": (
-        "d6e1b93808ecb219fe8b3871cd6f84cd30998e4b19131c404a93e988c4127bd6"
+        "b2c485d8dccfba399e57241ca5b0e7295bc4d3ac26a94649521a16753d11388a"
     ),
     "export/campaign_series.csv": (
         "efec76f94c08903fc215c5dad8d8c4ff5d37c0eec009e997307a30e0bc042c4d"
