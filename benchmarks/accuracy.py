@@ -47,6 +47,7 @@ from repro.core import (
     run_resync_experiment,
     run_sync_campaign,
     target_shifts,
+    warm_world,
 )
 from repro.core.decode import decode_file
 from repro.core.parallel import default_workers
@@ -221,6 +222,8 @@ ROWS: List[Row] = [
     row("fig06.min", "Fig. 6", "min connections", cal.CONNECTION_RANGE[0], lt(8)),
     row("fig06.max", "Fig. 6", "max connections", cal.CONNECTION_RANGE[1],
         every_seed(le(10))),
+    row("fig06.observer_up", "Fig. 6", "observer running at every sample", None,
+        every_seed(eq(1))),
     row("fig07.success", "Fig. 7", "success rate (5 runs)",
         cal.CONNECTION_SUCCESS_RATE, between(0.04, 0.30)),
     row("fig07.failure", "Fig. 7", "failure rate", 1 - cal.CONNECTION_SUCCESS_RATE),
@@ -492,27 +495,11 @@ def relay(seed: int) -> Values:
     }
 
 
-def _warm_world(seed: int) -> ProtocolScenario:
-    """A warmed live network.  Figs. 6 and 7 and the resync measurement
-    each build their own, so no row depends on which ran before it."""
-    scenario = ProtocolScenario(
-        ProtocolConfig(
-            n_reachable=60,
-            seed=seed,
-            block_interval=600.0,
-            # Light live churn: standing nodes occasionally depart, so an
-            # observer's connections drop and refill as in Fig. 6.
-            churn_per_10min=3.0,
-        )
-    )
-    scenario.start(warmup=1200.0)
-    return scenario
-
-
 def conn_stability(seed: int) -> Values:
     """Fig. 6: one observer's outgoing connections over 260 s."""
+    world = warm_world(seed)
     result = run_connection_stability(
-        _warm_world(seed),
+        world,
         duration=cal.CONN_STABILITY_DURATION,
         # The observer sees real-world connection instability: its
         # outbound links drop spontaneously (peer evictions, NAT
@@ -526,12 +513,14 @@ def conn_stability(seed: int) -> Values:
         "fig06.below_8": result.fraction_below_8,
         "fig06.min": result.min_connections,
         "fig06.max": result.max_connections,
+        # No fault runs here, so only churn could have stopped it.
+        "fig06.observer_up": float(not world.measurement_nodes[0].departed),
     }
 
 
 def conn_success(seed: int) -> Values:
     """Fig. 7: five 5-minute runs of a restarted observer."""
-    result = run_connection_success(_warm_world(seed), runs=5, duration=300.0)
+    result = run_connection_success(warm_world(seed), runs=5, duration=300.0)
     return {
         "fig07.success": result.overall_rate,
         "fig07.failure": 1 - result.overall_rate,
@@ -542,7 +531,7 @@ def conn_success(seed: int) -> Values:
 
 def resync(seed: int) -> Values:
     """§IV-D: a synchronized node's restart-to-relay time."""
-    seconds = run_resync_experiment(_warm_world(seed), max_wait=3600.0).resync_seconds
+    seconds = run_resync_experiment(warm_world(seed), max_wait=3600.0).resync_seconds
     return {
         "resync.relayed": float(seconds is not None),
         "resync.seconds": math.inf if seconds is None else seconds,

@@ -68,8 +68,6 @@ from .faults import FaultPlan
 from .netmodel import (
     LongitudinalConfig,
     LongitudinalScenario,
-    ProtocolConfig,
-    ProtocolScenario,
     calibration as cal,
 )
 from .units import DAYS, HOURS
@@ -599,23 +597,16 @@ def _cmd_relay(args: argparse.Namespace) -> int:
 
 
 def _cmd_conn(args: argparse.Namespace) -> int:
-    scenario = ProtocolScenario(
-        ProtocolConfig(
-            n_reachable=args.nodes,
-            seed=args.seed,
-            block_interval=600.0,
-            churn_per_10min=3.0,
-        )
-    )
-    print(f"conn: warming a {args.nodes}-node world...")
-    scenario.start(warmup=1200.0)
+    print(f"conn: warming a {args.nodes}-node world per figure...")
     stability = core.run_connection_stability(
-        scenario,
+        core.warm_world(args.seed, args.nodes),
         observer_config=NodeConfig(
             track_connection_attempts=True, connection_lifetime_mean=150.0
         ),
     )
-    success = core.run_connection_success(scenario, runs=args.runs)
+    success = core.run_connection_success(
+        core.warm_world(args.seed, args.nodes), runs=args.runs
+    )
     print(
         comparison_table(
             [

@@ -26,6 +26,7 @@ from .conn_experiments import (
     run_connection_success,
     run_resync_experiment,
     summarize_attempt_durations,
+    warm_world,
 )
 from . import export, figures
 from .crawler import AddressCrawler, CrawlInput, SourceStats
@@ -180,4 +181,5 @@ __all__ = [
     "table_composition",
     "target_shifts",
     "time_to_detection",
+    "warm_world",
 ]

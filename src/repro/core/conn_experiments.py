@@ -1,8 +1,8 @@
 """The §IV-B connection experiments (Figs. 6-7) and the §IV-D resync test.
 
 Three experiments, each dropping a freshly configured observer node into
-a warmed-up protocol world whose address plane carries the measured
-15/85 reachable/unreachable mixture:
+a warmed-up protocol world (:func:`warm_world`) whose address plane
+carries the measured 15/85 reachable/unreachable mixture:
 
 * **Stability** (Fig. 6) — poll the observer's outgoing-connection count
   (feelers included, as the RPC the paper used reports them) once per
@@ -13,6 +13,9 @@ a warmed-up protocol world whose address plane carries the measured
 * **Resync** (§IV-D) — stop a synchronized node, restart it, and measure
   the time until it relays a block to a connection again.  Paper: 11 min
   14 s.
+
+The node each one measures joins the world's ``measurement_nodes``,
+which churn never picks: the paper's measurement nodes did not depart.
 """
 
 from __future__ import annotations
@@ -26,7 +29,25 @@ from ..analysis.timeseries import Sampler, Series
 from ..errors import ScenarioError
 from ..bitcoin.config import NodeConfig
 from ..bitcoin.node import BitcoinNode
-from ..netmodel.scenario import ProtocolScenario
+from ..netmodel.scenario import ProtocolConfig, ProtocolScenario
+
+
+def warm_world(seed: int, n_reachable: int = 60) -> ProtocolScenario:
+    """A warmed live network for one experiment.  Figs. 6 and 7 and the
+    resync measurement each build their own, so none measures the world
+    another one advanced."""
+    scenario = ProtocolScenario(
+        ProtocolConfig(
+            n_reachable=n_reachable,
+            seed=seed,
+            block_interval=600.0,
+            # Light live churn: standing nodes occasionally depart, so an
+            # observer's connections drop and refill as in Fig. 6.
+            churn_per_10min=3.0,
+        )
+    )
+    scenario.start(warmup=1200.0)
+    return scenario
 
 
 def _observer_config(base: Optional[NodeConfig] = None) -> NodeConfig:
@@ -175,6 +196,7 @@ def run_resync_experiment(
         if not candidates:
             raise ScenarioError("no synchronized node available to restart")
         node = candidates[0]
+    scenario.measurement_nodes.append(node)
     node.restart()
     restart_at = scenario.sim.now
     deadline = restart_at + max_wait

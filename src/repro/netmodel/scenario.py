@@ -583,6 +583,10 @@ class ProtocolScenario:
             self.txgen = TransactionGenerator(
                 self.sim, self.running_nodes, tx_rate=self.config.tx_rate
             )
+        #: The nodes an experiment measures (observers, the restarted
+        #: resync node).  Churn never picks them: the paper's
+        #: measurement nodes did not depart.
+        self.measurement_nodes: List[BitcoinNode] = []
         self.churn: Optional[ChurnProcess] = None
         if self.config.churn_per_10min:
             self.churn = ChurnProcess(
@@ -590,6 +594,9 @@ class ProtocolScenario:
                 self.running_nodes,
                 self.add_replacement_node,
                 departures_per_10min=self.config.churn_per_10min,
+                # A bound list method, not a lambda: the churn process
+                # rides in snapshots and must stay picklable.
+                protect=self.measurement_nodes.__contains__,
             )
         #: Fault injector, when the config's plan is not empty.  This
         #: fidelity supports every fault kind including crash/restart
@@ -673,8 +680,9 @@ class ProtocolScenario:
         """Create (but do not start) a fresh measurement node.
 
         The node gets a fresh address in the reachable hosting profile and
-        polluted tables; it is appended to the scenario's node list so
-        churn/mining treat it like any other node once started.
+        polluted tables; it is appended to the scenario's node list, so
+        mining treats it like any other node once started, and to
+        ``measurement_nodes``, so churn never picks it.
         """
         asn = self.universe.sample_asn("reachable", self._rng)
         addr = self.universe.allocate_address(asn)
@@ -683,6 +691,7 @@ class ProtocolScenario:
         )
         self._seed_tables(node)
         self.nodes.append(node)
+        self.measurement_nodes.append(node)
         return node
 
     def running_nodes(self) -> List[BitcoinNode]:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import run_connection_success, warm_world
 from repro.store import RunStore
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -259,9 +260,15 @@ class TestProtocolCommandsSmoke:
         assert "block relay mean" in capsys.readouterr().out
 
     def test_conn_runs(self, capsys):
-        code = main(["conn", "--nodes", "15", "--runs", "1"])
-        assert code == 0
-        assert "connection success rate" in capsys.readouterr().out
+        """Fig. 7 runs on a fresh warm world, not on the one Fig. 6
+        already advanced."""
+        assert main(["conn", "--nodes", "15", "--runs", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fresh = run_connection_success(warm_world(5, 15), runs=1)
+        [run] = fresh.runs
+        assert lines[-1].split() == ["1", str(run.attempts), str(run.successes)]
+        [rate] = [line for line in lines if "connection success rate" in line]
+        assert rate.split()[-2] == f"{fresh.overall_rate:.3g}"
 
 
 class TestVariantsWiring:

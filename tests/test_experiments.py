@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bitcoin import NodeConfig
 from repro.core import (
     RelayExperimentConfig,
     SyncCampaignConfig,
@@ -13,6 +14,7 @@ from repro.core import (
     run_connection_success,
     run_resync_experiment,
     run_sync_campaign,
+    warm_world,
 )
 from repro.netmodel import ProtocolConfig, ProtocolScenario
 
@@ -39,6 +41,24 @@ class TestConnectionStability:
         # exceed max_outbound + the 2 concurrent feeler slots.
         result = run_connection_stability(warm_scenario, duration=60.0)
         assert result.max_connections <= 10
+
+
+class TestMeasurementNodes:
+    """Churn never takes a node an experiment measures."""
+
+    @pytest.mark.parametrize("seed", range(5, 10))
+    def test_fig6_observer_never_departs(self, seed):
+        world = warm_world(seed)
+        config = NodeConfig()
+        run_connection_stability(world, duration=260.0, observer_config=config)
+        [observer] = [node for node in world.nodes if node.config is config]
+        assert not observer.departed
+
+    def test_resync_node_never_departs(self):
+        world = warm_world(6, 15)
+        node = next(n for n in world.running_nodes() if n.chain.height >= world.best_height)
+        assert run_resync_experiment(world, node=node).resync_seconds is not None
+        assert not node.departed
 
 
 class TestConnectionSuccess:

@@ -2,13 +2,19 @@
 
 import os
 import time
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
-from repro.core.parallel import seed_range
+from repro.core.decode import decode_file
+from repro.core.parallel import _run_sync_config, seed_range
 from repro.core.supervisor import Supervisor, SupervisorConfig, run_supervised
+from repro.core.sync_experiments import SyncCampaignConfig
 from repro.errors import ConfigurationError, SeedTaskError
+from repro.faults.plan import FaultPlan
+
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "examples")
 
 #: Fast supervision for tests: immediate retries, no polling slack.
 FAST = SupervisorConfig(retries=2, backoff=0.0)
@@ -38,6 +44,16 @@ def _crash_once(sentinel_dir, seed):
             fh.write("x")
         os._exit(7)
     return seed * 10
+
+
+def _faulted_sync_then_crash(sentinel, crash_seed, config):
+    """A sync run under faults whose worker dies once after the work:
+    a pure infrastructure crash."""
+    result = _run_sync_config(config)
+    if config.seed == crash_seed and not os.path.exists(sentinel):
+        open(sentinel, "w").close()
+        os._exit(17)
+    return result
 
 
 def _hang(hang_seed, seed):
@@ -117,6 +133,33 @@ class TestCrashes:
         assert failure.attempts == 2  # first try + one retry
         assert "crashed" in failure.cause
         assert "exit code" in failure.cause
+
+    def test_faulted_seed_retried_after_a_crash_equals_a_clean_run(self, tmp_path):
+        """A short sync campaign under the shipped partition plan, one
+        worker dying once after its work: the retry is reported, no seed
+        fails, the faults fired, and the retried seed is bit-identical
+        to an undisturbed run."""
+        base = SyncCampaignConfig(
+            n_reachable=10, churn_per_10min=3.0, pre_mined_blocks=15,
+            sample_period=200.0, poll_spread=80.0, warmup=150.0,
+            duration=2400.0,
+            faults=decode_file(FaultPlan, os.path.join(EXAMPLES, "faultplan_partition.json")),
+        )
+        seeds, crash_seed = [3, 7, 11], 7
+        task = partial(_faulted_sync_then_crash, str(tmp_path / "crashed-once"), crash_seed)
+        run = run_supervised(
+            task, [replace(base, seed=seed) for seed in seeds], workers=3,
+            config=SupervisorConfig(timeout=900.0, retries=2, backoff=0.1),
+            labels=seeds,
+        )
+        assert run.ok, run.failures
+        assert run.failed_labels == [] and run.retried_labels == [crash_seed]
+        for stat in ("messages_dropped", "messages_delayed"):
+            assert sum(result.fault_stats[stat] for result in run.results) > 0
+        clean = _run_sync_config(replace(base, seed=crash_seed))
+        redone = run.results[seeds.index(crash_seed)]
+        assert redone.sync_samples == clean.sync_samples
+        assert redone.fault_stats == clean.fault_stats
 
     def test_crash_records_exit_code(self):
         config = SupervisorConfig(retries=0, backoff=0.0)
