@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.bitcoin import NodeConfig
@@ -12,6 +14,7 @@ from repro.core import (
     build_relay_scenario,
     run_connection_stability,
     run_connection_success,
+    run_relay_experiment,
     run_resync_experiment,
     run_sync_campaign,
     warm_world,
@@ -87,7 +90,34 @@ class TestResync:
         assert result.resync_seconds > 0
 
 
+#: sha256 of the repr of a small relay run's measurements: the block and
+#: tx relay-time lists, then the target's outbound and inbound counts at
+#: the end.  The run crosses one client refresh (1,800 s), so the
+#: unreachable clients, their compact-block share and the target's
+#: trickle timers all feed it.
+RELAY_MEASUREMENTS = (
+    "6a1a4f9a074874461e88f011584707f595056bbf5f090d35fe1a06a27494426d"
+)
+
+
 class TestRelayExperiment:
+    def test_relay_measurements_did_not_move(self):
+        result = run_relay_experiment(
+            RelayExperimentConfig(
+                n_reachable=12, n_clients=5, duration=2400.0, warmup=300.0,
+                seed=4,
+            )
+        )
+        measured = (
+            result.block_relay_times,
+            result.tx_relay_times,
+            result.outbound_at_end,
+            result.inbound_at_end,
+        )
+        assert len(result.block_relay_times) == 8
+        digest = hashlib.sha256(repr(measured).encode()).hexdigest()
+        assert digest == RELAY_MEASUREMENTS
+
     def test_builder_pins_clients(self):
         config = RelayExperimentConfig(
             n_reachable=12, n_clients=5, duration=60.0, warmup=60.0
