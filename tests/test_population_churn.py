@@ -140,13 +140,13 @@ class TestReachableTimeline:
         )
         config = ReachableChurnConfig(**kwargs)
         timeline = build_reachable_timeline(
-            rng, population.reachable, config, scale=scale
+            rng, population.reachable, config, cal.CAMPAIGN_DAYS, scale=scale
         )
         return population, config, timeline
 
     def test_always_on_stay_whole_campaign(self, rng):
         population, config, timeline = self._build(rng)
-        horizon = config.campaign_days * DAYS
+        horizon = cal.CAMPAIGN_DAYS * DAYS
         n_always = round(config.always_on * 0.02)
         for record in population.reachable[:n_always]:
             assert timeline.alive_at(record.addr, 0.0)
@@ -173,7 +173,7 @@ class TestReachableTimeline:
 
     def test_network_size_roughly_stable(self, rng):
         population, config, timeline = self._build(rng)
-        horizon = config.campaign_days * DAYS
+        horizon = cal.CAMPAIGN_DAYS * DAYS
         sizes = [
             sum(
                 1

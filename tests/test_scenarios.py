@@ -35,6 +35,22 @@ class TestLongitudinalScenario:
         assert times[-1] < scenario.config.campaign_days * DAYS
         assert times == sorted(times)
 
+    def test_reachable_churn_spans_a_short_campaign(self):
+        """The reachable timeline shares the campaign's horizon: every
+        reachable record of a one-day campaign is online somewhere inside
+        that day (a 60-day horizon left 244 of these 345 offline for all
+        of it)."""
+        scenario = LongitudinalScenario(
+            LongitudinalConfig(scale=0.01, snapshots=3, campaign_days=1.0)
+        )
+        timeline = scenario.reachable_timeline
+        assert timeline.campaign_seconds == 1.0 * DAYS
+        records = scenario.population.reachable
+        assert len(records) == 345
+        for record in records:
+            intervals = timeline.intervals(record.addr)
+            assert intervals and intervals[0][0] < 1.0 * DAYS
+
     def test_materialize_starts_alive_servers_only(self, scenario):
         when = scenario.snapshot_times[0]
         scenario.materialize_snapshot(when)
