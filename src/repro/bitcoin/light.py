@@ -98,8 +98,6 @@ class LightNodeProfile:
     max_inbound: int = 16
     #: Answer repeated GETADDRs (Core ignores repeats; so do we).
     serve_repeated_getaddr: bool = False
-    #: Advertise own address when answering GETADDR.
-    self_advertise: bool = True
     #: Relay transactions between sessions (the ``unreachable-relay``
     #: assist profile): inv → getdata → tx, from a small bounded cache.
     relay_txs: bool = False
@@ -251,11 +249,11 @@ class LightNode(NodeBehavior):
                 return
             sessions[socket] |= _SERVED_GETADDR
             now = self.sim.now
-            records = shared_addr_records(self.addr_table, now)
-            if self.profile.self_advertise:
-                records = (TimestampedAddr(self.addr, now),) + records
-            if records:
-                socket.send(Addr(addresses=records))
+            # The answer advertises our own address ahead of the table.
+            records = (TimestampedAddr(self.addr, now),) + shared_addr_records(
+                self.addr_table, now
+            )
+            socket.send(Addr(addresses=records))
         elif self.profile.relay_txs:
             if command == "inv":
                 self._relay_request(socket, message)

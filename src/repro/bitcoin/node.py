@@ -40,6 +40,7 @@ from ..simnet.addresses import NetAddr, TimestampedAddr, stamp
 from ..simnet.rand import derive_seed
 from ..simnet.simulator import Simulator
 from ..simnet.transport import AddressIndex, Socket
+from ..units import MiB
 from . import config as cfg
 from .addrman import AddrMan
 from .behavior import FIDELITY_FULL, NodeBehavior
@@ -85,6 +86,16 @@ _BITMAP_SLACK = 64
 
 #: Smallest gap between consecutive handler passes when work remains.
 _MIN_PASS_GAP = 0.001
+
+#: Pause between outbound connection attempts (ThreadOpenConnections
+#: sleeps 500 ms between iterations).
+CONNECT_RETRY_INTERVAL = 0.5
+#: CPU cost charged per processed message whose command has no
+#: ``NodeConfig.proc_times`` entry (seconds).
+DEFAULT_PROC_TIME = 0.001
+#: Upload bandwidth serializing all sends (bytes/second).  1.25 MB/s
+#: approximates the 10 Mbit/s uplink of a 2020 home node.
+UPLINK_BANDWIDTH = 1.25 * MiB
 
 _HANDLER_PREFIX = "_handle_"
 
@@ -196,9 +207,6 @@ class BitcoinNode(NodeBehavior):
         self.policy = build_policies(self.config.policies)
         self.addrman = AddrMan(
             rng=self._rng,
-            new_buckets=self.config.addrman_new_buckets,
-            tried_buckets=self.config.addrman_tried_buckets,
-            bucket_size=self.config.addrman_bucket_size,
             horizon_days=self.policy.addr.horizon_days,
             key=derive_seed(sim.seed, "addrman", str(addr)),
         )
@@ -439,7 +447,7 @@ class BitcoinNode(NodeBehavior):
         if self._connect_event is not None:
             return
         self._connect_event = self.sim.schedule(
-            self.config.connect_retry_interval, self._attempt_connection
+            CONNECT_RETRY_INTERVAL, self._attempt_connection
         )
 
     def _attempt_connection(self) -> None:
@@ -632,7 +640,7 @@ class BitcoinNode(NodeBehavior):
         dirty_process = self.dirty_process
         if dirty_process:
             proc_time = config.proc_times.get
-            default_proc_time = config.default_proc_time
+            default_proc_time = DEFAULT_PROC_TIME
             dispatch = self._DISPATCH.get
             batch = list(dirty_process)
             dirty_process.clear()
@@ -659,7 +667,7 @@ class BitcoinNode(NodeBehavior):
         uplink_free_at = self.uplink_free_at
         if dirty_send:
             send_epoch = now + busy
-            uplink_bandwidth = config.uplink_bandwidth
+            uplink_bandwidth = UPLINK_BANDWIDTH
             note_relayed = self._note_relayed
             relay_noted = _RELAY_NOTED
             deliver = self.sim.network._deliver

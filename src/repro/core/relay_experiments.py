@@ -27,6 +27,21 @@ from ..bitcoin.node import BitcoinNode
 from ..netmodel.scenario import ProtocolConfig, ProtocolScenario
 
 
+#: Fraction of the pinned clients that are unreachable nodes.
+UNREACHABLE_CLIENT_SHARE = 0.6
+#: The measurement node's (outbound, inbound) tx-trickle means.  They are
+#: compressed relative to Core's 2.5/5 s so the measured relaying-time
+#: distribution matches the paper's (which reflects their 1-second
+#: debug.log methodology); see EXPERIMENTS.md.
+TARGET_TX_TRICKLE = (0.25, 0.9)
+#: Fraction of clients negotiating high-bandwidth compact blocks.
+CLIENT_HB_FRACTION = 0.9
+#: Every this many seconds one client is replaced by a fresh node that
+#: must download the whole chain through the measurement node — the
+#: uplink congestion behind the paper's 17-second outliers.
+CLIENT_REFRESH_INTERVAL = 1800.0
+
+
 @dataclass
 class RelayExperimentConfig:
     """Shape of the Fig. 10/11 measurement run."""
@@ -35,8 +50,6 @@ class RelayExperimentConfig:
     n_reachable: int = 40
     #: Inbound client connections pinned to the measurement node.
     n_clients: int = 17
-    #: Fraction of those clients that are unreachable nodes.
-    unreachable_client_share: float = 0.6
     #: How often each client sends GETADDR (the request load).
     client_getaddr_interval: float = 8.0
     #: Mining interval — compressed from 600 s to collect more samples.
@@ -48,18 +61,6 @@ class RelayExperimentConfig:
     duration: float = 4 * 3600.0
     warmup: float = 600.0
     seed: int = 11
-    #: The measurement node's (outbound, inbound) tx-trickle means.  The
-    #: defaults are compressed relative to Core's 2.5/5 s so the measured
-    #: relaying-time distribution matches the paper's (which reflects
-    #: their 1-second debug.log methodology); see EXPERIMENTS.md.
-    target_tx_trickle: "tuple[float, float]" = (0.25, 0.9)
-    #: Fraction of clients negotiating high-bandwidth compact blocks.
-    client_hb_fraction: float = 0.9
-    #: Every this many seconds one client is replaced by a fresh node
-    #: that must download the whole chain through the measurement node —
-    #: the uplink congestion behind the paper's 17-second outliers.
-    #: 0 disables.
-    client_refresh_interval: float = 1800.0
     #: Relay-wave cutoff: sends later than this after first receipt serve
     #: block download, not the relay wave, and are excluded.
     wave_cutoff: float = 30.0
@@ -70,8 +71,6 @@ class RelayExperimentConfig:
     def validate(self) -> None:
         if self.n_clients < 1 or self.n_reachable < 4:
             raise ScenarioError("experiment too small to be meaningful")
-        if not 0 <= self.unreachable_client_share <= 1:
-            raise ScenarioError("unreachable_client_share must be in [0, 1]")
 
 
 @dataclass
@@ -126,17 +125,15 @@ def build_relay_scenario(
         max_inbound=config.n_clients,
         track_relay_times=True,
         serve_repeated_getaddr=True,
-        tx_inv_interval_outbound=config.target_tx_trickle[0],
-        tx_inv_interval_inbound=config.target_tx_trickle[1],
+        tx_inv_interval_outbound=TARGET_TX_TRICKLE[0],
+        tx_inv_interval_inbound=TARGET_TX_TRICKLE[1],
         policies=config.policies,
     )
     target = scenario.make_observer_node(target_config)
 
     clients: List[BitcoinNode] = []
     for index in range(config.n_clients):
-        unreachable = (
-            index < config.n_clients * config.unreachable_client_share
-        )
+        unreachable = index < config.n_clients * UNREACHABLE_CLIENT_SHARE
         client = _make_client(scenario, target, config, unreachable)
         clients.append(client)
     return scenario, target, clients
@@ -153,7 +150,7 @@ def _make_client(
         max_outbound=1,
         getaddr_repeat_interval=config.client_getaddr_interval,
         feelers_enabled=False,
-        hb_compact_fraction=config.client_hb_fraction,
+        hb_compact_fraction=CLIENT_HB_FRACTION,
     )
     profile = "unreachable" if unreachable else "reachable"
     asn = scenario.universe.sample_asn(
@@ -195,18 +192,17 @@ def run_relay_experiment(
     for client in clients:
         client.start()
 
-    if config.client_refresh_interval > 0:
-        refresh_rng = scenario.sim.random.stream("client-refresh")
-        scenario.sim.call_every(
-            config.client_refresh_interval,
-            # partial over a module-level function, not a closure: the
-            # callback recurs on the event queue, so it must survive
-            # Simulator.snapshot().
-            functools.partial(
-                _refresh_one_client, scenario, target, config, clients,
-                refresh_rng,
-            ),
-        )
+    refresh_rng = scenario.sim.random.stream("client-refresh")
+    scenario.sim.call_every(
+        CLIENT_REFRESH_INTERVAL,
+        # partial over a module-level function, not a closure: the
+        # callback recurs on the event queue, so it must survive
+        # Simulator.snapshot().
+        functools.partial(
+            _refresh_one_client, scenario, target, config, clients,
+            refresh_rng,
+        ),
+    )
 
     scenario.sim.run_for(config.warmup)
     # Reset the tracker so warm-up traffic does not contaminate the data.

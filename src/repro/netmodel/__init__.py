@@ -34,7 +34,7 @@ from .scenario import (
     ProtocolConfig,
     ProtocolScenario,
 )
-from .seeds import AddressOracles, AddressViews, DnsSeeder, SeedViewConfig
+from .seeds import AddressOracles, AddressViews, DnsSeeder
 
 __all__ = [
     "PROFILES",
@@ -59,7 +59,6 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolScenario",
     "ReachableChurnConfig",
-    "SeedViewConfig",
     "build_class_weights",
     "connection_graph",
     "degree_histogram",

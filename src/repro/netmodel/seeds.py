@@ -9,15 +9,15 @@ The paper's address crawler (§III-A, Fig. 2) merges two sources:
   missed* (Fig. 3d), which is why the paper uses both.
 
 Both views are imperfect: they contain recently-departed (stale) addresses
-and miss some alive nodes.  :class:`SeedViewConfig` captures the coverage
-model; defaults are calibrated so the Fig. 3 counts come out at scale 1.
+and miss some alive nodes.  The coverage constants below are that model,
+calibrated so the Fig. 3 counts come out at scale 1.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 from ..simnet.addresses import NetAddr
 from ..simnet.rand import sample
@@ -27,35 +27,19 @@ from .churn import PresenceTimeline
 from .population import NodeRecord
 
 
-@dataclass
-class SeedViewConfig:
-    """Coverage model of the two address sources (Fig. 3 calibration)."""
-
-    #: Probability an alive reachable node appears in the Bitnodes view.
-    bitnodes_alive_coverage: float = 0.78
-    #: Probability a recently-departed node lingers in the Bitnodes view.
-    bitnodes_stale_coverage: float = 0.50
-    #: How long a departed address can linger in a view (seconds).
-    stale_window: float = 7 * DAYS
-    #: Probability a Bitnodes-listed address is also in the DNS database.
-    dns_given_bitnodes: float = 0.58
-    #: Probability an alive node *missed* by Bitnodes is in the DNS
-    #: database (the Fig. 3d "skipped by Bitnodes" population).
-    dns_alive_extra: float = 0.20
-    #: Probability a departed address missed by Bitnodes is in DNS.
-    dns_stale_extra: float = 0.10
-
-    def validate(self) -> None:
-        for name in (
-            "bitnodes_alive_coverage",
-            "bitnodes_stale_coverage",
-            "dns_given_bitnodes",
-            "dns_alive_extra",
-            "dns_stale_extra",
-        ):
-            value = getattr(self, name)
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+#: Probability an alive reachable node appears in the Bitnodes view.
+BITNODES_ALIVE_COVERAGE = 0.78
+#: Probability a recently-departed node lingers in the Bitnodes view.
+BITNODES_STALE_COVERAGE = 0.50
+#: How long a departed address can linger in a view (seconds).
+STALE_WINDOW = 7 * DAYS
+#: Probability a Bitnodes-listed address is also in the DNS database.
+DNS_GIVEN_BITNODES = 0.58
+#: Probability an alive node *missed* by Bitnodes is in the DNS
+#: database (the Fig. 3d "skipped by Bitnodes" population).
+DNS_ALIVE_EXTRA = 0.20
+#: Probability a departed address missed by Bitnodes is in DNS.
+DNS_STALE_EXTRA = 0.10
 
 
 @dataclass
@@ -85,10 +69,7 @@ class AddressOracles:
         rng: random.Random,
         records: Sequence[NodeRecord],
         timeline: PresenceTimeline,
-        config: Optional[SeedViewConfig] = None,
     ) -> None:
-        self.config = config if config is not None else SeedViewConfig()
-        self.config.validate()
         self._rng = rng
         self._records = list(records)
         self._timeline = timeline
@@ -115,7 +96,6 @@ class AddressOracles:
     def _alive_and_stale(self, when: float) -> tuple:
         alive: List[NetAddr] = []
         stale: List[NetAddr] = []
-        window = self.config.stale_window
         for record in self._records:
             addr = record.addr
             if self._timeline.alive_at(addr, when):
@@ -123,7 +103,7 @@ class AddressOracles:
                 continue
             # Departed within the stale window?
             for start, end in self._timeline.intervals(addr):
-                if end <= when and when - end <= window:
+                if end <= when and when - end <= STALE_WINDOW:
                     stale.append(addr)
                     break
         return alive, stale
@@ -142,20 +122,20 @@ class AddressOracles:
         dns: Set[NetAddr] = set()
         for addr in alive:
             u_bitnodes, u_dns = self._node_propensity(addr)
-            if u_bitnodes < self.config.bitnodes_alive_coverage:
+            if u_bitnodes < BITNODES_ALIVE_COVERAGE:
                 bitnodes.add(addr)
-                if u_dns < self.config.dns_given_bitnodes:
+                if u_dns < DNS_GIVEN_BITNODES:
                     dns.add(addr)
-            elif u_dns < self.config.dns_alive_extra:
+            elif u_dns < DNS_ALIVE_EXTRA:
                 dns.add(addr)
         for addr in stale:
             u_bitnodes, u_dns = self._node_propensity(addr)
-            lingers = rng.random() < self.config.bitnodes_stale_coverage
-            if u_bitnodes < self.config.bitnodes_alive_coverage and lingers:
+            lingers = rng.random() < BITNODES_STALE_COVERAGE
+            if u_bitnodes < BITNODES_ALIVE_COVERAGE and lingers:
                 bitnodes.add(addr)
-                if u_dns < self.config.dns_given_bitnodes:
+                if u_dns < DNS_GIVEN_BITNODES:
                     dns.add(addr)
-            elif u_dns < self.config.dns_stale_extra and lingers:
+            elif u_dns < DNS_STALE_EXTRA and lingers:
                 dns.add(addr)
         return AddressViews(
             when=when, bitnodes=bitnodes, dns=dns, alive=set(alive)

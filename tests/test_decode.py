@@ -141,7 +141,8 @@ def test_empty_blocks_key_as_no_blocks(scenario):
 # when the node-tier switch went (the campaign keys are now the ones
 # ``fidelity="hybrid"`` had; the sweep configs lost the field); the four
 # campaign keys once more when the crawl config lost
-# ``flood_volume_model`` (old keys in CHANGES.md)
+# ``flood_volume_model``, and again when the crawl and pipeline configs
+# lost the fields nothing set (old keys in CHANGES.md)
 # ---------------------------------------------------------------------------
 
 _SWEEP_BASE = SyncCampaignConfig(n_reachable=40, duration=3600.0, seed=21)
@@ -151,15 +152,15 @@ _SWEEP_BASE = SyncCampaignConfig(n_reachable=40, duration=3600.0, seed=21)
     "key_of, key",
     [
         (lambda: _submission_key(TINY),
-         "d7a7c001e47b1cae2cbb5dd2170aca379d9698df7d6d57bc4dfc8fd88874a225"),
+         "db5e2d9cbccf64aa28460586b78371d087396137d890aa9faeed686405f6f986"),
         (lambda: _submission_key(
             in_scenario(faults=_example("faultplan_partition.json"))),
-         "93cdbfe8a24d61fbe8fc744c0fb46e027fb6ca055653bde3614424e3d183de9c"),
+         "fbab931b175b745e46c900cdf8465c6fa371286e9dd27fd9e0270c607a14bdb3"),
         (lambda: _submission_key(
             in_scenario(attack=_example("attackplan_flood.json"))),
-         "2cb456188919cfe3474f282a701826b1a0339dc70cdf3b548cd30a3f2230bce2"),
+         "029a73cf6c3d141ceeafd91758d3542b959e2ceffc2cb8ff8d82e2cbacc248ed"),
         (lambda: _submission_key(in_scenario(policies={"variant": "improved"})),
-         "2dcc828ebf685a13690b6605f1ca25aeec1b91180004993d1aa632e9a985ec33"),
+         "240b141c2f94bbff01513d541185b685c59987942cde78debdb7a3a97c2a0f6e"),
         (lambda: ConditionSweepPlan("chaos", conditions(_SWEEP_BASE, Axis.intensity(
             decode_file(FaultPlan, EXAMPLES / "faultplan_chaos.json"),
             [0, 0.5, 1, 1.5, 2])), [21, 22]).key,

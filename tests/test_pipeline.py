@@ -113,10 +113,9 @@ class TestCampaignShape:
 
 class TestCampaignConfig:
     def test_scaled_threshold(self):
-        config = CampaignConfig()
-        assert config.scaled_threshold(1.0) == 1000
-        assert config.scaled_threshold(0.01) == 10
-        assert config.scaled_threshold(0.001) == 10  # floor
+        assert pipeline.scaled_threshold(1.0) == 1000
+        assert pipeline.scaled_threshold(0.01) == 10
+        assert pipeline.scaled_threshold(0.001) == 10  # floor
 
     def test_probe_can_be_disabled(self):
         scenario = LongitudinalScenario(

@@ -31,6 +31,7 @@ from repro.bitcoin.messages import (
 )
 
 from repro.bitcoin import config as cfg
+from repro.bitcoin.node import UPLINK_BANDWIDTH
 from repro.simnet import Simulator
 from repro.simnet.transport import Socket
 
@@ -354,7 +355,7 @@ class TestRoundRobinFairness:
         a.chain.add_block(big_block)
         peer_a.enqueue_send(BlockMsg(block=big_block))
         a.run_pass()
-        transmit = 1_000_000 / a.config.uplink_bandwidth
+        transmit = 1_000_000 / UPLINK_BANDWIDTH
         assert a.uplink_free_at >= sim.now + transmit * 0.99
 
 

@@ -24,7 +24,7 @@ from repro.netmodel.scenario import (
     LongitudinalScenario,
     ProtocolConfig,
 )
-from repro.netmodel.seeds import AddressOracles, DnsSeeder, SeedViewConfig
+from repro.netmodel.seeds import AddressOracles, DnsSeeder
 from repro.simnet import ProbeBehavior
 from repro.simnet.addresses import stamp
 from repro.units import DAYS
@@ -111,10 +111,6 @@ class TestAddressOracles:
         oracles = AddressOracles(rng, population.reachable, timeline)
         views = oracles.snapshot(30 * DAYS)
         assert len(views.common) / len(views.dns) > 0.7
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SeedViewConfig(bitnodes_alive_coverage=1.5).validate()
 
 
 class TestNatModel:
