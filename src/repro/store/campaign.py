@@ -52,6 +52,8 @@ class CampaignPlan(StoredPlan):
         self.campaign_config = (
             campaign_config if campaign_config is not None else CampaignConfig()
         )
+        # The crawler and prober would refuse a bad config mid-run.
+        self.campaign_config.validate()
         self.seed = config.seed
         self.units = snapshots if snapshots is not None else config.snapshots
         if not 1 <= self.units <= config.snapshots:
