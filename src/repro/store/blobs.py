@@ -63,11 +63,18 @@ class BlobStore:
     # Core operations
     # ------------------------------------------------------------------
     def put(self, data: bytes) -> str:
-        """Store ``data``; return its digest.  Idempotent."""
+        """Store ``data``; return its digest.  Idempotent.
+
+        An existing file is trusted only when its bytes hash to its
+        name; a corrupt one is replaced, so re-running the writer heals
+        it instead of leaving every later read to fail."""
         digest = sha256_hex(data)
         path = self._path(digest)
-        if path.exists():
-            return digest
+        try:
+            if sha256_hex(path.read_bytes()) == digest:
+                return digest
+        except FileNotFoundError:
+            pass
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(

@@ -495,6 +495,25 @@ class TestStoredCampaign:
         again = run_stored_campaign(tmp_path, config, force=True)
         assert not again.cached
 
+    def test_force_heals_a_corrupt_result_blob(self, tmp_path):
+        """A flipped byte in a stored result fails every read by name;
+        re-running under ``force`` rewrites the blob, so reads succeed
+        again instead of failing for good."""
+        config = _tiny_config()
+        first = run_stored_campaign(tmp_path, config)
+        store = RunStore(tmp_path)
+        digest = first.manifest.result_digest
+        path = store.blobs._path(digest)
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match="corrupt on disk"):
+            store.blobs.get(digest)
+        again = run_stored_campaign(tmp_path, config, force=True)
+        assert again.manifest.result_digest == digest
+        assert sha256_hex(store.blobs.get(digest)) == digest
+        assert run_stored_campaign(tmp_path, config).cached
+
     def test_resume_wrong_config_rejected(self, tmp_path):
         config = _tiny_config()
         first = run_stored_campaign(tmp_path, config)
