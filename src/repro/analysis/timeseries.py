@@ -27,9 +27,6 @@ class Series:
     def __len__(self) -> int:
         return len(self.times)
 
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.times), np.asarray(self.values)
-
     def mean(self) -> float:
         if not self.values:
             raise AnalysisError("empty series")

@@ -47,16 +47,6 @@ class RelayRecord:
     #: The subset of ``relay_times`` whose copy went to an outbound peer.
     outbound_relay_times: List[float] = field(default_factory=list)
 
-    @property
-    def last_relay(self) -> Optional[float]:
-        return max(self.relay_times) if self.relay_times else None
-
-    @property
-    def relaying_time(self) -> Optional[float]:
-        """The paper's metric: last-connection relay time minus receipt."""
-        last = self.last_relay
-        return None if last is None else last - self.first_seen
-
     def relaying_time_within(
         self, cutoff: float, outbound: bool = False
     ) -> Optional[float]:

@@ -33,10 +33,6 @@ class ChurnMatrix:
         return len(self.addresses)
 
     @property
-    def n_snapshots(self) -> int:
-        return len(self.times)
-
-    @property
     def snapshot_interval(self) -> float:
         if len(self.times) < 2:
             raise AnalysisError("need at least two snapshots for an interval")

@@ -196,7 +196,3 @@ class ASUniverse:
     def asn_of(self, addr: NetAddr) -> Optional[int]:
         """The AS owning ``addr``, or None if outside the universe."""
         return self._group_to_asn.get(addr.group16)
-
-    @property
-    def allocated_as_count(self) -> int:
-        return len(self._asn_prefixes)

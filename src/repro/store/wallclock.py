@@ -32,8 +32,3 @@ def set_wall_clock(clock: Callable[[], float]) -> Callable[[], float]:
     previous = _wall_clock
     _wall_clock = clock
     return previous
-
-
-def reset_wall_clock() -> None:
-    """Restore the real host clock."""
-    set_wall_clock(_time.time)
