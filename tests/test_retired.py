@@ -289,6 +289,38 @@ GUARDS = [
         "9eccb42",
         "class PerfRecorder:",
     ),
+    Guard(
+        "config.seed_views",
+        r"SeedViewConfig|seed_views",
+        ("src/",),
+        "the Fig. 3 source-view coverage is netmodel/seeds.py's constants; "
+        "nothing ever set a SeedViewConfig",
+        "d59d8d4",
+        "    seed_views: SeedViewConfig = field(default_factory=SeedViewConfig)",
+    ),
+    Guard(
+        "config.second_horizon",
+        r"campaign_days: float =|config\.campaign_days",
+        ("src/repro/netmodel/churn.py", "src/repro/netmodel/population.py"),
+        "LongitudinalConfig.campaign_days is the campaign's one horizon; "
+        "build_reachable_timeline takes it from the scenario",
+        "d59d8d4",
+        "    campaign_days: float = float(cal.CAMPAIGN_DAYS)",
+    ),
+    Guard(
+        "config.unset_fields",
+        r"connect_retry_interval|handler_interval|default_proc_time"
+        r"|addrman_(new|tried)_buckets|addrman_bucket_size|uplink_bandwidth"
+        r"|unreachable_client_share|target_tx_trickle|client_hb_fraction"
+        r"|client_refresh_interval|self_advertise",
+        ("src/repro/bitcoin/config.py", "src/repro/core/relay_experiments.py",
+         "src/repro/bitcoin/light.py"),
+        "a config field is something a caller sets: these never were, and "
+        "are module constants beside their read site (handler_interval, "
+        "never read, is gone)",
+        "d59d8d4",
+        "    handler_interval: float = 0.100",
+    ),
 ]
 
 
