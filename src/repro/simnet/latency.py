@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .addresses import NetAddr
-from .rand import derive_seed
+from .rand import Stream, derive_seed
 
 
 @dataclass
@@ -56,7 +56,7 @@ class LatencyModel:
         config.validate()
         self.config = config
         self._seed = seed
-        self._rng = rng if rng is not None else random.Random(
+        self._rng = rng if rng is not None else Stream(
             derive_seed(seed, "latency-jitter")
         )
         self._base_cache: dict = {}

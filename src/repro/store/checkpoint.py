@@ -86,7 +86,12 @@ def dump_checkpoint(
     if not aliasing:
         pickler.fast = True
     pickler.dump(obj)
-    payload = buf.getvalue()
+    # The memo holds every object the dump reached (the temporaries a
+    # reduce made among them): let them go before the frame is built.
+    del pickler
+    # Hash and frame the buffer in place: the payload exists twice at
+    # most, in ``buf`` and in the framed blob.
+    payload = buf.getbuffer()
     header = {
         "format": CHECKPOINT_FORMAT,
         "kind": kind,
@@ -96,12 +101,12 @@ def dump_checkpoint(
         "meta": meta if meta is not None else {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "big"))
-    out.write(header_bytes)
-    out.write(payload)
-    return out.getvalue()
+    return b"".join((
+        MAGIC,
+        len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "big"),
+        header_bytes,
+        payload,
+    ))
 
 
 def read_header(data: bytes) -> Dict[str, Any]:

@@ -15,7 +15,9 @@ does two jobs here:
 * **inventory** — it *records* every raw set it is handed.  A non-empty
   :attr:`ReferencePickler.raw_sets` means some class still leaks a
   ``set`` into a checkpoint, where the C pickler would write it in
-  insertion-history order.
+  insertion-history order.  It records every stock ``random.Random``
+  too: a generator that is not a ``repro.simnet.rand.Stream`` pickles
+  as a 625-int tuple instead of its 2.5 KB word array.
 
 There is no production seam for it; tests call it beside
 ``dump_checkpoint`` on the same object.
@@ -27,22 +29,28 @@ import hashlib
 import io
 import json
 import pickle
+import random
 from typing import Any, List, Tuple
 
 from repro.store.checkpoint import MAGIC, PICKLE_PROTOCOL, read_header
 
 
 class ReferencePickler(pickle._Pickler):
-    """Sorted-set pure-Python pickler that remembers the sets it met."""
+    """Sorted-set pure-Python pickler that remembers the sets and the
+    stock generators it met."""
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         #: ``(type name, size)`` of every raw set reached, in dump order.
         self.raw_sets: List[Tuple[str, int]] = []
+        #: Every stock ``random.Random`` reached, in dump order.
+        self.stock_rngs: List[random.Random] = []
 
     def reducer_override(self, obj: Any):
         kind = type(obj)
-        if kind is set or kind is frozenset:
+        if kind is random.Random:
+            self.stock_rngs.append(obj)
+        elif kind is set or kind is frozenset:
             self.raw_sets.append((kind.__name__, len(obj)))
             try:
                 return (kind, (sorted(obj),))
@@ -53,14 +61,15 @@ class ReferencePickler(pickle._Pickler):
 
 def reference_dump(
     obj: Any, *, aliasing: bool = True
-) -> Tuple[bytes, List[Tuple[str, int]]]:
-    """``(payload, raw sets met)`` for ``obj`` under the oracle."""
+) -> Tuple[bytes, List[Tuple[str, int]], List[random.Random]]:
+    """``(payload, raw sets met, stock generators met)`` for ``obj``
+    under the oracle."""
     buf = io.BytesIO()
     pickler = ReferencePickler(buf, protocol=PICKLE_PROTOCOL)
     if not aliasing:
         pickler.fast = 1
     pickler.dump(obj)
-    return buf.getvalue(), pickler.raw_sets
+    return buf.getvalue(), pickler.raw_sets, pickler.stock_rngs
 
 
 def checkpoint_payload(blob: bytes) -> bytes:
@@ -71,7 +80,7 @@ def checkpoint_payload(blob: bytes) -> bytes:
 def format_1_blob(obj: Any, kind: str) -> bytes:
     """A checkpoint exactly as a format-1 build framed it: this pickler's
     payload under a header that says ``"format": 1``."""
-    payload, _ = reference_dump(obj)
+    payload = reference_dump(obj)[0]
     header = {
         "format": 1,
         "kind": kind,

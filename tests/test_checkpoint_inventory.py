@@ -9,16 +9,21 @@ rule, so this file does: it walks every
 checkpoint kind the repo writes with ``tests/reference_pickler.py`` (the
 retired sorted-set pickler, kept as an oracle) and asserts
 
-(a) the oracle met **zero** raw sets, and
-(b) the C payload equals the oracle's payload byte for byte.
+(a) the oracle met **zero** raw sets,
+(b) the C payload equals the oracle's payload byte for byte, and
+(c) the oracle met **zero** stock ``random.Random`` generators: every
+    generator in a checkpoint is a ``repro.simnet.rand.Stream``, which
+    pickles as its 2.5 KB word array instead of a 625-int tuple.
 
 A new set-holding class that forgets the decorator turns (a) red here
-before it can un-pin a resumed-vs-fresh digest somewhere slower.
+before it can un-pin a resumed-vs-fresh digest somewhere slower; a
+component that seeds its own stock generator turns (c) red.
 """
 
 from __future__ import annotations
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -66,16 +71,22 @@ KINDS = {
 
 
 def assert_canonical(obj, *, kind, aliasing=True):
-    """(a) no raw set reached, (b) C payload == oracle payload."""
+    """(a) no raw set reached, (b) C payload == oracle payload, (c) no
+    stock generator reached."""
     assert kind in KINDS
     blob = dump_checkpoint(obj, kind=kind, aliasing=aliasing)
-    payload, raw_sets = reference_dump(obj, aliasing=aliasing)
+    payload, raw_sets, stock_rngs = reference_dump(obj, aliasing=aliasing)
     assert raw_sets == [], (
         f"{kind}: {len(raw_sets)} raw set(s) reached the checkpoint — some "
         f"class holds a set without @canonical_sets: {raw_sets[:5]}"
     )
     assert checkpoint_payload(blob) == payload, (
         f"{kind}: C pickler and reference pickler disagree"
+    )
+    assert stock_rngs == [], (
+        f"{kind}: {len(stock_rngs)} stock random.Random reached the "
+        f"checkpoint — some component seeds its own generator instead "
+        f"of drawing a repro.simnet.rand.Stream"
     )
     return blob
 
@@ -291,6 +302,23 @@ def test_inventory_catches_a_class_without_canonical_state(
     monkeypatch.delattr(SnapshotResult, "__setstate__")
     with pytest.raises(AssertionError, match="raw set"):
         assert_canonical(snap, kind="snapshot-result")
+
+
+def test_a_runner_dump_peaks_near_its_payload(campaign):
+    """A ``campaign-runner`` dump allocates the pickle buffer, the
+    framed blob, the memo and whatever the reduces build: 3.8x the blob
+    here.  With stock generators (a 625-int state tuple per stream, kept
+    by the memo to the end of the dump) and a frame built from two more
+    copies of the payload it was 6.5x."""
+    runner, _ = campaign
+    dump_checkpoint(runner, kind="campaign-runner")  # warm caches
+    tracemalloc.start()
+    try:
+        blob = dump_checkpoint(runner, kind="campaign-runner")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(blob), (peak, len(blob))
 
 
 def test_restored_state_has_real_sets(campaign):

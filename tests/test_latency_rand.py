@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro.simnet.addresses import NetAddr
 from repro.simnet.latency import LatencyConfig, LatencyModel
 from repro.simnet.rand import (
+    RandomStreams,
+    Stream,
     derive_seed,
     sample,
     weighted_sample_without_replacement,
@@ -62,6 +65,48 @@ class TestLatencyModel:
             LatencyConfig(jitter=1.5).validate()
         with pytest.raises(ValueError):
             LatencyConfig(local_latency=0.0).validate()
+
+
+class TestStream:
+    """A stream is a stock generator that pickles as its state words."""
+
+    def test_draws_are_the_stock_generators(self):
+        stock = random.Random(derive_seed(5, "a"))
+        stream = RandomStreams(5).stream("a")
+        assert type(stream) is Stream
+        assert [stream.random() for _ in range(100)] == [
+            stock.random() for _ in range(100)
+        ]
+        assert stream.getstate() == stock.getstate()
+
+    @pytest.mark.parametrize("gauss", [False, True])
+    def test_round_trip_keeps_state_and_the_next_draws(self, gauss):
+        rng = RandomStreams(7).stream("x")
+        rng.getrandbits(100)
+        if gauss:
+            rng.gauss(0.0, 1.0)  # leaves gauss_next set
+        restored = pickle.loads(pickle.dumps(rng, protocol=4))
+        assert type(restored) is Stream
+        assert restored.getstate() == rng.getstate()
+        assert [restored.random() for _ in range(1000)] == [
+            rng.random() for _ in range(1000)
+        ]
+
+    def test_pickles_as_its_word_array_once_per_object(self):
+        rng = RandomStreams(7).stream("x")
+        stock = random.Random()
+        stock.setstate(rng.getstate())
+        assert len(pickle.dumps(rng, protocol=4)) < 2600
+        assert len(pickle.dumps(stock, protocol=4)) > 3500
+        first, second = pickle.loads(pickle.dumps([rng, rng], protocol=4))
+        assert first is second
+
+    def test_latency_fallback_is_a_stream(self):
+        model = LatencyModel(seed=3)
+        assert type(model._rng) is Stream
+        assert model._rng.getstate() == random.Random(
+            derive_seed(3, "latency-jitter")
+        ).getstate()
 
 
 class TestDeriveSeed:
