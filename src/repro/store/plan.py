@@ -15,14 +15,18 @@ What the store holds for a run:
 * one **unit blob** per completed unit — the unit's output, kind
   ``plan.unit_kind``, meta ``{"index": i}`` — recorded in the manifest
   as a :class:`~repro.store.manifest.SnapshotRecord`;
-* for a *state-carrying* plan (``state_kind`` set) one **state blob** —
-  the live object the next unit continues from, re-dumped after every
-  unit and pointed at by ``manifest.checkpoint``;
+* for a *state-carrying* plan (``state_kind`` set) one **state blob**
+  per unit except the last — the live object the next unit continues
+  from, pointed at by ``manifest.checkpoint`` while the run is partial;
 * one **result blob** once every unit is done, and beside it one plain
   blob per **view** — whatever :meth:`StoredPlan.views` renders of the
   result (a summary, a CSV), recorded as ``manifest.views`` in the same
   manifest write that marks the run complete.  A reader serves a view's
   bytes as they are; it never has to unpickle the result to show it.
+
+The last unit's manifest write *is* that completion write, and it
+clears ``manifest.checkpoint``: no reader resumes a complete run, so it
+pins no state, and ``store gc`` reclaims every state blob it wrote.
 
 Resume therefore has two modes.  A state-carrying plan reloads its
 state blob and runs the remaining units on it; a stateless plan keeps
@@ -34,7 +38,7 @@ outputs into later blobs.
 Crash injection for tests/CI: ``REPRO_CRASH_AFTER_UNIT=k`` hard-exits
 the process (``os._exit``) right after unit ``k``'s blobs and manifest
 are durable — the honest moral equivalent of ``kill -9`` at the worst
-allowed moment.
+allowed moment.  After the last unit that is once the run is complete.
 
 This module imports nothing from :mod:`repro.core`, so plan classes
 there can import it at module level.
@@ -231,6 +235,12 @@ def _restore(
     return state, [], checkpoint.snapshot_index + 1
 
 
+def _crash_after(crash_index: Optional[int], index: int) -> None:
+    """The crash hook, once unit ``index`` is durable."""
+    if crash_index is not None and index >= crash_index:
+        os._exit(CRASH_EXIT_CODE)
+
+
 def _crash_index() -> Optional[int]:
     raw = os.environ.get(CRASH_ENV)
     if raw is None:
@@ -329,6 +339,8 @@ def run_stored(
                 index=index, digest=unit_digest, **plan.record(index, out)
             )
         )
+        if index == plan.units - 1:
+            break  # the completion write below commits the last unit
         if plan.state_kind is not None:
             # Carried state is a live object graph (cyclic: it holds a
             # simulator), so it always pickles with the memo.
@@ -344,8 +356,7 @@ def run_stored(
             )
         manifest.updated_at = wall_now()
         store.save_manifest(manifest)
-        if crash_index is not None and index >= crash_index:
-            os._exit(CRASH_EXIT_CODE)
+        _crash_after(crash_index, index)
 
     result = plan.finish(state, outs)
     # No run-specific metadata in the result blob: equal results must
@@ -357,9 +368,13 @@ def run_stored(
     manifest.views = {
         name: store.put_blob(data) for name, data in plan.views(result).items()
     }
+    # No reader resumes a complete run, so it pins no state.
+    manifest.checkpoint = None
     manifest.status = STATUS_COMPLETE
     manifest.updated_at = wall_now()
     store.save_manifest(manifest)
+    if done < plan.units:
+        _crash_after(crash_index, plan.units - 1)
     return StoredRun(
         manifest=manifest,
         result=result,

@@ -797,11 +797,18 @@ class TestStoredViews:
         with_service(tmp_path, body)
 
     def test_tenant_is_charged_for_the_views(self, tmp_path):
+        """...and for the units and the result, and for nothing else: a
+        complete run pins no state blob."""
         async def body(service, client):
             run_id = await run_tiny(client)
             manifest = service.store.load_manifest(run_id)
             pinned = set(manifest.referenced_digests())
-            assert set(manifest.views.values()) <= pinned
+            assert manifest.checkpoint is None
+            assert pinned == {
+                *(record.digest for record in manifest.snapshots),
+                manifest.result_digest,
+                *manifest.views.values(),
+            }
             q = (await client.request("GET", "/v1/admin/quota")).json()
             assert q["tenants"]["anon"]["bytes_stored"] == sum(
                 service.store.blobs.size_bytes(digest) for digest in pinned

@@ -525,6 +525,29 @@ class TestStoredCampaign:
                 tmp_path, other, resume=first.manifest.run_id
             )
 
+    def test_a_complete_run_pins_no_state(self, tmp_path):
+        """The last unit's write is the completion write: a complete
+        campaign points at no state blob, and ``gc`` reclaims the state
+        blobs its earlier units left, keeping its units, result and
+        views."""
+        stored = run_stored_campaign(tmp_path, _tiny_config())
+        manifest = stored.manifest
+        store = RunStore(tmp_path)
+        assert manifest.checkpoint is None
+        assert store.load_manifest(manifest.run_id).checkpoint is None
+        kept = {record.digest for record in manifest.snapshots}
+        kept |= {manifest.result_digest, *manifest.views.values()}
+        assert set(manifest.referenced_digests()) == kept
+        assert len(kept) == 3 + 1 + 2
+        states = set(store.blobs.digests()) - kept
+        headers = [read_header(store.get_blob(digest)) for digest in states]
+        assert {header["kind"] for header in headers} == {"campaign-runner"}
+        # after units 0 and 1, none after the last
+        assert sorted(h["meta"]["snapshot_index"] for h in headers) == [0, 1]
+        report = store.gc()
+        assert sorted(report["removed"]) == sorted(states)
+        assert set(store.blobs.digests()) == kept
+
     def test_manifest_records_per_snapshot_outputs(self, tmp_path):
         config = _tiny_config()
         stored = run_stored_campaign(tmp_path, config)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import dataclass, field, replace
@@ -41,6 +42,7 @@ from repro.core.pipeline import CampaignResult
 from repro.errors import CheckpointError, ConfigurationError, StoreError
 from repro.faults.plan import FaultPlan, FaultScope, FaultSpec
 from repro.netmodel.scenario import LongitudinalConfig, LongitudinalScenario
+from repro.simnet.rand import Stream
 from repro.store import (
     CRASH_ENV,
     CRASH_EXIT_CODE,
@@ -191,20 +193,32 @@ class TestRunStored:
         )
         assert killed.ran == list(range(crash_after + 1))
         partial = RunStore(tmp_path / "killed").load_manifest(killed.run_id)
-        assert partial.status == "running" and partial.result_digest is None
         assert partial.completed_snapshots == crash_after + 1
-        assert (partial.checkpoint is not None) == (toy is CarryingToy)
-        assert partial.views == {}  # written with the result, not before
 
         survivor = toy()
         resumed = run_stored(tmp_path / "killed", survivor)
-        # no completed unit runs twice (after the last one, none at all)
-        assert survivor.ran == list(range(crash_after + 1, 4))
-        assert resumed.resumed_from == crash_after + 1 and not resumed.cached
+        if crash_after == 3:
+            # The last unit's write is the completion write: the hook
+            # fires on a complete run, and a survivor runs nothing.
+            assert partial.status == "complete"
+            assert partial.checkpoint is None
+            assert _digests(partial) == _digests(fresh.manifest)
+            assert survivor.ran == [] and resumed.cached
+        else:
+            assert partial.status == "running"
+            assert partial.result_digest is None
+            assert (partial.checkpoint is not None) == (toy is CarryingToy)
+            assert partial.views == {}  # written with the result, not before
+            # no completed unit runs twice
+            assert survivor.ran == list(range(crash_after + 1, 4))
+            assert resumed.resumed_from == crash_after + 1
+            assert not resumed.cached
         assert resumed.result == fresh.result
         assert resumed.manifest.status == "complete"
-        # equal results must hash equally: every unit blob, the carried
-        # state after the last unit, and the result
+        # A complete run pins no state...
+        assert fresh.manifest.checkpoint is resumed.manifest.checkpoint is None
+        # ...and equal results must hash equally: every unit blob and the
+        # result
         assert _digests(resumed.manifest) == _digests(fresh.manifest)
         # and so must what a reader is served
         store = RunStore(tmp_path / "killed")
@@ -551,6 +565,10 @@ FLAVOURS = {
 }
 
 
+#: The plan class behind each manifest kind ``FLAVOURS`` writes.
+_PLAN_TYPES = {"campaign": CampaignPlan, "sync-sweep": ConditionSweepPlan}
+
+
 def _assert_resumed_equals_fresh(flavour, tmp_path, run):
     """``run(store_dir, crash_after=None) -> exit code`` executes the
     flavour; kill it after unit 0, resume it, run an uninterrupted twin
@@ -574,15 +592,12 @@ def _assert_resumed_equals_fresh(flavour, tmp_path, run):
     assert resumed.snapshots[0] == manifest.snapshots[0]
 
     # ...and an uninterrupted twin lands on the same content: every
-    # unit blob and the result.  (Not the campaign's carried state: a
-    # restored runner's later checkpoints are equal in content but not
-    # in bytes to a never-restored one's, here as before this runner.)
+    # unit blob and the result.  Neither pins state once complete.
     assert run(uninterrupted) == 0
     fresh = RunStore(uninterrupted).load_manifest(manifest.run_id)
-    units, _, result_digest = _digests(fresh)
-    assert _digests(resumed)[0] == units
-    assert resumed.result_digest == result_digest
-    assert None not in units + [result_digest]
+    assert _digests(resumed) == _digests(fresh)
+    units, checkpoint, result_digest = _digests(fresh)
+    assert None not in units + [result_digest] and checkpoint is None
     # What a reader is served is content too: the views a resumed run
     # stored are the uninterrupted run's (none, for a sweep).
     assert manifest.views == {}
@@ -590,10 +605,13 @@ def _assert_resumed_equals_fresh(flavour, tmp_path, run):
     assert sorted(fresh.views) == (
         ["campaign_series.csv", "summary.json"] if flavour == "campaign" else []
     )
-    if fresh.checkpoint is None:
+    if _PLAN_TYPES[fresh.kind].state_kind is None:
         # a stateless plan stores each unit once and nothing else
         assert blobs_at_kill == 1
         assert len(store.blobs) == len(units) + 1
+    else:
+        # a state-carrying one also the state unit 0 left
+        assert blobs_at_kill == 2
 
     # Both are now cache hits on equal results.
     again_a = FLAVOURS[flavour](interrupted)
@@ -721,31 +739,20 @@ PINS = {
     ),
 }
 
-#: The campaign's unit blobs and final runner checkpoint are the one
-#: place the runner writes what its predecessor wrote, byte for byte.
-#: Both moved with the key when the paper's flooder cohort became an
-#: ``AttackPlan`` (its one flooder is placed differently), and without
-#: it when the one-day campaign's reachable churn took its own horizon
-#: instead of 60 days; the checkpoint, which holds the scenario's
-#: config, moved alone when that config lost the fields nothing set
-#: (old values in CHANGES.md).  Before all of that the checkpoint moved
-#: five times (old values in CHANGES.md):
-#: the runner's state changed shape — server tables hold shared
-#: last-seen records, a stopped server holds none, dead socket pairs
-#: are unlinked; then ``Simulator`` state lost its
-#: always-``None`` ``perf`` entry; then the scenario's config lost its
-#: ``None`` plans and it holds a built ``AddrPolicy``; then the
-#: ``Network`` gained its (here empty) address index; then the scenario
-#: held its cloud as light nodes instead of a raw table — while the
-#: unit blobs, which are measurements, did not.
+#: The campaign's unit blobs are the one place the runner writes what
+#: its predecessor wrote, byte for byte.  They moved with the key when
+#: the paper's flooder cohort became an ``AttackPlan`` (its one flooder
+#: is placed differently), and without it when the one-day campaign's
+#: reachable churn took its own horizon instead of 60 days (old values
+#: in CHANGES.md).  The final runner checkpoint was pinned beside them
+#: until a complete run stopped keeping one: its last digest, and the
+#: runner-state changes that had moved it while the units held, are in
+#: CHANGES.md.
 _CAMPAIGN_UNITS = [
     "a918cfb8a9e7bcd43211f04d41d3e2bcc466c531333a1bde3a5929d5d1d67697",
     "9e07641330815137d3822f142b07c7e3ae3382678f0a3786732f4a093ffed44e",
     "4edd597b46dbf89041e097f1e788f0591c7c778d3265cf2df837612dfbcd1548",
 ]
-_CAMPAIGN_CHECKPOINT = (
-    "3d4ec0332dbc7f9c90ba856cda474a65f9da732e339879deb6943dbe279c32ad"
-)
 
 #: The campaign's stored views.  The CSV's digest was first the sha256
 #: of the file ``export_campaign_series`` wrote for this run at commit
@@ -795,7 +802,7 @@ def test_keys_and_result_digests_did_not_move(flavour, tmp_path):
     if flavour == "campaign":
         units, checkpoint, _ = _digests(manifest)
         assert units == _CAMPAIGN_UNITS
-        assert checkpoint == _CAMPAIGN_CHECKPOINT
+        assert checkpoint is None  # a complete run pins no state
         assert manifest.views == _CAMPAIGN_VIEWS
     else:
         assert manifest.kind == "sync-sweep" and manifest.checkpoint is None
@@ -806,6 +813,47 @@ def test_keys_and_result_digests_did_not_move(flavour, tmp_path):
             ).hexdigest()
             for cell in stored.result.cells
         ] == _SWEEP_CELLS[flavour]
+
+
+def _stock_reduce(rng):
+    """How ``random.Random`` pickles: what every state blob written
+    before ``Stream`` holds for each of its generators."""
+    return random.Random, (), rng.getstate()
+
+
+def test_state_with_stock_streams_resumes_to_the_pinned_result(
+    tmp_path, monkeypatch
+):
+    """A campaign state blob whose generators are pickled in the stock
+    form still loads and resumes to the pinned result digest: the word
+    array form needed no ``CHECKPOINT_FORMAT`` bump, so no key moved."""
+    _, key, result_digest = PINS["campaign"]
+    store = RunStore(tmp_path)
+    monkeypatch.setattr(os, "_exit", _kill)
+    monkeypatch.setenv(CRASH_ENV, "0")
+    with pytest.raises(_Killed):
+        run_stored_campaign(store, tiny_crawl())
+    monkeypatch.delenv(CRASH_ENV)
+    (manifest,) = store.manifests()
+    blob = store.get_blob(manifest.checkpoint.digest)
+    runner = load_checkpoint(blob, expect_kind="campaign-runner")
+    monkeypatch.setattr(Stream, "__reduce__", _stock_reduce)
+    stock = dump_checkpoint(
+        runner, kind="campaign-runner",
+        meta={"snapshot_index": 0, "run_id": manifest.run_id},
+    )
+    monkeypatch.undo()
+    assert b"_load_stream" in blob and b"_load_stream" not in stock
+    assert len(stock) > len(blob)
+    manifest.checkpoint = CheckpointRecord(
+        digest=store.put_blob(stock), snapshot_index=0
+    )
+    store.save_manifest(manifest)
+
+    resumed = run_stored_campaign(store, tiny_crawl())
+    assert resumed.resumed_from == 1
+    assert resumed.manifest.key == key
+    assert resumed.manifest.result_digest == result_digest
 
 
 #: What each seed of the two pinned sweeps *measured*, cell by cell:
