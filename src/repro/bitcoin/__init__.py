@@ -14,7 +14,7 @@ from .behavior import (
     NodeBehavior,
 )
 from .blockchain import GENESIS_ID, Block, Blockchain, make_genesis
-from .config import NodeConfig, PolicyConfig, unreachable_config
+from .config import NodeConfig, PolicyConfig, unreachable_config, variant_names
 from .light import DEFAULT_LIGHT_PROFILE, LightNode, LightNodeProfile
 from .mempool import Mempool, Transaction
 from .messages import (
@@ -40,18 +40,6 @@ from .messages import (
 from .mining import MinedBlock, MiningProcess, TransactionGenerator
 from .node import BitcoinNode, ConnectionAttempt
 from .peer import Peer
-from .policy import (
-    AddrPolicy,
-    ConnPolicy,
-    LightTierPolicy,
-    PolicyBundle,
-    PolicyVariant,
-    RelayPolicy,
-    build_policies,
-    get_variant,
-    register,
-    variant_names,
-)
 from .relay import RelayRecord, RelayTracker, relay_order
 
 __all__ = [
@@ -62,14 +50,12 @@ __all__ = [
     "Addr",
     "AddrInfo",
     "AddrMan",
-    "AddrPolicy",
     "BitcoinNode",
     "Block",
     "BlockMsg",
     "BlockTxn",
     "Blockchain",
     "CmpctBlock",
-    "ConnPolicy",
     "ConnectionAttempt",
     "GetAddr",
     "GetBlockTxn",
@@ -80,7 +66,6 @@ __all__ = [
     "InvType",
     "LightNode",
     "LightNodeProfile",
-    "LightTierPolicy",
     "Mempool",
     "Message",
     "MinedBlock",
@@ -89,9 +74,7 @@ __all__ = [
     "NodeConfig",
     "Peer",
     "Ping",
-    "PolicyBundle",
     "PolicyConfig",
-    "PolicyVariant",
     "Pong",
     "RelayRecord",
     "RelayTracker",
@@ -101,10 +84,7 @@ __all__ = [
     "TxMsg",
     "Verack",
     "Version",
-    "build_policies",
-    "get_variant",
     "make_genesis",
-    "register",
     "relay_order",
     "unreachable_config",
     "variant_names",

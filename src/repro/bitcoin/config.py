@@ -6,15 +6,18 @@ every two minutes, addrman ``new``/``tried`` tables with the 30-day /
 10-failure eviction rules, ADDR responses capped at 1000 addresses, and a
 round-robin message handler.
 
-:class:`PolicyConfig` names a registered protocol-policy variant plus its
-parameters (see :mod:`repro.bitcoin.policy`); the three §V refinements
-are knobs of the ``baseline``/``improved`` family, set through ``params``.
+:class:`PolicyConfig` names a protocol-policy variant — a row of
+:data:`POLICY_VARIANTS`, listed by :func:`variant_names` — plus its
+parameters; the three §V refinements are knobs of the
+``baseline``/``improved`` family, set through ``params``.  Each knob is
+read where its mechanism lives (``BitcoinNode``, ``LightCloud``, the
+crawl model's gossip).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -61,23 +64,136 @@ ADDR_FORWARD_MAX = 10
 ADDR_FORWARD_FANOUT = 2
 
 
+# ---------------------------------------------------------------------------
+# Protocol-policy variants
+# ---------------------------------------------------------------------------
+
+#: Every variant, as its knob defaults.  Each row covers the three §V
+#: knobs; the two related-work variants (PAPERS.md) add one knob each.
+POLICY_VARIANTS: Dict[str, Dict[str, Any]] = {
+    # Bitcoin Core v0.20.1 as the paper measured it: ADDR answered from
+    # new+tried, 30-day tried horizon, arrival-order relay.
+    "baseline": {
+        "addr_from_tried_only": False,
+        "tried_horizon_days": ADDRMAN_HORIZON_DAYS,
+        "prioritize_block_relay": False,
+    },
+    # All three §V refinements: tried-only ADDR, 17-day tried horizon,
+    # prioritized block relay.
+    "improved": {
+        "addr_from_tried_only": True,
+        "tried_horizon_days": 17.0,
+        "prioritize_block_relay": True,
+    },
+    # Franzoni & Daza: a deterministic fraction of unreachable
+    # (light-tier) endpoints assists transaction propagation.
+    "unreachable-relay": {
+        "addr_from_tried_only": False,
+        "tried_horizon_days": ADDRMAN_HORIZON_DAYS,
+        "prioritize_block_relay": False,
+        "assist_fraction": 0.25,
+    },
+    # Younis et al.: prioritized block relay plus tried-biased peer
+    # selection, hardening propagation under churn.  ADDR serving and
+    # the tried horizon stay at baseline, isolating what connection and
+    # relay hardening alone recover.
+    "churn-resilient": {
+        "addr_from_tried_only": False,
+        "tried_horizon_days": ADDRMAN_HORIZON_DAYS,
+        "prioritize_block_relay": True,
+        "tried_bias": 0.75,
+    },
+}
+
+
+def variant_names() -> List[str]:
+    """The variant names, sorted."""
+    return sorted(POLICY_VARIANTS)
+
+
+def _normalize(variant: str, knob: str, value: Any, default: Any) -> Any:
+    """Type-check one knob against its default; stabilize numerics.
+
+    Floats are coerced (``17`` and ``17.0`` must produce identical
+    canonical JSON, hence identical store keys); bools are strict
+    (a truthy int silently meaning "enabled" would fork cache keys).
+    """
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValueError(
+                f"policy knob {knob!r} of variant {variant!r} expects a "
+                f"bool, got {value!r}"
+            )
+        return value
+    if isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(
+                f"policy knob {knob!r} of variant {variant!r} expects a "
+                f"number, got {value!r}"
+            )
+        return float(value)
+    return value
+
+
+def resolve(
+    name: str, params: Mapping[str, Any]
+) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
+    """Canonicalize ``(variant, params)``.
+
+    Returns ``(canonical_variant, canonical_params, effective_knobs)``.
+    Unknown variants, unknown knobs and values of the wrong type raise
+    :class:`ValueError`.  Params equal to the variant's defaults are
+    dropped.  Within the §V family the canonical *anchor* is chosen by
+    effective knobs: all three refinements at their improved values →
+    ``improved`` with empty params, anything else → ``baseline`` plus
+    the knobs that differ from baseline.
+    """
+    defaults = POLICY_VARIANTS.get(name)
+    if defaults is None:
+        known = ", ".join(variant_names())
+        raise ValueError(f"unknown policy variant {name!r} (known: {known})")
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        known = ", ".join(sorted(defaults))
+        raise ValueError(
+            f"unknown policy params {unknown} for variant "
+            f"{name!r} (known: {known})"
+        )
+    effective = dict(defaults)
+    for knob, value in params.items():
+        effective[knob] = _normalize(name, knob, value, defaults[knob])
+
+    if name in ("baseline", "improved"):
+        if effective == POLICY_VARIANTS["improved"]:
+            return "improved", {}, effective
+        defaults = POLICY_VARIANTS["baseline"]
+        name = "baseline"
+    canonical = {
+        knob: value
+        for knob, value in effective.items()
+        if value != defaults[knob]
+    }
+    return name, canonical, effective
+
+
 @dataclass(init=False)
 class PolicyConfig:
-    """A serializable reference to a registered protocol-policy variant.
+    """A serializable reference to a protocol-policy variant.
 
-    Canonical state is two fields — ``variant`` (a registry name) and
-    ``params`` (overrides of that variant's knob defaults) — which is
-    exactly what flows through :func:`dataclasses.asdict` into run-store
-    and serve-submission keys.  Construction canonicalizes eagerly (see
-    :func:`repro.bitcoin.policy.registry.resolve`), so two configs with
-    equal behavior compare equal and key identically, whichever spelling
-    built them (``params`` that add up to ``improved`` *are* ``improved``).
+    Canonical state is two fields — ``variant`` (a row of
+    :data:`POLICY_VARIANTS`) and ``params`` (overrides of that row's
+    knob defaults) — which is exactly what flows through
+    :func:`dataclasses.asdict` into run-store and serve-submission keys.
+    Construction canonicalizes eagerly (see :func:`resolve`), so two
+    configs with equal behavior compare equal and key identically,
+    whichever spelling built them (``params`` that add up to
+    ``improved`` *are* ``improved``).
 
-    The three §V refinements are readable as properties off the
-    effective knobs of the resolved variant.
+    Every knob is readable as a property off the effective knobs of the
+    resolved variant.
     """
 
-    #: Registered variant name (``repro.bitcoin.policy.variant_names()``).
+    #: Variant name (``repro.bitcoin.variant_names()``).
     variant: str = "baseline"
     #: Knob overrides; canonicalized to the non-default subset (a dict
     #: once constructed; ``None`` means no overrides).
@@ -88,10 +204,6 @@ class PolicyConfig:
         variant: str = "baseline",
         params: Optional[Mapping[str, Any]] = None,
     ) -> None:
-        # Deferred import: the registry's builtin variants read protocol
-        # constants from this module.
-        from .policy.registry import resolve
-
         self.variant, self.params, self._knobs = resolve(variant, params or {})
 
     # -- §V reads -------------------------------------------------------
@@ -109,6 +221,19 @@ class PolicyConfig:
     def prioritize_block_relay(self) -> bool:
         """§V "Prioritizing Block Relay": outbound-first, front-of-queue."""
         return self._knobs["prioritize_block_relay"]
+
+    # -- related-work reads ---------------------------------------------
+    @property
+    def tried_bias(self) -> float:
+        """Chance an outbound pick draws from the tried table (Core's
+        fair coin, 0.5; ``churn-resilient`` leans toward proven peers)."""
+        return self._knobs.get("tried_bias", 0.5)
+
+    @property
+    def assist_fraction(self) -> float:
+        """Share of the light cloud relaying transactions
+        (``unreachable-relay``; 0 everywhere else)."""
+        return self._knobs.get("assist_fraction", 0.0)
 
     def label(self) -> str:
         """Short tag for benchmark tables, e.g. ``"tried-only+17d"``."""

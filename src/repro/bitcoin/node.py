@@ -71,8 +71,7 @@ from .messages import (
     Version,
 )
 from .peer import Peer
-from .policy.registry import build_policies
-from .relay import RelayTracker
+from .relay import RelayTracker, relay_order
 
 __all__ = ["BitcoinNode", "ConnectionAttempt"]
 
@@ -166,8 +165,8 @@ class BitcoinNode(NodeBehavior):
     # gossip run's wall time).  Slots keep the state inline.  Subclasses
     # (the adversaries) add a ``__dict__`` for their own fields only.
     __slots__ = (
-        "sim", "addr", "config", "name", "_clock", "_rng", "policy",
-        "addrman", "chain", "mempool", "peers", "running", "started_at",
+        "sim", "addr", "config", "name", "_clock", "_rng", "addrman",
+        "chain", "mempool", "peers", "running", "started_at",
         "departed", "_addr_index",
         # connections
         "attempt_log", "active_feelers", "_attempt_in_flight",
@@ -202,12 +201,9 @@ class BitcoinNode(NodeBehavior):
         #: time once per delivered message).
         self._clock = sim.clock
         self._rng = sim.random.stream("node", str(addr))
-        #: Built policy objects for the configured variant (stateless,
-        #: picklable — they ride inside snapshots with the node).
-        self.policy = build_policies(self.config.policies)
         self.addrman = AddrMan(
             rng=self._rng,
-            horizon_days=self.policy.addr.horizon_days,
+            horizon_days=self.config.policies.tried_horizon_days,
             key=derive_seed(sim.seed, "addrman", str(addr)),
         )
         self.chain = Blockchain()
@@ -454,7 +450,9 @@ class BitcoinNode(NodeBehavior):
         self._connect_event = None
         if not self.running or self.outbound_count >= self.config.max_outbound:
             return
-        target = self.policy.conn.select_target(self, self.sim.now)
+        target = self.addrman.select(
+            self.sim.now, tried_bias=self.config.policies.tried_bias
+        )
         if target is None or target == self.addr or self._connected_to(target):
             self._ensure_connecting()
             return
@@ -760,7 +758,10 @@ class BitcoinNode(NodeBehavior):
         if peer.served_getaddr and not self.config.serve_repeated_getaddr:
             return
         peer.served_getaddr = True
-        records = self.policy.addr.getaddr_records(self.addrman, self.sim.now)
+        records = self.addrman.get_addr(
+            self.sim.now,
+            tried_only=self.config.policies.addr_from_tried_only,
+        )
         response = self._build_addr_response(records)
         if response:
             peer.enqueue_send(Addr(addresses=tuple(response[:1000])))
@@ -1055,18 +1056,19 @@ class BitcoinNode(NodeBehavior):
     # ------------------------------------------------------------------
     # Block and transaction relay
     # ------------------------------------------------------------------
-    # Mechanics live here; the *policy* — peer ordering, queue priority,
-    # inv targets — comes from the configured
-    # :class:`~repro.bitcoin.policy.RelayPolicy` variant.
     def relay_block(self, block: Block) -> None:
-        """Push (BIP152 high-bandwidth) or announce ``block`` to every peer."""
-        policy = self.policy.relay
-        to_front = policy.block_to_front
+        """Push (BIP152 high-bandwidth) or announce ``block`` to every peer.
+
+        §V prioritized relay (``PolicyConfig.prioritize_block_relay``)
+        serves outbound peers first and jumps each send ahead of the
+        queued replies.
+        """
+        prioritize = self.config.policies.prioritize_block_relay
         tracker = self.relay_tracker
         # One INV per block, shared by every peer it is announced to: the
         # message is immutable in flight (as with forwarded ADDRs).
         announcement: Optional[Inv] = None
-        for peer in policy.block_order(self.established_peer_list()):
+        for peer in relay_order(self.established_peer_list(), prioritize):
             if block.block_id in peer.known_blocks:
                 continue
             peer.known_blocks.add(block.block_id)
@@ -1076,14 +1078,14 @@ class BitcoinNode(NodeBehavior):
                 if announcement is None:
                     announcement = Inv(items=(block.inv,))
                 message = announcement
-            peer.enqueue_send(message, to_front=to_front)
+            peer.enqueue_send(message, to_front=prioritize)
             if tracker is not None:
                 tracker.enqueued(block.block_id)
 
     def relay_tx(self, tx: Transaction, exclude: Optional[Peer]) -> None:
         """Queue ``tx`` behind each target peer's Poisson inv trickle."""
         tracker = self.relay_tracker
-        for peer in self.policy.relay.tx_targets(self):
+        for peer in self.established_peer_list():
             if peer is exclude or tx.txid in peer.known_txs:
                 continue
             peer.pending_tx_invs.add(tx.txid)

@@ -120,7 +120,7 @@ class Axis:
         """What a policy variant's hardening buys back under ``plan``:
         ``clean`` (no attack), ``attacked`` (the full plan under the base
         policies), ``mitigated`` (the full plan under ``policies`` — a
-        :class:`PolicyConfig` or a registered variant name; by default
+        :class:`PolicyConfig` or a variant name; by default
         the §V ``improved`` variant)."""
         if policies is None:
             policies = PolicyConfig.improved()

@@ -27,13 +27,21 @@ through their silent spells.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
-from ..bitcoin.light import DEFAULT_LIGHT_PROFILE, LightNode
-from ..bitcoin.policy.base import LightTierPolicy
+from ..bitcoin.addrman import _mix64
+from ..bitcoin.light import DEFAULT_LIGHT_PROFILE, LightNode, LightNodeProfile
 from ..simnet.addresses import NetAddr
 from ..simnet.simulator import Simulator
 from ..simnet.transport import ProbeBehavior
+
+#: The ``unreachable-relay`` assist profile, shared by every assist
+#: endpoint (frozen, one instance — pickling dedupes it across the cloud).
+ASSIST_LIGHT_PROFILE = LightNodeProfile(listen=True, relay_txs=True)
+
+#: Salt keeping assist membership independent of the /16-netgroup and
+#: addrman bucket hashes that also mix the raw IP.
+_ASSIST_SALT = 0x9E3779B97F4A7C15
 
 
 class LightCloud:
@@ -42,6 +50,16 @@ class LightCloud:
     ``mark_*`` install (or retarget) one light node per address.  The
     only RNG draws are in :meth:`mark_silent`, one per silent-class
     address in the order given.
+
+    ``assist_fraction`` (Franzoni & Daza's ``unreachable-relay``) turns
+    a slice of the cloud into transaction-relay assists: the endpoint
+    listens, completes the handshake and relays transactions between
+    its sessions, still a light-tier object.  Membership hashes the
+    address (no RNG draws), so it is stable across lazy
+    materialization, churn and snapshot/restore.  Real assists relay
+    over their own *outbound* links; the light tier has none, so assists
+    accept the dials full nodes make to gossiped unreachable addresses —
+    the same extra edge, with the SYN the other way.
     """
 
     def __init__(
@@ -49,7 +67,7 @@ class LightCloud:
         sim: Simulator,
         rng: random.Random,
         rst_fraction: float = 0.45,
-        light_policy: Optional[LightTierPolicy] = None,
+        assist_fraction: float = 0.0,
     ) -> None:
         self.sim = sim
         self._rng = rng
@@ -57,9 +75,9 @@ class LightCloud:
         #: (host up, port closed) rather than dropping silently.
         self.rst_fraction = rst_fraction
         self.nodes: Dict[NetAddr, LightNode] = {}
-        #: Per-address profile override (``unreachable-relay`` assists);
-        #: ``None`` — every endpoint runs the shared default profile.
-        self.light_policy = light_policy
+        #: ``_mix64`` spreads uniformly over 64 bits, so a salted address
+        #: hash below ``fraction * 2**64`` selects the assist slice.
+        self._assist_below = int(assist_fraction * 2**64)
 
     def _install(self, addr: NetAddr, behavior: ProbeBehavior) -> None:
         node = self.nodes.get(addr)
@@ -71,8 +89,9 @@ class LightCloud:
                 node.apply_behavior(behavior)
             return
         profile = DEFAULT_LIGHT_PROFILE
-        if self.light_policy is not None:
-            profile = self.light_policy.profile_for(addr) or profile
+        below = self._assist_below
+        if below and _mix64(addr.ip ^ _ASSIST_SALT) < below:
+            profile = ASSIST_LIGHT_PROFILE
         if behavior is ProbeBehavior.SILENT and not profile.listen:
             return
         node = LightNode(self.sim, addr, behavior=behavior, profile=profile)

@@ -38,8 +38,6 @@ from ..units import DAYS
 from ..bitcoin.config import NodeConfig, PolicyConfig
 from ..bitcoin.mining import MiningProcess, TransactionGenerator
 from ..bitcoin.node import BitcoinNode
-from ..bitcoin.policy.base import AddrPolicy
-from ..bitcoin.policy.registry import build_policies
 
 # The adversary package sits above bitcoin/ and below netmodel/ in the
 # layering; importing only its plan module here keeps construction
@@ -140,12 +138,11 @@ class LongitudinalConfig:
     #: ``addr_flooder`` specs are accepted here — the other kinds need
     #: protocol fidelity.
     attack: AttackPlan = field(default_factory=AttackPlan)
-    #: Protocol-policy variant.  The crawl model exposes one policy
-    #: surface — what the population gossips
-    #: (:meth:`~repro.bitcoin.policy.AddrPolicy.crawl_gossip` composes
-    #: each materialized table) — so tried-only variants starve the
-    #: unreachable share at campaign scale.  Part of run-store and serve
-    #: keys.
+    #: Protocol-policy variant (``repro.bitcoin.variant_names()``).  The
+    #: crawl model exposes one policy surface — what the population
+    #: gossips: a tried-only variant's materialized tables hold only the
+    #: reachable sample — so tried-only variants starve the unreachable
+    #: share at campaign scale.  Part of run-store and serve keys.
     policies: PolicyConfig = field(default_factory=PolicyConfig)
 
     def validate(self) -> None:
@@ -248,15 +245,12 @@ class LongitudinalScenario:
             self.population.reachable,
             self.reachable_timeline,
         )
-        bundle = build_policies(self.config.policies)
-        #: What the population gossips (``AddrPolicy.crawl_gossip``).
-        self.addr_policy: AddrPolicy = bundle.addr
         #: The unreachable cloud as light-tier endpoints.
         self.light_cloud = LightCloud(
             self.sim,
             self.sim.random.stream("nat"),
             rst_fraction=self.config.rst_fraction,
-            light_policy=bundle.light,
+            assist_fraction=self.config.policies.assist_fraction,
         )
         #: One AddrServer per reachable record, started/stopped with churn.
         self.servers: Dict[NetAddr, AddrServer] = {}
@@ -367,15 +361,20 @@ class LongitudinalScenario:
         n_unreach = min(len(pool), round(n_reach * (1 - share) / share))
 
         rng = self._rng
-        addr_policy = self.addr_policy
+        tried_only = self.config.policies.addr_from_tried_only
         for addr, server in self.servers.items():
             if addr in alive_set:
                 # Both samples are always drawn (the RNG sequence is
-                # policy-independent); the policy only composes them.
+                # policy-independent); the policy only composes them:
+                # baseline gossip spreads addresses with no notion of
+                # reachability (the §IV-B weakness), tried-only keeps the
+                # reachable part.
                 reach_sample = sample(rng, alive_records, n_reach)
                 unreach_sample = sample(rng, pool, n_unreach)
                 server.set_table(
-                    addr_policy.crawl_gossip(reach_sample, unreach_sample)
+                    reach_sample
+                    if tried_only
+                    else reach_sample + unreach_sample
                 )
                 server.start()
             else:
@@ -514,15 +513,12 @@ class ProtocolScenario:
                 ),
             ),
         )
-        #: The built policy bundle of the configured variant (shared by
-        #: the light cloud; each node builds its own from its config).
-        self.policy = build_policies(self.config.node_config.policies)
         #: The unreachable cloud as light-tier endpoints.
         self.light_cloud = LightCloud(
             self.sim,
             self.sim.random.stream("nat"),
             rst_fraction=self.config.rst_fraction,
-            light_policy=self.policy.light,
+            assist_fraction=self.config.node_config.policies.assist_fraction,
         )
         self.light_cloud.mark_responsive(
             record.addr for record in self.population.responsive

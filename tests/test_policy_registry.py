@@ -1,7 +1,7 @@
-"""The pluggable policy registry: canonicalization and equivalence.
+"""The policy-variant table: canonicalization and equivalence.
 
-``PolicyConfig`` is a ``(variant, params)`` reference into
-``repro.bitcoin.policy``, and every spelling of one behavior must
+``PolicyConfig`` is a ``(variant, params)`` reference into the variant
+table of ``repro.bitcoin.config``, and every spelling of one behavior must
 canonicalize onto one form — §V knobs that add up to ``improved`` *are*
 ``improved``: same dataclass fields, same label, same run-store
 identity.  The retired boolean keywords are rejected by name.  Distinct
@@ -16,16 +16,8 @@ import pickle
 
 import pytest
 
-from repro.bitcoin import NodeConfig, PolicyConfig
+from repro.bitcoin import NodeConfig, PolicyConfig, variant_names
 from repro.bitcoin.config import ADDRMAN_HORIZON_DAYS
-from repro.bitcoin.policy import (
-    LightTierPolicy,
-    PolicyVariant,
-    build_policies,
-    get_variant,
-    register,
-    variant_names,
-)
 from repro.core.decode import decode
 from repro.errors import ConfigurationError
 from repro.netmodel import ProtocolConfig, ProtocolScenario
@@ -132,7 +124,7 @@ class TestCanonicalization:
 
 
 # ---------------------------------------------------------------------------
-# The registry itself
+# The variant table
 # ---------------------------------------------------------------------------
 
 
@@ -144,41 +136,6 @@ class TestRegistry:
             "unreachable-relay",
             "churn-resilient",
         }
-
-    def test_duplicate_registration_rejected(self):
-        existing = get_variant("baseline")
-        with pytest.raises(ValueError):
-            register(existing)
-
-    def test_variant_must_cover_universal_knobs(self):
-        with pytest.raises(ValueError):
-            register(
-                PolicyVariant(
-                    name="half-baked",
-                    description="missing the universal knobs",
-                    defaults={"addr_from_tried_only": False},
-                    addr_factory=get_variant("baseline").addr_factory,
-                    relay_factory=get_variant("baseline").relay_factory,
-                    conn_factory=get_variant("baseline").conn_factory,
-                )
-            )
-
-    def test_build_policies_bundle(self):
-        bundle = build_policies(PolicyConfig(variant="improved"))
-        assert bundle.variant == "improved"
-        assert bundle.addr.horizon_days == 17.0
-        assert bundle.relay.block_to_front is True
-        assert bundle.light is None
-
-    def test_unreachable_relay_bundle_has_light_policy(self):
-        bundle = build_policies(PolicyConfig(variant="unreachable-relay"))
-        assert isinstance(bundle.light, LightTierPolicy)
-
-    def test_bundle_pickles(self):
-        bundle = build_policies(PolicyConfig(variant="unreachable-relay"))
-        clone = pickle.loads(pickle.dumps(bundle))
-        assert clone.variant == bundle.variant
-        assert clone.knobs == bundle.knobs
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.bitcoin.messages import GetAddr, Version
-from repro.bitcoin.policy.unreachable_relay import UnreachableRelayLightPolicy
 from repro.errors import ConfigurationError
 from repro.netmodel.addr_server import AddrServer
 from repro.netmodel.asmap import ASUniverse
@@ -147,10 +146,7 @@ class TestNatModel:
     def test_a_listening_assist_is_kept_through_silence(self, sim, rng):
         """Only a plain cloud node is forgotten when it goes silent: an
         assist must listen again when its host comes back."""
-        nat = LightCloud(
-            sim, rng,
-            light_policy=UnreachableRelayLightPolicy({"assist_fraction": 1.0}),
-        )
+        nat = LightCloud(sim, rng, assist_fraction=1.0)
         addr = make_addr(1)
         nat.mark_silent([addr] * 20)  # some draw is SILENT, none forgets
         node = nat.nodes[addr]
