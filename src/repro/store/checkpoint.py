@@ -155,4 +155,14 @@ def load_checkpoint(data: bytes, *, expect_kind: Optional[str] = None) -> Any:
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
         raise CheckpointError("checkpoint payload digest mismatch")
-    return pickle.loads(payload)
+    try:
+        return pickle.loads(payload)
+    except (ImportError, AttributeError, pickle.UnpicklingError) as exc:
+        # An intact payload naming a class this build does not have (a
+        # module or attribute since removed): the blob is of another
+        # layout, and the format number does not say so.
+        raise CheckpointError(
+            f"cannot load a {header.get('kind')!r} checkpoint: {exc} "
+            f"(written under another checkpoint layout; layouts are not "
+            f"migrated) — re-run with --force (force=True) to start it over"
+        ) from exc

@@ -16,8 +16,10 @@ What the store holds for a run:
   ``plan.unit_kind``, meta ``{"index": i}`` — recorded in the manifest
   as a :class:`~repro.store.manifest.SnapshotRecord`;
 * for a *state-carrying* plan (``state_kind`` set) one **state blob**
-  per unit except the last — the live object the next unit continues
-  from, pointed at by ``manifest.checkpoint`` while the run is partial;
+  — the live object the next unit continues from, pointed at by
+  ``manifest.checkpoint`` while the run is partial.  Each unit's state
+  blob replaces the previous one: once the manifest naming the new one
+  is saved, the old one is deleted;
 * one **result blob** once every unit is done, and beside it one plain
   blob per **view** — whatever :meth:`StoredPlan.views` renders of the
   result (a summary, a CSV), recorded as ``manifest.views`` in the same
@@ -26,7 +28,9 @@ What the store holds for a run:
 
 The last unit's manifest write *is* that completion write, and it
 clears ``manifest.checkpoint``: no reader resumes a complete run, so it
-pins no state, and ``store gc`` reclaims every state blob it wrote.
+pins no state, and the last state blob is deleted with it.  A crash
+between a manifest save and its delete leaves one orphan for
+``store gc``.
 
 Resume therefore has two modes.  A state-carrying plan reloads its
 state blob and runs the remaining units on it; a stateless plan keeps
@@ -235,6 +239,21 @@ def _restore(
     return state, [], checkpoint.snapshot_index + 1
 
 
+def _save(
+    store: RunStore,
+    manifest: RunManifest,
+    superseded: Optional[CheckpointRecord],
+) -> None:
+    """Save ``manifest``, then delete the state blob it stopped pointing
+    at — never one the saved manifest still references."""
+    store.save_manifest(manifest)
+    if (
+        superseded is not None
+        and superseded.digest not in manifest.referenced_digests()
+    ):
+        store.blobs.delete(superseded.digest)
+
+
 def _crash_after(crash_index: Optional[int], index: int) -> None:
     """The crash hook, once unit ``index`` is durable."""
     if crash_index is not None and index >= crash_index:
@@ -310,6 +329,7 @@ def run_stored(
     if done:
         manifest.status = STATUS_RUNNING
     else:
+        superseded = manifest.checkpoint if manifest is not None else None
         state = plan.start()
         manifest = RunManifest(
             run_id=run_id,
@@ -321,7 +341,7 @@ def run_stored(
             status=STATUS_RUNNING,
             code_version=code_version(),
         )
-        store.save_manifest(manifest)
+        _save(store, manifest, superseded)
 
     for index in range(done, plan.units):
         out = plan.run_unit(state, index)
@@ -341,6 +361,7 @@ def run_stored(
         )
         if index == plan.units - 1:
             break  # the completion write below commits the last unit
+        superseded = manifest.checkpoint
         if plan.state_kind is not None:
             # Carried state is a live object graph (cyclic: it holds a
             # simulator), so it always pickles with the memo.
@@ -355,7 +376,7 @@ def run_stored(
                 digest=state_digest, snapshot_index=index
             )
         manifest.updated_at = wall_now()
-        store.save_manifest(manifest)
+        _save(store, manifest, superseded)
         _crash_after(crash_index, index)
 
     result = plan.finish(state, outs)
@@ -369,10 +390,10 @@ def run_stored(
         name: store.put_blob(data) for name, data in plan.views(result).items()
     }
     # No reader resumes a complete run, so it pins no state.
-    manifest.checkpoint = None
+    superseded, manifest.checkpoint = manifest.checkpoint, None
     manifest.status = STATUS_COMPLETE
     manifest.updated_at = wall_now()
-    store.save_manifest(manifest)
+    _save(store, manifest, superseded)
     if done < plan.units:
         _crash_after(crash_index, plan.units - 1)
     return StoredRun(

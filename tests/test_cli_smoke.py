@@ -104,15 +104,18 @@ class TestCampaignSmoke:
         assert code == 0
         assert f"stored as run {run_id}" in capsys.readouterr().out
 
-    def test_campaign_resume_wrong_config_fails_loudly(self, tiny_store):
-        from repro.errors import StoreError
-
+    def test_campaign_resume_wrong_config_fails_loudly(
+        self, tiny_store, capsys
+    ):
         root, run_id = tiny_store
-        with pytest.raises(StoreError):
-            main(
-                ["campaign", "--scale", "0.002", "--snapshots", "2",
-                 "--seed", "8", "--store", str(root), "--resume", run_id]
-            )
+        code = main(
+            ["campaign", "--scale", "0.002", "--snapshots", "2",
+             "--seed", "8", "--store", str(root), "--resume", run_id]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot resume") and err.count("\n") == 1
+        assert "different run key" in err
 
 
 class TestStoreFlags:

@@ -810,9 +810,14 @@ class TestStoredViews:
                 *manifest.views.values(),
             }
             q = (await client.request("GET", "/v1/admin/quota")).json()
-            assert q["tenants"]["anon"]["bytes_stored"] == sum(
+            charged = q["tenants"]["anon"]["bytes_stored"]
+            assert charged == sum(
                 service.store.blobs.size_bytes(digest) for digest in pinned
             )
+            # ...which is every byte in the store: the run deleted its
+            # state blobs as it went, and left gc nothing.
+            assert charged == service.store.blobs.total_bytes()
+            assert service.store.gc(dry_run=True)["removed"] == []
 
         with_service(tmp_path, body)
 

@@ -605,13 +605,13 @@ def _assert_resumed_equals_fresh(flavour, tmp_path, run):
     assert sorted(fresh.views) == (
         ["campaign_series.csv", "summary.json"] if flavour == "campaign" else []
     )
-    if _PLAN_TYPES[fresh.kind].state_kind is None:
-        # a stateless plan stores each unit once and nothing else
-        assert blobs_at_kill == 1
-        assert len(store.blobs) == len(units) + 1
-    else:
-        # a state-carrying one also the state unit 0 left
-        assert blobs_at_kill == 2
+    # At the kill the store held unit 0 and, for a state-carrying plan,
+    # the state it left; complete, it holds each unit once, the result
+    # and the views, and nothing else: the state blob went with the
+    # manifest that stopped naming it.
+    stateful = _PLAN_TYPES[fresh.kind].state_kind is not None
+    assert blobs_at_kill == 1 + stateful
+    assert len(store.blobs) == len(units) + 1 + len(resumed.views)
 
     # Both are now cache hits on equal results.
     again_a = FLAVOURS[flavour](interrupted)
