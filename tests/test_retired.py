@@ -321,6 +321,16 @@ GUARDS = [
         "d59d8d4",
         "    handler_interval: float = 0.100",
     ),
+    Guard(
+        "policy.registry",
+        r"PolicyVariant|PolicyBundle|build_policies|ensure_builtins|LightTierPolicy"
+        r"|bitcoin\.policy|\.policy\.(addr|relay|conn|light)\b",
+        ("src/",),
+        "a policy variant is a row of knobs in bitcoin/config.py, each read "
+        "where its mechanism lives (\"Policy variants\")",
+        "4cae709",
+        "from .policy.registry import build_policies",
+    ),
 ]
 
 
