@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro.serve import CampaignService, Client, ServiceConfig, parse_submission
+from repro.serve import CampaignService, Client, ServiceConfig, http, parse_submission
 from repro.store import CampaignPlan, RunManifest, RunStore
 
 #: The tiny campaign used throughout; fresh ~1s, cached ~ms.
@@ -607,6 +607,94 @@ class TestRetiredCheckpointFormat:
             r = await client.request("POST", "/v1/campaigns", body=tiny())
             assert r.json()["disposition"] == "queued"
             await stream_to_end(client, r.json()["id"])
+            return None
+
+        with_service(tmp_path, body)
+
+
+def _refusal(raw):
+    """The status ``read_request`` refuses ``raw`` with (None: accepted)."""
+
+    async def parse():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        try:
+            await http.read_request(reader)
+        except http.HttpError as exc:
+            return exc.status
+        return None
+
+    return asyncio.run(parse())
+
+
+def _post(*headers, body=b""):
+    head = "".join(f"{line}\r\n" for line in headers)
+    return f"POST /v1/campaigns HTTP/1.1\r\n{head}\r\n".encode() + body
+
+
+async def _raw_exchange(port, raw):
+    """Send ``raw`` and read until the service closes the connection."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(raw)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=10.0)
+    finally:
+        writer.close()
+
+
+class TestHttpRefusals:
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"GET //[x/ HTTP/1.1\r\n\r\n", 400),
+            (_post("Content-Length: 1_0", body=b"0123456789"), 400),
+            (_post("Content-Length: +5", body=b"01234"), 400),
+            (_post("Content-Length: 3", "Content-Length: 4", body=b"0123"), 400),
+            (b"GET /" + b"a" * http.MAX_REQUEST_LINE + b" HTTP/1.1\r\n\r\n", 400),
+            (_post(*[f"X-H{i}: v" for i in range(http.MAX_HEADER_COUNT + 1)]), 400),
+            (_post("Transfer-Encoding: chunked", body=b"0\r\n\r\n"), 501),
+            (_post(f"Content-Length: {http.MAX_BODY_BYTES + 1}"), 413),
+            (_post("Content-Length: 10", body=b"abc"), 400),
+            (b"GET / HTTP/2.0\r\n\r\n", 400),
+        ],
+        ids=[
+            "unparseable-target", "underscore-length", "signed-length",
+            "conflicting-lengths", "long-request-line", "too-many-headers",
+            "chunked-body", "body-too-large", "short-body", "bad-version",
+        ],
+    )
+    def test_read_request_refusals(self, raw, status):
+        assert _refusal(raw) == status
+
+    def test_unparseable_target_is_a_400_over_the_wire(self, tmp_path):
+        async def body(service, client):
+            reply = await _raw_exchange(
+                service.port, b"GET //[x/ HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            assert reply.startswith(b"HTTP/1.1 400 ")
+            # The service is still up for everyone else.
+            r = await client.request("GET", "/v1/healthz")
+            assert r.status == 200
+            return None
+
+        with_service(tmp_path, body)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"GET /v1/hea", _post("Content-Length: 10", body=b"abc")],
+        ids=["partial-request-line", "short-post-body"],
+    )
+    def test_stalled_request_is_a_408_then_eof(self, tmp_path, monkeypatch, raw):
+        # raising=False: a build without the bound fails below, on the
+        # missing response, rather than here on the missing name.
+        monkeypatch.setattr(http, "REQUEST_TIMEOUT", 0.2, raising=False)
+
+        async def body(service, client):
+            # _raw_exchange reads to EOF: the 408 and then the close.
+            reply = await _raw_exchange(service.port, raw)
+            assert reply.startswith(b"HTTP/1.1 408 ")
             return None
 
         with_service(tmp_path, body)
