@@ -32,7 +32,6 @@ from .errors import (
     ChainError,
     ClockError,
     ConnectionClosedError,
-    HandshakeError,
     ProtocolError,
     ReproError,
     ScenarioError,
@@ -47,7 +46,6 @@ __all__ = [
     "ChainError",
     "ClockError",
     "ConnectionClosedError",
-    "HandshakeError",
     "ProtocolError",
     "ReproError",
     "ScenarioError",

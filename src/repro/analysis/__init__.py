@@ -1,31 +1,16 @@
-"""Statistics helpers: summaries, CDFs, KDE, time series."""
+"""Statistics helpers: summaries, KDE, time series."""
 
 from .kde import DensityEstimate, compare_densities, kde
-from .stats import (
-    Summary,
-    ccdf,
-    cdf,
-    fraction_below,
-    k_to_cover,
-    ratio_table,
-    summarize,
-    top_k_share,
-)
-from .timeseries import Sampler, Series, set_deltas
+from .stats import Summary, k_to_cover, summarize
+from .timeseries import Sampler, Series
 
 __all__ = [
     "DensityEstimate",
     "Sampler",
     "Series",
     "Summary",
-    "ccdf",
-    "cdf",
     "compare_densities",
-    "fraction_below",
     "k_to_cover",
     "kde",
-    "ratio_table",
-    "set_deltas",
     "summarize",
-    "top_k_share",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -53,40 +53,6 @@ def summarize(values: Sequence[float]) -> Summary:
     )
 
 
-def cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: sorted values and cumulative probabilities."""
-    if len(values) == 0:
-        raise AnalysisError("cannot build a CDF from an empty series")
-    xs = np.sort(np.asarray(values, dtype=float))
-    ps = np.arange(1, xs.size + 1) / xs.size
-    return xs, ps
-
-
-def ccdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Complementary CDF (survival function)."""
-    xs, ps = cdf(values)
-    return xs, 1.0 - ps + 1.0 / xs.size
-
-
-def fraction_below(values: Sequence[float], threshold: float) -> float:
-    """Share of values strictly below ``threshold``."""
-    if len(values) == 0:
-        raise AnalysisError("empty series")
-    array = np.asarray(values, dtype=float)
-    return float((array < threshold).mean())
-
-
-def top_k_share(counts: Dict, k: int) -> float:
-    """Mass share of the ``k`` largest entries of a count mapping."""
-    if not counts:
-        raise AnalysisError("empty counts")
-    ordered = sorted(counts.values(), reverse=True)
-    total = sum(ordered)
-    if total == 0:
-        return 0.0
-    return sum(ordered[:k]) / total
-
-
 def k_to_cover(counts: Dict, share: float = 0.5) -> int:
     """Smallest number of top entries covering ``share`` of the mass.
 
@@ -105,14 +71,3 @@ def k_to_cover(counts: Dict, share: float = 0.5) -> int:
         if acc >= target:
             return index
     return len(ordered)
-
-
-def ratio_table(
-    pairs: Sequence[Tuple[str, float, float]]
-) -> List[Tuple[str, float, float, float]]:
-    """(name, paper, measured) → rows with measured/paper ratio appended."""
-    rows = []
-    for name, paper, measured in pairs:
-        ratio = measured / paper if paper else float("nan")
-        rows.append((name, paper, measured, ratio))
-    return rows

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -66,21 +66,3 @@ class Sampler:
 
     def stop(self) -> None:
         self._task.stop()
-
-
-def set_deltas(
-    snapshots: Sequence[set],
-) -> Tuple[List[int], List[int]]:
-    """Arrivals and departures between consecutive set snapshots.
-
-    Returns two lists of length ``len(snapshots) - 1``: items appearing
-    and items vanishing at each step (the Fig. 13 computation).
-    """
-    if len(snapshots) < 2:
-        raise AnalysisError("need at least two snapshots")
-    arrivals: List[int] = []
-    departures: List[int] = []
-    for previous, current in zip(snapshots, snapshots[1:]):
-        arrivals.append(len(current - previous))
-        departures.append(len(previous - current))
-    return arrivals, departures

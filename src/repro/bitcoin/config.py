@@ -269,7 +269,6 @@ class NodeConfig:
     listen: bool = True
     #: TCP connect timeout for silent targets.
     connect_timeout: float = 5.0
-    feeler_interval: float = FEELER_INTERVAL
     feelers_enabled: bool = True
     #: Mean lifetime of an outbound connection before it drops
     #: spontaneously (peer-side eviction, NAT timeout, link failure).
@@ -303,18 +302,12 @@ class NodeConfig:
     #: period — the request load that queues ahead of blocks in
     #: vSendMessage (the §IV-C head-of-line scenario).  None disables.
     getaddr_repeat_interval: "float | None" = None
-    #: PING keepalive period (Core pings every ~2 minutes).  None
-    #: disables; the default keeps simulations lean since idle links
-    #: never fail in-sim unless connection_lifetime_mean says so.
-    ping_interval: "float | None" = None
 
     # --- relay ---
     #: Mean of the Poisson tx-inv trickle timer for outbound peers.
     tx_inv_interval_outbound: float = 2.0
     #: Mean of the Poisson tx-inv trickle timer for inbound peers.
     tx_inv_interval_inbound: float = 5.0
-    #: Use BIP152 compact blocks with established peers.
-    compact_blocks: bool = True
     #: Fraction of peers negotiating high-bandwidth compact-block mode
     #: (by 2020 most of the network relayed blocks compactly).
     hb_compact_fraction: float = 0.85

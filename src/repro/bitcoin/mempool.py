@@ -9,7 +9,7 @@ GETBLOCKTXN round trip.  Transactions are opaque ``(txid, size)`` pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,3 @@ class Mempool:
     def missing_from(self, txids: Iterable[int]) -> List[int]:
         """The subset of ``txids`` not in the pool (compact-block gaps)."""
         return [txid for txid in txids if txid not in self._txs]
-
-    def split_known(self, txids: Iterable[int]) -> Tuple[List[int], List[int]]:
-        """Partition ``txids`` into (known, missing)."""
-        known: List[int] = []
-        missing: List[int] = []
-        for txid in txids:
-            (known if txid in self._txs else missing).append(txid)
-        return known, missing

@@ -175,7 +175,7 @@ class BitcoinNode(NodeBehavior):
         "_pass_scheduled", "uplink_free_at", "_schedule_pass", "_run_pass",
         "dirty_process", "dirty_send",
         # relay and the periodic rounds
-        "_inbound_trickle_armed", "_getaddr_task", "_ping_task",
+        "_inbound_trickle_armed", "_getaddr_task",
         "_established_cache", "_pending_cmpct",
         # measurement
         "relay_tracker", "first_relay_at", "tip_history", "on_tip_advanced",
@@ -250,7 +250,6 @@ class BitcoinNode(NodeBehavior):
         #: The shared inbound trickle timer is pending.
         self._inbound_trickle_armed = False
         self._getaddr_task = None
-        self._ping_task = None
         # Cached list of established peers, in peers-dict (connection)
         # order; rebuilt lazily after any membership or handshake-state
         # change.  ADDR forwarding consults it per gossiped record, so
@@ -343,17 +342,13 @@ class BitcoinNode(NodeBehavior):
         self._ensure_connecting()
         if self.config.feelers_enabled:
             self._feeler_task = self.sim.call_every(
-                self.config.feeler_interval,
+                cfg.FEELER_INTERVAL,
                 self._try_feeler,
-                start_delay=self._rng.uniform(0, self.config.feeler_interval),
+                start_delay=self._rng.uniform(0, cfg.FEELER_INTERVAL),
             )
         if self.config.getaddr_repeat_interval:
             self._getaddr_task = self.sim.call_every(
                 self.config.getaddr_repeat_interval, self._send_getaddr_round
-            )
-        if self.config.ping_interval:
-            self._ping_task = self.sim.call_every(
-                self.config.ping_interval, self._send_ping_round
             )
 
     def stop(self) -> None:
@@ -364,9 +359,6 @@ class BitcoinNode(NodeBehavior):
         if self._getaddr_task is not None:
             self._getaddr_task.stop()
             self._getaddr_task = None
-        if self._ping_task is not None:
-            self._ping_task.stop()
-            self._ping_task = None
         if self._feeler_task is not None:
             self._feeler_task.stop()
             self._feeler_task = None
@@ -742,9 +734,8 @@ class BitcoinNode(NodeBehavior):
             peer.enqueue_send(
                 Addr(addresses=(TimestampedAddr(self.addr, self.sim.now),))
             )
-        if self.config.compact_blocks:
-            high_bandwidth = self._rng.random() < self.config.hb_compact_fraction
-            peer.enqueue_send(SendCmpct(high_bandwidth=high_bandwidth))
+        high_bandwidth = self._rng.random() < self.config.hb_compact_fraction
+        peer.enqueue_send(SendCmpct(high_bandwidth=high_bandwidth))
         self._maybe_sync_from(peer)
 
     def _handle_ping(self, peer: Peer, message: Ping) -> None:
@@ -1045,14 +1036,6 @@ class BitcoinNode(NodeBehavior):
             peer.enqueue_send(GETADDR)
         self._wake_handler()
 
-    def _send_ping_round(self) -> None:
-        """Periodic PING keepalive to every established peer."""
-        if not self.running:
-            return
-        for peer in self.established_peer_list():
-            peer.enqueue_send(Ping(nonce=self._rng.getrandbits(32)))
-        self._wake_handler()
-
     # ------------------------------------------------------------------
     # Block and transaction relay
     # ------------------------------------------------------------------
@@ -1072,7 +1055,7 @@ class BitcoinNode(NodeBehavior):
             if block.block_id in peer.known_blocks:
                 continue
             peer.known_blocks.add(block.block_id)
-            if self.config.compact_blocks and peer.wants_cmpct_hb:
+            if peer.wants_cmpct_hb:
                 message: Message = CmpctBlock(block=block)
             else:
                 if announcement is None:

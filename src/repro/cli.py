@@ -39,10 +39,11 @@ compiles a deterministic fault plan onto every run; ``--seed-timeout``
 and ``--retries`` tune the supervised runner that multi-seed sweeps
 execute under.
 
-``--profile [OUT]`` (same three commands) runs the whole command under
-cProfile and writes the hotspot ranking to ``OUT.txt``/``OUT.json``
-(see ``repro.perf.profiler``) — the first step of any performance
-investigation (docs/architecture.md, "The hot path").
+``--profile [OUT]`` (on ``campaign``, ``sync``, ``chaos``, ``attack``
+and ``variants``) runs the whole command under cProfile and writes the
+hotspot ranking to ``OUT.txt``/``OUT.json`` (see ``repro.perf.profiler``)
+— the first step of any performance investigation
+(docs/architecture.md, "The hot path").
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ detector, the routing-attack revisit, and the experiment drivers for every
 figure in §IV.
 """
 
-from .addr_analysis import AddrComposition, classify_harvest, composition, table_composition
+from .addr_analysis import AddrComposition, classify_harvest, composition
 from .churn_matrix import (
     ChurnMatrix,
     ChurnStats,
@@ -25,7 +25,6 @@ from .conn_experiments import (
     run_connection_stability,
     run_connection_success,
     run_resync_experiment,
-    summarize_attempt_durations,
     warm_world,
 )
 from . import export, figures
@@ -62,11 +61,7 @@ from .pipeline import (
     SnapshotResult,
 )
 from .prober import ProbeCampaignResult, ProbeConfig, VerProber
-from .propagation import (
-    BlockPropagation,
-    PropagationTracker,
-    measure_propagation,
-)
+from .propagation import BlockPropagation, PropagationTracker
 from .relay_experiments import (
     RelayExperimentConfig,
     RelayExperimentResult,
@@ -96,7 +91,7 @@ from .supervisor import (
     run_supervised,
     supervisor_config,
 )
-from .sync_monitor import SyncMonitor, SyncSnapshot, best_height_at
+from .sync_monitor import SyncMonitor, SyncSnapshot
 
 __all__ = [
     "CRAWLER_ADDR",
@@ -147,7 +142,6 @@ __all__ = [
     "TargetShift",
     "VerProber",
     "analyze",
-    "best_height_at",
     "build_matrix",
     "build_relay_scenario",
     "classify_harvest",
@@ -161,7 +155,6 @@ __all__ = [
     "figures",
     "format_table",
     "hosting_report",
-    "measure_propagation",
     "merge_reports",
     "plan_hijack",
     "run_connection_stability",
@@ -175,10 +168,8 @@ __all__ = [
     "score_detection",
     "seed_range",
     "series_preview",
-    "summarize_attempt_durations",
     "supervisor_config",
     "synchronized_departures",
-    "table_composition",
     "target_shifts",
     "time_to_detection",
     "warm_world",

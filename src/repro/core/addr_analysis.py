@@ -9,7 +9,7 @@ connection failure rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Set
+from typing import Dict, Set
 
 from ..simnet.addresses import NetAddr
 from .getaddr import CrawlResult, PeerHarvest
@@ -74,20 +74,3 @@ def composition(
         unreachable_unique=len(all_addrs) - reachable_unique,
         mean_reachable_share=mean_share,
     )
-
-
-def table_composition(
-    table: Iterable[NetAddr], is_reachable: Callable[[NetAddr], bool]
-) -> Dict[str, int]:
-    """Reachable/unreachable counts of an addrman table (ablation views)."""
-    reachable = 0
-    total = 0
-    for addr in table:
-        total += 1
-        if is_reachable(addr):
-            reachable += 1
-    return {
-        "reachable": reachable,
-        "unreachable": total - reachable,
-        "total": total,
-    }

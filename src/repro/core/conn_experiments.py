@@ -24,7 +24,6 @@ import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..analysis.stats import Summary, summarize
 from ..analysis.timeseries import Sampler, Series
 from ..errors import ScenarioError
 from ..bitcoin.config import NodeConfig
@@ -212,13 +211,3 @@ def run_resync_experiment(
     if first is not None and first < restart_at:
         first = None
     return ResyncResult(restart_at=restart_at, first_relay_at=first)
-
-
-def summarize_attempt_durations(node: BitcoinNode) -> Summary:
-    """Distribution of attempt durations (diagnostic for Fig. 7 pacing)."""
-    durations = [
-        a.duration
-        for a in node.attempt_log
-        if not a.outcome.startswith("feeler")
-    ]
-    return summarize(durations)

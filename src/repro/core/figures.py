@@ -1,10 +1,9 @@
 """Terminal renderings of the paper's figures.
 
 Pure-text plots (no plotting dependency): density curves for Fig. 1,
-dual-series lines for Figs. 4/5, histograms for Figs. 7/8/10/11, and a
-block-character presence matrix for Fig. 12.  Used by the CLI and the
-examples; exact-pixel fidelity is a job for the CSV export + a real
-plotting tool.
+dual-series lines for Figs. 4/5, and a block-character presence matrix
+for Fig. 12.  Used by the CLI; exact-pixel fidelity is a job for the CSV
+export + a real plotting tool.
 """
 
 from __future__ import annotations
@@ -27,19 +26,6 @@ def _scale_to_blocks(values: Sequence[float], peak: Optional[float] = None) -> s
         _BLOCKS[min(len(_BLOCKS) - 1, round(v / top * (len(_BLOCKS) - 1)))]
         for v in array
     )
-
-
-def density_curve(
-    density: DensityEstimate, width: int = 64, label: str = ""
-) -> str:
-    """One KDE rendered as a block-character curve (a Fig. 1 line)."""
-    resampled = np.interp(
-        np.linspace(density.grid[0], density.grid[-1], width),
-        density.grid,
-        density.density,
-    )
-    prefix = f"{label:>6} " if label else ""
-    return f"{prefix}{_scale_to_blocks(resampled)}"
 
 
 def density_overlay(
@@ -85,27 +71,6 @@ def dual_series(
     )
 
 
-def histogram(
-    values: Sequence[float],
-    bins: int = 12,
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """A horizontal-bar histogram (Figs. 7/10/11 distributions)."""
-    if not values:
-        raise AnalysisError("no values to histogram")
-    counts, edges = np.histogram(np.asarray(values, dtype=float), bins=bins)
-    peak = counts.max() or 1
-    lines = []
-    for index, count in enumerate(counts):
-        bar = "█" * int(count / peak * width)
-        lines.append(
-            f"{edges[index]:>9.2f}-{edges[index + 1]:<9.2f}{unit} "
-            f"|{bar:<{width}} {count}"
-        )
-    return "\n".join(lines)
-
-
 def presence_matrix(
     matrix: "np.ndarray", max_rows: int = 40, max_cols: int = 80
 ) -> str:
@@ -131,15 +96,3 @@ def presence_matrix(
             )
         lines.append("".join(line))
     return "\n".join(lines)
-
-
-def flood_bars(volumes: Sequence[int], width: int = 50, top: int = 20) -> str:
-    """Fig. 8: per-flooder volumes, largest first."""
-    if not volumes:
-        raise AnalysisError("no flooder volumes")
-    ordered = sorted(volumes, reverse=True)[:top]
-    peak = ordered[0] or 1
-    return "\n".join(
-        f"#{rank:<3} |{'█' * int(volume / peak * width):<{width}} {volume:,}"
-        for rank, volume in enumerate(ordered, start=1)
-    )

@@ -123,33 +123,3 @@ class PropagationTracker:
         if not delays:
             raise AnalysisError("no block reached the requested coverage")
         return float(np.mean(delays))
-
-
-def measure_propagation(
-    n_reachable: int = 60,
-    max_outbound: int = 8,
-    blocks: int = 10,
-    block_interval: float = 120.0,
-    seed: int = 3,
-) -> "tuple[PropagationTracker, ProtocolScenario]":
-    """Run a propagation experiment at a given outdegree.
-
-    The §IV-B ablation: rerun with ``max_outbound=2`` and watch the
-    90th-percentile delay stretch, exactly as the 8^5-vs-2^14 rounds
-    argument predicts.
-    """
-    from ..bitcoin.config import NodeConfig
-    from ..netmodel.scenario import ProtocolConfig
-
-    scenario = ProtocolScenario(
-        ProtocolConfig(
-            n_reachable=n_reachable,
-            seed=seed,
-            block_interval=block_interval,
-            node_config=NodeConfig(max_outbound=max_outbound),
-        )
-    )
-    scenario.start(warmup=900.0)
-    tracker = PropagationTracker(scenario)
-    scenario.sim.run_for(blocks * block_interval * 1.2)
-    return tracker, scenario

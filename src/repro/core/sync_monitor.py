@@ -9,7 +9,6 @@ analysis of §IV-D).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
@@ -114,11 +113,3 @@ class SyncMonitor:
         stats = self.departure_stats()
         windows_per_10min = 600.0 / self.period
         return stats.sync_departures_per_window * windows_per_10min
-
-
-def best_height_at(history_times: List[float], heights: List[int], when: float) -> int:
-    """Network-best height at time ``when`` given the mined-block history."""
-    if len(history_times) != len(heights):
-        raise AnalysisError("history arrays must have equal length")
-    index = bisect.bisect_right(history_times, when)
-    return heights[index - 1] if index > 0 else 0

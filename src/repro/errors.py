@@ -36,10 +36,6 @@ class ProtocolError(ReproError):
     """A violation of the simulated Bitcoin wire protocol."""
 
 
-class HandshakeError(ProtocolError):
-    """A version handshake failed or a message arrived before VERACK."""
-
-
 class ChainError(ReproError):
     """An inconsistency in a simulated blockchain (unknown parent etc.)."""
 

@@ -19,13 +19,7 @@ from .churn import (
     build_unreachable_timeline,
 )
 from .malicious import FloodVolumeModel, MaliciousAddrServer, paper_flooders
-from .metrics import (
-    TopologyStats,
-    connection_graph,
-    degree_histogram,
-    pairwise_distances_sample,
-    topology_stats,
-)
+from .metrics import TopologyStats, connection_graph, topology_stats
 from .nat import LightCloud
 from .population import NodeClass, NodeRecord, Population, PopulationConfig
 from .scenario import (
@@ -61,11 +55,9 @@ __all__ = [
     "ReachableChurnConfig",
     "build_class_weights",
     "connection_graph",
-    "degree_histogram",
     "build_reachable_timeline",
     "build_unreachable_timeline",
     "calibration",
-    "pairwise_distances_sample",
     "paper_flooders",
     "topology_stats",
 ]

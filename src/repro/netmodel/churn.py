@@ -92,16 +92,6 @@ class PresenceTimeline:
     def ever_seen(self, addr: NetAddr) -> bool:
         return addr in self._intervals
 
-    def total_online(self, addr: NetAddr) -> float:
-        return sum(end - start for start, end in self._intervals.get(addr, ()))
-
-    def lifetime_span(self, addr: NetAddr) -> float:
-        """First-join to last-leave span (the paper's node lifetime)."""
-        spans = self._intervals.get(addr)
-        if not spans:
-            return 0.0
-        return spans[-1][1] - spans[0][0]
-
     def addresses(self) -> List[NetAddr]:
         return list(self._intervals)
 

@@ -10,13 +10,11 @@ degree/connectivity statistics that argument rests on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..bitcoin.node import BitcoinNode
 from ..errors import AnalysisError
-from ..simnet import rand
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -61,13 +59,6 @@ class TopologyStats:
     #: component is trivial).
     diameter: Optional[int]
 
-    @property
-    def expected_propagation_rounds(self) -> float:
-        """The paper's back-of-envelope: rounds r with d^r >= n."""
-        if self.mean_outdegree <= 1 or self.nodes <= 1:
-            return float("inf")
-        return math.log(self.nodes) / math.log(self.mean_outdegree)
-
 
 def topology_stats(nodes: Sequence[BitcoinNode]) -> TopologyStats:
     """Compute :class:`TopologyStats` for the running nodes."""
@@ -94,43 +85,3 @@ def topology_stats(nodes: Sequence[BitcoinNode]) -> TopologyStats:
         largest_component_share=len(largest) / graph.number_of_nodes(),
         diameter=diameter,
     )
-
-
-def degree_histogram(nodes: Sequence[BitcoinNode]) -> Dict[int, int]:
-    """Outdegree histogram: degree → node count."""
-    graph = connection_graph(nodes)
-    histogram: Dict[int, int] = {}
-    for _node, degree in graph.out_degree():
-        histogram[degree] = histogram.get(degree, 0) + 1
-    return histogram
-
-
-def pairwise_distances_sample(
-    nodes: Sequence[BitcoinNode], sample: int = 200, seed: int = 0
-) -> List[int]:
-    """Shortest-path lengths for a sample of connected node pairs.
-
-    Used to validate the propagation-rounds estimate: block hops track
-    graph distance.
-    """
-    import random
-
-    import networkx as nx
-
-    graph = connection_graph(nodes).to_undirected()
-    addresses = list(graph.nodes)
-    if len(addresses) < 2:
-        raise AnalysisError("need at least two nodes")
-    rng = random.Random(seed)
-    lengths: List[int] = []
-    attempts = 0
-    while len(lengths) < sample and attempts < sample * 10:
-        attempts += 1
-        a, b = rand.sample(rng, addresses, 2)
-        try:
-            lengths.append(nx.shortest_path_length(graph, a, b))
-        except nx.NetworkXNoPath:
-            continue
-    if not lengths:
-        raise AnalysisError("no connected pairs found")
-    return lengths

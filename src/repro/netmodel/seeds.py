@@ -162,12 +162,6 @@ class DnsSeeder:
             self._known_set.add(addr)
             self._known.append(addr)
 
-    def unregister(self, addr: NetAddr) -> None:
-        """Seeder noticed the node is gone (lazily pruned)."""
-        if addr in self._known_set:
-            self._known_set.discard(addr)
-            self._known.remove(addr)
-
     def query(self, count: int = 256) -> List[NetAddr]:
         """A DNS response: up to ``count`` known reachable addresses."""
         count = min(count, len(self._known))

@@ -10,12 +10,7 @@ from .addresses import DEFAULT_PORT, NetAddr, TimestampedAddr
 from .clock import SimClock
 from .events import EventHandle, Scheduler
 from .latency import LatencyConfig, LatencyModel
-from .rand import (
-    RandomStreams,
-    derive_seed,
-    weighted_sample_without_replacement,
-    zipf_weights,
-)
+from .rand import RandomStreams, derive_seed
 from .simulator import PeriodicTask, Simulator
 from .transport import (
     DEFAULT_CONNECT_TIMEOUT,
@@ -43,6 +38,4 @@ __all__ = [
     "Socket",
     "TimestampedAddr",
     "derive_seed",
-    "weighted_sample_without_replacement",
-    "zipf_weights",
 ]

@@ -23,7 +23,7 @@ import random
 import sys
 from array import array
 from math import ceil, log
-from typing import Iterable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -139,44 +139,3 @@ def sample(rng: random.Random, population: Sequence[T], k: int) -> List[T]:
             selected_add(j)
             result[i] = population[j]
     return result
-
-
-def weighted_sample_without_replacement(
-    rng: random.Random,
-    population: Sequence[T],
-    weights: Sequence[float],
-    k: int,
-) -> List[T]:
-    """Sample ``k`` distinct items with probability proportional to weight.
-
-    Uses the Efraimidis-Spirakis exponential-key trick, which is O(n log n)
-    and exact.  ``k`` larger than the population returns the whole
-    population in random order.
-    """
-    if len(population) != len(weights):
-        raise ValueError("population and weights must have equal length")
-    keyed = []
-    for item, weight in zip(population, weights):
-        if weight < 0:
-            raise ValueError(f"weights must be non-negative, got {weight}")
-        if weight == 0:
-            continue
-        keyed.append((rng.random() ** (1.0 / weight), item))
-    keyed.sort(reverse=True)
-    return [item for _key, item in keyed[:k]]
-
-
-def zipf_weights(n: int, exponent: float) -> List[float]:
-    """Weights ``1/rank**exponent`` for ranks 1..n (unnormalised)."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be non-negative, got {exponent}")
-    return [1.0 / (rank**exponent) for rank in range(1, n + 1)]
-
-
-def shuffled(rng: random.Random, items: Iterable[T]) -> List[T]:
-    """Return a new list with the items in random order."""
-    out = list(items)
-    rng.shuffle(out)
-    return out

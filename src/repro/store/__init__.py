@@ -26,7 +26,6 @@ from .checkpoint import (
 from .manifest import (
     MANIFEST_FORMAT,
     STATUS_COMPLETE,
-    STATUS_INTERRUPTED,
     STATUS_RUNNING,
     CheckpointRecord,
     RunManifest,
@@ -54,7 +53,6 @@ __all__ = [
     "RunManifest",
     "RunStore",
     "STATUS_COMPLETE",
-    "STATUS_INTERRUPTED",
     "STATUS_RUNNING",
     "SnapshotRecord",
     "StoredPlan",

@@ -4,7 +4,7 @@ A manifest describes one run — what was executed (scenario + campaign
 config, seed, code version), what came out of it
 (per-snapshot result blobs, the final result blob, the result's
 rendered views), and where it stands
-(``running`` / ``complete`` / ``interrupted``).  Blobs live in the
+(``running`` / ``complete``).  Blobs live in the
 content-addressed :class:`~repro.store.blobs.BlobStore`; the manifest
 holds only digests, so identical outputs across runs share storage.
 
@@ -36,8 +36,7 @@ MANIFEST_FORMAT = 1
 
 STATUS_RUNNING = "running"
 STATUS_COMPLETE = "complete"
-STATUS_INTERRUPTED = "interrupted"
-_STATUSES = (STATUS_RUNNING, STATUS_COMPLETE, STATUS_INTERRUPTED)
+_STATUSES = (STATUS_RUNNING, STATUS_COMPLETE)
 
 
 def canonical_json(value: Any) -> str:

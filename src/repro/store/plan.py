@@ -1,14 +1,16 @@
 """One resumable work-unit runner over the run store.
 
 Every long measurement in the reproduction is a campaign cut into
-*units* — daily snapshots, attacker-count levels, matrix cells — and is
-meant to be run "stored": keyed by content, checkpointed per unit,
-resumable after a kill, a cache hit once complete.  A
+*units* — daily snapshots, sweep cells — and is meant to be run
+"stored": keyed by content, checkpointed per unit, resumable after a
+kill, a cache hit once complete.  A
 :class:`StoredPlan` *describes* such a campaign (its config, its unit
 body, how units fold into a result); :func:`run_stored` *executes* one
-against a :class:`~repro.store.runstore.RunStore`.  The crawl campaign
-(:mod:`repro.store.campaign`), the attack sweep and the variant matrix
-(:mod:`repro.core`) are each a plan class over this one runner.
+against a :class:`~repro.store.runstore.RunStore`.  There are two plan
+classes over this one runner: the crawl campaign
+(:class:`~repro.store.campaign.CampaignPlan`) and the Fig. 1 condition
+sweep (:class:`~repro.core.condition_sweep.ConditionSweepPlan`), which
+every attack, variant, chaos and churn sweep is.
 
 What the store holds for a run:
 

@@ -20,11 +20,7 @@ HOURS: float = 3600.0
 #: Seconds in one day.
 DAYS: float = 86400.0
 
-#: Seconds in one (7-day) week.
-WEEKS: float = 7 * DAYS
-
-#: Bytes in one kilobyte / megabyte (binary, as used for message sizes).
-KiB: int = 1024
+#: Bytes in one megabyte (binary, as used for link bandwidth).
 MiB: int = 1024 * 1024
 
 
@@ -53,18 +49,3 @@ def format_duration(seconds: float) -> str:
     days, rem = divmod(seconds, int(DAYS))
     hours = rem // 3600
     return f"{days}d {hours}h" if hours else f"{days}d"
-
-
-def format_size(num_bytes: int) -> str:
-    """Render a byte count with a binary-unit suffix.
-
-    >>> format_size(2048)
-    '2.0 KiB'
-    """
-    if num_bytes < 0:
-        raise ValueError(f"size must be non-negative, got {num_bytes}")
-    if num_bytes < KiB:
-        return f"{num_bytes} B"
-    if num_bytes < MiB:
-        return f"{num_bytes / KiB:.1f} KiB"
-    return f"{num_bytes / MiB:.1f} MiB"

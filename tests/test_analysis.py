@@ -6,19 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import (
-    Series,
-    cdf,
-    ccdf,
-    compare_densities,
-    fraction_below,
-    k_to_cover,
-    kde,
-    ratio_table,
-    set_deltas,
-    summarize,
-    top_k_share,
-)
+from repro.analysis import Series, compare_densities, k_to_cover, kde, summarize
 from repro.errors import AnalysisError
 
 
@@ -50,31 +38,6 @@ class TestSummarize:
         assert summary.p90 <= summary.p99 <= summary.maximum
 
 
-class TestCdf:
-    def test_monotone(self):
-        xs, ps = cdf([3.0, 1.0, 2.0])
-        assert list(xs) == [1.0, 2.0, 3.0]
-        assert list(ps) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_ccdf_complements(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        _xs, ps = cdf(values)
-        _xs2, qs = ccdf(values)
-        assert list(ps + qs) == pytest.approx([1.25] * 4)  # offset by 1/n
-
-    def test_empty(self):
-        with pytest.raises(AnalysisError):
-            cdf([])
-
-
-class TestFractionBelow:
-    def test_basic(self):
-        assert fraction_below([1, 2, 3, 4], 3) == 0.5
-
-    def test_strict_inequality(self):
-        assert fraction_below([3, 3, 3], 3) == 0.0
-
-
 class TestKToCover:
     def test_basic(self):
         counts = {"a": 50, "b": 30, "c": 20}
@@ -89,21 +52,6 @@ class TestKToCover:
     def test_invalid_share(self):
         with pytest.raises(AnalysisError):
             k_to_cover({"a": 1}, 1.5)
-
-    def test_top_k_share(self):
-        counts = {"a": 50, "b": 30, "c": 20}
-        assert top_k_share(counts, 1) == 0.5
-        assert top_k_share(counts, 3) == 1.0
-
-
-class TestRatioTable:
-    def test_ratio(self):
-        rows = ratio_table([("x", 10.0, 12.0)])
-        assert rows[0][3] == pytest.approx(1.2)
-
-    def test_zero_paper_value(self):
-        rows = ratio_table([("x", 0.0, 12.0)])
-        assert np.isnan(rows[0][3])
 
 
 class TestKde:
@@ -161,15 +109,3 @@ class TestSeries:
     def test_empty_mean_raises(self):
         with pytest.raises(AnalysisError):
             Series().mean()
-
-
-class TestSetDeltas:
-    def test_basic(self):
-        snapshots = [{1, 2}, {2, 3}, {3}]
-        arrivals, departures = set_deltas(snapshots)
-        assert arrivals == [1, 0]
-        assert departures == [1, 1]
-
-    def test_too_few(self):
-        with pytest.raises(AnalysisError):
-            set_deltas([{1}])

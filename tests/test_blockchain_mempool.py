@@ -284,10 +284,3 @@ class TestMempool:
         pool.add(Transaction(txid=1))
         pool.add(Transaction(txid=2))
         assert pool.missing_from([1, 2, 3, 4]) == [3, 4]
-
-    def test_split_known(self):
-        pool = Mempool()
-        pool.add(Transaction(txid=1))
-        known, missing = pool.split_known([1, 2])
-        assert known == [1]
-        assert missing == [2]

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.addr_analysis import (
-    classify_harvest,
-    composition,
-    table_composition,
-)
+from repro.core.addr_analysis import classify_harvest, composition
 from repro.core.getaddr import CrawlResult, PeerHarvest
 from repro.core.malicious_detect import detect_flooders, merge_reports
 from repro.core.routing import (
@@ -67,11 +63,6 @@ class TestComposition:
         record = harvest(100, range(4))
         counts = classify_harvest(record, {make_addr(0)})
         assert counts == {"reachable": 1, "unreachable": 3}
-
-    def test_table_composition(self):
-        table = [make_addr(i) for i in range(10)]
-        counts = table_composition(table, lambda addr: addr == make_addr(0))
-        assert counts == {"reachable": 1, "unreachable": 9, "total": 10}
 
 
 class TestDetectFlooders:

@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.kde import kde
-from repro.core.figures import (
-    density_curve,
-    density_overlay,
-    dual_series,
-    flood_bars,
-    histogram,
-    presence_matrix,
-)
+from repro.core.figures import density_overlay, dual_series, presence_matrix
 from repro.errors import AnalysisError
 
 
@@ -21,20 +14,6 @@ from repro.errors import AnalysisError
 def density():
     rng = np.random.default_rng(4)
     return kde(rng.normal(60, 10, 200).clip(0, 100))
-
-
-class TestDensityCurve:
-    def test_width(self, density):
-        line = density_curve(density, width=40)
-        assert len(line) == 40
-
-    def test_label_prefix(self, density):
-        line = density_curve(density, width=40, label="2019")
-        assert line.startswith("  2019 ")
-
-    def test_peak_is_solid_block(self, density):
-        line = density_curve(density, width=80)
-        assert "█" in line
 
 
 class TestDensityOverlay:
@@ -73,21 +52,6 @@ class TestDualSeries:
             dual_series([], [1])
 
 
-class TestHistogram:
-    def test_bin_count(self):
-        text = histogram([1.0, 2.0, 2.5, 9.0], bins=4)
-        assert len(text.splitlines()) == 4
-
-    def test_counts_shown(self):
-        text = histogram([1.0] * 7 + [5.0], bins=2)
-        assert " 7" in text
-        assert " 1" in text
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            histogram([])
-
-
 class TestPresenceMatrix:
     def test_downsampling_bounds(self):
         matrix = np.random.default_rng(1).random((200, 300)) > 0.5
@@ -104,20 +68,3 @@ class TestPresenceMatrix:
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
             presence_matrix(np.zeros((0, 0), dtype=bool))
-
-
-class TestFloodBars:
-    def test_sorted_desc_with_counts(self):
-        text = flood_bars([100, 5000, 300])
-        lines = text.splitlines()
-        assert lines[0].startswith("#1")
-        assert "5,000" in lines[0]
-        assert "100" in lines[-1]
-
-    def test_top_limits_rows(self):
-        text = flood_bars(list(range(1, 100)), top=5)
-        assert len(text.splitlines()) == 5
-
-    def test_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            flood_bars([])

@@ -10,14 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simnet.addresses import NetAddr
 from repro.simnet.latency import LatencyConfig, LatencyModel
-from repro.simnet.rand import (
-    RandomStreams,
-    Stream,
-    derive_seed,
-    sample,
-    weighted_sample_without_replacement,
-    zipf_weights,
-)
+from repro.simnet.rand import RandomStreams, Stream, derive_seed, sample
 
 from .conftest import make_addr
 
@@ -179,56 +172,3 @@ class TestSampleMatchesStdlib:
             sample(rng, [1, 2, 3], 4)
         with pytest.raises(ValueError):
             sample(rng, [1, 2, 3], -1)
-
-
-class TestWeightedSample:
-    def test_respects_k(self, rng):
-        got = weighted_sample_without_replacement(rng, list(range(10)), [1.0] * 10, 3)
-        assert len(got) == 3
-        assert len(set(got)) == 3
-
-    def test_zero_weight_never_sampled(self, rng):
-        population = ["keep", "drop"]
-        for _ in range(50):
-            got = weighted_sample_without_replacement(rng, population, [1.0, 0.0], 2)
-            assert "drop" not in got
-
-    def test_k_larger_than_population(self, rng):
-        got = weighted_sample_without_replacement(rng, [1, 2], [1.0, 1.0], 10)
-        assert sorted(got) == [1, 2]
-
-    def test_heavy_weight_dominates(self, rng):
-        wins = 0
-        for _ in range(200):
-            got = weighted_sample_without_replacement(
-                rng, ["heavy", "light"], [100.0, 1.0], 1
-            )
-            wins += got[0] == "heavy"
-        assert wins > 150
-
-    def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            weighted_sample_without_replacement(rng, [1], [1.0, 2.0], 1)
-
-    def test_negative_weight(self, rng):
-        with pytest.raises(ValueError):
-            weighted_sample_without_replacement(rng, [1], [-1.0], 1)
-
-
-class TestZipfWeights:
-    def test_monotone_decreasing(self):
-        weights = zipf_weights(100, 1.0)
-        assert all(a >= b for a, b in zip(weights, weights[1:]))
-
-    def test_exponent_zero_uniform(self):
-        assert zipf_weights(5, 0.0) == [1.0] * 5
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            zipf_weights(0, 1.0)
-        with pytest.raises(ValueError):
-            zipf_weights(5, -1.0)
-
-    @given(st.integers(min_value=1, max_value=200), st.floats(min_value=0, max_value=3))
-    def test_always_positive(self, n, s):
-        assert all(w > 0 for w in zipf_weights(n, s))

@@ -11,8 +11,6 @@ from repro.netmodel import (
     ProtocolConfig,
     ProtocolScenario,
     connection_graph,
-    degree_histogram,
-    pairwise_distances_sample,
     topology_stats,
 )
 
@@ -64,28 +62,9 @@ class TestTopologyStats:
         assert stats.largest_component_share == 1.0  # well-connected
         assert stats.diameter is not None and stats.diameter <= 4
 
-    def test_propagation_rounds_estimate(self, warm_nodes):
-        _sim, nodes = warm_nodes
-        stats = topology_stats(nodes)
-        rounds = stats.expected_propagation_rounds
-        # log(20)/log(~7) ≈ 1.5 — and never below 1 for n > d.
-        assert 1.0 < rounds < 3.0
-
     def test_empty_raises(self):
         with pytest.raises(AnalysisError):
             topology_stats([])
-
-    def test_degree_histogram_sums_to_nodes(self, warm_nodes):
-        _sim, nodes = warm_nodes
-        histogram = degree_histogram(nodes)
-        assert sum(histogram.values()) == 20
-        assert max(histogram) <= 8
-
-    def test_pairwise_distances(self, warm_nodes):
-        _sim, nodes = warm_nodes
-        lengths = pairwise_distances_sample(nodes, sample=50)
-        assert lengths
-        assert all(1 <= length <= 5 for length in lengths)
 
 
 class TestPropagationTracker:

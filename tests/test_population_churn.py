@@ -107,8 +107,6 @@ class TestPresenceTimeline:
         assert timeline.alive_at(addr, 15.0)
         assert not timeline.alive_at(addr, 30.0)
         assert timeline.alive_at(addr, 55.0)
-        assert timeline.total_online(addr) == 20.0
-        assert timeline.lifetime_span(addr) == 50.0
 
     def test_intervals_clipped_to_campaign(self):
         timeline = PresenceTimeline(100.0)

@@ -275,7 +275,7 @@ class TestInvHandlerMatchesPerItemReference:
 class TestBlockAnnouncement:
     def test_one_inv_per_block_shared_by_every_peer(self, sim):
         nodes = build_small_network(
-            sim, 4, config_factory=lambda: NodeConfig(compact_blocks=False)
+            sim, 4, config_factory=lambda: NodeConfig(hb_compact_fraction=0.0)
         )
         sim.run_for(30.0)
         node = nodes[0]

@@ -11,14 +11,13 @@ from repro.errors import (
     ChainError,
     ClockError,
     ConnectionClosedError,
-    HandshakeError,
     ProtocolError,
     ReproError,
     ScenarioError,
     SimulationError,
     TransportError,
 )
-from repro.units import DAYS, HOURS, MINUTES, format_duration, format_size
+from repro.units import DAYS, HOURS, MINUTES, format_duration
 
 
 class TestFormatTable:
@@ -91,15 +90,6 @@ class TestUnits:
         with pytest.raises(ValueError):
             format_duration(-1)
 
-    def test_format_size(self):
-        assert format_size(500) == "500 B"
-        assert format_size(2048) == "2.0 KiB"
-        assert format_size(3 * 1024 * 1024) == "3.0 MiB"
-
-    def test_format_size_negative(self):
-        with pytest.raises(ValueError):
-            format_size(-1)
-
 
 class TestErrorHierarchy:
     @pytest.mark.parametrize(
@@ -109,7 +99,6 @@ class TestErrorHierarchy:
             ChainError,
             ClockError,
             ConnectionClosedError,
-            HandshakeError,
             ProtocolError,
             ScenarioError,
             SimulationError,

@@ -48,14 +48,6 @@ class TestDnsSeeder:
         seeder.register(addr)
         assert len(seeder) == 1
 
-    def test_unregister(self, rng):
-        seeder = DnsSeeder(rng)
-        addr = make_addr(1)
-        seeder.register(addr)
-        seeder.unregister(addr)
-        assert len(seeder) == 0
-        assert seeder.query() == []
-
 
 def _timeline_world(rng, count=400):
     universe = ASUniverse(rng)
