@@ -361,6 +361,53 @@ class TestRunStored:
 
 
 # ---------------------------------------------------------------------------
+# A run key and the code that computed its result
+# ---------------------------------------------------------------------------
+
+#: What :class:`ConstantToy`'s one unit returns; the test below edits it
+#: the way a code change would.
+TOY_CONSTANT = 1
+
+
+class ConstantToy(StoredPlan):
+    """One unit whose output is whatever the code says today."""
+
+    kind = "toy-constant"
+    unit_kind = "toy-unit"
+    result_kind = "toy-result"
+    result_type = int
+    aliasing = False
+    seed = 3
+    units = 1
+
+    def config(self):
+        return {}
+
+    def run_unit(self, state, index):
+        return TOY_CONSTANT
+
+    def finish(self, state, outs):
+        return outs[0]
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 2: a run key holds no code identity"
+)
+def test_changed_code_is_not_a_cache_hit(tmp_path, monkeypatch):
+    import repro.store.plan as plan_module
+
+    monkeypatch.setattr(sys.modules[__name__], "TOY_CONSTANT", 1)
+    monkeypatch.setattr(plan_module, "code_version", lambda: "aaaa")
+    first = run_stored(tmp_path, ConstantToy())
+    assert first.result == 1 and not first.cached
+
+    monkeypatch.setattr(sys.modules[__name__], "TOY_CONSTANT", 2)
+    monkeypatch.setattr(plan_module, "code_version", lambda: "bbbb")
+    second = run_stored(tmp_path, ConstantToy())
+    assert not (second.cached and second.result == 1)
+
+
+# ---------------------------------------------------------------------------
 # Stores written under another blob layout
 # ---------------------------------------------------------------------------
 
