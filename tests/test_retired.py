@@ -331,6 +331,55 @@ GUARDS = [
         "4cae709",
         "from .policy.registry import build_policies",
     ),
+    Guard(
+        "src.test_only_helpers",
+        r"measure_propagation|summarize_attempt_durations|best_height_at|degree_histogram"
+        r"|pairwise_distances_sample|expected_propagation_rounds"
+        r"|weighted_sample_without_replacement|zipf_weights|set_deltas|table_composition"
+        r"|density_curve|flood_bars|split_known|HandshakeError|total_online|lifetime_span"
+        r"|def (cdf|ccdf|fraction_below|top_k_share|ratio_table|histogram|shuffled"
+        r"|format_size|unregister)\(|\bWEEKS\b|\bKiB\b",
+        ("src/",),
+        "src/ keeps what a caller runs: nothing under src/, benchmarks/, "
+        "examples/ or a plan file named these, only their tests",
+        "3b8847d",
+        "def measure_propagation(n_reachable=60, max_outbound=8):",
+    ),
+    Guard(
+        "node.ping_keepalive",
+        r"ping_interval|_send_ping_round|_ping_task",
+        ("src/",),
+        "no caller pinged: nodes answer PING with PONG, and idle links fail "
+        "only through connection_lifetime_mean",
+        "3b8847d",
+        "        if self.config.ping_interval:",
+    ),
+    Guard(
+        "node.compact_blocks_knob",
+        r"compact_blocks",
+        ("src/",),
+        "every node negotiates BIP152; an INV-only network is "
+        "hb_compact_fraction=0.0",
+        "3b8847d",
+        "    compact_blocks: bool = True",
+    ),
+    Guard(
+        "node.feeler_interval_knob",
+        r"feeler_interval",
+        ("src/",),
+        "feelers run every FEELER_INTERVAL, the one value any caller used",
+        "3b8847d",
+        "    feeler_interval: float = FEELER_INTERVAL",
+    ),
+    Guard(
+        "store.status_interrupted",
+        r"STATUS_INTERRUPTED",
+        ("src/",),
+        "no run was ever written as interrupted: a killed run stays "
+        "running and resumes",
+        "3b8847d",
+        'STATUS_INTERRUPTED = "interrupted"',
+    ),
 ]
 
 
