@@ -26,7 +26,7 @@ from repro.adversary import (
     AttackerSpec,
     install_attack,
 )
-from repro.bitcoin import BitcoinNode, NodeConfig
+from repro.bitcoin import BitcoinNode
 from repro.core import (
     Axis,
     ConditionSweepPlan,
