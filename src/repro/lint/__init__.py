@@ -42,24 +42,32 @@ line (``disable=DET002``) or per file (``disable-file=DET002``).  A
 directive that silences nothing is reported as a note.
 """
 
-from .callgraph import CallGraph, ProjectRule, build_call_graph
-from .config import LintConfig, load_config
-from .engine import LintResult, lint_paths
-from .findings import Finding
-from .rules import FAMILIES, RULES, all_rules, family_of, get_rule
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "CallGraph",
-    "FAMILIES",
-    "Finding",
-    "LintConfig",
-    "LintResult",
-    "ProjectRule",
-    "RULES",
-    "all_rules",
-    "build_call_graph",
-    "family_of",
-    "get_rule",
-    "lint_paths",
-    "load_config",
-]
+#: Public names by the submodule defining them.  Names load on first
+#: use, so ``repro`` commands other than ``lint`` (which import
+#: :mod:`repro.lint.cli` to build their parser) never load the analyzer.
+_MODULE_EXPORTS = {
+    "callgraph": ("CallGraph", "ProjectRule", "build_call_graph"),
+    "config": ("LintConfig", "load_config"),
+    "engine": ("LintResult", "lint_paths"),
+    "findings": ("Finding",),
+    "rules": ("FAMILIES", "RULES", "all_rules", "family_of", "get_rule"),
+}
+_EXPORTS = {
+    name: module
+    for module, names in _MODULE_EXPORTS.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -12,9 +12,10 @@ import json
 import textwrap
 
 from ..errors import LintError
-from .config import load_config
-from .engine import lint_paths, render_text
-from .rules import FAMILIES, RULES, family_of, get_rule
+
+# The config loader, engine and rule catalog are imported inside the
+# functions that use them: every ``repro`` command builds this parser,
+# and only ``repro lint`` should pay for loading the analyzer.
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -40,6 +41,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _print_catalog() -> None:
+    from .rules import FAMILIES, RULES, family_of
+
     families: dict = {}
     for code in sorted(RULES):
         families.setdefault(family_of(code), []).append(code)
@@ -55,6 +58,8 @@ def _print_catalog() -> None:
 
 
 def _print_explanation(code: str) -> None:
+    from .rules import get_rule
+
     rule = get_rule(code)
     print(f"{rule.code} ({rule.name})")
     print(f"  {rule.summary}")
@@ -87,6 +92,9 @@ def _run(args: argparse.Namespace) -> int:
     if args.explain is not None:
         _print_explanation(args.explain)
         return 0
+
+    from .config import load_config
+    from .engine import lint_paths, render_text
 
     config = load_config()
     paths = args.paths if args.paths else list(config.paths)

@@ -1,12 +1,13 @@
-"""The lint engine: file discovery, the two analysis passes, filtering.
+"""The lint engine: file discovery, the front end, suppression.
 
 :func:`lint_paths` is the library entry point the CLI and tests share.
-It walks the requested paths, builds the project-wide set-attribute
-table (pass 0), analyses every file (passes 1 and 2 from
-:mod:`repro.lint.visitor`), runs the project rules over the call graph
-(pass 3), and applies suppression comments.  Every surviving finding
-fails the run; the result carries what a front-end needs to render text
-or JSON and to compute an exit code.
+It reads parse -> index -> walk -> propagate -> suppress: every file is
+parsed once; :func:`repro.lint.callgraph.build_call_graph` indexes each
+and walks each once more (:mod:`repro.lint.visitor`), running the file
+rules and recording the call graph the project rules then check;
+suppression comments filter both kinds of finding.  Every surviving
+finding fails the run; the result carries what a front-end needs to
+render text or JSON and to compute an exit code.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .callgraph import ProjectRule, build_call_graph
 from .config import LintConfig, normalize_path
 from .findings import Finding, sort_findings
 from .rules import all_rules
 from .suppressions import SuppressionMap, parse_suppressions
-from .visitor import FileContext, FileFacts, collect_facts, run_rules
 
 #: Directories never descended into.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hg", "node_modules"})
@@ -104,70 +104,44 @@ def lint_paths(
     """Lint every Python file under ``paths``."""
     config = config if config is not None else LintConfig()
     result = LintResult()
-    files = iter_python_files([Path(p) for p in paths])
-
-    # Pass 0: facts for every file, then the project-wide table of
-    # attribute names known to hold sets (so `peer.known_blocks` is
-    # recognized in node.py even though Peer lives in peer.py).
-    parsed: List[Tuple[Path, str, ast.AST, List[str], FileFacts]] = []
-    attr_names: set = set()
-    for path in files:
+    modules: List[Tuple[str, ast.AST, List[str]]] = []
+    for path in iter_python_files([Path(p) for p in paths]):
         label = _relative_label(path, config.root)
         tree, error, lines = _parse(path)
         if tree is None:
             result.parse_errors.append((label, error or "unreadable"))
             continue
-        facts = collect_facts(tree)
-        attr_names |= facts.set_attr_names
-        parsed.append((path, label, tree, lines, facts))
-    global_set_attrs: FrozenSet[str] = frozenset(attr_names)
+        modules.append((label, tree, lines))
+    result.files_checked = len(modules)
 
     rules = all_rules()
-    known_codes = [rule.code for rule in rules]
-    all_findings: List[Finding] = []
-    suppression_maps: Dict[str, SuppressionMap] = {}
     file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    for path, label, tree, lines, facts in parsed:
-        ctx = FileContext(
-            path=label,
-            facts=facts,
-            global_set_attrs=global_set_attrs,
-            clock_allowlisted=config.clock_allowlisted(label),
-        )
-        findings = run_rules(tree, ctx, file_rules)
-        suppressions = parse_suppressions(lines, known_codes)
-        suppression_maps[label] = suppressions
-        all_findings.extend(
-            finding
-            for finding in findings
-            if not suppressions.suppressed(finding.line, finding.code)
-        )
-        result.files_checked += 1
-
-    # Pass 3: the interprocedural rules run once over the project call
-    # graph; their findings flow through the same per-file suppression
-    # maps as per-file findings.
-    if parsed:
-        graph = build_call_graph(
-            [(label, tree, lines) for _, label, tree, lines, _ in parsed],
-            config,
-        )
-        for rule in project_rules:
+    graph = build_call_graph(modules, config, file_rules)
+    for rule in rules:
+        if isinstance(rule, ProjectRule):
             rule.check(graph)
-            findings, rule.findings = rule.findings, []
-            for finding in findings:
-                file_map = suppression_maps.get(finding.path)
-                if file_map is not None and file_map.suppressed(
-                    finding.line, finding.code
-                ):
-                    continue
-                all_findings.append(finding)
+
+    # Project findings flow through the same per-file suppression maps
+    # as per-file ones.
+    known_codes = [rule.code for rule in rules]
+    suppression_maps: Dict[str, SuppressionMap] = {
+        label: parse_suppressions(lines, known_codes)
+        for label, _, lines in modules
+    }
+    findings: List[Finding] = []
+    for rule in rules:
+        for finding in rule.findings:
+            file_map = suppression_maps.get(finding.path)
+            if file_map is None or not file_map.suppressed(
+                finding.line, finding.code
+            ):
+                findings.append(finding)
+        rule.findings = []
 
     for label, suppressions in suppression_maps.items():
         for note in suppressions.unknown_codes + suppressions.unused():
             result.diagnostics.append(f"{label}: {note}")
-    result.findings = sort_findings(all_findings)
+    result.findings = sort_findings(findings)
     return result
 
 

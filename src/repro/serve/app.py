@@ -86,6 +86,11 @@ TENANT_HEADER = "x-repro-tenant"
 #: Threads for store/ledger file I/O dispatched off the event loop.
 IO_THREADS = 4
 
+#: The ``/v1/metrics`` route every request the parser refuses (400 /
+#: 408 / 413 / 501) is counted under: its method and path are not
+#: trustworthy enough to name a route.
+REFUSED_ROUTE = "(refused)"
+
 
 @dataclass
 class ServiceConfig:
@@ -109,10 +114,6 @@ class ServiceConfig:
     #: Per-tenant quota ceilings (None = unlimited).
     quota_runs: Optional[int] = None
     quota_bytes: Optional[int] = None
-    #: Seconds advertised in 429 Retry-After.
-    retry_after: float = 2.0
-    #: Emit one structured log line per request.
-    log_requests: bool = True
 
 
 #: Handlers: async (service, request, path parts) -> Response.
@@ -140,7 +141,6 @@ class CampaignService:
             queue_limit=config.queue_limit,
             workers=config.workers,
             supervisor=supervisor_config(config.seed_timeout, config.retries),
-            retry_after=config.retry_after,
         )
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
@@ -207,13 +207,20 @@ class CampaignService:
     ) -> None:
         try:
             while True:
+                # A refusal's latency counts from when the connection
+                # began waiting for the request it refused.
+                started = time.perf_counter()
                 try:
                     request = await read_request(reader)
                 except HttpError as exc:
-                    await send_response(
+                    bytes_out = await send_response(
                         writer,
                         Response.error(exc.status, str(exc)),
                         keep_alive=False,
+                    )
+                    elapsed_ms = (time.perf_counter() - started) * 1000.0
+                    self.metrics.observe(
+                        REFUSED_ROUTE, exc.status, elapsed_ms, bytes_out
                     )
                     return
                 if request is None:
@@ -280,23 +287,22 @@ class CampaignService:
             )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self.metrics.observe(route_label, status, elapsed_ms, bytes_out)
-        if self.config.log_requests:
-            logger.info(
-                "%s",
-                json.dumps(
-                    {
-                        "method": request.method,
-                        "path": request.path,
-                        "status": status,
-                        "ms": round(elapsed_ms, 3),
-                        "bytes": bytes_out,
-                        "tenant": request.headers.get(
-                            TENANT_HEADER, DEFAULT_TENANT
-                        ),
-                    },
-                    sort_keys=True,
-                ),
-            )
+        logger.info(
+            "%s",
+            json.dumps(
+                {
+                    "method": request.method,
+                    "path": request.path,
+                    "status": status,
+                    "ms": round(elapsed_ms, 3),
+                    "bytes": bytes_out,
+                    "tenant": request.headers.get(
+                        TENANT_HEADER, DEFAULT_TENANT
+                    ),
+                },
+                sort_keys=True,
+            ),
+        )
         return close
 
     @staticmethod

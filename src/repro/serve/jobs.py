@@ -54,6 +54,10 @@ JOB_FAILED = "failed"
 #: Terminal jobs kept for listing/event replay before eviction.
 JOB_HISTORY_LIMIT = 256
 
+#: Seconds a refused submission (busy or draining service) is told to
+#: wait, as the 429's ``Retry-After``.
+RETRY_AFTER = 2.0
+
 #: Dispositions a submission can come back with.
 DISPOSITION_CACHED = "cached"
 DISPOSITION_JOINED = "joined"
@@ -183,7 +187,6 @@ class JobManager:
         queue_limit: int = 8,
         workers: int = 1,
         supervisor: Optional[SupervisorConfig] = None,
-        retry_after: float = 2.0,
     ) -> None:
         self.store = store
         self.ledger = ledger
@@ -192,7 +195,6 @@ class JobManager:
         self.queue_limit = max(0, queue_limit)
         self.workers = max(1, workers)
         self.supervisor = supervisor
-        self.retry_after = retry_after
         self.draining = False
         self.jobs: Dict[str, Job] = {}
         self._order: List[str] = []
@@ -322,14 +324,14 @@ class JobManager:
         if self.draining:
             raise ServiceBusyError(
                 "service is draining and not accepting new campaigns",
-                retry_after=self.retry_after,
+                retry_after=RETRY_AFTER,
             )
         if self.active_count >= self.slots + self.queue_limit:
             self.metrics.rejected_busy += 1
             raise ServiceBusyError(
                 f"{self.active_count} job(s) in flight >= "
                 f"{self.slots} slot(s) + {self.queue_limit} queued",
-                retry_after=self.retry_after,
+                retry_after=RETRY_AFTER,
             )
         # Pre-charge quota for the fresh runs only; raises over quota.
         try:

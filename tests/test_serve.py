@@ -9,11 +9,14 @@ real, not mocked.  Campaigns use the tiny test scenario (scale=0.002,
 
 import asyncio
 import hashlib
+import math
 import re
 
 import pytest
 
 from repro.serve import CampaignService, Client, ServiceConfig, http, parse_submission
+from repro.serve.app import REFUSED_ROUTE
+from repro.serve.jobs import RETRY_AFTER
 from repro.store import CampaignPlan, RunManifest, RunStore
 
 #: The tiny campaign used throughout; fresh ~1s, cached ~ms.
@@ -33,7 +36,6 @@ def with_service(tmp_path, body, **config_kwargs):
         config = ServiceConfig(
             store_root=str(tmp_path / "store"),
             port=0,
-            log_requests=False,
             **config_kwargs,
         )
         service = CampaignService(config)
@@ -237,15 +239,13 @@ class TestBackpressureAndQuota:
             other = tiny(seeds=[99])
             r2 = await client.request("POST", "/v1/campaigns", body=other)
             assert r2.status == 429
-            assert r2.headers["retry-after"] == "3"
+            assert r2.headers["retry-after"] == str(math.ceil(RETRY_AFTER))
             await stream_to_end(client, r1.json()["id"])
             m = (await client.request("GET", "/v1/metrics")).json()
             assert m["submissions"]["rejected_busy"] == 1
             return None
 
-        with_service(
-            tmp_path, body, slots=1, queue_limit=0, retry_after=3.0
-        )
+        with_service(tmp_path, body, slots=1, queue_limit=0)
 
     def test_quota_exceeded_returns_403_but_cached_is_free(self, tmp_path):
         async def body(service, client):
@@ -677,6 +677,24 @@ class TestHttpRefusals:
             # The service is still up for everyone else.
             r = await client.request("GET", "/v1/healthz")
             assert r.status == 200
+            return None
+
+        with_service(tmp_path, body)
+
+    def test_refused_requests_reach_the_metrics(self, tmp_path):
+        async def body(service, client):
+            for raw in (
+                b"GET //[x/ HTTP/1.1\r\nHost: x\r\n\r\n",
+                _post(f"Content-Length: {http.MAX_BODY_BYTES + 1}"),
+            ):
+                await _raw_exchange(service.port, raw)
+            metrics = (await client.request("GET", "/v1/metrics")).json()
+            # Nothing else was answered before this read of the metrics.
+            assert list(metrics["routes"]) == [REFUSED_ROUTE]
+            refused = metrics["routes"][REFUSED_ROUTE]
+            assert refused["count"] == 2
+            assert refused["errors"] == 0
+            assert refused["bytes_out"] > 0
             return None
 
         with_service(tmp_path, body)
