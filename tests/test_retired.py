@@ -380,6 +380,27 @@ GUARDS = [
         "3b8847d",
         'STATUS_INTERRUPTED = "interrupted"',
     ),
+    Guard(
+        "lint.four_visitors",
+        r"SetTypeCollector|class Analyzer\b|_SymbolCollector|_BodyCollector"
+        r"|_STDLIB_ROOTS|_FALLBACK_MODULES|collect_facts|run_rules",
+        ("src/repro/lint/",),
+        "each file is indexed once and walked once (visitor.index_module, "
+        "visitor.BodyWalk) on one resolver and one fallback table, "
+        "FALLBACK_MODULES (\"Static analysis\")",
+        "db6ba54",
+        "class _SymbolCollector(ast.NodeVisitor):",
+    ),
+    Guard(
+        "serve.config_knobs",
+        r"log_requests|retry_after: float|config\.retry_after"
+        r"|self\.retry_after",
+        ("src/repro/serve/",),
+        "a config field is something a caller sets: the 429 Retry-After is "
+        "serve.jobs.RETRY_AFTER and every request is logged",
+        "db6ba54",
+        "    retry_after: float = 2.0",
+    ),
 ]
 
 
