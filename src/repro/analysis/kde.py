@@ -9,11 +9,12 @@ point-for-point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from ..errors import AnalysisError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,8 @@ class DensityEstimate:
     @property
     def mode(self) -> float:
         """Location of the density peak."""
+        import numpy as np
+
         return float(self.grid[int(np.argmax(self.density))])
 
 
@@ -48,6 +51,8 @@ def kde(
     """
     if len(values) == 0:
         raise AnalysisError("cannot estimate a density from no samples")
+    import numpy as np
+
     array = np.asarray(values, dtype=float)
     grid = np.linspace(grid_min, grid_max, grid_points)
     if np.unique(array).size < 2:

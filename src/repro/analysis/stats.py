@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from ..errors import AnalysisError
+
+#: numpy's ``PW_BLOCKSIZE``: the longest run summed without splitting.
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,8 @@ def summarize(values: Sequence[float]) -> Summary:
     """Compute a :class:`Summary`; raises on an empty input."""
     if len(values) == 0:
         raise AnalysisError("cannot summarize an empty series")
+    import numpy as np
+
     array = np.asarray(values, dtype=float)
     return Summary(
         count=int(array.size),
@@ -51,6 +55,62 @@ def summarize(values: Sequence[float]) -> Summary:
         p99=float(np.percentile(array, 99)),
         std=float(array.std()),
     )
+
+
+def _pairwise_sum(values: List[float], start: int, n: int) -> float:
+    """numpy's float64 ``pairwise_sum`` over ``values[start:start + n]``."""
+    if n < 8:
+        total = 0.0
+        for value in values[start:start + n]:
+            total += value
+        return total
+    if n <= _PAIRWISE_BLOCK:
+        end = start + n - n % 8
+        r = []
+        for lane in range(8):
+            acc = values[start + lane]
+            for value in values[start + lane + 8:end:8]:
+                acc += value
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[end:start + n]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(
+        values, start + half, n - half
+    )
+
+
+def mean(values: Sequence[float]) -> float:
+    """The arithmetic mean, equal bit for bit to ``float(numpy.mean(values))``.
+
+    numpy sums float64 pairwise: under 8 values in order from 0.0; up to
+    128 in eight strided accumulators, combined as a balanced tree, then
+    the tail in order; more split at half the length rounded down to a
+    multiple of 8.  This is that sum written out, so the means the
+    simulation path reports need no numpy.  Integers agree while every
+    partial sum is exact (below 2**53), where any order gives one value.
+    An empty input is ``nan``, as in numpy, without its RuntimeWarning.
+    """
+    floats = [float(value) for value in values]
+    if not floats:
+        return math.nan
+    return _pairwise_sum(floats, 0, len(floats)) / len(floats)
+
+
+def median(values: Sequence[float]) -> float:
+    """The middle sorted value, or the two middle ones summed and halved
+    (``float(numpy.median(values))``); ``nan`` when empty."""
+    ordered = sorted(float(value) for value in values)
+    n = len(ordered)
+    if not n:
+        return math.nan
+    mid = n // 2
+    if n % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def k_to_cover(counts: Dict, share: float = 0.5) -> int:

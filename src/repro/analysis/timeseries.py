@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from ..errors import AnalysisError
 from ..simnet.simulator import PeriodicTask, Simulator
+from . import stats
 
 
 @dataclass
@@ -30,7 +29,7 @@ class Series:
     def mean(self) -> float:
         if not self.values:
             raise AnalysisError("empty series")
-        return float(np.mean(self.values))
+        return stats.mean(self.values)
 
     def fraction_where(self, predicate: Callable[[float], bool]) -> float:
         if not self.values:

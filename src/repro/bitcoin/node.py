@@ -166,8 +166,8 @@ class BitcoinNode(NodeBehavior):
     # (the adversaries) add a ``__dict__`` for their own fields only.
     __slots__ = (
         "sim", "addr", "config", "name", "_clock", "_rng", "addrman",
-        "chain", "mempool", "peers", "running", "started_at",
-        "departed", "_addr_index",
+        "chain", "mempool", "peers", "_inbound", "_peer_addrs", "running",
+        "started_at", "departed", "_addr_index",
         # connections
         "attempt_log", "active_feelers", "_attempt_in_flight",
         "_connect_event", "_feeler_task",
@@ -209,6 +209,12 @@ class BitcoinNode(NodeBehavior):
         self.chain = Blockchain()
         self.mempool = Mempool()
         self.peers: Dict[Socket, Peer] = {}
+        # Kept beside ``peers`` by _adopt_socket / _release_peer (the
+        # only two places it changes) so the connection checks every
+        # attempt makes are O(1): inbound peers, and peers per remote
+        # address.
+        self._inbound = 0
+        self._peer_addrs: Dict[NetAddr, int] = {}
         #: The world's address numbering, which ``Peer.known_addrs``
         #: bitmaps are over (``sim.network.addr_index``).
         self._addr_index = sim.network.addr_index
@@ -275,7 +281,7 @@ class BitcoinNode(NodeBehavior):
     @property
     def outbound_count(self) -> int:
         """Current outbound connections, excluding feelers."""
-        return sum(1 for peer in self.peers.values() if not peer.is_inbound)
+        return len(self.peers) - self._inbound
 
     @property
     def outbound_count_with_feelers(self) -> int:
@@ -284,7 +290,7 @@ class BitcoinNode(NodeBehavior):
 
     @property
     def inbound_count(self) -> int:
-        return sum(1 for peer in self.peers.values() if peer.is_inbound)
+        return self._inbound
 
     def established_peer_list(self) -> List[Peer]:
         """Established peers in connection order.
@@ -536,13 +542,16 @@ class BitcoinNode(NodeBehavior):
             )
 
     def _connected_to(self, target: NetAddr) -> bool:
-        return any(peer.remote_addr == target for peer in self.peers.values())
+        return target in self._peer_addrs
 
     def _adopt_socket(self, socket: Socket) -> Peer:
         peer = Peer(socket, connected_at=self.sim.now, node=self)
         socket.user_data = peer
         socket.handler = self
         self.peers[socket] = peer
+        self._inbound += peer.is_inbound
+        addrs = self._peer_addrs
+        addrs[peer.remote_addr] = addrs.get(peer.remote_addr, 0) + 1
         return peer
 
     def _release_peer(self, socket: Socket) -> Optional[Peer]:
@@ -558,6 +567,13 @@ class BitcoinNode(NodeBehavior):
         if peer is not None:
             socket.user_data = None
             self._established_cache = None
+            self._inbound -= peer.is_inbound
+            addrs = self._peer_addrs
+            left = addrs[peer.remote_addr] - 1
+            if left:
+                addrs[peer.remote_addr] = left
+            else:
+                del addrs[peer.remote_addr]
         return peer
 
     # ------------------------------------------------------------------

@@ -56,9 +56,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, List, Optional
 
-import numpy as np
-
 from . import core
+from .analysis.stats import mean
 from .bitcoin import NodeConfig
 from .core import export as export_mod
 from .core.condition_sweep import DEFAULT_CHURN_LEVELS, DEFAULT_VARIANTS
@@ -199,26 +198,26 @@ def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
     if truncated:
         _warn_truncated("campaigns for seeds", truncated)
 
-    def mean(stat) -> float:
-        return float(np.mean([stat(result) for _, result in done]))
+    def over_seeds(stat) -> float:
+        return mean([stat(result) for _, result in done])
 
     s = args.scale
     print(
         comparison_table(
             [
                 ("unreachable / snapshot", cal.UNREACHABLE_PER_SNAPSHOT * s,
-                 mean(lambda r: float(np.mean(r.fig4_series()["per_snapshot"])))),
+                 over_seeds(lambda r: mean(r.fig4_series()["per_snapshot"]))),
                 ("cumulative unreachable", cal.CUMULATIVE_UNREACHABLE * s,
-                 mean(lambda r: r.fig4_series()["cumulative"][-1])),
+                 over_seeds(lambda r: r.fig4_series()["cumulative"][-1])),
                 ("responsive / snapshot", cal.RESPONSIVE_PER_SNAPSHOT * s,
-                 mean(lambda r: float(np.mean(r.fig5_series()["per_snapshot"])))),
+                 over_seeds(lambda r: mean(r.fig5_series()["per_snapshot"]))),
                 ("ADDR reachable share", cal.ADDR_REACHABLE_SHARE,
-                 mean(lambda r: r.mean_addr_reachable_share())),
+                 over_seeds(lambda r: r.mean_addr_reachable_share())),
                 ("daily departures", cal.DAILY_CHURN_NODES * s,
-                 mean(lambda r: r.churn_stats().mean_daily_departures(
+                 over_seeds(lambda r: r.churn_stats().mean_daily_departures(
                      r.churn_matrix().snapshot_interval))),
                 ("mean lifetime (days)", cal.MEAN_NODE_LIFETIME_DAYS,
-                 mean(lambda r: r.churn_stats().mean_lifetime / DAYS)),
+                 over_seeds(lambda r: r.churn_stats().mean_lifetime / DAYS)),
             ],
             title=f"Campaign, mean over {len(seeds)} seeds",
         )
@@ -229,7 +228,7 @@ def _cmd_campaign_sweep(args: argparse.Namespace) -> int:
             [
                 (plan.seed,
                  len(result.cumulative_unreachable),
-                 round(float(np.mean(result.fig5_series()["per_snapshot"])), 1))
+                 round(mean(result.fig5_series()["per_snapshot"]), 1))
                 for plan, result in done
             ],
         )
@@ -277,11 +276,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         comparison_table(
             [
                 ("unreachable / snapshot", cal.UNREACHABLE_PER_SNAPSHOT * s,
-                 float(np.mean(fig4["per_snapshot"]))),
+                 mean(fig4["per_snapshot"])),
                 ("cumulative unreachable", cal.CUMULATIVE_UNREACHABLE * s,
                  fig4["cumulative"][-1]),
                 ("responsive / snapshot", cal.RESPONSIVE_PER_SNAPSHOT * s,
-                 float(np.mean(fig5["per_snapshot"]))),
+                 mean(fig5["per_snapshot"])),
                 ("ADDR reachable share", cal.ADDR_REACHABLE_SHARE,
                  result.mean_addr_reachable_share()),
                 ("flooders detected", len(scenario.flooders),

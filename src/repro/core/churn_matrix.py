@@ -12,12 +12,14 @@ Given per-snapshot sets of connected reachable addresses, build the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set
 
-import numpy as np
-
+from ..analysis.stats import mean
 from ..errors import AnalysisError
 from ..simnet.addresses import NetAddr
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -47,6 +49,8 @@ def build_matrix(
         raise AnalysisError("snapshots and times must have equal length")
     if not snapshots:
         raise AnalysisError("need at least one snapshot")
+    import numpy as np
+
     universe: Set[NetAddr] = set()
     for snapshot in snapshots:
         universe |= snapshot
@@ -81,12 +85,14 @@ class ChurnStats:
         """Departures per day, given the snapshot spacing in seconds."""
         if not self.departures:
             return 0.0
-        per_snapshot = float(np.mean(self.departures))
+        per_snapshot = mean(self.departures)
         return per_snapshot * (86400.0 / snapshot_interval)
 
 
 def analyze(matrix: ChurnMatrix) -> ChurnStats:
     """Derive the Fig. 12/13 statistics from the presence matrix."""
+    import numpy as np
+
     presence = matrix.matrix
     if presence.shape[1] < 2:
         raise AnalysisError("need at least two snapshots to measure churn")

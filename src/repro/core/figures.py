@@ -8,17 +8,20 @@ export + a real plotting tool.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from ..analysis.kde import DensityEstimate
 from ..errors import AnalysisError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
 def _scale_to_blocks(values: Sequence[float], peak: Optional[float] = None) -> str:
+    import numpy as np
+
     array = np.asarray(values, dtype=float)
     top = peak if peak is not None else (array.max() if array.size else 1.0)
     top = top or 1.0
@@ -34,6 +37,8 @@ def density_overlay(
     """Several KDEs on a shared peak scale (the Fig. 1 overlay)."""
     if not curves:
         raise AnalysisError("no densities given")
+    import numpy as np
+
     peak = max(float(d.density.max()) for d in curves.values())
     lines = []
     for label, density in curves.items():

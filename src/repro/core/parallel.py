@@ -33,8 +33,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, List, Optional, Sequence, Union
 
-import numpy as np
-
+from ..analysis import stats
 from ..analysis.kde import DensityEstimate, kde
 from ..errors import ConfigurationError
 from ..store.plan import StoredPlan, run_stored
@@ -137,18 +136,16 @@ class SyncSweepResult:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.sync_samples))
+        return stats.mean(self.sync_samples)
 
     @property
     def median(self) -> float:
-        return float(np.median(self.sync_samples))
+        return stats.median(self.sync_samples)
 
     @property
     def sync_departures_per_10min(self) -> float:
         """Mean synchronized-departure rate across seeds."""
-        return float(
-            np.mean([r.sync_departures_per_10min for r in self.per_seed])
-        )
+        return stats.mean([r.sync_departures_per_10min for r in self.per_seed])
 
     @property
     def truncated(self) -> bool:

@@ -10,12 +10,12 @@ node — yielding percentile curves and per-block coverage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
+from ..analysis.stats import mean
 from ..errors import AnalysisError
 from ..bitcoin.blockchain import Block
 from ..bitcoin.node import BitcoinNode
@@ -36,7 +36,7 @@ class BlockPropagation:
         """Time until ``percentile`` of ``population`` nodes had the block."""
         if not self.arrivals or population <= 0:
             return None
-        needed = int(np.ceil(population * percentile / 100.0))
+        needed = math.ceil(population * percentile / 100.0)
         if len(self.arrivals) < needed:
             return None  # the block never reached that share
         delays = sorted(t - self.created_at for t in self.arrivals.values())
@@ -122,4 +122,4 @@ class PropagationTracker:
         delays = self.percentile_delays(percentile)
         if not delays:
             raise AnalysisError("no block reached the requested coverage")
-        return float(np.mean(delays))
+        return mean(delays)

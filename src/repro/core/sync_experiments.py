@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..adversary.plan import AttackPlan
+from ..analysis import stats
 from ..analysis.kde import DensityEstimate, kde
 from ..bitcoin.config import NodeConfig, PolicyConfig
 from ..errors import ConfigurationError
@@ -104,11 +103,11 @@ class SyncCampaignResult:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.sync_samples))
+        return stats.mean(self.sync_samples)
 
     @property
     def median(self) -> float:
-        return float(np.median(self.sync_samples))
+        return stats.median(self.sync_samples)
 
     def density(self, **kwargs) -> DensityEstimate:
         """KDE of the sync samples (one Fig. 1 curve)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScenarioError
@@ -109,6 +110,13 @@ def build_class_weights(profile: HostingProfile) -> List[Tuple[int, float]]:
     return pairs
 
 
+@lru_cache(maxsize=None)
+def _profile_weights(name: str) -> Tuple[Tuple[int, float], ...]:
+    """``build_class_weights(PROFILES[name])``, bisected once per process:
+    the profiles are constants and every scenario build reads all three."""
+    return tuple(build_class_weights(PROFILES[name]))
+
+
 class ASUniverse:
     """Allocates addresses inside ASes and assigns nodes to ASes per class.
 
@@ -128,8 +136,8 @@ class ASUniverse:
         # Per-class shuffled tail order so the classes' AS sets overlap
         # only partially (Table I: just 10 ASes common in the top 20).
         for name, profile in PROFILES.items():
-            pairs = build_class_weights(profile)
-            head = pairs[: len(profile.top)]
+            pairs = _profile_weights(name)
+            head = list(pairs[: len(profile.top)])
             tail = pairs[len(profile.top):]
             tail_asns = [asn for asn, _w in tail]
             class_rng = random.Random(rng.getrandbits(64))

@@ -91,6 +91,11 @@ IO_THREADS = 4
 #: trustworthy enough to name a route.
 REFUSED_ROUTE = "(refused)"
 
+#: The ``/v1/metrics`` route every request that matches no route (a
+#: 404) is counted under: a label per invented path would grow the
+#: metrics without bound.
+UNMATCHED_ROUTE = "(no route)"
+
 
 @dataclass
 class ServiceConfig:
@@ -243,7 +248,7 @@ class CampaignService:
         """Route + run one request; returns True if the conn must close."""
         started = time.perf_counter()
         parts = split_path(request.path)
-        route_label = f"{request.method} {request.path}"
+        route_label = UNMATCHED_ROUTE
         status = 500
         bytes_out = 0
         close = False

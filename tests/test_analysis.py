@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import random
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import Series, compare_densities, k_to_cover, kde, summarize
+from repro.analysis.stats import mean, median
 from repro.errors import AnalysisError
 
 
@@ -36,6 +41,57 @@ class TestSummarize:
         assert summary.minimum <= summary.median <= summary.maximum
         assert summary.minimum - slack <= summary.mean <= summary.maximum + slack
         assert summary.p90 <= summary.p99 <= summary.maximum
+
+
+def _same(ours: float, oracle: float) -> bool:
+    """Bit-for-bit equal, or both nan."""
+    return ours == oracle or (math.isnan(ours) and math.isnan(oracle))
+
+
+def _numpy(values):
+    """numpy's mean and median, the oracle (silent on an empty input)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return float(np.mean(values)), float(np.median(values))
+
+
+#: Each branch of numpy's pairwise sum and the seams between them: the
+#: sequential run (< 8), the eight accumulators (8-128), the first
+#: splits, numpy's 8192-value buffer, and long inputs.
+ORACLE_LENGTHS = [0, 1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 8192, 10**4, 10**5]
+
+
+class TestExactMean:
+    """``mean`` / ``median`` keep numpy's figures without numpy: numpy
+    is the oracle, equality is exact."""
+
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    def test_floats_match_numpy(self, n):
+        rng = random.Random(n)
+        values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
+        expected_mean, expected_median = _numpy(values)
+        assert _same(mean(values), expected_mean)
+        assert _same(median(values), expected_median)
+
+    @pytest.mark.parametrize("n", ORACLE_LENGTHS)
+    def test_ints_match_numpy(self, n):
+        rng = random.Random(-n)
+        values = [rng.randint(-10**9, 10**9) for _ in range(n)]
+        expected_mean, expected_median = _numpy(values)
+        assert _same(mean(values), expected_mean)
+        assert _same(median(values), expected_median)
+
+    def test_empty_is_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(mean([])) and math.isnan(median([]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), max_size=600))
+    def test_any_length_matches_numpy(self, values):
+        expected_mean, expected_median = _numpy(values)
+        assert _same(mean(values), expected_mean)
+        assert _same(median(values), expected_median)
 
 
 class TestKToCover:

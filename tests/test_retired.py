@@ -183,10 +183,12 @@ GUARDS = [
     ),
     Guard(
         "imports.top_level",
-        r"^(import|from) (scipy|networkx)",
+        r"^(import|from) (numpy|scipy|networkx)",
         ("src/repro",),
-        "import repro loads numpy and the repo's modules only (\"Cold "
-        "start\"); tests/test_cold_start.py runs repro --help without them",
+        "import repro loads the repo's modules only; numpy, scipy and "
+        "networkx are imported inside the analyses that use them (\"Cold "
+        "start\"); tests/test_cold_start.py runs repro --help, a sync "
+        "campaign, a stored crawl and repro serve without them",
         "445b1b8",
         "import scipy.stats",
     ),

@@ -15,7 +15,7 @@ import re
 import pytest
 
 from repro.serve import CampaignService, Client, ServiceConfig, http, parse_submission
-from repro.serve.app import REFUSED_ROUTE
+from repro.serve.app import REFUSED_ROUTE, UNMATCHED_ROUTE
 from repro.serve.jobs import RETRY_AFTER
 from repro.store import CampaignPlan, RunManifest, RunStore
 
@@ -563,6 +563,20 @@ class TestValidation:
                 assert r.status == 404, path
             with pytest.raises(ConnectionError):
                 await stream_to_end(client, "job-missing")
+            return None
+
+        with_service(tmp_path, body)
+
+    def test_unknown_routes_share_one_metrics_label(self, tmp_path):
+        """A path a client invents adds no route to the metrics."""
+        async def body(service, client):
+            for index in range(3):
+                r = await client.request("GET", f"/nope/{index}")
+                assert r.status == 404
+            metrics = (await client.request("GET", "/v1/metrics")).json()
+            # Nothing else was answered before this read of the metrics.
+            assert list(metrics["routes"]) == [UNMATCHED_ROUTE]
+            assert metrics["routes"][UNMATCHED_ROUTE]["count"] == 3
             return None
 
         with_service(tmp_path, body)
