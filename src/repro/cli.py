@@ -701,7 +701,9 @@ def _cmd_store_gc(args: argparse.Namespace) -> int:
     verb = "would remove" if args.dry_run else "removed"
     print(
         f"{verb} {len(report['removed'])} unreferenced blob(s) "
-        f"({report['removed_bytes']} bytes), kept {report['kept']}"
+        f"({report['removed_bytes']} bytes), kept {report['kept']}; "
+        f"{verb} {report['temp_files']} stale temp file(s) "
+        f"({report['temp_bytes']} bytes)"
     )
     return 0
 
@@ -964,7 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
     _store_flag(store_show)
     store_show.set_defaults(func=_cmd_store_show)
 
-    store_gc = store_sub.add_parser("gc", help="delete unreferenced blobs")
+    store_gc = store_sub.add_parser(
+        "gc", help="delete unreferenced blobs and stale temp files"
+    )
     store_gc.add_argument("--dry-run", action="store_true")
     _store_flag(store_gc)
     store_gc.set_defaults(func=_cmd_store_gc)

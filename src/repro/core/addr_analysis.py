@@ -9,7 +9,7 @@ connection failure rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from ..simnet.addresses import NetAddr
 from .getaddr import CrawlResult, PeerHarvest
@@ -48,15 +48,20 @@ def classify_harvest(
 
 
 def composition(
-    result: CrawlResult, reachable_known: Set[NetAddr]
+    result: CrawlResult,
+    reachable_known: Set[NetAddr],
+    all_addrs: Optional[Set[NetAddr]] = None,
 ) -> AddrComposition:
     """Aggregate ADDR composition over a crawl pass.
 
     ``reachable_known`` is the crawler's reachable ground view — the
     union of the Bitnodes and DNS source lists, as in the paper.
+    ``all_addrs`` is ``result.all_addresses``, for a caller that has
+    already built that union.
     """
-    all_addrs = result.all_addresses
-    reachable_unique = sum(1 for addr in all_addrs if addr in reachable_known)
+    if all_addrs is None:
+        all_addrs = result.all_addresses
+    reachable_unique = len(all_addrs & reachable_known)
     per_peer_shares = []
     for harvest in result.harvests.values():
         if not harvest.addresses:

@@ -240,7 +240,12 @@ class CampaignRunner:
         reachable_known = (
             crawl_input.known_source_addrs | connected | set(flooder_addrs)
         )
-        unreachable = crawl.unreachable_addresses(reachable_known)
+        # One union of every harvest serves the unreachable set and the
+        # ADDR composition both; it is not kept through the probe pass.
+        all_addrs = crawl.all_addresses
+        unreachable = all_addrs - reachable_known
+        comp = composition(crawl, reachable_known, all_addrs)
+        del all_addrs
 
         responsive: Set[NetAddr] = set()
         if self.config.probe_enabled:
@@ -248,8 +253,12 @@ class CampaignRunner:
             probe_result = prober.run_to_completion(unreachable)
             responsive = probe_result.responsive
             truncated = truncated or prober.aborted
+        if not crawler.aborted:
+            # The crawl's sessions are closed by now.  An aborted
+            # crawler's may not be: it leaves connects in flight, and
+            # the sessions they open would read the tables.
+            scenario.crawl_ended()
 
-        comp = composition(crawl, reachable_known)
         detection = detect_flooders(
             crawl,
             reachable_known,

@@ -16,6 +16,13 @@ shares it, so a response costs one sample and no per-record work; only
 the server's own record is made per response, stamped with the response
 time (a node has just seen itself).
 
+A server built without a generator takes its ``("server", addr)``
+stream from ``sim.random`` on the first draw: most servers of a campaign
+are never asked before a checkpoint, and a stream not yet created
+pickles as nothing.  Streams are keyed by name
+(:func:`~repro.simnet.rand.derive_seed`), so the draws are those of a
+stream made at construction.
+
 Message processing is immediate (no round-robin engine): crawl
 experiments measure *address content*, not queueing delay.
 """
@@ -40,7 +47,7 @@ class AddrServer:
         self,
         sim: Simulator,
         addr: NetAddr,
-        rng: random.Random,
+        rng: Optional[random.Random] = None,
         table: Optional[Sequence[TimestampedAddr]] = None,
         max_inbound: int = cfg.MAX_INBOUND,
         response_max: int = cfg.ADDR_RESPONSE_MAX,
@@ -82,6 +89,22 @@ class AddrServer:
         """Re-materialise the served address table (per-snapshot refresh)."""
         self.table = list(table)
 
+    def crawl_ended(self) -> None:
+        """Drop the table once a crawl is over: the next refresh draws a
+        new one before a GETADDR can read it.  Kept while an inbound
+        connection is open, since a GETADDR still in flight on it would
+        draw from the table."""
+        if not self._inbound:
+            self.set_table(())
+
+    @property
+    def rng(self) -> random.Random:
+        """The generator responses draw from, created on first use."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = self.sim.random.stream("server", str(self.addr))
+        return rng
+
     # ------------------------------------------------------------------
     # Transport callbacks
     # ------------------------------------------------------------------
@@ -122,5 +145,5 @@ class AddrServer:
                 self.response_max,
                 max(1, len(table) * self.response_pct // 100),
             )
-            response += sample(self._rng, table, min(limit, len(table)))
+            response += sample(self.rng, table, min(limit, len(table)))
         return response[: self.response_max]

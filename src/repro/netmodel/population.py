@@ -53,6 +53,9 @@ class NodeRecord:
 
     Slotted: paper-scale worlds hold tens of thousands of records, and
     the per-instance ``__dict__`` would cost more than the fields.
+    Pickled as one constructor-args tuple: the default slotted form is a
+    ``(None, {slot: value})`` pair per record, which the pickler's memo
+    keeps alive until the whole dump ends.
     """
 
     addr: NetAddr
@@ -60,6 +63,9 @@ class NodeRecord:
     node_class: NodeClass
     #: Belongs to the critical-infrastructure blacklist (§III-A ethics).
     critical: bool = False
+
+    def __reduce__(self):
+        return NodeRecord, (self.addr, self.asn, self.node_class, self.critical)
 
 
 #: Share of reachable records on the critical-infrastructure blacklist.

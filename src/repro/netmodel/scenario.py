@@ -252,14 +252,13 @@ class LongitudinalScenario:
             rst_fraction=self.config.rst_fraction,
             assist_fraction=self.config.policies.assist_fraction,
         )
-        #: One AddrServer per reachable record, started/stopped with churn.
-        self.servers: Dict[NetAddr, AddrServer] = {}
-        for record in self.population.reachable:
-            self.servers[record.addr] = AddrServer(
-                self.sim,
-                record.addr,
-                self.sim.random.stream("server", str(record.addr)),
-            )
+        #: One AddrServer per reachable record, started/stopped with
+        #: churn; each takes its ``("server", addr)`` stream when first
+        #: asked for addresses.
+        self.servers: Dict[NetAddr, AddrServer] = {
+            record.addr: AddrServer(self.sim, record.addr)
+            for record in self.population.reachable
+        }
         #: Fault injector, when the config's plan is not empty.  Crash
         #: faults are rejected here (no full nodes to crash in this
         #: fidelity); partitions/drops/delays shape the crawler's view.
@@ -393,6 +392,17 @@ class LongitudinalScenario:
             cloud.mark_offline(addr)
         cloud.mark_silent(silent_alive)
         self._snapshot_index += 1
+
+    def crawl_ended(self) -> None:
+        """Drop the served tables once the snapshot's crawl is over.
+
+        :meth:`materialize_snapshot` draws every table afresh before the
+        next crawl reads one, so until then they are dead weight, and a
+        state checkpoint taken in between carries none.  Flooder pools
+        are kept; so is the table of a server with a connection still
+        open (:meth:`AddrServer.crawl_ended`)."""
+        for server in self.servers.values():
+            server.crawl_ended()
 
     def tier_census(self) -> Dict[str, int]:
         """Count live behaviors per tier (transport's view of the world)."""

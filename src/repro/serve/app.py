@@ -570,6 +570,8 @@ class CampaignService:
                 "removed_count": len(report["removed"]),
                 "removed_bytes": report["removed_bytes"],
                 "kept": report["kept"],
+                "temp_files": report["temp_files"],
+                "temp_bytes": report["temp_bytes"],
                 "removed_sample": report["removed"][:16],
             }
         )

@@ -8,11 +8,14 @@ a snapshot continues a live simulation (event queue, clock, every RNG
 stream position), which no list of earlier outputs can rebuild — so
 after each snapshot but the last the whole runner is checkpointed
 beside the snapshot's own result blob, and a resumed campaign is
-bit-identical to an uninterrupted one (pinned by test).  Its ~700 RNG
-streams pickle as their Mersenne-Twister word arrays
-(:class:`~repro.simnet.rand.Stream`).  The last snapshot's write is the
-completion write: a complete campaign keeps its snapshots, its result
-and its views, and no runner.
+bit-identical to an uninterrupted one (pinned by test).  The runner
+holds live state only: RNG streams are the drawn streams only, each
+pickled as its Mersenne-Twister word array
+(:class:`~repro.simnet.rand.Stream`) — a server takes its stream on its
+first GETADDR — and no served table, since a snapshot drops its tables
+when its crawl ends and the next one redraws them.  The last
+snapshot's write is the completion write: a complete campaign keeps its
+snapshots, its result and its views, and no runner.
 
 The run key is a content hash of (scenario config, campaign config,
 seed, snapshot count); re-running a completed key loads the stored

@@ -27,6 +27,14 @@ Pickling depth is bounded the same way: ``Socket`` state leaves out the
 one node-to-node edge (``_peer``) and ``Network`` state carries the
 pairs as a flat list, so depth does not grow with node count.
 
+The store never holds a payload whole.  A write streams the pickle
+through a hashing writer into a temp file and frames the blob from
+there (``dump_checkpoint(..., sink=file)``); a load hashes and unpickles
+the blob's bytes through a ``memoryview``.  Only the bytes API —
+``dump_checkpoint`` without a sink, which :meth:`Simulator.snapshot
+<repro.simnet.simulator.Simulator.snapshot>` returns — builds the
+framed blob in memory.
+
 This module is deliberately stdlib-only: the simulation core imports it
 lazily and must not pull the rest of :mod:`repro.store` (which imports
 the pipeline layer) into ``repro.simnet``'s import graph.
@@ -38,7 +46,7 @@ import hashlib
 import io
 import json
 import pickle
-from typing import Any, Dict, Optional
+from typing import Any, BinaryIO, Dict, Optional
 
 from ..errors import CheckpointError
 
@@ -62,14 +70,44 @@ _HEADER_LEN_BYTES = 4
 _MAX_HEADER = 1 << 20
 
 
+class _HashingWriter:
+    """The file the pickler writes to: each write is hashed and counted
+    on its way to ``sink``, so the payload digest needs no second pass
+    and no buffer of the payload."""
+
+    __slots__ = ("_write", "_sha", "size")
+
+    def __init__(self, sink: BinaryIO) -> None:
+        self._write = sink.write
+        self._sha = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data: Any) -> int:
+        self._sha.update(data)
+        written = self._write(data)
+        self.size += written
+        return written
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
 def dump_checkpoint(
     obj: Any,
     *,
     kind: str,
     meta: Optional[Dict[str, Any]] = None,
     aliasing: bool = True,
+    sink: Optional[BinaryIO] = None,
 ) -> bytes:
     """Serialize ``obj`` into a framed, digest-protected checkpoint.
+
+    Without ``sink`` the framed blob is returned.  With one (a binary
+    file) the payload streams into it and the return value is the
+    frame's *prefix* — magic, header length and header, the bytes that
+    go before the payload: the caller frames the blob from the file
+    (:meth:`repro.store.blobs.BlobStore.put_framed`), and no copy of
+    the payload is ever held in memory.  Both forms frame equal bytes.
 
     ``aliasing=False`` emits a memo-free pickle: every occurrence of a
     shared object is written out in full instead of as a back-reference.
@@ -81,32 +119,32 @@ def dump_checkpoint(
     payloads; simulator state (cyclic by construction) must keep the
     memo.
     """
-    buf = io.BytesIO()
-    pickler = pickle.Pickler(buf, protocol=PICKLE_PROTOCOL)
+    out = io.BytesIO() if sink is None else sink
+    writer = _HashingWriter(out)
+    pickler = pickle.Pickler(writer, protocol=PICKLE_PROTOCOL)
     if not aliasing:
         pickler.fast = True
     pickler.dump(obj)
     # The memo holds every object the dump reached (the temporaries a
     # reduce made among them): let them go before the frame is built.
     del pickler
-    # Hash and frame the buffer in place: the payload exists twice at
-    # most, in ``buf`` and in the framed blob.
-    payload = buf.getbuffer()
     header = {
         "format": CHECKPOINT_FORMAT,
         "kind": kind,
         "pickle_protocol": PICKLE_PROTOCOL,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "payload_bytes": len(payload),
+        "payload_sha256": writer.hexdigest(),
+        "payload_bytes": writer.size,
         "meta": meta if meta is not None else {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    return b"".join((
+    prefix = b"".join((
         MAGIC,
         len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "big"),
         header_bytes,
-        payload,
     ))
+    if sink is not None:
+        return prefix
+    return b"".join((prefix, out.getbuffer()))
 
 
 def read_header(data: bytes) -> Dict[str, Any]:
@@ -146,7 +184,9 @@ def load_checkpoint(data: bytes, *, expect_kind: Optional[str] = None) -> Any:
         raise CheckpointError(
             f"checkpoint kind {header.get('kind')!r}, expected {expect_kind!r}"
         )
-    payload = data[header["_payload_offset"] :]
+    # A view, not a slice: hashing and unpickling read the payload
+    # where it lies, so a load never holds a second copy of it.
+    payload = memoryview(data)[header["_payload_offset"] :]
     if len(payload) != header["payload_bytes"]:
         raise CheckpointError(
             f"checkpoint payload truncated: {len(payload)} of "

@@ -39,7 +39,10 @@ state blob and runs the remaining units on it; a stateless plan keeps
 nothing but its outputs, so its earlier units are reloaded from their
 unit blobs and handed to :meth:`StoredPlan.finish` beside the new ones.
 Neither re-runs a completed unit, and neither re-pickles earlier
-outputs into later blobs.
+outputs into later blobs.  Every checkpoint — unit, state and result —
+is written by :meth:`RunStore.put_checkpoint
+<repro.store.runstore.RunStore.put_checkpoint>`, which streams the
+pickle to disk: a write holds the pickler's memo, never the payload.
 
 Crash injection for tests/CI: ``REPRO_CRASH_AFTER_UNIT=k`` hard-exits
 the process (``os._exit``) right after unit ``k``'s blobs and manifest
@@ -58,7 +61,7 @@ from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import CheckpointError, ConfigurationError, StoreError
-from .checkpoint import dump_checkpoint, load_checkpoint, read_header
+from .checkpoint import load_checkpoint, read_header
 from .manifest import (
     STATUS_COMPLETE,
     STATUS_RUNNING,
@@ -348,13 +351,11 @@ def run_stored(
     for index in range(done, plan.units):
         out = plan.run_unit(state, index)
         outs.append(out)
-        unit_digest = store.put_blob(
-            dump_checkpoint(
-                out,
-                kind=plan.unit_kind,
-                meta={"index": index},
-                aliasing=plan.aliasing,
-            )
+        unit_digest = store.put_checkpoint(
+            out,
+            kind=plan.unit_kind,
+            meta={"index": index},
+            aliasing=plan.aliasing,
         )
         manifest.snapshots.append(
             SnapshotRecord(
@@ -367,12 +368,10 @@ def run_stored(
         if plan.state_kind is not None:
             # Carried state is a live object graph (cyclic: it holds a
             # simulator), so it always pickles with the memo.
-            state_digest = store.put_blob(
-                dump_checkpoint(
-                    state,
-                    kind=plan.state_kind,
-                    meta={"snapshot_index": index, "run_id": run_id},
-                )
+            state_digest = store.put_checkpoint(
+                state,
+                kind=plan.state_kind,
+                meta={"snapshot_index": index, "run_id": run_id},
             )
             manifest.checkpoint = CheckpointRecord(
                 digest=state_digest, snapshot_index=index
@@ -385,8 +384,8 @@ def run_stored(
     # No run-specific metadata in the result blob: equal results must
     # hash equally across runs, so `store diff` can report result
     # agreement, and a cache hit be audited, by digest alone.
-    manifest.result_digest = store.put_blob(
-        dump_checkpoint(result, kind=plan.result_kind, aliasing=plan.aliasing)
+    manifest.result_digest = store.put_checkpoint(
+        result, kind=plan.result_kind, aliasing=plan.aliasing
     )
     manifest.views = {
         name: store.put_blob(data) for name, data in plan.views(result).items()

@@ -8,9 +8,11 @@ Layout::
 
 Manifest writes are atomic (tmp + ``os.replace``), so a run killed
 mid-write leaves either the old manifest or the new one, never a torn
-file.  The run listing (:meth:`RunStore.index`) is a scan of ``runs/``;
-nothing else is written beside the manifests, so a commit costs one
-manifest write however many runs the store holds.
+file — at worst a ``.tmp-*`` file, which :meth:`RunStore.gc` removes
+once it is :data:`TEMP_FILE_MAX_AGE_S` old.  The run listing
+(:meth:`RunStore.index`) is a scan of ``runs/``; nothing else is
+written beside the manifests, so a commit costs one manifest write
+however many runs the store holds.
 """
 
 from __future__ import annotations
@@ -18,18 +20,23 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..errors import StoreError
-from .blobs import BlobStore, reject_read_only
-from .checkpoint import read_header
+from .blobs import TEMP_PREFIX, BlobStore, reject_read_only
+from .checkpoint import dump_checkpoint, read_header
 from .manifest import RunManifest
+from .wallclock import now as wall_now
 
 PathLike = Union[str, Path]
 
 #: Environment variable naming the default store root for the CLI.
 STORE_ENV = "REPRO_STORE"
 DEFAULT_STORE_DIR = "repro-store"
+
+#: Age past which ``gc`` takes a temp file for the leftover of a writer
+#: killed mid-write.  No live write comes near it, so gc never races one.
+TEMP_FILE_MAX_AGE_S = 3600.0
 
 
 def default_store_root() -> str:
@@ -59,6 +66,23 @@ class RunStore:
     def get_blob(self, digest: str) -> bytes:
         return self.blobs.get(digest)
 
+    def put_checkpoint(
+        self,
+        obj: Any,
+        *,
+        kind: str,
+        meta: Optional[Dict[str, Any]] = None,
+        aliasing: bool = True,
+    ) -> str:
+        """Store ``dump_checkpoint(obj, kind=..., meta=..., aliasing=...)``;
+        return its digest.  The pickle streams into a temp file and the
+        blob is framed from there, so the payload is never in memory."""
+        with self.blobs.spool() as payload:
+            prefix = dump_checkpoint(
+                obj, kind=kind, meta=meta, aliasing=aliasing, sink=payload
+            )
+            return self.blobs.put_framed(prefix, payload)
+
     # ------------------------------------------------------------------
     # Manifests
     # ------------------------------------------------------------------
@@ -72,7 +96,7 @@ class RunStore:
         path = self._manifest_path(manifest.run_id)
         try:
             fd, tmp_name = tempfile.mkstemp(
-                dir=self.runs_dir, prefix=".tmp-", suffix=".json"
+                dir=self.runs_dir, prefix=TEMP_PREFIX, suffix=".json"
             )
         except OSError as exc:
             reject_read_only(exc, self.root, "write a manifest")
@@ -156,9 +180,11 @@ class RunStore:
     # Garbage collection
     # ------------------------------------------------------------------
     def gc(self, dry_run: bool = False) -> Dict[str, Any]:
-        """Delete blobs no manifest references.
+        """Delete blobs no manifest references, and the temp files of
+        writes killed midway (older than :data:`TEMP_FILE_MAX_AGE_S`).
 
-        Returns a report with the removed/kept digests and byte counts.
+        Returns a report with the removed/kept digests and byte counts,
+        and the count and bytes of the temp files removed.
         """
         referenced = set()
         for manifest in self.manifests():
@@ -174,12 +200,35 @@ class RunStore:
             if not dry_run:
                 self.blobs.delete(digest)
             removed.append(digest)
+        temp_files = 0
+        temp_bytes = 0
+        cutoff = wall_now() - TEMP_FILE_MAX_AGE_S
+        for path in self._temp_files():
+            try:
+                stat = path.stat()
+                if stat.st_mtime > cutoff:
+                    continue
+                if not dry_run:
+                    path.unlink()
+            except FileNotFoundError:
+                continue  # its writer finished or gave up meanwhile
+            temp_files += 1
+            temp_bytes += stat.st_size
         return {
             "removed": removed,
             "removed_bytes": removed_bytes,
             "kept": kept,
+            "temp_files": temp_files,
+            "temp_bytes": temp_bytes,
             "dry_run": dry_run,
         }
+
+    def _temp_files(self) -> List[Path]:
+        """Every temp file under ``objects/`` and ``runs/``."""
+        return [
+            *self.blobs.temp_files(),
+            *sorted(self.runs_dir.glob(TEMP_PREFIX + "*")),
+        ]
 
     # ------------------------------------------------------------------
     # Diff

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,17 @@ def rng() -> random.Random:
 def make_addr(index: int, port: int = 8333) -> NetAddr:
     """Distinct addresses across /16 groups (index < 65536)."""
     return NetAddr(ip=((index + 1) << 16) | 0x0101, port=port)
+
+
+def traced_peak(call):
+    """``(call(), peak bytes tracemalloc traced while it ran)``."""
+    tracemalloc.start()
+    try:
+        value = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak
 
 
 def answer_with(

@@ -22,8 +22,9 @@ component that seeds its own stock generator turns (c) red.
 
 from __future__ import annotations
 
+import os
+import pickle
 import re
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -53,8 +54,11 @@ from repro.netmodel.scenario import (
 )
 from repro.simnet.addresses import NetAddr
 from repro.simnet.simulator import Simulator
-from repro.store import dump_checkpoint, load_checkpoint
+from repro.store import RunStore, dump_checkpoint, load_checkpoint
+from repro.store.blobs import CHUNK
+from repro.store.checkpoint import PICKLE_PROTOCOL
 
+from .conftest import traced_peak
 from .reference_pickler import checkpoint_payload, reference_dump
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -304,21 +308,31 @@ def test_inventory_catches_a_class_without_canonical_state(
         assert_canonical(snap, kind="snapshot-result")
 
 
-def test_a_runner_dump_peaks_near_its_payload(campaign):
-    """A ``campaign-runner`` dump allocates the pickle buffer, the
-    framed blob, the memo and whatever the reduces build: 3.8x the blob
-    here.  With stock generators (a 625-int state tuple per stream, kept
-    by the memo to the end of the dump) and a frame built from two more
-    copies of the payload it was 6.5x."""
+def test_a_runner_dump_peaks_near_its_payload(campaign, tmp_path):
+    """A ``campaign-runner`` write through the store holds what the
+    pickler itself holds — the memo and whatever the reduces build — and
+    no copy of the payload: its peak is that of pickling the runner into
+    a null sink, 3.4x the blob here.  Built in memory (the pickle
+    buffer, then the framed blob) the same dump peaks at 4.2x, and
+    peaked at 3.8x a blob that still carried every server's stream and
+    table; with stock generators and a frame built from two more copies
+    of the payload it was 6.5x."""
     runner, _ = campaign
-    dump_checkpoint(runner, kind="campaign-runner")  # warm caches
-    tracemalloc.start()
-    try:
-        blob = dump_checkpoint(runner, kind="campaign-runner")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * len(blob), (peak, len(blob))
+    store = RunStore(tmp_path)
+    blob = dump_checkpoint(runner, kind="campaign-runner")  # warm caches
+    with open(os.devnull, "wb") as null:
+        _, bare = traced_peak(
+            lambda: pickle.dump(runner, null, protocol=PICKLE_PROTOCOL)
+        )
+    _, streamed = traced_peak(
+        lambda: store.put_checkpoint(runner, kind="campaign-runner")
+    )
+    _, in_memory = traced_peak(
+        lambda: dump_checkpoint(runner, kind="campaign-runner")
+    )
+    assert streamed < bare + CHUNK, (streamed, bare)
+    assert streamed < 4 * len(blob), (streamed, len(blob))
+    assert in_memory < 5 * len(blob), (in_memory, len(blob))
 
 
 def test_restored_state_has_real_sets(campaign):

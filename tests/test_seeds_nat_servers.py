@@ -26,6 +26,7 @@ from repro.netmodel.scenario import (
 from repro.netmodel.seeds import AddressOracles, DnsSeeder
 from repro.simnet import ProbeBehavior
 from repro.simnet.addresses import stamp
+from repro.simnet.simulator import Simulator
 from repro.units import DAYS
 
 from .conftest import make_addr
@@ -218,6 +219,44 @@ class TestAddrServer:
         )
         server.start()
         server.stop()
+        assert server.table == []
+
+    def test_takes_its_named_stream_on_the_first_draw(self, sim):
+        """Without a generator a server makes none until a GETADDR
+        draws, and then serves what the ``("server", addr)`` stream
+        made at construction would have served."""
+        table = stamp((make_addr(i + 10) for i in range(400)), 0.0)
+        lazy = AddrServer(sim, make_addr(1), table=table)
+        assert ("server", str(lazy.addr)) not in sim.random._streams
+        twin = Simulator(seed=sim.seed)
+        eager = AddrServer(
+            twin,
+            make_addr(1),
+            twin.random.stream("server", str(make_addr(1))),
+            table=table,
+        )
+        for server in (lazy, eager):
+            server.start()
+        served = [
+            [record.addr for record in _getaddr_exchange(world, server).addresses]
+            for world, server in ((sim, lazy), (twin, eager))
+        ]
+        assert len(served[0]) > 1 and served[0] == served[1]
+        assert lazy.rng is sim.random.stream("server", str(lazy.addr))
+        assert lazy.rng.getstate() == eager.rng.getstate()
+
+    def test_crawl_ended_keeps_a_table_a_connection_can_read(self, sim, rng):
+        table = stamp((make_addr(i + 10) for i in range(100)), 0.0)
+        server = AddrServer(sim, make_addr(1), rng, table=table)
+        server.start()
+        out = []
+        sim.network.connect(make_addr(900), server.addr, _Collector(), out.append)
+        sim.run_for(5.0)
+        server.crawl_ended()
+        assert server.table == table  # a GETADDR may still arrive
+        out[0].close()
+        sim.run_for(5.0)
+        server.crawl_ended()
         assert server.table == []
 
     def test_stop_refuses_connections(self, sim, rng):

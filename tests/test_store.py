@@ -44,7 +44,9 @@ from repro.store import (
     sha256_hex,
 )
 
-from .conftest import make_addr
+from repro.store.runstore import TEMP_FILE_MAX_AGE_S
+
+from .conftest import make_addr, traced_peak
 from .reference_pickler import format_1_blob
 
 
@@ -84,6 +86,59 @@ class TestBlobStore:
         assert store.delete(digest)
         assert digest not in store
         assert not store.delete(digest)
+
+
+class TestStreamedCheckpoint:
+    """``RunStore.put_checkpoint`` streams the pickle into a temp file
+    and frames the blob from disk; ``load_checkpoint`` reads the payload
+    where it lies."""
+
+    @pytest.mark.parametrize("aliasing", [True, False])
+    def test_frames_what_the_bytes_api_frames(self, tmp_path, aliasing):
+        store = RunStore(tmp_path)
+        shared = ["x"] * 3
+        # Large enough that the pickler writes many frames.
+        obj = {"a": shared, "b": shared, "n": list(range(100_000))}
+        frame = {"kind": "t", "meta": {"index": 1}, "aliasing": aliasing}
+        blob = dump_checkpoint(obj, **frame)
+        digest = store.put_checkpoint(obj, **frame)
+        assert digest == sha256_hex(blob)
+        assert store.get_blob(digest) == blob
+        assert store.put_checkpoint(obj, **frame) == digest
+        assert len(store.blobs) == 1
+        assert list(store.blobs.temp_files()) == []
+
+    def test_heals_a_corrupt_blob(self, tmp_path):
+        store = RunStore(tmp_path)
+        digest = store.put_checkpoint([1, 2, 3], kind="t")
+        store.blobs._path(digest).write_bytes(b"tampered")
+        assert store.put_checkpoint([1, 2, 3], kind="t") == digest
+        assert load_checkpoint(store.get_blob(digest), expect_kind="t") == [
+            1, 2, 3,
+        ]
+
+    def test_a_large_bytes_attribute_is_never_copied(self, tmp_path):
+        """The pickler hands a large ``bytes`` straight to the hashing
+        writer and the file, and the blob is framed from disk in
+        chunks.  Framing it in memory copied it twice (the pickle
+        buffer, then the joined blob)."""
+        state = {"words": os.urandom(8 << 20), "position": 7}
+        RunStore(tmp_path / "warm").put_checkpoint([0], kind="t")
+        store = RunStore(tmp_path / "store")
+        digest, peak = traced_peak(
+            lambda: store.put_checkpoint(state, kind="t")
+        )
+        assert peak < len(state["words"]) // 4, peak
+        assert store.blobs.size_bytes(digest) > len(state["words"])
+
+    def test_a_load_holds_no_copy_of_the_payload(self):
+        """The loaded ``bytes`` is one payload's worth; a slice of the
+        blob to hash and unpickle would be a second."""
+        blob = dump_checkpoint({"words": os.urandom(8 << 20)}, kind="t")
+        loaded, peak = traced_peak(
+            lambda: load_checkpoint(blob, expect_kind="t")
+        )
+        assert peak < 1.25 * len(loaded["words"]), peak
 
 
 class TestCheckpointFraming:
@@ -314,6 +369,35 @@ class TestRunStore:
         report = store.gc()
         assert report["removed"] == [dropped]
         assert kept in store.blobs and dropped not in store.blobs
+
+    def test_gc_reclaims_stale_temp_files_only(self, tmp_path):
+        """A writer killed mid-write leaves its ``.tmp-*`` file behind;
+        gc removes one older than any live write, and leaves a fresh
+        one to its writer."""
+        store = RunStore(tmp_path)
+        shard = store.blobs.objects_dir / "ab"
+        shard.mkdir()
+        fresh = store.blobs.objects_dir / ".tmp-live.blob"
+        fresh.write_bytes(b"y" * 100)
+        stale = [shard / ".tmp-orphan.blob", store.runs_dir / ".tmp-x.json"]
+        then = fresh.stat().st_mtime - TEMP_FILE_MAX_AGE_S - 60
+        for path in stale:
+            path.write_bytes(b"x" * 5000)
+            os.utime(path, (then, then))
+        kept = store.put_blob(b"referenced")
+        manifest = self._manifest()
+        manifest.snapshots.append(SnapshotRecord(index=0, when=1.0, digest=kept))
+        store.save_manifest(manifest)
+
+        dry = store.gc(dry_run=True)
+        assert (dry["temp_files"], dry["temp_bytes"]) == (2, 10_000)
+        assert all(path.exists() for path in stale)
+        report = store.gc()
+        assert (report["temp_files"], report["temp_bytes"]) == (2, 10_000)
+        assert not any(path.exists() for path in stale)
+        assert fresh.exists()
+        assert report["removed"] == [] and report["kept"] == 1
+        assert store.gc()["temp_files"] == 0
 
     def test_diff_reports_config_drift(self, tmp_path):
         store = RunStore(tmp_path)

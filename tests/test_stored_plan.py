@@ -903,6 +903,69 @@ def test_state_with_stock_streams_resumes_to_the_pinned_result(
     assert resumed.manifest.result_digest == result_digest
 
 
+def _state_servers(store):
+    """The servers of the one partial campaign's state blob."""
+    (manifest,) = store.manifests()
+    runner = load_checkpoint(
+        store.get_blob(manifest.checkpoint.digest),
+        expect_kind="campaign-runner",
+    )
+    return runner.scenario, list(runner.scenario.servers.values())
+
+
+def test_state_in_the_eager_layout_resumes_to_the_pinned_result(
+    tmp_path, monkeypatch
+):
+    """A partial campaign whose state was built the way earlier builds
+    built it — every server's stream drawn from ``sim.random`` when the
+    world is built, every served table kept after its crawl — resumes
+    to the pinned result digest.  Lazy streams and dropped tables change
+    what a state blob holds, not what the campaign measures."""
+    _, key, result_digest = PINS["campaign"]
+    store = RunStore(tmp_path)
+    start = CampaignPlan.start
+
+    def eager_start(plan):
+        runner = start(plan)
+        scenario = runner.scenario
+        for addr, server in scenario.servers.items():
+            server._rng = scenario.sim.random.stream("server", str(addr))
+        return runner
+
+    monkeypatch.setattr(CampaignPlan, "start", eager_start)
+    monkeypatch.setattr(LongitudinalScenario, "crawl_ended", lambda self: None)
+    monkeypatch.setattr(os, "_exit", _kill)
+    monkeypatch.setenv(CRASH_ENV, "0")
+    with pytest.raises(_Killed):
+        run_stored_campaign(store, tiny_crawl())
+    monkeypatch.undo()
+    scenario, servers = _state_servers(store)
+    assert len(scenario.sim.random._streams) > len(servers)
+    assert all(server.table for server in servers if server.listening)
+
+    resumed = run_stored_campaign(store, tiny_crawl())
+    assert resumed.resumed_from == 1
+    assert resumed.manifest.key == key
+    assert resumed.manifest.result_digest == result_digest
+
+
+def test_a_state_blob_holds_drawn_streams_and_no_served_table(
+    tmp_path, monkeypatch
+):
+    """After a snapshot, a server's stream exists only if a GETADDR drew
+    from it, and no table outlives its crawl."""
+    store = RunStore(tmp_path)
+    monkeypatch.setattr(os, "_exit", _kill)
+    monkeypatch.setenv(CRASH_ENV, "0")
+    with pytest.raises(_Killed):
+        run_stored_campaign(store, tiny_crawl())
+    scenario, servers = _state_servers(store)
+    drawn = [server for server in servers if server._rng is not None]
+    assert 0 < len(drawn) < len(servers)
+    assert len(scenario.sim.random._streams) < len(servers)
+    assert not any(server.table for server in servers)
+
+
 #: What each seed of the two pinned sweeps *measured*, cell by cell:
 #: ``_measured(result)`` of every per-seed ``SyncCampaignResult``.  The
 #: result embeds its config, so a re-spelled config moves
