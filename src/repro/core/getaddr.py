@@ -15,20 +15,23 @@ against samplers, so two rules are offered:
 
 The crawler runs *inside* the simulation as a transport handler, with a
 bounded number of concurrent connections, exactly like the measurement
-node in Fig. 2.
+node in Fig. 2.  The pass itself is
+:class:`~repro.core.bounded_pass.BoundedPass`; this module holds the
+session state machine, the stop rules and reconnect rounds (a requeue).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..errors import ScenarioError
 from ..simnet.addresses import NetAddr
 from ..simnet.simulator import Simulator, canonical_sets
 from ..simnet.transport import Socket
 from ..bitcoin.messages import Addr, GetAddr, Message, Version
+from .bounded_pass import BoundedPass
 
 
 @dataclass
@@ -95,15 +98,6 @@ class CrawlResult:
             out |= harvest.addresses
         return out
 
-    def unreachable_addresses(self, reachable_known: Set[NetAddr]) -> Set[NetAddr]:
-        """Harvested addresses that no source listed as reachable.
-
-        Mirrors the paper's filtering step: "our node filtered reachable
-        addresses from Bitnodes and the DNS server database to obtain the
-        unreachable addresses".
-        """
-        return self.all_addresses - reachable_known
-
 
 class _PeerSession:
     """Per-connection crawl state machine."""
@@ -117,8 +111,10 @@ class _PeerSession:
         self.timeout_event = None
 
 
-class GetAddrCrawler:
+class GetAddrCrawler(BoundedPass):
     """The network crawler node (Fig. 2 right box, Algorithm 1)."""
+
+    config_type = GetAddrConfig
 
     def __init__(
         self,
@@ -126,83 +122,51 @@ class GetAddrCrawler:
         addr: NetAddr,
         config: Optional[GetAddrConfig] = None,
     ) -> None:
-        self.sim = sim
-        self.addr = addr
-        self.config = config if config is not None else GetAddrConfig()
-        self.config.validate()
+        super().__init__(sim, addr, config)
         self._sessions: Dict[Socket, _PeerSession] = {}
-        self._pending: List[NetAddr] = []
-        self._in_flight = 0
-        self._result: Optional[CrawlResult] = None
-        self._on_done: Optional[Callable[[CrawlResult], None]] = None
-        self.done = False
-        #: True when the last :meth:`run_to_completion` hit its deadline
-        #: and aborted outstanding sessions (the crawl is incomplete).
-        self.aborted = False
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def crawl(
-        self,
-        targets: List[NetAddr],
-        on_done: Optional[Callable[[CrawlResult], None]] = None,
-    ) -> CrawlResult:
+    def crawl(self, targets: List[NetAddr]) -> CrawlResult:
         """Start crawling ``targets``; returns the (live) result object.
 
         The result fills in as the simulation runs; use
         :meth:`run_to_completion` to drive the simulator until done.
         """
-        if self._result is not None and not self.done:
-            raise ScenarioError("a crawl is already in progress")
-        self.done = False
-        self.aborted = False
-        self._result = CrawlResult()
-        self._on_done = on_done
-        self._pending = list(targets)
-        self._in_flight = 0
-        self._fill_slots()
-        self._check_done()
-        return self._result
+        return self._start(targets, CrawlResult())
 
     def run_to_completion(
         self, targets: List[NetAddr], max_seconds: float = 7200.0
     ) -> CrawlResult:
         """Crawl ``targets``, driving the simulator until the crawl ends."""
-        result = self.crawl(targets)
-        deadline = self.sim.now + max_seconds
-        while not self.done and self.sim.now < deadline:
-            if not self.sim.step():
-                break
-        if not self.done:
-            self.aborted = True
-            self._abort_all()
-        return result
+        self.crawl(targets)
+        return self._drive(max_seconds)
 
     # ------------------------------------------------------------------
     # Connection management
     # ------------------------------------------------------------------
-    def _fill_slots(self) -> None:
-        while self._pending and self._in_flight < self.config.concurrency:
-            target = self._pending.pop()
-            self._in_flight += 1
-            harvest = self._result.harvests.get(target)
-            if harvest is None:
-                harvest = PeerHarvest(target=target)
-                self._result.harvests[target] = harvest
-            self.sim.network.connect(
-                self.addr,
-                target,
-                handler=self,
-                # partial, not a lambda: pending connects must survive
-                # checkpoint pickling (Simulator.snapshot()).
-                on_result=partial(self._connected, harvest),
-                timeout=self.config.connect_timeout,
-            )
+    def _launch(self, target: NetAddr) -> None:
+        harvests = self._result.harvests
+        harvest = harvests.get(target)
+        if harvest is None:
+            harvest = harvests[target] = PeerHarvest(target=target)
+        self.sim.network.connect(
+            self.addr,
+            target,
+            handler=self,
+            # partial, not a lambda: pending connects must survive
+            # checkpoint pickling (Simulator.snapshot()).
+            on_result=partial(self._connected, harvest),
+            timeout=self.config.connect_timeout,
+        )
 
     def _connected(self, harvest: PeerHarvest, socket: Optional[Socket]) -> None:
+        if socket is not None and self.aborted:
+            socket.close()  # the pass is over: no session, no VERSION
+            socket = None
         if socket is None:
-            self._finish_target()
+            self._finished()
             return
         harvest.connected = True
         harvest.sessions += 1
@@ -215,22 +179,9 @@ class GetAddrCrawler:
             Version(sender=self.addr, receiver=socket.remote_addr, start_height=0)
         )
 
-    def _finish_target(self) -> None:
-        self._in_flight -= 1
-        self._fill_slots()
-        self._check_done()
-
-    def _check_done(self) -> None:
-        if not self.done and self._in_flight == 0 and not self._pending:
-            self.done = True
-            if self._on_done is not None:
-                self._on_done(self._result)
-
-    def _abort_all(self) -> None:
+    def _release(self) -> None:
         for socket in list(self._sessions):
             self._close_session(socket)
-        self._pending.clear()
-        self.done = True
 
     # ------------------------------------------------------------------
     # Timeouts
@@ -267,7 +218,7 @@ class GetAddrCrawler:
             return
         if session.timeout_event is not None:
             session.timeout_event.cancel()
-        self._finish_target()
+        self._finished()
 
     # ------------------------------------------------------------------
     # Algorithm 1 proper
@@ -329,5 +280,5 @@ class GetAddrCrawler:
             session.handshaken
             and harvest.sessions <= self.config.reconnect_rounds
         ):
-            self._pending.append(harvest.target)
-        self._finish_target()
+            self._requeue(harvest.target)
+        self._finished()

@@ -13,6 +13,9 @@ snapshots.  Per snapshot it:
    (:mod:`~repro.core.prober` — Fig. 5);
 4. records the connected reachable set (Algorithm 4 / Figs. 12-13).
 
+A pass cut short by its time budget flags the snapshot ``truncated``;
+its result stops changing when it returns (:mod:`~repro.core.bounded_pass`).
+
 The accumulated :class:`CampaignResult` feeds every longitudinal table
 and figure.
 """
@@ -253,11 +256,7 @@ class CampaignRunner:
             probe_result = prober.run_to_completion(unreachable)
             responsive = probe_result.responsive
             truncated = truncated or prober.aborted
-        if not crawler.aborted:
-            # The crawl's sessions are closed by now.  An aborted
-            # crawler's may not be: it leaves connects in flight, and
-            # the sessions they open would read the tables.
-            scenario.crawl_ended()
+        scenario.crawl_ended()
 
         detection = detect_flooders(
             crawl,

@@ -11,7 +11,7 @@ from repro.errors import ScenarioError
 from repro.netmodel.addr_server import AddrServer
 from repro.netmodel.seeds import AddressViews
 from repro.simnet import ProbeBehavior
-from repro.simnet.addresses import stamp
+from repro.simnet.addresses import NetAddr, stamp
 
 from .conftest import answer_with, make_addr
 
@@ -85,7 +85,8 @@ class TestGetAddrCrawler:
         crawler = GetAddrCrawler(sim, CRAWLER)
         result = crawler.run_to_completion([server.addr])
         reachable_known = {server.addr}
-        unreachable = result.unreachable_addresses(reachable_known)
+        # The pipeline's filtering step (CampaignRunner.run_snapshot).
+        unreachable = result.all_addresses - reachable_known
         assert server.addr not in unreachable
         assert unreachable  # the table contents are not source-listed
 
@@ -119,6 +120,45 @@ class TestGetAddrCrawler:
         assert crawler.done
         assert result.harvests == {}
 
+    def test_an_aborted_crawl_serves_no_getaddr_after_it_returns(self, sim, rng):
+        # 200 servers of 3,000 records: at 0.4 s the crawl is mid-way,
+        # with sessions open and connects in flight.
+        servers = [
+            AddrServer(
+                sim,
+                make_addr(i + 1),
+                rng,
+                table=stamp(
+                    (NetAddr(ip=0x0A000000 + i * 3000 + j) for j in range(3000)),
+                    0.0,
+                ),
+            )
+            for i in range(200)
+        ]
+        for server in servers:
+            server.start()
+        crawler = GetAddrCrawler(sim, CRAWLER)
+        result = crawler.run_to_completion(
+            [s.addr for s in servers], max_seconds=0.4
+        )
+        assert crawler.aborted and crawler.done
+        sent = sum(h.rounds for h in result.harvests.values())
+        measured = {
+            addr: (h.connected, h.sessions, h.rounds, frozenset(h.addresses))
+            for addr, h in result.harvests.items()
+        }
+        sim.run_for(60.0)
+        # GETADDRs already on the wire at the deadline may still reach an
+        # open socket; no new session asks for more.  Before the crawler
+        # and prober shared one driver, 268 more were served here after
+        # the crawl had returned.
+        assert sum(s.getaddr_served for s in servers) <= sent
+        assert not crawler._sessions
+        assert {
+            addr: (h.connected, h.sessions, h.rounds, frozenset(h.addresses))
+            for addr, h in result.harvests.items()
+        } == measured
+
     def test_invalid_config(self):
         with pytest.raises(ScenarioError):
             GetAddrConfig(stop_rule="bogus").validate()
@@ -149,6 +189,24 @@ class TestVerProber:
         prober = VerProber(sim, CRAWLER)
         result = prober.run_to_completion([server.addr])
         assert result.bitcoin == {server.addr}
+
+    def test_an_aborted_probe_pass_result_stays_as_returned(self, sim):
+        targets = [make_addr(i) for i in range(1, 3001)]
+        for addr in targets:
+            answer_with(sim, addr, ProbeBehavior.FIN)
+        prober = VerProber(sim, CRAWLER)
+        result = prober.run_to_completion(targets, max_seconds=0.05)
+        assert prober.aborted and prober.done
+        returned = (set(result.responsive), result.probed)
+        assert 0 < returned[1] < len(targets)
+        # Its late outcomes would land in a new pass.
+        with pytest.raises(ScenarioError):
+            prober.probe_all(targets)
+        sim.run_for(60.0)
+        # Before the shared driver the pass went on filling it: 25
+        # responsive at return, 3,000 a minute later.
+        assert (result.responsive, result.probed) == returned
+        assert prober.run_to_completion(targets[:10]).probed == 10
 
     def test_empty_targets(self, sim):
         prober = VerProber(sim, CRAWLER)

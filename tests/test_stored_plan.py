@@ -39,6 +39,7 @@ from repro.adversary.plan import AttackerSpec, AttackPlan
 from repro.core import Axis, CampaignRunner, ConditionSweepPlan, conditions
 from repro.core.export import export_campaign_series
 from repro.core.pipeline import CampaignResult
+from repro.core.prober import VerProber
 from repro.errors import CheckpointError, ConfigurationError, StoreError
 from repro.faults.plan import FaultPlan, FaultScope, FaultSpec
 from repro.netmodel.scenario import LongitudinalConfig, LongitudinalScenario
@@ -964,6 +965,38 @@ def test_a_state_blob_holds_drawn_streams_and_no_served_table(
     assert 0 < len(drawn) < len(servers)
     assert len(scenario.sim.random._streams) < len(servers)
     assert not any(server.table for server in servers)
+
+
+def test_a_truncated_campaign_stores_what_each_snapshot_measured(
+    tmp_path, monkeypatch
+):
+    """Each snapshot's probe pass is cut at 0.5 s: its snapshots are
+    flagged ``truncated``, and the stored result holds each snapshot as
+    its unit blob does.  Before the crawler and prober shared one
+    driver, an aborted probe pass went on filling its snapshot's
+    responsive set while the next snapshot ran (unit 0: 136 responsive,
+    the result: 417)."""
+    probe = VerProber.run_to_completion
+    monkeypatch.setattr(
+        VerProber,
+        "run_to_completion",
+        lambda self, targets, max_seconds=0.5: probe(self, targets, max_seconds),
+    )
+    store = RunStore(tmp_path)
+    stored = run_stored_campaign(store, tiny_crawl())
+    manifest = stored.manifest
+    result = load_checkpoint(
+        store.get_blob(manifest.result_digest), expect_kind="campaign-result"
+    )
+    units = [
+        load_checkpoint(store.get_blob(record.digest), expect_kind="snapshot-result")
+        for record in manifest.snapshots
+    ]
+    assert result.truncated_snapshots == [0, 1, 2]
+    assert [len(unit.responsive) for unit in units] == [
+        len(snap.responsive) for snap in result.snapshots
+    ]
+    assert units == result.snapshots
 
 
 #: What each seed of the two pinned sweeps *measured*, cell by cell:
