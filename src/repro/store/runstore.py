@@ -224,10 +224,12 @@ class RunStore:
         }
 
     def _temp_files(self) -> List[Path]:
-        """Every temp file under ``objects/`` and ``runs/``."""
+        """Every temp file under ``objects/``, ``runs/`` and the root
+        (where ``repro serve`` saves its tenant ledger)."""
         return [
             *self.blobs.temp_files(),
             *sorted(self.runs_dir.glob(TEMP_PREFIX + "*")),
+            *sorted(self.root.glob(TEMP_PREFIX + "*")),
         ]
 
     # ------------------------------------------------------------------

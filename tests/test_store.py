@@ -399,6 +399,20 @@ class TestRunStore:
         assert report["removed"] == [] and report["kept"] == 1
         assert store.gc()["temp_files"] == 0
 
+    def test_gc_reclaims_a_stale_temp_file_in_the_root(self, tmp_path):
+        """The tenant ledger of ``repro serve`` is saved through a
+        ``.tmp-tenants-*`` file in the store root: a service killed
+        mid-save leaves it there, and gc takes it by the same age rule."""
+        store = RunStore(tmp_path)
+        fresh = store.root / ".tmp-tenants-live.json"
+        fresh.write_bytes(b"{}")
+        stale = store.root / ".tmp-tenants-x.json"
+        stale.write_bytes(b"x" * 300)
+        os.utime(stale, (0, 0))
+        report = store.gc()
+        assert (report["temp_files"], report["temp_bytes"]) == (1, 300)
+        assert not stale.exists() and fresh.exists()
+
     def test_diff_reports_config_drift(self, tmp_path):
         store = RunStore(tmp_path)
         a = self._manifest(run_id="campaign-a", key="ka")
