@@ -403,6 +403,15 @@ GUARDS = [
         "db6ba54",
         "    retry_after: float = 2.0",
     ),
+    Guard(
+        "measurement.per_class_driver",
+        r"_abort_all|_fill_slots|_finish_target|_check_done|_bind_buckets|on_done",
+        ("src/repro/core/getaddr.py", "src/repro/core/prober.py"),
+        "the crawler and the prober run on one pass driver, "
+        "core.bounded_pass.BoundedPass, whose abort stops the pass",
+        "74392b2",
+        "    def _abort_all(self) -> None:",
+    ),
 ]
 
 
