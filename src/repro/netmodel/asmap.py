@@ -14,8 +14,10 @@ the 50%-coverage counts land on the paper's numbers.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScenarioError
@@ -123,6 +125,11 @@ class ASUniverse:
     Each AS owns one or more /16 prefixes; an address's ``group16`` maps
     back to its AS, which both the latency model (netgroup distance) and
     the routing analysis rely on.
+
+    Pickled with each class's hosting table as two packed columns, an
+    ``array("I")`` of ASNs and an ``array("d")`` of weights
+    (:func:`_load_universe`), instead of one ``(asn, weight)`` tuple per
+    AS; the pairs and cumulative weights are rebuilt on load.
     """
 
     def __init__(self, rng: random.Random, seed_prefix: int = 1) -> None:
@@ -137,22 +144,24 @@ class ASUniverse:
         # only partially (Table I: just 10 ASes common in the top 20).
         for name, profile in PROFILES.items():
             pairs = _profile_weights(name)
-            head = list(pairs[: len(profile.top)])
-            tail = pairs[len(profile.top):]
-            tail_asns = [asn for asn, _w in tail]
+            head = len(profile.top)
+            asns = [asn for asn, _w in pairs]
+            tail_asns = asns[head:]
             class_rng = random.Random(rng.getrandbits(64))
             class_rng.shuffle(tail_asns)
-            pairs = head + [
-                (asn, weight)
-                for asn, (_old, weight) in zip(tail_asns, tail)
-            ]
-            self._class_pairs[name] = pairs
-            cum: List[float] = []
-            acc = 0.0
-            for _asn, weight in pairs:
-                acc += weight
-                cum.append(acc)
-            self._class_cumweights[name] = cum
+            self._set_class_table(
+                name,
+                asns[:head] + tail_asns,
+                [weight for _asn, weight in pairs],
+            )
+
+    def _set_class_table(
+        self, name: str, asns: Sequence[int], weights: Sequence[float]
+    ) -> None:
+        """Class ``name``'s hosting table: the ``(asn, weight)`` pairs and
+        their cumulative weights, summed left to right."""
+        self._class_pairs[name] = list(zip(asns, weights))
+        self._class_cumweights[name] = list(accumulate(weights))
 
     # ------------------------------------------------------------------
     # AS assignment
@@ -204,3 +213,43 @@ class ASUniverse:
     def asn_of(self, addr: NetAddr) -> Optional[int]:
         """The AS owning ``addr``, or None if outside the universe."""
         return self._group_to_asn.get(addr.group16)
+
+    def __reduce__(self):
+        tables = [
+            (
+                name,
+                array("I", [asn for asn, _weight in pairs]),
+                array("d", [weight for _asn, weight in pairs]),
+            )
+            for name, pairs in self._class_pairs.items()
+        ]
+        return _load_universe, (
+            self._rng,
+            self._group_to_asn,
+            self._asn_prefixes,
+            self._asn_next_host,
+            self._next_group,
+            tables,
+        )
+
+
+def _load_universe(
+    rng: random.Random,
+    group_to_asn: Dict[int, int],
+    asn_prefixes: Dict[int, List[int]],
+    asn_next_host: Dict[int, int],
+    next_group: int,
+    tables: List[Tuple[str, Sequence[int], Sequence[float]]],
+) -> ASUniverse:
+    """The universe :meth:`ASUniverse.__reduce__` wrote."""
+    universe = ASUniverse.__new__(ASUniverse)
+    universe._rng = rng
+    universe._group_to_asn = group_to_asn
+    universe._asn_prefixes = asn_prefixes
+    universe._asn_next_host = asn_next_host
+    universe._next_group = next_group
+    universe._class_pairs = {}
+    universe._class_cumweights = {}
+    for name, asns, weights in tables:
+        universe._set_class_table(name, asns, weights)
+    return universe

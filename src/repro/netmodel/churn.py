@@ -22,7 +22,9 @@ Two representations serve the two scenario fidelities:
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScenarioError
@@ -59,7 +61,13 @@ class ReachableChurnConfig:
 
 
 class PresenceTimeline:
-    """Online intervals per address, over a fixed campaign."""
+    """Online intervals per address, over a fixed campaign.
+
+    Pickled as columns (:func:`_load_timeline`): the address list, an
+    ``array("I")`` of per-address interval counts and one ``array("d")``
+    of every interval's bounds, instead of a list and its tuples per
+    address.  The addresses are the live objects the population holds.
+    """
 
     def __init__(self, campaign_seconds: float) -> None:
         self.campaign_seconds = campaign_seconds
@@ -94,6 +102,33 @@ class PresenceTimeline:
 
     def addresses(self) -> List[NetAddr]:
         return list(self._intervals)
+
+    def __reduce__(self):
+        spans = self._intervals.values()
+        return _load_timeline, (
+            self.campaign_seconds,
+            list(self._intervals),
+            array("I", map(len, spans)),
+            array("d", chain.from_iterable(chain.from_iterable(spans))),
+        )
+
+
+def _load_timeline(
+    campaign_seconds: float,
+    addrs: List[NetAddr],
+    counts: Sequence[int],
+    bounds: Sequence[float],
+) -> PresenceTimeline:
+    """The timeline :meth:`PresenceTimeline.__reduce__` wrote."""
+    timeline = PresenceTimeline(campaign_seconds)
+    intervals = timeline._intervals
+    flat = iter(bounds)
+    pairs = list(zip(flat, flat))
+    start = 0
+    for addr, count in zip(addrs, counts):
+        intervals[addr] = pairs[start:start + count]
+        start += count
+    return timeline
 
 
 def build_reachable_timeline(

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import enum
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScenarioError
 from ..simnet.addresses import DEFAULT_PORT, NetAddr
@@ -52,10 +53,9 @@ class NodeRecord:
     """One address in the universe and its ground truth.
 
     Slotted: paper-scale worlds hold tens of thousands of records, and
-    the per-instance ``__dict__`` would cost more than the fields.
-    Pickled as one constructor-args tuple: the default slotted form is a
-    ``(None, {slot: value})`` pair per record, which the pickler's memo
-    keeps alive until the whole dump ends.
+    the per-instance ``__dict__`` would cost more than the fields.  No
+    checkpoint holds a record: :class:`Population` pickles its records
+    as columns.
     """
 
     addr: NetAddr
@@ -63,9 +63,6 @@ class NodeRecord:
     node_class: NodeClass
     #: Belongs to the critical-infrastructure blacklist (§III-A ethics).
     critical: bool = False
-
-    def __reduce__(self):
-        return NodeRecord, (self.addr, self.asn, self.node_class, self.critical)
 
 
 #: Share of reachable records on the critical-infrastructure blacklist.
@@ -110,7 +107,16 @@ class PopulationConfig:
 
 
 class Population:
-    """All generated records, indexed for classification."""
+    """All generated records, indexed for classification.
+
+    Pickled as columns (:func:`_load_population`): per class its address
+    list, an ``array("I")`` of ASNs and a ``bytes`` of critical flags, in
+    record order; the records and ``_by_addr`` are rebuilt on load.  The
+    address lists hold the live :class:`NetAddr` objects, never new ones
+    made from ip/port columns: the timelines, the servers, the light
+    cloud and a campaign's result hold the same objects, and the pickle
+    memo keeps them one object per address across a load.
+    """
 
     def __init__(
         self,
@@ -249,3 +255,58 @@ class Population:
             "silent": len(self.silent),
             "fake": len(self.fake),
         }
+
+    def __reduce__(self):
+        columns = [
+            (
+                [record.addr for record in records],
+                array("I", [record.asn for record in records]),
+                bytes([record.critical for record in records]),
+            )
+            for records in map(self._bucket, NodeClass)
+        ]
+        return _load_population, (
+            self.config,
+            self._rng,
+            self.universe,
+            self._reachable_ports,
+            self._unreachable_ports,
+            columns,
+        )
+
+
+def _load_population(
+    config: PopulationConfig,
+    rng: random.Random,
+    universe: ASUniverse,
+    reachable_ports: List[int],
+    unreachable_ports: List[int],
+    columns: List[Tuple[List[NetAddr], Sequence[int], bytes]],
+) -> Population:
+    """The population :meth:`Population.__reduce__` wrote.  Records are
+    indexed in class order, the order ``_by_addr`` has in a built
+    population: the classes are generated in that order, trimming only
+    deletes, and fakes are minted after generation."""
+    population = Population.__new__(Population)
+    population.config = config
+    population._rng = rng
+    population.universe = universe
+    classes = []
+    by_addr: Dict[NetAddr, NodeRecord] = {}
+    for node_class, (addrs, asns, critical) in zip(NodeClass, columns):
+        records = [
+            NodeRecord(addr, asn, node_class, flag == 1)
+            for addr, asn, flag in zip(addrs, asns, critical)
+        ]
+        by_addr.update(zip(addrs, records))
+        classes.append(records)
+    (
+        population.reachable,
+        population.responsive,
+        population.silent,
+        population.fake,
+    ) = classes
+    population._by_addr = by_addr
+    population._reachable_ports = reachable_ports
+    population._unreachable_ports = unreachable_ports
+    return population

@@ -241,9 +241,7 @@ class LongitudinalScenario:
             silent_fraction,
         )
         self.oracles = AddressOracles(
-            self.sim.random.stream("oracles"),
-            self.population.reachable,
-            self.reachable_timeline,
+            self.sim.random.stream("oracles"), self.reachable_timeline
         )
         #: The unreachable cloud as light-tier endpoints.
         self.light_cloud = LightCloud(
@@ -568,8 +566,11 @@ class ProtocolScenario:
         self._unreachable_records: List[TimestampedAddr] = []
         # Materialise the standing network.
         standing = self.population.reachable[: self.config.n_reachable]
-        self._replacement_pool = self.population.reachable[
-            self.config.n_reachable:
+        # Addresses, not records: a snapshot rebuilds the population's
+        # records from columns, so records held here would load as copies.
+        self._replacement_pool: List[NetAddr] = [
+            record.addr
+            for record in self.population.reachable[self.config.n_reachable:]
         ]
         for record in standing:
             node = self._make_node(record)
@@ -729,9 +730,8 @@ class ProtocolScenario:
         nodes, so it does not hold the record back).
         """
         if self._next_replacement < len(self._replacement_pool):
-            record = self._replacement_pool[self._next_replacement]
+            addr = self._replacement_pool[self._next_replacement]
             self._next_replacement += 1
-            addr = record.addr
         else:
             stopped = [node for node in self.nodes if not node.running]
             if not stopped:

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Set
+from typing import List, Set
 
 from ..simnet.addresses import NetAddr
 from ..simnet.rand import sample
 from ..simnet.simulator import canonical_sets
 from ..units import DAYS
 from .churn import PresenceTimeline
-from .population import NodeRecord
 
 
 #: Probability an alive reachable node appears in the Bitnodes view.
@@ -62,16 +61,17 @@ class AddressViews:
 
 
 class AddressOracles:
-    """Generates Bitnodes/DNS views of the reachable population over time."""
+    """Generates Bitnodes/DNS views of the reachable population over time.
 
-    def __init__(
-        self,
-        rng: random.Random,
-        records: Sequence[NodeRecord],
-        timeline: PresenceTimeline,
-    ) -> None:
+    The views cover the addresses ``timeline`` schedules, in its order:
+    an address it never schedules is neither alive nor stale at any
+    time, so it could never enter a view.  The oracles keep no list of
+    their own, so a state blob carries no second copy of the reachable
+    addresses.
+    """
+
+    def __init__(self, rng: random.Random, timeline: PresenceTimeline) -> None:
         self._rng = rng
-        self._records = list(records)
         self._timeline = timeline
         #: Per-node sticky (bitnodes, dns) membership draws.
         self._propensity: dict = {}
@@ -96,8 +96,7 @@ class AddressOracles:
     def _alive_and_stale(self, when: float) -> tuple:
         alive: List[NetAddr] = []
         stale: List[NetAddr] = []
-        for record in self._records:
-            addr = record.addr
+        for addr in self._timeline.addresses():
             if self._timeline.alive_at(addr, when):
                 alive.append(addr)
                 continue

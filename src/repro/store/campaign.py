@@ -13,7 +13,19 @@ holds live state only: RNG streams are the drawn streams only, each
 pickled as its Mersenne-Twister word array
 (:class:`~repro.simnet.rand.Stream`) — a server takes its stream on its
 first GETADDR — and no served table, since a snapshot drops its tables
-when its crawl ends and the next one redraws them.  The last
+when its crawl ends and the next one redraws them.  The world's
+build-time tables pickle as packed columns: the population as an
+address list, an ``array("I")`` of ASNs and a ``bytes`` of critical
+flags per class, each presence timeline as its address list, interval
+counts and one ``array("d")`` of bounds, and the AS universe's hosting
+tables as ASN and weight arrays.  So the pickler's memo, most of a
+state write's peak, holds no per-record, per-interval or per-AS object
+(after two units at scale 0.02: 117,144 → 52,499 objects, blob 2.44 →
+1.85 MB, traced write peak 8.7 → 5.5 MB).  The addresses stay the
+live, shared ``NetAddr`` objects: the memo aliases each one between the
+population, the timelines, the servers, the light cloud and the
+result, and a resumed runner shares it as a fresh one does (addresses
+rebuilt from ip/port columns moved the result digest).  The last
 snapshot's write is the completion write: a complete campaign keeps its
 snapshots, its result and its views, and no runner.
 

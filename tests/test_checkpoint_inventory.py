@@ -22,6 +22,7 @@ component that seeds its own stock generator turns (c) red.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import re
@@ -46,6 +47,7 @@ from repro.core.propagation import PropagationTracker
 from repro.core.sync_experiments import SyncCampaignConfig, run_sync_campaign
 from repro.core.sync_monitor import SyncMonitor
 from repro.faults.plan import FaultPlan, FaultScope, FaultSpec
+from repro.netmodel.population import NodeRecord
 from repro.netmodel.scenario import (
     LongitudinalConfig,
     LongitudinalScenario,
@@ -203,6 +205,9 @@ def test_simulator_protocol_world(fidelity):
     blob = assert_canonical(sim, kind="simulator")
     # what snapshot() itself writes is that payload
     assert checkpoint_payload(snapshot) == checkpoint_payload(blob)
+    # The population pickles as columns and the churn's replacement pool
+    # holds addresses, so no record is written twice or loads as a copy.
+    assert b"_load_population" in blob and b"NodeRecord" not in blob
 
 
 def test_simulator_light_world():
@@ -211,7 +216,8 @@ def test_simulator_light_world():
 
 def test_simulator_mid_crawl_and_mid_probe():
     """A ``simulator`` checkpoint taken while the GETADDR crawler and the
-    VER prober have work in flight reaches their harvest / bucket sets."""
+    VER prober have work in flight reaches their harvest and result
+    sets."""
     scenario = LongitudinalScenario(
         LongitudinalConfig(scale=0.004, snapshots=2, campaign_days=2.0, seed=9)
     )
@@ -233,8 +239,8 @@ def test_simulator_mid_crawl_and_mid_probe():
     assert any(h.addresses for h in crawler._result.harvests.values())
     blob = assert_canonical(sim, kind="simulator")
 
-    # The restored prober keeps filling its *result's* sets (the bucket
-    # map is re-derived on load, not a stale copy), as the original does.
+    # The restored prober keeps filling its restored result's sets (it
+    # looks each one up on ``_result`` by name), as the original does.
     restored = Simulator.restore(blob)
     restored_prober = restored.components["prober"]
     sim.run_for(120.0)
@@ -312,11 +318,14 @@ def test_a_runner_dump_peaks_near_its_payload(campaign, tmp_path):
     """A ``campaign-runner`` write through the store holds what the
     pickler itself holds — the memo and whatever the reduces build — and
     no copy of the payload: its peak is that of pickling the runner into
-    a null sink, 3.4x the blob here.  Built in memory (the pickle
-    buffer, then the framed blob) the same dump peaks at 4.2x, and
-    peaked at 3.8x a blob that still carried every server's stream and
-    table; with stock generators and a frame built from two more copies
-    of the payload it was 6.5x."""
+    a null sink, 2.7x the 576 KB blob here (1.5 MB).  Built in memory
+    (the pickle buffer, then the framed blob) the same dump peaks at
+    3.7x.  While the population, the timelines and the AS universe
+    pickled one object per row, the blob was 852 KB and the two peaks
+    3.4x and 4.2x (2.9 MB streamed); it peaked at 3.8x a blob that
+    still carried every server's stream and table, and at 6.5x with
+    stock generators and a frame built from two more copies of the
+    payload."""
     runner, _ = campaign
     store = RunStore(tmp_path)
     blob = dump_checkpoint(runner, kind="campaign-runner")  # warm caches
@@ -331,8 +340,100 @@ def test_a_runner_dump_peaks_near_its_payload(campaign, tmp_path):
         lambda: dump_checkpoint(runner, kind="campaign-runner")
     )
     assert streamed < bare + CHUNK, (streamed, bare)
-    assert streamed < 4 * len(blob), (streamed, len(blob))
-    assert in_memory < 5 * len(blob), (in_memory, len(blob))
+    assert streamed < 3 * len(blob), (streamed, len(blob))
+    assert in_memory < 4 * len(blob), (in_memory, len(blob))
+
+
+def _records(scenario):
+    population = scenario.population
+    return population.reachable + population.unreachable_records
+
+
+def _timelines(scenario):
+    return (
+        scenario.reachable_timeline,
+        scenario.responsive_timeline,
+        scenario.silent_timeline,
+    )
+
+
+def test_a_runner_write_memoizes_no_record_and_no_interval_list(campaign):
+    """The population, the timelines and the AS universe pickle as packed
+    columns, so no ``NodeRecord``, no interval list and no ``(asn,
+    weight)`` pair reaches the C pickler's memo in a ``campaign-runner``
+    write.  Here the memo holds 10,156 objects for 2,917 records (2,918
+    ``NetAddr``); one object per row, it held 36,066 (2,917
+    ``NodeRecord``, 24,470 tuples, 4,035 lists)."""
+    runner, _ = campaign
+    scenario = runner.scenario
+    pickler = pickle.Pickler(io.BytesIO(), protocol=PICKLE_PROTOCOL)
+    pickler.dump(runner)
+    memo = pickler.memo.copy()  # id -> (index, object)
+    records = _records(scenario)
+    rows = (
+        records
+        + [
+            spans
+            for timeline in _timelines(scenario)
+            for spans in timeline._intervals.values()
+        ]
+        + [
+            pair
+            for pairs in scenario.universe._class_pairs.values()
+            for pair in pairs
+        ]
+    )
+    assert len(records) == 2917
+    assert [row for row in rows if id(row) in memo] == []
+    assert not any(type(obj) is NodeRecord for _, obj in memo.values())
+    assert len(memo) < 4 * len(records), len(memo)
+
+
+def _one_object_per_address(runner):
+    """How many addresses ``runner`` holds in its population, timelines,
+    servers, light cloud and result, asserting that each is one
+    object wherever it is held."""
+    scenario = runner.scenario
+    held = [record.addr for record in _records(scenario)]
+    held += scenario.population._by_addr
+    for timeline in _timelines(scenario):
+        held += timeline.addresses()
+    for addr, server in scenario.servers.items():
+        held += (addr, server.addr)
+    for addr, node in scenario.light_cloud.nodes.items():
+        held += (addr, node.addr)
+    result = runner.result
+    held += result.cumulative_reachable
+    held += result.cumulative_unreachable
+    held += result.cumulative_responsive
+    for snap in result.snapshots:
+        held += snap.connected | snap.unreachable | snap.responsive
+    first = {}
+    for addr in held:
+        assert first.setdefault(addr, addr) is addr, addr
+    assert result.cumulative_unreachable <= first.keys()
+    return len(first)
+
+
+def test_a_loaded_runner_holds_one_object_per_address(campaign):
+    """A loaded runner shares each address object between its
+    population, timelines, servers, light cloud and result, as the
+    runner it was dumped from does.  The columns carry the live
+    ``NetAddr`` objects for this: rebuilt from ip/port columns, a
+    resumed runner held two equal objects where a fresh one holds one,
+    and its result blob — whose memo aliases what is shared — moved its
+    digest."""
+    runner, _ = campaign
+    loaded = load_checkpoint(
+        dump_checkpoint(runner, kind="campaign-runner"),
+        expect_kind="campaign-runner",
+    )
+    assert runner.result.cumulative_unreachable
+    assert (
+        _one_object_per_address(loaded)
+        == _one_object_per_address(runner)
+        > len(_records(runner.scenario))
+    )
 
 
 def test_restored_state_has_real_sets(campaign):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 
 from repro.errors import ScenarioError
 from repro.netmodel import calibration as cal
-from repro.netmodel.asmap import ASUniverse
+from repro.netmodel.asmap import PROFILES, ASUniverse
 from repro.netmodel.churn import (
     PresenceTimeline,
     ReachableChurnConfig,
@@ -14,6 +17,7 @@ from repro.netmodel.churn import (
     build_unreachable_timeline,
 )
 from repro.netmodel.population import NodeClass, Population, PopulationConfig
+from repro.store.checkpoint import PICKLE_PROTOCOL
 from repro.units import DAYS
 
 from .conftest import make_addr
@@ -216,3 +220,76 @@ class TestUnreachableTimeline:
     def test_invalid_fraction(self, rng):
         with pytest.raises(ScenarioError):
             build_unreachable_timeline(rng, [], 60.0, 1.5)
+
+
+def _round_trip(obj):
+    return pickle.loads(pickle.dumps(obj, protocol=PICKLE_PROTOCOL))
+
+
+class TestPickledColumns:
+    """The population, the timelines and the AS universe pickle as packed
+    columns and load equal to what was dumped, down to dict order."""
+
+    def test_population(self, rng):
+        universe = ASUniverse(rng)
+        population = Population(rng, universe, PopulationConfig(scale=0.005))
+        trimmed = population.silent[-5:]
+        assert population.trim_silent(5) == 5
+        for _ in range(3):
+            population.mint_fake_address()
+        assert any(record.critical for record in population.reachable)
+
+        loaded = _round_trip(population)
+        for name in ("reachable", "responsive", "silent", "fake"):
+            assert getattr(loaded, name) == getattr(population, name)
+        assert list(loaded._by_addr.items()) == list(
+            population._by_addr.items()
+        )
+        assert all(
+            type(record.critical) is bool
+            for record in loaded._by_addr.values()
+        )
+        assert not any(loaded.record(record.addr) for record in trimmed)
+        assert loaded._reachable_ports == population._reachable_ports
+        assert loaded._unreachable_ports == population._unreachable_ports
+        # Its generator and universe went with it: it mints what the
+        # original mints next.
+        assert loaded.mint_fake_address() == population.mint_fake_address()
+        assert loaded.summary() == population.summary()
+
+    def test_timelines(self, rng):
+        universe = ASUniverse(rng)
+        population = Population(rng, universe, PopulationConfig(scale=0.01))
+        timelines = [
+            build_reachable_timeline(
+                rng, population.reachable, ReachableChurnConfig(), 60.0,
+                scale=0.01,
+            ),
+            build_unreachable_timeline(rng, population.silent, 60.0, 0.3),
+        ]
+        assert max(map(len, timelines[0]._intervals.values())) > 1
+        for timeline in timelines:
+            loaded = _round_trip(timeline)
+            assert loaded.campaign_seconds == timeline.campaign_seconds
+            assert list(loaded._intervals.items()) == list(
+                timeline._intervals.items()
+            )
+
+    def test_universe_draws(self, rng):
+        universe = ASUniverse(rng)
+        for asn in (3320, 3320, 24940):
+            universe.allocate_address(asn)
+        loaded = _round_trip(universe)
+        assert loaded._class_pairs == universe._class_pairs
+        assert loaded._class_cumweights == universe._class_cumweights
+        for name in PROFILES:
+            mine, theirs = random.Random(7), random.Random(7)
+            assert [loaded.sample_asn(name, mine) for _ in range(500)] == [
+                universe.sample_asn(name, theirs) for _ in range(500)
+            ]
+        assert loaded.sample_asn("responsive") == universe.sample_asn(
+            "responsive"
+        )
+        addr = loaded.allocate_address(3320)
+        assert addr == universe.allocate_address(3320)
+        assert loaded.asn_of(addr) == 3320

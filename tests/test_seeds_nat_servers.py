@@ -69,16 +69,16 @@ def _timeline_world(rng, count=400):
 
 class TestAddressOracles:
     def test_views_cover_alive_at_expected_rate(self, rng):
-        population, timeline = _timeline_world(rng)
-        oracles = AddressOracles(rng, population.reachable, timeline)
+        _, timeline = _timeline_world(rng)
+        oracles = AddressOracles(rng, timeline)
         views = oracles.snapshot(30 * DAYS)
         alive = len(views.alive)
         coverage = len(views.bitnodes & views.alive) / alive
         assert 0.68 <= coverage <= 0.88  # configured 0.78
 
     def test_membership_is_sticky(self, rng):
-        population, timeline = _timeline_world(rng)
-        oracles = AddressOracles(rng, population.reachable, timeline)
+        _, timeline = _timeline_world(rng)
+        oracles = AddressOracles(rng, timeline)
         first = oracles.snapshot(20 * DAYS)
         second = oracles.snapshot(30 * DAYS)
         # Alive nodes keep their Bitnodes membership between snapshots.
@@ -86,7 +86,7 @@ class TestAddressOracles:
 
     def test_departed_nodes_age_out(self, rng):
         population, timeline = _timeline_world(rng)
-        oracles = AddressOracles(rng, population.reachable, timeline)
+        oracles = AddressOracles(rng, timeline)
         shortly_after = oracles.snapshot(12 * DAYS)
         long_after = oracles.snapshot(40 * DAYS)
         departed = {
@@ -99,8 +99,8 @@ class TestAddressOracles:
         assert len(long_after.bitnodes & departed) == 0
 
     def test_dns_mostly_subset_of_bitnodes(self, rng):
-        population, timeline = _timeline_world(rng)
-        oracles = AddressOracles(rng, population.reachable, timeline)
+        _, timeline = _timeline_world(rng)
+        oracles = AddressOracles(rng, timeline)
         views = oracles.snapshot(30 * DAYS)
         assert len(views.common) / len(views.dns) > 0.7
 

@@ -42,6 +42,9 @@ from repro.core.pipeline import CampaignResult
 from repro.core.prober import VerProber
 from repro.errors import CheckpointError, ConfigurationError, StoreError
 from repro.faults.plan import FaultPlan, FaultScope, FaultSpec
+from repro.netmodel.asmap import ASUniverse
+from repro.netmodel.churn import PresenceTimeline
+from repro.netmodel.population import NodeRecord, Population
 from repro.netmodel.scenario import LongitudinalConfig, LongitudinalScenario
 from repro.simnet.rand import Stream
 from repro.store import (
@@ -895,6 +898,58 @@ def test_state_with_stock_streams_resumes_to_the_pinned_result(
     assert len(stock) > len(blob)
     manifest.checkpoint = CheckpointRecord(
         digest=store.put_blob(stock), snapshot_index=0
+    )
+    store.save_manifest(manifest)
+
+    resumed = run_stored_campaign(store, tiny_crawl())
+    assert resumed.resumed_from == 1
+    assert resumed.manifest.key == key
+    assert resumed.manifest.result_digest == result_digest
+
+
+def test_state_in_the_per_record_layout_resumes_to_the_pinned_result(
+    tmp_path, monkeypatch
+):
+    """A campaign state blob that pickles the population, the timelines
+    and the AS universe one object per row — a ``NodeRecord`` per
+    address, an interval list per address, an ``(asn, weight)`` tuple
+    per AS, with the oracles' own record list beside them, as earlier
+    builds wrote it — still loads by the default path and resumes to
+    the pinned result digest: the packed columns needed no
+    ``CHECKPOINT_FORMAT`` bump, so no key moved."""
+    _, key, result_digest = PINS["campaign"]
+    store = RunStore(tmp_path)
+    monkeypatch.setattr(os, "_exit", _kill)
+    monkeypatch.setenv(CRASH_ENV, "0")
+    with pytest.raises(_Killed):
+        run_stored_campaign(store, tiny_crawl())
+    monkeypatch.delenv(CRASH_ENV)
+    (manifest,) = store.manifests()
+    blob = store.get_blob(manifest.checkpoint.digest)
+    runner = load_checkpoint(blob, expect_kind="campaign-runner")
+    scenario = runner.scenario
+    # The attribute the oracles kept their records in; a state blob
+    # written before they read their timeline carries it, unused.
+    scenario.oracles._records = list(scenario.population.reachable)
+    for cls in (Population, PresenceTimeline, ASUniverse):
+        monkeypatch.delattr(cls, "__reduce__")
+    # How those builds pickled a record: its constructor arguments.
+    monkeypatch.setattr(
+        NodeRecord, "__reduce__",
+        lambda r: (NodeRecord, (r.addr, r.asn, r.node_class, r.critical)),
+        raising=False,
+    )
+    per_record = dump_checkpoint(
+        runner, kind="campaign-runner",
+        meta={"snapshot_index": 0, "run_id": manifest.run_id},
+    )
+    monkeypatch.undo()
+    for loader in (b"_load_population", b"_load_timeline", b"_load_universe"):
+        assert loader in blob and loader not in per_record
+    assert b"NodeRecord" in per_record and b"NodeRecord" not in blob
+    assert len(per_record) > len(blob)
+    manifest.checkpoint = CheckpointRecord(
+        digest=store.put_blob(per_record), snapshot_index=0
     )
     store.save_manifest(manifest)
 
