@@ -725,11 +725,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         seed_timeout=args.seed_timeout,
         retries=args.retries,
-        cache_bytes=args.cache_mb * 1024 * 1024,
-        quota_runs=args.quota_runs,
-        quota_bytes=(
-            args.quota_mb * 1024 * 1024 if args.quota_mb is not None else None
-        ),
     )
     logging.basicConfig(
         level=logging.INFO, format="%(asctime)s %(name)s %(message)s"
@@ -1003,18 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="supervisor worker processes per job",
-    )
-    serve.add_argument(
-        "--cache-mb", type=int, default=32, metavar="MB",
-        help="read-cache budget",
-    )
-    serve.add_argument(
-        "--quota-runs", type=int, default=None, metavar="N",
-        help="per-tenant ceiling on fresh runs",
-    )
-    serve.add_argument(
-        "--quota-mb", type=int, default=None, metavar="MB",
-        help="per-tenant ceiling on stored bytes",
     )
     _supervisor_flags(serve)
     serve.set_defaults(func=_cmd_serve)

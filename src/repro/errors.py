@@ -116,7 +116,8 @@ class ServeError(ReproError):
 
 
 class ServiceBusyError(ServeError):
-    """Submissions exceed the service's worker slots + queue budget.
+    """The service cannot take this request now: submissions exceed
+    its worker slots + queue budget, or a gc would race a running job.
 
     Carries ``retry_after`` (seconds), which the HTTP layer surfaces as
     a *429* response with a ``Retry-After`` header.
@@ -125,7 +126,3 @@ class ServiceBusyError(ServeError):
     def __init__(self, message: str, retry_after: float) -> None:
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class QuotaExceededError(ServeError):
-    """A tenant is over its run-count or stored-bytes quota (HTTP 403)."""

@@ -1,7 +1,7 @@
 """Campaign-as-a-service: an asyncio serving layer over the run store.
 
 ``repro serve`` turns the content-addressed run store into a small
-multi-tenant service: clients POST campaign configs, the service
+service for one reader: clients POST campaign configs, the service
 deduplicates them against the store (identical config + seed = the same
 run key = a cache hit that never re-simulates), executes fresh runs
 through the crash-supervised multi-seed runner while streaming per-seed
@@ -20,8 +20,8 @@ Layering:
   ``CampaignPlan`` per seed
 - :mod:`repro.serve.jobs` — slots, queueing, backpressure, supervised
   execution, the per-job event log
-- :mod:`repro.serve.cache` / :mod:`repro.serve.quota` /
-  :mod:`repro.serve.metrics` — read cache, tenant ledger, telemetry
+- :mod:`repro.serve.cache` / :mod:`repro.serve.metrics` — read cache,
+  telemetry
 - :mod:`repro.serve.app` — the route table tying it all together
 - :mod:`repro.serve.client` — dependency-free client for tests and the
   load benchmark
@@ -38,7 +38,6 @@ from .jobs import (
     JobManager,
 )
 from .metrics import ServiceMetrics
-from .quota import DEFAULT_TENANT, TenantLedger
 from .submission import SubmissionSpec, parse_submission
 
 __all__ = [
@@ -54,8 +53,6 @@ __all__ = [
     "Job",
     "JobManager",
     "ServiceMetrics",
-    "DEFAULT_TENANT",
-    "TenantLedger",
     "SubmissionSpec",
     "parse_submission",
 ]

@@ -21,6 +21,10 @@ deduplicated by run key.  The manager adds what serving needs on top:
   (:class:`~repro.core.supervisor.SupervisorEvent`) are forwarded onto
   the owning event loop and appended to the job's ordered event log,
   which the streaming endpoint replays and tails.
+* **gc exclusion** — a job puts each blob before the manifest that
+  names it, so a gc must not run beside one: ``POST /v1/admin/gc`` is
+  refused while a job is in flight, and fresh work while a gc runs
+  (``collecting``).
 * **drain** — shutdown stops admissions and waits for in-flight jobs;
   because every seed checkpoints through the store, anything a hard kill
   would lose is bounded by one snapshot, and a drained shutdown loses
@@ -43,7 +47,6 @@ from ..store.manifest import STATUS_COMPLETE
 from ..store.runstore import RunStore
 from ..store.wallclock import now as wall_now
 from .metrics import ServiceMetrics
-from .quota import TenantLedger
 from .submission import SubmissionSpec
 
 JOB_QUEUED = "queued"
@@ -100,13 +103,11 @@ class Job:
     def __init__(
         self,
         job_id: str,
-        tenant: str,
         spec: SubmissionSpec,
         runs: List[SeedRun],
         loop: asyncio.AbstractEventLoop,
     ) -> None:
         self.id = job_id
-        self.tenant = tenant
         self.spec = spec
         self.runs = runs
         self.status = JOB_QUEUED
@@ -165,7 +166,6 @@ class Job:
     def describe(self) -> Dict[str, Any]:
         return {
             "id": self.id,
-            "tenant": self.tenant,
             "status": self.status,
             "created_at": self.created_at,
             "seeds": list(self.spec.seeds),
@@ -181,7 +181,6 @@ class JobManager:
     def __init__(
         self,
         store: RunStore,
-        ledger: TenantLedger,
         metrics: ServiceMetrics,
         slots: int = 1,
         queue_limit: int = 8,
@@ -189,13 +188,14 @@ class JobManager:
         supervisor: Optional[SupervisorConfig] = None,
     ) -> None:
         self.store = store
-        self.ledger = ledger
         self.metrics = metrics
         self.slots = max(1, slots)
         self.queue_limit = max(0, queue_limit)
         self.workers = max(1, workers)
         self.supervisor = supervisor
         self.draining = False
+        #: True while a gc deletes blobs; fresh work is refused meanwhile.
+        self.collecting = False
         self.jobs: Dict[str, Job] = {}
         self._order: List[str] = []
         self._inflight: Dict[str, Job] = {}
@@ -203,9 +203,8 @@ class JobManager:
         self._executor = ThreadPoolExecutor(
             max_workers=self.slots, thread_name_prefix="repro-serve-job"
         )
-        # One thread, deliberately: admission reads (store lookups) and
-        # ledger read-modify-writes are serialized here, so two racing
-        # submissions cannot interleave a quota charge.
+        # Admission's store lookups and the end-of-job manifest reads
+        # are file I/O kept off the loop; one thread is all they need.
         self._admission = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-admit"
         )
@@ -278,16 +277,12 @@ class JobManager:
             self._order.remove(victim_id)
             del self.jobs[victim_id]
 
-    async def submit(
-        self, spec: SubmissionSpec, tenant: str
-    ) -> Tuple[Job, str]:
+    async def submit(self, spec: SubmissionSpec) -> Tuple[Job, str]:
         """Admit a submission; returns ``(job, disposition)``.
 
-        Raises :class:`~repro.errors.ServiceBusyError` over capacity and
-        :class:`~repro.errors.QuotaExceededError` over quota.  The store
-        lookups and the ledger charge are file I/O, dispatched onto the
-        single-threaded admission executor so the event loop never
-        blocks and concurrent submissions serialize their quota charges.
+        Raises :class:`~repro.errors.ServiceBusyError` over capacity or
+        while a gc runs.  The store lookups are file I/O, dispatched
+        onto the admission executor so the event loop never blocks.
         """
         loop = asyncio.get_running_loop()
         key = self._job_key(spec)
@@ -308,11 +303,10 @@ class JobManager:
             return inflight, DISPOSITION_JOINED
         if fresh == 0:
             # Every run key is already complete in the store: answer
-            # without taking a slot or charging quota.
+            # without taking a slot.
             self.metrics.submit_cache_hits += 1
             self._run_counter += 1
-            job = Job(f"job-{key[:12]}-{self._run_counter}", tenant, spec,
-                      runs, loop)
+            job = Job(f"job-{key[:12]}-{self._run_counter}", spec, runs, loop)
             job.status = JOB_COMPLETE
             for run in runs:
                 job.post("completed", seed=run.seed, attempt=0,
@@ -326,6 +320,11 @@ class JobManager:
                 "service is draining and not accepting new campaigns",
                 retry_after=RETRY_AFTER,
             )
+        if self.collecting:
+            raise ServiceBusyError(
+                "a gc is running; fresh runs are admitted once it ends",
+                retry_after=RETRY_AFTER,
+            )
         if self.active_count >= self.slots + self.queue_limit:
             self.metrics.rejected_busy += 1
             raise ServiceBusyError(
@@ -333,19 +332,9 @@ class JobManager:
                 f"{self.slots} slot(s) + {self.queue_limit} queued",
                 retry_after=RETRY_AFTER,
             )
-        # Pre-charge quota for the fresh runs only; raises over quota.
-        try:
-            await loop.run_in_executor(
-                self._admission, self.ledger.charge_runs, tenant, fresh
-            )
-        except Exception:
-            self.metrics.rejected_quota += 1
-            raise
-
         self.metrics.submit_misses += 1
         self._run_counter += 1
-        job = Job(f"job-{key[:12]}-{self._run_counter}", tenant, spec, runs,
-                  loop)
+        job = Job(f"job-{key[:12]}-{self._run_counter}", spec, runs, loop)
         job.post("job-queued", fresh=fresh, cached=len(runs) - fresh)
         self._remember(job)
         self._inflight[key] = job
@@ -385,13 +374,11 @@ class JobManager:
         for index, failure in zip(run.failed_indexes, run.failures):
             job.runs[index].status = "failed"
             job.runs[index].detail = failure.cause
-        truncated, skipped = await loop.run_in_executor(
-            self._admission, self._account_bytes, job
+        truncated = await loop.run_in_executor(
+            self._admission, self._truncated_runs, job
         )
         for run_record in truncated:
             run_record.detail = "truncated"
-        if skipped is not None:
-            job.post("accounting-skipped", detail=skipped)
         if run.ok:
             job.status = JOB_COMPLETE
             job.post("job-complete", cached=False,
@@ -403,40 +390,23 @@ class JobManager:
                      failed=list(run.failed_labels))
         self._inflight.pop(key, None)
 
-    def _account_bytes(
-        self, job: Job
-    ) -> Tuple[List[SeedRun], Optional[str]]:
-        """Charge the tenant for blob bytes its fresh runs pinned.
+    def _truncated_runs(self, job: Job) -> List[SeedRun]:
+        """The completed runs whose manifests say ``truncated``.
 
-        Runs on the admission executor (manifest/blob-size reads are
-        file I/O).  Returns the completed runs whose manifests say
-        ``truncated`` and a skip reason instead of touching the job
-        directly — its records and event log are loop-owned, so the
-        caller applies both back on the loop.
+        Runs on the admission executor (manifest reads are file I/O) and
+        returns the runs instead of marking them: the job's records are
+        loop-owned, so the caller marks them back on the loop.
         """
-        total = 0
         truncated: List[SeedRun] = []
         for run in job.runs:
             if run.status != "complete":
                 continue
             try:
-                manifest = self.store.load_manifest(run.run_id)
-                if manifest.truncated:
+                if self.store.load_manifest(run.run_id).truncated:
                     truncated.append(run)
-                if run.cached_at_submit:
-                    continue
-                seen = set()
-                for digest in manifest.referenced_digests():
-                    if digest not in seen and self.store.blobs.has(digest):
-                        seen.add(digest)
-                        total += self.store.blobs.size_bytes(digest)
             except StoreError:
                 continue
-        try:
-            self.ledger.add_bytes(job.tenant, total)
-        except StoreError as exc:
-            return truncated, str(exc)
-        return truncated, None
+        return truncated
 
     # ------------------------------------------------------------------
     # Shutdown

@@ -67,9 +67,8 @@ class ServiceMetrics:
         self.submit_cache_hits = 0
         #: Submissions that enqueued at least one fresh run.
         self.submit_misses = 0
-        #: Submissions refused with 429 (backpressure) or 403 (quota).
+        #: Submissions refused with 429 (backpressure).
         self.rejected_busy = 0
-        self.rejected_quota = 0
         #: Requests that hit an unexpected handler exception (500s).
         self.internal_errors = 0
 
@@ -100,7 +99,6 @@ class ServiceMetrics:
                 "misses": self.submit_misses,
                 "hit_ratio": self.submit_hit_ratio,
                 "rejected_busy": self.rejected_busy,
-                "rejected_quota": self.rejected_quota,
             },
             "queue": {"depth": queue_depth, "running": running},
             "read_cache": cache_stats,

@@ -225,7 +225,7 @@ class RunStore:
 
     def _temp_files(self) -> List[Path]:
         """Every temp file under ``objects/``, ``runs/`` and the root
-        (where ``repro serve`` saves its tenant ledger)."""
+        (where older services saved a tenant ledger)."""
         return [
             *self.blobs.temp_files(),
             *sorted(self.runs_dir.glob(TEMP_PREFIX + "*")),

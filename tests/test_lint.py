@@ -471,21 +471,16 @@ class TestRepositoryGate:
         assert "ASYNC001" in proc.stdout
 
     def test_seeded_cross_thread_post_is_caught(self, tmp_path):
-        # The bug PR 8 fixed, put back: ``_account_bytes`` runs on the
-        # admission executor and posts to the loop-owned job event log
-        # directly instead of returning the skip reason to the loop.
+        # ``_truncated_runs`` runs on the admission executor and returns
+        # the truncated runs to the loop; seeded, it posts to the
+        # loop-owned job event log directly instead.
         original = (
             REPO_ROOT / "src" / "repro" / "serve" / "jobs.py"
         ).read_text(encoding="utf-8")
-        fixed = (
-            "        except StoreError as exc:\n"
-            "            return truncated, str(exc)\n"
-        )
-        post = '            job.post("accounting-skipped", detail=str(exc))'
+        fixed = "                    truncated.append(run)\n"
+        post = '                    job.post("truncated", seed=run.seed)'
         assert original.count(fixed) == 1
-        seeded_source = original.replace(
-            fixed, f"        except StoreError as exc:\n{post}\n"
-        )
+        seeded_source = original.replace(fixed, f"{post}\n")
         seeded = tmp_path / "jobs.py"
         seeded.write_text(seeded_source, encoding="utf-8")
         proc = run_cli(str(seeded), "--format", "json", cwd=tmp_path)

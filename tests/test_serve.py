@@ -11,10 +11,13 @@ import asyncio
 import hashlib
 import math
 import re
+import threading
 
 import pytest
 
-from repro.serve import CampaignService, Client, ServiceConfig, http, parse_submission
+from repro.serve import (
+    CampaignService, Client, ReadCache, ServiceConfig, http, parse_submission,
+)
 from repro.serve.app import REFUSED_ROUTE, UNMATCHED_ROUTE
 from repro.serve.jobs import RETRY_AFTER
 from repro.store import CampaignPlan, RunManifest, RunStore
@@ -229,7 +232,7 @@ class TestDeduplication:
         assert len(store.manifests()) == 1
 
 
-class TestBackpressureAndQuota:
+class TestBackpressure:
     def test_busy_service_returns_429_with_retry_after(self, tmp_path):
         async def body(service, client):
             r1 = await client.request("POST", "/v1/campaigns", body=tiny())
@@ -246,43 +249,6 @@ class TestBackpressureAndQuota:
             return None
 
         with_service(tmp_path, body, slots=1, queue_limit=0)
-
-    def test_quota_exceeded_returns_403_but_cached_is_free(self, tmp_path):
-        async def body(service, client):
-            r1 = await client.request("POST", "/v1/campaigns", body=tiny())
-            await stream_to_end(client, r1.json()["id"])
-            # A second fresh run would cross max_runs=1 -> 403.
-            r2 = await client.request(
-                "POST", "/v1/campaigns", body=tiny(seeds=[99])
-            )
-            assert r2.status == 403
-            assert "quota" in r2.json()["error"]
-            # The identical (cached) submission costs nothing.
-            r3 = await client.request("POST", "/v1/campaigns", body=tiny())
-            assert r3.status == 200
-            assert r3.json()["disposition"] == "cached"
-            q = (await client.request("GET", "/v1/admin/quota")).json()
-            assert q["tenants"]["anon"]["runs_submitted"] == 1
-            assert q["tenants"]["anon"]["bytes_stored"] > 0
-            m = (await client.request("GET", "/v1/metrics")).json()
-            assert m["submissions"]["rejected_quota"] == 1
-            return None
-
-        with_service(tmp_path, body, quota_runs=1)
-
-    def test_tenants_are_accounted_separately(self, tmp_path):
-        async def body(service, client):
-            r = await client.request(
-                "POST", "/v1/campaigns", body=tiny(),
-                headers={"X-Repro-Tenant": "alice"},
-            )
-            await stream_to_end(client, r.json()["id"])
-            q = (await client.request("GET", "/v1/admin/quota")).json()
-            assert q["tenants"]["alice"]["runs_submitted"] == 1
-            assert "anon" not in q["tenants"]
-            return None
-
-        with_service(tmp_path, body)
 
 
 def in_scenario(**block):
@@ -451,8 +417,6 @@ class TestValidation:
             r = await client.request("POST", "/v1/campaigns", body=bad)
             assert r.status == 400
             assert "snapshots" in r.json()["error"]
-            q = (await client.request("GET", "/v1/admin/quota")).json()
-            assert "anon" not in q["tenants"]  # runs_submitted untouched
             assert service.metrics.internal_errors == 0
 
         with_service(tmp_path, body)
@@ -518,8 +482,6 @@ class TestValidation:
                 r = await client.request("POST", "/v1/campaigns", body=body)
                 assert r.status == 400, r.json()
             assert service.metrics.internal_errors == 0
-            q = (await client.request("GET", "/v1/admin/quota")).json()
-            assert "anon" not in q["tenants"]  # runs_submitted untouched
 
         with_service(tmp_path, run)
         assert RunStore(tmp_path / "store").manifests() == []
@@ -916,9 +878,8 @@ class TestStoredViews:
 
         with_service(tmp_path, body)
 
-    def test_tenant_is_charged_for_the_views(self, tmp_path):
-        """...and for the units and the result, and for nothing else: a
-        complete run pins no state blob."""
+    def test_a_complete_run_pins_its_units_result_and_views(self, tmp_path):
+        """...and nothing else: no state blob."""
         async def body(service, client):
             run_id = await run_tiny(client)
             manifest = service.store.load_manifest(run_id)
@@ -929,17 +890,61 @@ class TestStoredViews:
                 manifest.result_digest,
                 *manifest.views.values(),
             }
-            q = (await client.request("GET", "/v1/admin/quota")).json()
-            charged = q["tenants"]["anon"]["bytes_stored"]
-            assert charged == sum(
+            # The pinned bytes are every byte in the store: the run
+            # deleted its state blobs as it went, and left gc nothing.
+            assert service.store.blobs.total_bytes() == sum(
                 service.store.blobs.size_bytes(digest) for digest in pinned
             )
-            # ...which is every byte in the store: the run deleted its
-            # state blobs as it went, and left gc nothing.
-            assert charged == service.store.blobs.total_bytes()
             assert service.store.gc(dry_run=True)["removed"] == []
 
         with_service(tmp_path, body)
+
+
+class TestReadCache:
+    """The read path's byte-budgeted LRU, on a 10-byte budget."""
+
+    def test_a_get_saves_an_entry_from_eviction(self):
+        cache = ReadCache(10)
+        cache.put(("a",), b"aaaa")
+        cache.put(("b",), b"bbbb")
+        assert cache.get(("a",)) == b"aaaa"
+        cache.put(("c",), b"cccc")  # 12 bytes > 10: b is the LRU
+        assert cache.get(("b",)) is None
+        assert cache.get(("a",)) == b"aaaa"
+        assert cache.get(("c",)) == b"cccc"
+        assert cache.stats()["bytes"] == 8
+
+    def test_an_entry_over_the_budget_is_refused_alone(self):
+        cache = ReadCache(10)
+        cache.put(("a",), b"aaaa")
+        cache.put(("b",), b"bbbb")
+        cache.put(("big",), b"x" * 11)
+        assert cache.get(("big",)) is None
+        assert cache.get(("a",)) == b"aaaa"
+        assert cache.get(("b",)) == b"bbbb"
+        assert (cache.stats()["entries"], cache.stats()["bytes"]) == (2, 8)
+
+    def test_re_putting_a_key_replaces_its_bytes(self):
+        cache = ReadCache(10)
+        cache.put(("a",), b"aaaa")
+        cache.put(("a",), b"aaaaaa")
+        assert (cache.stats()["entries"], cache.stats()["bytes"]) == (1, 6)
+        cache.put(("b",), b"bbbb")  # 10 bytes: fits, nothing evicted
+        assert cache.get(("a",)) == b"aaaaaa"
+        assert cache.get(("b",)) == b"bbbb"
+
+    def test_disabling_drops_every_entry_and_misses(self):
+        cache = ReadCache(10)
+        cache.put(("a",), b"aaaa")
+        cache.put(("b",), b"bbbb")
+        cache.set_enabled(False)
+        assert (cache.stats()["entries"], cache.stats()["bytes"]) == (0, 0)
+        hits, misses = cache.hits, cache.misses
+        cache.put(("a",), b"aaaa")
+        assert cache.get(("a",)) is None
+        assert (cache.hits, cache.misses) == (hits, misses + 1)
+        cache.set_enabled(True)
+        assert cache.get(("a",)) is None  # dropped, and not re-put
 
 
 class TestAdmin:
@@ -959,6 +964,68 @@ class TestAdmin:
             assert orphan in real["removed_sample"]
             assert not service.store.blobs.has(orphan)
             return None
+
+        with_service(tmp_path, body)
+
+    def test_gc_is_refused_while_a_job_is_in_flight(self, tmp_path):
+        """A job puts each blob before the manifest that names it, so a
+        gc beside it used to delete what the job had just written."""
+
+        async def body(service, client):
+            r = await client.request("POST", "/v1/campaigns", body=tiny())
+            assert r.status == 202
+            gc = await client.request("POST", "/v1/admin/gc")
+            assert gc.status == 429
+            assert gc.headers["retry-after"] == str(math.ceil(RETRY_AFTER))
+            dry = await client.request("POST", "/v1/admin/gc?dry_run=1")
+            assert dry.status == 200
+            await stream_to_end(client, r.json()["id"])
+            gc = await client.request("POST", "/v1/admin/gc")
+            assert gc.status == 200
+            assert gc.json()["removed_count"] == 0
+            manifest = service.store.load_manifest(r.json()["runs"][0]["run_id"])
+            assert manifest.status == "complete"
+            assert all(
+                service.store.blobs.has(digest)
+                for digest in manifest.referenced_digests()
+            )
+
+        with_service(tmp_path, body)
+
+    def test_fresh_work_is_refused_while_a_gc_runs(self, tmp_path):
+        """...and the other way round: a job admitted mid-gc would write
+        blobs the gc has not yet seen named."""
+        release = threading.Event()
+
+        async def body(service, client):
+            collect = service.store.gc
+
+            def held_gc(dry_run=False):
+                release.wait(10)
+                return collect(dry_run=dry_run)
+
+            service.store.gc = held_gc
+            try:
+                async with Client("127.0.0.1", service.port) as admin:
+                    gc = asyncio.ensure_future(
+                        admin.request("POST", "/v1/admin/gc")
+                    )
+                    while not service.jobs.collecting:
+                        await asyncio.sleep(0.01)
+                    r = await client.request(
+                        "POST", "/v1/campaigns", body=tiny()
+                    )
+                    assert r.status == 429
+                    again = await client.request("POST", "/v1/admin/gc")
+                    assert again.status == 429
+                    release.set()
+                    assert (await gc).status == 200
+            finally:
+                release.set()
+            assert not service.jobs.collecting
+            r = await client.request("POST", "/v1/campaigns", body=tiny())
+            assert r.status == 202
+            await stream_to_end(client, r.json()["id"])
 
         with_service(tmp_path, body)
 

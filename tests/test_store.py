@@ -400,9 +400,9 @@ class TestRunStore:
         assert store.gc()["temp_files"] == 0
 
     def test_gc_reclaims_a_stale_temp_file_in_the_root(self, tmp_path):
-        """The tenant ledger of ``repro serve`` is saved through a
-        ``.tmp-tenants-*`` file in the store root: a service killed
-        mid-save leaves it there, and gc takes it by the same age rule."""
+        """Older ``repro serve`` builds saved a tenant ledger through a
+        ``.tmp-tenants-*`` file in the store root: one killed mid-save
+        left it there, and gc takes it by the same age rule."""
         store = RunStore(tmp_path)
         fresh = store.root / ".tmp-tenants-live.json"
         fresh.write_bytes(b"{}")
