@@ -404,6 +404,17 @@ GUARDS = [
         "    retry_after: float = 2.0",
     ),
     Guard(
+        "serve.tenancy",
+        r"TenantLedger|DEFAULT_TENANT|x-repro-tenant|X-Repro-Tenant|quota_runs"
+        r"|quota_bytes|--quota-|--cache-mb|cache_bytes|admin/quota"
+        r"|QuotaExceededError|rejected_quota",
+        ("src/",),
+        "repro serve is a front for one reader: no tenant, no quota, and "
+        "the read cache has one budget, ReadCache's default",
+        "c904c2a",
+        'TENANT_HEADER = "x-repro-tenant"',
+    ),
+    Guard(
         "measurement.per_class_driver",
         r"_abort_all|_fill_slots|_finish_target|_check_done|_bind_buckets|on_done",
         ("src/repro/core/getaddr.py", "src/repro/core/prober.py"),
