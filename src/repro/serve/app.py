@@ -59,7 +59,6 @@ from ..errors import (
 from ..store.campaign import CampaignPlan
 from ..store.manifest import RunManifest
 from ..store.runstore import RunStore, default_store_root
-from .cache import ReadCache
 from .http import (
     ChunkedWriter,
     HttpError,
@@ -120,7 +119,6 @@ class CampaignService:
         self.config = config
         self.store = RunStore(config.store_root)
         self.metrics = ServiceMetrics()
-        self.cache = ReadCache()
         self.jobs = JobManager(
             self.store,
             self.metrics,
@@ -129,6 +127,7 @@ class CampaignService:
             workers=config.workers,
             supervisor=supervisor_config(config.seed_timeout, config.retries),
         )
+        self.cache = self.jobs.cache
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
         self.draining = False
@@ -274,19 +273,20 @@ class CampaignService:
             )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         self.metrics.observe(route_label, status, elapsed_ms, bytes_out)
-        logger.info(
-            "%s",
-            json.dumps(
-                {
-                    "method": request.method,
-                    "path": request.path,
-                    "status": status,
-                    "ms": round(elapsed_ms, 3),
-                    "bytes": bytes_out,
-                },
-                sort_keys=True,
-            ),
-        )
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(
+                "%s",
+                json.dumps(
+                    {
+                        "method": request.method,
+                        "path": request.path,
+                        "status": status,
+                        "ms": round(elapsed_ms, 3),
+                        "bytes": bytes_out,
+                    },
+                    sort_keys=True,
+                ),
+            )
         return close
 
     @staticmethod
@@ -445,13 +445,31 @@ class CampaignService:
     ) -> Response:
         return Response.json({"runs": await self._io_call(self.store.index)})
 
-    async def _manifest(self, run_id: str) -> RunManifest:
-        return await self._io_call(self.store.load_manifest, run_id)
+    async def _read_run(
+        self, run_id: str, render: Callable[[RunManifest], Awaitable[Response]]
+    ) -> Response:
+        """``render`` a read about run ``run_id`` from its manifest.
+
+        A complete run's manifest comes from the read cache, a memory hit
+        on the loop; a miss loads it from the store, and caches it only
+        once ``render`` has succeeded, so a failed read leaves the cache
+        as it found it.
+        """
+        manifest = self.cache.manifest(run_id)
+        if manifest is not None:
+            return await render(manifest)
+        manifest = await self._io_call(self.store.load_manifest, run_id)
+        response = await render(manifest)
+        self.cache.put_manifest(manifest)
+        return response
 
     async def _h_run(
         self, request: Request, parts: Tuple[str, ...]
     ) -> Response:
-        manifest = await self._manifest(parts[2])
+        return await self._read_run(parts[2], self._run_body)
+
+    @staticmethod
+    async def _run_body(manifest: RunManifest) -> Response:
         return Response.json(manifest.to_dict())
 
     async def _blob_bytes(self, digest: str) -> bytes:
@@ -490,7 +508,9 @@ class CampaignService:
     async def _h_result(
         self, request: Request, parts: Tuple[str, ...]
     ) -> Response:
-        manifest = await self._manifest(parts[2])
+        return await self._read_run(parts[2], self._result_body)
+
+    async def _result_body(self, manifest: RunManifest) -> Response:
         # The body names the run as well as its result, so both key it
         # (a run has a result digest only once it is complete).
         key = ("result", manifest.run_id, str(manifest.result_digest))
@@ -520,7 +540,9 @@ class CampaignService:
     async def _h_export_csv(
         self, request: Request, parts: Tuple[str, ...]
     ) -> Response:
-        manifest = await self._manifest(parts[2])
+        return await self._read_run(parts[2], self._csv_body)
+
+    async def _csv_body(self, manifest: RunManifest) -> Response:
         body = await self._view(manifest, "campaign_series.csv")
         return Response(status=200, body=body, content_type="text/csv")
 

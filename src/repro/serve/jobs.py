@@ -14,9 +14,13 @@ deduplicated by run key.  The manager adds what serving needs on top:
   into ``429`` + ``Retry-After`` — load shedding at the door instead of
   unbounded queueing.
 * **dedup** — a submission whose every run key is already complete in
-  the store never takes a slot (pure cache hit), and a submission
-  identical to one currently in flight *joins* that job instead of
-  re-simulating.
+  the store never takes a slot (pure cache hit; answered on the event
+  loop when the read cache holds every run's manifest), and a
+  submission identical to one currently in flight *joins* that job
+  instead of re-simulating.
+* **the read cache** — the manager owns the service's
+  :class:`~repro.serve.cache.ReadCache`, because a job's end is what
+  may change a run's manifest: it drops its runs' cached manifests then.
 * **progress events** — supervisor lifecycle events
   (:class:`~repro.core.supervisor.SupervisorEvent`) are forwarded onto
   the owning event loop and appended to the job's ordered event log,
@@ -43,9 +47,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.parallel import run_plans
 from ..core.supervisor import SupervisedRun, SupervisorConfig, SupervisorEvent
 from ..errors import ServiceBusyError, StoreError
+from ..store.campaign import CampaignPlan
 from ..store.manifest import STATUS_COMPLETE
 from ..store.runstore import RunStore
 from ..store.wallclock import now as wall_now
+from .cache import ReadCache
 from .metrics import ServiceMetrics
 from .submission import SubmissionSpec
 
@@ -193,6 +199,8 @@ class JobManager:
         self.queue_limit = max(0, queue_limit)
         self.workers = max(1, workers)
         self.supervisor = supervisor
+        #: The service's read cache (loop-owned).
+        self.cache = ReadCache()
         self.draining = False
         #: True while a gc deletes blobs; fresh work is refused meanwhile.
         self.collecting = False
@@ -239,6 +247,28 @@ class JobManager:
             hasher.update(plan.key.encode())
         return hasher.hexdigest()
 
+    @staticmethod
+    def _seed_run(plan: CampaignPlan, cached: bool) -> SeedRun:
+        return SeedRun(
+            seed=plan.seed,
+            run_id=plan.run_id,
+            key=plan.key,
+            cached_at_submit=cached,
+            status="complete" if cached else "pending",
+            detail="store cache hit" if cached else "",
+        )
+
+    def _cached_runs(self, spec: SubmissionSpec) -> Optional[List[SeedRun]]:
+        """Per-seed run records if every run's complete manifest is in
+        the read cache, else ``None`` (loop thread: the cache is
+        loop-owned)."""
+        runs: List[SeedRun] = []
+        for plan in spec.plans:
+            if self.cache.manifest(plan.run_id) is None:
+                return None
+            runs.append(self._seed_run(plan, True))
+        return runs
+
     def _seed_runs(self, spec: SubmissionSpec) -> Tuple[List[SeedRun], int]:
         """Per-seed run records + how many need fresh simulation."""
         runs: List[SeedRun] = []
@@ -250,16 +280,7 @@ class JobManager:
                 cached = manifest.status == STATUS_COMPLETE
             if not cached:
                 fresh += 1
-            runs.append(
-                SeedRun(
-                    seed=plan.seed,
-                    run_id=plan.run_id,
-                    key=plan.key,
-                    cached_at_submit=cached,
-                    status="complete" if cached else "pending",
-                    detail="store cache hit" if cached else "",
-                )
-            )
+            runs.append(self._seed_run(plan, cached))
         return runs, fresh
 
     def _remember(self, job: Job) -> None:
@@ -292,15 +313,19 @@ class JobManager:
             self.metrics.submit_cache_hits += 1
             return inflight, DISPOSITION_JOINED
 
-        runs, fresh = await loop.run_in_executor(
-            self._admission, self._seed_runs, spec
-        )
-        # An identical submission may have been admitted while we were
-        # reading the store; join it rather than double-running.
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            self.metrics.submit_cache_hits += 1
-            return inflight, DISPOSITION_JOINED
+        cached = self._cached_runs(spec)
+        if cached is not None:
+            runs, fresh = cached, 0
+        else:
+            runs, fresh = await loop.run_in_executor(
+                self._admission, self._seed_runs, spec
+            )
+            # An identical submission may have been admitted while we
+            # were reading the store; join it rather than double-running.
+            inflight = self._inflight.get(key)
+            if inflight is not None:
+                self.metrics.submit_cache_hits += 1
+                return inflight, DISPOSITION_JOINED
         if fresh == 0:
             # Every run key is already complete in the store: answer
             # without taking a slot.
@@ -358,6 +383,15 @@ class JobManager:
         )
 
     async def _run_job(self, key: str, job: Job) -> None:
+        try:
+            await self._finish_job(job)
+        finally:
+            # Whatever the outcome, the job may have rewritten its runs'
+            # manifests: the next read of each loads it from the store.
+            self.cache.drop_manifests(run.run_id for run in job.runs)
+            self._inflight.pop(key, None)
+
+    async def _finish_job(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
         try:
             run = await loop.run_in_executor(
@@ -366,7 +400,6 @@ class JobManager:
         except Exception as exc:  # noqa: BLE001 - job turns failed, not lost
             job.status = JOB_FAILED
             job.post("job-failed", detail=f"{type(exc).__name__}: {exc}")
-            self._inflight.pop(key, None)
             return
         for run_record, result in zip(job.runs, run.results):
             if result is not None:
@@ -388,7 +421,6 @@ class JobManager:
             job.post("job-failed",
                      detail=f"{len(run.failures)} seed(s) failed permanently",
                      failed=list(run.failed_labels))
-        self._inflight.pop(key, None)
 
     def _truncated_runs(self, job: Job) -> List[SeedRun]:
         """The completed runs whose manifests say ``truncated``.

@@ -575,4 +575,11 @@ class TestRepositoryGraph:
         assert graph.loop_owned == {
             "repro.serve.jobs.Job.post",
             "repro.serve.jobs.Job.supervisor_event",
+            "repro.serve.cache.ReadCache.get",
+            "repro.serve.cache.ReadCache.put",
+            "repro.serve.cache.ReadCache.manifest",
+            "repro.serve.cache.ReadCache.put_manifest",
+            "repro.serve.cache.ReadCache.drop_manifests",
+            "repro.serve.cache.ReadCache.clear",
+            "repro.serve.cache.ReadCache.set_enabled",
         }

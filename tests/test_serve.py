@@ -9,15 +9,19 @@ real, not mocked.  Campaigns use the tiny test scenario (scale=0.002,
 
 import asyncio
 import hashlib
+import json
+import logging
 import math
 import re
 import threading
+import types
 
 import pytest
 
 from repro.serve import (
     CampaignService, Client, ReadCache, ServiceConfig, http, parse_submission,
 )
+from repro.serve import app
 from repro.serve.app import REFUSED_ROUTE, UNMATCHED_ROUTE
 from repro.serve.jobs import RETRY_AFTER
 from repro.store import CampaignPlan, RunManifest, RunStore
@@ -946,6 +950,188 @@ class TestReadCache:
         cache.set_enabled(True)
         assert cache.get(("a",)) is None  # dropped, and not re-put
 
+    def test_a_manifest_is_refused_like_an_oversized_entry(self):
+        cache = ReadCache(10)
+        cache.put(("a",), b"aaaa")
+        cache.put_manifest(complete_manifest())
+        assert cache.manifest(complete_manifest().run_id) is None
+        assert cache.get(("a",)) == b"aaaa"
+        assert (cache.stats()["entries"], cache.stats()["bytes"]) == (1, 4)
+
+    def test_a_complete_manifest_is_charged_at_its_json_size(self):
+        cache = ReadCache()
+        manifest = complete_manifest()
+        cache.put_manifest(manifest)
+        assert cache.manifest(manifest.run_id) is manifest
+        assert cache.stats()["bytes"] == len(manifest.to_json())
+        cache.drop_manifests([manifest.run_id])
+        assert (cache.stats()["entries"], cache.stats()["bytes"]) == (0, 0)
+
+    def test_a_running_manifest_is_never_kept(self):
+        cache = ReadCache()
+        running = complete_manifest()
+        running.status = "running"
+        cache.put_manifest(running)
+        assert cache.manifest(running.run_id) is None
+        assert cache.stats()["entries"] == 0
+
+
+def complete_manifest():
+    return RunManifest(
+        run_id="campaign-0123456789ab", key="0123456789ab" + "c" * 52,
+        kind="campaign", seed=13, snapshots_total=2,
+        config={"scenario": {}, "campaign": {}}, status="complete",
+        result_digest="d" * 64,
+    )
+
+
+def count_manifest_loads(monkeypatch, store):
+    """Count ``store.load_manifest`` calls; returns the live count."""
+    calls = []
+    load = store.load_manifest
+
+    def counted(run_id):
+        calls.append(run_id)
+        return load(run_id)
+
+    monkeypatch.setattr(store, "load_manifest", counted)
+    return calls
+
+
+#: Every read about one run that goes through its manifest.
+RUN_READS = ("result", "export/campaign_series.csv", "")
+
+
+async def read_all(client, run_id):
+    bodies = []
+    for tail in RUN_READS:
+        r = await client.request("GET", f"/v1/runs/{run_id}/{tail}".rstrip("/"))
+        assert r.status == 200, (tail, r.status, r.body)
+        bodies.append(r.body)
+    return bodies
+
+
+@pytest.fixture
+def held_run(monkeypatch):
+    """Hold a fresh run just after it saved its first (running)
+    manifest, until ``release`` is set."""
+    saved, release = threading.Event(), threading.Event()
+    save = RunStore.save_manifest
+
+    def save_then_hold(store, manifest):
+        save(store, manifest)
+        if manifest.status == "running" and not saved.is_set():
+            saved.set()
+            release.wait(10)
+
+    monkeypatch.setattr(RunStore, "save_manifest", save_then_hold)
+    yield saved, release
+    release.set()
+
+
+async def until(event):
+    for _ in range(1000):
+        if event.is_set():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("timed out")
+
+
+class TestManifestCache:
+    """A read about a complete run is a memory hit on the loop."""
+
+    def test_warm_reads_and_resubmits_load_no_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        async def body(service, client):
+            run_id = await run_tiny(client)
+            calls = count_manifest_loads(monkeypatch, service.store)
+            cold = await read_all(client, run_id)
+            assert calls == [run_id]
+            for _ in range(3):
+                assert await read_all(client, run_id) == cold
+            r = await client.request("POST", "/v1/campaigns", body=tiny())
+            assert r.json()["disposition"] == "cached"
+            assert r.json()["runs"][0]["cached_at_submit"] is True
+            assert calls == [run_id]
+
+        with_service(tmp_path, body)
+
+    def test_a_disabled_cache_loads_the_manifest_every_time(
+        self, tmp_path, monkeypatch
+    ):
+        async def body(service, client):
+            run_id = await run_tiny(client)
+            warm = await read_all(client, run_id)
+            await set_cache(client, False)
+            calls = count_manifest_loads(monkeypatch, service.store)
+            for rounds in range(1, 3):
+                assert await read_all(client, run_id) == warm
+                assert calls == [run_id] * len(RUN_READS) * rounds
+            r = await client.request("POST", "/v1/campaigns", body=tiny())
+            assert r.json()["disposition"] == "cached"
+            assert len(calls) == len(RUN_READS) * 2 + 1
+
+        with_service(tmp_path, body)
+
+    def test_clear_drops_manifest_entries(self, tmp_path, monkeypatch):
+        async def body(service, client):
+            run_id = await run_tiny(client)
+            await read_all(client, run_id)
+            r = await client.request(
+                "POST", "/v1/admin/cache", body={"clear": True}
+            )
+            assert r.json()["entries"] == 0
+            calls = count_manifest_loads(monkeypatch, service.store)
+            await read_all(client, run_id)
+            assert calls == [run_id]
+
+        with_service(tmp_path, body)
+
+    def test_a_running_manifest_is_never_cached(self, tmp_path, held_run):
+        saved, release = held_run
+
+        async def body(service, client):
+            r = await client.request("POST", "/v1/campaigns", body=tiny())
+            job_id, run_id = r.json()["id"], r.json()["runs"][0]["run_id"]
+            await until(saved)
+            for _ in range(2):
+                r = await client.request("GET", f"/v1/runs/{run_id}/result")
+                assert r.status == 404
+                assert "no result yet" in r.json()["error"]
+            assert service.cache.stats()["entries"] == 0
+            release.set()
+            events = await stream_to_end(client, job_id)
+            assert events[-1]["kind"] == "job-complete"
+            r = await client.request("GET", f"/v1/runs/{run_id}/result")
+            assert r.status == 200
+            assert r.json()["status"] == "complete"
+
+        with_service(tmp_path, body)
+
+    def test_a_finished_job_drops_its_runs_manifests(
+        self, tmp_path, monkeypatch, held_run
+    ):
+        saved, release = held_run
+
+        async def body(service, client):
+            r = await client.request("POST", "/v1/campaigns", body=tiny())
+            job_id, run_id = r.json()["id"], r.json()["runs"][0]["run_id"]
+            await until(saved)
+            planted = complete_manifest()
+            planted.run_id = run_id
+            service.cache.put_manifest(planted)
+            assert service.cache.manifest(run_id) is planted
+            release.set()
+            await stream_to_end(client, job_id)
+            calls = count_manifest_loads(monkeypatch, service.store)
+            shown = (await client.request("GET", f"/v1/runs/{run_id}")).json()
+            assert calls == [run_id]
+            assert shown["result_digest"] != planted.result_digest
+            assert shown["status"] == "complete"
+
+        with_service(tmp_path, body)
+
 
 class TestAdmin:
     def test_gc_dry_run_reports_without_deleting(self, tmp_path):
@@ -1062,6 +1248,38 @@ class TestAdmin:
             r = await client.request("GET", "/v1/healthz")
             assert r.json()["status"] == "draining"
             return None
+
+        with_service(tmp_path, body)
+
+    def test_access_log_line_is_built_only_when_logged(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        dumped = []
+
+        def dumps(value, **kwargs):
+            dumped.append(value)
+            return json.dumps(value, **kwargs)
+
+        monkeypatch.setattr(
+            app, "json", types.SimpleNamespace(dumps=dumps, loads=json.loads)
+        )
+
+        async def body(service, client):
+            caplog.set_level(logging.WARNING, logger="repro.serve")
+            await client.request("GET", "/v1/healthz")
+            assert dumped == []
+            caplog.set_level(logging.INFO, logger="repro.serve")
+            r = await client.request("GET", "/v1/healthz")
+            (line,) = [
+                record.getMessage() for record in caplog.records
+                if "/v1/healthz" in record.getMessage()
+            ]
+            logged = json.loads(line)
+            assert list(logged) == ["bytes", "method", "ms", "path", "status"]
+            assert (logged["method"], logged["path"], logged["status"]) == (
+                "GET", "/v1/healthz", r.status,
+            )
+            assert line == json.dumps(logged, sort_keys=True)
 
         with_service(tmp_path, body)
 
