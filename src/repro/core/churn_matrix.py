@@ -1,6 +1,6 @@
 """Algorithm 4: the churn binary matrix and everything derived from it.
 
-Given per-snapshot sets of connected reachable addresses, build the
+Given per-snapshot collections of connected reachable addresses, build the
 ``M[address, snapshot]`` presence matrix (Fig. 12) and derive:
 
 * daily arrivals and departures (Fig. 13, ~708 nodes / 8.6% per day);
@@ -12,7 +12,7 @@ Given per-snapshot sets of connected reachable addresses, build the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Sequence, Set
+from typing import TYPE_CHECKING, Collection, Dict, List, Sequence, Set
 
 from ..analysis.stats import mean
 from ..errors import AnalysisError
@@ -42,7 +42,7 @@ class ChurnMatrix:
 
 
 def build_matrix(
-    snapshots: Sequence[Set[NetAddr]], times: Sequence[float]
+    snapshots: Sequence[Collection[NetAddr]], times: Sequence[float]
 ) -> ChurnMatrix:
     """Algorithm 4: rows are every address ever seen, columns snapshots."""
     if len(snapshots) != len(times):
@@ -53,7 +53,7 @@ def build_matrix(
 
     universe: Set[NetAddr] = set()
     for snapshot in snapshots:
-        universe |= snapshot
+        universe.update(snapshot)
     addresses = sorted(universe)
     index = {addr: row for row, addr in enumerate(addresses)}
     matrix = np.zeros((len(addresses), len(snapshots)), dtype=bool)

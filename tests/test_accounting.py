@@ -85,6 +85,27 @@ class TestCampaignBookkeeping:
         )
         return scenario, CampaignRunner(scenario).run()
 
+    @pytest.fixture(scope="class")
+    def resumed(self):
+        """The same campaign, checkpointed after its first snapshot and
+        finished by the loaded runner."""
+        from repro.core import CampaignRunner
+        from repro.store import dump_checkpoint, load_checkpoint
+
+        scenario = LongitudinalScenario(
+            LongitudinalConfig(scale=0.003, snapshots=3, seed=29)
+        )
+        runner = CampaignRunner(scenario)
+        times = scenario.snapshot_times
+        runner.run_snapshot(0, times[0])
+        runner = load_checkpoint(
+            dump_checkpoint(runner, kind="campaign-runner"),
+            expect_kind="campaign-runner",
+        )
+        for index in range(1, len(times)):
+            runner.run_snapshot(index, times[index])
+        return runner.result
+
     def test_new_counts_sum_to_cumulative(self, campaign):
         _scenario, result = campaign
         assert sum(s.new_unreachable for s in result.snapshots) == len(
@@ -98,8 +119,32 @@ class TestCampaignBookkeeping:
         _scenario, result = campaign
         union = set()
         for snap in result.snapshots:
-            union |= snap.connected
+            union.update(snap.connected)
         assert union == result.cumulative_reachable
+
+    def test_cumulative_series_count_the_running_union(
+        self, campaign, resumed
+    ):
+        """Fig. 4 and 5's cumulative series are running sums of the new
+        counts; they equal a union rebuilt from the snapshots' tuples,
+        fresh and resumed alike."""
+        _scenario, fresh = campaign
+        for result in (fresh, resumed):
+            for series, field, cumulative in (
+                (result.fig4_series(), "unreachable",
+                 result.cumulative_unreachable),
+                (result.fig5_series(), "responsive",
+                 result.cumulative_responsive),
+            ):
+                seen = set()
+                union = []
+                for snap in result.snapshots:
+                    seen.update(getattr(snap, field))
+                    union.append(len(seen))
+                assert series["cumulative"] == union
+                assert series["cumulative"][-1] == len(cumulative)
+        assert resumed.fig4_series() == fresh.fig4_series()
+        assert resumed.fig5_series() == fresh.fig5_series()
 
     def test_fig_series_lengths_match(self, campaign):
         _scenario, result = campaign
@@ -113,4 +158,4 @@ class TestCampaignBookkeeping:
     def test_responsive_always_within_snapshot_unreachable(self, campaign):
         _scenario, result = campaign
         for snap in result.snapshots:
-            assert snap.responsive <= snap.unreachable
+            assert set(snap.responsive) <= set(snap.unreachable)

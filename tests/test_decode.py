@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ import pytest
 from repro.adversary import AttackerSpec, AttackPlan
 from repro.bitcoin import PolicyConfig
 from repro.core.condition_sweep import Axis, ConditionSweepPlan, conditions
+from repro.core import decode as decode_module
 from repro.core.decode import decode, decode_file
 from repro.core.sync_experiments import SyncCampaignConfig
 from repro.errors import ConfigurationError
@@ -106,6 +108,57 @@ def test_a_tuple_field_decodes_to_a_tuple_and_an_int_stays_an_int():
     ]})
     assert plan.faults[0].scope.asns == (3320,)
     assert type(plan.faults[0].delay) is int
+
+
+# ---------------------------------------------------------------------------
+# A class's annotations are resolved once, not on every decode
+# ---------------------------------------------------------------------------
+
+
+def test_decoding_twice_resolves_each_class_once(monkeypatch):
+    resolved = []
+    real = typing.get_type_hints
+
+    def counting(cls, *args, **kwargs):
+        resolved.append(cls)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counting)
+    decode_module._field_types.cache_clear()
+    body = in_scenario(
+        attack={"attackers": [{"kind": "addr_flooder", "count": 2}]}
+    )
+    first = [plan.key for plan in parse_submission(body).plans]
+    assert Submission in resolved and AttackerSpec in resolved
+    assert len(resolved) == len(set(resolved))
+    once = list(resolved)
+    assert [plan.key for plan in parse_submission(body).plans] == first
+    assert resolved == once
+
+
+#: Refusals as the decoder worded them while it resolved every class's
+#: annotations on each call.
+_REFUSAL_TEXT = [
+    ({"bogus": 1},
+     "unknown field(s) ['bogus'] for Submission "
+     "(allowed: ['campaign', 'scenario', 'seeds', 'snapshots'])"),
+    ({"scenario": {"scale": "x"}}, 'scenario.scale must be a number, got "x"'),
+    ({"campaign": {"probe": {"nope": 2}}},
+     "unknown field(s) ['nope'] for campaign.probe "
+     "(allowed: ['concurrency', 'timeout'])"),
+    ({"scenario": {"attack": {"attackers": [{"count": True}]}}},
+     "scenario.attack.attackers[0].count must be an integer, got true"),
+    ({"seeds": [1, None]}, "seeds[1] must be an integer, got null"),
+    ({"snapshots": 1.5}, "snapshots must be an integer or null, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("body, text", _REFUSAL_TEXT)
+def test_refusal_text_did_not_move(body, text):
+    for _ in range(2):  # resolved, then cached
+        with pytest.raises(ConfigurationError) as excinfo:
+            decode(Submission, body)
+        assert str(excinfo.value) == text
 
 
 # ---------------------------------------------------------------------------

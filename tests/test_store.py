@@ -204,7 +204,8 @@ class TestCheckpointFraming:
         ):
             blob = dump_checkpoint(a, kind=kind)
             assert blob == dump_checkpoint(b, kind=kind)
-            # the tuples are the pickled form only: a set comes back
+            # a snapshot holds its sorted tuples live, a result rebuilds
+            # its sets: either way the loaded object writes the same bytes
             loaded = load_checkpoint(blob, expect_kind=kind)
             assert dump_checkpoint(loaded, kind=kind) == blob
         restored = load_checkpoint(
