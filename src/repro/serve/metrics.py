@@ -12,6 +12,7 @@ covered by the repro-lint clock allowlist for ``repro.serve``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
@@ -25,8 +26,8 @@ def percentile(samples: List[float], q: float) -> Optional[float]:
     if not samples:
         return None
     ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-    return ordered[rank]
+    rank = min(len(ordered), max(1, math.ceil(q * len(ordered))))
+    return ordered[rank - 1]
 
 
 class RouteStats:

@@ -24,6 +24,7 @@ from repro.serve import (
 from repro.serve import app
 from repro.serve.app import REFUSED_ROUTE, UNMATCHED_ROUTE
 from repro.serve.jobs import RETRY_AFTER
+from repro.serve.metrics import percentile
 from repro.store import CampaignPlan, RunManifest, RunStore
 
 #: The tiny campaign used throughout; fresh ~1s, cached ~ms.
@@ -1295,3 +1296,12 @@ class TestAdmin:
             return None
 
         with_service(tmp_path, body)
+
+
+@pytest.mark.parametrize(
+    "samples, q, expected",
+    [(list(range(1, 101)), 0.5, 50), (list(range(1, 101)), 0.99, 99), ([1, 2], 0.5, 1)],
+)
+def test_percentile_is_nearest_rank(samples, q, expected):
+    """The ``q``-quantile is the ``ceil(q·n)``-th smallest sample."""
+    assert percentile(samples, q) == expected
