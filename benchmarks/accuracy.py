@@ -373,7 +373,7 @@ def crawl(seed: int) -> Values:
     reachable = hosting["reachable"]
     classes = [reachable, hosting["unreachable"], hosting["responsive"]]
     shifts = target_shifts(reachable, hosting["responsive"], k=3)
-    hijack = plan_hijack(reachable, 0.5)
+    hijack = plan_hijack(reachable)
 
     share = result.mean_addr_reachable_share()
     return {
@@ -407,7 +407,7 @@ def crawl(seed: int) -> Values:
         "table1.k50_reachable": reachable.k_to_cover_half(),
         "table1.k50_unreachable": hosting["unreachable"].k_to_cover_half(),
         "table1.k50_responsive": hosting["responsive"].k_to_cover_half(),
-        "table1.common_top20": len(common_top_ases(classes, k=20)),
+        "table1.common_top20": len(common_top_ases(classes)),
         "table1.target_shifts": sum(
             1
             for shift in shifts
@@ -498,16 +498,7 @@ def relay(seed: int) -> Values:
 def conn_stability(seed: int) -> Values:
     """Fig. 6: one observer's outgoing connections over 260 s."""
     world = warm_world(seed)
-    result = run_connection_stability(
-        world,
-        duration=cal.CONN_STABILITY_DURATION,
-        # The observer sees real-world connection instability: its
-        # outbound links drop spontaneously (peer evictions, NAT
-        # timeouts) and refill slowly through polluted tables.
-        observer_config=NodeConfig(
-            track_connection_attempts=True, connection_lifetime_mean=150.0
-        ),
-    )
+    result = run_connection_stability(world)
     return {
         "fig06.mean": result.mean_connections,
         "fig06.below_8": result.fraction_below_8,
@@ -520,7 +511,7 @@ def conn_stability(seed: int) -> Values:
 
 def conn_success(seed: int) -> Values:
     """Fig. 7: five 5-minute runs of a restarted observer."""
-    result = run_connection_success(warm_world(seed), runs=5, duration=300.0)
+    result = run_connection_success(warm_world(seed), runs=5)
     return {
         "fig07.success": result.overall_rate,
         "fig07.failure": 1 - result.overall_rate,
@@ -531,7 +522,7 @@ def conn_success(seed: int) -> Values:
 
 def resync(seed: int) -> Values:
     """§IV-D: a synchronized node's restart-to-relay time."""
-    seconds = run_resync_experiment(warm_world(seed), max_wait=3600.0).resync_seconds
+    seconds = run_resync_experiment(warm_world(seed)).resync_seconds
     return {
         "resync.relayed": float(seconds is not None),
         "resync.seconds": math.inf if seconds is None else seconds,
@@ -557,7 +548,6 @@ def policy_success(seed: int) -> Values:
         return run_connection_success(
             scenario,
             runs=3,
-            duration=300.0,
             observer_config=NodeConfig(
                 policies=policies, track_connection_attempts=True
             ),
@@ -674,7 +664,7 @@ def propagation(seed: int) -> Values:
         scenario.start(warmup=900.0)
         tracker = PropagationTracker(scenario)
         scenario.sim.run_for(1800.0)
-        delays = tracker.percentile_delays(90.0, min_coverage=0.85)
+        delays = tracker.percentile_delays()
         delay[outdegree] = float(np.mean(delays)) if delays else math.inf
         component[outdegree] = topology_stats(
             scenario.running_nodes()

@@ -88,12 +88,12 @@ def main() -> None:
             title="Concentration per network view",
         )
     )
-    common = common_top_ases([reachable, unreachable, responsive], k=20)
+    common = common_top_ases([reachable, unreachable, responsive])
     print(f"ASes common to all three top-20 lists: {len(common)} (paper: 10)")
 
     print()
-    plan_rb = plan_hijack(reachable, 0.5)
-    plan_resp = plan_hijack(responsive, 0.5)
+    plan_rb = plan_hijack(reachable)
+    plan_resp = plan_hijack(responsive)
     print(
         f"Hijack plan vs reachable view:  {len(plan_rb.hijacked_ases)} ASes "
         f"isolate {plan_rb.isolated_share:.0%} of reachable nodes"

@@ -55,6 +55,9 @@ __all__ = [
     "SyncStallerNode",
 ]
 
+#: Seconds between an eclipse attacker's top-ups of its victim sockets.
+GRIP_INTERVAL = 10.0
+
 
 class AdversaryNode(BitcoinNode):
     """Base class: a full node with a private adversarial RNG stream."""
@@ -68,7 +71,8 @@ class AdversaryNode(BitcoinNode):
         config: Optional[NodeConfig] = None,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__(sim, addr, config=config, name=name)
+        super().__init__(sim, addr, config=config)
+        self.name = name if name is not None else f"node-{addr}"
         #: Every adversarial draw comes from here — never from the
         #: node-plumbing stream — so attackers replay independently.
         self.adv_rng = sim.random.stream("adversary", self.name)
@@ -186,7 +190,6 @@ class EclipseNode(AdversaryNode):
         cohort: Tuple[NetAddr, ...],
         connections_target: int = 8,
         config: Optional[NodeConfig] = None,
-        grip_interval: float = 10.0,
         name: Optional[str] = None,
     ) -> None:
         super().__init__(sim, addr, config=config, name=name)
@@ -195,7 +198,6 @@ class EclipseNode(AdversaryNode):
         #: only thing the victim is ever told about.
         self.cohort: Tuple[NetAddr, ...] = cohort
         self.connections_target = connections_target
-        self.grip_interval = grip_interval
         self._grip_task = None
         self._pending_connects = 0
         self.eclipse_addrs_sent = 0
@@ -214,7 +216,7 @@ class EclipseNode(AdversaryNode):
         super().start()
         if self._grip_task is None:
             self._grip_task = self.sim.call_every(
-                self.grip_interval, self._tighten_grip
+                GRIP_INTERVAL, self._tighten_grip
             )
 
     def stop(self) -> None:
@@ -242,7 +244,6 @@ class EclipseNode(AdversaryNode):
                 self.victim,
                 handler=self,
                 on_result=self._grip_result,
-                timeout=self.config.connect_timeout,
             )
         self._feed_victim()
 

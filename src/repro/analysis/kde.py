@@ -16,6 +16,11 @@ from ..errors import AnalysisError
 if TYPE_CHECKING:
     import numpy as np
 
+#: The density grid: sync percent from 0 to 100, 256 points.
+GRID_MIN = 0.0
+GRID_MAX = 100.0
+GRID_POINTS = 256
+
 
 @dataclass(frozen=True)
 class DensityEstimate:
@@ -35,17 +40,10 @@ class DensityEstimate:
         return float(self.grid[int(np.argmax(self.density))])
 
 
-def kde(
-    values: Sequence[float],
-    grid_min: float = 0.0,
-    grid_max: float = 100.0,
-    grid_points: int = 256,
-    bandwidth: float = None,
-) -> DensityEstimate:
-    """Gaussian KDE of ``values`` on ``[grid_min, grid_max]``.
+def kde(values: Sequence[float]) -> DensityEstimate:
+    """Gaussian KDE of ``values`` (Scott's-rule bandwidth) on the grid.
 
-    ``bandwidth`` overrides the Scott's-rule factor when given.  Degenerate
-    inputs (fewer than two distinct values) fall back to a narrow Gaussian
+    Degenerate inputs (fewer than two distinct values) fall back to a narrow Gaussian
     bump at the sample value rather than raising, because short simulated
     campaigns can legitimately produce constant series.
     """
@@ -54,16 +52,16 @@ def kde(
     import numpy as np
 
     array = np.asarray(values, dtype=float)
-    grid = np.linspace(grid_min, grid_max, grid_points)
+    grid = np.linspace(GRID_MIN, GRID_MAX, GRID_POINTS)
     if np.unique(array).size < 2:
         center = float(array[0])
-        sigma = max((grid_max - grid_min) / 200.0, 1e-9)
+        sigma = (GRID_MAX - GRID_MIN) / 200.0
         density = np.exp(-0.5 * ((grid - center) / sigma) ** 2)
         density /= np.trapezoid(density, grid) or 1.0
     else:
         from scipy import stats
 
-        estimator = stats.gaussian_kde(array, bw_method=bandwidth)
+        estimator = stats.gaussian_kde(array)
         density = estimator(grid)
     return DensityEstimate(
         grid=grid,
@@ -75,7 +73,7 @@ def kde(
 
 
 def compare_densities(
-    before: Sequence[float], after: Sequence[float], **kwargs
+    before: Sequence[float], after: Sequence[float]
 ) -> Tuple[DensityEstimate, DensityEstimate]:
     """KDEs of two campaigns on a shared grid (the Fig. 1 overlay)."""
-    return kde(before, **kwargs), kde(after, **kwargs)
+    return kde(before), kde(after)

@@ -113,18 +113,16 @@ def median(values: Sequence[float]) -> float:
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def k_to_cover(counts: Dict, share: float = 0.5) -> int:
-    """Smallest number of top entries covering ``share`` of the mass.
+def k_to_cover(counts: Dict) -> int:
+    """Smallest number of top entries covering half of the mass.
 
     This is the paper's "X ASes host 50% of nodes" statistic.
     """
     if not counts:
         raise AnalysisError("empty counts")
-    if not 0 < share <= 1:
-        raise AnalysisError(f"share must be in (0, 1], got {share}")
     ordered = sorted(counts.values(), reverse=True)
     total = sum(ordered)
-    target = total * share
+    target = total * 0.5
     acc = 0.0
     for index, value in enumerate(ordered, start=1):
         acc += value

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..errors import AnalysisError
 from ..simnet.simulator import PeriodicTask, Simulator
@@ -51,14 +51,11 @@ class Sampler:
         sim: Simulator,
         probe: Callable[[], float],
         period: float,
-        start_delay: Optional[float] = 0.0,
     ) -> None:
         self.series = Series()
         self._probe = probe
         self._sim = sim
-        self._task: PeriodicTask = sim.call_every(
-            period, self._sample, start_delay=start_delay
-        )
+        self._task: PeriodicTask = sim.call_every(period, self._sample)
 
     def _sample(self) -> None:
         self.series.append(self._sim.now, float(self._probe()))

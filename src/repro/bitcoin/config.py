@@ -267,28 +267,12 @@ class NodeConfig:
     max_inbound: int = MAX_INBOUND
     #: Whether the node listens (reachable) or not (behind NAT).
     listen: bool = True
-    #: TCP connect timeout for silent targets.
-    connect_timeout: float = 5.0
     feelers_enabled: bool = True
     #: Mean lifetime of an outbound connection before it drops
     #: spontaneously (peer-side eviction, NAT timeout, link failure).
     #: None disables.  The paper's Fig. 6 trace — connections oscillating
     #: 2-10 with a 6.67 mean — implies drops on this order.
     connection_lifetime_mean: "float | None" = None
-
-    # --- message handler (paper Fig. 9 / Alg. 3) ---
-    #: CPU cost charged per processed message, by command (seconds).
-    #: Anything absent falls back to ``node.DEFAULT_PROC_TIME``.
-    proc_times: dict = field(
-        default_factory=lambda: {
-            "block": 0.060,
-            "cmpctblock": 0.015,
-            "blocktxn": 0.030,
-            "addr": 0.004,
-            "getaddr": 0.006,
-            "tx": 0.002,
-        }
-    )
 
     # --- addressing ---
     #: Send GETADDR on every new outbound connection (Core behaviour).

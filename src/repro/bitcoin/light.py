@@ -9,15 +9,18 @@ purely from such announcements.  A :class:`LightNode` is exactly that
 surface and nothing more:
 
 * **version/verack** — completes the handshake when it listens;
-* **ping → pong**, **getaddr → addr** from a *shared* immutable table;
+* **ping → pong**, **getaddr → addr** with its own address;
 * a :class:`~repro.simnet.transport.ProbeBehavior` governing how the
   transport answers connects/probes while the node does not listen.
+
+Only an assist (the ``unreachable-relay`` profile) listens, so only an
+assist ever answers GETADDR.  No world gives a light node an address
+table: ``addr_table`` stays empty outside the tests.
 
 Memory discipline (the point of the tier):
 
 * ``__slots__`` everywhere — no per-instance ``__dict__``;
 * one frozen :class:`LightNodeProfile` shared by the whole cloud;
-* the ADDR table is a shared tuple, never copied per node;
 * per-connection state is a lazily created dict that stays ``None`` for
   cloud nodes (they never accept);
 * replies are sent synchronously on the receiving socket — no handler

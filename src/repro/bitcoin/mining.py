@@ -23,6 +23,16 @@ from .config import BLOCK_INTERVAL
 from .mempool import Transaction
 from .node import BitcoinNode
 
+#: Size of a confirmed transaction the miner's mempool no longer holds,
+#: and the mean of a generated transaction's size (bytes).
+TX_SIZE = 350
+#: Serialized block size model.  Only a sample of each block's
+#: transactions is simulated individually; the rest of a realistic ~1 MB
+#: 2020 block is accounted as filler bytes so full-block transmission
+#: times (the §IV-C relay tail) are right.
+BLOCK_SIZE_MEAN = 1.0 * 1024 * 1024
+BLOCK_SIZE_STD = 0.25 * 1024 * 1024
+
 
 @dataclass
 class MinedBlock:
@@ -42,9 +52,6 @@ class MiningProcess:
         candidates: Callable[[], Sequence[BitcoinNode]],
         block_interval: float = BLOCK_INTERVAL,
         txs_per_block: int = 0,
-        tx_size: int = 350,
-        block_size_mean: float = 1.0 * 1024 * 1024,
-        block_size_std: float = 0.25 * 1024 * 1024,
     ) -> None:
         if block_interval <= 0:
             raise ScenarioError("block_interval must be positive")
@@ -52,13 +59,6 @@ class MiningProcess:
         self._candidates = candidates
         self.block_interval = block_interval
         self.txs_per_block = txs_per_block
-        self.tx_size = tx_size
-        #: Serialized block size model.  Only a sample of each block's
-        #: transactions is simulated individually; the rest of a realistic
-        #: ~1 MB 2020 block is accounted as filler bytes so full-block
-        #: transmission times (the §IV-C relay tail) are right.
-        self.block_size_mean = block_size_mean
-        self.block_size_std = block_size_std
         self._rng = sim.random.stream("mining")
         self._next_block_id = 1
         self._base_height = 0
@@ -88,7 +88,7 @@ class MiningProcess:
         prev_id = 0  # genesis
         for height in range(1, count + 1):
             size = int(
-                max(80, self._rng.gauss(self.block_size_mean, self.block_size_std))
+                max(80, self._rng.gauss(BLOCK_SIZE_MEAN, BLOCK_SIZE_STD))
             )
             block = Block(
                 block_id=self._next_block_id,
@@ -162,11 +162,11 @@ class MiningProcess:
             take = min(self.txs_per_block, len(all_ids))
             pool_txids = self._rng.sample(all_ids, take)
         tx_bytes = sum(
-            (miner.mempool.get(txid).size if miner.mempool.get(txid) else self.tx_size)
+            (miner.mempool.get(txid).size if miner.mempool.get(txid) else TX_SIZE)
             for txid in pool_txids
         )
         filler = max(
-            0.0, self._rng.gauss(self.block_size_mean, self.block_size_std)
+            0.0, self._rng.gauss(BLOCK_SIZE_MEAN, BLOCK_SIZE_STD)
         )
         size = int(max(80 + tx_bytes, filler))
         block = Block(
@@ -189,14 +189,12 @@ class TransactionGenerator:
         sim: Simulator,
         candidates: Callable[[], Sequence[BitcoinNode]],
         tx_rate: float = 0.1,
-        tx_size_mean: int = 350,
     ) -> None:
         if tx_rate <= 0:
             raise ScenarioError("tx_rate must be positive")
         self.sim = sim
         self._candidates = candidates
         self.tx_rate = tx_rate
-        self.tx_size_mean = tx_size_mean
         self._rng = sim.random.stream("txgen")
         self._next_txid = 1_000_000_000  # disjoint from block ids
         self.generated = 0
@@ -225,7 +223,7 @@ class TransactionGenerator:
         candidates = [node for node in self._candidates() if node.running]
         if candidates:
             origin = self._rng.choice(candidates)
-            size = max(120, int(self._rng.gauss(self.tx_size_mean, 80)))
+            size = max(120, int(self._rng.gauss(TX_SIZE, 80)))
             tx = Transaction(
                 txid=self._next_txid, size=size, created_at=self.sim.now
             )

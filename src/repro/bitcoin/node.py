@@ -89,8 +89,17 @@ _MIN_PASS_GAP = 0.001
 #: Pause between outbound connection attempts (ThreadOpenConnections
 #: sleeps 500 ms between iterations).
 CONNECT_RETRY_INTERVAL = 0.5
-#: CPU cost charged per processed message whose command has no
-#: ``NodeConfig.proc_times`` entry (seconds).
+#: CPU cost charged per processed message, by command (seconds; the
+#: message handler of paper Fig. 9 / Alg. 3).  A command absent here
+#: costs ``DEFAULT_PROC_TIME``.
+PROC_TIMES = {
+    "block": 0.060,
+    "cmpctblock": 0.015,
+    "blocktxn": 0.030,
+    "addr": 0.004,
+    "getaddr": 0.006,
+    "tx": 0.002,
+}
 DEFAULT_PROC_TIME = 0.001
 #: Upload bandwidth serializing all sends (bytes/second).  1.25 MB/s
 #: approximates the 10 Mbit/s uplink of a 2020 home node.
@@ -165,7 +174,7 @@ class BitcoinNode(NodeBehavior):
     # gossip run's wall time).  Slots keep the state inline.  Subclasses
     # (the adversaries) add a ``__dict__`` for their own fields only.
     __slots__ = (
-        "sim", "addr", "config", "name", "_clock", "_rng", "addrman",
+        "sim", "addr", "config", "_clock", "_rng", "addrman",
         "chain", "mempool", "peers", "_inbound", "_peer_addrs", "running",
         "started_at", "departed", "_addr_index",
         # connections
@@ -190,13 +199,11 @@ class BitcoinNode(NodeBehavior):
         sim: Simulator,
         addr: NetAddr,
         config: Optional[NodeConfig] = None,
-        name: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.addr = addr
         self.config = config if config is not None else NodeConfig()
         self.config.validate()
-        self.name = name if name is not None else f"node-{addr}"
         #: Hot-path alias for ``sim.clock`` (message handlers read the
         #: time once per delivered message).
         self._clock = sim.clock
@@ -464,7 +471,6 @@ class BitcoinNode(NodeBehavior):
             # partial, not a lambda: the callback sits in the event queue
             # and must survive Simulator.snapshot() pickling.
             on_result=partial(self._connection_result, target, started),
-            timeout=self.config.connect_timeout,
         )
 
     def _connection_result(
@@ -517,7 +523,6 @@ class BitcoinNode(NodeBehavior):
             target,
             handler=_FeelerHandler(),
             on_result=partial(self._feeler_result, target, started),
-            timeout=self.config.connect_timeout,
         )
 
     def _feeler_result(
@@ -633,10 +638,9 @@ class BitcoinNode(NodeBehavior):
             return
         # This is the hottest protocol loop in the simulator (one pass per
         # message burst on every node), so the per-iteration constants —
-        # config values, the dispatch table, and the clock, none of which
+        # the cost and dispatch tables, and the clock, none of which
         # change mid-pass — are hoisted to locals.
         peers = self.peers
-        config = self.config
         now = self._clock._now
         busy = 0.0
         # --- ThreadMessageHandler: one message per peer per pass ---
@@ -645,7 +649,7 @@ class BitcoinNode(NodeBehavior):
         # re-marked for the next pass.
         dirty_process = self.dirty_process
         if dirty_process:
-            proc_time = config.proc_times.get
+            proc_time = PROC_TIMES.get
             default_proc_time = DEFAULT_PROC_TIME
             dispatch = self._DISPATCH.get
             batch = list(dirty_process)

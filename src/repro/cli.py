@@ -58,7 +58,6 @@ from typing import Any, List, Optional
 
 from . import core
 from .analysis.stats import mean
-from .bitcoin import NodeConfig
 from .core import export as export_mod
 from .core.condition_sweep import DEFAULT_CHURN_LEVELS, DEFAULT_VARIANTS
 from .core.decode import decode_file
@@ -301,7 +300,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print(dual_series(fig4["per_snapshot"], fig4["cumulative"]))
     print()
     print("Fig. 12 (presence matrix, downsampled):")
-    print(presence_matrix(result.churn_matrix().matrix, max_rows=16, max_cols=60))
+    print(presence_matrix(result.churn_matrix().matrix))
     if args.export:
         out = Path(args.export)
         export_mod.export_campaign_series(result, out / "campaign_series.csv")
@@ -598,12 +597,7 @@ def _cmd_relay(args: argparse.Namespace) -> int:
 
 def _cmd_conn(args: argparse.Namespace) -> int:
     print(f"conn: warming a {args.nodes}-node world per figure...")
-    stability = core.run_connection_stability(
-        core.warm_world(args.seed, args.nodes),
-        observer_config=NodeConfig(
-            track_connection_attempts=True, connection_lifetime_mean=150.0
-        ),
-    )
+    stability = core.run_connection_stability(core.warm_world(args.seed, args.nodes))
     success = core.run_connection_success(
         core.warm_world(args.seed, args.nodes), runs=args.runs
     )

@@ -27,7 +27,7 @@ from typing import List, Optional
 from ..analysis.timeseries import Sampler, Series
 from ..errors import ScenarioError
 from ..bitcoin.config import NodeConfig
-from ..bitcoin.node import BitcoinNode
+from ..netmodel import calibration as cal
 from ..netmodel.scenario import ProtocolConfig, ProtocolScenario
 
 
@@ -49,6 +49,23 @@ def warm_world(seed: int, n_reachable: int = 60) -> ProtocolScenario:
     return scenario
 
 
+#: Fig. 6 polls the observer once a second, after a warm-up that lets it
+#: reach its operating point: the paper's node was a standing node with
+#: populated tables, not a first boot, so its trace *oscillates* around
+#: 6-7 rather than ramping from zero.
+POLL_PERIOD = 1.0
+OBSERVER_WARMUP = 600.0
+#: Mean lifetime (seconds) of the Fig. 6 observer's outbound links: it
+#: sees real-world connection instability, its links dropping on their
+#: own (peer evictions, NAT timeouts) and refilling slowly through
+#: polluted tables.
+OBSERVER_CONNECTION_LIFETIME = 150.0
+#: Length of one Fig. 7 restart run (seconds).
+SUCCESS_RUN_DURATION = 300.0
+#: How long (seconds) §IV-D waits for the restarted node to relay.
+RESYNC_MAX_WAIT = 3600.0
+
+
 def _observer_config(base: Optional[NodeConfig] = None) -> NodeConfig:
     config = base if base is not None else NodeConfig()
     config.track_connection_attempts = True
@@ -66,33 +83,24 @@ class StabilityResult:
     max_connections: int
 
 
-def run_connection_stability(
-    scenario: ProtocolScenario,
-    duration: float = 260.0,
-    poll_period: float = 1.0,
-    observer_config: Optional[NodeConfig] = None,
-    observer_warmup: float = 600.0,
-) -> StabilityResult:
-    """Run the Fig. 6 experiment inside a warmed-up scenario.
-
-    ``observer_warmup`` lets the observer reach its operating point before
-    polling starts — the paper's node was a standing node with populated
-    tables, not a first boot; its Fig. 6 trace *oscillates* around 6-7
-    rather than ramping from zero.
-    """
-    observer = scenario.make_observer_node(_observer_config(observer_config))
+def run_connection_stability(scenario: ProtocolScenario) -> StabilityResult:
+    """Run the Fig. 6 experiment inside a warmed-up scenario."""
+    observer = scenario.make_observer_node(
+        NodeConfig(
+            track_connection_attempts=True,
+            connection_lifetime_mean=OBSERVER_CONNECTION_LIFETIME,
+        )
+    )
     observer.start()
-    if observer_warmup > 0:
-        scenario.sim.run_for(observer_warmup)
+    scenario.sim.run_for(OBSERVER_WARMUP)
     sampler = Sampler(
         scenario.sim,
         # partial over getattr, not a lambda: the probe lands on the
         # periodic task in the event queue and must stay picklable.
         functools.partial(getattr, observer, "outbound_count_with_feelers"),
-        period=poll_period,
-        start_delay=poll_period,
+        period=POLL_PERIOD,
     )
-    scenario.sim.run_for(duration)
+    scenario.sim.run_for(cal.CONN_STABILITY_DURATION)
     sampler.stop()
     observer.stop()
     series = sampler.series
@@ -139,7 +147,6 @@ class SuccessResult:
 def run_connection_success(
     scenario: ProtocolScenario,
     runs: int = 5,
-    duration: float = 300.0,
     observer_config: Optional[NodeConfig] = None,
 ) -> SuccessResult:
     """Run the Fig. 7 experiment: fresh observer per run, count outcomes."""
@@ -147,7 +154,7 @@ def run_connection_success(
     for _ in range(runs):
         observer = scenario.make_observer_node(_observer_config(observer_config))
         observer.start()
-        scenario.sim.run_for(duration)
+        scenario.sim.run_for(SUCCESS_RUN_DURATION)
         observer.stop()
         attempts = [
             a for a in observer.attempt_log if not a.outcome.startswith("feeler")
@@ -175,30 +182,23 @@ class ResyncResult:
         return self.first_relay_at - self.restart_at
 
 
-def run_resync_experiment(
-    scenario: ProtocolScenario,
-    node: Optional[BitcoinNode] = None,
-    max_wait: float = 3600.0,
-) -> ResyncResult:
+def run_resync_experiment(scenario: ProtocolScenario) -> ResyncResult:
     """Restart a synchronized node; time until it relays a block again.
 
     The paper measured 11 min 14 s, dominated by connection
     re-establishment (slow, because of the polluted tables) and catching
     up on the latest block before having anything to relay.
     """
-    if node is None:
-        candidates = [
-            n
-            for n in scenario.running_nodes()
-            if n.chain.height >= scenario.best_height
-        ]
-        if not candidates:
-            raise ScenarioError("no synchronized node available to restart")
-        node = candidates[0]
+    candidates = [
+        n for n in scenario.running_nodes() if n.chain.height >= scenario.best_height
+    ]
+    if not candidates:
+        raise ScenarioError("no synchronized node available to restart")
+    node = candidates[0]
     scenario.measurement_nodes.append(node)
     node.restart()
     restart_at = scenario.sim.now
-    deadline = restart_at + max_wait
+    deadline = restart_at + RESYNC_MAX_WAIT
     while scenario.sim.now < deadline:
         if (
             node.first_relay_at is not None

@@ -162,14 +162,18 @@ def export_detection(report: DetectionReport, path: PathLike) -> Path:
     )
 
 
-def export_hosting(report: HostingReport, path: PathLike, top: int = 50) -> Path:
+#: ASes per exported Table I.
+HOSTING_ROWS = 50
+
+
+def export_hosting(report: HostingReport, path: PathLike) -> Path:
     """Table I: one row per AS, ranked."""
     return _write_rows(
         path,
         ("rank", "asn", "nodes", "percent"),
         (
             (row.rank, row.asn, row.count, round(row.percent, 4))
-            for row in report.top(top)
+            for row in report.top(HOSTING_ROWS)
         ),
     )
 

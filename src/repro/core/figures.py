@@ -8,7 +8,7 @@ export + a real plotting tool.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Sequence
 
 from ..analysis.kde import DensityEstimate
 from ..errors import AnalysisError
@@ -17,23 +17,27 @@ if TYPE_CHECKING:
     import numpy as np
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
+#: Characters per rendered line: the Fig. 1 overlay, the Figs. 4/5 pair.
+OVERLAY_WIDTH = 64
+SERIES_WIDTH = 60
+SERIES_LABELS = ("per-snapshot", "cumulative")
+#: The Fig. 12 image's size in characters (addresses x snapshot groups).
+MATRIX_ROWS = 16
+MATRIX_COLS = 60
 
 
-def _scale_to_blocks(values: Sequence[float], peak: Optional[float] = None) -> str:
+def _scale_to_blocks(values: Sequence[float], peak: float) -> str:
     import numpy as np
 
     array = np.asarray(values, dtype=float)
-    top = peak if peak is not None else (array.max() if array.size else 1.0)
-    top = top or 1.0
+    top = peak or 1.0
     return "".join(
         _BLOCKS[min(len(_BLOCKS) - 1, round(v / top * (len(_BLOCKS) - 1)))]
         for v in array
     )
 
 
-def density_overlay(
-    curves: Dict[str, DensityEstimate], width: int = 64
-) -> str:
+def density_overlay(curves: Dict[str, DensityEstimate]) -> str:
     """Several KDEs on a shared peak scale (the Fig. 1 overlay)."""
     if not curves:
         raise AnalysisError("no densities given")
@@ -43,42 +47,36 @@ def density_overlay(
     lines = []
     for label, density in curves.items():
         resampled = np.interp(
-            np.linspace(density.grid[0], density.grid[-1], width),
+            np.linspace(density.grid[0], density.grid[-1], OVERLAY_WIDTH),
             density.grid,
             density.density,
         )
         lines.append(f"{label:>6} {_scale_to_blocks(resampled, peak)}")
     lo = curves[next(iter(curves))].grid[0]
     hi = curves[next(iter(curves))].grid[-1]
-    lines.append(f"{'':>6} {str(round(lo)):<{width // 2}}{round(hi):>{width - width // 2}}")
+    half = OVERLAY_WIDTH // 2
+    lines.append(f"{'':>6} {str(round(lo)):<{half}}{round(hi):>{OVERLAY_WIDTH - half}}")
     return "\n".join(lines)
 
 
-def dual_series(
-    primary: Sequence[float],
-    secondary: Sequence[float],
-    labels: "tuple[str, str]" = ("per-snapshot", "cumulative"),
-    width: int = 60,
-) -> str:
+def dual_series(primary: Sequence[float], secondary: Sequence[float]) -> str:
     """Two series on a shared scale (the Figs. 4/5 black/red pairs)."""
     if not primary or not secondary:
         raise AnalysisError("series must be non-empty")
     peak = max(max(primary), max(secondary)) or 1.0
 
     def render(series: Sequence[float]) -> str:
-        step = max(1, len(series) // width)
-        return _scale_to_blocks(list(series)[::step][:width], peak)
+        step = max(1, len(series) // SERIES_WIDTH)
+        return _scale_to_blocks(list(series)[::step][:SERIES_WIDTH], peak)
 
-    name_width = max(len(labels[0]), len(labels[1]))
+    name_width = max(map(len, SERIES_LABELS))
     return "\n".join(
         f"{label:>{name_width}} {render(series)}"
-        for label, series in zip(labels, (primary, secondary))
+        for label, series in zip(SERIES_LABELS, (primary, secondary))
     )
 
 
-def presence_matrix(
-    matrix: "np.ndarray", max_rows: int = 40, max_cols: int = 80
-) -> str:
+def presence_matrix(matrix: "np.ndarray") -> str:
     """The Fig. 12 binary image, block characters for presence.
 
     Rows (addresses) are downsampled by striding; columns (snapshots)
@@ -87,8 +85,8 @@ def presence_matrix(
     if matrix.size == 0:
         raise AnalysisError("empty matrix")
     rows, cols = matrix.shape
-    row_step = max(1, -(-rows // max_rows))  # ceil division
-    col_step = max(1, -(-cols // max_cols))
+    row_step = max(1, -(-rows // MATRIX_ROWS))  # ceil division
+    col_step = max(1, -(-cols // MATRIX_COLS))
     lines = []
     for row_start in range(0, rows, row_step):
         chunk = matrix[row_start: row_start + row_step]

@@ -107,10 +107,6 @@ def run_plans(
 # ---------------------------------------------------------------------------
 # Fig. 1 synchronization campaigns
 # ---------------------------------------------------------------------------
-def _run_sync_config(config: SyncCampaignConfig) -> SyncCampaignResult:
-    return run_sync_campaign(config)
-
-
 @dataclass
 class SyncSweepResult:
     """Multi-seed synchronization campaign, merged in seed order.
@@ -161,9 +157,9 @@ class SyncSweepResult:
             if result.truncated
         ]
 
-    def density(self, **kwargs) -> DensityEstimate:
+    def density(self) -> DensityEstimate:
         """KDE over the pooled samples (a seed-averaged Fig. 1 curve)."""
-        return kde(self.sync_samples, **kwargs)
+        return kde(self.sync_samples)
 
 
 def run_sync_groups(
@@ -184,7 +180,7 @@ def run_sync_groups(
         raise ConfigurationError("need at least one seed")
     tasks = [replace(base, seed=seed) for base in bases for seed in seeds]
     run = run_supervised(
-        _run_sync_config,
+        run_sync_campaign,
         tasks,
         default_workers(len(tasks)) if workers is None else workers,
         config=supervisor,

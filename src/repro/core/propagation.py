@@ -15,13 +15,16 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from ..analysis.stats import mean
-from ..errors import AnalysisError
 from ..bitcoin.blockchain import Block
 from ..bitcoin.node import BitcoinNode
 from ..netmodel.scenario import ProtocolScenario
 from ..simnet.simulator import canonical_sets
 
+#: A block's delay is its time to reach this percent of the running
+#: nodes, counted over the blocks that reached at least
+#: ``MIN_COVERAGE`` of them.
+DELAY_PERCENTILE = 90.0
+MIN_COVERAGE = 0.85
 
 @dataclass
 class BlockPropagation:
@@ -97,29 +100,21 @@ class PropagationTracker:
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
-    def completed_blocks(self, min_coverage: float = 0.9) -> List[BlockPropagation]:
-        """Blocks that reached at least ``min_coverage`` of the network."""
+    def completed_blocks(self) -> List[BlockPropagation]:
+        """Blocks that reached at least :data:`MIN_COVERAGE` of the network."""
         population = len(self.scenario.running_nodes())
         return [
             record
             for record in self.blocks.values()
-            if record.coverage(population) >= min_coverage
+            if record.coverage(population) >= MIN_COVERAGE
         ]
 
-    def percentile_delays(
-        self, percentile: float = 90.0, min_coverage: float = 0.9
-    ) -> List[float]:
-        """Per-block time-to-``percentile``% delays (Decker-style)."""
+    def percentile_delays(self) -> List[float]:
+        """Per-block time-to-90% delays (Decker-style)."""
         population = len(self.scenario.running_nodes())
         out: List[float] = []
-        for record in self.completed_blocks(min_coverage):
-            value = record.delay_percentile(population, percentile)
+        for record in self.completed_blocks():
+            value = record.delay_percentile(population, DELAY_PERCENTILE)
             if value is not None:
                 out.append(value)
         return out
-
-    def mean_delay_to(self, percentile: float = 90.0) -> float:
-        delays = self.percentile_delays(percentile)
-        if not delays:
-            raise AnalysisError("no block reached the requested coverage")
-        return mean(delays)

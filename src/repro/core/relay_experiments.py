@@ -40,6 +40,15 @@ CLIENT_HB_FRACTION = 0.9
 #: must download the whole chain through the measurement node — the
 #: uplink congestion behind the paper's 17-second outliers.
 CLIENT_REFRESH_INTERVAL = 1800.0
+#: Mining interval (seconds), compressed from 600 s to collect more
+#: samples, and the blocks' and the network's transaction load.
+BLOCK_INTERVAL = 300.0
+TXS_PER_BLOCK = 25
+#: Transaction arrival rate (tx/s).
+TX_RATE = 0.4
+#: Relay-wave cutoff: sends later than this after first receipt serve
+#: block download, not the relay wave, and are excluded (seconds).
+WAVE_CUTOFF = 30.0
 
 
 @dataclass
@@ -52,18 +61,10 @@ class RelayExperimentConfig:
     n_clients: int = 17
     #: How often each client sends GETADDR (the request load).
     client_getaddr_interval: float = 8.0
-    #: Mining interval — compressed from 600 s to collect more samples.
-    block_interval: float = 300.0
-    txs_per_block: int = 25
-    #: Transaction arrival rate (tx/s).
-    tx_rate: float = 0.4
     #: Measured duration after warm-up.
     duration: float = 4 * 3600.0
     warmup: float = 600.0
     seed: int = 11
-    #: Relay-wave cutoff: sends later than this after first receipt serve
-    #: block download, not the relay wave, and are excluded.
-    wave_cutoff: float = 30.0
     #: The measurement node's policy variant (relay ordering is what the
     #: §V ablation toggles); the surrounding network keeps the baseline.
     policies: PolicyConfig = field(default_factory=PolicyConfig)
@@ -77,10 +78,10 @@ class RelayExperimentConfig:
 class RelayExperimentResult:
     """Measured relaying-time distributions.
 
-    ``quantized=True`` floors each relaying time to whole seconds before
-    summarising, reproducing the paper's measurement: the debug.log they
-    parsed timestamps events at one-second granularity, so an item
-    received and relayed within the same second reads as zero.
+    The summaries floor each relaying time to whole seconds, reproducing
+    the paper's measurement: the debug.log they parsed timestamps events
+    at one-second granularity, so an item received and relayed within
+    the same second reads as zero.
     """
 
     block_relay_times: List[float]
@@ -88,22 +89,18 @@ class RelayExperimentResult:
     target_addr: NetAddr
     inbound_at_end: int
     outbound_at_end: int
-    #: Relay-wave cutoff used when extracting the series (seconds).
-    wave_cutoff: float = 30.0
     #: Per-block relaying time to the last *outbound* peer (§V).
     outbound_block_relay_times: List[float] = field(default_factory=list)
 
     @staticmethod
-    def _maybe_quantize(values: List[float], quantized: bool) -> List[float]:
-        return [float(int(v)) for v in values] if quantized else values
+    def _quantize(values: List[float]) -> List[float]:
+        return [float(int(v)) for v in values]
 
-    def block_summary(self, quantized: bool = True) -> Summary:
-        return summarize(
-            self._maybe_quantize(self.block_relay_times, quantized)
-        )
+    def block_summary(self) -> Summary:
+        return summarize(self._quantize(self.block_relay_times))
 
-    def tx_summary(self, quantized: bool = True) -> Summary:
-        return summarize(self._maybe_quantize(self.tx_relay_times, quantized))
+    def tx_summary(self) -> Summary:
+        return summarize(self._quantize(self.tx_relay_times))
 
 
 def build_relay_scenario(
@@ -116,9 +113,9 @@ def build_relay_scenario(
             seed=config.seed,
             n_reachable=config.n_reachable,
             mining=True,
-            block_interval=config.block_interval,
-            txs_per_block=config.txs_per_block,
-            tx_rate=config.tx_rate,
+            block_interval=BLOCK_INTERVAL,
+            txs_per_block=TXS_PER_BLOCK,
+            tx_rate=TX_RATE,
         )
     )
     target_config = NodeConfig(
@@ -210,13 +207,12 @@ def run_relay_experiment(
     scenario.sim.run_for(config.duration)
     tracker = target.relay_tracker
     return RelayExperimentResult(
-        block_relay_times=tracker.relaying_times("block", cutoff=config.wave_cutoff),
-        tx_relay_times=tracker.relaying_times("tx", cutoff=config.wave_cutoff),
+        block_relay_times=tracker.relaying_times("block", cutoff=WAVE_CUTOFF),
+        tx_relay_times=tracker.relaying_times("tx", cutoff=WAVE_CUTOFF),
         target_addr=target.addr,
         inbound_at_end=target.inbound_count,
         outbound_at_end=target.outbound_count,
-        wave_cutoff=config.wave_cutoff,
         outbound_block_relay_times=tracker.relaying_times(
-            "block", cutoff=config.wave_cutoff, outbound=True
+            "block", cutoff=WAVE_CUTOFF, outbound=True
         ),
     )

@@ -75,15 +75,19 @@ def comparison_table(
     )
 
 
-def series_preview(values: Sequence[float], width: int = 60) -> str:
+#: Characters in a :func:`series_preview` sparkline.
+PREVIEW_WIDTH = 60
+
+
+def series_preview(values: Sequence[float]) -> str:
     """A coarse unicode sparkline of a series (for bench logs)."""
     if not values:
         return "(empty)"
     blocks = "▁▂▃▄▅▆▇█"
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0
-    step = max(1, len(values) // width)
-    sampled = list(values)[::step][:width]
+    step = max(1, len(values) // PREVIEW_WIDTH)
+    sampled = list(values)[::step][:PREVIEW_WIDTH]
     return "".join(
         blocks[min(len(blocks) - 1, int((v - lo) / span * (len(blocks) - 1)))]
         for v in sampled

@@ -58,7 +58,7 @@ class HostingReport:
 
     def k_to_cover_half(self) -> int:
         """ASes needed to host 50% of this class."""
-        return k_to_cover(self.as_counts, 0.5)
+        return k_to_cover(self.as_counts)
 
     def rank_of(self, asn: int) -> Optional[int]:
         """1-based rank of ``asn`` in this class, or None if absent."""
@@ -90,12 +90,12 @@ def hosting_report(
     return HostingReport(node_class=node_class, total_nodes=total, as_counts=counts)
 
 
-def common_top_ases(reports: Sequence[HostingReport], k: int = 20) -> Set[int]:
-    """ASes present in every class's top-k (the paper found only 10)."""
+def common_top_ases(reports: Sequence[HostingReport]) -> Set[int]:
+    """ASes present in every class's Table I top 20 (the paper found only 10)."""
     if not reports:
         raise AnalysisError("no reports given")
     sets = [
-        {row.asn for row in report.top(k)} for report in reports
+        {row.asn for row in report.top(20)} for report in reports
     ]
     common = sets[0]
     for other in sets[1:]:
@@ -117,27 +117,29 @@ class HijackPlan:
         return self.isolated_nodes / self.total_nodes if self.total_nodes else 0.0
 
 
-def plan_hijack(report: HostingReport, target_share: float = 0.5) -> HijackPlan:
-    """Greedy AS-hijack plan isolating ``target_share`` of a node class.
+#: The share of a node class a :func:`plan_hijack` plan isolates.
+HIJACK_SHARE = 0.5
+
+
+def plan_hijack(report: HostingReport) -> HijackPlan:
+    """Greedy AS-hijack plan isolating :data:`HIJACK_SHARE` of a node class.
 
     This is the attack model of [22] recomputed against our network view:
     hijack the largest hosting ASes until the isolated share is reached.
     """
-    if not 0 < target_share <= 1:
-        raise AnalysisError("target_share must be in (0, 1]")
     ordered = sorted(
         report.as_counts.items(), key=lambda item: (-item[1], item[0])
     )
     hijacked: List[int] = []
     isolated = 0
-    goal = report.total_nodes * target_share
+    goal = report.total_nodes * HIJACK_SHARE
     for asn, count in ordered:
         if isolated >= goal:
             break
         hijacked.append(asn)
         isolated += count
     return HijackPlan(
-        target_share=target_share,
+        target_share=HIJACK_SHARE,
         hijacked_ases=tuple(hijacked),
         isolated_nodes=isolated,
         total_nodes=report.total_nodes,

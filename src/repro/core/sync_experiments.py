@@ -109,9 +109,9 @@ class SyncCampaignResult:
     def median(self) -> float:
         return stats.median(self.sync_samples)
 
-    def density(self, **kwargs) -> DensityEstimate:
+    def density(self) -> DensityEstimate:
         """KDE of the sync samples (one Fig. 1 curve)."""
-        return kde(self.sync_samples, **kwargs)
+        return kde(self.sync_samples)
 
 
 def protocol_config(config: SyncCampaignConfig) -> ProtocolConfig:

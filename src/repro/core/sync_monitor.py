@@ -10,7 +10,7 @@ analysis of §IV-D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..analysis.timeseries import Series
 from ..errors import AnalysisError
@@ -49,7 +49,6 @@ class SyncMonitor:
         self,
         scenario: ProtocolScenario,
         period: float = 600.0,
-        start_delay: Optional[float] = None,
         poll_spread: float = 480.0,
     ) -> None:
         self.scenario = scenario
@@ -64,9 +63,7 @@ class SyncMonitor:
         self.snapshots: List[SyncSnapshot] = []
         self.sync_series = Series()
         self._rng = scenario.sim.random.stream("sync-monitor")
-        self._task = scenario.sim.call_every(
-            period, self.sample, start_delay=start_delay
-        )
+        self._task = scenario.sim.call_every(period, self.sample)
 
     def sample(self) -> SyncSnapshot:
         """Take one Bitnodes-style sweep now."""

@@ -49,9 +49,6 @@ class AddrServer:
         addr: NetAddr,
         rng: Optional[random.Random] = None,
         table: Optional[Sequence[TimestampedAddr]] = None,
-        max_inbound: int = cfg.MAX_INBOUND,
-        response_max: int = cfg.ADDR_RESPONSE_MAX,
-        response_pct: int = cfg.ADDR_RESPONSE_MAX_PCT,
     ) -> None:
         self.sim = sim
         self.addr = addr
@@ -59,9 +56,6 @@ class AddrServer:
         self.table: List[TimestampedAddr] = (
             list(table) if table is not None else []
         )
-        self.max_inbound = max_inbound
-        self.response_max = response_max
-        self.response_pct = response_pct
         self.listening = False
         self._inbound = 0
         self.getaddr_served = 0
@@ -109,7 +103,7 @@ class AddrServer:
     # Transport callbacks
     # ------------------------------------------------------------------
     def on_inbound_connection(self, socket: Socket) -> bool:
-        if not self.listening or self._inbound >= self.max_inbound:
+        if not self.listening or self._inbound >= cfg.MAX_INBOUND:
             return False
         self._inbound += 1
         socket.handler = self
@@ -142,8 +136,8 @@ class AddrServer:
         response = [TimestampedAddr(self.addr, self.sim.now)]
         if table:
             limit = min(
-                self.response_max,
-                max(1, len(table) * self.response_pct // 100),
+                cfg.ADDR_RESPONSE_MAX,
+                max(1, len(table) * cfg.ADDR_RESPONSE_MAX_PCT // 100),
             )
             response += sample(self.rng, table, min(limit, len(table)))
-        return response[: self.response_max]
+        return response[: cfg.ADDR_RESPONSE_MAX]

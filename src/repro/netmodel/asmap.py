@@ -132,12 +132,13 @@ class ASUniverse:
     AS; the pairs and cumulative weights are rebuilt on load.
     """
 
-    def __init__(self, rng: random.Random, seed_prefix: int = 1) -> None:
+    def __init__(self, rng: random.Random) -> None:
         self._rng = rng
         self._group_to_asn: Dict[int, int] = {}
         self._asn_prefixes: Dict[int, List[int]] = {}
         self._asn_next_host: Dict[int, int] = {}
-        self._next_group = max(1, seed_prefix)
+        # /16 groups are handed out in order from 1.0.0.0/16.
+        self._next_group = 1
         self._class_pairs: Dict[str, List[Tuple[int, float]]] = {}
         self._class_cumweights: Dict[str, List[float]] = {}
         # Per-class shuffled tail order so the classes' AS sets overlap

@@ -202,6 +202,10 @@ def build_unreachable_timeline(
     return timeline
 
 
+#: Mean delay (seconds) between a departure and its replacement's start.
+REPLACEMENT_DELAY_MEAN = 30.0
+
+
 class ChurnProcess:
     """Live departures/arrivals for protocol-fidelity scenarios.
 
@@ -221,7 +225,6 @@ class ChurnProcess:
         running_nodes: Callable[[], Sequence],
         start_replacement: Callable[[], None],
         departures_per_10min: float,
-        replacement_delay_mean: float = 30.0,
         protect: Optional[Callable[[object], bool]] = None,
     ) -> None:
         if departures_per_10min <= 0:
@@ -230,7 +233,6 @@ class ChurnProcess:
         self._running_nodes = running_nodes
         self._start_replacement = start_replacement
         self.rate = departures_per_10min / 600.0  # per second
-        self.replacement_delay_mean = replacement_delay_mean
         self._protect = protect
         self._rng = sim.random.stream("churn-process")
         self._running = False
@@ -270,11 +272,7 @@ class ChurnProcess:
             victim = self._rng.choice(candidates)
             victim.depart()
             self.departures.append((self.sim.now, victim.addr))
-            delay = (
-                self._rng.expovariate(1.0 / self.replacement_delay_mean)
-                if self.replacement_delay_mean > 0
-                else 0.0
-            )
+            delay = self._rng.expovariate(1.0 / REPLACEMENT_DELAY_MEAN)
             self.sim.schedule(delay, self._arrive)
         self._schedule_next()
 

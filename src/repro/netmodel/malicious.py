@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..adversary.plan import KIND_ADDR_FLOODER, AttackerSpec, AttackPlan
+from ..bitcoin.config import ADDR_RESPONSE_MAX
 from ..faults.plan import FaultScope
 from ..simnet.addresses import NetAddr, TimestampedAddr, stamp
 from ..simnet.rand import sample
@@ -71,9 +72,8 @@ class MaliciousAddrServer(AddrServer):
         rng: random.Random,
         population: Population,
         flood_volume: int,
-        **kwargs,
     ) -> None:
-        super().__init__(sim, addr, rng, table=None, **kwargs)
+        super().__init__(sim, addr, rng)
         self.population = population
         self.flood_volume = flood_volume
 
@@ -88,7 +88,7 @@ class MaliciousAddrServer(AddrServer):
         # An address is stamped once, when minted, and relayed as stored.
         table = self.table
         shortfall = max(
-            0, min(self.response_max, self.flood_volume - len(table))
+            0, min(ADDR_RESPONSE_MAX, self.flood_volume - len(table))
         )
         fresh = stamp(
             (self.population.mint_fake_address().addr for _ in range(shortfall)),
@@ -96,7 +96,7 @@ class MaliciousAddrServer(AddrServer):
         )
         # The filler comes from the pool as it stood before this batch.
         filler = sample(
-            self._rng, table, min(self.response_max - shortfall, len(table))
+            self._rng, table, min(ADDR_RESPONSE_MAX - shortfall, len(table))
         )
         table.extend(fresh)
         # No self-advertisement — the tell the detector keys on.

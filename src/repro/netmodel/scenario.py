@@ -638,11 +638,7 @@ class ProtocolScenario:
         # Dataclass shallow copy with fresh mutable fields.
         from dataclasses import replace
 
-        return replace(
-            base,
-            proc_times=dict(base.proc_times),
-            policies=replace(base.policies),
-        )
+        return replace(base, policies=replace(base.policies))
 
     def _make_node(self, record: NodeRecord) -> BitcoinNode:
         node = BitcoinNode(self.sim, record.addr, self._clone_node_config())

@@ -85,11 +85,8 @@ def live_object_count() -> int:
     return len(gc.get_objects())
 
 
-def read_memory(count_objects: bool = True, collect: bool = False) -> MemorySample:
+def read_memory(collect: bool = False) -> MemorySample:
     """Sample the process's memory state.
-
-    ``count_objects=False`` skips the gc walk (it is O(live objects),
-    noticeable when called inside a tight loop).
 
     ``collect=True`` runs ``gc.collect()`` and a heap trim before
     reading, so ``rss_bytes`` measures *retained* memory — what the
@@ -109,5 +106,5 @@ def read_memory(count_objects: bool = True, collect: bool = False) -> MemorySamp
     return MemorySample(
         rss_bytes=rss,
         peak_rss_bytes=peak,
-        live_objects=live_object_count() if count_objects else 0,
+        live_objects=live_object_count(),
     )

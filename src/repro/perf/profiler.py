@@ -30,18 +30,18 @@ from typing import Dict, Iterator, List
 __all__ = ["hotspot_rows", "profile_to"]
 
 #: Hotspots reported per dump (both formats).
-DEFAULT_TOP = 30
+TOP_HOTSPOTS = 30
 
 
-def hotspot_rows(stats: pstats.Stats, top: int = DEFAULT_TOP) -> List[Dict]:
-    """The ``top`` functions by total (self) time, as JSON-ready rows."""
+def hotspot_rows(stats: pstats.Stats) -> List[Dict]:
+    """The top functions by total (self) time, as JSON-ready rows."""
     entries = sorted(
         stats.stats.items(),  # type: ignore[attr-defined]
         key=lambda item: item[1][2],  # tt: time spent in the frame itself
         reverse=True,
-    )
+    )[:TOP_HOTSPOTS]
     rows = []
-    for (filename, lineno, funcname), (cc, nc, tt, ct, _callers) in entries[:top]:
+    for (filename, lineno, funcname), (cc, nc, tt, ct, _callers) in entries:
         rows.append(
             {
                 "function": funcname,
@@ -57,7 +57,7 @@ def hotspot_rows(stats: pstats.Stats, top: int = DEFAULT_TOP) -> List[Dict]:
 
 
 @contextmanager
-def profile_to(out_base: str, top: int = DEFAULT_TOP) -> Iterator[cProfile.Profile]:
+def profile_to(out_base: str) -> Iterator[cProfile.Profile]:
     """Profile the enclosed block, writing ``OUT.txt`` and ``OUT.json``.
 
     The text table is also echoed (truncated) to stdout so a profiled
@@ -72,17 +72,17 @@ def profile_to(out_base: str, top: int = DEFAULT_TOP) -> Iterator[cProfile.Profi
         text_buffer = io.StringIO()
         pstats.Stats(profiler, stream=text_buffer).sort_stats(
             "tottime"
-        ).print_stats(top)
+        ).print_stats(TOP_HOTSPOTS)
         text = text_buffer.getvalue()
         with open(out_base + ".txt", "w", encoding="utf-8") as handle:
             handle.write(text)
         stats = pstats.Stats(profiler)
         payload = {
             "sort": "tottime",
-            "top": top,
+            "top": TOP_HOTSPOTS,
             "total_calls": stats.total_calls,  # type: ignore[attr-defined]
             "total_tt_s": round(stats.total_tt, 4),  # type: ignore[attr-defined]
-            "hotspots": hotspot_rows(stats, top),
+            "hotspots": hotspot_rows(stats),
         }
         with open(out_base + ".json", "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

@@ -157,15 +157,14 @@ class CampaignService:
             self.store.root, self.config.host, self.port,
         )
 
-    async def shutdown(self, drain: bool = True) -> None:
-        """Stop admissions, optionally drain in-flight jobs, close."""
+    async def shutdown(self) -> None:
+        """Stop admissions, drain in-flight jobs, close."""
         self.draining = True
         self.jobs.draining = True
         if self.server is not None:
             self.server.close()
             await self.server.wait_closed()
-        if drain:
-            await self.jobs.drain()
+        await self.jobs.drain()
         pending = list(self._conn_tasks)
         self._conn_tasks.clear()
         for task in pending:
@@ -607,12 +606,12 @@ class CampaignService:
 
 async def run_service(
     config: ServiceConfig,
-    ready: Optional[Callable[[CampaignService], Any]] = None,
+    ready: Callable[[CampaignService], Any],
 ) -> None:
     """Run the service until SIGINT/SIGTERM, then drain and exit.
 
-    ``ready`` (if given) is called with the started service — the CLI
-    uses it to print the bound address, tests to capture the port.
+    ``ready`` is called with the started service; the CLI uses it to
+    print the bound address.
     """
     import signal
 
@@ -621,8 +620,7 @@ async def run_service(
     loop = asyncio.get_running_loop()
     service = await loop.run_in_executor(None, CampaignService, config)
     await service.start()
-    if ready is not None:
-        ready(service)
+    ready(service)
     stop = asyncio.Event()
     installed = []
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -636,6 +634,6 @@ async def run_service(
         logger.info("shutdown requested; draining %d in-flight job(s)",
                     service.jobs.active_count)
     finally:
-        await service.shutdown(drain=True)
+        await service.shutdown()
         for signum in installed:
             loop.remove_signal_handler(signum)

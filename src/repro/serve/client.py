@@ -87,14 +87,11 @@ class Client:
         method: str,
         path: str,
         body: Optional[bytes],
-        headers: Optional[Dict[str, str]],
     ) -> bytes:
         lines = [
             f"{method} {path} HTTP/1.1",
             f"Host: {self.host}:{self.port}",
         ]
-        for name, value in (headers or {}).items():
-            lines.append(f"{name}: {value}")
         if body is not None:
             lines.append(f"Content-Length: {len(body)}")
             lines.append("Content-Type: application/json")
@@ -108,7 +105,6 @@ class Client:
         method: str,
         path: str,
         body: Optional[Any] = None,
-        headers: Optional[Dict[str, str]] = None,
     ) -> ClientResponse:
         """One request/response over the persistent connection.
 
@@ -122,7 +118,7 @@ class Client:
             raw = body
         else:
             raw = json.dumps(body).encode("utf-8")
-        payload = self._encode_request(method, path, raw, headers)
+        payload = self._encode_request(method, path, raw)
         for attempt in (0, 1):
             if self._reader is None or self._writer is None:
                 await self._connect()
@@ -145,11 +141,7 @@ class Client:
             return ClientResponse(status, resp_headers, data)
         raise ConnectionError("unreachable")  # pragma: no cover
 
-    async def stream_events(
-        self,
-        path: str,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> AsyncIterator[Dict[str, Any]]:
+    async def stream_events(self, path: str) -> AsyncIterator[Dict[str, Any]]:
         """Yield decoded SSE events from a chunked event-stream response.
 
         Uses a dedicated connection (the stream ends with a server-side
@@ -159,7 +151,7 @@ class Client:
             self.host, self.port, limit=_MAX_LINE
         )
         try:
-            writer.write(self._encode_request("GET", path, None, headers))
+            writer.write(self._encode_request("GET", path, None))
             await writer.drain()
             status, resp_headers = await _read_head(reader)
             if status != 200:

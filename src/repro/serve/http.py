@@ -109,10 +109,7 @@ class Response:
         return cls.json({"error": message, "status": status}, status, headers)
 
 
-async def read_request(
-    reader: asyncio.StreamReader,
-    max_body: int = MAX_BODY_BYTES,
-) -> Optional[Request]:
+async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request; ``None`` when the peer closed the connection.
 
     An idle connection may wait for its next request indefinitely, but
@@ -124,7 +121,7 @@ async def read_request(
         return None
     try:
         return await asyncio.wait_for(
-            _read_rest(reader, first, max_body), REQUEST_TIMEOUT
+            _read_rest(reader, first), REQUEST_TIMEOUT
         )
     except asyncio.TimeoutError:
         raise HttpError(
@@ -132,9 +129,7 @@ async def read_request(
         ) from None
 
 
-async def _read_rest(
-    reader: asyncio.StreamReader, first: bytes, max_body: int
-) -> Request:
+async def _read_rest(reader: asyncio.StreamReader, first: bytes) -> Request:
     """The rest of a request whose first byte was ``first``."""
     try:
         line = first + await reader.readuntil(b"\r\n")
@@ -184,8 +179,8 @@ async def _read_rest(
         if not (declared.isascii() and declared.isdigit()):
             raise HttpError(400, "malformed Content-Length")
         length = int(declared)
-        if length > max_body:
-            raise HttpError(413, f"body exceeds {max_body} bytes")
+        if length > MAX_BODY_BYTES:
+            raise HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
@@ -241,22 +236,16 @@ class ChunkedWriter:
         self.bytes_sent = 0
         self._closed = False
 
-    async def start(
-        self,
-        status: int = 200,
-        content_type: str = "text/event-stream",
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
+    async def start(self) -> None:
         head = {
-            "Content-Type": content_type,
+            "Content-Type": "text/event-stream",
             "Transfer-Encoding": "chunked",
             "Cache-Control": "no-cache",
             # Streams own the connection for their whole lifetime; close
             # afterwards rather than re-synchronizing keep-alive state.
             "Connection": "close",
         }
-        head.update(headers or {})
-        payload = _head(status, head)
+        payload = _head(200, head)
         self._writer.write(payload)
         await self._writer.drain()
         self.bytes_sent += len(payload)

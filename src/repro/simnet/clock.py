@@ -16,10 +16,8 @@ class SimClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ClockError(f"clock cannot start at negative time {start}")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

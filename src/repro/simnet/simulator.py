@@ -119,7 +119,6 @@ class Simulator:
         self,
         seed: int = 0,
         latency_config: Optional[LatencyConfig] = None,
-        connect_timeout: float = 5.0,
     ) -> None:
         self.seed = int(seed)
         self.clock = SimClock()
@@ -130,12 +129,7 @@ class Simulator:
             seed=self.seed,
             rng=self.random.stream("latency"),
         )
-        self.network = Network(
-            self.scheduler,
-            self.clock,
-            latency,
-            connect_timeout=connect_timeout,
-        )
+        self.network = Network(self.scheduler, self.clock, latency)
         #: Named components registered for introspection (nodes, services).
         self.components: Dict[str, Any] = {}
         # Fast-path aliases: shadow the class methods with the scheduler's

@@ -36,7 +36,7 @@ from .clock import SimClock
 from .events import Scheduler
 from .latency import LatencyModel
 
-#: Default TCP connect timeout, matching Bitcoin Core's 5-second default.
+#: TCP connect timeout, matching Bitcoin Core's 5-second default.
 DEFAULT_CONNECT_TIMEOUT = 5.0
 
 #: Extra handshake overhead on a successful connect (SYN/SYN-ACK/ACK).
@@ -185,12 +185,11 @@ class Network:
         scheduler: Scheduler,
         clock: SimClock,
         latency: LatencyModel,
-        connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ) -> None:
         self._scheduler = scheduler
         self._clock = clock
         self.latency = latency
-        self.connect_timeout = connect_timeout
+        self.connect_timeout = DEFAULT_CONNECT_TIMEOUT
         self._listeners: Dict[NetAddr, Any] = {}
         #: Non-listening behaviors (light nodes) keyed by address.  An
         #: endpoint only needs a ``probe_behavior`` attribute, which

@@ -125,13 +125,8 @@ class CampaignPlan(StoredPlan):
 def run_stored_campaign(
     store: Union[RunStore, str],
     config: LongitudinalConfig,
-    campaign_config: Optional[CampaignConfig] = None,
     snapshots: Optional[int] = None,
-    resume: Optional[str] = None,
-    force: bool = False,
 ) -> StoredRun:
     """Run (or resume, or fetch) a crawl campaign through the store
     (see :func:`~repro.store.plan.run_stored`)."""
-    return run_stored(
-        store, CampaignPlan(config, campaign_config, snapshots), resume, force
-    )
+    return run_stored(store, CampaignPlan(config, snapshots=snapshots))

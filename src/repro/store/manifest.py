@@ -60,7 +60,6 @@ def run_key(
     config: Any,
     seed: int,
     snapshots_total: int,
-    extra: Optional[Dict[str, Any]] = None,
 ) -> str:
     """The content key identifying one (scenario, seed, config) run."""
     from .blobs import sha256_hex
@@ -73,15 +72,12 @@ def run_key(
         "seed": int(seed),
         "snapshots_total": int(snapshots_total),
     }
-    if extra:
-        payload["extra"] = extra
     return sha256_hex(canonical_json(payload).encode("utf-8"))
 
 
-def code_version(repo_dir: Optional[Path] = None) -> str:
+def code_version() -> str:
     """The current git commit hash, or ``"unknown"`` outside a checkout."""
-    if repo_dir is None:
-        repo_dir = Path(__file__).resolve().parent
+    repo_dir = Path(__file__).resolve().parent
     try:
         out = subprocess.run(
             ["git", "-C", str(repo_dir), "rev-parse", "--short", "HEAD"],

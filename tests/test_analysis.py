@@ -96,18 +96,12 @@ class TestExactMean:
 
 class TestKToCover:
     def test_basic(self):
-        counts = {"a": 50, "b": 30, "c": 20}
-        assert k_to_cover(counts, 0.5) == 1
-        assert k_to_cover(counts, 0.8) == 2
-        assert k_to_cover(counts, 1.0) == 3
+        assert k_to_cover({"a": 50, "b": 30, "c": 20}) == 1
+        assert k_to_cover({"a": 40, "b": 30, "c": 30}) == 2
 
     def test_empty(self):
         with pytest.raises(AnalysisError):
-            k_to_cover({}, 0.5)
-
-    def test_invalid_share(self):
-        with pytest.raises(AnalysisError):
-            k_to_cover({"a": 1}, 1.5)
+            k_to_cover({})
 
 
 class TestKde:

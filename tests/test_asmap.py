@@ -45,7 +45,7 @@ class TestBuildClassWeights:
     def test_k50_calibrated(self, name, target):
         pairs = build_class_weights(PROFILES[name])
         counts = {asn: weight for asn, weight in pairs}
-        assert abs(k_to_cover(counts, 0.5) - target) <= 2
+        assert abs(k_to_cover(counts) - target) <= 2
 
     def test_mass_sums_to_100(self):
         pairs = build_class_weights(PROFILES["reachable"])

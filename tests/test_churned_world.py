@@ -417,7 +417,6 @@ class TestDepartedRecord:
     def _record_reads(node):
         return {
             "addr": node.addr,
-            "name": node.name,
             "running": node.running,
             "started_at": node.started_at,
             "height": node.chain.height,

@@ -375,14 +375,14 @@ def _lose(monkeypatch, lost):
     """Make every campaign whose config satisfies ``lost`` fail."""
     from repro.core import parallel
 
-    real = parallel._run_sync_config
+    real = parallel.run_sync_campaign
 
     def run(config):
         if lost(config):
             raise RuntimeError("boom")
         return real(config)
 
-    monkeypatch.setattr(parallel, "_run_sync_config", run)
+    monkeypatch.setattr(parallel, "run_sync_campaign", run)
 
 
 _TINY_SWEEP = ["--nodes", "8", "--hours", "0.12", "--seeds", "1",

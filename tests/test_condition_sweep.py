@@ -112,14 +112,14 @@ class TestPlan:
         assert samples(toy_plan(workers=2).run()) == samples(one_fanout)
 
     def test_a_failed_seed_lands_on_its_own_cell(self, one_fanout, monkeypatch):
-        real = parallel._run_sync_config
+        real = parallel.run_sync_campaign
 
         def flaky(config):
             if (config.churn_per_10min, config.seed) == (6.0, 5):
                 raise RuntimeError("boom")
             return real(config)
 
-        monkeypatch.setattr(parallel, "_run_sync_config", flaky)
+        monkeypatch.setattr(parallel, "run_sync_campaign", flaky)
         clean, hurt = toy_plan().run().cells
         assert (clean.sweep.failed_seeds, clean.sweep.seeds) == ([], [5, 6])
         assert (hurt.sweep.failed_seeds, hurt.sweep.seeds) == ([5], [6])
@@ -127,14 +127,14 @@ class TestPlan:
         assert hurt.sweep.per_seed == one_fanout.cells[1].sweep.per_seed[1:]
 
     def test_a_cell_with_no_completed_seed_reads_none(self, monkeypatch):
-        real = parallel._run_sync_config
+        real = parallel.run_sync_campaign
 
         def lost(config):
             if config.churn_per_10min == 6.0:
                 raise RuntimeError("boom")
             return real(config)
 
-        monkeypatch.setattr(parallel, "_run_sync_config", lost)
+        monkeypatch.setattr(parallel, "run_sync_campaign", lost)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = toy_plan().run()
@@ -155,14 +155,14 @@ class TestPlan:
     def test_a_stored_cell_that_lost_a_seed_is_not_committed(
         self, one_fanout, tmp_path, monkeypatch
     ):
-        real = parallel._run_sync_config
+        real = parallel.run_sync_campaign
 
         def flaky(config):
             if (config.churn_per_10min, config.seed) == (6.0, 5):
                 raise RuntimeError("boom")
             return real(config)
 
-        monkeypatch.setattr(parallel, "_run_sync_config", flaky)
+        monkeypatch.setattr(parallel, "run_sync_campaign", flaky)
         with pytest.raises(SupervisionError, match=r"year=2020: seeds \[5\]"):
             run_stored(tmp_path, toy_plan())
         partial_run = RunStore(tmp_path).load_manifest(toy_plan().run_id)
@@ -170,7 +170,7 @@ class TestPlan:
         assert partial_run.completed_snapshots == 1
         assert partial_run.result_digest is None
         # the crash is over: the same plan retries just the lost cell
-        monkeypatch.setattr(parallel, "_run_sync_config", real)
+        monkeypatch.setattr(parallel, "run_sync_campaign", real)
         resumed = run_stored(tmp_path, toy_plan())
         assert resumed.resumed_from == 1 and not resumed.cached
         assert resumed.result == one_fanout
@@ -507,7 +507,7 @@ class TestAxis:
         refused before anything simulates."""
         shortest = dataclasses.replace(TINY, duration=240.0, sample_period=120.0)
         (condition,) = conditions(shortest)
-        assert len(parallel._run_sync_config(condition.config).sync_samples) == 2
+        assert len(parallel.run_sync_campaign(condition.config).sync_samples) == 2
         for config, message in (
             (dataclasses.replace(shortest, duration=239.0),
              "too short for two monitor samples"),

@@ -174,20 +174,24 @@ class TestRouting:
 
     def test_plan_hijack(self):
         report, _ = self._report()
-        plan = plan_hijack(report, target_share=0.5)
+        plan = plan_hijack(report)
         assert plan.hijacked_ases == (10,)
         assert plan.isolated_share >= 0.5
 
     def test_plan_hijack_greedy_order(self):
-        report, _ = self._report()
-        plan = plan_hijack(report, target_share=0.9)
-        assert plan.hijacked_ases == (10, 20, 30)
+        # Half of 90 nodes takes the two largest ASes, largest first.
+        asn_map = {}
+        for asn, count in [(40, 5), (30, 15), (20, 30), (10, 40)]:
+            for _ in range(count):
+                asn_map[make_addr(len(asn_map))] = asn
+        report = hosting_report("test", list(asn_map), asn_map.get)
+        assert plan_hijack(report).hijacked_ases == (10, 20)
 
     def test_common_top_ases(self):
         report_a, _ = self._report()
         addrs = [make_addr(i + 500) for i in range(10)]
         report_b = hosting_report("other", addrs, lambda a: 10)
-        common = common_top_ases([report_a, report_b], k=3)
+        common = common_top_ases([report_a, report_b])
         assert common == {10}
 
     def test_target_shifts_finds_rank_moves(self):

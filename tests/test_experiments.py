@@ -6,7 +6,6 @@ import hashlib
 
 import pytest
 
-from repro.bitcoin import NodeConfig
 from repro.core import (
     RelayExperimentConfig,
     SyncCampaignConfig,
@@ -33,7 +32,7 @@ def warm_scenario():
 
 class TestConnectionStability:
     def test_fig6_shape(self, warm_scenario):
-        result = run_connection_stability(warm_scenario, duration=120.0)
+        result = run_connection_stability(warm_scenario)
         assert len(result.series) >= 100
         assert 0 <= result.min_connections
         assert result.max_connections <= 10  # 8 outbound + 2 feelers
@@ -42,7 +41,7 @@ class TestConnectionStability:
     def test_observer_counts_feelers(self, warm_scenario):
         # The polled metric is outbound_count_with_feelers; it must never
         # exceed max_outbound + the 2 concurrent feeler slots.
-        result = run_connection_stability(warm_scenario, duration=60.0)
+        result = run_connection_stability(warm_scenario)
         assert result.max_connections <= 10
 
 
@@ -52,21 +51,20 @@ class TestMeasurementNodes:
     @pytest.mark.parametrize("seed", range(5, 10))
     def test_fig6_observer_never_departs(self, seed):
         world = warm_world(seed)
-        config = NodeConfig()
-        run_connection_stability(world, duration=260.0, observer_config=config)
-        [observer] = [node for node in world.nodes if node.config is config]
+        run_connection_stability(world)
+        [observer] = world.measurement_nodes
         assert not observer.departed
 
     def test_resync_node_never_departs(self):
         world = warm_world(6, 15)
-        node = next(n for n in world.running_nodes() if n.chain.height >= world.best_height)
-        assert run_resync_experiment(world, node=node).resync_seconds is not None
+        assert run_resync_experiment(world).resync_seconds is not None
+        [node] = world.measurement_nodes
         assert not node.departed
 
 
 class TestConnectionSuccess:
     def test_fig7_shape(self, warm_scenario):
-        result = run_connection_success(warm_scenario, runs=2, duration=120.0)
+        result = run_connection_success(warm_scenario, runs=2)
         assert len(result.runs) == 2
         for run in result.runs:
             assert run.attempts > 5
@@ -75,7 +73,7 @@ class TestConnectionSuccess:
         assert result.overall_rate < 0.5
 
     def test_worst_run(self, warm_scenario):
-        result = run_connection_success(warm_scenario, runs=2, duration=90.0)
+        result = run_connection_success(warm_scenario, runs=2)
         assert result.worst_run.success_rate <= result.overall_rate + 1e-9
 
 
@@ -85,7 +83,7 @@ class TestResync:
             ProtocolConfig(n_reachable=25, seed=10, block_interval=120.0)
         )
         scenario.start(warmup=900.0)
-        result = run_resync_experiment(scenario, max_wait=3600.0)
+        result = run_resync_experiment(scenario)
         assert result.resync_seconds is not None
         assert result.resync_seconds > 0
 

@@ -14,7 +14,7 @@ from repro.core.malicious_detect import DetectionReport, MaliciousFinding
 from repro.core.relay_experiments import RelayExperimentResult
 from repro.core.routing import hosting_report
 from repro.core.sync_experiments import SyncCampaignConfig, SyncCampaignResult
-from repro.analysis.kde import kde
+from repro.analysis.kde import GRID_POINTS, kde
 
 from .conftest import make_addr
 
@@ -39,11 +39,11 @@ class TestExport:
         assert len(rows) == 3
 
     def test_density(self, tmp_path):
-        density = kde([50.0, 60.0, 70.0], grid_points=16)
+        density = kde([50.0, 60.0, 70.0])
         path = export.export_density(density, tmp_path / "kde.csv")
         rows = read_csv(path)
         assert rows[0] == ["x", "density"]
-        assert len(rows) == 17
+        assert len(rows) == GRID_POINTS + 1
 
     def test_churn_and_lifetimes(self, tmp_path):
         stats = ChurnStats(
@@ -104,7 +104,7 @@ class TestExport:
         assert rows[3] == ["tx", "1", "0.4"]
 
     def test_creates_parent_directories(self, tmp_path):
-        density = kde([1.0, 2.0], grid_points=4)
+        density = kde([1.0, 2.0])
         path = export.export_density(density, tmp_path / "a" / "b" / "kde.csv")
         assert path.exists()
 

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.kde import kde
-from repro.core.figures import density_overlay, dual_series, presence_matrix
+from repro.core.figures import (
+    MATRIX_COLS,
+    MATRIX_ROWS,
+    density_overlay,
+    dual_series,
+    presence_matrix,
+)
 from repro.errors import AnalysisError
 
 
@@ -35,11 +41,11 @@ class TestDensityOverlay:
 
 class TestDualSeries:
     def test_two_lines_with_labels(self):
-        text = dual_series([1, 2, 3], [3, 6, 9], labels=("per", "cum"))
+        text = dual_series([1, 2, 3], [3, 6, 9])
         lines = text.splitlines()
         assert len(lines) == 2
-        assert lines[0].strip().startswith("per")
-        assert lines[1].strip().startswith("cum")
+        assert lines[0].strip().startswith("per-snapshot")
+        assert lines[1].strip().startswith("cumulative")
 
     def test_shared_peak(self):
         text = dual_series([1, 1, 1], [10, 10, 10])
@@ -55,10 +61,10 @@ class TestDualSeries:
 class TestPresenceMatrix:
     def test_downsampling_bounds(self):
         matrix = np.random.default_rng(1).random((200, 300)) > 0.5
-        text = presence_matrix(matrix, max_rows=20, max_cols=40)
+        text = presence_matrix(matrix)
         lines = text.splitlines()
-        assert len(lines) <= 21
-        assert all(len(line) <= 41 for line in lines)
+        assert len(lines) <= MATRIX_ROWS + 1
+        assert all(len(line) <= MATRIX_COLS + 1 for line in lines)
 
     def test_full_presence_is_solid(self):
         matrix = np.ones((4, 8), dtype=bool)

@@ -126,7 +126,7 @@ class TestImprovedPoliciesEndToEnd:
                 policies=policy, track_connection_attempts=True
             )
             result = run_connection_success(
-                scenario, runs=3, duration=240.0, observer_config=observer_config
+                scenario, runs=3, observer_config=observer_config
             )
             return result.overall_rate
 

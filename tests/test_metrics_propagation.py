@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bitcoin import Block, NodeConfig
-from repro.core.propagation import PropagationTracker
+from repro.core.propagation import MIN_COVERAGE, PropagationTracker
 from repro.errors import AnalysisError
 from repro.netmodel import (
     ProtocolConfig,
@@ -75,15 +75,15 @@ class TestPropagationTracker:
         scenario.start(warmup=600.0)
         tracker = PropagationTracker(scenario)
         scenario.sim.run_for(900.0)
-        completed = tracker.completed_blocks(min_coverage=0.9)
+        completed = tracker.completed_blocks()
         assert completed
         population = len(scenario.running_nodes())
         for record in completed:
-            assert record.coverage(population) >= 0.9
-        delays = tracker.percentile_delays(90.0)
+            assert record.coverage(population) >= MIN_COVERAGE
+        delays = tracker.percentile_delays()
         assert delays
         assert all(delay >= 0 for delay in delays)
-        assert tracker.mean_delay_to(90.0) < 60.0
+        assert sum(delays) / len(delays) < 60.0
 
     def test_percentile_none_when_not_reached(self):
         from repro.core.propagation import BlockPropagation
@@ -136,7 +136,7 @@ class TestOutdegreeAblation:
             scenario.start(warmup=900.0)
             tracker = PropagationTracker(scenario)
             scenario.sim.run_for(1500.0)
-            delays = tracker.percentile_delays(90.0, min_coverage=0.85)
+            delays = tracker.percentile_delays()
             return sum(delays) / len(delays) if delays else float("inf")
 
         fast = run(8)

@@ -12,6 +12,7 @@ from repro.bitcoin import (
 )
 from repro.bitcoin.config import FEELER_INTERVAL
 from repro.bitcoin.messages import Ping
+from repro.simnet.transport import DEFAULT_CONNECT_TIMEOUT
 
 from .conftest import build_small_network, make_addr, make_node
 
@@ -175,7 +176,7 @@ class TestConnectionManagement:
         sim.run_for(30.0)
         attempts = [a for a in lonely.attempt_log if not a.outcome.startswith("feeler")]
         assert attempts
-        assert attempts[0].duration >= lonely.config.connect_timeout * 0.99
+        assert attempts[0].duration >= DEFAULT_CONNECT_TIMEOUT * 0.99
 
 
 class TestFeelers:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core.reports import comparison_table, format_table, series_preview
+from repro.core.reports import PREVIEW_WIDTH, comparison_table, format_table, series_preview
 from repro.errors import (
     AnalysisError,
     ChainError,
@@ -63,8 +63,8 @@ class TestSeriesPreview:
         assert series_preview([]) == "(empty)"
 
     def test_length_bounded(self):
-        preview = series_preview(list(range(1000)), width=40)
-        assert len(preview) <= 40
+        preview = series_preview(list(range(1000)))
+        assert len(preview) <= PREVIEW_WIDTH
 
     def test_constant_series(self):
         preview = series_preview([5.0, 5.0, 5.0])

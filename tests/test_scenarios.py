@@ -184,8 +184,7 @@ class TestProtocolScenario:
         a, b = scenario.nodes[0], scenario.nodes[1]
         assert a.config is not b.config
         assert a.config.max_outbound == 3
-        a.config.proc_times["block"] = 99.0
-        assert b.config.proc_times["block"] != 99.0
+        assert a.config.policies is not b.config.policies
 
     def test_validation(self):
         with pytest.raises(ScenarioError):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.bitcoin.config import MAX_INBOUND
 from repro.bitcoin.messages import GetAddr, Version
 from repro.errors import ConfigurationError
 from repro.netmodel.addr_server import AddrServer
@@ -269,13 +270,15 @@ class TestAddrServer:
         assert out == [None]
 
     def test_inbound_cap(self, sim, rng):
-        server = AddrServer(sim, make_addr(1), rng, max_inbound=1)
+        server = AddrServer(sim, make_addr(1), rng)
         server.start()
         results = []
-        sim.network.connect(make_addr(2), server.addr, _Collector(), results.append)
-        sim.network.connect(make_addr(3), server.addr, _Collector(), results.append)
+        for index in range(MAX_INBOUND + 1):
+            sim.network.connect(
+                make_addr(index + 2), server.addr, _Collector(), results.append
+            )
         sim.run_for(10.0)
-        assert sum(1 for sock in results if sock is not None) == 1
+        assert sum(1 for sock in results if sock is not None) == MAX_INBOUND
 
 
 class TestMaliciousAddrServer:

@@ -591,7 +591,7 @@ class TestStoredCampaign:
     def test_force_reexecutes(self, tmp_path):
         config = _tiny_config()
         run_stored_campaign(tmp_path, config)
-        again = run_stored_campaign(tmp_path, config, force=True)
+        again = run_stored(tmp_path, CampaignPlan(config), force=True)
         assert not again.cached
 
     def test_force_heals_a_corrupt_result_blob(self, tmp_path):
@@ -608,7 +608,7 @@ class TestStoredCampaign:
         path.write_bytes(bytes(data))
         with pytest.raises(StoreError, match="corrupt on disk"):
             store.blobs.get(digest)
-        again = run_stored_campaign(tmp_path, config, force=True)
+        again = run_stored(tmp_path, CampaignPlan(config), force=True)
         assert again.manifest.result_digest == digest
         assert sha256_hex(store.blobs.get(digest)) == digest
         assert run_stored_campaign(tmp_path, config).cached
@@ -620,9 +620,7 @@ class TestStoredCampaign:
             seed=14, scale=0.01, snapshots=3, campaign_days=1.0
         )
         with pytest.raises(StoreError):
-            run_stored_campaign(
-                tmp_path, other, resume=first.manifest.run_id
-            )
+            run_stored(tmp_path, CampaignPlan(other), resume=first.manifest.run_id)
 
     def test_a_complete_run_pins_no_state(self, tmp_path):
         """The last unit's write is the completion write: a complete
@@ -853,9 +851,7 @@ class TestRetiredFormat:
         store, old = old_store
         for _ in range(2):  # and again: nothing was written or retried
             with pytest.raises(CheckpointError) as excinfo:
-                run_stored_campaign(
-                    store, _tiny_config(), resume=old.run_id
-                )
+                run_stored(store, CampaignPlan(_tiny_config()), resume=old.run_id)
             assert "format 1" in str(excinfo.value)
             assert f"format {CHECKPOINT_FORMAT}" in str(excinfo.value)
         assert [m.run_id for m in store.manifests()] == [old.run_id]

@@ -8,9 +8,9 @@ from functools import partial
 import pytest
 
 from repro.core.decode import decode_file
-from repro.core.parallel import _run_sync_config, seed_range
+from repro.core.parallel import seed_range
 from repro.core.supervisor import Supervisor, SupervisorConfig, run_supervised
-from repro.core.sync_experiments import SyncCampaignConfig
+from repro.core.sync_experiments import SyncCampaignConfig, run_sync_campaign
 from repro.errors import ConfigurationError, SeedTaskError
 from repro.faults.plan import FaultPlan
 
@@ -49,7 +49,7 @@ def _crash_once(sentinel_dir, seed):
 def _faulted_sync_then_crash(sentinel, crash_seed, config):
     """A sync run under faults whose worker dies once after the work:
     a pure infrastructure crash."""
-    result = _run_sync_config(config)
+    result = run_sync_campaign(config)
     if config.seed == crash_seed and not os.path.exists(sentinel):
         open(sentinel, "w").close()
         os._exit(17)
@@ -156,7 +156,7 @@ class TestCrashes:
         assert run.failed_labels == [] and run.retried_labels == [crash_seed]
         for stat in ("messages_dropped", "messages_delayed"):
             assert sum(result.fault_stats[stat] for result in run.results) > 0
-        clean = _run_sync_config(replace(base, seed=crash_seed))
+        clean = run_sync_campaign(replace(base, seed=crash_seed))
         redone = run.results[seeds.index(crash_seed)]
         assert redone.sync_samples == clean.sync_samples
         assert redone.fault_stats == clean.fault_stats
