@@ -423,6 +423,18 @@ GUARDS = [
         "74392b2",
         "    def _abort_all(self) -> None:",
     ),
+    Guard(
+        "census.one_value_keywords",
+        r"\b(replacement_delay_mean|grip_interval|observer_warmup|poll_period"
+        r"|block_size_mean|block_size_std|tx_size_mean|response_max|response_pct"
+        r"|count_objects|seed_prefix|quantized|max_body|max_wait|proc_times"
+        r"|grid_points)=",
+        ("src/",),
+        "a value only one caller sets is a module constant beside its "
+        "reader, not a keyword nobody passes",
+        "1ee12a2",
+        "    churn = ChurnProcess(sim, nodes, start, 14.0, replacement_delay_mean=30.0)",
+    ),
 ]
 
 
