@@ -43,9 +43,9 @@ class DensityEstimate:
 def kde(values: Sequence[float]) -> DensityEstimate:
     """Gaussian KDE of ``values`` (Scott's-rule bandwidth) on the grid.
 
-    Degenerate inputs (fewer than two distinct values) fall back to a narrow Gaussian
-    bump at the sample value rather than raising, because short simulated
-    campaigns can legitimately produce constant series.
+    Degenerate inputs (fewer than two distinct values) fall back to a
+    narrow Gaussian bump at the sample value rather than raising, because
+    short simulated campaigns can legitimately produce constant series.
     """
     if len(values) == 0:
         raise AnalysisError("cannot estimate a density from no samples")

@@ -87,9 +87,7 @@ class MiningProcess:
         blocks: List[Block] = []
         prev_id = 0  # genesis
         for height in range(1, count + 1):
-            size = int(
-                max(80, self._rng.gauss(BLOCK_SIZE_MEAN, BLOCK_SIZE_STD))
-            )
+            size = int(max(80, self._rng.gauss(BLOCK_SIZE_MEAN, BLOCK_SIZE_STD)))
             block = Block(
                 block_id=self._next_block_id,
                 prev_id=prev_id,
@@ -165,9 +163,7 @@ class MiningProcess:
             (miner.mempool.get(txid).size if miner.mempool.get(txid) else TX_SIZE)
             for txid in pool_txids
         )
-        filler = max(
-            0.0, self._rng.gauss(BLOCK_SIZE_MEAN, BLOCK_SIZE_STD)
-        )
+        filler = max(0.0, self._rng.gauss(BLOCK_SIZE_MEAN, BLOCK_SIZE_STD))
         size = int(max(80 + tx_bytes, filler))
         block = Block(
             block_id=self._next_block_id,

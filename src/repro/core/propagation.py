@@ -26,6 +26,7 @@ from ..simnet.simulator import canonical_sets
 DELAY_PERCENTILE = 90.0
 MIN_COVERAGE = 0.85
 
+
 @dataclass
 class BlockPropagation:
     """Arrival times of one block across the network."""
@@ -110,7 +111,7 @@ class PropagationTracker:
         ]
 
     def percentile_delays(self) -> List[float]:
-        """Per-block time-to-90% delays (Decker-style)."""
+        """Per-block time-to-:data:`DELAY_PERCENTILE` delays (Decker-style)."""
         population = len(self.scenario.running_nodes())
         out: List[float] = []
         for record in self.completed_blocks():

@@ -40,11 +40,11 @@ CLIENT_HB_FRACTION = 0.9
 #: must download the whole chain through the measurement node — the
 #: uplink congestion behind the paper's 17-second outliers.
 CLIENT_REFRESH_INTERVAL = 1800.0
-#: Mining interval (seconds), compressed from 600 s to collect more
-#: samples, and the blocks' and the network's transaction load.
+#: The measured world's mining interval (seconds; compressed from 600 s
+#: to collect more samples), transactions per block and transaction
+#: arrival rate (tx/s).
 BLOCK_INTERVAL = 300.0
 TXS_PER_BLOCK = 25
-#: Transaction arrival rate (tx/s).
 TX_RATE = 0.4
 #: Relay-wave cutoff: sends later than this after first receipt serve
 #: block download, not the relay wave, and are excluded (seconds).

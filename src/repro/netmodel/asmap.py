@@ -137,7 +137,7 @@ class ASUniverse:
         self._group_to_asn: Dict[int, int] = {}
         self._asn_prefixes: Dict[int, List[int]] = {}
         self._asn_next_host: Dict[int, int] = {}
-        # /16 groups are handed out in order from 1.0.0.0/16.
+        # /16 groups are numbered from 1 in allocation order.
         self._next_group = 1
         self._class_pairs: Dict[str, List[Tuple[int, float]]] = {}
         self._class_cumweights: Dict[str, List[float]] = {}
