@@ -13,6 +13,7 @@ never changes again.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Iterable, List, Optional
 
 from ..errors import ScenarioError
@@ -56,13 +57,17 @@ class BoundedPass:
         return result
 
     def _drive(self, max_seconds: float) -> Any:
-        """Step the simulator until the pass ends or ``max_seconds`` of
-        simulated time pass; abort what is still outstanding then."""
-        sim = self.sim
-        deadline = sim.now + max_seconds
-        while not self.done and sim.now < deadline:
-            if not sim.step():
-                break
+        """Dispatch events until the pass ends or ``max_seconds`` of
+        simulated time pass; abort what is still outstanding then.
+
+        The stop test runs inside the dispatch loop, before the first
+        event and after each one, so the event that reaches the deadline
+        still fires, and a quiet simulator ends the pass too."""
+        clock = self.sim.clock
+        deadline = clock.now + max_seconds
+        self.sim.scheduler.run_until(
+            inf, until=lambda: self.done or clock._now >= deadline
+        )
         if not self.done:
             self.aborted = True
             self.done = True

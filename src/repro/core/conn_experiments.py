@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import inf
 from typing import List, Optional
 
 from ..analysis.timeseries import Sampler, Series
@@ -197,16 +198,17 @@ def run_resync_experiment(scenario: ProtocolScenario) -> ResyncResult:
     node = candidates[0]
     scenario.measurement_nodes.append(node)
     node.restart()
-    restart_at = scenario.sim.now
+    clock = scenario.sim.clock
+    restart_at = clock.now
     deadline = restart_at + RESYNC_MAX_WAIT
-    while scenario.sim.now < deadline:
-        if (
-            node.first_relay_at is not None
-            and node.first_relay_at >= restart_at
-        ):
-            break
-        if not scenario.sim.step():
-            break
+
+    def relayed_or_late() -> bool:
+        first = node.first_relay_at
+        return (
+            first is not None and first >= restart_at
+        ) or clock._now >= deadline
+
+    scenario.sim.scheduler.run_until(inf, until=relayed_or_late)
     first = node.first_relay_at
     if first is not None and first < restart_at:
         first = None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Dict, List, Optional, Set
 
 from ..errors import ScenarioError
@@ -32,6 +33,9 @@ from ..simnet.simulator import Simulator, canonical_sets
 from ..simnet.transport import Socket
 from ..bitcoin.messages import Addr, GetAddr, Message, Version
 from .bounded_pass import BoundedPass
+
+#: An ADDR record's address (records are ``(addr, timestamp)`` tuples).
+_RECORD_ADDR = itemgetter(0)
 
 
 @dataclass
@@ -229,40 +233,40 @@ class GetAddrCrawler(BoundedPass):
 
     def _handle_addr(self, session: _PeerSession, message: Addr) -> None:
         harvest = session.harvest
+        records = message.addresses
         harvest.addr_messages += 1
-        harvest.total_records += len(message.addresses)
+        harvest.total_records += len(records)
         # Responses carry up to 1000 records and this runs once per ADDR
-        # reply across a 60-day crawl, so the record scan stays in C: a
-        # set comprehension plus one membership probe, not a Python loop
-        # with a per-record equality test.
-        response: Set[NetAddr] = {record.addr for record in message.addresses}
-        if harvest.target in response:
-            harvest.sent_own_addr = True
-        new_addrs = response - harvest.addresses
-        harvest.addresses |= response
+        # reply across a 60-day crawl, so the record scan stays in C and
+        # builds one set, the reply's distinct addresses.  The harvest is
+        # the union of every reply so far: what this one added is how
+        # much it grew, and the target advertised itself once it is in it.
+        addresses = harvest.addresses
+        known = len(addresses)
+        response = set(map(_RECORD_ADDR, records))
+        addresses.update(response)
+        if not harvest.sent_own_addr:
+            harvest.sent_own_addr = harvest.target in addresses
         self._arm_timeout(session)
 
-        if len(message.addresses) <= 1:
+        if len(records) <= 1:
             # A bare self-advertisement, not a GETADDR response; wait for
             # the real reply without consuming a round.
             return
-        if self._should_stop(harvest, response, new_addrs):
+        if self._should_stop(harvest, len(response), len(addresses) - known):
             self._close_session(session.socket)
         else:
             self._send_getaddr(session)
 
-    def _should_stop(
-        self,
-        harvest: PeerHarvest,
-        response: Set[NetAddr],
-        new_addrs: Set[NetAddr],
-    ) -> bool:
+    def _should_stop(self, harvest: PeerHarvest, distinct: int, new: int) -> bool:
+        """Whether a reply of ``distinct`` addresses, ``new`` of them not
+        seen before from this target, ends its session."""
         if harvest.rounds >= self.config.max_rounds:
             return True
         if self.config.stop_rule == "paper":
             # Stop once a response contains no address we have not seen.
-            return not new_addrs
-        fraction_new = len(new_addrs) / len(response) if response else 0.0
+            return not new
+        fraction_new = new / distinct if distinct else 0.0
         return fraction_new < self.config.adaptive_threshold
 
     def _close_session(self, socket: Socket) -> None:

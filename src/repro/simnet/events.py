@@ -2,21 +2,33 @@
 
 One :class:`Scheduler` implements the contract every figure depends on:
 events fire in strict ``(time, sequence)`` order, which makes whole
-simulations reproducible from a seed.  It keeps two binary heaps and
-merges them by ``(when, seq)`` in one dispatch loop:
+simulations reproducible from a seed.  It keeps three queues and merges
+them by ``(when, seq)`` in one dispatch loop:
 
-* the **cancellable queue** — ``(when, seq, handle)`` tuples, one per
-  :class:`EventHandle` returned by :meth:`Scheduler.schedule` /
+* the **cancellable queue** — a heap of ``(when, seq, handle)`` tuples,
+  one per :class:`EventHandle` returned by :meth:`Scheduler.schedule` /
   :meth:`Scheduler.schedule_at`.  Tuples keep heap comparisons in C.
-* the **no-cancel lane** — bare ``(when, seq, fire, payload)`` tuples
-  from :meth:`Scheduler.lane_schedule` / :meth:`Scheduler.lane_schedule_at`
-  for traffic that is never cancelled (message arrivals, handler passes,
-  connect refusals and timeouts, probe answers — 85-99 % of all events on
-  the paper's workloads).  No :class:`EventHandle` is allocated.
+* the **no-cancel lane** — a heap of bare ``(when, seq, fire, payload)``
+  tuples from :meth:`Scheduler.lane_schedule` /
+  :meth:`Scheduler.lane_schedule_at` for traffic that is never cancelled
+  (message arrivals, handler passes, connect refusals and timeouts, probe
+  answers — 85-99 % of all events on the paper's workloads).  No
+  :class:`EventHandle` is allocated.
+* the **due-now FIFO** — the lane's zero-delay entries (a node's
+  handler-pass wake-up is a third to a half of a protocol world's
+  events).  Each is stamped with the clock's time and the next sequence
+  number, and neither ever goes back, so appending keeps the FIFO in
+  ``(when, seq)`` order and a deque's O(1) ends replace a heap push and
+  pop.
 
-Both draw sequence numbers from one counter, so the lane changes *where*
-an event is stored but never *when* it fires.  ``tests/`` keeps a naive
+All three draw sequence numbers from one counter, so the queue an event
+is stored in never changes *when* it fires.  ``tests/`` keeps a naive
 single-heap oracle that the property suite compares this module against.
+
+:meth:`Scheduler.run_until` is the only way to dispatch.  A caller that
+runs until a condition holds — a measurement pass until it is done or
+out of time — passes that condition as ``until``, and the loop tests it
+after every event instead of the caller stepping one event at a time.
 
 Cancellation is *lazy*: a cancelled event stays in the heap and is
 skipped when it reaches the head.  This keeps ``cancel`` O(1), which
@@ -31,12 +43,11 @@ live events only (the raw size stays available as
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .clock import SimClock
-
-_INF = float("inf")
 
 #: Compact once at least this many cancelled entries are stored *and*
 #: they outnumber the live ones.
@@ -109,6 +120,8 @@ class Scheduler:
         self._heap: List[tuple] = []
         #: The no-cancel lane: ``(when, seq, fire, payload)`` tuples.
         self._lane_heap: List[tuple] = []
+        #: The lane's zero-delay entries, in ``(when, seq)`` order.
+        self._fifo: Deque[tuple] = deque()
         self._seq = 0
         self._fired = 0
         self._live = 0
@@ -118,6 +131,15 @@ class Scheduler:
         self.scheduled_total = 0
         self.cancelled_total = 0
         self.compactions = 0
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # setattr, as pickle's own BUILD does, so the names are interned.
+        for name, value in state.items():
+            setattr(self, name, value)
+        if "_fifo" not in state:
+            # Written before zero-delay entries had their own queue:
+            # every one of them is in the lane heap.
+            self._fifo = deque()
 
     # ------------------------------------------------------------------
     # Counters
@@ -134,8 +156,8 @@ class Scheduler:
 
     @property
     def pending_raw(self) -> int:
-        """Stored entries including lazily cancelled ones (heap size)."""
-        return len(self._heap) + len(self._lane_heap)
+        """Stored entries including lazily cancelled ones."""
+        return len(self._heap) + len(self._lane_heap) + len(self._fifo)
 
     @property
     def cancelled_pending(self) -> int:
@@ -192,13 +214,17 @@ class Scheduler:
         The entry is a bare tuple instead of an :class:`EventHandle`, so
         it cannot be cancelled.  The sequence number comes from the
         shared counter, which is what guarantees the merged dispatch
-        order matches a single queue.
+        order matches a single queue.  A zero delay appends to the
+        due-now FIFO instead of the lane heap.
         """
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(
-            self._lane_heap, (self._clock._now + delay, seq, fire, payload)
-        )
+        if delay:
+            heapq.heappush(
+                self._lane_heap, (self._clock._now + delay, seq, fire, payload)
+            )
+        else:
+            self._fifo.append((self._clock._now, seq, fire, payload))
         self._live += 1
         self.scheduled_total += 1
 
@@ -222,26 +248,57 @@ class Scheduler:
     # Dispatch
     # ------------------------------------------------------------------
     def run_until(
-        self, when: float, max_events: Optional[int] = None
+        self,
+        when: float,
+        max_events: Optional[int] = None,
+        *,
+        until: Optional[Callable[[], bool]] = None,
     ) -> Tuple[int, bool]:
         """The dispatch loop: fire every live event with time <= ``when``.
 
         Returns ``(dispatched, truncated)`` where ``truncated`` is True
-        iff the loop stopped because ``max_events`` was reached.  The
-        clock is advanced to each event's time but is *not* moved to
-        ``when`` afterwards — that is the Simulator's job, because only
-        the caller knows whether landing the clock there is meaningful.
+        iff the loop stopped early: ``max_events`` was reached, or
+        ``until()`` came true.  ``until`` is tested before the first
+        event and after each dispatched one, never between the cancelled
+        entries the loop drops.  The clock is advanced to each event's
+        time but is *not* moved to ``when`` afterwards — that is the
+        Simulator's job, because only the caller knows whether landing
+        the clock there is meaningful.
         """
+        if until is not None and until():
+            return 0, True
         clock = self._clock
         heap = self._heap  # stable: compaction rewrites it in place
         lane = self._lane_heap
+        fifo = self._fifo
         heappop = heapq.heappop
+        popleft = fifo.popleft
         cap = -1 if max_events is None else max_events
         dispatched = 0
         while dispatched != cap:
-            # Both heads are O(1) to read, so the earlier of the two is
-            # re-decided after every callback; seq is unique, so the
-            # tuple comparison never reaches the third element.
+            # Every head is O(1) to read, so the earliest is re-decided
+            # after every callback; seq is unique, so the tuple
+            # comparisons never reach the third element.
+            if fifo:
+                entry = fifo[0]
+                # A FIFO head that sorts before both heap heads is the
+                # earliest live event, cancelled heap head or not.
+                if (not lane or entry < lane[0]) and (
+                    not heap or entry < heap[0]
+                ):
+                    if entry[0] > when:
+                        break
+                    popleft()
+                    clock._now = entry[0]
+                    self._fired += 1
+                    self._live -= 1
+                    entry[2](entry[3])
+                    dispatched += 1
+                    if until is not None and until():
+                        return dispatched, True
+                    continue
+                # Otherwise a heap head sorts before it, and the choice
+                # between the two heaps below is the right one.
             if lane:
                 entry = lane[0]
                 # A lane head that sorts before the heap head is the
@@ -258,6 +315,8 @@ class Scheduler:
                     self._live -= 1
                     entry[2](entry[3])
                     dispatched += 1
+                    if until is not None and until():
+                        return dispatched, True
                     continue
             elif not heap:
                 break
@@ -276,17 +335,11 @@ class Scheduler:
             self._live -= 1
             handle.callback(*handle.args)
             dispatched += 1
+            if until is not None and until():
+                return dispatched, True
         else:
             return dispatched, True
         return dispatched, False
-
-    def run_next(self) -> bool:
-        """Pop and execute the earliest event.
-
-        Returns ``True`` if an event was executed, ``False`` if no live
-        event remains.
-        """
-        return self.run_until(_INF, 1)[0] > 0
 
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest pending (non-cancelled) event, or ``None``."""
@@ -294,10 +347,8 @@ class Scheduler:
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._dead -= 1
-        lane = self._lane_heap
-        if lane and (not heap or lane[0] < heap[0]):
-            return lane[0][0]
-        return heap[0][0] if heap else None
+        heads = [queue[0] for queue in (heap, self._lane_heap, self._fifo) if queue]
+        return min(heads)[0] if heads else None
 
     # ------------------------------------------------------------------
     # Compaction

@@ -3,12 +3,13 @@
 A :class:`Simulator` bundles the clock, the event scheduler, the seeded
 random streams, and the simulated network transport.  Everything else in
 the library (Bitcoin nodes, churn processes, crawlers) is built on this
-object and advances only when :meth:`run_until` / :meth:`run` dispatch
-events.
+object and advances only when :meth:`run_until` / :meth:`run_for`
+dispatch events.
 
-There is one event engine (:class:`~repro.simnet.events.Scheduler`);
-:meth:`Simulator.step`, :meth:`run_until` and :meth:`run` all drive its
-one dispatch loop.
+There is one event engine (:class:`~repro.simnet.events.Scheduler`) and
+one dispatch loop, its ``run_until``; code that runs until a condition
+holds passes the condition to that loop (``until=``) rather than
+stepping the simulator one event at a time.
 """
 
 from __future__ import annotations
@@ -167,7 +168,10 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Dispatch the single earliest event.  False if none pending."""
+        """Dispatch the single earliest event.  False if none pending.
+
+        Nothing in the library steps; the ledger's traced pass still
+        names this method (``benchmarks/ledger/child.py``)."""
         return self.scheduler.run_until(_INF, 1)[0] > 0
 
     def run_until(self, when: float, max_events: Optional[int] = None) -> RunResult:
@@ -193,15 +197,6 @@ class Simulator:
     def run_for(self, duration: float, max_events: Optional[int] = None) -> RunResult:
         """Dispatch events for ``duration`` seconds of simulated time."""
         return self.run_until(self.clock.now + duration, max_events=max_events)
-
-    def run(self, max_events: int = 10_000_000) -> int:
-        """Dispatch events until the heap is empty (bounded by max_events)."""
-        dispatched, truncated = self.scheduler.run_until(_INF, max_events)
-        if truncated:
-            raise SimulationError(
-                f"simulation did not quiesce within {max_events} events"
-            )
-        return dispatched
 
     # ------------------------------------------------------------------
     # Fault injection

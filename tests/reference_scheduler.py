@@ -2,9 +2,10 @@
 
 This is the seed engine, re-homed from ``src/`` and trimmed to what an
 oracle needs: ONE binary heap of handle objects ordered by a Python
-``__lt__`` on ``(when, seq)`` — no lane heap, no tuples, no
-compaction.  ``lane_schedule*`` are plain ``schedule*``, so a world
-built on this class routes every event through the single queue.  It
+``__lt__`` on ``(when, seq)`` — no lane heap, no due-now FIFO, no
+tuples, no compaction.  ``lane_schedule*`` are plain ``schedule*``, so
+a world built on this class routes every event through the single
+queue.  ``until`` is tested at the top of every turn of the loop.  It
 is deliberately too slow and too simple to be wrong in the same way as
 the production :class:`~repro.simnet.events.Scheduler`, which is the
 point: the hypothesis program in ``test_engine_fastpath.py`` and the
@@ -92,9 +93,11 @@ class ReferenceScheduler:
             heapq.heappop(heap)
         return heap[0].when if heap else None
 
-    def run_until(self, when, max_events=None):
+    def run_until(self, when, max_events=None, *, until=None):
         dispatched = 0
         while dispatched != max_events:
+            if until is not None and until():
+                return dispatched, True
             head = self.next_event_time()
             if head is None or head > when:
                 return dispatched, False
@@ -106,6 +109,3 @@ class ReferenceScheduler:
             event.callback(*event.args)
             dispatched += 1
         return dispatched, True
-
-    def run_next(self):
-        return self.run_until(float("inf"), 1)[0] > 0

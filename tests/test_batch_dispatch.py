@@ -2,7 +2,7 @@
 
 The lane changes *where* hot events live — handler passes, message
 arrivals and light-endpoint answers are bare tuples on the scheduler's
-second heap — but never *when* anything fires or which RNG draw serves
+second heap, or in its due-now FIFO when they are due at once — but never *when* anything fires or which RNG draw serves
 it.  These tests pin that through every layer the lane touches: a world
 built on the production scheduler and a world built on the naive
 single-queue oracle (``tests/reference_scheduler.py``, where
@@ -12,8 +12,9 @@ figures for
 * a live protocol scenario (chain heights, connection counts, sync),
 * a sync campaign (the Fig. 1 pipeline end to end),
 
-and a mixed-tier world snapshotted mid-batch (lane heap non-empty) must
-restore and replay exactly.
+and a mixed-tier world snapshotted mid-batch (lane heap non-empty) or
+with zero-delay entries due (the due-now FIFO non-empty) must restore
+and replay exactly.
 
 They complement ``tests/test_engine_fastpath.py`` (scheduler-level
 ordering against the same oracle).
@@ -101,4 +102,34 @@ def test_snapshot_restore_mid_batch():
     a = int(sim.run_for(300.0))
     b = int(restored.run_for(300.0))
     assert a == b
+    assert sim.now == restored.now
+
+
+def test_snapshot_restore_with_due_now_entries():
+    """Snapshot between two events of one instant, with zero-delay lane
+    entries (handler passes) waiting in the due-now FIFO."""
+    scenario = ProtocolScenario(
+        ProtocolConfig(
+            seed=17,
+            n_reachable=8,
+            churn_per_10min=2.0,
+            pre_mined_blocks=3,
+        )
+    )
+    scenario.start(warmup=30.0)
+    sim = scenario.sim
+    for _ in range(2000):
+        if sim.scheduler._fifo:  # noqa: SLF001 - white-box probe
+            break
+        sim.scheduler.run_until(float("inf"), 1)
+    assert sim.scheduler._fifo, "never caught the FIFO non-empty"  # noqa: SLF001
+    due = len(sim.scheduler._fifo)  # noqa: SLF001
+    restored = Simulator.restore(sim.snapshot())
+    assert len(restored.scheduler._fifo) == due  # noqa: SLF001
+    assert restored.scheduler.pending == sim.scheduler.pending
+    assert restored.scheduler.next_event_time() == sim.now
+    a = int(sim.run_for(300.0))
+    b = int(restored.run_for(300.0))
+    assert a == b
+    assert sim.scheduler.fired == restored.scheduler.fired
     assert sim.now == restored.now

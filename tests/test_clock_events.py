@@ -8,6 +8,8 @@ from repro.errors import ClockError, SimulationError
 from repro.simnet.clock import SimClock
 from repro.simnet.events import Scheduler
 
+INF = float("inf")
+
 
 class TestSimClock:
     def test_starts_at_zero(self):
@@ -41,20 +43,18 @@ class TestScheduler:
         self.sched.schedule(3.0, self.fired.append, "c")
         self.sched.schedule(1.0, self.fired.append, "a")
         self.sched.schedule(2.0, self.fired.append, "b")
-        while self.sched.run_next():
-            pass
+        self.sched.run_until(INF)
         assert self.fired == ["a", "b", "c"]
 
     def test_ties_fire_in_scheduling_order(self):
         for label in "abcde":
             self.sched.schedule(1.0, self.fired.append, label)
-        while self.sched.run_next():
-            pass
+        self.sched.run_until(INF)
         assert self.fired == list("abcde")
 
     def test_clock_advances_to_event_time(self):
         self.sched.schedule(7.5, lambda: None)
-        self.sched.run_next()
+        assert self.sched.run_until(INF, 1) == (1, True)
         assert self.clock.now == 7.5
 
     def test_negative_delay_rejected(self):
@@ -70,15 +70,15 @@ class TestScheduler:
         handle = self.sched.schedule(1.0, self.fired.append, "x")
         self.sched.schedule(2.0, self.fired.append, "y")
         handle.cancel()
-        while self.sched.run_next():
-            pass
+        self.sched.run_until(INF)
         assert self.fired == ["y"]
 
     def test_cancel_is_idempotent(self):
         handle = self.sched.schedule(1.0, self.fired.append, "x")
         handle.cancel()
         handle.cancel()
-        assert not self.sched.run_next() or self.fired == []
+        assert self.sched.run_until(INF) == (0, False)
+        assert self.fired == []
 
     def test_events_can_schedule_events(self):
         def chain():
@@ -86,8 +86,7 @@ class TestScheduler:
             self.sched.schedule(1.0, self.fired.append, "second")
 
         self.sched.schedule(1.0, chain)
-        while self.sched.run_next():
-            pass
+        self.sched.run_until(INF)
         assert self.fired == ["first", "second"]
         assert self.clock.now == 2.0
 
@@ -97,14 +96,14 @@ class TestScheduler:
         handle.cancel()
         assert self.sched.next_event_time() == 2.0
 
-    def test_run_next_on_empty_heap(self):
-        assert self.sched.run_next() is False
+    def test_run_until_on_empty_heap(self):
+        assert self.sched.run_until(INF) == (0, False)
+        assert self.sched.run_until(INF, 1) == (0, False)
 
     def test_fired_counter(self):
         self.sched.schedule(1.0, lambda: None)
         self.sched.schedule(2.0, lambda: None)
-        while self.sched.run_next():
-            pass
+        self.sched.run_until(INF)
         assert self.sched.fired == 2
 
     def test_cancelled_event_drops_references(self):

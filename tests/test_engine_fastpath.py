@@ -1,5 +1,6 @@
-"""Scheduler tests: oracle equivalence (regular queue + no-cancel lane),
-live counters, truncated runs, compaction and periodic-task edges.
+"""Scheduler tests: oracle equivalence (regular queue, no-cancel lane and
+due-now FIFO), live counters, truncated and predicate-stopped runs,
+compaction, the pickled layout and periodic-task edges.
 
 The production :class:`~repro.simnet.events.Scheduler` must be
 *observationally identical* to the naive single-heap oracle in
@@ -9,6 +10,9 @@ both and compare traces.
 """
 
 from __future__ import annotations
+
+import pickle
+from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,9 +36,11 @@ _ops = st.one_of(
     st.tuples(st.just("schedule"), st.floats(0.0, 120.0, allow_nan=False)),
     st.tuples(st.just("lane"), st.floats(0.0, 120.0, allow_nan=False)),
     st.tuples(st.just("lane_at"), st.floats(0.0, 120.0, allow_nan=False)),
+    st.tuples(st.just("lane_now"), st.none()),
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),
     st.tuples(st.just("run_for"), st.floats(0.0, 30.0, allow_nan=False)),
     st.tuples(st.just("run_events"), st.integers(0, 8)),
+    st.tuples(st.just("run_until_traced"), st.integers(0, 8)),
 )
 
 #: Tags at or above this mark follow-up events, which schedule nothing
@@ -43,7 +49,11 @@ _FOLLOW_UP = 100_000
 
 
 def run_program(scheduler, program):
-    """Interpret a (op, value) list; return the dispatch trace."""
+    """Interpret a (op, value) list; return the dispatch trace.
+
+    The trace also holds each run's return value and, after every
+    top-level op and inside the callbacks that schedule a zero-delay
+    lane entry, the live count and the next event time."""
     trace = []
     handles = []
     clock = scheduler._clock
@@ -63,9 +73,13 @@ def run_program(scheduler, program):
             scheduler.lane_schedule(0.25, fire, tag + _FOLLOW_UP)
         elif kind == 2:
             # An immediate regular event: it must fire before every lane
-            # entry already stored for a later time.
+            # entry already stored for a later time.  The zero-delay lane
+            # entry after it has a higher seq at the same time, and goes
+            # to the due-now FIFO.
             handles.append(scheduler.schedule(0.0, fire, tag + _FOLLOW_UP))
             scheduler.lane_schedule_at(clock.now, fire, tag + 2 * _FOLLOW_UP)
+            scheduler.lane_schedule(0.0, fire, tag + 3 * _FOLLOW_UP)
+            trace.append(("in", scheduler.pending, scheduler.next_event_time()))
         elif handles:
             handles[tag * 7 % len(handles)].cancel()
 
@@ -77,13 +91,23 @@ def run_program(scheduler, program):
             scheduler.lane_schedule(value, fire, next(tags))
         elif op == "lane_at":
             scheduler.lane_schedule_at(clock.now + value, fire, next(tags))
+        elif op == "lane_now":
+            scheduler.lane_schedule(0.0, fire, next(tags))
         elif op == "cancel":
             if handles:
                 handles[value % len(handles)].cancel()
         elif op == "run_for":
-            scheduler.run_until(clock.now + value)
+            trace.append(scheduler.run_until(clock.now + value))
         elif op == "run_events":
-            scheduler.run_until(float("inf"), value)
+            trace.append(scheduler.run_until(float("inf"), value))
+        elif op == "run_until_traced":
+            start = len(trace)
+            trace.append(
+                scheduler.run_until(
+                    float("inf"), until=lambda: len(trace) - start >= value
+                )
+            )
+        trace.append(("after", scheduler.pending, scheduler.next_event_time()))
     # Drain whatever remains so the full order is compared.
     scheduler.run_until(float("inf"), 100_000)
     return trace
@@ -120,8 +144,8 @@ def test_lane_merges_with_regular_queue_by_time_then_seq():
     assert sched.run_until(1.0) == (3, False)
     assert trace == ["regular-1.0", "lane-1.0", "regular-1.0-late"]
     assert sched.next_event_time() == 2.0
-    assert sched.run_next() is True
-    assert sched.run_next() is False
+    assert sched.run_until(float("inf"), 1) == (1, True)
+    assert sched.run_until(float("inf"), 1) == (0, False)
     assert trace[-1] == "lane-2.0"
     assert sched.fired == 4
 
@@ -135,6 +159,124 @@ def test_next_event_time_skips_cancelled_heads():
     assert sched.cancelled_pending == 0  # the dead head was dropped
     sched.lane_schedule(2.0, lambda _payload: None, None)
     assert sched.next_event_time() == 2.0
+
+
+def test_zero_delay_lane_entries_queue_beside_the_heaps():
+    sched = make_scheduler()
+    clock = sched._clock
+    trace = []
+
+    def first(_payload):
+        trace.append("first")
+        sched.schedule(0.0, trace.append, "regular-now")
+        sched.lane_schedule(0.0, trace.append, "fifo-a")
+        sched.lane_schedule(0.0, trace.append, "fifo-b")
+        # Stored: the regular event, the two FIFO entries, the lane
+        # entry at 1.5; the FIFO is counted everywhere.
+        assert sched.pending == sched.pending_raw == 4
+        assert len(sched._fifo) == 2
+        assert sched.next_event_time() == clock.now == 1.0
+
+    sched.lane_schedule(1.0, first, None)
+    sched.lane_schedule(1.5, trace.append, "lane-1.5")
+    assert sched.run_until(1.0, 2) == (2, True)
+    assert trace == ["first", "regular-now"]
+    assert sched.pending == sched.pending_raw == 3
+    assert sched.next_event_time() == 1.0
+    assert sched.run_until(2.0) == (3, False)
+    assert trace[2:] == ["fifo-a", "fifo-b", "lane-1.5"]
+    assert sched.pending == sched.pending_raw == 0
+    assert sched.next_event_time() is None
+
+
+# ---------------------------------------------------------------------------
+# The stop predicate
+# ---------------------------------------------------------------------------
+def test_until_is_tested_before_the_first_event_and_after_each():
+    sched = make_scheduler()
+    clock = sched._clock
+    trace = []
+    for when in (1.0, 2.0, 3.0):
+        sched.schedule(when, trace.append, when)
+    assert sched.run_until(10.0, until=lambda: True) == (0, True)
+    assert trace == [] and clock.now == 0.0
+    # A predicate stop leaves the clock at the last event fired.
+    assert sched.run_until(10.0, until=lambda: clock.now >= 2.0) == (2, True)
+    assert trace == [1.0, 2.0] and clock.now == 2.0
+    assert sched.pending == 1
+    # A predicate that never holds runs like no predicate.
+    assert sched.run_until(10.0, until=lambda: False) == (1, False)
+
+
+def test_simulator_run_until_leaves_the_clock_where_until_stopped():
+    sim = Simulator(seed=1)
+    for when in (1.0, 2.0, 3.0):
+        sim.schedule(when, lambda: None)
+    result = sim.scheduler.run_until(
+        float("inf"), until=lambda: sim.scheduler.fired == 2
+    )
+    assert result == (2, True)
+    assert sim.now == 2.0
+
+
+# ---------------------------------------------------------------------------
+# The pickled layout
+# ---------------------------------------------------------------------------
+class _Chain:
+    """Picklable callbacks: each regular event records itself and
+    schedules a zero-delay lane entry and a later one."""
+
+    def __init__(self, sched):
+        self.sched = sched
+        self.trace = []
+
+    def regular(self, tag):
+        self.trace.append((self.sched._clock.now, tag))
+        if tag < _FOLLOW_UP:
+            self.sched.lane_schedule(0.0, self.lane, tag + _FOLLOW_UP)
+            self.sched.lane_schedule(0.5, self.lane, tag + 2 * _FOLLOW_UP)
+
+    def lane(self, tag):
+        self.trace.append((self.sched._clock.now, tag))
+
+
+def _chain_world(sched):
+    chain = _Chain(sched)
+    for tag in range(6):
+        sched.schedule(float(tag % 3), chain.regular, tag)
+    # Zero-delay lane entries as every scheduler stored them before the
+    # due-now FIFO: in the lane heap.
+    sched.lane_schedule_at(0.0, chain.lane, 90)
+    sched.lane_schedule_at(0.0, chain.lane, 91)
+    return chain
+
+
+def test_a_scheduler_pickled_without_the_fifo_dispatches_the_same():
+    reference = _chain_world(ReferenceScheduler(SimClock()))
+    reference.sched.run_until(float("inf"))
+
+    chain = _chain_world(make_scheduler())
+    del chain.sched._fifo  # the layout written before the FIFO existed
+    blob = pickle.dumps(chain)
+    assert b"_fifo" not in blob
+    loaded = pickle.loads(blob)
+    assert loaded.sched._fifo == deque()
+    assert loaded.sched.pending_raw == loaded.sched.pending == 8
+    loaded.sched.run_until(float("inf"))
+    assert loaded.trace == reference.trace
+    assert loaded.sched.fired == reference.sched.fired == 20
+
+
+def test_a_mid_run_pickle_keeps_the_fifo():
+    chain = _chain_world(make_scheduler())
+    chain.sched.run_until(float("inf"), 4)
+    assert chain.sched._fifo  # truncated with zero-delay entries due
+    loaded = pickle.loads(pickle.dumps(chain))
+    due = [(when, seq, tag) for when, seq, _, tag in chain.sched._fifo]
+    assert [(when, seq, tag) for when, seq, _, tag in loaded.sched._fifo] == due
+    chain.sched.run_until(float("inf"))
+    loaded.sched.run_until(float("inf"))
+    assert loaded.trace == chain.trace
 
 
 # ---------------------------------------------------------------------------

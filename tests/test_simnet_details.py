@@ -22,7 +22,7 @@ class TestSchedulerStress:
         fired_times = []
         for delay in delays:
             sim.schedule(delay, lambda: fired_times.append(sim.now))
-        sim.run()
+        sim.scheduler.run_until(float("inf"))
         assert fired_times == sorted(fired_times)
         assert len(fired_times) == len(delays)
 
@@ -39,7 +39,7 @@ class TestSchedulerStress:
         for handle, cancel in zip(handles, cancel_mask):
             if cancel:
                 handle.cancel()
-        sim.run()
+        sim.scheduler.run_until(float("inf"))
         expected = [i for i, cancel in enumerate(cancel_mask) if not cancel]
         assert fired == expected
 
@@ -53,7 +53,7 @@ class TestSchedulerStress:
                 sim.schedule(0.001, chain)
 
         sim.schedule(0.001, chain)
-        sim.run()
+        sim.scheduler.run_until(float("inf"))
         assert counter["n"] == 5000
         assert sim.now == pytest.approx(5.0, rel=0.01)
 

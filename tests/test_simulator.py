@@ -35,17 +35,19 @@ class TestSimulatorTime:
         fired = []
         for delay in (1.0, 2.0, 3.0):
             sim.schedule(delay, fired.append, delay)
-        count = sim.run()
+        count = sim.run_until(10.0)
         assert count == 3
         assert fired == [1.0, 2.0, 3.0]
+        assert sim.scheduler.pending == 0
 
     def test_run_detects_runaway(self, sim):
         def forever():
             sim.schedule(0.0, forever)
 
         sim.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
+        result = sim.run_until(1.0, max_events=100)
+        assert result.truncated
+        assert sim.now == 0.0
 
     def test_step(self, sim):
         fired = []
