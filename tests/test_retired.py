@@ -435,6 +435,15 @@ GUARDS = [
         "1ee12a2",
         "    churn = ChurnProcess(sim, nodes, start, 14.0, replacement_delay_mean=30.0)",
     ),
+    Guard(
+        "engine.step_entry_points",
+        r"\brun_next\(|def run\(self, max_events|\b(sim|simulator)\.run\(",
+        ("src/", "tests/", "examples/"),
+        "one dispatch loop, Scheduler.run_until: code that runs until a "
+        "condition holds passes it as until=, and a drain is run_until(inf)",
+        "52a96a0",
+        "        while self.sched.run_next():",
+    ),
 ]
 
 
