@@ -208,17 +208,6 @@ def test_until_is_tested_before_the_first_event_and_after_each():
     assert sched.run_until(10.0, until=lambda: False) == (1, False)
 
 
-def test_simulator_run_until_leaves_the_clock_where_until_stopped():
-    sim = Simulator(seed=1)
-    for when in (1.0, 2.0, 3.0):
-        sim.schedule(when, lambda: None)
-    result = sim.scheduler.run_until(
-        float("inf"), until=lambda: sim.scheduler.fired == 2
-    )
-    assert result == (2, True)
-    assert sim.now == 2.0
-
-
 # ---------------------------------------------------------------------------
 # The pickled layout
 # ---------------------------------------------------------------------------
@@ -265,18 +254,6 @@ def test_a_scheduler_pickled_without_the_fifo_dispatches_the_same():
     loaded.sched.run_until(float("inf"))
     assert loaded.trace == reference.trace
     assert loaded.sched.fired == reference.sched.fired == 20
-
-
-def test_a_mid_run_pickle_keeps_the_fifo():
-    chain = _chain_world(make_scheduler())
-    chain.sched.run_until(float("inf"), 4)
-    assert chain.sched._fifo  # truncated with zero-delay entries due
-    loaded = pickle.loads(pickle.dumps(chain))
-    due = [(when, seq, tag) for when, seq, _, tag in chain.sched._fifo]
-    assert [(when, seq, tag) for when, seq, _, tag in loaded.sched._fifo] == due
-    chain.sched.run_until(float("inf"))
-    loaded.sched.run_until(float("inf"))
-    assert loaded.trace == chain.trace
 
 
 # ---------------------------------------------------------------------------
