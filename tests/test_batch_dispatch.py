@@ -2,8 +2,8 @@
 
 The lane changes *where* hot events live — handler passes, message
 arrivals and light-endpoint answers are bare tuples on the scheduler's
-second heap, or in its due-now FIFO when they are due at once — but never *when* anything fires or which RNG draw serves
-it.  These tests pin that through every layer the lane touches: a world
+second heap, or in its due-now FIFO when they are due at once — but
+never *when* anything fires or which RNG draw serves it.  These tests pin that through every layer the lane touches: a world
 built on the production scheduler and a world built on the naive
 single-queue oracle (``tests/reference_scheduler.py``, where
 ``lane_schedule`` is plain ``schedule``) must produce bit-identical
